@@ -3,39 +3,35 @@
 and divergence numbers, export the energy map and generator samples.
 
 Usage: python scripts/run_fourspin.py [out_dir] [--field value ...]
+
+The overrides and DUALEBM_OUTDIR mean what they mean to ``dualebm train``.
+Exits with the first non-zero code of the four commands, or 0.
 """
 
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from dualebm.cli import load_run_config
 from dualebm.cli import main as cli_main
-from dualebm.config import RunConfig, apply_overrides
-from dualebm.data_io import load_checkpoint
 
 
 def run(out_dir: str, overrides) -> int:
-    config = RunConfig(dataset="four_spin", out_dir=out_dir)
-    pairs = [(overrides[i][2:].replace("-", "_"), overrides[i + 1])
-             for i in range(0, len(overrides), 2)]
-    apply_overrides(config, pairs)
-
-    args = ["train"]
-    for key, value in config.to_dict().items():
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        args += [f"--{key}", str(value)]
-    code = cli_main(args)
+    train_args = ["--dataset", "four_spin", "--out_dir", out_dir, *overrides]
+    code = cli_main(["train", *train_args])
     if code != 0:
         return code
 
-    ckpt = str(Path(config.out_dir) / "checkpoint_final.bin")
-    cli_main(["energy-map", "--checkpoint", ckpt, "--res", "200",
-              "--out", str(Path(config.out_dir) / "energy_map.csv")])
-    cli_main(["sample", "--checkpoint", ckpt, "--n", "5000",
-              "--out", str(Path(config.out_dir) / "samples.csv")])
-    return cli_main(["eval", "--checkpoint", ckpt])
+    run_dir = Path(load_run_config(None, train_args).out_dir)
+    ckpt = str(run_dir / "checkpoint_final.bin")
+    for argv in (["energy-map", "--checkpoint", ckpt, "--res", "200",
+                  "--out", str(run_dir / "energy_map.csv")],
+                 ["sample", "--checkpoint", ckpt, "--n", "5000",
+                  "--out", str(run_dir / "samples.csv")],
+                 ["eval", "--checkpoint", ckpt]):
+        code = cli_main(argv)
+        if code != 0:
+            return code
+    return 0
 
 
 if __name__ == "__main__":

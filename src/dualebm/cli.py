@@ -2,9 +2,10 @@
 
 Subcommands: train, sample, energy-map, interpolate, gradcheck, eval.
 Every command is deterministic given (config, seed, checkpoint). Exit
-codes: 0 success, 2 configuration problem, 3 non-finite gradient abort
-(step number printed), 4 missing or corrupt checkpoint. The environment
-variable DUALEBM_OUTDIR overrides the configured output directory.
+codes: 0 success, 2 configuration problem or out-of-range argument, 3
+non-finite gradient abort (step number printed), 4 missing or corrupt
+checkpoint. The environment variable DUALEBM_OUTDIR overrides the
+configured output directory.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ EXIT_NONFINITE = 3
 EXIT_CHECKPOINT = 4
 
 
-def _load_config_with_overrides(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
+def load_run_config(config_path, overrides) -> RunConfig:
+    """The validated RunConfig of ``dualebm train``: the JSON file (or the
+    defaults), then ``--field value`` overrides, then DUALEBM_OUTDIR."""
+    config = load_config(config_path) if config_path else RunConfig()
     pairs = []
-    leftover = list(args.overrides)
+    leftover = list(overrides)
     while leftover:
         key = leftover.pop(0)
         if not key.startswith("--") or not leftover:
@@ -64,6 +67,19 @@ def _load_config_with_overrides(args) -> RunConfig:
     return config.validate()
 
 
+def _at_least(minimum: int):
+    """argparse type: an int no smaller than ``minimum``; anything else is
+    a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _open_checkpoint(path) -> Checkpoint:
     try:
         return load_checkpoint(path)
@@ -72,7 +88,7 @@ def _open_checkpoint(path) -> Checkpoint:
 
 
 def cmd_train(args) -> int:
-    config = _load_config_with_overrides(args)
+    config = load_run_config(args.config, args.overrides)
     dem, gen = build_models(config)
     streams = rng_streams(config.seed)
     dataset = load_run_dataset(config, streams["data"])
@@ -184,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="draw generator samples")
     p_sample.add_argument("--checkpoint", required=True)
-    p_sample.add_argument("--n", type=int, default=1000)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--n", type=_at_least(1), default=1000)
+    p_sample.add_argument("--seed", type=_at_least(0), default=0)
     p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(fn=cmd_sample)
 
@@ -193,15 +209,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--checkpoint", required=True)
     p_map.add_argument("--bounds", type=float, nargs=2, default=[-1.5, 1.5],
                        metavar=("LO", "HI"))
-    p_map.add_argument("--res", type=int, default=200)
+    p_map.add_argument("--res", type=_at_least(2), default=200)
     p_map.add_argument("--out", required=True)
     p_map.set_defaults(fn=cmd_energy_map)
 
     p_interp = sub.add_parser("interpolate",
                               help="generate samples along a latent line")
     p_interp.add_argument("--checkpoint", required=True)
-    p_interp.add_argument("--k", type=int, default=10)
-    p_interp.add_argument("--seed", type=int, default=0)
+    p_interp.add_argument("--k", type=_at_least(2), default=10)
+    p_interp.add_argument("--seed", type=_at_least(0), default=0)
     p_interp.add_argument("--out", required=True)
     p_interp.set_defaults(fn=cmd_interpolate)
 
@@ -209,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare analytic gradients to central differences")
     p_grad.add_argument("--scale", type=float, default=1.0,
                         help="random init scale for the probe models")
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_at_least(0), default=0)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_eval = sub.add_parser("eval", help="mode coverage and divergence metrics")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--n", type=int, default=5000)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--grid-n", type=int, default=200)
+    p_eval.add_argument("--n", type=_at_least(1), default=5000)
+    p_eval.add_argument("--seed", type=_at_least(0), default=0)
+    p_eval.add_argument("--grid-n", type=_at_least(2), default=200)
     p_eval.set_defaults(fn=cmd_eval)
     return parser
 

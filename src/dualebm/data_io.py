@@ -34,6 +34,7 @@ IDX_LABELS_MAGIC = 0x00000801
 
 CHECKPOINT_MAGIC = b"DUALEBM\x00"
 CHECKPOINT_VERSION = 1
+HEADER_KEYS = ("config", "dem", "gen", "state", "tensors")
 
 # (number of arms, t_min, t_max) per named 2D dataset
 SPIRAL_SPECS = {
@@ -269,6 +270,12 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(payload[20:20 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
+    missing = [key for key in HEADER_KEYS if key not in header]
+    if missing:
+        raise CheckpointError(
+            f"{path}: corrupt header: missing {', '.join(map(repr, missing))}")
 
     manifest = header["tensors"]
     expected = 20 + header_len + sum(

@@ -13,6 +13,8 @@ not trained.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import logsumexp
 
@@ -118,13 +120,13 @@ class EnergyModel:
         return out
 
 
-def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
-                      x_neg: np.ndarray) -> tuple[dict, dict]:
-    """Gradient of mean(E(x_pos)) - mean(E(x_neg)) over the model parameters.
+def dem_loss(model: EnergyModel, x_pos: np.ndarray,
+             x_neg: np.ndarray) -> tuple[Node, Node, Node]:
+    """The energy-model loss mean(E(x_pos)) - mean(E(x_neg)) on a new tape.
 
+    Returns the (loss, positive-phase mean, negative-phase mean) nodes.
     x_neg must arrive as a plain array (generated samples are detached: the
-    generator that produced them gets no gradient from this loss). Returns
-    the per-parameter gradients and the phase statistics for metrics.
+    generator that produced them gets no gradient from this loss).
     """
     x_pos = np.asarray(x_pos, dtype=np.float64)
     x_neg = np.asarray(x_neg, dtype=np.float64)
@@ -135,18 +137,28 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
     tape = Tape()
     e_pos = model.energy(tape.constant(x_pos)).mean()
     e_neg = model.energy(tape.constant(x_neg)).mean()
-    loss = e_pos - e_neg
-    tape.backward(loss)
+    return e_pos - e_neg, e_pos, e_neg
+
+
+def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
+                      x_neg: np.ndarray) -> tuple[dict, dict]:
+    """Gradient of ``dem_loss`` over the model parameters.
+
+    Returns the per-parameter gradients and the phase statistics for
+    metrics.
+    """
+    loss, e_pos, e_neg = dem_loss(model, x_pos, x_neg)
+    loss.tape.backward(loss)
     grads = {p.name: p.grad.copy() for p in model.params()}
     stats = {"e_pos": float(e_pos.values), "e_neg": float(e_neg.values)}
     return grads, stats
 
 
-def log_partition(energy_fn, bounds, grid_n: int) -> float:
-    """log of the trapezoidal quadrature of exp(-energy) over a grid.
+def trapezoid_grid(bounds, grid_n: int):
+    """Quadrature nodes and per-node log-weights of the trapezoid rule.
 
-    bounds is one (lo, hi) pair per dimension, at most two dimensions.
-    Summation happens in log space, so arbitrarily large energies are safe.
+    bounds is one (lo, hi) pair per dimension, at most two dimensions; the
+    nodes run with the first coordinate slowest.
     """
     bounds = [tuple(map(float, b)) for b in bounds]
     if not 1 <= len(bounds) <= 2:
@@ -154,22 +166,37 @@ def log_partition(energy_fn, bounds, grid_n: int) -> float:
             f"quadrature supports 1 or 2 dimensions, got {len(bounds)}")
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
-    axes, weights = [], []
+    axes, log_weights = [], []
     for lo, hi in bounds:
         axes.append(np.linspace(lo, hi, grid_n))
         w = np.full(grid_n, (hi - lo) / (grid_n - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        weights.append(w)
-    if len(bounds) == 1:
-        points = axes[0][:, None]
-        log_w = np.log(weights[0])
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        points = np.column_stack([gx.ravel(), gy.ravel()])
-        log_w = (np.log(weights[0])[:, None] + np.log(weights[1])[None, :]).ravel()
+        log_weights.append(np.log(w))
+    grids = np.meshgrid(*axes, indexing="ij")
+    points = np.column_stack([g.ravel() for g in grids])
+    log_w = functools.reduce(np.add.outer, log_weights).ravel()
+    return points, log_w
+
+
+def grid_log_density(energy_fn, bounds, grid_n: int):
+    """Grid points, normalized log-probability mass per node, log Z, and
+    the per-node log-weights.
+
+    The masses include the quadrature weights, so they sum to one over the
+    grid and behave like a discrete distribution. Summation happens in log
+    space, so arbitrarily large energies are safe.
+    """
+    points, log_w = trapezoid_grid(bounds, grid_n)
     energies = np.asarray(energy_fn(points), dtype=np.float64)
-    return float(logsumexp(-energies + log_w))
+    log_unnorm = -energies + log_w
+    log_z = float(logsumexp(log_unnorm))
+    return points, log_unnorm - log_z, log_z, log_w
+
+
+def log_partition(energy_fn, bounds, grid_n: int) -> float:
+    """log of the trapezoidal quadrature of exp(-energy) over a grid."""
+    return grid_log_density(energy_fn, bounds, grid_n)[2]
 
 
 def log_partition_oracle(model: EnergyModel, bounds, grid_n: int) -> float:
@@ -178,32 +205,3 @@ def log_partition_oracle(model: EnergyModel, bounds, grid_n: int) -> float:
         raise ValueError(
             f"partition quadrature only supports d_in <= 2, model has {model.d_in}")
     return log_partition(model.energy_values, bounds, grid_n)
-
-
-def trapezoid_grid(bounds, grid_n: int):
-    """2D quadrature nodes and per-node log-weights (trapezoid rule)."""
-    bounds = [tuple(map(float, b)) for b in bounds]
-    axes, weights = [], []
-    for lo, hi in bounds:
-        axes.append(np.linspace(lo, hi, grid_n))
-        w = np.full(grid_n, (hi - lo) / (grid_n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        weights.append(w)
-    gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    log_w = (np.log(weights[0])[:, None] + np.log(weights[1])[None, :]).ravel()
-    return points, log_w
-
-
-def grid_log_density(energy_fn, bounds, grid_n: int):
-    """Grid points, normalized log-probability mass per node, and log Z.
-
-    The masses include the quadrature weights, so they sum to one over the
-    grid and behave like a discrete distribution.
-    """
-    points, log_w = trapezoid_grid(bounds, grid_n)
-    energies = np.asarray(energy_fn(points), dtype=np.float64)
-    log_unnorm = -energies + log_w
-    log_z = float(logsumexp(log_unnorm))
-    return points, log_unnorm - log_z, log_z, log_w

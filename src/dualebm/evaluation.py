@@ -48,18 +48,19 @@ def energy_heatmap(dem, bounds, resolution) -> HeatmapGrid:
     nx, ny = (resolution, resolution) if np.isscalar(resolution) else resolution
     if nx < 2 or ny < 2:
         raise ValueError(f"resolution must be >= 2 per dimension, got {nx}x{ny}")
-    xs = x_lo + (np.arange(nx) + 0.5) * (x_hi - x_lo) / nx
-    ys = y_lo + (np.arange(ny) + 0.5) * (y_hi - y_lo) / ny
+    bounds = ((x_lo, x_hi), (y_lo, y_hi))
+    xs, ys = _cell_centers(bounds, (nx, ny))
     gx, gy = np.meshgrid(xs, ys)
     energies = _as_energy_fn(dem)(np.column_stack([gx.ravel(), gy.ravel()]))
     values = np.asarray(energies, dtype=np.float64).reshape(ny, nx)
-    return HeatmapGrid(((x_lo, x_hi), (y_lo, y_hi)), (nx, ny), values,
+    return HeatmapGrid(bounds, (nx, ny), values,
                        float(values.min()), float(values.max()))
 
 
-def heatmap_cell_centers(grid: HeatmapGrid) -> tuple[np.ndarray, np.ndarray]:
-    (x_lo, x_hi), (y_lo, y_hi) = grid.bounds
-    nx, ny = grid.resolution
+def _cell_centers(bounds, resolution) -> tuple[np.ndarray, np.ndarray]:
+    """x and y centres of the cells of an nx-by-ny grid over the bounds."""
+    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    nx, ny = resolution
     xs = x_lo + (np.arange(nx) + 0.5) * (x_hi - x_lo) / nx
     ys = y_lo + (np.arange(ny) + 0.5) * (y_hi - y_lo) / ny
     return xs, ys
@@ -162,7 +163,7 @@ def export_image_grid(obj, path) -> None:
     input produces a zero image with the degenerate scale noted.
     """
     if isinstance(obj, HeatmapGrid):
-        xs, ys = heatmap_cell_centers(obj)
+        xs, ys = _cell_centers(obj.bounds, obj.resolution)
         with open(path, "w") as f:
             f.write("x,y,energy\n")
             for iy, y in enumerate(ys):

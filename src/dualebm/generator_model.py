@@ -160,18 +160,15 @@ def _check_scales(model: GeneratorModel) -> list[Parameter]:
 
 
 def entropy_surrogate(model: GeneratorModel) -> float:
-    """Sum of 0.5*log(2*e*pi*sigma_a^2) over all batch-norm scale entries."""
-    total = 0.0
-    for p in _check_scales(model):
-        total += float(np.sum(0.5 * (LOG_2PIE + np.log(p.values**2))))
-    return total
+    """Value of ``entropy_surrogate_node``."""
+    return float(entropy_surrogate_node(model, Tape()).values)
 
 
 def entropy_surrogate_node(model: GeneratorModel, tape: Tape) -> Node:
-    """Tape version of the surrogate; gradient w.r.t. each scale is 1/scale."""
-    scales = _check_scales(model)
+    """Sum of 0.5*log(2*e*pi*sigma_a^2) over all batch-norm scale entries;
+    its gradient w.r.t. each scale is 1/scale."""
     terms = None
-    for p in scales:
+    for p in _check_scales(model):
         s = tape.watch(p)
         term = (ad.log(ad.square(s)) + LOG_2PIE).sum() * 0.5
         terms = term if terms is None else terms + term

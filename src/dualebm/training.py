@@ -11,12 +11,11 @@ step rather than being masked.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import Parameter, Tape, sigmoid, softplus
 from .energy_model import EnergyModel, dem_loss_gradient
 from .generator_model import (
     ENTROPY_ESTIMATORS,
@@ -73,6 +72,8 @@ class TrainConfig:
             raise ConfigError("dem_updates_per_dgm_update must be positive")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 
@@ -186,59 +187,3 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: TrainConfig,
             checkpoint_fn(state)
     return state
 
-
-def _flat_params_grad(model: EnergyModel) -> np.ndarray:
-    return np.concatenate([p.grad.ravel() for p in model.params()])
-
-
-def classifier_view_check(dem: EnergyModel, x_pos: np.ndarray,
-                          x_neg: np.ndarray) -> dict:
-    """Compare the exact data-vs-model classifier gradient to the unweighted
-    quarter-difference of phase gradients.
-
-    The classifier says P(real | x) = sigmoid(-E(x)); its expected negative
-    conditional log-likelihood is
-
-        0.5 * mean(softplus(E(x_pos))) + 0.5 * mean(softplus(-E(x_neg)))
-
-    whose gradient weights each sample by the probability the classifier
-    assigns to the *other* class. When those weights all sit at 1/2 (the
-    hard-to-discriminate regime), the exact gradient collapses to
-    0.25 * (positive phase - negative phase).
-    """
-    x_pos = np.asarray(x_pos, dtype=np.float64)
-    x_neg = np.asarray(x_neg, dtype=np.float64)
-    if x_pos.shape[0] != x_neg.shape[0]:
-        raise ValueError(
-            f"batch sizes differ: {x_pos.shape[0]} vs {x_neg.shape[0]}")
-
-    tape = Tape()
-    e_pos = dem.energy(tape.constant(x_pos))
-    e_neg = dem.energy(tape.constant(x_neg))
-    nll = 0.5 * (softplus(e_pos).mean() + softplus(-e_neg).mean())
-    tape.backward(nll)
-    exact = _flat_params_grad(dem)
-    weights_pos = sigmoid(e_pos).values        # P(fake | x_pos)
-    weights_neg = sigmoid(-e_neg).values       # P(real | x_neg)
-
-    tape = Tape()
-    approx_root = 0.25 * (dem.energy(tape.constant(x_pos)).mean()
-                          - dem.energy(tape.constant(x_neg)).mean())
-    tape.backward(approx_root)
-    approx = _flat_params_grad(dem)
-
-    exact_norm = float(np.linalg.norm(exact))
-    approx_norm = float(np.linalg.norm(approx))
-    if exact_norm == 0.0 or approx_norm == 0.0:
-        cosine = 1.0 if exact_norm == approx_norm else 0.0
-    else:
-        cosine = float(exact @ approx / (exact_norm * approx_norm))
-    return {
-        "exact_grad": exact,
-        "approx_grad": approx,
-        "cosine": cosine,
-        "ratio": exact_norm / approx_norm if approx_norm else float("inf"),
-        "weights_pos": weights_pos,
-        "weights_neg": weights_neg,
-        "nll": float(nll.values),
-    }

@@ -1,6 +1,9 @@
+import importlib.util
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +69,11 @@ def test_train_rejects_zero_steps(tmp_path):
     assert code == 2
 
 
+def test_train_rejects_negative_seed(tmp_path):
+    code, _ = _train(tmp_path, "--seed", "-1")
+    assert code == 2
+
+
 def test_train_rejects_unknown_config_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"datasset": "four_spin"}))
@@ -117,6 +125,25 @@ def trained_run(tmp_path_factory):
     code, run_dir = _train(tmp_path)
     assert code == 0
     return run_dir
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--grid-n", "1"),
+    ("energy-map", "--res", "1"),
+    ("sample", "--n", "0"),
+    ("eval", "--n", "0"),
+    ("interpolate", "--k", "1"),
+    ("sample", "--seed", "-1"),
+    ("interpolate", "--seed", "-1"),
+    ("eval", "--seed", "-1"),
+])
+def test_out_of_range_argument_is_usage_error(tmp_path, capsys, command, flag,
+                                              value):
+    argv = [command, "--checkpoint", str(tmp_path / "nope.bin"), flag, value]
+    if command != "eval":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 2  # a missing checkpoint would give 4
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
 def test_sample_deterministic_csv(trained_run, tmp_path):
@@ -199,6 +226,11 @@ def test_eval_reports_metrics(trained_run, capsys):
         assert f"{key}=" in out
 
 
+def test_gradcheck_rejects_negative_seed(capsys):
+    assert cli.main(["gradcheck", "--seed", "-1"]) == 2
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
 def test_gradcheck_command_passes():
     assert cli.main(["gradcheck"]) == 0
 
@@ -208,3 +240,43 @@ def test_console_entry_point():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "worst relative error" in result.stdout
+
+
+def test_every_module_is_reached_from_the_cli():
+    """Importing the command line loads every module of the package, so no
+    module sits where no command can reach it."""
+    package = Path(cli.__file__).parent
+    expected = {"dualebm" if f.stem == "__init__" else f"dualebm.{f.stem}"
+                for f in package.glob("*.py")}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dualebm.cli; print(*sorted(sys.modules))"],
+        capture_output=True, text=True, check=True, env=env)
+    assert expected - set(result.stdout.split()) == set()
+
+
+# --- scripts/run_fourspin.py ----------------------------------------------------
+
+def _run_fourspin():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "run_fourspin.py"
+    spec = importlib.util.spec_from_file_location("run_fourspin", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run
+
+
+def test_run_fourspin_override_without_value_exit_2(tmp_path):
+    assert _run_fourspin()(str(tmp_path / "out"), ["--steps"]) == 2
+
+
+def test_run_fourspin_follows_outdir_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("DUALEBM_OUTDIR", str(tmp_path / "env_run"))
+    code = _run_fourspin()(str(tmp_path / "out"), [
+        "--steps", "5", "--n_points", "256", "--batch_size", "16",
+        "--dem_hidden", "8,8", "--gen_hidden", "8,8"])
+    assert code == 0
+    for name in ("checkpoint_final.bin", "energy_map.csv", "samples.csv"):
+        assert (tmp_path / "env_run" / name).exists()
+    assert not (tmp_path / "out").exists()

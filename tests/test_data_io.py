@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import struct
 
@@ -269,6 +270,26 @@ def test_checkpoint_bad_magic_and_version(tmp_path):
     data[8:12] = struct.pack("<I", 99)
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("damage", ["tensors", "dem", "gen", "state", "config",
+                                    "as_list"])
+def test_checkpoint_bad_header_structure(tmp_path, damage):
+    dem, gen, _, _ = _small_run(tmp_path)
+    path = tmp_path / "header.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
+    data = path.read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    header = json.loads(data[20:20 + header_len])
+    if damage == "as_list":
+        header = [header]
+    else:
+        del header[damage]
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob
+                     + data[20 + header_len:])
+    with pytest.raises(CheckpointError, match="corrupt header"):
         load_checkpoint(path)
 
 

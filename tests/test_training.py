@@ -9,14 +9,12 @@ from numpy.testing import assert_allclose
 
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel, sample_prior
-from dualebm.gradcheck import finite_difference
 from dualebm.training import (
     ConfigError,
     NonFiniteGradientError,
     TrainConfig,
     TrainState,
     adagrad_step,
-    classifier_view_check,
     train,
 )
 
@@ -27,13 +25,6 @@ def _models(seed=0, d_in=2):
     dem = EnergyModel.build((d_in, 8, 4), 4, np.random.default_rng(seed))
     gen = GeneratorModel.build((2, 8, d_in), np.random.default_rng(seed + 1))
     return dem, gen
-
-
-def _zero_param_dem(n_experts=4):
-    dem = EnergyModel.build((2, 4, 4), n_experts, np.random.default_rng(0))
-    for p in dem.params():
-        p.values[:] = 0.0
-    return dem
 
 
 # --- AdaGrad -----------------------------------------------------------------
@@ -200,58 +191,3 @@ def test_resume_matches_uninterrupted_run():
     for p, q in zip(dem.params(), dem2.params()):
         assert np.array_equal(p.values, q.values)
 
-
-# --- classifier view ---------------------------------------------------------------
-
-def _circle_batch(radius, seed, n=8):
-    # arbitrary (not evenly spaced) angles: the batch means must differ or
-    # the phase gradients cancel and there is nothing left to compare
-    angles = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=n)
-    return radius * np.column_stack([np.cos(angles), np.sin(angles)])
-
-
-def test_classifier_view_at_exactly_half_weights():
-    """Batches on the zero-energy level set make the approximation exact."""
-    dem = _zero_param_dem(n_experts=4)  # energy = ||x||^2 - 4 log 2
-    radius = math.sqrt(4.0 * math.log(2.0))
-    report = classifier_view_check(dem, _circle_batch(radius, seed=1),
-                                   _circle_batch(radius, seed=2))
-    assert_allclose(report["weights_pos"], 0.5, atol=1e-12)
-    assert_allclose(report["weights_neg"], 0.5, atol=1e-12)
-    assert_allclose(report["exact_grad"], report["approx_grad"],
-                    rtol=1e-12, atol=1e-15)
-    assert_allclose(report["cosine"], 1.0, atol=1e-12)
-    assert_allclose(report["ratio"], 1.0, atol=1e-12)
-
-
-def test_classifier_view_exact_gradient_matches_nll_finite_differences():
-    # only the two visible-bias coordinates carry signal in this model
-    dem = _zero_param_dem(n_experts=0)
-    rng = np.random.default_rng(19)
-    x_pos = rng.normal(size=(8, 2)) * 0.5
-    x_neg = rng.normal(size=(8, 2)) * 0.5 + 0.3
-
-    def nll():
-        return classifier_view_check(dem, x_pos, x_neg)["nll"]
-
-    report = classifier_view_check(dem, x_pos, x_neg)
-    exact_b_vis = report["exact_grad"][-2:]
-    numeric = finite_difference(nll, [dem.b_vis])["dem.b_vis"]
-    assert np.max(np.abs(exact_b_vis - numeric)) < 1e-6
-
-
-def test_classifier_view_saturates_for_separated_batches():
-    dem = _zero_param_dem(n_experts=4)
-    dem.b_vis.values[:] = [20.0, 0.0]  # energy = ||x||^2 - 20 x_0 - 4 log 2
-    x_pos = np.array([[10.0, 0.0], [9.0, 1.0], [11.0, -1.0], [10.0, 2.0]])
-    x_neg = -x_pos
-    report = classifier_view_check(dem, x_pos, x_neg)
-    assert np.all(report["weights_pos"] < 1e-10)
-    assert np.all(report["weights_neg"] < 1e-10)
-    assert report["ratio"] < 0.1
-
-
-def test_classifier_view_rejects_mismatched_batches():
-    dem = _zero_param_dem()
-    with pytest.raises(ValueError, match="differ"):
-        classifier_view_check(dem, np.zeros((3, 2)), np.zeros((4, 2)))

@@ -18,7 +18,7 @@ except Parameters, which only ``Tape.backward`` mutates (their ``.grad``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -124,36 +124,28 @@ Operand = Union[Node, float, int, np.ndarray]
 class Tape:
     """Append-only record of primitive operations (a Wengert list).
 
-    ``nodes`` invariant: every entry's parents have smaller indices, so
-    iterating in reverse visits consumers before producers. ``backward``
-    stores per-node gradient accumulators in ``node_grads`` and writes
+    Invariant: every entry's operands have smaller indices, so iterating
+    in reverse visits consumers before producers. ``backward`` writes
     parameter gradients into the watched ``Parameter`` objects.
     """
 
     def __init__(self):
         self._values: list[np.ndarray] = []
-        self._parents: list[tuple] = []
         self._backward: list[Optional[Callable]] = []
         self._param_at: dict[int, Parameter] = {}   # node idx -> Parameter
         self._watched: dict[int, int] = {}          # id(Parameter) -> node idx
-        self._params: list[Parameter] = []
         self._frozen: set[int] = set()
-        self.node_grads: list = []
 
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def _record(self, values: np.ndarray, parents: tuple,
+    def _record(self, values: np.ndarray,
                 backward: Optional[Callable]) -> Node:
         idx = len(self._values)
         self._values.append(values)
-        self._parents.append(parents)
         self._backward.append(backward)
         return Node(self, idx)
 
     def constant(self, values) -> Node:
         """Leaf holding a fixed array; no gradient is tracked for it."""
-        return self._record(_as_array(values), (), None)
+        return self._record(_as_array(values), None)
 
     def watch(self, param: Parameter) -> Node:
         """Leaf bound to a Parameter; repeated watches return the same node.
@@ -166,10 +158,9 @@ class Tape:
         cached = self._watched.get(id(param))
         if cached is not None:
             return Node(self, cached)
-        node = self._record(param.values, (), None)
+        node = self._record(param.values, None)
         self._watched[id(param)] = node.idx
         self._param_at[node.idx] = param
-        self._params.append(param)
         return node
 
     def freeze(self, params: Sequence[Parameter]) -> None:
@@ -190,7 +181,7 @@ class Tape:
                 f"backward root must be scalar, got shape {root.values.shape}")
         grads: list = [None] * len(self._values)
         grads[root.idx] = np.ones_like(self._values[root.idx])
-        for p in self._params:
+        for p in self._param_at.values():
             p.grad[...] = 0.0
         for i in range(root.idx, -1, -1):
             g = grads[i]
@@ -202,7 +193,6 @@ class Tape:
             param = self._param_at.get(i)
             if param is not None:
                 param.grad += g
-        self.node_grads = grads
 
 
 def _coerce(tape: Tape, x: Operand) -> Node:
@@ -251,7 +241,7 @@ def add(a: Operand, b: Operand) -> Node:
         _acc(grads, a.idx, _unbroadcast(g, av.shape))
         _acc(grads, b.idx, _unbroadcast(g, bv.shape))
 
-    return tape._record(out, (a.idx, b.idx), backward)
+    return tape._record(out, backward)
 
 
 def sub(a: Operand, b: Operand) -> Node:
@@ -266,7 +256,7 @@ def sub(a: Operand, b: Operand) -> Node:
         _acc(grads, a.idx, _unbroadcast(g, av.shape))
         _acc(grads, b.idx, _unbroadcast(-g, bv.shape))
 
-    return tape._record(out, (a.idx, b.idx), backward)
+    return tape._record(out, backward)
 
 
 def mul(a: Operand, b: Operand) -> Node:
@@ -281,14 +271,14 @@ def mul(a: Operand, b: Operand) -> Node:
         _acc(grads, a.idx, _unbroadcast(g * bv, av.shape))
         _acc(grads, b.idx, _unbroadcast(g * av, bv.shape))
 
-    return tape._record(out, (a.idx, b.idx), backward)
+    return tape._record(out, backward)
 
 
 def neg(a: Node) -> Node:
     def backward(g, grads):
         _acc(grads, a.idx, -g)
 
-    return a.tape._record(-a.values, (a.idx,), backward)
+    return a.tape._record(-a.values, backward)
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -304,7 +294,7 @@ def matmul(a: Node, b: Node) -> Node:
         _acc(grads, a.idx, g @ bv.T)
         _acc(grads, b.idx, av.T @ g)
 
-    return tape._record(av @ bv, (a.idx, b.idx), backward)
+    return tape._record(av @ bv, backward)
 
 
 def nsum(a: Node, axis: Optional[int] = None) -> Node:
@@ -318,7 +308,7 @@ def nsum(a: Node, axis: Optional[int] = None) -> Node:
             gg = np.broadcast_to(np.expand_dims(g, axis), av.shape)
         _acc(grads, a.idx, gg)
 
-    return a.tape._record(out, (a.idx,), backward)
+    return a.tape._record(out, backward)
 
 
 def nmean(a: Node, axis: Optional[int] = None) -> Node:
@@ -333,7 +323,7 @@ def nmean(a: Node, axis: Optional[int] = None) -> Node:
             gg = np.broadcast_to(np.expand_dims(g, axis), av.shape)
         _acc(grads, a.idx, gg / count)
 
-    return a.tape._record(out, (a.idx,), backward)
+    return a.tape._record(out, backward)
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -351,7 +341,7 @@ def sigmoid(a: Node) -> Node:
     def backward(g, grads):
         _acc(grads, a.idx, g * out * (1.0 - out))
 
-    return a.tape._record(out, (a.idx,), backward)
+    return a.tape._record(out, backward)
 
 
 def tanh(a: Node) -> Node:
@@ -360,7 +350,7 @@ def tanh(a: Node) -> Node:
     def backward(g, grads):
         _acc(grads, a.idx, g * (1.0 - out * out))
 
-    return a.tape._record(out, (a.idx,), backward)
+    return a.tape._record(out, backward)
 
 
 def exp(a: Node) -> Node:
@@ -369,7 +359,7 @@ def exp(a: Node) -> Node:
     def backward(g, grads):
         _acc(grads, a.idx, g * out)
 
-    return a.tape._record(out, (a.idx,), backward)
+    return a.tape._record(out, backward)
 
 
 def log(a: Node) -> Node:
@@ -381,7 +371,7 @@ def log(a: Node) -> Node:
     def backward(g, grads):
         _acc(grads, a.idx, g / av)
 
-    return a.tape._record(out, (a.idx,), backward)
+    return a.tape._record(out, backward)
 
 
 def square(a: Node) -> Node:
@@ -390,7 +380,7 @@ def square(a: Node) -> Node:
     def backward(g, grads):
         _acc(grads, a.idx, 2.0 * av * g)
 
-    return a.tape._record(av * av, (a.idx,), backward)
+    return a.tape._record(av * av, backward)
 
 
 def softplus(a: Node) -> Node:
@@ -400,19 +390,18 @@ def softplus(a: Node) -> Node:
     def backward(g, grads):
         _acc(grads, a.idx, g * _sigmoid_values(av))
 
-    return a.tape._record(out, (a.idx,), backward)
+    return a.tape._record(out, backward)
 
 
 def batch_norm(x: Node, shift: Operand, scale: Operand, state: BatchNormState,
-               mode: str, momentum: float = BN_MOMENTUM,
-               eps: float = BN_EPS) -> Node:
+               mode: str) -> Node:
     """Per-dimension normalization with learned shift/scale.
 
-    Train mode normalizes by batch statistics (biased variance, floored at
-    ``eps``) and updates ``state`` in place by EMA. Infer mode normalizes by
-    the running statistics and has no side effects. Gradients flow to x,
-    shift and scale in both modes; train mode differentiates through the
-    batch statistics.
+    Train mode normalizes by batch statistics (biased variance plus
+    ``BN_EPS``) and updates ``state`` in place by an EMA with momentum
+    ``BN_MOMENTUM``. Infer mode normalizes by the running statistics and has
+    no side effects. Gradients flow to x, shift and scale in both modes;
+    train mode differentiates through the batch statistics.
     """
     tape = x.tape
     shift = _coerce(tape, shift)
@@ -430,10 +419,10 @@ def batch_norm(x: Node, shift: Operand, scale: Operand, state: BatchNormState,
             raise ValueError("batch_norm in train mode needs a batch of >= 2 rows")
         mu = xv.mean(axis=0)
         var = xv.var(axis=0)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (xv - mu) * inv
-        state.mean[:] = momentum * state.mean + (1.0 - momentum) * mu
-        state.var[:] = momentum * state.var + (1.0 - momentum) * var
+        state.mean[:] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * mu
+        state.var[:] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * var
 
         def backward(g, grads):
             sv = scale.values
@@ -445,7 +434,7 @@ def batch_norm(x: Node, shift: Operand, scale: Operand, state: BatchNormState,
             _acc(grads, x.idx, dx)
 
     elif mode == "infer":
-        inv = 1.0 / np.sqrt(state.var + eps)
+        inv = 1.0 / np.sqrt(state.var + BN_EPS)
         xhat = (xv - state.mean) * inv
 
         def backward(g, grads):
@@ -457,14 +446,12 @@ def batch_norm(x: Node, shift: Operand, scale: Operand, state: BatchNormState,
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
 
     out = xhat * scale.values + shift.values
-    return tape._record(out, (x.idx, shift.idx, scale.idx), backward)
+    return tape._record(out, backward)
 
 
 ACTIVATIONS: dict[str, Optional[Callable[[Node], Node]]] = {
     "linear": None,
     "sigmoid": sigmoid,
-    "tanh": tanh,
-    "softplus": softplus,
 }
 
 

@@ -11,6 +11,7 @@ configured output directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -78,6 +79,17 @@ def _at_least(minimum: int):
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a positive finite float, else a usage error (exit 2)."""
+    value = float(text)
+    if not 0.0 < value < math.inf:  # false for NaN too
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _open_checkpoint(path) -> Checkpoint:
@@ -223,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck",
                             help="compare analytic gradients to central differences")
-    p_grad.add_argument("--scale", type=float, default=1.0,
+    p_grad.add_argument("--scale", type=_positive_float, default=1.0,
                         help="random init scale for the probe models")
     p_grad.add_argument("--seed", type=_at_least(0), default=0)
     p_grad.set_defaults(fn=cmd_gradcheck)

@@ -18,7 +18,7 @@ import numpy as np
 from .data_io import Dataset, load_mnist_idx, make_dataset
 from .energy_model import EnergyModel
 from .generator_model import GeneratorModel
-from .training import ConfigError, TrainConfig, rng_streams
+from .training import ConfigError, TrainConfig, check_finite_floats, rng_streams
 
 DATASET_NAMES = ("two_spiral", "four_spin", "mnist")
 
@@ -50,6 +50,7 @@ class RunConfig:
     out_dir: str = "runs/run"
 
     def validate(self) -> "RunConfig":
+        check_finite_floats(self)
         if self.dataset not in DATASET_NAMES:
             raise ConfigError(
                 f"dataset must be one of {DATASET_NAMES}, got {self.dataset!r}")
@@ -101,16 +102,21 @@ def _parse_value(name: str, raw, target_example) -> object:
     raise ConfigError(f"unsupported field type for {name}")
 
 
+def _set_field(config: RunConfig, key: str, raw, source: str) -> None:
+    """Parse ``raw`` as field ``key`` and store it, or raise ConfigError."""
+    if key not in _FIELDS:
+        raise ConfigError(f"{source}: unknown config key {key!r}")
+    try:
+        parsed = _parse_value(key, raw, getattr(config, key))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{source}: bad value for {key!r}: {err}") from None
+    setattr(config, key, parsed)
+
+
 def config_from_dict(data: dict, source: str = "config") -> RunConfig:
     config = RunConfig()
     for key, value in data.items():
-        if key not in _FIELDS:
-            raise ConfigError(f"{source}: unknown config key {key!r}")
-        try:
-            parsed = _parse_value(key, value, getattr(config, key))
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{source}: bad value for {key!r}: {err}") from None
-        setattr(config, key, parsed)
+        _set_field(config, key, value, source)
     return config
 
 
@@ -132,9 +138,7 @@ def load_config(path) -> RunConfig:
 
 def apply_overrides(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfig:
     for key, value in pairs:
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown override --{key}")
-        setattr(config, key, _parse_value(key, value, getattr(config, key)))
+        _set_field(config, key, value, f"override --{key}")
     return config
 
 
@@ -143,7 +147,6 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
         ds = load_mnist_idx(config.mnist_images, config.mnist_labels)
         if config.mnist_limit and ds.points.shape[0] > config.mnist_limit:
             ds = Dataset(ds.points[:config.mnist_limit], ds.name,
-                         ds.normalization,
                          None if ds.labels is None else ds.labels[:config.mnist_limit])
         return ds
     return make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
@@ -162,9 +165,8 @@ def build_models(config: RunConfig) -> tuple[EnergyModel, GeneratorModel]:
     return dem, gen
 
 
-def dataset_bounds(config: RunConfig, margin: float = 0.5) -> list:
-    """Evaluation box for the 2D datasets (unit disk plus a margin)."""
+def dataset_bounds(config: RunConfig) -> list:
+    """Evaluation box for the 2D datasets (unit disk plus a 0.5 margin)."""
     if config.dataset == "mnist":
         raise ConfigError("grid evaluation is only defined for 2D datasets")
-    lo, hi = -1.0 - margin, 1.0 + margin
-    return [(lo, hi), (lo, hi)]
+    return [(-1.5, 1.5), (-1.5, 1.5)]

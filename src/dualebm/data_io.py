@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 import tempfile
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .energy_model import EnergyModel
 from .generator_model import GeneratorModel
-from .training import HISTORY_LEN, TrainState
+from .training import TrainState
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -48,14 +48,13 @@ class IdxFormatError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """Unreadable checkpoint: wrong magic, version, or truncated payload."""
+    """Unreadable checkpoint: wrong magic or version, truncated, or malformed."""
 
 
 @dataclass
 class Dataset:
     points: np.ndarray
     name: str
-    normalization: dict = field(default_factory=dict)
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -65,10 +64,6 @@ class Dataset:
                              f"got shape {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("dataset contains non-finite points")
-
-    @property
-    def d_in(self) -> int:
-        return self.points.shape[1]
 
 
 def arm_curve(name: str, arm: int, num: int = 2000) -> np.ndarray:
@@ -88,10 +83,7 @@ def _spiral_dataset(name: str, n: int, noise_sd: float,
     points = (t[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])) / t_max
     if noise_sd > 0:
         points = points + rng.normal(0.0, noise_sd, size=points.shape)
-    return Dataset(points, name,
-                   normalization={"t_max": t_max, "arms": arms,
-                                  "noise_sd": noise_sd},
-                   labels=arm.copy())
+    return Dataset(points, name, labels=arm.copy())
 
 
 def gen_two_spiral(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
@@ -155,7 +147,6 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
         raise IdxFormatError(
             f"count mismatch: {count} images but {label_count} labels")
     return Dataset(pixels.astype(np.float64) / 255.0, "mnist",
-                   normalization={"scale": 1.0 / 255.0, "rows": rows, "cols": cols},
                    labels=labels.astype(np.int64))
 
 
@@ -175,11 +166,10 @@ class Checkpoint:
     dem: EnergyModel
     gen: GeneratorModel
     state: TrainState
-    version: int = CHECKPOINT_VERSION
 
 
-def _model_tensors(dem: EnergyModel, gen: GeneratorModel,
-                   state: TrainState) -> dict[str, np.ndarray]:
+def _model_tensors(dem: EnergyModel, gen: GeneratorModel) -> dict[str, np.ndarray]:
+    """The models' own parameter and batch-norm arrays, by checkpoint name."""
     tensors: dict[str, np.ndarray] = {}
     for p in dem.params() + gen.params():
         tensors[p.name] = p.values
@@ -187,8 +177,6 @@ def _model_tensors(dem: EnergyModel, gen: GeneratorModel,
         if layer.has_batch_norm:
             tensors[f"gen.layer{i}.bn_running_mean"] = layer.bn_state.mean
             tensors[f"gen.layer{i}.bn_running_var"] = layer.bn_state.var
-    for name, acc in sorted(state.accumulators.items()):
-        tensors[f"acc.{name}"] = acc
     return tensors
 
 
@@ -207,7 +195,9 @@ def _restore_rng(saved):
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Write atomically: temp file in the target directory, then rename."""
     dem, gen, state = checkpoint.dem, checkpoint.gen, checkpoint.state
-    tensors = _model_tensors(dem, gen, state)
+    tensors = _model_tensors(dem, gen)
+    for name, acc in sorted(state.accumulators.items()):
+        tensors[f"acc.{name}"] = acc
     manifest = [[name, list(arr.shape)] for name, arr in tensors.items()]
     header = {
         "config": checkpoint.config,
@@ -215,20 +205,15 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
             "widths": list(dem.widths),
             "n_experts": dem.n_experts,
             "sigma": dem.sigma,
-            "hidden_activation": dem.hidden_activation,
-            "final_activation": dem.final_activation,
         },
         "gen": {
             "widths": list(gen.widths),
-            "batch_norm_hidden": gen.batch_norm_hidden,
-            "hidden_activation": gen.hidden_activation,
             "output_activation": gen.output_activation,
         },
         "state": {
             "step": state.step,
             "data_rng": _rng_state(state.data_rng),
             "prior_rng": _rng_state(state.prior_rng),
-            "history": list(state.history),
         },
         "tensors": manifest,
     }
@@ -238,7 +223,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", checkpoint.version))
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             for name, _ in manifest:
@@ -250,8 +235,19 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         raise
 
 
+def _is_manifest(manifest) -> bool:
+    """A list of [name, shape] pairs, shape a list of non-negative ints."""
+    return isinstance(manifest, list) and all(
+        isinstance(entry, list) and len(entry) == 2
+        and isinstance(entry[0], str) and isinstance(entry[1], list)
+        and all(isinstance(d, int) and d >= 0 for d in entry[1])
+        for entry in manifest)
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and rebuild; any inconsistency raises before models are built."""
+    """Parse and rebuild; any inconsistency raises ``CheckpointError``.
+    Header fields that older versions wrote and this one does not read (the
+    activation names, the metrics history) are ignored."""
     with open(path, "rb") as f:
         payload = f.read()
     if len(payload) < len(CHECKPOINT_MAGIC) + 12:
@@ -276,8 +272,12 @@ def load_checkpoint(path) -> Checkpoint:
     if missing:
         raise CheckpointError(
             f"{path}: corrupt header: missing {', '.join(map(repr, missing))}")
-
+    if not isinstance(header["config"], dict):
+        raise CheckpointError(f"{path}: corrupt header: config is not a JSON object")
     manifest = header["tensors"]
+    if not _is_manifest(manifest):
+        raise CheckpointError(f"{path}: corrupt header: malformed tensor manifest")
+
     expected = 20 + header_len + sum(
         8 * int(np.prod(shape)) for _, shape in manifest)
     if len(payload) != expected:
@@ -293,39 +293,29 @@ def load_checkpoint(path) -> Checkpoint:
         tensors[name] = arr.reshape(shape).copy()
         offset += 8 * size
 
-    dem_meta = header["dem"]
-    dem = EnergyModel.build(
-        tuple(dem_meta["widths"]), dem_meta["n_experts"],
-        np.random.default_rng(0), sigma=dem_meta["sigma"],
-        hidden_activation=dem_meta["hidden_activation"],
-        final_activation=dem_meta["final_activation"])
-    gen_meta = header["gen"]
-    gen = GeneratorModel.build(
-        tuple(gen_meta["widths"]), np.random.default_rng(0),
-        batch_norm_hidden=gen_meta["batch_norm_hidden"],
-        hidden_activation=gen_meta["hidden_activation"],
-        output_activation=gen_meta["output_activation"])
-    for p in dem.params() + gen.params():
-        if p.name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {p.name!r}")
-        if tensors[p.name].shape != p.values.shape:
+    try:
+        dem_meta, gen_meta, state_meta = header["dem"], header["gen"], header["state"]
+        dem = EnergyModel.build(
+            tuple(dem_meta["widths"]), dem_meta["n_experts"],
+            np.random.default_rng(0), sigma=dem_meta["sigma"])
+        gen = GeneratorModel.build(
+            tuple(gen_meta["widths"]), np.random.default_rng(0),
+            output_activation=gen_meta["output_activation"])
+        state = TrainState(
+            step=operator.index(state_meta["step"]),
+            accumulators={name[len("acc."):]: arr for name, arr in tensors.items()
+                          if name.startswith("acc.")},
+            data_rng=_restore_rng(state_meta["data_rng"]),
+            prior_rng=_restore_rng(state_meta["prior_rng"]),
+        )
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointError(f"{path}: corrupt header: {err!r}") from None
+    for name, target in _model_tensors(dem, gen).items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != target.shape:
             raise CheckpointError(
-                f"{path}: tensor {p.name!r} has shape {tensors[p.name].shape}, "
-                f"model expects {p.values.shape}")
-        p.values[...] = tensors[p.name]
-    for i, layer in enumerate(gen.layers):
-        if layer.has_batch_norm:
-            layer.bn_state.mean[...] = tensors[f"gen.layer{i}.bn_running_mean"]
-            layer.bn_state.var[...] = tensors[f"gen.layer{i}.bn_running_var"]
-
-    state_meta = header["state"]
-    accumulators = {name[len("acc."):]: arr for name, arr in tensors.items()
-                    if name.startswith("acc.")}
-    state = TrainState(
-        step=state_meta["step"],
-        accumulators=accumulators,
-        data_rng=_restore_rng(state_meta["data_rng"]),
-        prior_rng=_restore_rng(state_meta["prior_rng"]),
-        history=deque(state_meta["history"], maxlen=HISTORY_LEN),
-    )
-    return Checkpoint(header["config"], dem, gen, state, version=version)
+                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                f"model expects {target.shape}")
+        target[...] = tensors[name]
+    return Checkpoint(header["config"], dem, gen, state)

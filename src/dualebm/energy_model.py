@@ -4,11 +4,11 @@ The energy of a configuration x is
 
     (1/sigma^2) x.x  -  b_vis.x  -  sum_i softplus(w_i . f(x) + b_i)
 
-where f is a deterministic multilayer net whose final activation is bounded
-(sigmoid or tanh). Each expert term grows at most linearly in ||x|| while
-the quadratic term dominates, so exp(-energy) is integrable and the model
-defines a proper unnormalized density. sigma is a fixed hyperparameter,
-not trained.
+where f is a deterministic multilayer net with tanh hidden layers and a
+sigmoid final layer, so every feature is bounded. Each expert term grows at
+most linearly in ||x|| while the quadratic term dominates, so exp(-energy)
+is integrable and the model defines a proper unnormalized density. sigma
+is a fixed hyperparameter, not trained.
 """
 
 from __future__ import annotations
@@ -21,15 +21,14 @@ from scipy.special import logsumexp
 from . import autodiff as ad
 from .autodiff import Node, Parameter, ShapeError, Tape
 
-BOUNDED_ACTIVATIONS = ("sigmoid", "tanh")
+ENERGY_CHUNK = 8192  # rows per tape in energy_values, which bounds its memory
 
 
 class EnergyModel:
-    def __init__(self, weights, biases, activations, expert_w, expert_b,
-                 b_vis, sigma, widths, hidden_activation, final_activation):
+    def __init__(self, weights, biases, expert_w, expert_b, b_vis, sigma,
+                 widths):
         self.weights = list(weights)
         self.biases = list(biases)
-        self.activations = list(activations)
         self.expert_w = expert_w
         self.expert_b = expert_b
         self.b_vis = b_vis
@@ -37,40 +36,30 @@ class EnergyModel:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.sigma = float(sigma)
         self.widths = tuple(widths)
-        self.hidden_activation = hidden_activation
-        self.final_activation = final_activation
 
     @classmethod
-    def build(cls, widths, n_experts, rng, sigma=1.0, hidden_activation="tanh",
-              final_activation="sigmoid", init_scale=1.0):
+    def build(cls, widths, n_experts, rng, sigma=1.0, init_scale=1.0):
         """Random model: fan-in uniform feature weights, small uniform experts.
 
         widths runs input -> hidden... -> feature dimension, e.g. (2, 128,
-        128, 4). The final activation must be bounded so the energy stays
-        integrable.
+        128, 4).
         """
         if len(widths) < 2:
             raise ValueError("need at least an input and a feature width")
-        if final_activation not in BOUNDED_ACTIVATIONS:
-            raise ValueError(
-                f"final feature activation must be bounded, got {final_activation!r}")
-        weights, biases, activations = [], [], []
+        weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
             bound = init_scale / np.sqrt(fan_in)
             weights.append(Parameter(
                 rng.uniform(-bound, bound, size=(fan_in, fan_out)),
                 f"dem.layer{i}.w"))
             biases.append(Parameter(np.zeros(fan_out), f"dem.layer{i}.b"))
-            last = i == len(widths) - 2
-            activations.append(final_activation if last else hidden_activation)
         d_feat = widths[-1]
         expert_w = Parameter(
             rng.uniform(-0.1 * init_scale, 0.1 * init_scale, size=(d_feat, n_experts)),
             "dem.expert_w")
         expert_b = Parameter(np.zeros(n_experts), "dem.expert_b")
         b_vis = Parameter(np.zeros(widths[0]), "dem.b_vis")
-        return cls(weights, biases, activations, expert_w, expert_b, b_vis,
-                   sigma, widths, hidden_activation, final_activation)
+        return cls(weights, biases, expert_w, expert_b, b_vis, sigma, widths)
 
     @property
     def d_in(self) -> int:
@@ -91,13 +80,14 @@ class EnergyModel:
                 f"got {x.values.shape}")
 
     def features(self, x: Node) -> Node:
-        """Deterministic forward pass through the feature net."""
+        """Deterministic forward pass: tanh hidden layers, sigmoid output."""
         self._check_width(x)
         tape = x.tape
         h = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = ad.apply_activation(act, h @ tape.watch(w) + tape.watch(b))
-        return h
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = ad.tanh(h @ tape.watch(w) + tape.watch(b))
+        return ad.sigmoid(h @ tape.watch(self.weights[-1])
+                          + tape.watch(self.biases[-1]))
 
     def energy(self, x: Node) -> Node:
         """Per-row energy; low values mark configurations the model favors."""
@@ -109,14 +99,14 @@ class EnergyModel:
         u = f @ tape.watch(self.expert_w) + tape.watch(self.expert_b)
         return quadratic - mean_term - ad.softplus(u).sum(axis=1)
 
-    def energy_values(self, x: np.ndarray, chunk: int = 8192) -> np.ndarray:
+    def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Energies of a plain array, evaluated on throwaway tapes."""
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], chunk):
+        for start in range(0, x.shape[0], ENERGY_CHUNK):
             tape = Tape()
-            block = x[start:start + chunk]
-            out[start:start + chunk] = self.energy(tape.constant(block)).values
+            block = x[start:start + ENERGY_CHUNK]
+            out[start:start + ENERGY_CHUNK] = self.energy(tape.constant(block)).values
         return out
 
 

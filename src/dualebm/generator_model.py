@@ -3,7 +3,7 @@
 Sampling is ancestral and non-iterative: draw z ~ U(-1,1)^d_z, push it
 through the network, done. The conditional P(x|z) is a Dirac delta, so all
 sample variability comes from the prior and from how much the network
-stretches it. Hidden layers carry batch normalization.
+stretches it. Every hidden layer is tanh followed by batch normalization.
 
 The generator is trained to minimize mean energy minus an entropy estimate;
 with the exact entropy this is KL(generator || model) up to the
@@ -43,14 +43,12 @@ ENTROPY_ESTIMATORS = ("nearest_neighbour", "batch_norm_scale")
 
 
 class GenLayer:
-    def __init__(self, w, b, bn_shift=None, bn_scale=None, bn_state=None,
-                 activation="linear"):
+    def __init__(self, w, b, bn_shift=None, bn_scale=None, bn_state=None):
         self.w = w
         self.b = b
         self.bn_shift = bn_shift
         self.bn_scale = bn_scale
         self.bn_state = bn_state
-        self.activation = activation
 
     @property
     def has_batch_norm(self) -> bool:
@@ -58,49 +56,39 @@ class GenLayer:
 
 
 class GeneratorModel:
-    def __init__(self, layers, d_z, widths, batch_norm_hidden,
-                 hidden_activation, output_activation):
+    def __init__(self, layers, d_z, widths, output_activation):
         self.layers = list(layers)
         self.d_z = int(d_z)
         self.widths = tuple(widths)
-        self.batch_norm_hidden = batch_norm_hidden
-        self.hidden_activation = hidden_activation
         self.output_activation = output_activation
 
     @classmethod
-    def build(cls, widths, rng, batch_norm_hidden=True,
-              hidden_activation="tanh", output_activation="linear",
-              init_scale=1.0):
+    def build(cls, widths, rng, output_activation="linear", init_scale=1.0):
         """widths runs latent -> hidden... -> data, e.g. (4, 128, 128, 2).
 
-        Hidden layers get batch norm (affine, normalize, activate); the
-        output layer never does.
+        Each hidden layer is affine, tanh, then batch norm; its batch-norm
+        scales carry the ``"batch_norm_scale"`` entropy. The output layer is
+        affine then ``output_activation``, with no batch norm.
         """
         if len(widths) < 2:
             raise ValueError("need at least a latent and an output width")
+        if output_activation not in ad.ACTIVATIONS:
+            raise ValueError(f"unknown activation {output_activation!r}")
         layers = []
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
             bound = init_scale / np.sqrt(fan_in)
             w = Parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
                           f"gen.layer{i}.w")
             b = Parameter(np.zeros(fan_out), f"gen.layer{i}.b")
-            last = i == len(widths) - 2
-            if last or not batch_norm_hidden:
-                layers.append(GenLayer(
-                    w, b, activation=output_activation if last else hidden_activation))
+            if i == len(widths) - 2:
+                layers.append(GenLayer(w, b))
             else:
                 layers.append(GenLayer(
                     w, b,
                     bn_shift=Parameter(np.zeros(fan_out), f"gen.layer{i}.bn_shift"),
                     bn_scale=Parameter(np.ones(fan_out), f"gen.layer{i}.bn_scale"),
-                    bn_state=BatchNormState.initial(fan_out),
-                    activation=hidden_activation))
-        return cls(layers, widths[0], widths, batch_norm_hidden,
-                   hidden_activation, output_activation)
-
-    @property
-    def d_out(self) -> int:
-        return self.widths[-1]
+                    bn_state=BatchNormState.initial(fan_out)))
+        return cls(layers, widths[0], widths, output_activation)
 
     def params(self) -> list[Parameter]:
         out = []
@@ -130,11 +118,12 @@ class GeneratorModel:
         h = z
         for layer in self.layers:
             h = h @ tape.watch(layer.w) + tape.watch(layer.b)
-            h = ad.apply_activation(layer.activation, h)
             if layer.has_batch_norm:
-                h = ad.batch_norm(h, tape.watch(layer.bn_shift),
+                h = ad.batch_norm(ad.tanh(h), tape.watch(layer.bn_shift),
                                   tape.watch(layer.bn_scale),
                                   layer.bn_state, mode)
+            else:
+                h = ad.apply_activation(self.output_activation, h)
         return h
 
     def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:

@@ -18,9 +18,9 @@ FD_STEP = 1e-5
 
 
 def finite_difference(loss_fn: Callable[[], float],
-                      params: Iterable[Parameter],
-                      step: float = FD_STEP) -> dict[str, np.ndarray]:
-    """Central differences of a scalar loss over every parameter coordinate."""
+                      params: Iterable[Parameter]) -> dict[str, np.ndarray]:
+    """Central differences of a scalar loss over every parameter coordinate,
+    with step ``FD_STEP``."""
     out = {}
     for p in params:
         grad = np.zeros_like(p.values)
@@ -28,12 +28,12 @@ def finite_difference(loss_fn: Callable[[], float],
         flat_grad = grad.ravel()
         for j in range(flat_values.size):
             orig = flat_values[j]
-            flat_values[j] = orig + step
+            flat_values[j] = orig + FD_STEP
             up = loss_fn()
-            flat_values[j] = orig - step
+            flat_values[j] = orig - FD_STEP
             down = loss_fn()
             flat_values[j] = orig
-            flat_grad[j] = (up - down) / (2.0 * step)
+            flat_grad[j] = (up - down) / (2.0 * FD_STEP)
         out[p.name] = grad
     return out
 
@@ -56,17 +56,15 @@ def worst_relative_error(analytic: Mapping[str, np.ndarray],
 
 def check_gradients(loss_fn: Callable[[], float],
                     analytic: Mapping[str, np.ndarray],
-                    params: Iterable[Parameter],
-                    step: float = FD_STEP) -> tuple[float, str]:
-    numeric = finite_difference(loss_fn, params, step=step)
-    return worst_relative_error(analytic, numeric)
+                    params: Iterable[Parameter]) -> tuple[float, str]:
+    return worst_relative_error(analytic, finite_difference(loss_fn, params))
 
 
 GRADCHECK_TOLERANCE = 1e-4
+GRADCHECK_BATCH = 8
 
 
-def run_gradcheck(seed: int = 0, scale: float = 1.0,
-                  batch: int = 8) -> tuple[float, dict[str, float]]:
+def run_gradcheck(seed: int = 0, scale: float = 1.0) -> tuple[float, dict[str, float]]:
     """Check every parameter of a small random model pair against central
     differences, through both training losses.
 
@@ -88,9 +86,9 @@ def run_gradcheck(seed: int = 0, scale: float = 1.0,
     rng = np.random.default_rng(seed)
     dem = EnergyModel.build((2, 16, 4), 4, rng, init_scale=scale)
     gen = GeneratorModel.build((4, 16, 2), rng, init_scale=scale)
-    x_pos = rng.normal(size=(batch, 2))
-    x_neg = rng.normal(size=(batch, 2))
-    z = sample_prior(batch, 4, rng)
+    x_pos = rng.normal(size=(GRADCHECK_BATCH, 2))
+    x_neg = rng.normal(size=(GRADCHECK_BATCH, 2))
+    z = sample_prior(GRADCHECK_BATCH, 4, rng)
 
     dem_analytic, _ = dem_loss_gradient(dem, x_pos, x_neg)
     breakdown = {"dem_loss": check_gradients(

@@ -10,7 +10,7 @@ step rather than being masked.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,11 +24,17 @@ from .generator_model import (
     sample_prior,
 )
 
-HISTORY_LEN = 256
-
 
 class ConfigError(ValueError):
     """Invalid training configuration."""
+
+
+def check_finite_floats(config) -> None:
+    """Reject NaN and +/-inf in every float field of a config (a range
+    check such as ``weight > 0`` is false for NaN, not an error)."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -53,6 +59,7 @@ class TrainConfig:
     checkpoint_interval: int = 0
 
     def validate(self) -> "TrainConfig":
+        check_finite_floats(self)
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.dem_lr <= 0 or self.dgm_lr <= 0:
@@ -88,15 +95,14 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 class TrainState:
-    """Step counter, AdaGrad accumulators, RNG streams and a metrics window."""
+    """Step counter, AdaGrad accumulators and RNG streams."""
 
     def __init__(self, step=0, accumulators=None, data_rng=None,
-                 prior_rng=None, history=None):
+                 prior_rng=None):
         self.step = step
         self.accumulators: dict[str, np.ndarray] = accumulators or {}
         self.data_rng = data_rng
         self.prior_rng = prior_rng
-        self.history: deque = history if history is not None else deque(maxlen=HISTORY_LEN)
 
     @classmethod
     def initial(cls, seed: int) -> "TrainState":
@@ -178,7 +184,6 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: TrainConfig,
         except NonFiniteGradientError as err:
             raise NonFiniteGradientError(err.param_name, step=state.step) from None
         state.step += 1
-        state.history.append(metrics)
         if metrics_out is not None:
             metrics_out.write(_format_metrics(metrics) + "\n")
         if (checkpoint_fn is not None and config.checkpoint_interval > 0

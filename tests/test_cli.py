@@ -91,6 +91,31 @@ def test_train_rejects_unknown_override(tmp_path):
     assert cli.main(["train", "--config", str(config), "--bogus", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--steps", "abc"),
+    ("--dem_hidden", "a,b"),
+    ("--dem_lr", "fast"),
+])
+def test_train_unparseable_override_is_config_error(tmp_path, capsys, flag,
+                                                    value):
+    code, _ = _train(tmp_path, flag, value)
+    assert code == 2
+    assert f"bad value for {flag[2:]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--entropy_weight", "nan"),
+    ("--noise_sd", "nan"),
+    ("--adagrad_eps", "inf"),
+    ("--sigma", "-inf"),
+])
+def test_train_rejects_nonfinite_float(tmp_path, capsys, flag, value):
+    code, run_dir = _train(tmp_path, flag, value)
+    assert code == 2
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_outdir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DUALEBM_OUTDIR", str(tmp_path / "env_run"))
     code, _ = _train(tmp_path)
@@ -229,6 +254,13 @@ def test_eval_reports_metrics(trained_run, capsys):
 def test_gradcheck_rejects_negative_seed(capsys):
     assert cli.main(["gradcheck", "--seed", "-1"]) == 2
     assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_gradcheck_rejects_nonpositive_or_nonfinite_scale(capsys, scale):
+    assert cli.main(["gradcheck", "--scale", scale]) == 2
+    assert "argument --scale: must be a positive finite number" in (
+        capsys.readouterr().err)
 
 
 def test_gradcheck_command_passes():

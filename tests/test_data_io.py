@@ -293,6 +293,64 @@ def test_checkpoint_bad_header_structure(tmp_path, damage):
         load_checkpoint(path)
 
 
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+    data = path.read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    header = json.loads(data[20:20 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob
+                     + data[20 + header_len:])
+
+
+def _rename_tensor(header, old, new):
+    for entry in header["tensors"]:
+        if entry[0] == old:
+            entry[0] = new
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(dem=[]),
+    lambda h: _rename_tensor(h, "gen.layer0.bn_running_mean", "gen.layer0.bn_mean"),
+    lambda h: h["state"].pop("data_rng"),
+    lambda h: h.update(tensors={"a": 1}),
+    lambda h: h["dem"].update(sigma=-1),
+    lambda h: h.update(config=[]),
+    lambda h: h["gen"].update(output_activation="relu"),
+    lambda h: h["state"].update(step="3"),
+], ids=["dem_list", "bn_stat_renamed", "no_data_rng", "tensors_dict",
+        "negative_sigma", "config_list", "unknown_activation", "step_string"])
+def test_checkpoint_malformed_header_value(tmp_path, edit):
+    dem, gen, _, _ = _small_run(tmp_path)
+    path = tmp_path / "header.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_older_header_fields_loads(tmp_path):
+    # earlier versions also wrote activation names and a metrics history
+    dem, gen, points, config = _small_run(tmp_path)
+    state = train(dem, gen, points, config)
+    path = tmp_path / "old.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, state))
+
+    def add_old_fields(header):
+        header["dem"].update(hidden_activation="tanh", final_activation="sigmoid")
+        header["gen"].update(batch_norm_hidden=True, hidden_activation="tanh")
+        header["state"]["history"] = [{"step": 0, "e_pos": 0.5, "e_neg": 0.25}]
+
+    _rewrite_header(path, add_old_fields)
+    loaded = load_checkpoint(path)
+    assert loaded.state.step == state.step
+    x = np.random.default_rng(3).normal(size=(32, 2))
+    assert np.array_equal(loaded.dem.energy_values(x), dem.energy_values(x))
+    z = np.random.default_rng(4).uniform(-1.0, 1.0, size=(32, 2))
+    assert np.array_equal(loaded.gen.generate(z), gen.generate(z))
+
+
 def test_points_csv_export(tmp_path):
     pts = np.array([[0.25, -1.5], [3.0, 0.125]])
     path = tmp_path / "points.csv"

@@ -12,6 +12,14 @@ Numerically sensitive primitives use overflow-safe identities:
 * softplus(a) = max(a, 0) + log1p(exp(-|a|))
 * sigmoid(a)  = 1 / (1 + exp(-a)) for a >= 0, exp(a) / (1 + exp(a)) otherwise
 
+``tanh``, ``sigmoid``, ``softplus``, ``square`` and ``batch_norm`` also take
+a plain array in place of a node: they then return a plain array and
+record nothing. Since ``+``, ``*``, ``@`` and ``.sum()`` work on arrays as
+they do on nodes, and ``leaf`` looks a parameter up as a tape leaf or as
+its values, a forward pass written once runs on a tape when a gradient is
+wanted and as plain numpy otherwise. Both paths compute each value with
+the same numpy expression, so they give the same bits.
+
 The tape is rebuilt per training step; nothing here is thread-shared
 except Parameters, which only ``Tape.backward`` mutates (their ``.grad``).
 """
@@ -195,6 +203,17 @@ class Tape:
                 param.grad += g
 
 
+def _values_of(x) -> np.ndarray:
+    """The values of a node, or the operand itself as a float64 array."""
+    return x.values if isinstance(x, Node) else _as_array(x)
+
+
+def leaf(x, param: Parameter):
+    """``param`` as an operand for a pass over ``x``: a leaf watched on
+    ``x``'s tape when ``x`` is a node, the plain values otherwise."""
+    return x.tape.watch(param) if isinstance(x, Node) else param.values
+
+
 def _coerce(tape: Tape, x: Operand) -> Node:
     if isinstance(x, Node):
         if x.tape is not tape:
@@ -335,8 +354,10 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Node) -> Node:
-    out = _sigmoid_values(a.values)
+def sigmoid(a):
+    out = _sigmoid_values(_values_of(a))
+    if not isinstance(a, Node):
+        return out
 
     def backward(g, grads):
         _acc(grads, a.idx, g * out * (1.0 - out))
@@ -344,8 +365,10 @@ def sigmoid(a: Node) -> Node:
     return a.tape._record(out, backward)
 
 
-def tanh(a: Node) -> Node:
-    out = np.tanh(a.values)
+def tanh(a):
+    out = np.tanh(_values_of(a))
+    if not isinstance(a, Node):
+        return out
 
     def backward(g, grads):
         _acc(grads, a.idx, g * (1.0 - out * out))
@@ -374,18 +397,23 @@ def log(a: Node) -> Node:
     return a.tape._record(out, backward)
 
 
-def square(a: Node) -> Node:
-    av = a.values
+def square(a):
+    av = _values_of(a)
+    out = av * av
+    if not isinstance(a, Node):
+        return out
 
     def backward(g, grads):
         _acc(grads, a.idx, 2.0 * av * g)
 
-    return a.tape._record(av * av, backward)
+    return a.tape._record(out, backward)
 
 
-def softplus(a: Node) -> Node:
-    av = a.values
+def softplus(a):
+    av = _values_of(a)
     out = np.maximum(av, 0.0) + np.log1p(np.exp(-np.abs(av)))
+    if not isinstance(a, Node):
+        return out
 
     def backward(g, grads):
         _acc(grads, a.idx, g * _sigmoid_values(av))
@@ -393,69 +421,73 @@ def softplus(a: Node) -> Node:
     return a.tape._record(out, backward)
 
 
-def batch_norm(x: Node, shift: Operand, scale: Operand, state: BatchNormState,
-               mode: str) -> Node:
+def batch_norm(x, shift: Operand, scale: Operand, state: BatchNormState,
+               mode: str):
     """Per-dimension normalization with learned shift/scale.
 
     Train mode normalizes by batch statistics (biased variance plus
     ``BN_EPS``) and updates ``state`` in place by an EMA with momentum
     ``BN_MOMENTUM``. Infer mode normalizes by the running statistics and has
     no side effects. Gradients flow to x, shift and scale in both modes;
-    train mode differentiates through the batch statistics.
+    train mode differentiates through the batch statistics. A plain-array
+    ``x`` gives a plain array, computed in one fresh buffer.
     """
-    tape = x.tape
-    shift = _coerce(tape, shift)
-    scale = _coerce(tape, scale)
-    xv = x.values
+    if isinstance(x, Node):
+        shift = _coerce(x.tape, shift)
+        scale = _coerce(x.tape, scale)
+    xv, shift_v, scale_v = _values_of(x), _values_of(shift), _values_of(scale)
     if xv.ndim != 2:
         raise ShapeError(f"batch_norm expects (batch, dim) input, got {xv.shape}")
     n, d = xv.shape
-    if shift.values.shape != (d,) or scale.values.shape != (d,):
+    if shift_v.shape != (d,) or scale_v.shape != (d,):
         raise ShapeError(
             f"batch_norm: shift/scale must have shape ({d},), got "
-            f"{shift.values.shape} and {scale.values.shape}")
+            f"{shift_v.shape} and {scale_v.shape}")
     if mode == "train":
         if n < 2:
             raise ValueError("batch_norm in train mode needs a batch of >= 2 rows")
         mu = xv.mean(axis=0)
         var = xv.var(axis=0)
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (xv - mu) * inv
         state.mean[:] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * mu
         state.var[:] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * var
+    elif mode == "infer":
+        mu = state.mean
+        inv = 1.0 / np.sqrt(state.var + BN_EPS)
+    else:
+        raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
+    if not isinstance(x, Node):
+        out = xv - mu
+        out *= inv
+        out *= scale_v
+        out += shift_v
+        return out
 
+    xhat = (xv - mu) * inv
+    if mode == "train":
         def backward(g, grads):
-            sv = scale.values
             _acc(grads, shift.idx, g.sum(axis=0))
             _acc(grads, scale.idx, (g * xhat).sum(axis=0))
-            dxhat = g * sv
+            dxhat = g * scale_v
             dx = (inv / n) * (n * dxhat - dxhat.sum(axis=0)
                               - xhat * (dxhat * xhat).sum(axis=0))
             _acc(grads, x.idx, dx)
-
-    elif mode == "infer":
-        inv = 1.0 / np.sqrt(state.var + BN_EPS)
-        xhat = (xv - state.mean) * inv
-
+    else:
         def backward(g, grads):
             _acc(grads, shift.idx, g.sum(axis=0))
             _acc(grads, scale.idx, (g * xhat).sum(axis=0))
-            _acc(grads, x.idx, g * scale.values * inv)
+            _acc(grads, x.idx, g * scale_v * inv)
 
-    else:
-        raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
-
-    out = xhat * scale.values + shift.values
-    return tape._record(out, backward)
+    return x.tape._record(xhat * scale_v + shift_v, backward)
 
 
-ACTIVATIONS: dict[str, Optional[Callable[[Node], Node]]] = {
+ACTIVATIONS: dict[str, Optional[Callable]] = {
     "linear": None,
     "sigmoid": sigmoid,
 }
 
 
-def apply_activation(name: str, x: Node) -> Node:
+def apply_activation(name: str, x):
     try:
         fn = ACTIVATIONS[name]
     except KeyError:

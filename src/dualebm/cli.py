@@ -41,7 +41,7 @@ from .evaluation import (
     model_data_divergence,
 )
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
-from .generator_model import sample_prior
+from .generator_model import SingularEntropyError, sample_prior
 from .training import ConfigError, NonFiniteGradientError, TrainState, rng_streams, train
 
 EXIT_OK = 0
@@ -159,7 +159,13 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    worst, breakdown = run_gradcheck(seed=args.seed, scale=args.scale)
+    try:
+        worst, breakdown = run_gradcheck(seed=args.seed, scale=args.scale)
+    except SingularEntropyError as err:
+        # the probe models collapse at this scale: no gradient to check
+        print(f"argument --scale: {args.scale!r} is out of range ({err})",
+              file=sys.stderr)
+        return EXIT_CONFIG
     for name, err in breakdown.items():
         print(f"{name}: worst relative error {err:.3e}")
     print(f"worst relative error {worst:.3e} "

@@ -68,6 +68,10 @@ class RunConfig:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if any(w < 1 for w in list(self.dem_hidden) + list(self.gen_hidden)):
             raise ConfigError("hidden widths must be positive")
+        if not self.gen_hidden:
+            # the batch norm of each generator hidden layer carries the
+            # entropy surrogate; with none it is the constant 0
+            raise ConfigError("gen_hidden needs at least one hidden layer")
         self.train_config().validate()
         return self
 

@@ -151,11 +151,11 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 
 
 def save_points_csv(path, points: np.ndarray) -> None:
-    points = np.asarray(points)
+    points = np.asarray(points, dtype=np.float64)
     with open(path, "w") as f:
         f.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
-        for row in points:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in points.tolist():
+            f.write(",".join(map(repr, row)) + "\n")
 
 
 # --- checkpoints -----------------------------------------------------------------

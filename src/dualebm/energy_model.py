@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 from . import autodiff as ad
 from .autodiff import Node, Parameter, ShapeError, Tape
 
-ENERGY_CHUNK = 8192  # rows per tape in energy_values, which bounds its memory
+ENERGY_CHUNK = 8192  # rows per pass in energy_values, which bounds its memory
 
 
 class EnergyModel:
@@ -73,40 +73,43 @@ class EnergyModel:
         return (self.weights + self.biases
                 + [self.expert_w, self.expert_b, self.b_vis])
 
-    def _check_width(self, x: Node) -> None:
-        if x.values.ndim != 2 or x.values.shape[1] != self.d_in:
+    def _check_width(self, x) -> None:
+        if len(x.shape) != 2 or x.shape[1] != self.d_in:
             raise ShapeError(
-                f"expected input of shape (batch, {self.d_in}), "
-                f"got {x.values.shape}")
+                f"expected input of shape (batch, {self.d_in}), got {x.shape}")
 
-    def features(self, x: Node) -> Node:
-        """Deterministic forward pass: tanh hidden layers, sigmoid output."""
+    def features(self, x):
+        """Deterministic forward pass: tanh hidden layers, sigmoid output.
+
+        x is a tape node (the features are then recorded on its tape) or a
+        plain array (they come back as a plain array; nothing is recorded).
+        """
         self._check_width(x)
-        tape = x.tape
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = ad.tanh(h @ tape.watch(w) + tape.watch(b))
-        return ad.sigmoid(h @ tape.watch(self.weights[-1])
-                          + tape.watch(self.biases[-1]))
+            h = ad.tanh(h @ ad.leaf(x, w) + ad.leaf(x, b))
+        return ad.sigmoid(h @ ad.leaf(x, self.weights[-1])
+                          + ad.leaf(x, self.biases[-1]))
 
-    def energy(self, x: Node) -> Node:
-        """Per-row energy; low values mark configurations the model favors."""
+    def energy(self, x):
+        """Per-row energy; low values mark configurations the model favors.
+
+        A node or a plain array, as x is (see ``features``).
+        """
         self._check_width(x)
-        tape = x.tape
         f = self.features(x)
         quadratic = ad.square(x).sum(axis=1) * (1.0 / self.sigma**2)
-        mean_term = (x * tape.watch(self.b_vis)).sum(axis=1)
-        u = f @ tape.watch(self.expert_w) + tape.watch(self.expert_b)
+        mean_term = (x * ad.leaf(x, self.b_vis)).sum(axis=1)
+        u = f @ ad.leaf(x, self.expert_w) + ad.leaf(x, self.expert_b)
         return quadratic - mean_term - ad.softplus(u).sum(axis=1)
 
     def energy_values(self, x: np.ndarray) -> np.ndarray:
-        """Energies of a plain array, evaluated on throwaway tapes."""
+        """Energies of a plain array, by ``energy`` on plain chunks of
+        ``ENERGY_CHUNK`` rows; no tape is built."""
         x = np.asarray(x, dtype=np.float64)
         out = np.empty(x.shape[0])
         for start in range(0, x.shape[0], ENERGY_CHUNK):
-            tape = Tape()
-            block = x[start:start + ENERGY_CHUNK]
-            out[start:start + ENERGY_CHUNK] = self.energy(tape.constant(block)).values
+            out[start:start + ENERGY_CHUNK] = self.energy(x[start:start + ENERGY_CHUNK])
         return out
 
 

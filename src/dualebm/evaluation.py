@@ -164,12 +164,12 @@ def export_image_grid(obj, path) -> None:
     """
     if isinstance(obj, HeatmapGrid):
         xs, ys = _cell_centers(obj.bounds, obj.resolution)
+        x_text = [repr(x) for x in xs.tolist()]
+        values = np.asarray(obj.values, dtype=np.float64).tolist()
         with open(path, "w") as f:
             f.write("x,y,energy\n")
-            for iy, y in enumerate(ys):
-                for ix, x in enumerate(xs):
-                    f.write(f"{float(x)!r},{float(y)!r},"
-                            f"{float(obj.values[iy, ix])!r}\n")
+            for y, row in zip(ys.tolist(), values):
+                f.write("".join(f"{x},{y!r},{v!r}\n" for x, v in zip(x_text, row)))
         _write_sidecar(path, {"vmin": repr(obj.vmin), "vmax": repr(obj.vmax)})
         return
 

@@ -42,6 +42,11 @@ LOG_2PIE = math.log(2.0 * math.pi * math.e)
 ENTROPY_ESTIMATORS = ("nearest_neighbour", "batch_norm_scale")
 
 
+class SingularEntropyError(ValueError):
+    """An entropy estimate is undefined: a zero batch-norm scale, or two
+    generated rows that coincide."""
+
+
 class GenLayer:
     def __init__(self, w, b, bn_shift=None, bn_scale=None, bn_state=None):
         self.w = w
@@ -103,33 +108,37 @@ class GeneratorModel:
     def scale_parameters(self) -> list[Parameter]:
         return [l.bn_scale for l in self.layers if l.has_batch_norm]
 
-    def generate_node(self, z: Node, mode: str) -> Node:
-        """Forward pass on the caller's tape; mode picks batch-norm statistics.
+    def generate_node(self, z, mode: str):
+        """Forward pass; mode picks batch-norm statistics.
+
+        z is a tape node (the pass is then recorded on its tape) or a plain
+        array (the samples come back as a plain array and nothing is
+        recorded). Train mode moves the running statistics either way.
 
         Batch norm runs after the bounded activation, so each scale
         parameter multiplies a hidden feature directly. A scale pushed up
         by the entropy term then actually widens the sample distribution
         instead of disappearing into a saturated nonlinearity.
         """
-        if z.values.ndim != 2 or z.values.shape[1] != self.d_z:
+        if len(z.shape) != 2 or z.shape[1] != self.d_z:
             raise ShapeError(
-                f"expected latents of shape (batch, {self.d_z}), got {z.values.shape}")
-        tape = z.tape
+                f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
         h = z
         for layer in self.layers:
-            h = h @ tape.watch(layer.w) + tape.watch(layer.b)
+            h = h @ ad.leaf(z, layer.w) + ad.leaf(z, layer.b)
             if layer.has_batch_norm:
-                h = ad.batch_norm(ad.tanh(h), tape.watch(layer.bn_shift),
-                                  tape.watch(layer.bn_scale),
-                                  layer.bn_state, mode)
+                h = ad.tanh(h)
+                h = ad.batch_norm(h, ad.leaf(z, layer.bn_shift),
+                                  ad.leaf(z, layer.bn_scale), layer.bn_state, mode)
             else:
                 h = ad.apply_activation(self.output_activation, h)
         return h
 
     def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
-        """Samples as a plain array; infer mode is free of side effects."""
-        tape = Tape()
-        return self.generate_node(tape.constant(z), mode).values
+        """Samples as a plain array, from ``generate_node`` on plain values:
+        no tape is built, and each layer's input is freed once the next
+        layer has it. Infer mode is free of side effects."""
+        return self.generate_node(np.asarray(z, dtype=np.float64), mode)
 
 
 def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +152,7 @@ def _check_scales(model: GeneratorModel) -> list[Parameter]:
     scales = model.scale_parameters()
     for p in scales:
         if np.any(p.values == 0.0):
-            raise ValueError(
+            raise SingularEntropyError(
                 f"entropy surrogate is singular: {p.name} contains a zero scale")
     return scales
 
@@ -187,7 +196,7 @@ def nearest_neighbour_entropy_node(x: Node) -> Node:
     diff = x - x.tape.constant(pick) @ x
     rho_sq = ad.square(diff).sum(axis=1)
     if np.any(rho_sq.values == 0.0):
-        raise ValueError(
+        raise SingularEntropyError(
             "nearest-neighbour entropy is singular: two generated rows coincide")
     log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
     constant = float(digamma(n) - digamma(1)) + log_unit_ball

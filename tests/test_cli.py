@@ -116,6 +116,19 @@ def test_train_rejects_nonfinite_float(tmp_path, capsys, flag, value):
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("via", ["override", "config_file"])
+def test_train_rejects_generator_without_hidden_layer(tmp_path, capsys, via):
+    # with no hidden layer there is no batch norm, so the entropy
+    # surrogate would be the constant 0
+    if via == "override":
+        code, run_dir = _train(tmp_path, "--gen_hidden", "")
+    else:
+        code, run_dir = _train(tmp_path, gen_hidden=[])
+    assert code == 2
+    assert "gen_hidden needs at least one hidden layer" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_outdir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("DUALEBM_OUTDIR", str(tmp_path / "env_run"))
     code, _ = _train(tmp_path)
@@ -261,6 +274,14 @@ def test_gradcheck_rejects_nonpositive_or_nonfinite_scale(capsys, scale):
     assert cli.main(["gradcheck", "--scale", scale]) == 2
     assert "argument --scale: must be a positive finite number" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scale", ["1e-200", "1e300"])
+def test_gradcheck_collapsing_scale_is_usage_error(capsys, scale):
+    # the probe generator's rows coincide, so its entropy is undefined
+    assert cli.main(["gradcheck", "--scale", scale]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"argument --scale: {float(scale)!r} is out of range (")
 
 
 def test_gradcheck_command_passes():

@@ -359,3 +359,14 @@ def test_points_csv_export(tmp_path):
     assert lines[0] == "x0,x1"
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert np.array_equal(parsed, pts)
+
+
+def test_points_csv_writes_float_reprs(tmp_path):
+    pts = np.array([[1, -2], [3, 4]])  # integers are written as floats
+    path = tmp_path / "points.csv"
+    save_points_csv(path, pts)
+    assert path.read_text() == "x0,x1\n1.0,-2.0\n3.0,4.0\n"
+    pts = np.random.default_rng(0).normal(size=(5, 3))
+    save_points_csv(path, pts)
+    assert path.read_text().splitlines()[1:] == [
+        ",".join(repr(float(v)) for v in row) for row in pts]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from dualebm.autodiff import ShapeError, Tape
 from dualebm.energy_model import (
+    ENERGY_CHUNK,
     EnergyModel,
     dem_loss_gradient,
     grid_log_density,
@@ -88,6 +90,43 @@ def test_energy_batch_permutation_equivariance():
     perm = np.random.default_rng(9).permutation(16)
     assert_allclose(model.energy_values(x)[perm], model.energy_values(x[perm]),
                     rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [500, ENERGY_CHUNK + 7])
+def test_energy_values_is_bit_equal_to_the_recorded_pass(rows):
+    model = EnergyModel.build((2, 32, 32, 4), 4, np.random.default_rng(30))
+    x = np.random.default_rng(31).normal(size=(rows, 2))
+    recorded = np.concatenate([
+        model.energy(Tape().constant(x[start:start + ENERGY_CHUNK])).values
+        for start in range(0, rows, ENERGY_CHUNK)])
+    assert np.array_equal(model.energy_values(x), recorded)
+
+
+def test_energy_values_builds_no_tape(monkeypatch):
+    model = EnergyModel.build((2, 8, 3), 2, np.random.default_rng(32))
+    x = np.random.default_rng(33).normal(size=(10, 2))
+    expected = model.energy_values(x)
+
+    def no_tape(self):
+        raise AssertionError("energy_values built a tape")
+
+    monkeypatch.setattr(Tape, "__init__", no_tape)
+    assert np.array_equal(model.energy_values(x), expected)
+
+
+def test_energy_values_peak_memory_is_a_few_chunk_activations():
+    rows, width = 20_000, 128
+    model = EnergyModel.build((2, width, width, 4), 4, np.random.default_rng(34))
+    x = np.random.default_rng(35).normal(size=(rows, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.energy_values(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a recorded pass keeps every intermediate array: 6.3 of these units
+    assert peak < 2 * rows * width * 8
 
 
 # --- maximum-likelihood-style gradient -----------------------------------------

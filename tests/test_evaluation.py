@@ -248,6 +248,17 @@ def test_heatmap_csv_export(tmp_path):
     assert float(meta["vmax"]) == grid.vmax
 
 
+def test_heatmap_csv_rows_are_float_reprs(tmp_path):
+    values = np.arange(12).reshape(3, 4)  # integers are written as floats
+    grid = HeatmapGrid(((-1.0, 1.0), (0.0, 3.0)), (4, 3), values, 0.0, 11.0)
+    path = tmp_path / "grid.csv"
+    export_image_grid(grid, path)
+    xs = [-0.75, -0.25, 0.25, 0.75]
+    expected = [f"{x!r},{y!r},{float(values[iy, ix])!r}"
+                for iy, y in enumerate([0.5, 1.5, 2.5]) for ix, x in enumerate(xs)]
+    assert path.read_text().splitlines() == ["x,y,energy"] + expected
+
+
 def test_non_square_samples_rejected(tmp_path):
     with pytest.raises(ValueError, match="square"):
         export_image_grid(np.zeros((2, 10)), tmp_path / "bad.pgm")

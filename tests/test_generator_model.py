@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,56 @@ def test_generate_rejects_wrong_latent_width():
     gen = GeneratorModel.build((4, 8, 2), np.random.default_rng(7))
     with pytest.raises(Exception, match=r"\(batch, 4\)"):
         gen.generate(np.zeros((3, 5)), "infer")
+
+
+@pytest.mark.parametrize("output_activation", ["linear", "sigmoid"])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_generate_is_bit_equal_to_the_recorded_pass(mode, output_activation):
+    # two copies, since a train-mode pass moves the running statistics
+    plain, recorded = (GeneratorModel.build((4, 32, 32, 3), np.random.default_rng(20),
+                                            output_activation=output_activation)
+                       for _ in range(2))
+    z = sample_prior(300, 4, np.random.default_rng(21))
+    for _ in range(2):
+        x_plain = plain.generate(z, mode)
+        x_recorded = recorded.generate_node(Tape().constant(z), mode).values
+        assert type(x_plain) is np.ndarray
+        assert np.array_equal(x_plain, x_recorded)
+        for a, b in zip(plain.layers, recorded.layers):
+            if a.has_batch_norm:
+                assert np.array_equal(a.bn_state.mean, b.bn_state.mean)
+                assert np.array_equal(a.bn_state.var, b.bn_state.var)
+    if mode == "train":
+        assert not np.array_equal(plain.layers[0].bn_state.var, np.ones(32))
+
+
+def test_generate_builds_no_tape(monkeypatch):
+    gen = GeneratorModel.build((4, 16, 2), np.random.default_rng(22))
+    z = sample_prior(16, 4, np.random.default_rng(23))
+    expected = gen.generate(z, "infer")
+
+    def no_tape(self):
+        raise AssertionError("generate built a tape")
+
+    monkeypatch.setattr(Tape, "__init__", no_tape)
+    assert np.array_equal(gen.generate(z, "infer"), expected)
+    gen.generate(z, "train")
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_generate_peak_memory_is_a_few_hidden_activations(mode):
+    rows, width = 20_000, 128
+    gen = GeneratorModel.build((4, width, width, 2), np.random.default_rng(24))
+    z = sample_prior(rows, 4, np.random.default_rng(25))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gen.generate(z, mode)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a recorded pass keeps every intermediate array: 11 of these units
+    assert peak < 4 * rows * width * 8
 
 
 def test_infer_matches_train_after_running_stats_converge():

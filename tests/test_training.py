@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dualebm import training
+from dualebm.autodiff import Tape
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import (
@@ -156,6 +158,40 @@ def test_alternation_touches_only_its_own_parameters():
     assert all(np.array_equal(p.values, b) for p, b in zip(gen.params(), gen_before))
     assert any(not np.array_equal(p.values, b)
                for p, b in zip(dem.params(), dem_before))
+
+
+def test_train_calls_go_through_the_patchable_names(monkeypatch):
+    """The benchmark times a step by wrapping these names where they are
+    looked up (module attributes of ``training``, class attributes of the
+    models and the tape); a step that bypasses them goes unmeasured."""
+    calls = []
+
+    def counted(owner, name, label=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(label(args, kwargs) if label else name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("dem_loss_gradient", "dgm_loss_gradient", "adagrad_step",
+                 "sample_prior"):
+        counted(training, name)
+    counted(GeneratorModel, "generate", lambda args, kwargs: "generate:" + kwargs.get(
+        "mode", args[2] if len(args) > 2 else "infer"))
+    counted(Tape, "backward")
+    dem, gen = _models(15)
+    points = np.random.default_rng(16).normal(size=(64, 2))
+    steps = 3
+    train(dem, gen, points, _tiny_config(steps=steps))
+    assert calls.count("adagrad_step") == 2 * steps
+    assert calls.count("generate:train") == steps
+    assert len([c for c in calls if c.startswith("generate")]) == steps
+    assert calls.count("dem_loss_gradient") == steps
+    assert calls.count("dgm_loss_gradient") == steps
+    assert calls.count("sample_prior") == 2 * steps
+    assert calls.count("backward") == 2 * steps
 
 
 def test_dgm_update_cadence():

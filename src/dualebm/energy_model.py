@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import autodiff as ad
-from .autodiff import Node, Parameter, ShapeError, Tape
+from .autodiff import Node, Parameter, ParameterStore, ShapeError, Tape
 
 ENERGY_CHUNK = 8192  # rows per pass in energy_values, which bounds its memory
 
@@ -36,6 +36,7 @@ class EnergyModel:
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.sigma = float(sigma)
         self.widths = tuple(widths)
+        self.store = ParameterStore(self.params())
 
     @classmethod
     def build(cls, widths, n_experts, rng, sigma=1.0, init_scale=1.0):
@@ -87,9 +88,9 @@ class EnergyModel:
         self._check_width(x)
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = ad.tanh(h @ ad.leaf(x, w) + ad.leaf(x, b))
-        return ad.sigmoid(h @ ad.leaf(x, self.weights[-1])
-                          + ad.leaf(x, self.biases[-1]))
+            h = ad.dense(h, ad.leaf(x, w), ad.leaf(x, b), "tanh")
+        return ad.dense(h, ad.leaf(x, self.weights[-1]),
+                        ad.leaf(x, self.biases[-1]), "sigmoid")
 
     def energy(self, x):
         """Per-row energy; low values mark configurations the model favors.
@@ -100,8 +101,9 @@ class EnergyModel:
         f = self.features(x)
         quadratic = ad.square(x).sum(axis=1) * (1.0 / self.sigma**2)
         mean_term = (x * ad.leaf(x, self.b_vis)).sum(axis=1)
-        u = f @ ad.leaf(x, self.expert_w) + ad.leaf(x, self.expert_b)
-        return quadratic - mean_term - ad.softplus(u).sum(axis=1)
+        experts = ad.dense(f, ad.leaf(x, self.expert_w),
+                           ad.leaf(x, self.expert_b), "softplus")
+        return quadratic - mean_term - experts.sum(axis=1)
 
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Energies of a plain array, by ``energy`` on plain chunks of
@@ -137,12 +139,12 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
                       x_neg: np.ndarray) -> tuple[dict, dict]:
     """Gradient of ``dem_loss`` over the model parameters.
 
-    Returns the per-parameter gradients and the phase statistics for
-    metrics.
+    Returns the per-parameter gradients (``Gradients``, views into one
+    flat copy) and the phase statistics for metrics.
     """
     loss, e_pos, e_neg = dem_loss(model, x_pos, x_neg)
     loss.tape.backward(loss)
-    grads = {p.name: p.grad.copy() for p in model.params()}
+    grads = model.store.gradients()
     stats = {"e_pos": float(e_pos.values), "e_neg": float(e_neg.values)}
     return grads, stats
 

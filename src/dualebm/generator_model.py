@@ -36,10 +36,18 @@ from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Node, Parameter, ShapeError, Tape
+from .autodiff import (
+    BatchNormState,
+    Node,
+    Parameter,
+    ParameterStore,
+    ShapeError,
+    Tape,
+)
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
 ENTROPY_ESTIMATORS = ("nearest_neighbour", "batch_norm_scale")
+OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 
 class SingularEntropyError(ValueError):
@@ -66,6 +74,7 @@ class GeneratorModel:
         self.d_z = int(d_z)
         self.widths = tuple(widths)
         self.output_activation = output_activation
+        self.store = ParameterStore(self.params())
 
     @classmethod
     def build(cls, widths, rng, output_activation="linear", init_scale=1.0):
@@ -77,7 +86,7 @@ class GeneratorModel:
         """
         if len(widths) < 2:
             raise ValueError("need at least a latent and an output width")
-        if output_activation not in ad.ACTIVATIONS:
+        if output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown activation {output_activation!r}")
         layers = []
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
@@ -125,13 +134,13 @@ class GeneratorModel:
                 f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
         h = z
         for layer in self.layers:
-            h = h @ ad.leaf(z, layer.w) + ad.leaf(z, layer.b)
+            w, b = ad.leaf(z, layer.w), ad.leaf(z, layer.b)
             if layer.has_batch_norm:
-                h = ad.tanh(h)
+                h = ad.dense(h, w, b, "tanh")
                 h = ad.batch_norm(h, ad.leaf(z, layer.bn_shift),
                                   ad.leaf(z, layer.bn_scale), layer.bn_state, mode)
             else:
-                h = ad.apply_activation(self.output_activation, h)
+                h = ad.dense(h, w, b, self.output_activation)
         return h
 
     def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
@@ -242,11 +251,12 @@ def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
     a batch estimate of KL(generator || model), so its minimum is a
     generator that samples the energy model; with the default
     ``"batch_norm_scale"``, the paper's surrogate, H rewards growing
-    batch-norm scales whether or not the samples spread. The returned
-    stats hold the mean energy and the entropy estimate the loss used.
+    batch-norm scales whether or not the samples spread. The gradients
+    come as ``Gradients`` (views into one flat copy); the stats hold the
+    mean energy and the entropy estimate the loss used.
     """
     loss, e_gen, entropy = dgm_loss(gen, dem, z, entropy_weight, entropy_estimator)
     loss.tape.backward(loss)
-    grads = {p.name: p.grad.copy() for p in gen.params()}
+    grads = gen.store.gradients()
     stats = {"e_gen": float(e_gen.values), "entropy": float(entropy.values)}
     return grads, stats

@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .autodiff import ParameterStore
 from .energy_model import EnergyModel, dem_loss_gradient
 from .generator_model import (
     ENTROPY_ESTIMATORS,
@@ -23,6 +24,12 @@ from .generator_model import (
     dgm_loss_gradient,
     sample_prior,
 )
+
+
+# Entries per AdaGrad pass. Each block's temporaries (64 KiB) stay in cache
+# and below glibc's default mmap threshold, so every step reuses the same
+# heap memory instead of growing the heap and faulting fresh pages in.
+ADAGRAD_BLOCK = 8192
 
 
 class ConfigError(ValueError):
@@ -95,38 +102,75 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 class TrainState:
-    """Step counter, AdaGrad accumulators and RNG streams."""
+    """Step counter, AdaGrad accumulators and RNG streams.
+
+    ``accumulators`` holds one array per parameter name, the form a
+    checkpoint writes and reads. AdaGrad works on one flat accumulator per
+    model (see ``accumulator``), whose per-name views are those entries.
+    """
 
     def __init__(self, step=0, accumulators=None, data_rng=None,
                  prior_rng=None):
         self.step = step
-        self.accumulators: dict[str, np.ndarray] = accumulators or {}
+        self.accumulators: dict[str, np.ndarray] = (
+            {} if accumulators is None else accumulators)
         self.data_rng = data_rng
         self.prior_rng = prior_rng
+        self._flat: dict[tuple, tuple[np.ndarray, dict]] = {}
 
     @classmethod
     def initial(cls, seed: int) -> "TrainState":
         streams = rng_streams(seed)
         return cls(data_rng=streams["data"], prior_rng=streams["prior"])
 
+    def accumulator(self, store: ParameterStore) -> np.ndarray:
+        """The flat AdaGrad accumulator of one model, laid out like its store.
 
-def adagrad_step(params, grads, accumulators, lr, eps):
-    """acc += g^2; param -= lr * g / (sqrt(acc) + eps), elementwise.
+        On first use it takes the values of the per-name entries it covers
+        (zero where a name has none) and puts its own views in their place,
+        so the per-name entries and the flat array stay one state.
+        """
+        key = tuple(p.name for p in store.params)
+        flat, views = self._flat.get(key, (None, None))
+        # rebuilt when new, or when a caller replaced one of its entries
+        if flat is None or any(self.accumulators.get(name) is not view
+                               for name, view in views.items()):
+            flat = np.zeros_like(store.values)
+            views = store.views(flat)
+            for name, view in views.items():
+                if name in self.accumulators:
+                    view[...] = self.accumulators[name]
+                self.accumulators[name] = view
+            self._flat[key] = flat, views
+        return flat
 
-    Coordinates with g == 0 are left untouched even when acc and eps are
-    both zero (the 0/0 case).
+
+def adagrad_step(store: ParameterStore, grad: np.ndarray,
+                 accumulator: np.ndarray, lr: float, eps: float) -> None:
+    """acc += g^2; values -= lr * g / (sqrt(acc) + eps), elementwise over a
+    model's flat parameter store.
+
+    grad and accumulator are flat arrays laid out like ``store.values``.
+    Every gradient entry is checked before anything moves; a non-finite one
+    raises ``NonFiniteGradientError`` naming its parameter. Coordinates with
+    g == 0 are left untouched even when acc and eps are both zero (the 0/0
+    case).
     """
-    for p in params:
-        g = grads[p.name]
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(p.name)
-        acc = accumulators.get(p.name)
-        if acc is None:
-            acc = accumulators[p.name] = np.zeros_like(p.values)
-        acc += g * g
-        denom = np.sqrt(acc) + eps
+    bad = store.first_nonfinite(grad)
+    if bad is not None:
+        raise NonFiniteGradientError(bad)
+    for start in range(0, grad.size, ADAGRAD_BLOCK):
+        block = slice(start, start + ADAGRAD_BLOCK)
+        g, acc = grad[block], accumulator[block]
+        denom = g * g
+        acc += denom
+        np.sqrt(acc, out=denom)
+        denom += eps
+        delta = lr * g
         with np.errstate(invalid="ignore", divide="ignore"):
-            p.values -= np.where(g == 0.0, 0.0, lr * g / denom)
+            delta /= denom
+        delta[g == 0.0] = 0.0
+        store.values[block] -= delta
 
 
 def _grad_norm(grads: dict) -> float:
@@ -164,7 +208,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: TrainConfig,
             z = sample_prior(n, gen.d_z, state.prior_rng)
             x_neg = gen.generate(z, "train")
             dem_grads, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
-            adagrad_step(dem.params(), dem_grads, state.accumulators,
+            adagrad_step(dem.store, dem_grads.flat, state.accumulator(dem.store),
                          config.dem_lr, config.adagrad_eps)
             metrics = {
                 "step": state.step,
@@ -176,7 +220,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: TrainConfig,
                 z2 = sample_prior(n, gen.d_z, state.prior_rng)
                 dgm_grads, dgm_stats = dgm_loss_gradient(
                     gen, dem, z2, config.entropy_weight, config.entropy_estimator)
-                adagrad_step(gen.params(), dgm_grads, state.accumulators,
+                adagrad_step(gen.store, dgm_grads.flat, state.accumulator(gen.store),
                              config.dgm_lr, config.adagrad_eps)
                 metrics["e_gen"] = dgm_stats["e_gen"]
                 metrics["entropy"] = dgm_stats["entropy"]

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ def test_sigmoid_is_overflow_safe():
     out = ad.sigmoid(x).values
     assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)
     assert np.all(np.isfinite(out))
+
+
+def test_sigmoid_is_bit_equal_to_the_two_branch_formula():
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.normal(size=997) * scale for scale in (0.1, 1.0, 30.0, 800.0)])
+    x[::17] = 0.0
+    x[::29] = -0.0
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    for shape in ((x.size,), (4, x.size // 4)):
+        out = ad.sigmoid(x.reshape(shape)).ravel()
+        assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
 def test_backward_of_sum_is_ones():
@@ -220,6 +236,25 @@ def _batch_norm_case(mode):
     return build
 
 
+def _dense_case(activation):
+    def build(rng):
+        x = param(rng.normal(size=(3, 4)), "x")
+        w = param(rng.normal(size=(4, 5)), "w")
+        b = param(rng.normal(size=5), "b")
+        r = rng.normal(size=(3, 5))
+
+        def loss():
+            tape = Tape()
+            out = ad.dense(tape.watch(x), tape.watch(w), tape.watch(b), activation)
+            out = (out * r).sum()
+            tape.backward(out)
+            return float(out.values)
+
+        return [x, w, b], loss
+
+    return build
+
+
 PRIMITIVE_CASES = {
     "add": _binary_case(lambda a, b: a + b, (3, 4)),
     "add_bias_row": _binary_case(lambda a, b: a + b, (4,)),
@@ -244,6 +279,10 @@ PRIMITIVE_CASES = {
     "mean_axis1": _reduction_case(lambda x: x.mean(axis=1)),
     "batch_norm_train": _batch_norm_case("train"),
     "batch_norm_infer": _batch_norm_case("infer"),
+    "dense_linear": _dense_case("linear"),
+    "dense_tanh": _dense_case("tanh"),
+    "dense_sigmoid": _dense_case("sigmoid"),
+    "dense_softplus": _dense_case("softplus"),
 }
 
 
@@ -259,6 +298,138 @@ def test_primitive_gradient_sweep(name, seed):
         f = numeric[pname]
         tol = np.maximum(1e-5, 1e-4 * np.maximum(np.abs(a), np.abs(f)))
         assert np.all(np.abs(a - f) <= tol), (name, pname)
+
+
+# --- dense specifics ----------------------------------------------------------
+
+UNFUSED = {
+    "linear": lambda a: a,
+    "tanh": ad.tanh,
+    "sigmoid": ad.sigmoid,
+    "softplus": ad.softplus,
+}
+
+
+@pytest.mark.parametrize("activation", sorted(UNFUSED))
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_is_bit_equal_to_the_unfused_chain(activation, seed):
+    """Same value and same gradients, to the bit, as matmul, add, activation."""
+    rng = np.random.default_rng(seed)
+    x, w, b = (param(rng.normal(size=shape), name) for shape, name in
+               (((16, 7), "x"), ((7, 9), "w"), ((9,), "b")))
+    r = rng.normal(size=(16, 9))
+
+    def run(layer):
+        tape = Tape()
+        # the layer's output feeds two consumers, as a model's hidden layers do
+        out = layer(tape.watch(x), tape.watch(w), tape.watch(b))
+        root = (out * r).sum() + ad.square(out).mean()
+        tape.backward(root)
+        return out.values, [p.grad.copy() for p in (x, w, b)]
+
+    fused = run(lambda xn, wn, bn: ad.dense(xn, wn, bn, activation))
+    unfused = run(lambda xn, wn, bn: UNFUSED[activation](xn @ wn + bn))
+    assert np.array_equal(fused[0], unfused[0])
+    for g_fused, g_unfused in zip(fused[1], unfused[1]):
+        assert np.array_equal(g_fused, g_unfused)
+
+
+@pytest.mark.parametrize("activation", sorted(UNFUSED))
+def test_dense_on_arrays_is_bit_equal_to_the_recorded_layer(activation):
+    rng = np.random.default_rng(5)
+    x, w, b = rng.normal(size=(33, 6)), rng.normal(size=(6, 11)), rng.normal(size=11)
+    plain = ad.dense(x, w, b, activation)
+    tape = Tape()
+    recorded = ad.dense(tape.constant(x), tape.constant(w), tape.constant(b), activation)
+    assert type(plain) is np.ndarray
+    assert np.array_equal(plain, recorded.values)
+
+
+def test_dense_rejects_bad_shapes_and_activation():
+    tape = Tape()
+    x, w = tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match="inner dimensions"):
+        ad.dense(x, tape.constant(np.zeros((2, 4))), tape.constant(np.zeros(4)), "tanh")
+    with pytest.raises(ShapeError, match="bias"):
+        ad.dense(x, w, tape.constant(np.zeros(3)), "tanh")
+    with pytest.raises(ValueError, match="relu"):
+        ad.dense(x, w, tape.constant(np.zeros(4)), "relu")
+
+
+# --- gradient pruning and acyclic tapes ----------------------------------------
+
+def test_operations_on_constants_and_frozen_parameters_record_no_backward():
+    rng = np.random.default_rng(0)
+    frozen = param(rng.normal(size=(4, 4)), "frozen")
+    live = param(rng.normal(size=(4, 4)), "live")
+    tape = Tape()
+    tape.freeze([frozen])
+    c = tape.constant(rng.normal(size=(4, 4)))
+    f = tape.watch(frozen)
+    bias = tape.constant(np.zeros(4))
+    state = BatchNormState.initial(4)
+    dead = [
+        c + f, c - f, c * f, -f, c @ f, f.sum(axis=0), f.mean(), ad.tanh(f),
+        ad.sigmoid(c), ad.softplus(f), ad.square(c), ad.log(ad.square(f) + 1.0),
+        ad.exp(c), ad.dense(c, f, bias, "softplus"),
+        ad.batch_norm(c, bias, bias, state, "train"),
+    ]
+    assert all(tape._backward[n.idx] is None for n in dead)
+    assert tape._backward[f.idx] is None
+    w = tape.watch(live)
+    assert all(tape._backward[n.idx] is not None for n in (
+        w, c @ w, ad.dense(c, w, bias, "tanh"), ad.dense(w, f, bias, "linear"),
+        (c * w).sum()))
+
+
+def test_unwatched_operand_of_a_dense_layer_gets_no_gradient():
+    """The frozen weights of a layer fed by a watched input get no gradient."""
+    rng = np.random.default_rng(1)
+    x = param(rng.normal(size=(5, 3)), "x")
+    w = param(rng.normal(size=(3, 4)), "w")
+    w.grad[:] = 7.0
+    tape = Tape()
+    tape.freeze([w])
+    out = ad.dense(tape.watch(x), tape.watch(w), tape.constant(np.zeros(4)), "tanh")
+    tape.backward(out.sum())
+    assert np.all(w.grad == 7.0)
+    expected = (1.0 - out.values ** 2) @ w.values.T
+    assert_allclose(x.grad, expected, rtol=1e-12)
+
+
+def test_tape_is_freed_with_its_last_node():
+    p = param(np.ones((3, 3)), "p")
+    tape = Tape()
+    root = ad.dense(tape.constant(np.ones((2, 3))), tape.watch(p),
+                    tape.constant(np.zeros(3)), "sigmoid").sum()
+    tape.backward(root)
+    ref = weakref.ref(tape)
+    del tape
+    assert ref() is not None
+    del root
+    assert ref() is None
+
+
+# --- parameter store ---------------------------------------------------------
+
+def test_parameter_store_views_share_memory():
+    a = param(np.arange(6.0).reshape(2, 3), "a")
+    b = param([10.0, 11.0], "b")
+    b.grad[:] = [1.0, 2.0]
+    store = ad.ParameterStore([a, b])
+    assert np.array_equal(store.values, [0, 1, 2, 3, 4, 5, 10, 11])
+    assert np.array_equal(store.grad, [0, 0, 0, 0, 0, 0, 1, 2])
+    a.values[1, 2] = -1.0
+    store.grad[0] = 3.0
+    assert store.values[5] == -1.0 and a.grad[0, 0] == 3.0
+    views = store.views(np.arange(8.0))
+    assert list(views) == ["a", "b"]
+    assert np.array_equal(views["a"], [[0, 1, 2], [3, 4, 5]])
+    grads = store.gradients()
+    store.grad[:] = 0.0
+    assert grads["b"].tolist() == [1.0, 2.0] and grads.flat[0] == 3.0
+    with pytest.raises(ValueError, match="unique"):
+        ad.ParameterStore([param([1.0], "x"), param([2.0], "x")])
 
 
 # --- batch norm specifics ---------------------------------------------------

@@ -232,6 +232,45 @@ def test_checkpoint_resume_replays_identically(tmp_path):
         assert np.array_equal(p.values, q.values)
 
 
+@pytest.mark.parametrize("estimator", ["nearest_neighbour", "batch_norm_scale"])
+def test_checkpoint_resume_gives_the_uninterrupted_state(tmp_path, estimator):
+    """20 steps, checkpoint, reload, 20 more: metrics, parameters, batch-norm
+    statistics, AdaGrad accumulators and the final checkpoint's bytes equal
+    those of one 40-step run. The reloaded accumulators become views into
+    the flat AdaGrad state, so this is the path where the two could part."""
+    def config(steps):
+        return TrainConfig(batch_size=16, steps=steps, seed=9,
+                           entropy_estimator=estimator)
+
+    dem, gen, points, _ = _small_run(tmp_path)
+    full = io.StringIO()
+    state = train(dem, gen, points, config(40), metrics_out=full)
+    save_checkpoint(tmp_path / "full.bin", Checkpoint({}, dem, gen, state))
+
+    dem2, gen2, points2, _ = _small_run(tmp_path)
+    half = io.StringIO()
+    state2 = train(dem2, gen2, points2, config(20), metrics_out=half)
+    save_checkpoint(tmp_path / "mid.bin", Checkpoint({}, dem2, gen2, state2))
+    resumed = load_checkpoint(tmp_path / "mid.bin")
+    state2 = train(resumed.dem, resumed.gen, points2, config(40), state=resumed.state,
+                   metrics_out=half)
+    save_checkpoint(tmp_path / "resumed.bin",
+                    Checkpoint({}, resumed.dem, resumed.gen, state2))
+
+    assert half.getvalue() == full.getvalue()
+    for p, q in zip(dem.params() + gen.params(),
+                    resumed.dem.params() + resumed.gen.params()):
+        assert np.array_equal(p.values, q.values), p.name
+    for a, b in zip(gen.layers, resumed.gen.layers):
+        if a.has_batch_norm:
+            assert np.array_equal(a.bn_state.mean, b.bn_state.mean)
+            assert np.array_equal(a.bn_state.var, b.bn_state.var)
+    assert sorted(state.accumulators) == sorted(state2.accumulators)
+    for name, acc in state.accumulators.items():
+        assert np.array_equal(acc, state2.accumulators[name]), name
+    assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+
+
 def test_checkpoint_rng_state_roundtrip(tmp_path):
     dem, gen, points, config = _small_run(tmp_path)
     state = train(dem, gen, points, config)

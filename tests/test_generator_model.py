@@ -258,7 +258,7 @@ def test_entropy_pressure_increases_every_scale():
     z = sample_prior(16, 2, np.random.default_rng(25))
     grads, _ = dgm_loss_gradient(gen, ConstantEnergy(), z, entropy_weight=1.0)
     before = [p.values.copy() for p in gen.scale_parameters()]
-    adagrad_step(gen.params(), grads, {}, lr=0.05, eps=1e-8)
+    adagrad_step(gen.store, grads.flat, np.zeros_like(gen.store.values), lr=0.05, eps=1e-8)
     for p, b in zip(gen.scale_parameters(), before):
         assert np.all(p.values > b)
 
@@ -284,11 +284,11 @@ def test_collapse_without_entropy_pressure():
         return float(np.sqrt((diffs**2).sum(-1)).mean())
 
     spreads = [spread()]
-    acc = {}
+    acc = np.zeros_like(gen.store.values)
     for step in range(600):
         z = sample_prior(64, 2, prior_rng)
         grads, _ = dgm_loss_gradient(gen, dem, z, entropy_weight=0.0)
-        adagrad_step(gen.params(), grads, acc, lr=0.05, eps=1e-8)
+        adagrad_step(gen.store, grads.flat, acc, lr=0.05, eps=1e-8)
         if (step + 1) % 150 == 0:
             spreads.append(spread())
     assert spreads[-1] < 0.25 * spreads[0]

@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dualebm import training
-from dualebm.autodiff import Tape
+from dualebm.autodiff import ParameterStore, Tape
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import (
@@ -33,24 +34,25 @@ def _models(seed=0, d_in=2):
 
 def test_adagrad_first_step():
     p = param([0.0])
-    acc = {}
-    adagrad_step([p], {"p": np.array([1.0])}, acc, lr=0.1, eps=0.0)
+    store, state = ParameterStore([p]), TrainState()
+    adagrad_step(store, np.array([1.0]), state.accumulator(store), lr=0.1, eps=0.0)
     assert_allclose(p.values, [-0.1], rtol=1e-12)
 
 
 def test_adagrad_second_step_shrinks():
     p = param([0.0])
-    acc = {}
-    g = {"p": np.array([1.0])}
-    adagrad_step([p], g, acc, lr=0.1, eps=0.0)
-    adagrad_step([p], g, acc, lr=0.1, eps=0.0)
+    store, state = ParameterStore([p]), TrainState()
+    g = np.array([1.0])
+    adagrad_step(store, g, state.accumulator(store), lr=0.1, eps=0.0)
+    adagrad_step(store, g, state.accumulator(store), lr=0.1, eps=0.0)
     assert_allclose(p.values, [-0.1 - 0.1 / math.sqrt(2.0)], rtol=1e-12)
 
 
 def test_adagrad_zero_gradient_is_a_noop():
     p = param([3.0])
-    acc = {"p": np.array([0.0])}
-    adagrad_step([p], {"p": np.array([0.0])}, acc, lr=0.1, eps=0.0)
+    store, state = ParameterStore([p]), TrainState(accumulators={"p": np.array([0.0])})
+    acc = state.accumulators
+    adagrad_step(store, np.array([0.0]), state.accumulator(store), lr=0.1, eps=0.0)
     assert p.values[0] == 3.0
     assert acc["p"][0] == 0.0
 
@@ -58,23 +60,125 @@ def test_adagrad_zero_gradient_is_a_noop():
 def test_adagrad_rejects_nonfinite_gradient():
     p = param([0.0], "bad_param")
     with pytest.raises(NonFiniteGradientError, match="bad_param"):
-        adagrad_step([p], {"bad_param": np.array([np.nan])}, {}, 0.1, 1e-8)
+        adagrad_step(ParameterStore([p]), np.array([np.nan]), np.zeros(1), 0.1, 1e-8)
 
 
 @given(st.floats(0.01, 10.0), st.integers(1, 20))
 @settings(max_examples=30, deadline=None)
 def test_adagrad_step_sizes_nonincreasing_for_constant_gradient(g, steps):
     p = param([0.0])
-    acc = {}
+    store, state = ParameterStore([p]), TrainState()
+    acc = state.accumulators
     lr = 0.1
     positions = [0.0]
     for _ in range(steps):
-        adagrad_step([p], {"p": np.array([g])}, acc, lr=lr, eps=1e-8)
+        adagrad_step(store, np.array([g]), state.accumulator(store), lr=lr, eps=1e-8)
         positions.append(float(p.values[0]))
     deltas = [abs(b - a) for a, b in zip(positions, positions[1:])]
     assert deltas[0] <= lr * g / (g + 1e-8) + 1e-15
     assert all(b <= a + 1e-15 for a, b in zip(deltas, deltas[1:]))
     assert np.all(acc["p"] >= 0.0)
+
+
+def _per_parameter_adagrad(params, grads, accumulators, lr, eps):
+    """The AdaGrad rule one parameter at a time, as a reference."""
+    for p in params:
+        g = grads[p.name]
+        acc = accumulators.setdefault(p.name, np.zeros_like(p.values))
+        acc += g * g
+        denom = np.sqrt(acc) + eps
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p.values -= np.where(g == 0.0, 0.0, lr * g / denom)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8])
+def test_flat_adagrad_equals_the_per_parameter_rule_bitwise(eps):
+    flat_model, ref_model = (GeneratorModel.build((3, 6, 6, 2), np.random.default_rng(40))
+                             for _ in range(2))
+    rng = np.random.default_rng(41)
+    state, ref_acc = TrainState(), {}
+    for step in range(6):
+        flat = rng.normal(size=flat_model.store.values.size) * 10.0 ** rng.integers(-3, 3)
+        flat[rng.random(flat.size) < 0.3] = 0.0   # exact zeros, with acc still 0 at first
+        if step == 0:
+            flat[:5] = 0.0                         # with eps = 0: the 0/0 case
+        grads = flat_model.store.views(flat)
+        adagrad_step(flat_model.store, flat, state.accumulator(flat_model.store),
+                     lr=0.05, eps=eps)
+        _per_parameter_adagrad(ref_model.params(), grads, ref_acc, lr=0.05, eps=eps)
+    for p, q in zip(flat_model.params(), ref_model.params()):
+        assert np.array_equal(p.values, q.values), p.name
+        assert np.array_equal(state.accumulators[p.name], ref_acc[q.name]), p.name
+    assert np.all(np.isfinite(flat_model.store.values))
+
+
+def test_adagrad_names_the_first_nonfinite_parameter_and_moves_nothing():
+    a, b, c = param([1.0, 2.0], "a"), param([[3.0]], "b"), param([4.0, 5.0], "c")
+    store = ParameterStore([a, b, c])
+    before = store.values.copy()
+    acc = np.zeros(5)
+    with pytest.raises(NonFiniteGradientError, match="'b'"):
+        adagrad_step(store, np.array([1.0, 1.0, np.nan, np.inf, 1.0]), acc, 0.1, 1e-8)
+    assert np.array_equal(store.values, before)
+    assert np.all(acc == 0.0)
+
+
+def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
+    real = training.dgm_loss_gradient
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        grads, stats = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 4:
+            grads["gen.layer1.b"][1] = np.nan
+        return grads, stats
+
+    monkeypatch.setattr(training, "dgm_loss_gradient", poisoned)
+    dem, gen = _models(19)
+    points = np.random.default_rng(20).normal(size=(64, 2))
+    before = gen.store.values.copy()
+    with pytest.raises(NonFiniteGradientError) as err:
+        train(dem, gen, points, _tiny_config(steps=10))
+    assert err.value.param_name == "gen.layer1.b"
+    assert err.value.step == 3
+    assert str(err.value) == "non-finite gradient for parameter 'gen.layer1.b' at step 3"
+    assert not np.array_equal(gen.store.values, before)   # steps 0-2 moved it
+
+
+def test_accumulator_views_are_the_checkpointed_entries():
+    dem, gen = _models(21)
+    state = TrainState(accumulators={"dem.b_vis": np.array([4.0, 9.0])})
+    flat = state.accumulator(dem.store)
+    assert flat is state.accumulator(dem.store)
+    assert list(state.accumulators["dem.b_vis"]) == [4.0, 9.0]
+    flat[:] = 1.0
+    assert all(np.all(state.accumulators[p.name] == 1.0) for p in dem.params())
+    assert not any(name.startswith("gen.") for name in state.accumulators)
+    state.accumulators["dem.b_vis"] = np.array([2.0, 3.0])  # a replaced entry is taken over
+    assert list(state.accumulator(dem.store)[-2:]) == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("estimator", ["nearest_neighbour", "batch_norm_scale"])
+def test_training_gradients_leave_nothing_for_the_cycle_collector(estimator):
+    """Tapes hold no reference cycle, so reference counting frees them."""
+    from dualebm.config import RunConfig, build_models
+    from dualebm.energy_model import dem_loss_gradient
+    from dualebm.generator_model import dgm_loss_gradient
+
+    dem, gen = build_models(RunConfig(seed=0))
+    rng = np.random.default_rng(22)
+    x_pos = rng.normal(size=(64, 2))
+    x_neg = gen.generate(sample_prior(64, gen.d_z, rng), "train")
+    z = sample_prior(64, gen.d_z, rng)
+    gc.collect()
+    gc.disable()
+    try:
+        dem_loss_gradient(dem, x_pos, x_neg)
+        dgm_loss_gradient(gen, dem, z, 1.0, estimator)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- config -------------------------------------------------------------------

@@ -9,6 +9,13 @@ sigmoid final layer, so every feature is bounded. Each expert term grows at
 most linearly in ||x|| while the quadratic term dominates, so exp(-energy)
 is integrable and the model defines a proper unnormalized density. sigma
 is a fixed hyperparameter, not trained.
+
+scipy is imported inside ``grid_log_density``, the one function here that
+uses it, not with the module: importing ``scipy.special`` takes ~0.15 s
+(2-core Xeon, after numpy), which ``train``, ``sample``, ``energy-map`` and
+``interpolate`` would pay without calling it. A module-level scipy import
+fails ``test_commands_that_need_no_scipy_never_import_it`` in
+tests/test_cli.py.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import autodiff as ad
 from .autodiff import Node, Parameter, ParameterStore, ShapeError, Tape
@@ -182,21 +188,11 @@ def grid_log_density(energy_fn, bounds, grid_n: int):
     grid and behave like a discrete distribution. Summation happens in log
     space, so arbitrarily large energies are safe.
     """
+    from scipy.special import logsumexp
+
     points, log_w = trapezoid_grid(bounds, grid_n)
     energies = np.asarray(energy_fn(points), dtype=np.float64)
     log_unnorm = -energies + log_w
     log_z = float(logsumexp(log_unnorm))
     return points, log_unnorm - log_z, log_z, log_w
 
-
-def log_partition(energy_fn, bounds, grid_n: int) -> float:
-    """log of the trapezoidal quadrature of exp(-energy) over a grid."""
-    return grid_log_density(energy_fn, bounds, grid_n)[2]
-
-
-def log_partition_oracle(model: EnergyModel, bounds, grid_n: int) -> float:
-    """Brute-force log Z for low-dimensional models; test and metric use only."""
-    if model.d_in > 2:
-        raise ValueError(
-            f"partition quadrature only supports d_in <= 2, model has {model.d_in}")
-    return log_partition(model.energy_values, bounds, grid_n)

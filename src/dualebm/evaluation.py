@@ -5,6 +5,13 @@ arm-coverage fractions against the known generating curves, and density fit
 becomes cross-entropy / KL numbers computed with the brute-force partition
 quadrature. Image-shaped samples are written as binary PGM strips so no
 codec is involved.
+
+scipy is imported inside the functions that use it (``mode_coverage``,
+``gaussian_kde``, ``model_data_divergence``), not with the module:
+importing ``scipy.stats`` takes ~0.64 s (2-core Xeon, after numpy), and
+only ``eval`` needs it, while every command imports this module. A
+module-level scipy import fails
+``test_commands_that_need_no_scipy_never_import_it`` in tests/test_cli.py.
 """
 
 from __future__ import annotations
@@ -12,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.special import logsumexp
-from scipy.stats import gaussian_kde
 
 from .data_io import SPIRAL_SPECS, arm_curve
 from .energy_model import grid_log_density
@@ -86,6 +90,8 @@ def mode_coverage(samples: np.ndarray, dataset_name: str,
     is unassigned when even the closest arm is farther than the threshold.
     Fractions and the unassigned share sum to one exactly.
     """
+    from scipy.spatial import cKDTree
+
     if dataset_name not in SPIRAL_SPECS:
         raise ValueError(f"no mode-assignment rule for dataset {dataset_name!r}")
     samples = np.asarray(samples, dtype=np.float64)
@@ -104,6 +110,18 @@ def mode_coverage(samples: np.ndarray, dataset_name: str,
     }
 
 
+def gaussian_kde(points: np.ndarray):
+    """``scipy.stats.gaussian_kde(points)``, with scipy.stats imported on the
+    first call rather than with this module.
+
+    It is a module attribute, looked up as a global by
+    ``model_data_divergence``, so that a profiler can replace it by name to
+    time the KDE (perfbench's ``evaluation.kde_ms`` does).
+    """
+    from scipy.stats import gaussian_kde as scipy_gaussian_kde
+    return scipy_gaussian_kde(points)
+
+
 def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
     """Cross-entropy of held-out points under the grid-normalized model, and
     KL(model density || Gaussian KDE of the points) over the same grid.
@@ -112,6 +130,8 @@ def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
     identical trapezoid weights, so the comparison is between two discrete
     distributions on the same support.
     """
+    from scipy.special import logsumexp
+
     energy_fn = _as_energy_fn(dem)
     points = np.asarray(points, dtype=np.float64)
     grid_points, log_p, log_z, log_w = grid_log_density(energy_fn, bounds, grid_n)

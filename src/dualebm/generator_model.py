@@ -25,6 +25,14 @@ log-partition constant. Two estimators are available:
   samples: its gradient 1/sigma_a never changes sign, so the scales grow
   without limit while the next linear layer can shrink to cancel them, and
   the samples may still collapse.
+
+scipy is imported inside ``nearest_neighbour_entropy_node``, the one
+function here that uses it, not with the module: importing
+``scipy.spatial.distance`` and ``scipy.special`` takes ~0.24 s (2-core
+Xeon, after numpy), which every command would pay, including ``train``
+with the surrogate, which never calls it. A module-level scipy import
+fails ``test_commands_that_need_no_scipy_never_import_it`` in
+tests/test_cli.py.
 """
 
 from __future__ import annotations
@@ -32,8 +40,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import digamma
 
 from . import autodiff as ad
 from .autodiff import (
@@ -166,11 +172,6 @@ def _check_scales(model: GeneratorModel) -> list[Parameter]:
     return scales
 
 
-def entropy_surrogate(model: GeneratorModel) -> float:
-    """Value of ``entropy_surrogate_node``."""
-    return float(entropy_surrogate_node(model, Tape()).values)
-
-
 def entropy_surrogate_node(model: GeneratorModel, tape: Tape) -> Node:
     """Sum of 0.5*log(2*e*pi*sigma_a^2) over all batch-norm scale entries;
     its gradient w.r.t. each scale is 1/scale."""
@@ -193,6 +194,9 @@ def nearest_neighbour_entropy_node(x: Node) -> Node:
     gradient flows through the choice); the distance is differentiated
     through both rows.
     """
+    from scipy.spatial.distance import cdist
+    from scipy.special import digamma
+
     xv = x.values
     if xv.ndim != 2 or xv.shape[0] < 2:
         raise ShapeError(

@@ -310,14 +310,49 @@ def test_every_module_is_reached_from_the_cli():
     assert expected - set(result.stdout.split()) == set()
 
 
-# --- scripts/run_fourspin.py ----------------------------------------------------
+def test_commands_that_need_no_scipy_never_import_it(tmp_path):
+    """train (with the command line's default estimator), sample,
+    energy-map and interpolate run on numpy alone: scipy is imported inside
+    the functions that call it, so these commands never load it."""
+    config = _write_config(tmp_path, steps=5)
+    checkpoint = tmp_path / "run" / "checkpoint_final.bin"
+    commands = [
+        ["train", "--config", str(config)],
+        ["sample", "--checkpoint", str(checkpoint), "--n", "20",
+         "--out", str(tmp_path / "samples.csv")],
+        ["energy-map", "--checkpoint", str(checkpoint), "--res", "5",
+         "--out", str(tmp_path / "map.csv")],
+        ["interpolate", "--checkpoint", str(checkpoint), "--k", "3",
+         "--out", str(tmp_path / "path.csv")],
+    ]
+    package = Path(cli.__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import json, sys\n"
+        "import dualebm.cli\n"
+        f"codes = [dualebm.cli.main(argv) for argv in {commands!r}]\n"
+        "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(json.dumps({'codes': codes, 'scipy': scipy}))\n")
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=True, env=env)
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["scipy"] == []
 
-def _run_fourspin():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "run_fourspin.py"
-    spec = importlib.util.spec_from_file_location("run_fourspin", path)
+
+# --- scripts/ ---------------------------------------------------------------------
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.run
+    return module
+
+
+def _run_fourspin():
+    return _load_script("run_fourspin").run
 
 
 def test_run_fourspin_override_without_value_exit_2(tmp_path):
@@ -333,3 +368,36 @@ def test_run_fourspin_follows_outdir_env(tmp_path, monkeypatch):
     for name in ("checkpoint_final.bin", "energy_map.csv", "samples.csv"):
         assert (tmp_path / "env_run" / name).exists()
     assert not (tmp_path / "out").exists()
+
+
+def _bench_pair(seed, parent, change):
+    """One pair of run.py result lines for one workload "w" with metrics
+    t (lower is better) and r (higher is better)."""
+    def side(values, failed):
+        return {"w": {"attempted": 4, "failed": failed, "metrics": {
+            "t": {"value": values[0], "unit": "s"},
+            "r": {"value": values[1], "unit": "1/s"}}}}
+    return {"seed": seed, "parent": side(parent, 0), "change": side(change, 1)}
+
+
+def test_bench_pairs_counts_wins_ties_and_the_claim_gate():
+    bench = _load_script("bench_pairs")
+    assert bench.parse_seeds("701-703") == [701, 702, 703]
+    runs = [_bench_pair(1, (1.0, 10.0), (0.5, 12.0)),
+            _bench_pair(2, (1.1, 10.0), (0.5, 10.0)),
+            _bench_pair(3, (0.9, 10.0), (1.0, 9.0))]
+    end_to_end = [{"name": "t", "unit": "s", "better": "lower"},
+                  {"name": "r", "unit": "1/s", "better": "higher"}]
+    workloads = bench.summarize(runs, end_to_end)
+    t, r = workloads["w"]["t"], workloads["w"]["r"]
+    assert (t["change_wins"], t["ties"], t["pairs"]) == (2, 0, 3)
+    assert (r["change_wins"], r["ties"]) == (1, 1)
+    assert t["parent"] == {"median": 1.0, "q1": 0.95, "q3": 1.05}
+    assert t["runs"] == {"parent": [1.0, 1.1, 0.9], "change": [0.5, 0.5, 1.0]}
+    assert t["change_vs_parent"] == -0.5
+    assert bench.operations(runs) == {"w": {"parent": {"attempted": 12, "failed": 0},
+                                            "change": {"attempted": 12, "failed": 3}}}
+    assert not bench.claim(workloads, "w", "t")["met"]  # 2 of 3 wins is short of 9/10
+    wins_all = bench.summarize(runs[:2], end_to_end)
+    assert bench.claim(wins_all, "w", "t")["met"]
+    assert not bench.claim(wins_all, "w", "r")["met"]

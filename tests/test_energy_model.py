@@ -11,8 +11,6 @@ from dualebm.energy_model import (
     EnergyModel,
     dem_loss_gradient,
     grid_log_density,
-    log_partition,
-    log_partition_oracle,
 )
 from dualebm.gradcheck import finite_difference
 
@@ -78,8 +76,8 @@ def test_energy_difference_is_quadratic_term():
 def test_unnormalized_density_integrates_stably():
     model = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(6))
     bounds = [(-20.0, 20.0), (-20.0, 20.0)]
-    coarse = log_partition_oracle(model, bounds, 200)
-    fine = log_partition_oracle(model, bounds, 400)
+    coarse = grid_log_density(model.energy_values, bounds, 200)[2]
+    fine = grid_log_density(model.energy_values, bounds, 400)[2]
     assert np.isfinite(coarse) and np.isfinite(fine)
     assert abs(fine - coarse) < 1e-3 * abs(fine)
 
@@ -212,36 +210,36 @@ def test_negative_phase_estimator_averages_toward_large_batch():
 
 def test_log_partition_recovers_gaussian_integral():
     model = _quadratic_model(sigma=1.0, n_experts=0)
-    log_z = log_partition_oracle(model, [(-6.0, 6.0), (-6.0, 6.0)], 400)
+    log_z = grid_log_density(model.energy_values, [(-6.0, 6.0), (-6.0, 6.0)], 400)[2]
     assert abs(log_z - math.log(math.pi)) < 1e-3
 
 
 def test_log_partition_grid_refinement_converges():
     model = _quadratic_model(sigma=1.0, n_experts=0)
     bounds = [(-6.0, 6.0), (-6.0, 6.0)]
-    assert abs(log_partition_oracle(model, bounds, 800)
-               - log_partition_oracle(model, bounds, 400)) < 1e-4
+    assert abs(grid_log_density(model.energy_values, bounds, 800)[2]
+               - grid_log_density(model.energy_values, bounds, 400)[2]) < 1e-4
 
 
 def test_log_partition_constant_shift_identity():
     model = _quadratic_model(n_experts=0)
     bounds = [(-6.0, 6.0), (-6.0, 6.0)]
-    base = log_partition(model.energy_values, bounds, 200)
+    base = grid_log_density(model.energy_values, bounds, 200)[2]
     for c in (-3.0, 0.5, 10.0):
-        shifted = log_partition(lambda x, c=c: model.energy_values(x) + c,
-                                bounds, 200)
+        shifted = grid_log_density(lambda x, c=c: model.energy_values(x) + c,
+                                   bounds, 200)[2]
         assert_allclose(shifted, base - c, rtol=1e-12)
 
 
 def test_log_partition_one_dimensional():
-    log_z = log_partition(lambda x: (x[:, 0] ** 2), [(-8.0, 8.0)], 2000)
+    log_z = grid_log_density(lambda x: (x[:, 0] ** 2), [(-8.0, 8.0)], 2000)[2]
     assert abs(log_z - 0.5 * math.log(math.pi)) < 1e-6
 
 
 def test_log_partition_rejects_high_dimension():
     model = EnergyModel.build((3, 4, 2), 2, np.random.default_rng(22))
-    with pytest.raises(ValueError, match="d_in <= 2"):
-        log_partition_oracle(model, [(-1, 1)] * 3, 10)
+    with pytest.raises(ValueError, match="1 or 2 dimensions, got 3"):
+        grid_log_density(model.energy_values, [(-1, 1)] * 3, 10)
 
 
 def test_grid_density_sums_to_one():

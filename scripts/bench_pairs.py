@@ -3,7 +3,7 @@
 
 Usage:
     python3 scripts/bench_pairs.py --parent ROOT --change ROOT --seeds 701-710 \
-        --claim fourspin_train:setup_s --description TEXT --out BENCH_7.json
+        [--claim fourspin_train:setup_s] --description TEXT --out BENCH_7.json
 
 PARENT and CHANGE are two source roots (checkouts of the parent commit and
 of the change), each with its own src/, perfbench/ and BENCHMARK.json. For
@@ -16,10 +16,11 @@ interrupted series keeps the pairs it finished.
 
 The summary holds, per workload and end-to-end metric, each side's median
 and quartiles (inclusive method), the relative change of the medians, and
-the number of pairs the change wins (ties count for neither side); the
-claim is met when the change wins at least nine tenths of the pairs and the
-medians differ, in the better direction, by more than the parent's
-interquartile range. Every run's values are kept under "runs".
+the number of pairs the change wins (ties count for neither side). A
+claimed metric (``--claim``, left out when the change claims no gain) is
+met when the change wins at least nine tenths of the pairs and the medians
+differ, in the better direction, by more than the parent's interquartile
+range. Every run's values are kept under "runs".
 """
 
 from __future__ import annotations
@@ -141,17 +142,19 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="source root of the parent")
     parser.add_argument("--change", type=Path, required=True, help="source root of the change")
     parser.add_argument("--seeds", type=parse_seeds, required=True, metavar="FIRST-LAST")
-    parser.add_argument("--claim", type=parse_claim, required=True, metavar="WORKLOAD:METRIC")
+    parser.add_argument("--claim", type=parse_claim, metavar="WORKLOAD:METRIC",
+                        help="the one metric the change claims to improve; "
+                             "omit it when no gain is claimed")
     parser.add_argument("--description", required=True, help="what the change does")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    workload, metric = args.claim
-    if workload not in {w["name"] for w in spec["workloads"]}:
+    workload, metric = args.claim or (None, None)
+    if args.claim and workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"{workload} is not a workload of BENCHMARK.json")
-    if metric not in {m["name"] for m in spec["end_to_end"]}:
+    if args.claim and metric not in {m["name"] for m in spec["end_to_end"]}:
         parser.error(f"{metric} is not an end-to-end metric of BENCHMARK.json")
 
     runs = []
@@ -174,7 +177,7 @@ def main(argv=None) -> int:
                 f"Medians and quartiles (inclusive method) of the values per side; "
                 f"change_wins counts pairs where the change is better, ties counting "
                 f"for neither. Written by scripts/bench_pairs.py.")},
-            "claim": claim(workloads, workload, metric),
+            "claim": claim(workloads, workload, metric) if args.claim else None,
             "workloads": workloads,
             "operations": operations(runs),
         }

@@ -529,16 +529,6 @@ def softplus(a):
     return _unary(a, "softplus")
 
 
-def exp(a: Node) -> Node:
-    out = np.exp(a.values)
-    ia = a.tape._need(a)
-
-    def backward(g, grads):
-        _acc(grads, ia, g * out)
-
-    return _record_op(a.tape, out, backward, ia)
-
-
 def log(a: Node) -> Node:
     av = a.values
     if np.any(av <= 0):

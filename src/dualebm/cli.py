@@ -22,6 +22,7 @@ from .config import (
     RunConfig,
     apply_overrides,
     build_models,
+    config_from_dict,
     dataset_bounds,
     load_config,
     load_run_dataset,
@@ -113,7 +114,7 @@ def cmd_train(args) -> int:
 
     with open(out_dir / "metrics.txt", "w") as metrics:
         state = train(
-            dem, gen, dataset, config.train_config(), metrics_out=metrics,
+            dem, gen, dataset, config, metrics_out=metrics,
             checkpoint_fn=lambda s: write_checkpoint(s, f"checkpoint_{s.step}.bin"))
     write_checkpoint(state, "checkpoint_final.bin")
     print(f"trained {state.step} steps; outputs in {out_dir}")
@@ -176,7 +177,6 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_eval(args) -> int:
     checkpoint = _open_checkpoint(args.checkpoint)
-    from .config import config_from_dict
     config = config_from_dict(checkpoint.config, source="checkpoint config")
     if config.dataset == "mnist":
         raise ConfigError("eval metrics are defined for the 2D datasets only")

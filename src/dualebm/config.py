@@ -10,17 +10,27 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data_io import Dataset, load_mnist_idx, make_dataset
+from .data_io import SPIRAL_SPECS, Dataset, load_mnist_idx, make_dataset
 from .energy_model import EnergyModel
-from .generator_model import GeneratorModel
-from .training import ConfigError, TrainConfig, check_finite_floats, rng_streams
+from .generator_model import ENTROPY_ESTIMATORS, GeneratorModel
+from .training import ConfigError, rng_streams
 
 DATASET_NAMES = ("two_spiral", "four_spin", "mnist")
+MNIST_PIXELS = 28 * 28  # the input width of the mnist models
+
+
+def check_finite_floats(config) -> None:
+    """Reject NaN and +/-inf in every float field of a config (a range
+    check such as ``weight > 0`` is false for NaN, not an error)."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -56,10 +66,18 @@ class RunConfig:
                 f"dataset must be one of {DATASET_NAMES}, got {self.dataset!r}")
         if self.dataset == "mnist" and not (self.mnist_images and self.mnist_labels):
             raise ConfigError("mnist dataset needs mnist_images and mnist_labels paths")
-        if self.n_points < 2:
-            raise ConfigError(f"n_points must be >= 2, got {self.n_points}")
+        # a spiral needs a point on every arm; mnist, which ignores
+        # n_points, keeps the floor of 2
+        min_points = (SPIRAL_SPECS[self.dataset][0]
+                      if self.dataset in SPIRAL_SPECS else 2)
+        if self.n_points < min_points:
+            raise ConfigError(f"n_points must be >= {min_points} for "
+                              f"{self.dataset}, got {self.n_points}")
         if self.noise_sd < 0:
             raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if self.mnist_limit < 0:
+            raise ConfigError(
+                f"mnist_limit must be >= 0 (0 means no limit), got {self.mnist_limit}")
         if self.d_feat < 1 or self.d_z < 1:
             raise ConfigError("d_feat and d_z must be positive")
         if self.n_experts < 0:
@@ -72,16 +90,33 @@ class RunConfig:
             # the batch norm of each generator hidden layer carries the
             # entropy surrogate; with none it is the constant 0
             raise ConfigError("gen_hidden needs at least one hidden layer")
-        self.train_config().validate()
+        if self.batch_size < 2:
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        if self.dem_lr <= 0 or self.dgm_lr <= 0:
+            raise ConfigError("learning rates must be positive")
+        if self.adagrad_eps <= 0:
+            raise ConfigError(f"adagrad_eps must be positive, got {self.adagrad_eps}")
+        if self.entropy_weight < 0:
+            raise ConfigError(
+                f"entropy_weight must be >= 0, got {self.entropy_weight}")
+        if self.entropy_estimator not in ENTROPY_ESTIMATORS:
+            raise ConfigError(
+                f"entropy_estimator must be one of {ENTROPY_ESTIMATORS}, "
+                f"got {self.entropy_estimator!r}")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be positive, got {self.steps}")
+        if self.dem_updates_per_dgm_update < 1:
+            raise ConfigError("dem_updates_per_dgm_update must be positive")
+        if self.checkpoint_interval < 0:
+            raise ConfigError("checkpoint_interval must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size, dem_lr=self.dem_lr, dgm_lr=self.dgm_lr,
-            adagrad_eps=self.adagrad_eps, entropy_weight=self.entropy_weight,
-            entropy_estimator=self.entropy_estimator, steps=self.steps,
-            dem_updates_per_dgm_update=self.dem_updates_per_dgm_update,
-            seed=self.seed, checkpoint_interval=self.checkpoint_interval)
+    def train_config(self) -> "RunConfig":
+        """The config itself, which ``training.train`` takes. Only
+        ``perfbench/worker.py`` still calls this."""
+        return self
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -148,7 +183,15 @@ def apply_overrides(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfi
 
 def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
     if config.dataset == "mnist":
-        ds = load_mnist_idx(config.mnist_images, config.mnist_labels)
+        try:
+            ds = load_mnist_idx(config.mnist_images, config.mnist_labels)
+        except (OSError, ValueError) as err:
+            # a missing or unreadable file, an IdxFormatError, or the
+            # ValueError of a Dataset with no images
+            raise ConfigError(f"cannot load mnist data: {err}") from None
+        if ds.points.shape[1] != MNIST_PIXELS:
+            raise ConfigError(f"{config.mnist_images}: images of {ds.points.shape[1]} "
+                              f"pixels, the mnist models take {MNIST_PIXELS}")
         if config.mnist_limit and ds.points.shape[0] > config.mnist_limit:
             ds = Dataset(ds.points[:config.mnist_limit], ds.name,
                          None if ds.labels is None else ds.labels[:config.mnist_limit])
@@ -157,7 +200,7 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
 
 
 def build_models(config: RunConfig) -> tuple[EnergyModel, GeneratorModel]:
-    d_in = 784 if config.dataset == "mnist" else 2
+    d_in = MNIST_PIXELS if config.dataset == "mnist" else 2
     init_rng = rng_streams(config.seed)["init"]
     dem = EnergyModel.build(
         tuple([d_in] + list(config.dem_hidden) + [config.d_feat]),

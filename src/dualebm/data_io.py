@@ -77,6 +77,10 @@ def arm_curve(name: str, arm: int, num: int = 2000) -> np.ndarray:
 def _spiral_dataset(name: str, n: int, noise_sd: float,
                     rng: np.random.Generator) -> Dataset:
     arms, t_min, t_max = SPIRAL_SPECS[name]
+    if n < arms:
+        raise ValueError(f"need n >= {arms}, got {n}")
+    if noise_sd < 0:
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     arm = np.arange(n) % arms          # balanced within +/- 1 per arm
     t = rng.uniform(t_min, t_max, size=n)
     angle = t + 2.0 * math.pi * arm / arms
@@ -88,30 +92,20 @@ def _spiral_dataset(name: str, n: int, noise_sd: float,
 
 def gen_two_spiral(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
     """Two interleaved spiral arms offset by pi; points lie in the unit disk."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     return _spiral_dataset("two_spiral", n, noise_sd, rng)
 
 
 def gen_four_spin(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
     """Four shorter arms at 90-degree offsets; rotating the set by 90 degrees
     leaves its distribution unchanged."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
     return _spiral_dataset("four_spin", n, noise_sd, rng)
 
 
 def make_dataset(name: str, n: int, noise_sd: float,
                  rng: np.random.Generator) -> Dataset:
-    if name == "two_spiral":
-        return gen_two_spiral(n, noise_sd, rng)
-    if name == "four_spin":
-        return gen_four_spin(n, noise_sd, rng)
-    raise ValueError(f"unknown dataset {name!r}")
+    if name not in SPIRAL_SPECS:
+        raise ValueError(f"unknown dataset {name!r}")
+    return _spiral_dataset(name, n, noise_sd, rng)
 
 
 # --- MNIST IDX ----------------------------------------------------------------

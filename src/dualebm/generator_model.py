@@ -9,22 +9,22 @@ The generator is trained to minimize mean energy minus an entropy estimate;
 with the exact entropy this is KL(generator || model) up to the
 log-partition constant. Two estimators are available:
 
-* ``"nearest_neighbour"`` (the default of ``training.TrainConfig``): the
-  Kozachenko-Leonenko estimate of the entropy of the generated batch, from
-  each row's distance to its nearest other row. It measures the spread of
-  the samples themselves, so it pushes apart samples that crowd onto a few
-  energy minima and stops pushing once they are as spread as the energy
-  allows. It is a batch estimate: it says nothing about structure finer
-  than the typical neighbour distance, and its bias grows with the
-  dimension relative to the batch size (64 rows of 784 pixels are far
-  from the regime where it is accurate).
-* ``"batch_norm_scale"`` (the paper's surrogate, and the default of the
-  command line's ``RunConfig``): treating each normalized hidden
-  activation as Gaussian with scale sigma_a, the summed entropy
-  0.5*log(2*e*pi*sigma_a^2). It measures the scale parameters, not the
-  samples: its gradient 1/sigma_a never changes sign, so the scales grow
-  without limit while the next linear layer can shrink to cancel them, and
-  the samples may still collapse.
+* ``"nearest_neighbour"``: the Kozachenko-Leonenko estimate of the
+  entropy of the generated batch, from each row's distance to its nearest
+  other row. It measures the spread of the samples themselves, so it
+  pushes apart samples that crowd onto a few energy minima and stops
+  pushing once they are as spread as the energy allows. It is a batch
+  estimate: it says nothing about structure finer than the typical
+  neighbour distance, and its bias grows with the dimension relative to
+  the batch size (64 rows of 784 pixels are far from the regime where it
+  is accurate).
+* ``"batch_norm_scale"`` (the paper's surrogate, and the default of
+  ``config.RunConfig``, the one run configuration): treating each
+  normalized hidden activation as Gaussian with scale sigma_a, the summed
+  entropy 0.5*log(2*e*pi*sigma_a^2). It measures the scale parameters, not
+  the samples: its gradient 1/sigma_a never changes sign, so the scales
+  grow without limit while the next linear layer can shrink to cancel
+  them, and the samples may still collapse.
 
 scipy is imported inside ``nearest_neighbour_entropy_node``, the one
 function here that uses it, not with the module: importing

@@ -10,20 +10,16 @@ step rather than being masked.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .autodiff import ParameterStore
 from .energy_model import EnergyModel, dem_loss_gradient
-from .generator_model import (
-    ENTROPY_ESTIMATORS,
-    GeneratorModel,
-    dgm_loss_gradient,
-    sample_prior,
-)
+from .generator_model import GeneratorModel, dgm_loss_gradient, sample_prior
+
+if TYPE_CHECKING:  # config imports data_io, which imports this module
+    from .config import RunConfig
 
 
 # Entries per AdaGrad pass. Each block's temporaries (64 KiB) stay in cache
@@ -33,15 +29,7 @@ ADAGRAD_BLOCK = 8192
 
 
 class ConfigError(ValueError):
-    """Invalid training configuration."""
-
-
-def check_finite_floats(config) -> None:
-    """Reject NaN and +/-inf in every float field of a config (a range
-    check such as ``weight > 0`` is false for NaN, not an error)."""
-    for name, value in vars(config).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    """Invalid run configuration or data input."""
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -50,45 +38,6 @@ class NonFiniteGradientError(RuntimeError):
         self.step = step
         at = f" at step {step}" if step is not None else ""
         super().__init__(f"non-finite gradient for parameter {param_name!r}{at}")
-
-
-@dataclass
-class TrainConfig:
-    batch_size: int = 64
-    dem_lr: float = 0.01
-    dgm_lr: float = 0.01
-    adagrad_eps: float = 1e-8
-    entropy_weight: float = 1.0
-    entropy_estimator: str = "nearest_neighbour"
-    steps: int = 20_000
-    dem_updates_per_dgm_update: int = 1
-    seed: int = 0
-    checkpoint_interval: int = 0
-
-    def validate(self) -> "TrainConfig":
-        check_finite_floats(self)
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.dem_lr <= 0 or self.dgm_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.adagrad_eps <= 0:
-            raise ConfigError(f"adagrad_eps must be positive, got {self.adagrad_eps}")
-        if self.entropy_weight < 0:
-            raise ConfigError(
-                f"entropy_weight must be >= 0, got {self.entropy_weight}")
-        if self.entropy_estimator not in ENTROPY_ESTIMATORS:
-            raise ConfigError(
-                f"entropy_estimator must be one of {ENTROPY_ESTIMATORS}, "
-                f"got {self.entropy_estimator!r}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be positive, got {self.steps}")
-        if self.dem_updates_per_dgm_update < 1:
-            raise ConfigError("dem_updates_per_dgm_update must be positive")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("checkpoint_interval must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -183,12 +132,13 @@ def _format_metrics(metrics: dict) -> str:
     return " ".join(parts)
 
 
-def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: TrainConfig,
+def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
           state: Optional[TrainState] = None, metrics_out=None,
           checkpoint_fn=None) -> TrainState:
     """Run the dual loop until ``state.step`` reaches ``config.steps``.
 
-    dataset is anything with a ``points`` array (or the array itself); it is
+    config is the run's ``config.RunConfig``, validated here; only its
+    training fields are read. dataset is anything with a ``points`` array (or the array itself); it is
     never mutated. One line of ``key=value`` metrics per step goes to
     ``metrics_out`` when given. ``checkpoint_fn(state)`` fires every
     ``checkpoint_interval`` steps. Returns the final state; models are

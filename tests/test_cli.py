@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from dualebm import cli
+from dualebm.config import config_from_dict
 from dualebm.data_io import Checkpoint, load_checkpoint, save_checkpoint
 from dualebm.energy_model import EnergyModel
 from dualebm.evaluation import read_pgm
 from dualebm.generator_model import GeneratorModel
 from dualebm.training import TrainState
+
+from helpers import write_idx_pair
 
 
 def _write_config(tmp_path, **overrides):
@@ -114,6 +117,58 @@ def test_train_rejects_nonfinite_float(tmp_path, capsys, flag, value):
     assert code == 2
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ("--n_points 3", "n_points must be >= 4 for four_spin, got 3"),
+    ("--dataset mnist --mnist_images {d}/missing.idx --mnist_labels {d}/labels.idx",
+     "No such file"),
+    ("--dataset mnist --mnist_images {d}/truncated/images.idx "
+     "--mnist_labels {d}/labels.idx", "truncated file"),
+    ("--dataset mnist --mnist_images {d}/images.idx --mnist_labels {d}/labels.idx "
+     "--mnist_limit -50", "mnist_limit must be >= 0"),
+    ("--dataset mnist --mnist_images {d}/images.idx --mnist_labels {d}/labels.idx "
+     "--mnist_limit -5", "mnist_limit must be >= 0"),
+    ("--dataset mnist --mnist_images {d}/empty/images.idx "
+     "--mnist_labels {d}/empty/labels.idx", "nonempty"),
+    ("--dataset mnist --mnist_images {d}/small/images.idx "
+     "--mnist_labels {d}/small/labels.idx", "images of 12 pixels"),
+], ids=["n_points_below_arms", "missing_images", "truncated_images",
+        "limit_empties_dataset", "negative_limit", "no_images", "not_28x28"])
+def test_train_rejects_bad_data_input(tmp_path, capsys, overrides, message):
+    """A data input that cannot give a dataset exits 2 before anything is
+    written, and a negative mnist_limit is refused, not read as "drop the
+    last images". {d} holds a pair of 50 images of 28x28, the same pair with
+    its images file cut short, a pair of 0 images and one of 4x3 images."""
+    write_idx_pair(tmp_path, count=50, rows=28, cols=28)
+    for sub, count, rows, cols in (("truncated", 50, 28, 28), ("empty", 0, 28, 28),
+                                   ("small", 50, 4, 3)):
+        (tmp_path / sub).mkdir()
+        write_idx_pair(tmp_path / sub, count=count, rows=rows, cols=cols)
+    truncated = tmp_path / "truncated" / "images.idx"
+    truncated.write_bytes(truncated.read_bytes()[:-5])
+    run_dir = tmp_path / "run"
+    argv = ["train", *overrides.format(d=tmp_path).split(), "--steps", "2",
+            "--dem_hidden", "8", "--gen_hidden", "8", "--out_dir", str(run_dir)]
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_checkpoint_config_round_trips_to_the_run_config(tmp_path, monkeypatch):
+    """eval rebuilds the run's config from the checkpoint header, so the one
+    config type must come back equal: training fields and run fields alike."""
+    monkeypatch.delenv("DUALEBM_OUTDIR", raising=False)
+    overrides = ["--dem_lr", "0.02", "--entropy_estimator", "nearest_neighbour",
+                 "--n_points", "300", "--dem_hidden", "16,8", "--gen_hidden", "16",
+                 "--batch_size", "16", "--steps", "5",
+                 "--out_dir", str(tmp_path / "run")]
+    assert cli.main(["train", *overrides]) == 0
+    expected = cli.load_run_config(None, overrides)
+    assert (expected.dem_lr, expected.entropy_estimator) == (0.02, "nearest_neighbour")
+    assert (expected.n_points, expected.dem_hidden) == (300, [16, 8])
+    header = load_checkpoint(tmp_path / "run" / "checkpoint_final.bin").config
+    assert config_from_dict(header) == expected
 
 
 @pytest.mark.parametrize("via", ["override", "config_file"])

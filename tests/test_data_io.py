@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
+from dualebm.config import RunConfig
 from dualebm.data_io import (
     Checkpoint,
     CheckpointError,
@@ -23,7 +24,9 @@ from dualebm.data_io import (
 )
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel
-from dualebm.training import TrainConfig, TrainState, train
+from dualebm.training import TrainState, train
+
+from helpers import write_idx_pair
 
 
 # --- spirals -------------------------------------------------------------------
@@ -112,24 +115,8 @@ def test_dataset_rejects_empty_or_nonfinite():
 
 # --- MNIST IDX -------------------------------------------------------------------
 
-def _write_idx_pair(tmp_path, count=10, rows=4, cols=3, pixel_fn=None):
-    """Hand-rolled IDX writer: independent of the loader under test."""
-    images = tmp_path / "images.idx"
-    labels = tmp_path / "labels.idx"
-    rng = np.random.default_rng(0)
-    pixels = (pixel_fn(count, rows, cols) if pixel_fn is not None
-              else rng.integers(0, 256, size=(count, rows, cols), dtype=np.uint8))
-    with open(images, "wb") as f:
-        f.write(struct.pack(">iiii", 0x00000803, count, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels, "wb") as f:
-        f.write(struct.pack(">ii", 0x00000801, count))
-        f.write(rng.integers(0, 10, size=count, dtype=np.uint8).tobytes())
-    return images, labels, pixels
-
-
 def test_idx_roundtrip_shapes_and_scaling(tmp_path):
-    images, labels, pixels = _write_idx_pair(tmp_path)
+    images, labels, pixels = write_idx_pair(tmp_path)
     ds = load_mnist_idx(images, labels)
     assert ds.points.shape == (10, 12)
     assert ds.labels.shape == (10,)
@@ -143,20 +130,20 @@ def test_idx_byte_endpoints_map_to_unit_interval(tmp_path):
         px[0, 0, 0] = 0xFF
         return px
 
-    images, labels, _ = _write_idx_pair(tmp_path, pixel_fn=extremes)
+    images, labels, _ = write_idx_pair(tmp_path, pixel_fn=extremes)
     ds = load_mnist_idx(images, labels)
     assert ds.points[0, 0] == 1.0
     assert ds.points[0, 1] == 0.0
 
 
 def test_idx_standard_training_header_dimensions(tmp_path):
-    images, labels, _ = _write_idx_pair(tmp_path, count=60_000, rows=28, cols=28)
+    images, labels, _ = write_idx_pair(tmp_path, count=60_000, rows=28, cols=28)
     ds = load_mnist_idx(images, labels)
     assert ds.points.shape == (60_000, 784)
 
 
 def test_idx_bad_magic(tmp_path):
-    images, labels, _ = _write_idx_pair(tmp_path)
+    images, labels, _ = write_idx_pair(tmp_path)
     with open(images, "r+b") as f:
         f.write(struct.pack(">i", 0x00000107))
     with pytest.raises(IdxFormatError, match="bad magic"):
@@ -164,7 +151,7 @@ def test_idx_bad_magic(tmp_path):
 
 
 def test_idx_truncated_pixels(tmp_path):
-    images, labels, _ = _write_idx_pair(tmp_path)
+    images, labels, _ = write_idx_pair(tmp_path)
     data = images.read_bytes()
     images.write_bytes(data[:-5])
     with pytest.raises(IdxFormatError, match="truncated"):
@@ -172,7 +159,7 @@ def test_idx_truncated_pixels(tmp_path):
 
 
 def test_idx_count_mismatch(tmp_path):
-    images, labels, _ = _write_idx_pair(tmp_path)
+    images, labels, _ = write_idx_pair(tmp_path)
     with open(labels, "wb") as f:
         f.write(struct.pack(">ii", 0x00000801, 7))
         f.write(bytes(7))
@@ -186,8 +173,9 @@ def _small_run(tmp_path, steps=20, ckpt_interval=0):
     dem = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(0))
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(1))
     points = gen_four_spin(256, 0.01, np.random.default_rng(2)).points
-    config = TrainConfig(batch_size=16, steps=steps, seed=9,
-                         checkpoint_interval=ckpt_interval)
+    config = RunConfig(batch_size=16, steps=steps, seed=9,
+                       checkpoint_interval=ckpt_interval,
+                       entropy_estimator="nearest_neighbour")
     return dem, gen, points, config
 
 
@@ -218,14 +206,17 @@ def test_checkpoint_resume_replays_identically(tmp_path):
 
     dem2, gen2, points2, _ = _small_run(tmp_path)
     half = io.StringIO()
-    state = train(dem2, gen2, points2, TrainConfig(batch_size=16, steps=20, seed=9),
+    state = train(dem2, gen2, points2,
+                  RunConfig(batch_size=16, steps=20, seed=9,
+                            entropy_estimator="nearest_neighbour"),
                   metrics_out=half)
     path = tmp_path / "mid.bin"
     save_checkpoint(path, Checkpoint({}, dem2, gen2, state))
 
     resumed = load_checkpoint(path)
     train(resumed.dem, resumed.gen, points2,
-          TrainConfig(batch_size=16, steps=40, seed=9), state=resumed.state,
+          RunConfig(batch_size=16, steps=40, seed=9,
+                    entropy_estimator="nearest_neighbour"), state=resumed.state,
           metrics_out=half)
     assert half.getvalue() == full.getvalue()
     for p, q in zip(dem.params(), resumed.dem.params()):
@@ -239,8 +230,8 @@ def test_checkpoint_resume_gives_the_uninterrupted_state(tmp_path, estimator):
     those of one 40-step run. The reloaded accumulators become views into
     the flat AdaGrad state, so this is the path where the two could part."""
     def config(steps):
-        return TrainConfig(batch_size=16, steps=steps, seed=9,
-                           entropy_estimator=estimator)
+        return RunConfig(batch_size=16, steps=steps, seed=9,
+                         entropy_estimator=estimator)
 
     dem, gen, points, _ = _small_run(tmp_path)
     full = io.StringIO()

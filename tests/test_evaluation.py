@@ -187,14 +187,16 @@ def test_divergence_invariant_to_energy_shift():
 
 
 def test_training_lowers_cross_entropy():
-    from dualebm.training import TrainConfig, train
+    from dualebm.config import RunConfig
+    from dualebm.training import train
 
     ds = gen_four_spin(2000, 0.01, np.random.default_rng(17))
     bounds = [(-1.5, 1.5), (-1.5, 1.5)]
     dem = EnergyModel.build((2, 32, 4), 4, np.random.default_rng(18))
     gen = GeneratorModel.build((4, 32, 2), np.random.default_rng(19))
     before = model_data_divergence(dem, ds.points, bounds, 100)
-    train(dem, gen, ds.points, TrainConfig(batch_size=32, steps=1500, seed=20))
+    train(dem, gen, ds.points, RunConfig(batch_size=32, steps=1500, seed=20,
+                                         entropy_estimator="nearest_neighbour"))
     after = model_data_divergence(dem, ds.points, bounds, 100)
     assert after["cross_entropy"] < before["cross_entropy"]
 

@@ -10,12 +10,12 @@ from numpy.testing import assert_allclose
 
 from dualebm import training
 from dualebm.autodiff import ParameterStore, Tape
+from dualebm.config import RunConfig
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import (
     ConfigError,
     NonFiniteGradientError,
-    TrainConfig,
     TrainState,
     adagrad_step,
     train,
@@ -194,7 +194,7 @@ def test_training_gradients_leave_nothing_for_the_cycle_collector(estimator):
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
-        TrainConfig(**bad).validate()
+        RunConfig(**bad).validate()
 
 
 @pytest.mark.parametrize("name", ["dem_lr", "dgm_lr", "adagrad_eps",
@@ -203,15 +203,16 @@ def test_config_validation(bad):
 def test_config_rejects_nonfinite_floats(name, value):
     # NaN compares false with everything, so range checks alone let it pass
     with pytest.raises(ConfigError, match="must be finite"):
-        TrainConfig(**{name: value}).validate()
+        RunConfig(**{name: value}).validate()
 
 
 # --- training loop --------------------------------------------------------------
 
 def _tiny_config(**kw):
-    base = dict(batch_size=16, steps=50, seed=7)
+    base = dict(batch_size=16, steps=50, seed=7,
+                entropy_estimator="nearest_neighbour")
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
 def test_train_metric_streams_are_deterministic():

@@ -10,17 +10,24 @@ of the change), each with its own src/, perfbench/ and BENCHMARK.json. For
 every seed S the script runs ``python3 perfbench/run.py --workload all
 --seed S --seconds N``, N being BENCHMARK.json's run_seconds, in both
 roots, one after the other; the parent runs first for odd S, the change
-for even S, so drift in machine speed falls on both sides alike. It reads each run's last output line (the per-workload
-end-to-end metrics) and rewrites the summary after every pair, so an
-interrupted series keeps the pairs it finished.
+for even S, so drift in machine speed falls on both sides alike. It reads
+each run's last output line (the per-workload end-to-end metrics) and
+rewrites the summary after every pair, so an interrupted series keeps the
+pairs it finished.
 
 The summary holds, per workload and end-to-end metric, each side's median
 and quartiles (inclusive method), the relative change of the medians, and
-the number of pairs the change wins (ties count for neither side). A
-claimed metric (``--claim``, left out when the change claims no gain) is
-met when the change wins at least nine tenths of the pairs and the medians
-differ, in the better direction, by more than the parent's interquartile
-range. Every run's values are kept under "runs".
+the number of pairs the change wins (ties count for neither side). Each
+metric also gets a no-regression verdict against its relative bound in
+BENCHMARK.json: "unresolved" when the parent's interquartile range,
+relative to its median, is wider than the bound and not every change run
+beats every parent run; otherwise "worse" when the change's median is
+worse than the parent's by more than the bound, and "within_bound" when it
+is not. The summary's "verdict" lists the metrics that are worse or
+unresolved. A claimed metric (``--claim``, left out when the change claims
+no gain) is met when the change wins at least nine tenths of the pairs and
+the medians differ, in the better direction, by more than the parent's
+interquartile range. Every run's values are kept under "runs".
 """
 
 from __future__ import annotations
@@ -85,9 +92,30 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def relative(value: float, reference: float) -> float:
+    """value / |reference|; for a zero reference, 0 or infinity."""
+    if reference == 0:
+        return 0.0 if value == 0 else float("inf")
+    return value / abs(reference)
+
+
+def verdict(values: dict, stats: dict, sign: float, bound: float) -> str:
+    """The no-regression verdict, "within_bound", "worse" or "unresolved"
+    (see the module docstring); sign is 1 when lower is better, -1 when
+    higher is."""
+    parent = stats["parent"]
+    clear_win = (max(sign * v for v in values["change"])
+                 < min(sign * v for v in values["parent"]))
+    if relative(parent["q3"] - parent["q1"], parent["median"]) > bound and not clear_win:
+        return "unresolved"
+    worsening = relative(sign * (stats["change"]["median"] - parent["median"]),
+                         parent["median"])
+    return "worse" if worsening > bound else "within_bound"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and metric: each side's quartiles, the relative change
-    of the medians, and the pairs the change wins or ties."""
+    of the medians, the pairs the change wins or ties, and the verdict."""
     workloads = {}
     for workload in runs[0]["parent"]:
         rows = {}
@@ -106,10 +134,22 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "change_wins": sum(d > 0 for d in deltas),
                 "ties": sum(d == 0 for d in deltas),
                 "pairs": len(runs),
+                "bound": spec["bound"],
+                "verdict": verdict(values, stats, sign, spec["bound"]),
                 "runs": values,
             }
         workloads[workload] = rows
     return workloads
+
+
+def verdicts(workloads: dict) -> dict:
+    """The "workload:metric" names of every metric not within its bound."""
+    out = {"worse": [], "unresolved": []}
+    for workload, rows in workloads.items():
+        for metric, row in rows.items():
+            if row["verdict"] in out:
+                out[row["verdict"]].append(f"{workload}:{metric}")
+    return out
 
 
 def operations(runs: list[dict]) -> dict:
@@ -176,8 +216,10 @@ def main(argv=None) -> int:
                 f"{args.seeds[0]}..{args.seeds[-1]}; the parent runs first for odd S. "
                 f"Medians and quartiles (inclusive method) of the values per side; "
                 f"change_wins counts pairs where the change is better, ties counting "
-                f"for neither. Written by scripts/bench_pairs.py.")},
+                f"for neither; verdict holds each change median against the parent's "
+                f"and BENCHMARK.json's bound. Written by scripts/bench_pairs.py.")},
             "claim": claim(workloads, workload, metric) if args.claim else None,
+            "verdict": verdicts(workloads),
             "workloads": workloads,
             "operations": operations(runs),
         }

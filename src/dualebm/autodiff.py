@@ -39,9 +39,12 @@ a gradient is wanted and as plain numpy otherwise. Both paths compute each
 value with the same numpy expression, so they give the same bits.
 
 ``ParameterStore`` lays a model's parameters out in one values buffer and
-one grad buffer; each ``Parameter`` then holds views into them, so code that
-works per parameter (tapes, checkpoints, finite differences) and code that
-works on the flat buffers (AdaGrad) see one state.
+one grad buffer; each ``Parameter`` then holds views into them, so tapes
+and finite differences, which work per parameter, and AdaGrad, which works
+on the flat buffers, see one state. Every other per-parameter array (a
+gradient copy, an AdaGrad accumulator) is a flat array in the same layout;
+``views`` names its parts where a name is needed: in a checkpoint, in an
+error message.
 
 The tape is rebuilt per training step; nothing here is thread-shared
 except Parameters, which only ``Tape.backward`` mutates (their ``.grad``).
@@ -88,13 +91,6 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.values.shape})"
 
 
-class Gradients(dict):
-    """Gradients by parameter name, each a view into the one flat array
-    ``flat``, laid out like the ``ParameterStore`` that made them."""
-
-    __slots__ = ("flat",)
-
-
 class ParameterStore:
     """A model's parameters as views into one values buffer and one grad buffer.
 
@@ -130,13 +126,6 @@ class ParameterStore:
             raise ShapeError(
                 f"flat array of shape {flat.shape}, store holds {self.values.shape}")
         return {name: flat[span].reshape(shape) for name, span, shape in self._slices}
-
-    def gradients(self) -> Gradients:
-        """A copy of the current gradient, as ``Gradients``."""
-        flat = self.grad.copy()
-        grads = Gradients(self.views(flat))
-        grads.flat = flat
-        return grads
 
     def first_nonfinite(self, flat: np.ndarray) -> Optional[str]:
         """Name of the first parameter whose part of ``flat`` holds NaN or
@@ -189,16 +178,10 @@ class Node:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(self.tape.constant(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -407,14 +390,6 @@ def mul(a: Operand, b: Operand) -> Node:
             _acc(grads, ib, _unbroadcast(g * av, bv.shape))
 
     return _record_op(tape, out, backward, ia, ib)
-
-
-def neg(a: Node) -> Node:
-    ia = a.tape._need(a)
-    def backward(g, grads):
-        _acc(grads, ia, -g)
-
-    return _record_op(a.tape, -a.values, backward, ia)
 
 
 def _check_matmul(av: np.ndarray, bv: np.ndarray) -> None:

@@ -121,15 +121,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _write_generated(path, points: np.ndarray) -> None:
+    """Generated rows as a PGM strip when their width is the square of a
+    side >= 2 (images), as CSV otherwise (2D points)."""
+    side = int(round(np.sqrt(points.shape[1])))
+    if side >= 2 and side * side == points.shape[1]:
+        export_image_grid(points, path)
+    else:
+        save_points_csv(path, points)
+
+
 def cmd_sample(args) -> int:
     checkpoint = _open_checkpoint(args.checkpoint)
     gen = checkpoint.gen
     z = sample_prior(args.n, gen.d_z, np.random.default_rng(args.seed))
     samples = gen.generate(z, "infer")
-    if samples.shape[1] == 2:
-        save_points_csv(args.out, samples)
-    else:
-        export_image_grid(samples, args.out)
+    _write_generated(args.out, samples)
     print(f"wrote {samples.shape[0]} samples to {args.out}")
     return EXIT_OK
 
@@ -150,11 +157,7 @@ def cmd_interpolate(args) -> int:
     rng = np.random.default_rng(args.seed)
     z = sample_prior(2, gen.d_z, rng)
     path_points = latent_interpolation(gen, z[0], z[1], args.k)
-    side = int(round(np.sqrt(path_points.shape[1])))
-    if side * side == path_points.shape[1] and side >= 2:
-        export_image_grid(path_points, args.out)
-    else:
-        save_points_csv(args.out, path_points)
+    _write_generated(args.out, path_points)
     print(f"wrote {args.k}-step interpolation to {args.out}")
     return EXIT_OK
 

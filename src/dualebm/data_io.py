@@ -6,10 +6,11 @@ isotropic Gaussian noise. Dividing by the arm's own t_max keeps every
 dataset inside the unit disk regardless of arm length.
 
 Checkpoints are a single binary container: magic, version word, a
-length-prefixed JSON header (config, architectures, optimizer state, RNG
-states, tensor manifest) followed by raw little-endian float64 tensor
-blocks in manifest order. Loading reconstructs models bit-exactly; writes
-go through a temp file and an atomic rename.
+length-prefixed JSON header (config, architectures, step, RNG states,
+tensor manifest) followed by raw little-endian float64 tensor blocks in
+manifest order: parameters, batch-norm statistics and AdaGrad
+accumulators, one block per parameter name. Loading reconstructs models
+bit-exactly; writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ CHECKPOINT_MAGIC = b"DUALEBM\x00"
 CHECKPOINT_VERSION = 1
 HEADER_KEYS = ("config", "dem", "gen", "state", "tensors")
 
-# (number of arms, t_min, t_max) per named 2D dataset
+# (number of arms, t_min, t_max) per named 2D dataset. Arms sit at equal
+# angular offsets, so four-spin's distribution is unchanged by a quarter turn.
 SPIRAL_SPECS = {
     "two_spiral": (2, 0.25, 3.0 * math.pi),
     "four_spin": (4, 0.25, 1.5 * math.pi),
@@ -88,17 +90,6 @@ def _spiral_dataset(name: str, n: int, noise_sd: float,
     if noise_sd > 0:
         points = points + rng.normal(0.0, noise_sd, size=points.shape)
     return Dataset(points, name, labels=arm.copy())
-
-
-def gen_two_spiral(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
-    """Two interleaved spiral arms offset by pi; points lie in the unit disk."""
-    return _spiral_dataset("two_spiral", n, noise_sd, rng)
-
-
-def gen_four_spin(n: int, noise_sd: float, rng: np.random.Generator) -> Dataset:
-    """Four shorter arms at 90-degree offsets; rotating the set by 90 degrees
-    leaves its distribution unchanged."""
-    return _spiral_dataset("four_spin", n, noise_sd, rng)
 
 
 def make_dataset(name: str, n: int, noise_sd: float,
@@ -174,6 +165,14 @@ def _model_tensors(dem: EnergyModel, gen: GeneratorModel) -> dict[str, np.ndarra
     return tensors
 
 
+def _accumulator_views(dem: EnergyModel, gen: GeneratorModel,
+                       state: TrainState) -> dict[str, np.ndarray]:
+    """The AdaGrad accumulators of ``state``, by checkpoint name."""
+    stores = {"dem": dem.store, "gen": gen.store}
+    return {f"acc.{name}": view for key, flat in state.accumulators.items()
+            for name, view in stores[key].views(flat).items()}
+
+
 def _rng_state(rng: Optional[np.random.Generator]):
     return None if rng is None else rng.bit_generator.state
 
@@ -190,8 +189,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Write atomically: temp file in the target directory, then rename."""
     dem, gen, state = checkpoint.dem, checkpoint.gen, checkpoint.state
     tensors = _model_tensors(dem, gen)
-    for name, acc in sorted(state.accumulators.items()):
-        tensors[f"acc.{name}"] = acc
+    tensors.update(sorted(_accumulator_views(dem, gen, state).items()))
     manifest = [[name, list(arr.shape)] for name, arr in tensors.items()]
     header = {
         "config": checkpoint.config,
@@ -297,19 +295,31 @@ def load_checkpoint(path) -> Checkpoint:
             output_activation=gen_meta["output_activation"])
         state = TrainState(
             step=operator.index(state_meta["step"]),
-            accumulators={name[len("acc."):]: arr for name, arr in tensors.items()
-                          if name.startswith("acc.")},
             data_rng=_restore_rng(state_meta["data_rng"]),
             prior_rng=_restore_rng(state_meta["prior_rng"]),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err!r}") from None
-    for name, target in _model_tensors(dem, gen).items():
+    # a model has an accumulator once it has been updated; an absent entry
+    # of one reads as zero, an entry that names no parameter is ignored
+    for key, store in (("dem", dem.store), ("gen", gen.store)):
+        if any(f"acc.{p.name}" in tensors for p in store.params):
+            state.accumulators[key] = np.zeros_like(store.values)
+    _restore(path, tensors, _model_tensors(dem, gen), required=True)
+    _restore(path, tensors, _accumulator_views(dem, gen, state), required=False)
+    return Checkpoint(header["config"], dem, gen, state)
+
+
+def _restore(path, tensors: dict, targets: dict, required: bool) -> None:
+    """Copy each checkpoint tensor into the target array of its name, after
+    checking its shape; a missing one is an error when ``required``."""
+    for name, target in targets.items():
         if name not in tensors:
-            raise CheckpointError(f"{path}: missing tensor {name!r}")
+            if required:
+                raise CheckpointError(f"{path}: missing tensor {name!r}")
+            continue
         if tensors[name].shape != target.shape:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
                 f"model expects {target.shape}")
         target[...] = tensors[name]
-    return Checkpoint(header["config"], dem, gen, state)

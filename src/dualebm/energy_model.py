@@ -142,17 +142,16 @@ def dem_loss(model: EnergyModel, x_pos: np.ndarray,
 
 
 def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
-                      x_neg: np.ndarray) -> tuple[dict, dict]:
+                      x_neg: np.ndarray) -> tuple[np.ndarray, dict]:
     """Gradient of ``dem_loss`` over the model parameters.
 
-    Returns the per-parameter gradients (``Gradients``, views into one
-    flat copy) and the phase statistics for metrics.
+    Returns the gradient, a flat copy laid out like ``model.store.values``,
+    and the phase statistics for metrics.
     """
     loss, e_pos, e_neg = dem_loss(model, x_pos, x_neg)
     loss.tape.backward(loss)
-    grads = model.store.gradients()
     stats = {"e_pos": float(e_pos.values), "e_neg": float(e_neg.values)}
-    return grads, stats
+    return model.store.grad.copy(), stats
 
 
 def trapezoid_grid(bounds, grid_n: int):

@@ -247,7 +247,7 @@ def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
 
 def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
                       entropy_weight: float,
-                      entropy_estimator: str = "batch_norm_scale") -> tuple[dict, dict]:
+                      entropy_estimator: str = "batch_norm_scale") -> tuple[np.ndarray, dict]:
     """Gradient of ``dgm_loss`` over the generator parameters.
 
     ``entropy_estimator`` picks H (see the module docstring). With
@@ -255,12 +255,11 @@ def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
     a batch estimate of KL(generator || model), so its minimum is a
     generator that samples the energy model; with the default
     ``"batch_norm_scale"``, the paper's surrogate, H rewards growing
-    batch-norm scales whether or not the samples spread. The gradients
-    come as ``Gradients`` (views into one flat copy); the stats hold the
+    batch-norm scales whether or not the samples spread. The gradient comes
+    as a flat copy laid out like ``gen.store.values``; the stats hold the
     mean energy and the entropy estimate the loss used.
     """
     loss, e_gen, entropy = dgm_loss(gen, dem, z, entropy_weight, entropy_estimator)
     loss.tape.backward(loss)
-    grads = gen.store.gradients()
     stats = {"e_gen": float(e_gen.values), "entropy": float(entropy.values)}
-    return grads, stats
+    return gen.store.grad.copy(), stats

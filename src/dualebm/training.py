@@ -53,45 +53,23 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 class TrainState:
     """Step counter, AdaGrad accumulators and RNG streams.
 
-    ``accumulators`` holds one array per parameter name, the form a
-    checkpoint writes and reads. AdaGrad works on one flat accumulator per
-    model (see ``accumulator``), whose per-name views are those entries.
+    ``accumulators`` holds one flat AdaGrad accumulator per model, keyed
+    ``"dem"`` and ``"gen"`` and laid out like that model's
+    ``ParameterStore``; each is created, zero, at the model's first update.
+    A checkpoint writes and reads it per parameter name, through the
+    store's ``views``.
     """
 
-    def __init__(self, step=0, accumulators=None, data_rng=None,
-                 prior_rng=None):
+    def __init__(self, step=0, data_rng=None, prior_rng=None):
         self.step = step
-        self.accumulators: dict[str, np.ndarray] = (
-            {} if accumulators is None else accumulators)
+        self.accumulators: dict[str, np.ndarray] = {}
         self.data_rng = data_rng
         self.prior_rng = prior_rng
-        self._flat: dict[tuple, tuple[np.ndarray, dict]] = {}
 
     @classmethod
     def initial(cls, seed: int) -> "TrainState":
         streams = rng_streams(seed)
         return cls(data_rng=streams["data"], prior_rng=streams["prior"])
-
-    def accumulator(self, store: ParameterStore) -> np.ndarray:
-        """The flat AdaGrad accumulator of one model, laid out like its store.
-
-        On first use it takes the values of the per-name entries it covers
-        (zero where a name has none) and puts its own views in their place,
-        so the per-name entries and the flat array stay one state.
-        """
-        key = tuple(p.name for p in store.params)
-        flat, views = self._flat.get(key, (None, None))
-        # rebuilt when new, or when a caller replaced one of its entries
-        if flat is None or any(self.accumulators.get(name) is not view
-                               for name, view in views.items()):
-            flat = np.zeros_like(store.values)
-            views = store.views(flat)
-            for name, view in views.items():
-                if name in self.accumulators:
-                    view[...] = self.accumulators[name]
-                self.accumulators[name] = view
-            self._flat[key] = flat, views
-        return flat
 
 
 def adagrad_step(store: ParameterStore, grad: np.ndarray,
@@ -122,8 +100,16 @@ def adagrad_step(store: ParameterStore, grad: np.ndarray,
         store.values[block] -= delta
 
 
-def _grad_norm(grads: dict) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+def _accumulator(state: TrainState, key: str, store: ParameterStore) -> np.ndarray:
+    """The flat accumulator of the model under ``key``, zero when new."""
+    accumulator = state.accumulators.get(key)
+    if accumulator is None:
+        accumulator = state.accumulators[key] = np.zeros_like(store.values)
+    return accumulator
+
+
+def _grad_norm(store: ParameterStore, grad: np.ndarray) -> float:
+    return float(np.sqrt(sum(float((g * g).sum()) for g in store.views(grad).values())))
 
 
 def _format_metrics(metrics: dict) -> str:
@@ -138,11 +124,11 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
     """Run the dual loop until ``state.step`` reaches ``config.steps``.
 
     config is the run's ``config.RunConfig``, validated here; only its
-    training fields are read. dataset is anything with a ``points`` array (or the array itself); it is
-    never mutated. One line of ``key=value`` metrics per step goes to
-    ``metrics_out`` when given. ``checkpoint_fn(state)`` fires every
-    ``checkpoint_interval`` steps. Returns the final state; models are
-    updated in place.
+    training fields are read. dataset is anything with a ``points`` array
+    (or the array itself); it is never mutated. One line of ``key=value``
+    metrics per step goes to ``metrics_out`` when given.
+    ``checkpoint_fn(state)`` fires every ``checkpoint_interval`` steps.
+    Returns the final state; models are updated in place.
     """
     config.validate()
     points = np.asarray(getattr(dataset, "points", dataset), dtype=np.float64)
@@ -157,24 +143,24 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
             x_pos = points[idx]
             z = sample_prior(n, gen.d_z, state.prior_rng)
             x_neg = gen.generate(z, "train")
-            dem_grads, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
-            adagrad_step(dem.store, dem_grads.flat, state.accumulator(dem.store),
+            dem_grad, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
+            adagrad_step(dem.store, dem_grad, _accumulator(state, "dem", dem.store),
                          config.dem_lr, config.adagrad_eps)
             metrics = {
                 "step": state.step,
                 "e_pos": dem_stats["e_pos"],
                 "e_neg": dem_stats["e_neg"],
-                "dem_gnorm": _grad_norm(dem_grads),
+                "dem_gnorm": _grad_norm(dem.store, dem_grad),
             }
             if (state.step + 1) % config.dem_updates_per_dgm_update == 0:
                 z2 = sample_prior(n, gen.d_z, state.prior_rng)
-                dgm_grads, dgm_stats = dgm_loss_gradient(
+                dgm_grad, dgm_stats = dgm_loss_gradient(
                     gen, dem, z2, config.entropy_weight, config.entropy_estimator)
-                adagrad_step(gen.store, dgm_grads.flat, state.accumulator(gen.store),
+                adagrad_step(gen.store, dgm_grad, _accumulator(state, "gen", gen.store),
                              config.dgm_lr, config.adagrad_eps)
                 metrics["e_gen"] = dgm_stats["e_gen"]
                 metrics["entropy"] = dgm_stats["entropy"]
-                metrics["dgm_gnorm"] = _grad_norm(dgm_grads)
+                metrics["dgm_gnorm"] = _grad_norm(gen.store, dgm_grad)
         except NonFiniteGradientError as err:
             raise NonFiniteGradientError(err.param_name, step=state.step) from None
         state.step += 1

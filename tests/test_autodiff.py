@@ -264,7 +264,6 @@ PRIMITIVE_CASES = {
     "mul": _binary_case(lambda a, b: a * b, (3, 4)),
     "mul_row": _binary_case(lambda a, b: a * b, (4,)),
     "scalar_mul": _unary_case(lambda x: 2.5 * x),
-    "neg": _unary_case(lambda x: -x),
     "sigmoid": _unary_case(ad.sigmoid),
     "tanh": _unary_case(ad.tanh),
     "log": _unary_case(ad.log, transform=lambda v: np.abs(v) + 0.5),
@@ -368,7 +367,7 @@ def test_operations_on_constants_and_frozen_parameters_record_no_backward():
     bias = tape.constant(np.zeros(4))
     state = BatchNormState.initial(4)
     dead = [
-        c + f, c - f, c * f, -f, c @ f, f.sum(axis=0), f.mean(), ad.tanh(f),
+        c + f, c - f, c * f, c @ f, f.sum(axis=0), f.mean(), ad.tanh(f),
         ad.sigmoid(c), ad.softplus(f), ad.square(c), ad.log(ad.square(f) + 1.0),
         ad.dense(c, f, bias, "softplus"),
         ad.batch_norm(c, bias, bias, state, "train"),
@@ -424,9 +423,9 @@ def test_parameter_store_views_share_memory():
     views = store.views(np.arange(8.0))
     assert list(views) == ["a", "b"]
     assert np.array_equal(views["a"], [[0, 1, 2], [3, 4, 5]])
-    grads = store.gradients()
+    grads = store.grad.copy()
     store.grad[:] = 0.0
-    assert grads["b"].tolist() == [1.0, 2.0] and grads.flat[0] == 3.0
+    assert store.views(grads)["b"].tolist() == [1.0, 2.0] and grads[0] == 3.0
     with pytest.raises(ValueError, match="unique"):
         ad.ParameterStore([param([1.0], "x"), param([2.0], "x")])
 

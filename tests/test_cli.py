@@ -441,8 +441,8 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate():
     runs = [_bench_pair(1, (1.0, 10.0), (0.5, 12.0)),
             _bench_pair(2, (1.1, 10.0), (0.5, 10.0)),
             _bench_pair(3, (0.9, 10.0), (1.0, 9.0))]
-    end_to_end = [{"name": "t", "unit": "s", "better": "lower"},
-                  {"name": "r", "unit": "1/s", "better": "higher"}]
+    end_to_end = [{"name": "t", "unit": "s", "better": "lower", "bound": 0.2},
+                  {"name": "r", "unit": "1/s", "better": "higher", "bound": 0.2}]
     workloads = bench.summarize(runs, end_to_end)
     t, r = workloads["w"]["t"], workloads["w"]["r"]
     assert (t["change_wins"], t["ties"], t["pairs"]) == (2, 0, 3)
@@ -456,3 +456,26 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate():
     wins_all = bench.summarize(runs[:2], end_to_end)
     assert bench.claim(wins_all, "w", "t")["met"]
     assert not bench.claim(wins_all, "w", "r")["met"]
+
+    # No-regression verdicts: worse by more than the bound is "worse"; a
+    # parent spread wider than the bound is "unresolved" unless every change
+    # run beats every parent run.
+    def verdicts(runs, t_better, t_bound, r_bound=0.2):
+        workloads = bench.summarize(runs, [
+            {"name": "t", "unit": "s", "better": t_better, "bound": t_bound},
+            {"name": "r", "unit": "1/s", "better": "higher", "bound": r_bound}])
+        return workloads["w"]["t"]["verdict"], workloads["w"]["r"]["verdict"]
+
+    # t: parent median 1.0, spread 0.1; change median 0.5. r: both medians 10.
+    assert verdicts(runs, "lower", 0.2) == ("within_bound", "within_bound")
+    assert verdicts(runs, "higher", 0.2) == ("worse", "within_bound")   # 50 % worse
+    assert verdicts(runs, "lower", 0.05)[0] == "unresolved"   # 1.0 does not beat 0.9
+    assert verdicts(runs[:2], "lower", 0.01)[0] == "within_bound"   # every run beats
+    worse_r = [_bench_pair(s, (1.0, 10.0), (1.0, 7.0)) for s in (1, 2, 3)]
+    assert verdicts(worse_r, "lower", 0.2) == ("within_bound", "worse")
+    assert verdicts(worse_r, "lower", 0.2, r_bound=0.5)[1] == "within_bound"
+    workloads = bench.summarize(runs, [
+        {"name": "t", "unit": "s", "better": "higher", "bound": 0.05},
+        {"name": "r", "unit": "1/s", "better": "higher", "bound": 0.2}])
+    assert bench.verdicts(workloads) == {"worse": [], "unresolved": ["w:t"]}
+    assert bench.relative(0.0, 0.0) == 0.0 and bench.relative(1.0, 0.0) == float("inf")

@@ -15,10 +15,9 @@ from dualebm.data_io import (
     Dataset,
     IdxFormatError,
     arm_curve,
-    gen_four_spin,
-    gen_two_spiral,
     load_checkpoint,
     load_mnist_idx,
+    make_dataset,
     save_checkpoint,
     save_points_csv,
 )
@@ -32,7 +31,7 @@ from helpers import write_idx_pair
 # --- spirals -------------------------------------------------------------------
 
 def test_two_spiral_inverse_parameterization():
-    ds = gen_two_spiral(2000, 0.0, np.random.default_rng(0))
+    ds = make_dataset("two_spiral", 2000, 0.0, np.random.default_rng(0))
     t_max = 3.0 * math.pi
     radius = np.linalg.norm(ds.points, axis=1)
     t = radius * t_max
@@ -45,31 +44,31 @@ def test_two_spiral_inverse_parameterization():
 
 
 def test_two_spiral_arm_balance_and_size():
-    ds = gen_two_spiral(10_000, 0.01, np.random.default_rng(1))
+    ds = make_dataset("two_spiral", 10_000, 0.01, np.random.default_rng(1))
     assert ds.points.shape == (10_000, 2)
     counts = np.bincount(ds.labels)
     assert abs(counts[0] - counts[1]) <= 1
 
 
 def test_two_spiral_stays_in_box_at_small_noise():
-    ds = gen_two_spiral(10_000, 0.02, np.random.default_rng(2))
+    ds = make_dataset("two_spiral", 10_000, 0.02, np.random.default_rng(2))
     assert np.all(np.abs(ds.points) <= 1.2)
 
 
 def test_two_spiral_odd_count_balance():
-    ds = gen_two_spiral(101, 0.0, np.random.default_rng(3))
+    ds = make_dataset("two_spiral", 101, 0.0, np.random.default_rng(3))
     counts = np.bincount(ds.labels)
     assert abs(int(counts[0]) - int(counts[1])) <= 1
 
 
 def test_generators_are_pure_functions_of_seed():
-    a = gen_four_spin(500, 0.01, np.random.default_rng(7))
-    b = gen_four_spin(500, 0.01, np.random.default_rng(7))
+    a = make_dataset("four_spin", 500, 0.01, np.random.default_rng(7))
+    b = make_dataset("four_spin", 500, 0.01, np.random.default_rng(7))
     assert np.array_equal(a.points, b.points)
 
 
 def test_four_spin_balance_and_center():
-    ds = gen_four_spin(10_000, 0.01, np.random.default_rng(4))
+    ds = make_dataset("four_spin", 10_000, 0.01, np.random.default_rng(4))
     counts = np.bincount(ds.labels)
     assert counts.max() - counts.min() <= 1
     assert np.linalg.norm(ds.points.mean(axis=0)) < 0.02
@@ -83,8 +82,8 @@ def test_four_spin_quarter_turn_symmetry():
     """Rotating one sample by 90 degrees is indistinguishable from a fresh
     draw under a permutation-calibrated energy-distance test at alpha=0.01."""
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    a = gen_four_spin(500, 0.01, np.random.default_rng(5)).points @ rot.T
-    b = gen_four_spin(500, 0.01, np.random.default_rng(6)).points
+    a = make_dataset("four_spin", 500, 0.01, np.random.default_rng(5)).points @ rot.T
+    b = make_dataset("four_spin", 500, 0.01, np.random.default_rng(6)).points
     observed = _energy_distance(a, b)
     pooled = np.vstack([a, b])
     perm_rng = np.random.default_rng(8)
@@ -172,7 +171,7 @@ def test_idx_count_mismatch(tmp_path):
 def _small_run(tmp_path, steps=20, ckpt_interval=0):
     dem = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(0))
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(1))
-    points = gen_four_spin(256, 0.01, np.random.default_rng(2)).points
+    points = make_dataset("four_spin", 256, 0.01, np.random.default_rng(2)).points
     config = RunConfig(batch_size=16, steps=steps, seed=9,
                        checkpoint_interval=ckpt_interval,
                        entropy_estimator="nearest_neighbour")
@@ -227,8 +226,9 @@ def test_checkpoint_resume_replays_identically(tmp_path):
 def test_checkpoint_resume_gives_the_uninterrupted_state(tmp_path, estimator):
     """20 steps, checkpoint, reload, 20 more: metrics, parameters, batch-norm
     statistics, AdaGrad accumulators and the final checkpoint's bytes equal
-    those of one 40-step run. The reloaded accumulators become views into
-    the flat AdaGrad state, so this is the path where the two could part."""
+    those of one 40-step run. The reloaded accumulators are rebuilt from
+    their per-parameter checkpoint entries into each model's flat layout, so
+    this is the path where the two could part."""
     def config(steps):
         return RunConfig(batch_size=16, steps=steps, seed=9,
                          entropy_estimator=estimator)
@@ -358,6 +358,52 @@ def test_checkpoint_malformed_header_value(tmp_path, edit):
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _resize_tensor(path, name, size):
+    """Rewrite the checkpoint at ``path`` so that tensor ``name`` holds
+    ``size`` ones: its manifest entry and its payload block both change."""
+    data = path.read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    header = json.loads(data[20:20 + header_len])
+    offset, payload = 20 + header_len, b""
+    for entry in header["tensors"]:
+        block_len = 8 * int(np.prod(entry[1]))
+        block = data[offset:offset + block_len]
+        offset += block_len
+        if entry[0] == name:
+            entry[1] = [size]
+            block = np.ones(size).astype("<f8").tobytes()
+        payload += block
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_checkpoint_accumulator_of_the_wrong_shape(tmp_path, size):
+    """An accumulator that does not fit its parameter (b_vis has 2 entries)
+    is a corrupt checkpoint, not something to broadcast on resume."""
+    dem, gen, points, config = _small_run(tmp_path)
+    state = train(dem, gen, points, config)
+    path = tmp_path / "acc.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, state))
+    _resize_tensor(path, "acc.dem.b_vis", size)
+    with pytest.raises(CheckpointError, match="acc.dem.b_vis"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_accumulator_is_zero_and_unknown_one_ignored(tmp_path):
+    dem, gen, points, config = _small_run(tmp_path)
+    state = train(dem, gen, points, config)
+    path = tmp_path / "acc.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, state))
+    _rewrite_header(path, lambda h: _rename_tensor(h, "acc.dem.b_vis", "acc.dem.nothing"))
+    loaded = load_checkpoint(path).state.accumulators
+    assert sorted(loaded) == ["dem", "gen"]
+    assert np.array_equal(loaded["gen"], state.accumulators["gen"])
+    saved = dem.store.views(state.accumulators["dem"])
+    for name, view in dem.store.views(loaded["dem"]).items():
+        assert np.all(view == (0.0 if name == "dem.b_vis" else saved[name])), name
 
 
 def test_checkpoint_with_older_header_fields_loads(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import gaussian_kde
 
-from dualebm.data_io import arm_curve, gen_four_spin
+from dualebm.data_io import arm_curve, make_dataset
 from dualebm.energy_model import EnergyModel
 from dualebm.evaluation import (
     HeatmapGrid,
@@ -118,7 +118,7 @@ def test_interpolation_gaps_shrink_with_refinement():
 # --- mode coverage -----------------------------------------------------------------
 
 def test_mode_coverage_self_consistency():
-    ds = gen_four_spin(4000, 0.01, np.random.default_rng(11))
+    ds = make_dataset("four_spin", 4000, 0.01, np.random.default_rng(11))
     report = mode_coverage(ds.points, "four_spin")
     assert report["unassigned"] < 0.05
     for fraction in report["fractions"]:
@@ -161,7 +161,7 @@ def test_mode_coverage_unknown_dataset():
 # --- divergence metrics --------------------------------------------------------------
 
 def test_divergence_kde_self_comparison():
-    ds = gen_four_spin(800, 0.02, np.random.default_rng(13))
+    ds = make_dataset("four_spin", 800, 0.02, np.random.default_rng(13))
     kde = gaussian_kde(ds.points.T)
     report = model_data_divergence(lambda x: -kde.logpdf(x.T), ds.points,
                                    [(-1.4, 1.4), (-1.4, 1.4)], 120)
@@ -176,7 +176,7 @@ def test_divergence_constant_energy_cross_entropy_is_log_area():
 
 
 def test_divergence_invariant_to_energy_shift():
-    ds = gen_four_spin(500, 0.02, np.random.default_rng(15))
+    ds = make_dataset("four_spin", 500, 0.02, np.random.default_rng(15))
     model = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(16))
     bounds = [(-1.5, 1.5), (-1.5, 1.5)]
     base = model_data_divergence(model, ds.points, bounds, 100)
@@ -190,7 +190,7 @@ def test_training_lowers_cross_entropy():
     from dualebm.config import RunConfig
     from dualebm.training import train
 
-    ds = gen_four_spin(2000, 0.01, np.random.default_rng(17))
+    ds = make_dataset("four_spin", 2000, 0.01, np.random.default_rng(17))
     bounds = [(-1.5, 1.5), (-1.5, 1.5)]
     dem = EnergyModel.build((2, 32, 4), 4, np.random.default_rng(18))
     gen = GeneratorModel.build((4, 32, 2), np.random.default_rng(19))

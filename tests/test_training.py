@@ -16,7 +16,6 @@ from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import (
     ConfigError,
     NonFiniteGradientError,
-    TrainState,
     adagrad_step,
     train,
 )
@@ -34,27 +33,26 @@ def _models(seed=0, d_in=2):
 
 def test_adagrad_first_step():
     p = param([0.0])
-    store, state = ParameterStore([p]), TrainState()
-    adagrad_step(store, np.array([1.0]), state.accumulator(store), lr=0.1, eps=0.0)
+    store, acc = ParameterStore([p]), np.zeros(1)
+    adagrad_step(store, np.array([1.0]), acc, lr=0.1, eps=0.0)
     assert_allclose(p.values, [-0.1], rtol=1e-12)
 
 
 def test_adagrad_second_step_shrinks():
     p = param([0.0])
-    store, state = ParameterStore([p]), TrainState()
+    store, acc = ParameterStore([p]), np.zeros(1)
     g = np.array([1.0])
-    adagrad_step(store, g, state.accumulator(store), lr=0.1, eps=0.0)
-    adagrad_step(store, g, state.accumulator(store), lr=0.1, eps=0.0)
+    adagrad_step(store, g, acc, lr=0.1, eps=0.0)
+    adagrad_step(store, g, acc, lr=0.1, eps=0.0)
     assert_allclose(p.values, [-0.1 - 0.1 / math.sqrt(2.0)], rtol=1e-12)
 
 
 def test_adagrad_zero_gradient_is_a_noop():
     p = param([3.0])
-    store, state = ParameterStore([p]), TrainState(accumulators={"p": np.array([0.0])})
-    acc = state.accumulators
-    adagrad_step(store, np.array([0.0]), state.accumulator(store), lr=0.1, eps=0.0)
+    store, acc = ParameterStore([p]), np.zeros(1)
+    adagrad_step(store, np.array([0.0]), acc, lr=0.1, eps=0.0)
     assert p.values[0] == 3.0
-    assert acc["p"][0] == 0.0
+    assert acc[0] == 0.0
 
 
 def test_adagrad_rejects_nonfinite_gradient():
@@ -67,17 +65,16 @@ def test_adagrad_rejects_nonfinite_gradient():
 @settings(max_examples=30, deadline=None)
 def test_adagrad_step_sizes_nonincreasing_for_constant_gradient(g, steps):
     p = param([0.0])
-    store, state = ParameterStore([p]), TrainState()
-    acc = state.accumulators
+    store, acc = ParameterStore([p]), np.zeros(1)
     lr = 0.1
     positions = [0.0]
     for _ in range(steps):
-        adagrad_step(store, np.array([g]), state.accumulator(store), lr=lr, eps=1e-8)
+        adagrad_step(store, np.array([g]), acc, lr=lr, eps=1e-8)
         positions.append(float(p.values[0]))
     deltas = [abs(b - a) for a, b in zip(positions, positions[1:])]
     assert deltas[0] <= lr * g / (g + 1e-8) + 1e-15
     assert all(b <= a + 1e-15 for a, b in zip(deltas, deltas[1:]))
-    assert np.all(acc["p"] >= 0.0)
+    assert np.all(acc >= 0.0)
 
 
 def _per_parameter_adagrad(params, grads, accumulators, lr, eps):
@@ -96,19 +93,19 @@ def test_flat_adagrad_equals_the_per_parameter_rule_bitwise(eps):
     flat_model, ref_model = (GeneratorModel.build((3, 6, 6, 2), np.random.default_rng(40))
                              for _ in range(2))
     rng = np.random.default_rng(41)
-    state, ref_acc = TrainState(), {}
+    acc, ref_acc = np.zeros_like(flat_model.store.values), {}
     for step in range(6):
         flat = rng.normal(size=flat_model.store.values.size) * 10.0 ** rng.integers(-3, 3)
         flat[rng.random(flat.size) < 0.3] = 0.0   # exact zeros, with acc still 0 at first
         if step == 0:
             flat[:5] = 0.0                         # with eps = 0: the 0/0 case
         grads = flat_model.store.views(flat)
-        adagrad_step(flat_model.store, flat, state.accumulator(flat_model.store),
-                     lr=0.05, eps=eps)
+        adagrad_step(flat_model.store, flat, acc, lr=0.05, eps=eps)
         _per_parameter_adagrad(ref_model.params(), grads, ref_acc, lr=0.05, eps=eps)
+    acc_views = flat_model.store.views(acc)
     for p, q in zip(flat_model.params(), ref_model.params()):
         assert np.array_equal(p.values, q.values), p.name
-        assert np.array_equal(state.accumulators[p.name], ref_acc[q.name]), p.name
+        assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
     assert np.all(np.isfinite(flat_model.store.values))
 
 
@@ -127,11 +124,11 @@ def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
     real = training.dgm_loss_gradient
     calls = []
 
-    def poisoned(*args, **kwargs):
-        grads, stats = real(*args, **kwargs)
+    def poisoned(gen, *args, **kwargs):
+        grads, stats = real(gen, *args, **kwargs)
         calls.append(None)
         if len(calls) == 4:
-            grads["gen.layer1.b"][1] = np.nan
+            gen.store.views(grads)["gen.layer1.b"][1] = np.nan
         return grads, stats
 
     monkeypatch.setattr(training, "dgm_loss_gradient", poisoned)
@@ -146,17 +143,18 @@ def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
     assert not np.array_equal(gen.store.values, before)   # steps 0-2 moved it
 
 
-def test_accumulator_views_are_the_checkpointed_entries():
+def test_each_model_gets_one_flat_accumulator_at_its_first_update():
     dem, gen = _models(21)
-    state = TrainState(accumulators={"dem.b_vis": np.array([4.0, 9.0])})
-    flat = state.accumulator(dem.store)
-    assert flat is state.accumulator(dem.store)
-    assert list(state.accumulators["dem.b_vis"]) == [4.0, 9.0]
-    flat[:] = 1.0
-    assert all(np.all(state.accumulators[p.name] == 1.0) for p in dem.params())
-    assert not any(name.startswith("gen.") for name in state.accumulators)
-    state.accumulators["dem.b_vis"] = np.array([2.0, 3.0])  # a replaced entry is taken over
-    assert list(state.accumulator(dem.store)[-2:]) == [2.0, 3.0]
+    points = np.random.default_rng(22).normal(size=(64, 2))
+    config = _tiny_config(steps=1, dem_updates_per_dgm_update=2)
+    state = train(dem, gen, points, config)
+    assert list(state.accumulators) == ["dem"]    # the generator has not moved yet
+    dem_acc = state.accumulators["dem"]
+    assert dem_acc.shape == dem.store.values.shape and dem_acc.any()
+    config.steps = 2
+    state = train(dem, gen, points, config, state=state)
+    assert state.accumulators["dem"] is dem_acc
+    assert state.accumulators["gen"].shape == gen.store.values.shape
 
 
 @pytest.mark.parametrize("estimator", ["nearest_neighbour", "batch_norm_scale"])

@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
 from .generator_model import SingularEntropyError, sample_prior
-from .training import ConfigError, NonFiniteGradientError, TrainState, rng_streams, train
+from .training import ConfigError, NonFiniteGradientError, rng_streams, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .autodiff import ROW_BLOCK
 from .energy_model import EnergyModel
 from .generator_model import GeneratorModel
 from .training import TrainState
@@ -136,11 +137,16 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 
 
 def save_points_csv(path, points: np.ndarray) -> None:
+    """One header line x0,x1,... and one line per row, each value written
+    as its shortest round-tripping repr; the rows are formatted and written
+    a block of ``ROW_BLOCK`` at a time."""
     points = np.asarray(points, dtype=np.float64)
+    fmt = ",".join(["%r"] * points.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
-        for row in points.tolist():
-            f.write(",".join(map(repr, row)) + "\n")
+        for start in range(0, points.shape[0], ROW_BLOCK):
+            rows = points[start:start + ROW_BLOCK].tolist()
+            f.write("".join([fmt % tuple(row) for row in rows]))
 
 
 # --- checkpoints -----------------------------------------------------------------

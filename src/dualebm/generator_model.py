@@ -152,8 +152,14 @@ class GeneratorModel:
     def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
         """Samples as a plain array, from ``generate_node`` on plain values:
         no tape is built, and each layer's input is freed once the next
-        layer has it. Infer mode is free of side effects."""
-        return self.generate_node(np.asarray(z, dtype=np.float64), mode)
+        layer has it. Infer mode is free of side effects and row by row, so
+        it runs on blocks of ``autodiff.ROW_BLOCK`` rows, whose peak memory
+        does not grow with the row count (see ``autodiff.by_row_blocks``).
+        Train mode is one batch: batch norm needs whole-batch statistics."""
+        z = np.asarray(z, dtype=np.float64)
+        if mode == "train":
+            return self.generate_node(z, mode)
+        return ad.by_row_blocks(lambda block: self.generate_node(block, mode), z)
 
 
 def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualebm.autodiff import ShapeError, Tape
+from dualebm.autodiff import ROW_BLOCK, ShapeError, Tape
 from dualebm.energy_model import (
-    ENERGY_CHUNK,
     EnergyModel,
     dem_loss_gradient,
     grid_log_density,
@@ -90,13 +89,13 @@ def test_energy_batch_permutation_equivariance():
                     rtol=1e-12)
 
 
-@pytest.mark.parametrize("rows", [500, ENERGY_CHUNK + 7])
+@pytest.mark.parametrize("rows", [500, ROW_BLOCK + 7])
 def test_energy_values_is_bit_equal_to_the_recorded_pass(rows):
     model = EnergyModel.build((2, 32, 32, 4), 4, np.random.default_rng(30))
     x = np.random.default_rng(31).normal(size=(rows, 2))
     recorded = np.concatenate([
-        model.energy(Tape().constant(x[start:start + ENERGY_CHUNK])).values
-        for start in range(0, rows, ENERGY_CHUNK)])
+        model.energy(Tape().constant(x[start:start + ROW_BLOCK])).values
+        for start in range(0, rows, ROW_BLOCK)])
     assert np.array_equal(model.energy_values(x), recorded)
 
 
@@ -125,6 +124,33 @@ def test_energy_values_peak_memory_is_a_few_chunk_activations():
         tracemalloc.stop()
     # a recorded pass keeps every intermediate array: 6.3 of these units
     assert peak < 2 * rows * width * 8
+
+
+def test_energy_values_runs_in_row_blocks():
+    model = EnergyModel.build((2, 128, 128, 4), 4, np.random.default_rng(36))
+    rows = 3 * ROW_BLOCK + 5
+    x = np.random.default_rng(37).normal(size=(rows, 2))
+    e = model.energy_values(x)
+    blocks = np.concatenate([model.energy(x[start:start + ROW_BLOCK])
+                             for start in range(0, rows, ROW_BLOCK)])
+    assert np.array_equal(e, blocks)
+    # BLAS may pick its kernel by the row count: one batch agrees to an ulp
+    assert_allclose(e, model.energy(x), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("rows", [20_000, 80_000])
+def test_energy_values_peak_memory_does_not_grow_with_rows(rows):
+    width = 128
+    model = EnergyModel.build((2, width, width, 4), 4, np.random.default_rng(34))
+    x = np.random.default_rng(35).normal(size=(rows, 2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.energy_values(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 8 + 4 * ROW_BLOCK * width * 8
 
 
 # --- maximum-likelihood-style gradient -----------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualebm.autodiff import Tape
+from dualebm.autodiff import ROW_BLOCK, Tape
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import (
     GeneratorModel,
@@ -136,6 +136,39 @@ def test_generate_peak_memory_is_a_few_hidden_activations(mode):
         tracemalloc.stop()
     # a recorded pass keeps every intermediate array: 11 of these units
     assert peak < 4 * rows * width * 8
+
+
+def test_generate_infer_runs_in_row_blocks():
+    gen = GeneratorModel.build((4, 128, 128, 2), np.random.default_rng(26))
+    gen.generate(sample_prior(64, 4, np.random.default_rng(27)), "train")
+    stats = [(l.bn_state.mean.copy(), l.bn_state.var.copy())
+             for l in gen.layers if l.has_batch_norm]
+    rows = 3 * ROW_BLOCK + 5
+    z = sample_prior(rows, 4, np.random.default_rng(28))
+    x = gen.generate(z, "infer")
+    blocks = np.concatenate([gen.generate_node(z[start:start + ROW_BLOCK], "infer")
+                             for start in range(0, rows, ROW_BLOCK)])
+    assert np.array_equal(x, blocks)
+    # BLAS may pick its kernel by the row count: one batch agrees to an ulp
+    assert_allclose(x, gen.generate_node(z, "infer"), rtol=0, atol=1e-14)
+    for (mean, var), layer in zip(stats, [l for l in gen.layers if l.has_batch_norm]):
+        assert np.array_equal(layer.bn_state.mean, mean)
+        assert np.array_equal(layer.bn_state.var, var)
+
+
+@pytest.mark.parametrize("rows", [20_000, 80_000])
+def test_generate_infer_peak_memory_does_not_grow_with_rows(rows):
+    width = 128
+    gen = GeneratorModel.build((4, width, width, 2), np.random.default_rng(24))
+    z = sample_prior(rows, 4, np.random.default_rng(25))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gen.generate(z, "infer")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 2 * 8 + 4 * ROW_BLOCK * width * 8
 
 
 def test_infer_matches_train_after_running_stats_converge():

@@ -12,12 +12,14 @@ Numerically sensitive primitives use overflow-safe identities:
 * softplus(a) = max(a, 0) + log1p(exp(-|a|))
 * sigmoid(a)  = 1 / (1 + exp(-a)) for a >= 0, exp(a) / (1 + exp(a)) otherwise
 
-``dense(x, w, b, activation)`` is activation(x @ w + b) as one tape entry
-with a hand-written backward; the models build every layer from it. Each
-activation's value and derivative are defined once, in ``_ACTIVATIONS``,
-and shared by ``dense`` and the standalone ``tanh``, ``sigmoid`` and
-``softplus``, so a fused layer gives the same bits as the unfused
-matmul, add and activation chain.
+Each primitive family is defined once: ``+``, ``-`` and ``*`` are rows of
+``_BINARY``, the elementwise functions (``tanh``, ``sigmoid``,
+``softplus``, ``log``, ``square``) rows of ``_UNARY``, and ``.sum()`` and
+``.mean()`` one reduction. ``dense(x, w, b, activation)`` is
+activation(x @ w + b) as one tape entry with a hand-written backward; the
+models build every layer from it. It takes its activation from
+``_UNARY``, so a fused layer gives the same bits as the unfused matmul,
+add and activation chain.
 
 Gradient pruning: each tape entry records whether it depends on a watched
 parameter. An entry built only from constants and frozen parameters gets no
@@ -30,9 +32,10 @@ tape holds no reference back to its nodes. Nodes refer to their tape, not
 the other way round: a tape is freed by reference counting as soon as its
 last node goes, without waiting for the cycle collector.
 
-``tanh``, ``sigmoid``, ``softplus``, ``square``, ``batch_norm`` and
-``dense`` also take plain arrays in place of nodes: they then return a
-plain array and record nothing. Since ``+``, ``*``, ``@`` and ``.sum()``
+Every primitive follows one operand rule (``_operands``): any operand may
+be a node or a plain array, a plain operand is read as its values and is
+never recorded as a tape entry, and when no operand is a node the result
+is a plain array. Since ``+``, ``*``, ``@`` and ``.sum()``
 work on arrays as they do on nodes, and ``leaf`` looks a parameter up as a
 tape leaf or as its values, a forward pass written once runs on a tape when
 a gradient is wanted and as plain numpy otherwise. Both paths compute each
@@ -154,9 +157,16 @@ class BatchNormState:
 
 
 class Node:
-    """Handle to one tape entry; arithmetic on handles records new entries."""
+    """Handle to one tape entry; arithmetic on handles records new entries.
+
+    ``__array_ufunc__ = None`` makes numpy defer to a node: ``array * node``
+    calls ``node.__rmul__``, and ``array - node``, which has no reflected
+    form here, raises TypeError, where numpy would otherwise build an
+    object array holding one node per element.
+    """
 
     __slots__ = ("tape", "idx")
+    __array_ufunc__ = None
 
     def __init__(self, tape: "Tape", idx: int):
         self.tape = tape
@@ -174,15 +184,15 @@ class Node:
         return f"Node(idx={self.idx}, shape={self.shape})"
 
     def __add__(self, other):
-        return add(self, other)
+        return _binary(self, other, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return sub(self, other)
+        return _binary(self, other, "sub")
 
     def __mul__(self, other):
-        return mul(self, other)
+        return _binary(self, other, "mul")
 
     __rmul__ = __mul__
 
@@ -190,10 +200,10 @@ class Node:
         return matmul(self, other)
 
     def sum(self, axis: Optional[int] = None) -> "Node":
-        return nsum(self, axis)
+        return _reduce(self, axis, mean=False)
 
     def mean(self, axis: Optional[int] = None) -> "Node":
-        return nmean(self, axis)
+        return _reduce(self, axis, mean=True)
 
 
 Operand = Union[Node, float, int, np.ndarray]
@@ -222,10 +232,6 @@ class Tape:
         self._values.append(values)
         self._backward.append(backward)
         return Node(self, idx)
-
-    def _need(self, node: Node) -> Optional[int]:
-        """The node's index when some watched parameter reaches it, else None."""
-        return node.idx if self._backward[node.idx] is not None else None
 
     def constant(self, values) -> Node:
         """Leaf holding a fixed array; no gradient is tracked for it."""
@@ -277,11 +283,6 @@ class Tape:
                 fn(g, grads)
 
 
-def _values_of(x) -> np.ndarray:
-    """The values of a node, or the operand itself as a float64 array."""
-    return x.values if isinstance(x, Node) else _as_array(x)
-
-
 def leaf(x, param: Parameter):
     """``param`` as an operand for a pass over ``x``: a leaf watched on
     ``x``'s tape when ``x`` is a node, the plain values otherwise."""
@@ -311,22 +312,29 @@ def by_row_blocks(fn: Callable[[np.ndarray], np.ndarray],
     return out
 
 
-def _coerce(tape: Tape, x: Operand) -> Node:
-    if isinstance(x, Node):
-        if x.tape is not tape:
-            raise TapeError("operands were recorded on different tapes")
-        return x
-    return tape.constant(x)
+def _operands(*xs) -> tuple[Optional[Tape], list, list]:
+    """The operand rule of every primitive: any operand may be a node or a
+    plain array (or number), and a plain operand is read as its values and
+    never recorded.
 
-
-def _operand_need(tape: Tape, x) -> Optional[int]:
-    """``tape._need`` of a node operand; None for a plain operand."""
-    return tape._need(_coerce(tape, x)) if isinstance(x, Node) else None
-
-
-def _binary_operands(a: Operand, b: Operand) -> tuple[Tape, Node, Node]:
-    tape = a.tape if isinstance(a, Node) else b.tape
-    return tape, _coerce(tape, a), _coerce(tape, b)
+    Returns the tape the node operands share (None when no operand is a
+    node), each operand's values, and each operand's index where some
+    watched parameter reaches it (None elsewhere, plain operands included).
+    """
+    tape = None
+    values, needs = [], []
+    for x in xs:
+        if isinstance(x, Node):
+            if tape is None:
+                tape = x.tape
+            elif x.tape is not tape:
+                raise TapeError("operands were recorded on different tapes")
+            values.append(tape._values[x.idx])
+            needs.append(x.idx if tape._backward[x.idx] is not None else None)
+        else:
+            values.append(_as_array(x))
+            needs.append(None)
+    return tape, values, needs
 
 
 def _watched_leaf(g, grads) -> None:
@@ -334,10 +342,14 @@ def _watched_leaf(g, grads) -> None:
     ``_acc`` has summed its gradient into ``param.grad`` already."""
 
 
-def _record_op(tape: Tape, out: np.ndarray, backward: Callable, *needs) -> Node:
-    """Record a primitive's result: with its backward when some operand
-    index in ``needs`` is set, with none when no watched parameter reaches
-    any operand."""
+def _record_op(tape: Optional[Tape], out: np.ndarray, backward: Callable,
+               needs: list):
+    """A primitive's result: ``out`` itself when no operand is a node (no
+    tape); otherwise a tape entry, with ``backward`` when some operand index
+    in ``needs`` is set and with none when no watched parameter reaches any
+    operand."""
+    if tape is None:
+        return out
     return tape._record(out, None if needs.count(None) == len(needs) else backward)
 
 
@@ -367,55 +379,35 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def add(a: Operand, b: Operand) -> Node:
-    tape, a, b = _binary_operands(a, b)
-    av, bv = a.values, b.values
+# name -> (value(a, b), gradient to a, gradient to b); each gradient is a
+# function of (g, a, b), taken before it is summed over broadcast axes
+_BINARY: dict[str, tuple[Callable, Callable, Callable]] = {
+    "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+}
+
+
+def _binary(a: Operand, b: Operand, name: str):
+    value, grad_a, grad_b = _BINARY[name]
+    tape, (av, bv), needs = _operands(a, b)
+    ia, ib = needs
     try:
-        out = av + bv
+        out = value(av, bv)
     except ValueError:
-        raise ShapeError(f"add: shapes {av.shape} and {bv.shape} do not broadcast")
-    ia, ib = tape._need(a), tape._need(b)
+        raise ShapeError(f"{name}: shapes {av.shape} and {bv.shape} do not broadcast")
+
     def backward(g, grads):
         if ia is not None:
-            _acc(grads, ia, _unbroadcast(g, av.shape))
+            _acc(grads, ia, _unbroadcast(grad_a(g, av, bv), av.shape))
         if ib is not None:
-            _acc(grads, ib, _unbroadcast(g, bv.shape))
+            _acc(grads, ib, _unbroadcast(grad_b(g, av, bv), bv.shape))
 
-    return _record_op(tape, out, backward, ia, ib)
-
-
-def sub(a: Operand, b: Operand) -> Node:
-    tape, a, b = _binary_operands(a, b)
-    av, bv = a.values, b.values
-    try:
-        out = av - bv
-    except ValueError:
-        raise ShapeError(f"sub: shapes {av.shape} and {bv.shape} do not broadcast")
-    ia, ib = tape._need(a), tape._need(b)
-    def backward(g, grads):
-        if ia is not None:
-            _acc(grads, ia, _unbroadcast(g, av.shape))
-        if ib is not None:
-            _acc(grads, ib, _unbroadcast(-g, bv.shape))
-
-    return _record_op(tape, out, backward, ia, ib)
+    return _record_op(tape, out, backward, needs)
 
 
-def mul(a: Operand, b: Operand) -> Node:
-    tape, a, b = _binary_operands(a, b)
-    av, bv = a.values, b.values
-    try:
-        out = av * bv
-    except ValueError:
-        raise ShapeError(f"mul: shapes {av.shape} and {bv.shape} do not broadcast")
-    ia, ib = tape._need(a), tape._need(b)
-    def backward(g, grads):
-        if ia is not None:
-            _acc(grads, ia, _unbroadcast(g * bv, av.shape))
-        if ib is not None:
-            _acc(grads, ib, _unbroadcast(g * av, bv.shape))
-
-    return _record_op(tape, out, backward, ia, ib)
+def add(a: Operand, b: Operand):
+    return _binary(a, b, "add")
 
 
 def _check_matmul(av: np.ndarray, bv: np.ndarray) -> None:
@@ -426,59 +418,39 @@ def _check_matmul(av: np.ndarray, bv: np.ndarray) -> None:
             f"matmul: inner dimensions disagree, {av.shape} vs {bv.shape}")
 
 
-def matmul(a: Node, b: Node) -> Node:
-    tape, a, b = _binary_operands(a, b)
-    av, bv = a.values, b.values
+def matmul(a: Operand, b: Operand):
+    tape, (av, bv), needs = _operands(a, b)
+    ia, ib = needs
     _check_matmul(av, bv)
-    ia, ib = tape._need(a), tape._need(b)
+
     def backward(g, grads):
         if ia is not None:
             _acc(grads, ia, g @ bv.T)
         if ib is not None:
             _acc(grads, ib, av.T @ g)
 
-    return _record_op(tape, av @ bv, backward, ia, ib)
+    return _record_op(tape, av @ bv, backward, needs)
 
 
-def _spread(shape: tuple, axis: Optional[int]) -> Callable:
-    """The backward of a reduction over ``axis``: each input entry gets the
-    gradient of the output entry it was reduced into."""
-    if axis is None:
-        kept = ()
-    else:
-        kept = tuple(1 if i == axis % len(shape) else d for i, d in enumerate(shape))
-
-    def spread(g):
-        out = np.empty(shape)
-        out[...] = g.reshape(kept)
-        return out
-
-    return spread
-
-
-def nsum(a: Node, axis: Optional[int] = None) -> Node:
-    shape = a.values.shape
-    out = _as_array(a.values.sum(axis=axis))
-    ia = a.tape._need(a)
-    spread = _spread(shape, axis)
+def _reduce(a: Operand, axis: Optional[int], mean: bool):
+    """The sum of ``a`` over ``axis`` (every axis when None), or the mean
+    when ``mean``. Each input entry's gradient is that of the output entry
+    it was reduced into, divided by the count for a mean."""
+    tape, (av,), needs = _operands(a)
+    out = _as_array(av.mean(axis=axis) if mean else av.sum(axis=axis))
 
     def backward(g, grads):
-        _acc(grads, ia, spread(g))
+        shape = av.shape
+        if axis is None:
+            kept, count = (), av.size
+        else:
+            kept = tuple(1 if i == axis % len(shape) else d for i, d in enumerate(shape))
+            count = shape[axis]
+        spread = np.empty(shape)
+        spread[...] = g.reshape(kept)
+        _acc(grads, needs[0], spread / count if mean else spread)
 
-    return _record_op(a.tape, out, backward, ia)
-
-
-def nmean(a: Node, axis: Optional[int] = None) -> Node:
-    shape = a.values.shape
-    count = a.values.size if axis is None else shape[axis]
-    out = _as_array(a.values.mean(axis=axis))
-    ia = a.tape._need(a)
-    spread = _spread(shape, axis)
-
-    def backward(g, grads):
-        _acc(grads, ia, spread(g) / count)
-
-    return _record_op(a.tape, out, backward, ia)
+    return _record_op(tape, out, backward, needs)
 
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
@@ -495,96 +467,77 @@ def _softplus_values(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-# name -> (value(a), derivative(g, a, out) = g * d out / d a); None is linear
-_ACTIVATIONS: dict[str, Optional[tuple[Callable, Callable]]] = {
-    "linear": None,
+def _log_values(a: np.ndarray) -> np.ndarray:
+    if np.any(a <= 0):
+        raise DomainError("log requires strictly positive inputs")
+    return np.log(a)
+
+
+# name -> (value(a), derivative(g, a, out) = g * d out / d a). ``dense``
+# applies the activations among them (DENSE_ACTIVATIONS), so a fused layer
+# gives the same bits as the unfused matmul, add and activation chain.
+_UNARY: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, lambda g, a, out: g * (1.0 - out * out)),
     "sigmoid": (_sigmoid_values, lambda g, a, out: g * out * (1.0 - out)),
     "softplus": (_softplus_values, lambda g, a, out: g * _sigmoid_values(a)),
+    "log": (_log_values, lambda g, a, out: g / a),
+    "square": (np.square, lambda g, a, out: 2.0 * a * g),
 }
+DENSE_ACTIVATIONS = ("linear", "tanh", "sigmoid", "softplus")
 
 
-def _unary(a, name: str):
-    value, derivative = _ACTIVATIONS[name]
-    av = _values_of(a)
+def _unary(a: Operand, name: str):
+    value, derivative = _UNARY[name]
+    tape, (av,), needs = _operands(a)
     out = value(av)
-    if not isinstance(a, Node):
-        return out
-    ia = a.tape._need(a)
 
     def backward(g, grads):
-        _acc(grads, ia, derivative(g, av, out))
+        _acc(grads, needs[0], derivative(g, av, out))
 
-    return _record_op(a.tape, out, backward, ia)
+    return _record_op(tape, out, backward, needs)
 
 
-def sigmoid(a):
+def sigmoid(a: Operand):
     return _unary(a, "sigmoid")
 
 
-def tanh(a):
+def tanh(a: Operand):
     return _unary(a, "tanh")
 
 
-def softplus(a):
+def softplus(a: Operand):
     return _unary(a, "softplus")
 
 
-def log(a: Node) -> Node:
-    av = a.values
-    if np.any(av <= 0):
-        raise DomainError("log requires strictly positive inputs")
-    out = np.log(av)
-    ia = a.tape._need(a)
-
-    def backward(g, grads):
-        _acc(grads, ia, g / av)
-
-    return _record_op(a.tape, out, backward, ia)
+def log(a: Operand):
+    return _unary(a, "log")
 
 
-def square(a):
-    av = _values_of(a)
-    out = av * av
-    if not isinstance(a, Node):
-        return out
-    ia = a.tape._need(a)
-
-    def backward(g, grads):
-        _acc(grads, ia, 2.0 * av * g)
-
-    return _record_op(a.tape, out, backward, ia)
+def square(a: Operand):
+    return _unary(a, "square")
 
 
-def dense(x, w, b, activation: str):
+def dense(x: Operand, w: Operand, b: Operand, activation: str):
     """activation(x @ w + b) for a (batch, in) x, an (in, out) w and an
     (out,) b, as one tape entry.
 
-    activation is ``"linear"``, ``"tanh"``, ``"sigmoid"`` or ``"softplus"``.
-    The backward computes the activation's derivative once and passes it on
-    as the matmul and the bias add would, with the same expressions, so
-    values and gradients equal those of the unfused chain bit for bit.
-    With no node among x, w and b the result is a plain array.
+    activation is one of ``DENSE_ACTIVATIONS``. The backward computes the
+    activation's derivative once and passes it on as the matmul and the bias
+    add would, with the same expressions, so values and gradients equal
+    those of the unfused chain bit for bit.
     """
-    if activation not in _ACTIVATIONS:
+    if activation not in DENSE_ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
-    fns = _ACTIVATIONS[activation]
-    xv, wv, bv = _values_of(x), _values_of(w), _values_of(b)
+    fns = _UNARY.get(activation)       # None for the identity, "linear"
+    tape, (xv, wv, bv), needs = _operands(x, w, b)
+    ix, iw, ib = needs
     _check_matmul(xv, wv)
     if bv.shape != (wv.shape[1],):
         raise ShapeError(f"dense: bias of shape {bv.shape} for weights {wv.shape}")
     pre = xv @ wv
     pre += bv
     out = pre if fns is None else fns[0](pre)
-    if isinstance(x, Node):
-        tape = x.tape
-    elif isinstance(w, Node):
-        tape = w.tape
-    elif isinstance(b, Node):
-        tape = b.tape
-    else:
-        return out
-    ix, iw, ib = _operand_need(tape, x), _operand_need(tape, w), _operand_need(tape, b)
+
     def backward(g, grads):
         ga = g if fns is None else fns[1](g, pre, out)
         if ix is not None:
@@ -594,10 +547,10 @@ def dense(x, w, b, activation: str):
         if ib is not None:
             _acc(grads, ib, _unbroadcast(ga, bv.shape))
 
-    return _record_op(tape, out, backward, ix, iw, ib)
+    return _record_op(tape, out, backward, needs)
 
 
-def batch_norm(x, shift: Operand, scale: Operand, state: BatchNormState,
+def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState,
                mode: str):
     """Per-dimension normalization with learned shift/scale.
 
@@ -605,13 +558,12 @@ def batch_norm(x, shift: Operand, scale: Operand, state: BatchNormState,
     ``BN_EPS``) and updates ``state`` in place by an EMA with momentum
     ``BN_MOMENTUM``. Infer mode normalizes by the running statistics and has
     no side effects. Gradients flow to x, shift and scale in both modes;
-    train mode differentiates through the batch statistics. A plain-array
-    ``x`` gives a plain array, computed in one fresh buffer.
+    train mode differentiates through the batch statistics. With no node
+    among x, shift and scale the result is a plain array, computed in one
+    fresh buffer.
     """
-    if isinstance(x, Node):
-        shift = _coerce(x.tape, shift)
-        scale = _coerce(x.tape, scale)
-    xv, shift_v, scale_v = _values_of(x), _values_of(shift), _values_of(scale)
+    tape, (xv, shift_v, scale_v), needs = _operands(x, shift, scale)
+    ix, ishift, iscale = needs
     if xv.ndim != 2:
         raise ShapeError(f"batch_norm expects (batch, dim) input, got {xv.shape}")
     n, d = xv.shape
@@ -632,17 +584,16 @@ def batch_norm(x, shift: Operand, scale: Operand, state: BatchNormState,
         inv = 1.0 / np.sqrt(state.var + BN_EPS)
     else:
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
-    if not isinstance(x, Node):
+    if tape is None:
         out = xv - mu
         out *= inv
         out *= scale_v
         out += shift_v
         return out
 
-    tape = x.tape
     xhat = (xv - mu) * inv
     out = xhat * scale_v + shift_v
-    ix, ishift, iscale = tape._need(x), tape._need(shift), tape._need(scale)
+
     def backward(g, grads):
         if ishift is not None:
             _acc(grads, ishift, g.sum(axis=0))
@@ -658,4 +609,4 @@ def batch_norm(x, shift: Operand, scale: Operand, state: BatchNormState,
             dx = g * scale_v * inv
         _acc(grads, ix, dx)
 
-    return _record_op(tape, out, backward, ix, ishift, iscale)
+    return _record_op(tape, out, backward, needs)

@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -100,23 +101,45 @@ def _open_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: no such checkpoint")
 
 
+def _open_2d_checkpoint(path, command: str) -> Checkpoint:
+    """The checkpoint at ``path``, whose energy model must take 2D points:
+    ``eval`` and ``energy-map`` are defined on the plane only."""
+    checkpoint = _open_checkpoint(path)
+    if checkpoint.dem.d_in != 2:
+        raise ConfigError(f"{command} is defined for 2D models only; {path} "
+                          f"holds a model of {checkpoint.dem.d_in} dimensions")
+    return checkpoint
+
+
+@contextmanager
+def _output(path):
+    """Report a failure to write to ``path`` (a missing directory, a
+    regular file where a directory should be, no permission) as a usage
+    error naming the path."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from None
+
+
 def cmd_train(args) -> int:
     config = load_run_config(args.config, args.overrides)
     dem, gen = build_models(config)
     streams = rng_streams(config.seed)
     dataset = load_run_dataset(config, streams["data"])
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def write_checkpoint(state, name):
         save_checkpoint(out_dir / name,
                         Checkpoint(config.to_dict(), dem, gen, state))
 
-    with open(out_dir / "metrics.txt", "w") as metrics:
-        state = train(
-            dem, gen, dataset, config, metrics_out=metrics,
-            checkpoint_fn=lambda s: write_checkpoint(s, f"checkpoint_{s.step}.bin"))
-    write_checkpoint(state, "checkpoint_final.bin")
+    with _output(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "metrics.txt", "w") as metrics:
+            state = train(
+                dem, gen, dataset, config, metrics_out=metrics,
+                checkpoint_fn=lambda s: write_checkpoint(s, f"checkpoint_{s.step}.bin"))
+        write_checkpoint(state, "checkpoint_final.bin")
     print(f"trained {state.step} steps; outputs in {out_dir}")
     return EXIT_OK
 
@@ -136,16 +159,20 @@ def cmd_sample(args) -> int:
     gen = checkpoint.gen
     z = sample_prior(args.n, gen.d_z, np.random.default_rng(args.seed))
     samples = gen.generate(z, "infer")
-    _write_generated(args.out, samples)
+    with _output(args.out):
+        _write_generated(args.out, samples)
     print(f"wrote {samples.shape[0]} samples to {args.out}")
     return EXIT_OK
 
 
 def cmd_energy_map(args) -> int:
-    checkpoint = _open_checkpoint(args.checkpoint)
     lo, hi = args.bounds
+    if not -math.inf < lo < hi < math.inf:  # false for NaN too
+        raise ConfigError(f"--bounds must be finite with LO < HI, got {lo} {hi}")
+    checkpoint = _open_2d_checkpoint(args.checkpoint, "energy-map")
     grid = energy_heatmap(checkpoint.dem, [(lo, hi), (lo, hi)], args.res)
-    export_image_grid(grid, args.out)
+    with _output(args.out):
+        export_image_grid(grid, args.out)
     print(f"wrote {args.res}x{args.res} energy map to {args.out} "
           f"(min {grid.vmin:.4f}, max {grid.vmax:.4f})")
     return EXIT_OK
@@ -157,7 +184,8 @@ def cmd_interpolate(args) -> int:
     rng = np.random.default_rng(args.seed)
     z = sample_prior(2, gen.d_z, rng)
     path_points = latent_interpolation(gen, z[0], z[1], args.k)
-    _write_generated(args.out, path_points)
+    with _output(args.out):
+        _write_generated(args.out, path_points)
     print(f"wrote {args.k}-step interpolation to {args.out}")
     return EXIT_OK
 
@@ -179,10 +207,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    checkpoint = _open_checkpoint(args.checkpoint)
+    checkpoint = _open_2d_checkpoint(args.checkpoint, "eval")
     config = config_from_dict(checkpoint.config, source="checkpoint config")
-    if config.dataset == "mnist":
-        raise ConfigError("eval metrics are defined for the 2D datasets only")
     held_out = load_run_dataset(
         config, np.random.default_rng(np.random.SeedSequence(config.seed + 1)))
     z = sample_prior(args.n, checkpoint.gen.d_z, np.random.default_rng(args.seed))

@@ -212,7 +212,7 @@ def nearest_neighbour_entropy_node(x: Node) -> Node:
     np.fill_diagonal(dist, np.inf)
     pick = np.zeros((n, n))
     pick[np.arange(n), dist.argmin(axis=1)] = 1.0
-    diff = x - x.tape.constant(pick) @ x
+    diff = x - ad.matmul(pick, x)
     rho_sq = ad.square(diff).sum(axis=1)
     if np.any(rho_sq.values == 0.0):
         raise SingularEntropyError(
@@ -232,7 +232,7 @@ def _entropy_node(gen: GeneratorModel, x: Node, estimator: str) -> Node:
 
 
 def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
-             entropy_estimator: str = "batch_norm_scale") -> tuple[Node, Node, Node]:
+             entropy_estimator: str) -> tuple[Node, Node, Node]:
     """The generator loss mean(E(G(z))) - entropy_weight * H on a new tape.
 
     Returns the (loss, mean energy, entropy estimate) nodes. The energy
@@ -253,14 +253,14 @@ def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
 
 def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
                       entropy_weight: float,
-                      entropy_estimator: str = "batch_norm_scale") -> tuple[np.ndarray, dict]:
+                      entropy_estimator: str) -> tuple[np.ndarray, dict]:
     """Gradient of ``dgm_loss`` over the generator parameters.
 
     ``entropy_estimator`` picks H (see the module docstring). With
     ``"nearest_neighbour"`` the loss is, up to the log-partition constant,
     a batch estimate of KL(generator || model), so its minimum is a
-    generator that samples the energy model; with the default
-    ``"batch_norm_scale"``, the paper's surrogate, H rewards growing
+    generator that samples the energy model; with ``"batch_norm_scale"``,
+    the paper's surrogate and ``RunConfig``'s default, H rewards growing
     batch-norm scales whether or not the samples spread. The gradient comes
     as a flat copy laid out like ``gen.store.values``; the stats hold the
     mean energy and the entropy estimate the loss used.

@@ -298,6 +298,100 @@ def test_primitive_gradient_sweep(name, seed):
         assert np.all(np.abs(a - f) <= tol), (name, pname)
 
 
+# --- the operand rule ------------------------------------------------------------
+
+# name -> (primitive, operand shapes); operands are drawn from U(0.5, 2)
+RULE_CASES = {
+    "add": (ad.add, ((3, 4), (4,))),
+    "sub": (lambda a, b: ad._binary(a, b, "sub"), ((3, 4), (3, 4))),
+    "mul": (lambda a, b: ad._binary(a, b, "mul"), ((3, 4), ())),
+    "matmul": (ad.matmul, ((3, 4), (4, 5))),
+    "sum_axis1": (lambda a: ad._reduce(a, 1, mean=False), ((3, 4),)),
+    "mean_all": (lambda a: ad._reduce(a, None, mean=True), ((3, 4),)),
+    "tanh": (ad.tanh, ((3, 4),)),
+    "sigmoid": (ad.sigmoid, ((3, 4),)),
+    "softplus": (ad.softplus, ((3, 4),)),
+    "log": (ad.log, ((3, 4),)),
+    "square": (ad.square, ((3, 4),)),
+    "dense": (lambda x, w, b: ad.dense(x, w, b, "tanh"), ((3, 4), (4, 5), (5,))),
+    "batch_norm_train": (lambda x, s, c: ad.batch_norm(
+        x, s, c, BatchNormState.initial(4), "train"), ((8, 4), (4,), (4,))),
+    "batch_norm_infer": (lambda x, s, c: ad.batch_norm(
+        x, s, c, BatchNormState(mean=np.full(4, 0.5), var=np.full(4, 2.0)), "infer"),
+        ((8, 4), (4,), (4,))),
+}
+
+
+def _rule_operands(shapes):
+    rng = np.random.default_rng(0)
+    return [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("name", sorted(RULE_CASES))
+def test_all_plain_operands_give_the_recorded_value_as_a_plain_array(name):
+    op, shapes = RULE_CASES[name]
+    values = _rule_operands(shapes)
+    plain = op(*values)
+    tape = Tape()
+    recorded = op(*[tape.constant(v) for v in values])
+    assert type(plain) is np.ndarray
+    assert plain.shape == recorded.shape
+    assert plain.tobytes() == np.asarray(recorded.values).tobytes()
+
+
+def _run_with_one_plain_operand(op, shapes, plain_at, as_constant):
+    """The op's value, the entries it added to the tape and the gradients
+    of the watched operands, with operand ``plain_at`` passed as a plain
+    array (or as a tape constant) and every other one watched."""
+    params = [param(v, f"p{i}") for i, v in enumerate(_rule_operands(shapes))]
+    tape = Tape()
+    operands = [tape.watch(p) if i != plain_at
+                else tape.constant(p.values) if as_constant else p.values
+                for i, p in enumerate(params)]
+    entries = len(tape._values)
+    out = op(*operands)
+    entries = len(tape._values) - entries
+    r = np.random.default_rng(1).normal(size=out.shape)
+    tape.backward((out * r).sum())
+    grads = [p.grad.copy() for i, p in enumerate(params) if i != plain_at]
+    return out.values, entries, grads
+
+
+@pytest.mark.parametrize("name, plain_at", [
+    (name, i) for name, (_, shapes) in sorted(RULE_CASES.items())
+    if len(shapes) > 1 for i in range(len(shapes))])
+def test_a_plain_operand_beside_a_node_is_never_recorded(name, plain_at):
+    """Bit for bit the value and gradients of the same operand as a tape
+    constant, with the one entry of the op itself on the tape."""
+    op, shapes = RULE_CASES[name]
+    value, entries, grads = _run_with_one_plain_operand(op, shapes, plain_at, False)
+    expected, _, expected_grads = _run_with_one_plain_operand(op, shapes, plain_at, True)
+    assert entries == 1
+    assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+    for g, e in zip(grads, expected_grads):
+        assert g.tobytes() == e.tobytes()
+        assert np.any(g != 0.0)
+
+
+def test_numpy_defers_to_a_node():
+    """An array on the left of a node gives one recorded entry, not an
+    object array of per-element nodes; with no reflected operator (``-``)
+    numpy raises TypeError."""
+    x = param([1.0, 2.0, 3.0], "x")
+    tape = Tape()
+    node = tape.watch(x)
+    entries = len(tape._values)
+    out = np.array([2.0, 3.0, 4.0]) * node
+    assert isinstance(out, ad.Node) and out.values.tolist() == [2.0, 6.0, 12.0]
+    out = np.array([2.0, 3.0, 4.0]) + node
+    assert isinstance(out, ad.Node) and out.values.tolist() == [3.0, 5.0, 7.0]
+    assert len(tape._values) == entries + 2
+    with pytest.raises(TypeError):
+        np.ones(3) - node
+    with pytest.raises(TypeError):
+        np.ones((2, 3)) @ node
+
+
 # --- dense specifics ----------------------------------------------------------
 
 UNFUSED = {

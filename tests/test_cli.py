@@ -289,6 +289,54 @@ def test_energy_map_zero_parameter_model_argmin_at_origin(tmp_path):
     assert abs(best[0]) < 1e-9 and abs(best[1]) < 1e-9  # center cell of 21x21
 
 
+@pytest.mark.parametrize("command", ["eval", "energy-map"])
+def test_2d_commands_reject_a_784d_checkpoint(tmp_path, capsys, command):
+    dem = EnergyModel.build((784, 8, 4), 4, np.random.default_rng(4))
+    gen = GeneratorModel.build((4, 8, 784), np.random.default_rng(5),
+                               output_activation="sigmoid")
+    ckpt_path = tmp_path / "mnist.bin"
+    save_checkpoint(ckpt_path, Checkpoint({"dataset": "mnist"}, dem, gen,
+                                          TrainState.initial(0)))
+    argv = [command, "--checkpoint", str(ckpt_path)]
+    if command == "energy-map":
+        argv += ["--res", "4", "--out", str(tmp_path / "map.csv")]
+    assert cli.main(argv) == 2
+    assert "2D models only" in capsys.readouterr().err
+    assert not (tmp_path / "map.csv").exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("nan", "1"), ("0", "inf"), ("-1", "nan"),
+                                    ("1", "-1"), ("1", "1")])
+def test_energy_map_rejects_nonfinite_or_empty_bounds(trained_run, tmp_path, capsys,
+                                                      lo, hi):
+    out = tmp_path / "map.csv"
+    assert cli.main(["energy-map", "--checkpoint",
+                     str(trained_run / "checkpoint_final.bin"),
+                     "--bounds", lo, hi, "--res", "4", "--out", str(out)]) == 2
+    assert "--bounds must be finite with LO < HI" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "energy-map", "interpolate", "train"])
+def test_unwritable_output_path_is_usage_error(trained_run, tmp_path, capsys,
+                                               monkeypatch, command):
+    """An output under a missing directory, or under a regular file, exits 2
+    with a one-line message naming the path."""
+    monkeypatch.delenv("DUALEBM_OUTDIR", raising=False)
+    (tmp_path / "a_file").write_text("")
+    if command == "train":
+        out = tmp_path / "a_file" / "run"
+        argv = ["train", "--steps", "2", "--dem_hidden", "8", "--gen_hidden", "8",
+                "--out_dir", str(out)]
+    else:
+        out = tmp_path / "missing" / "out.csv"
+        argv = [command, "--checkpoint", str(trained_run / "checkpoint_final.bin"),
+                "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and f"cannot write {out}" in err
+
+
 def test_interpolate_2d_writes_csv(trained_run, tmp_path):
     out = tmp_path / "interp.csv"
     assert cli.main(["interpolate", "--checkpoint",

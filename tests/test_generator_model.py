@@ -216,7 +216,8 @@ def test_entropy_surrogate_zero_scale_is_singular():
 def test_constant_energy_zero_weight_gives_zero_gradient():
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(11))
     z = sample_prior(8, 2, np.random.default_rng(12))
-    grads, _ = dgm_loss_gradient(gen, ConstantEnergy(3.7), z, entropy_weight=0.0)
+    grads, _ = dgm_loss_gradient(gen, ConstantEnergy(3.7), z, entropy_weight=0.0,
+                                 entropy_estimator="batch_norm_scale")
     assert np.all(grads == 0.0)
 
 
@@ -224,7 +225,8 @@ def test_dgm_loss_gradient_rejects_negative_entropy_weight():
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(13))
     z = sample_prior(4, 2, np.random.default_rng(14))
     with pytest.raises(ValueError, match="entropy_weight"):
-        dgm_loss_gradient(gen, ConstantEnergy(), z, entropy_weight=-0.1)
+        dgm_loss_gradient(gen, ConstantEnergy(), z, entropy_weight=-0.1,
+                          entropy_estimator="batch_norm_scale")
 
 
 @pytest.mark.parametrize("entropy_weight, estimator", [
@@ -260,7 +262,8 @@ def test_dgm_loss_leaves_energy_model_untouched():
     for p in dem.params():
         p.grad[:] = 0.0
     before = [p.values.copy() for p in dem.params()]
-    dgm_loss_gradient(gen, dem, sample_prior(8, 3, np.random.default_rng(20)), 1.0)
+    dgm_loss_gradient(gen, dem, sample_prior(8, 3, np.random.default_rng(20)), 1.0,
+                      "batch_norm_scale")
     for p, b in zip(dem.params(), before):
         assert np.all(p.grad == 0.0)
         assert np.array_equal(p.values, b)
@@ -284,7 +287,8 @@ def test_entropy_pressure_increases_every_scale():
     """With the energy frozen flat, one AdaGrad step grows every bn scale."""
     gen = GeneratorModel.build((2, 8, 8, 2), np.random.default_rng(24))
     z = sample_prior(16, 2, np.random.default_rng(25))
-    grads, _ = dgm_loss_gradient(gen, ConstantEnergy(), z, entropy_weight=1.0)
+    grads, _ = dgm_loss_gradient(gen, ConstantEnergy(), z, entropy_weight=1.0,
+                                 entropy_estimator="batch_norm_scale")
     before = [p.values.copy() for p in gen.scale_parameters()]
     adagrad_step(gen.store, grads, np.zeros_like(gen.store.values), lr=0.05, eps=1e-8)
     for p, b in zip(gen.scale_parameters(), before):
@@ -316,7 +320,8 @@ def test_collapse_without_entropy_pressure():
     acc = np.zeros_like(gen.store.values)
     for step in range(600):
         z = sample_prior(64, 2, prior_rng)
-        grads, _ = dgm_loss_gradient(gen, dem, z, entropy_weight=0.0)
+        grads, _ = dgm_loss_gradient(gen, dem, z, entropy_weight=0.0,
+                                     entropy_estimator="batch_norm_scale")
         adagrad_step(gen.store, grads, acc, lr=0.05, eps=1e-8)
         if (step + 1) % 150 == 0:
             spreads.append(spread())

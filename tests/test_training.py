@@ -179,6 +179,29 @@ def test_training_gradients_leave_nothing_for_the_cycle_collector(estimator):
         gc.enable()
 
 
+@pytest.mark.parametrize("estimator, bound", [("batch_norm_scale", 89),
+                                              ("nearest_neighbour", 87)])
+def test_default_step_records_no_entry_for_a_plain_operand(monkeypatch, estimator,
+                                                           bound):
+    """A scalar or array beside a node is read as its values: one default
+    step records no tape entry for the constants of the losses."""
+    from dualebm.config import build_models
+
+    records = []
+    original = Tape._record
+
+    def counted(self, *args):
+        records.append(1)
+        return original(self, *args)
+
+    config = RunConfig(seed=0, entropy_estimator=estimator, steps=1)
+    dem, gen = build_models(config)
+    points = np.random.default_rng(30).normal(size=(256, 2))
+    monkeypatch.setattr(Tape, "_record", counted)
+    train(dem, gen, points, config)
+    assert 0 < len(records) <= bound
+
+
 # --- config -------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [

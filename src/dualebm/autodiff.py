@@ -16,10 +16,19 @@ Each primitive family is defined once: ``+``, ``-`` and ``*`` are rows of
 ``_BINARY``, the elementwise functions (``tanh``, ``sigmoid``,
 ``softplus``, ``log``, ``square``) rows of ``_UNARY``, and ``.sum()`` and
 ``.mean()`` one reduction. ``dense(x, w, b, activation)`` is
-activation(x @ w + b) as one tape entry with a hand-written backward; the
-models build every layer from it. It takes its activation from
-``_UNARY``, so a fused layer gives the same bits as the unfused matmul,
-add and activation chain.
+activation(x @ w + b) as one tape entry with a hand-written backward. It
+takes its activation from ``_UNARY``, so a fused layer gives the same bits
+as the unfused matmul, add and activation chain.
+
+A whole model pass is one tape entry too: ``model_entry`` records it, with
+the model's ``ParameterStore`` watched as one leaf, and its hand-written
+backward adds the parameter gradient into the store and passes the input's
+gradient on (see ``energy_model`` and ``generator_model``). Those passes
+compute each value with the expressions of the primitives here
+(``sigmoid_values``, ``softplus_values``, ``batch_statistics`` and
+``batch_norm_dx`` are shared), so they give the same bits as the chain of
+primitives, and they keep their intermediates in a ``Workspace`` the model
+reuses from step to step.
 
 Gradient pruning: each tape entry records whether it depends on a watched
 parameter. An entry built only from constants and frozen parameters gets no
@@ -35,13 +44,10 @@ last node goes, without waiting for the cycle collector.
 Every primitive follows one operand rule (``_operands``): any operand may
 be a node or a plain array, a plain operand is read as its values and is
 never recorded as a tape entry, and when no operand is a node the result
-is a plain array. Since ``+``, ``*``, ``@`` and ``.sum()``
-work on arrays as they do on nodes, and ``leaf`` looks a parameter up as a
-tape leaf or as its values, a forward pass written once runs on a tape when
-a gradient is wanted and as plain numpy otherwise. Both paths compute each
-value with the same numpy expression, so they give the same bits.
-``by_row_blocks`` runs such a plain pass over many rows in blocks of
-``ROW_BLOCK`` rows, so its memory does not grow with the row count.
+is a plain array, computed with the same numpy expression as the
+recorded value. ``by_row_blocks`` runs a plain pass over many rows in
+blocks of ``ROW_BLOCK`` rows, so its memory does not grow with the row
+count.
 
 ``ParameterStore`` lays a model's parameters out in one values buffer and
 one grad buffer; each ``Parameter`` then holds views into them, so tapes
@@ -57,7 +63,9 @@ except Parameters, which only ``Tape.backward`` mutates (their ``.grad``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -222,8 +230,8 @@ class Tape:
     def __init__(self):
         self._values: list[np.ndarray] = []
         self._backward: list[Optional[Callable]] = []
-        self._watched: dict[int, int] = {}          # id(Parameter) -> node idx
-        self._leaves: list[tuple[int, Parameter]] = []   # watched, not frozen
+        self._watched: dict[int, int] = {}          # id(parameter or store) -> node idx
+        self._leaves: list = []     # (node idx, Parameter or store), watched, not frozen
         self._frozen: set[int] = set()
 
     def _record(self, values: np.ndarray,
@@ -237,16 +245,19 @@ class Tape:
         """Leaf holding a fixed array; no gradient is tracked for it."""
         return self._record(_as_array(values), None)
 
-    def watch(self, param: Parameter) -> Node:
-        """Leaf bound to a Parameter; repeated watches return the same node.
+    def watch(self, param: Union[Parameter, ParameterStore]) -> Node:
+        """Leaf bound to a Parameter, or to all of a ParameterStore's
+        parameters at once; repeated watches return the same node.
 
         Frozen parameters come back as constants, which is how a loss is cut
-        off from one model's parameters while differentiating the other.
+        off from one model's parameters while differentiating the other. A
+        store is frozen when all its parameters are; freezing some of them
+        only is a TapeError.
         """
         cached = self._watched.get(id(param))
         if cached is not None:
             return Node(self, cached)
-        if id(param) in self._frozen:
+        if self._is_frozen(param):
             node = self.constant(param.values)
         else:
             node = self._record(param.values, _watched_leaf)
@@ -257,6 +268,15 @@ class Tape:
     def freeze(self, params: Sequence[Parameter]) -> None:
         """Treat these parameters as constants for this tape."""
         self._frozen.update(id(p) for p in params)
+
+    def _is_frozen(self, param: Union[Parameter, ParameterStore]) -> bool:
+        if isinstance(param, Parameter):
+            return id(param) in self._frozen
+        frozen = [id(p) in self._frozen for p in param.params]
+        if any(frozen) and not all(frozen):
+            raise TapeError("a parameter store is watched with only some of "
+                            "its parameters frozen")
+        return all(frozen)
 
     def backward(self, root: Node) -> None:
         """Accumulate d(root)/d(node) for every ancestor of a scalar root.
@@ -283,12 +303,6 @@ class Tape:
                 fn(g, grads)
 
 
-def leaf(x, param: Parameter):
-    """``param`` as an operand for a pass over ``x``: a leaf watched on
-    ``x``'s tape when ``x`` is a node, the plain values otherwise."""
-    return x.tape.watch(param) if isinstance(x, Node) else param.values
-
-
 def by_row_blocks(fn: Callable[[np.ndarray], np.ndarray],
                   x: np.ndarray) -> np.ndarray:
     """``fn(x)`` for a plain-array pass ``fn`` in which each output row
@@ -310,6 +324,96 @@ def by_row_blocks(fn: Callable[[np.ndarray], np.ndarray],
     for start in range(ROW_BLOCK, x.shape[0], ROW_BLOCK):
         out[start:start + ROW_BLOCK] = fn(x[start:start + ROW_BLOCK])
     return out
+
+
+class Workspace:
+    """Arrays in which a model's recorded passes over ``rows`` rows keep
+    their intermediates, allocated once and reused from step to step.
+
+    ``slot`` and ``scratch`` map names to a shape or a list of shapes. The
+    workspace holds ``n_slots`` namespaces of the ``slot`` arrays, each
+    holding what one forward writes and its backward reads, so that as many
+    passes may be recorded before their backwards run; each slot's
+    ``scratch`` is one namespace, shared by all slots, of arrays a backward
+    writes and reads before it returns. All arrays are views of one buffer
+    (a single allocation, which the heap's trimming does not touch while
+    it lives). Nothing in a workspace is recorded on a tape or returned to
+    a caller.
+    """
+
+    def __init__(self, rows: int, n_slots: int, slot: dict, scratch: dict):
+        self.rows = rows
+        self._buffer = np.empty(sum(
+            _aligned(shape) for spec in [slot] * n_slots + [scratch]
+            for shapes in spec.values() for shape in _listed(shapes)))
+        offset = 0
+
+        def view(shape):
+            nonlocal offset
+            array = self._buffer[offset:offset + math.prod(shape)].reshape(shape)
+            offset += _aligned(shape)
+            return array
+
+        def carve(spec):
+            return SimpleNamespace(**{
+                name: ([view(s) for s in shapes] if isinstance(shapes, list)
+                       else view(shapes))
+                for name, shapes in spec.items()})
+
+        self.slots = [carve(slot) for _ in range(n_slots)]
+        shared = carve(scratch)
+        self._clock = 0
+        for each in self.slots:
+            each.scratch = shared
+            each.stamp = 0
+
+    def claim(self, slot=None) -> tuple:
+        """``slot``, or else the slot written longest ago, marked as written
+        now; returns it and the stamp of this write."""
+        if slot is None:
+            slot = min(self.slots, key=lambda s: s.stamp)
+        self._clock += 1
+        slot.stamp = self._clock
+        return slot, self._clock
+
+
+def _listed(shapes) -> list:
+    return shapes if isinstance(shapes, list) else [shapes]
+
+
+def _aligned(shape: tuple) -> int:
+    """The entries of an array of ``shape``, rounded up to whole 64-byte
+    lines of float64."""
+    return -(-math.prod(shape) // 8) * 8
+
+
+def model_entry(x: Node, store: ParameterStore, workspace: Workspace,
+                forward: Callable, backward: Callable) -> Node:
+    """A whole model pass over the rows of node ``x`` as one tape entry.
+
+    ``forward(xv, slot)`` returns the pass's output, a fresh array, for
+    x's values, and writes what its backward reads into the workspace
+    slot; run again on the same slot it writes the same values and changes
+    nothing else. ``backward(xv, out, slot, g, grads, ix, want_params)``
+    takes the gradient g of the output ``out``, adds the parameter gradient
+    into the views of ``store.grad`` when ``want_params`` and passes x's
+    gradient on with ``_acc`` when ``ix`` is set. The store is one leaf,
+    watched or, when frozen, a constant. A backward whose slot a later
+    pass has written runs its forward again first.
+    """
+    tape, (xv, _), needs = _operands(x, x.tape.watch(store))
+    ix, istore = needs
+    slot, stamp = workspace.claim()
+    out = forward(xv, slot)
+
+    def entry_backward(g, grads):
+        nonlocal stamp
+        if slot.stamp != stamp:
+            _, stamp = workspace.claim(slot)
+            forward(xv, slot)
+        backward(xv, out, slot, g, grads, ix, istore is not None)
+
+    return _record_op(tape, out, entry_backward, needs)
 
 
 def _operands(*xs) -> tuple[Optional[Tape], list, list]:
@@ -354,13 +458,13 @@ def _record_op(tape: Optional[Tape], out: np.ndarray, backward: Callable,
 
 
 def _acc(grads: list, idx: int, g: np.ndarray) -> None:
-    # A watched leaf's slot holds its Parameter, whose zeroed .grad takes
+    # A watched leaf's slot holds its Parameter (or store), whose zeroed .grad takes
     # each contribution in place. Other slots are never mutated in place,
     # so stored gradients may alias upstream arrays.
     current = grads[idx]
     if current is None:
         grads[idx] = g
-    elif isinstance(current, Parameter):
+    elif isinstance(current, (Parameter, ParameterStore)):
         current.grad += g
     else:
         grads[idx] = current + g
@@ -453,18 +557,31 @@ def _reduce(a: Operand, axis: Optional[int], mean: bool):
     return _record_op(tape, out, backward, needs)
 
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
+def _exp_minus_abs(x: np.ndarray) -> np.ndarray:
+    e = np.abs(x)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def sigmoid_values(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The sigmoid of x, into ``out`` when given (which may be x itself)."""
     # Both branches of the overflow-safe form over the whole array, with no
     # boolean indexing (slow on large arrays): e = exp(-|x|) <= 1, so the
     # numerator max(e, x >= 0) is 1 where x >= 0 and e elsewhere.
-    e = np.exp(-np.abs(x))
-    out = np.maximum(e, x >= 0)
-    out /= 1.0 + e
+    e = _exp_minus_abs(x)
+    out = np.maximum(e, x >= 0, out=out)
+    e += 1.0
+    out /= e
     return out
 
 
-def _softplus_values(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def softplus_values(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """max(x, 0) + log1p(exp(-|x|)), into ``out`` when given."""
+    t = _exp_minus_abs(x)
+    np.log1p(t, out=t)
+    out = np.maximum(x, 0.0, out=out)
+    out += t
+    return out
 
 
 def _log_values(a: np.ndarray) -> np.ndarray:
@@ -478,8 +595,8 @@ def _log_values(a: np.ndarray) -> np.ndarray:
 # gives the same bits as the unfused matmul, add and activation chain.
 _UNARY: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, lambda g, a, out: g * (1.0 - out * out)),
-    "sigmoid": (_sigmoid_values, lambda g, a, out: g * out * (1.0 - out)),
-    "softplus": (_softplus_values, lambda g, a, out: g * _sigmoid_values(a)),
+    "sigmoid": (sigmoid_values, lambda g, a, out: g * out * (1.0 - out)),
+    "softplus": (softplus_values, lambda g, a, out: g * sigmoid_values(a)),
     "log": (_log_values, lambda g, a, out: g / a),
     "square": (np.square, lambda g, a, out: 2.0 * a * g),
 }
@@ -566,32 +683,18 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
     ix, ishift, iscale = needs
     if xv.ndim != 2:
         raise ShapeError(f"batch_norm expects (batch, dim) input, got {xv.shape}")
-    n, d = xv.shape
+    d = xv.shape[1]
     if shift_v.shape != (d,) or scale_v.shape != (d,):
         raise ShapeError(
             f"batch_norm: shift/scale must have shape ({d},), got "
             f"{shift_v.shape} and {scale_v.shape}")
-    if mode == "train":
-        if n < 2:
-            raise ValueError("batch_norm in train mode needs a batch of >= 2 rows")
-        mu = xv.mean(axis=0)
-        var = xv.var(axis=0)
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        state.mean[:] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * mu
-        state.var[:] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * var
-    elif mode == "infer":
-        mu = state.mean
-        inv = 1.0 / np.sqrt(state.var + BN_EPS)
-    else:
-        raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
+    _, inv, xhat = batch_statistics(xv, state, mode)
+    xhat *= inv
     if tape is None:
-        out = xv - mu
-        out *= inv
-        out *= scale_v
-        out += shift_v
-        return out
+        xhat *= scale_v
+        xhat += shift_v
+        return xhat
 
-    xhat = (xv - mu) * inv
     out = xhat * scale_v + shift_v
 
     def backward(g, grads):
@@ -599,14 +702,64 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
             _acc(grads, ishift, g.sum(axis=0))
         if iscale is not None:
             _acc(grads, iscale, (g * xhat).sum(axis=0))
-        if ix is None:
-            return
-        if mode == "train":
-            dxhat = g * scale_v
-            dx = (inv / n) * (n * dxhat - dxhat.sum(axis=0)
-                              - xhat * (dxhat * xhat).sum(axis=0))
-        else:
-            dx = g * scale_v * inv
-        _acc(grads, ix, dx)
+        if ix is not None:
+            _acc(grads, ix, batch_norm_dx(g, xhat, scale_v, inv, mode))
 
     return _record_op(tape, out, backward, needs)
+
+
+def batch_statistics(xv: np.ndarray, state: BatchNormState, mode: str,
+                     out: Optional[np.ndarray] = None,
+                     work: Optional[np.ndarray] = None) -> tuple:
+    """The mean and 1/sqrt(var + ``BN_EPS``), as arrays of their own, that
+    batch norm normalizes the rows of xv by, and xv minus that mean (into
+    ``out`` when given). Train mode takes the batch's own statistics, with
+    the expressions of ``xv.mean(axis=0)`` and ``xv.var(axis=0)``, and moves
+    ``state`` toward them; ``work``, an array of xv's shape that may be xv
+    itself, then holds the squared deviations. Infer mode takes the running
+    statistics of ``state``."""
+    if mode == "train":
+        n = xv.shape[0]
+        if n < 2:
+            raise ValueError("batch_norm in train mode needs a batch of >= 2 rows")
+        mu = np.add.reduce(xv, axis=0)
+        mu /= n
+        centered = np.subtract(xv, mu, out=out)
+        var = np.add.reduce(np.square(centered, out=work), axis=0)
+        var /= n
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        state.mean[:] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * mu
+        state.var[:] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * var
+    elif mode == "infer":
+        mu = state.mean.copy()   # a later train-mode pass moves state.mean
+        inv = 1.0 / np.sqrt(state.var + BN_EPS)
+        centered = np.subtract(xv, mu, out=out)
+    else:
+        raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
+    return mu, inv, centered
+
+
+def batch_norm_dx(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
+                  inv: np.ndarray, mode: str, out: Optional[np.ndarray] = None,
+                  work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gradient to batch norm's input for the gradient g of its output,
+    where xhat is the normalized input and inv the 1/sqrt(var + eps) it was
+    divided by; train mode differentiates through the batch statistics.
+
+    The result goes into ``out`` when given; ``work``, an array of g's
+    shape that may be g itself, holds an intermediate.
+    """
+    if mode != "train":
+        dx = np.multiply(g, scale, out=out)
+        dx *= inv
+        return dx
+    n = g.shape[0]
+    dxhat = np.multiply(g, scale, out=work)
+    dxhat_sum = np.add.reduce(dxhat, axis=0)
+    dxhat_xhat_sum = np.add.reduce(np.multiply(dxhat, xhat, out=out), axis=0)
+    # (inv / n) * (n * dxhat - dxhat_sum - xhat * dxhat_xhat_sum)
+    dx = np.multiply(dxhat, n, out=out)
+    dx -= dxhat_sum
+    dx -= np.multiply(xhat, dxhat_xhat_sum, out=dxhat)
+    dx *= inv / n
+    return dx

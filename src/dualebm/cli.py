@@ -98,7 +98,10 @@ def _open_checkpoint(path) -> Checkpoint:
     try:
         return load_checkpoint(path)
     except FileNotFoundError:
-        raise CheckpointError(f"{path}: no such checkpoint")
+        raise CheckpointError(f"{path}: no such checkpoint") from None
+    except OSError as err:  # a directory, no permission, a read error
+        raise CheckpointError(
+            f"{path}: cannot read checkpoint: {err.strerror or err}") from None
 
 
 def _open_2d_checkpoint(path, command: str) -> Checkpoint:

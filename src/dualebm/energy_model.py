@@ -10,6 +10,22 @@ most linearly in ||x|| while the quadratic term dominates, so exp(-energy)
 is integrable and the model defines a proper unnormalized density. sigma
 is a fixed hyperparameter, not trained.
 
+The forward pass is written once (``_energy``, one numpy expression per
+value) and serves every caller. On a tape node, ``energy`` records the
+whole pass as one tape entry (``autodiff.model_entry``). Its hand-written
+backward adds the parameter gradient into the model's ``ParameterStore``
+when the tape watches the store, and passes the gradient of the energy
+with respect to x, ∇ₓE, on to x when x needs one. That is how the
+generator loss reaches the generator through the frozen energy model. The
+backward uses the expressions, and sums in the order, of the primitive
+chain (``autodiff.dense``, ``square``, ``+``, ``.sum()``) it replaces, so
+gradients keep their bits. A recorded pass writes its intermediates into
+the model's ``autodiff.Workspace``, kept for one batch size and rebuilt
+when the size changes. It has two slots, one per phase of ``dem_loss``, so
+both phases are recorded on one tape before its one backward. A third pass
+recorded before that backward costs the first pass a second forward, not
+a wrong gradient.
+
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 tape-free passes over many rows (energy grids, held-out sets, ``sample``).
 Both run in blocks of ``autodiff.ROW_BLOCK`` = 256 rows through
@@ -51,6 +67,7 @@ class EnergyModel:
         self.sigma = float(sigma)
         self.widths = tuple(widths)
         self.store = ParameterStore(self.params())
+        self._workspace = None
 
     @classmethod
     def build(cls, widths, n_experts, rng, sigma=1.0, init_scale=1.0):
@@ -96,28 +113,39 @@ class EnergyModel:
     def features(self, x):
         """Deterministic forward pass: tanh hidden layers, sigmoid output.
 
-        x is a tape node (the features are then recorded on its tape) or a
+        x is a tape node (the features are then one entry on its tape) or a
         plain array (they come back as a plain array; nothing is recorded).
         """
         self._check_width(x)
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = ad.dense(h, ad.leaf(x, w), ad.leaf(x, b), "tanh")
-        return ad.dense(h, ad.leaf(x, self.weights[-1]),
-                        ad.leaf(x, self.biases[-1]), "sigmoid")
+        if not isinstance(x, Node):
+            return self._features(np.asarray(x, dtype=np.float64))
+
+        def forward(xv, slot):
+            return self._features(xv, slot).copy()
+
+        def backward(xv, out, slot, g, grads, ix, want_params):
+            dh = slot.scratch.dh[-1]
+            dh[...] = g
+            dx = self._features_backward(xv, slot, dh, want_params, ix is not None)
+            if dx is not None:
+                ad._acc(grads, ix, dx.copy())
+
+        return ad.model_entry(x, self.store, self._workspace_for(x.shape[0]),
+                              forward, backward)
 
     def energy(self, x):
         """Per-row energy; low values mark configurations the model favors.
 
-        A node or a plain array, as x is (see ``features``).
+        x is a tape node or a plain array, as for ``features``. On a node
+        the whole pass is one tape entry whose backward adds the parameter
+        gradient, when the parameters are watched, and passes the gradient
+        of the energy with respect to x on to x, when x needs one.
         """
         self._check_width(x)
-        f = self.features(x)
-        quadratic = ad.square(x).sum(axis=1) * (1.0 / self.sigma**2)
-        mean_term = (x * ad.leaf(x, self.b_vis)).sum(axis=1)
-        experts = ad.dense(f, ad.leaf(x, self.expert_w),
-                           ad.leaf(x, self.expert_b), "softplus")
-        return quadratic - mean_term - experts.sum(axis=1)
+        if not isinstance(x, Node):
+            return self._energy(np.asarray(x, dtype=np.float64))
+        return ad.model_entry(x, self.store, self._workspace_for(x.shape[0]),
+                              self._energy, self._energy_backward)
 
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Energies of a plain array, by ``energy`` on plain blocks of
@@ -125,6 +153,104 @@ class EnergyModel:
         built. Each row's energy depends on that row alone, so blocking
         changes no value beyond the last ulp of BLAS products."""
         return ad.by_row_blocks(self.energy, np.asarray(x, dtype=np.float64))
+
+    # --- the one forward and backward of a pass ------------------------------
+
+    def _workspace_for(self, rows: int) -> ad.Workspace:
+        """The workspace for recorded passes over ``rows`` rows, rebuilt
+        when the row count changes. Its two slots let both phases of
+        ``dem_loss`` be recorded on one tape before its backward runs."""
+        ws = self._workspace
+        if ws is None or ws.rows != rows:
+            fan = list(zip(self.widths[:-1], self.widths[1:]))
+            hidden = [(rows, o) for _, o in fan]
+            experts = (rows, self.n_experts)
+            ws = self._workspace = ad.Workspace(
+                rows, 2, slot={"h": hidden, "pre_e": experts},
+                scratch={"ga": hidden, "dh": hidden, "dw": fan, "ga_e": experts,
+                         "dw_e": self.expert_w.values.shape, "x": (rows, self.d_in)})
+        return ws
+
+    def _features(self, x: np.ndarray, slot=None) -> np.ndarray:
+        """Features of the rows of x; with a workspace slot, each layer's
+        output goes into ``slot.h``, else into a fresh array."""
+        h = x
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            pre = np.matmul(h, w.values, out=slot.h[i] if slot else None)
+            pre += b.values
+            h = np.tanh(pre, out=pre) if i < last else ad.sigmoid_values(pre, out=pre)
+        return h
+
+    def _energy(self, x: np.ndarray, slot=None) -> np.ndarray:
+        """(1/sigma^2) x.x - b_vis.x - sum softplus(f(x) @ expert_w +
+        expert_b), as a fresh array; a slot takes the intermediates."""
+        f = self._features(x, slot)
+        pre_e = np.matmul(f, self.expert_w.values, out=slot.pre_e if slot else None)
+        pre_e += self.expert_b.values
+        tmp = slot.scratch.x if slot else None
+        quadratic = np.add.reduce(np.square(x, out=tmp), axis=1) * (1.0 / self.sigma**2)
+        mean_term = np.add.reduce(np.multiply(x, self.b_vis.values, out=tmp), axis=1)
+        return quadratic - mean_term - np.add.reduce(ad.softplus_values(pre_e), axis=1)
+
+    def _energy_backward(self, x, out, slot, g, grads, ix, want_params) -> None:
+        """Backward of a recorded ``_energy`` for the gradient g of each
+        row's energy: adds the parameter gradient into ``self.store.grad``
+        when ``want_params``, and passes g times ∇ₓE (2 x / sigma^2 - b_vis
+        - the experts' term through the features) on to x when ``ix`` is
+        set."""
+        sc = slot.scratch
+        minus_g = (-g)[:, None]
+        ga = np.multiply(minus_g, ad.sigmoid_values(slot.pre_e), out=sc.ga_e)
+        if want_params:
+            self.expert_w.grad += np.matmul(slot.h[-1].T, ga, out=sc.dw_e)
+            self.expert_b.grad += np.add.reduce(ga, axis=0)
+            self.b_vis.grad += np.add.reduce(np.multiply(minus_g, x, out=sc.x), axis=0)
+        dh = np.matmul(ga, self.expert_w.values.T, out=sc.dh[-1])
+        if ix is not None:
+            # onto what x holds already (the nearest-neighbour entropy's
+            # part), in the chain's order: -g b_vis, 2 g x / sigma^2, then
+            # the first layer's part
+            prior = grads[ix]
+            dx = np.multiply(minus_g, self.b_vis.values)
+            if isinstance(prior, np.ndarray):
+                np.add(prior, dx, out=dx)
+            quadratic = np.multiply(x, 2.0, out=sc.x)
+            quadratic *= (g * (1.0 / self.sigma**2))[:, None]
+            dx += quadratic
+        first = self._features_backward(x, slot, dh, want_params, ix is not None)
+        if ix is not None:
+            dx += first
+            if isinstance(prior, np.ndarray):
+                grads[ix] = dx
+            else:
+                ad._acc(grads, ix, dx)
+
+    def _features_backward(self, x, slot, dh, want_params: bool,
+                           want_x: bool):
+        """Backward through the feature layers from the gradient dh of the
+        features, a scratch array it overwrites. Adds the layers' parameter
+        gradient when ``want_params``; returns x's gradient through the
+        first layer, in scratch, when ``want_x`` (else None)."""
+        sc = slot.scratch
+        for i in range(len(self.weights) - 1, -1, -1):
+            out, ga = slot.h[i], sc.ga[i]
+            if i == len(self.weights) - 1:   # sigmoid: dh * out * (1 - out)
+                np.subtract(1.0, out, out=ga)
+                dh *= out
+            else:                            # tanh: dh * (1 - out * out)
+                np.multiply(out, out, out=ga)
+                np.subtract(1.0, ga, out=ga)
+            ga *= dh
+            w = self.weights[i]
+            if want_params:
+                w.grad += np.matmul(slot.h[i - 1].T if i else x.T, ga, out=sc.dw[i])
+                self.biases[i].grad += np.add.reduce(ga, axis=0)
+            if i:
+                dh = np.matmul(ga, w.values.T, out=sc.dh[i - 1])
+            elif want_x:
+                return np.matmul(ga, w.values.T, out=sc.x)
+        return None
 
 
 def dem_loss(model: EnergyModel, x_pos: np.ndarray,

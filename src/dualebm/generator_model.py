@@ -26,6 +26,20 @@ log-partition constant. Two estimators are available:
   grow without limit while the next linear layer can shrink to cancel
   them, and the samples may still collapse.
 
+The forward pass is written once (``_forward``, one numpy expression per
+value) and serves plain sampling and the tape alike. On a tape node,
+``generate_node`` records the whole pass as one tape entry
+(``autodiff.model_entry``). Its hand-written backward adds the gradient of
+every weight, bias and batch-norm parameter into the model's
+``ParameterStore`` and passes z's gradient on when z needs one. Its
+batch-norm backward is ``autodiff.batch_norm_dx``, the one that
+``autodiff.batch_norm`` uses, so gradients keep the bits of the primitive
+chain. A recorded pass writes its intermediates into the model's
+``autodiff.Workspace`` (one slot), kept for one batch size and rebuilt
+when the size changes. A recorded pass repeated for its backward, after a
+later pass took the slot, normalizes by the batch statistics it recorded
+and moves no running statistic.
+
 scipy is imported inside ``nearest_neighbour_entropy_node``, the one
 function here that uses it, not with the module: importing
 ``scipy.spatial.distance`` and ``scipy.special`` takes ~0.24 s (2-core
@@ -81,6 +95,7 @@ class GeneratorModel:
         self.widths = tuple(widths)
         self.output_activation = output_activation
         self.store = ParameterStore(self.params())
+        self._workspace = None
 
     @classmethod
     def build(cls, widths, rng, output_activation="linear", init_scale=1.0):
@@ -126,9 +141,10 @@ class GeneratorModel:
     def generate_node(self, z, mode: str):
         """Forward pass; mode picks batch-norm statistics.
 
-        z is a tape node (the pass is then recorded on its tape) or a plain
-        array (the samples come back as a plain array and nothing is
-        recorded). Train mode moves the running statistics either way.
+        z is a tape node (the pass is then one entry on its tape, whose
+        backward adds the parameter gradient and passes z's gradient on) or
+        a plain array (the samples come back as a plain array and nothing
+        is recorded). Train mode moves the running statistics either way.
 
         Batch norm runs after the bounded activation, so each scale
         parameter multiplies a hidden feature directly. A scale pushed up
@@ -138,16 +154,20 @@ class GeneratorModel:
         if len(z.shape) != 2 or z.shape[1] != self.d_z:
             raise ShapeError(
                 f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
-        h = z
-        for layer in self.layers:
-            w, b = ad.leaf(z, layer.w), ad.leaf(z, layer.b)
-            if layer.has_batch_norm:
-                h = ad.dense(h, w, b, "tanh")
-                h = ad.batch_norm(h, ad.leaf(z, layer.bn_shift),
-                                  ad.leaf(z, layer.bn_scale), layer.bn_state, mode)
-            else:
-                h = ad.dense(h, w, b, self.output_activation)
-        return h
+        if not isinstance(z, Node):
+            return self._forward(np.asarray(z, dtype=np.float64), mode)[0]
+        stats = []   # the recorded pass's statistics, for running it again
+
+        def forward(zv, slot):
+            x, used = self._forward(zv, mode, slot, stats or None)
+            stats[:] = used
+            return x
+
+        def backward(zv, x, slot, g, grads, iz, want_params):
+            self._backward(zv, x, slot, stats, mode, g, grads, iz, want_params)
+
+        return ad.model_entry(z, self.store, self._workspace_for(z.shape[0]),
+                              forward, backward)
 
     def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
         """Samples as a plain array, from ``generate_node`` on plain values:
@@ -160,6 +180,93 @@ class GeneratorModel:
         if mode == "train":
             return self.generate_node(z, mode)
         return ad.by_row_blocks(lambda block: self.generate_node(block, mode), z)
+
+    # --- the one forward and backward of a pass ------------------------------
+
+    def _workspace_for(self, rows: int) -> ad.Workspace:
+        """The workspace for recorded passes over ``rows`` rows (one slot),
+        rebuilt when the row count changes."""
+        ws = self._workspace
+        if ws is None or ws.rows != rows:
+            hidden = [(rows, layer.w.values.shape[1]) for layer in self.layers[:-1]]
+            out = (rows, self.widths[-1])
+            ws = self._workspace = ad.Workspace(
+                rows, 1, slot={"a": hidden, "xhat": hidden, "h": hidden, "pre": out},
+                scratch={"ga": hidden, "dh": hidden,
+                         "dw": [layer.w.values.shape for layer in self.layers],
+                         "ga_out": out, "g_out": out})
+        return ws
+
+    def _forward(self, z: np.ndarray, mode: str, slot=None, stats=None):
+        """Samples for the rows of z, as a fresh array, and the per-layer
+        (mean, 1/sqrt(var + eps)) the batch norms normalized by.
+
+        With a workspace slot, each intermediate the backward reads goes
+        into it; without one, each layer's arrays are fresh and freed once
+        the next layer has them. ``stats`` repeats a recorded pass: the
+        batch norms then normalize by them and no running statistic moves.
+        """
+        h = z
+        used = []
+        for i, layer in enumerate(self.layers[:-1]):
+            a = np.matmul(h, layer.w.values, out=slot.a[i] if slot else None)
+            a += layer.b.values
+            np.tanh(a, out=a)
+            xhat = slot.xhat[i] if slot else None
+            if stats:
+                mu, inv = stats[i]
+                xhat = np.subtract(a, mu, out=xhat)
+            else:
+                mu, inv, xhat = ad.batch_statistics(a, layer.bn_state, mode, out=xhat,
+                                                    work=slot.h[i] if slot else a)
+            used.append((mu, inv))
+            xhat *= inv
+            h = np.multiply(xhat, layer.bn_scale.values, out=slot.h[i] if slot else xhat)
+            h += layer.bn_shift.values
+        w, b = self.layers[-1].w, self.layers[-1].b
+        if self.output_activation == "linear":
+            x = h @ w.values
+            x += b.values
+            return x, used
+        pre = np.matmul(h, w.values, out=slot.pre if slot else None)
+        pre += b.values
+        return ad.sigmoid_values(pre, out=None if slot else pre), used
+
+    def _backward(self, z, x, slot, stats, mode, g, grads, iz, want_params) -> None:
+        """Backward of a recorded ``_forward`` for the gradient g of the
+        samples x, with the expressions of the primitive chain (dense
+        layers and ``autodiff.batch_norm``): the parameter gradient is added
+        into ``self.store.grad`` when ``want_params``, and z's gradient is
+        passed on when ``iz`` is set."""
+        sc = slot.scratch
+        last = len(self.layers) - 1
+        if self.output_activation == "sigmoid":   # g * x * (1 - x)
+            ga = np.subtract(1.0, x, out=sc.ga_out)
+            ga *= np.multiply(g, x, out=sc.g_out)
+        else:
+            ga = g
+        for i in range(last, -1, -1):
+            layer = self.layers[i]
+            if i < last:
+                # dh, the gradient to the batch norm's output, becomes the
+                # gradient to the tanh output, then to the layer's pre-activation
+                dh = np.matmul(ga, self.layers[i + 1].w.values.T, out=sc.dh[i])
+                xhat, a, ga = slot.xhat[i], slot.a[i], sc.ga[i]
+                if want_params:
+                    layer.bn_shift.grad += np.add.reduce(dh, axis=0)
+                    layer.bn_scale.grad += np.add.reduce(np.multiply(dh, xhat, out=ga),
+                                                         axis=0)
+                ad.batch_norm_dx(dh, xhat, layer.bn_scale.values, stats[i][1], mode,
+                                 out=ga, work=dh)
+                np.multiply(a, a, out=dh)   # tanh: * (1 - a * a)
+                np.subtract(1.0, dh, out=dh)
+                ga *= dh
+            if want_params:
+                h = slot.h[i - 1] if i else z
+                layer.w.grad += np.matmul(h.T, ga, out=sc.dw[i])
+                layer.b.grad += np.add.reduce(ga, axis=0)
+        if iz is not None:
+            ad._acc(grads, iz, ga @ self.layers[0].w.values.T)
 
 
 def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,7 +4,8 @@ import struct
 
 import numpy as np
 
-from dualebm.autodiff import Parameter
+from dualebm import autodiff as ad
+from dualebm.autodiff import Parameter, Tape
 
 
 def assert_grads_match(analytic, numeric, rtol, floor=0.01):
@@ -45,3 +46,72 @@ def write_idx_pair(tmp_path, count=10, rows=4, cols=3, pixel_fn=None):
         f.write(struct.pack(">ii", 0x00000801, count))
         f.write(rng.integers(0, 10, size=count, dtype=np.uint8).tobytes())
     return images, labels, pixels
+
+
+# --- the primitive chains that one-entry model passes replace ----------------
+
+def reference_energy(model, x):
+    """``model.energy`` of node x as the chain of tape primitives it was
+    built from: one ``ad.dense`` per layer, then ``square``, ``*`` and
+    ``.sum()``. A one-entry pass must match it bit for bit."""
+    tape = x.tape
+    f = reference_features(model, x)
+    quadratic = ad.square(x).sum(axis=1) * (1.0 / model.sigma**2)
+    mean_term = (x * tape.watch(model.b_vis)).sum(axis=1)
+    experts = ad.dense(f, tape.watch(model.expert_w), tape.watch(model.expert_b),
+                       "softplus")
+    return quadratic - mean_term - experts.sum(axis=1)
+
+
+def reference_features(model, x):
+    """``model.features`` of node x as one ``ad.dense`` per layer."""
+    tape = x.tape
+    h = x
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        h = ad.dense(h, tape.watch(w), tape.watch(b), "tanh")
+    return ad.dense(h, tape.watch(model.weights[-1]), tape.watch(model.biases[-1]),
+                    "sigmoid")
+
+
+def reference_generate(gen, z, mode):
+    """``gen.generate_node`` of node z as the chain of ``ad.dense`` and
+    ``ad.batch_norm`` entries it was built from."""
+    tape = z.tape
+    h = z
+    for layer in gen.layers:
+        w, b = tape.watch(layer.w), tape.watch(layer.b)
+        if layer.has_batch_norm:
+            h = ad.dense(h, w, b, "tanh")
+            h = ad.batch_norm(h, tape.watch(layer.bn_shift), tape.watch(layer.bn_scale),
+                              layer.bn_state, mode)
+        else:
+            h = ad.dense(h, w, b, gen.output_activation)
+    return h
+
+
+def reference_dem_loss_gradient(model, x_pos, x_neg):
+    """``dem_loss_gradient`` on the primitive chain."""
+    tape = Tape()
+    e_pos = reference_energy(model, tape.constant(x_pos)).mean()
+    e_neg = reference_energy(model, tape.constant(x_neg)).mean()
+    loss = e_pos - e_neg
+    tape.backward(loss)
+    return model.store.grad.copy(), {"e_pos": float(e_pos.values),
+                                     "e_neg": float(e_neg.values)}
+
+
+def reference_dgm_loss_gradient(gen, dem, z, entropy_weight, estimator):
+    """``dgm_loss_gradient`` on the primitive chain."""
+    from dualebm.generator_model import (entropy_surrogate_node,
+                                         nearest_neighbour_entropy_node)
+
+    tape = Tape()
+    tape.freeze(dem.params())
+    x = reference_generate(gen, tape.constant(z), "train")
+    e_gen = reference_energy(dem, x).mean()
+    entropy = (nearest_neighbour_entropy_node(x) if estimator == "nearest_neighbour"
+               else entropy_surrogate_node(gen, tape))
+    loss = e_gen - entropy_weight * entropy
+    tape.backward(loss)
+    return gen.store.grad.copy(), {"e_gen": float(e_gen.values),
+                                   "entropy": float(entropy.values)}

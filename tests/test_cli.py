@@ -255,6 +255,16 @@ def test_sample_missing_checkpoint_exit_4(tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 4
 
 
+def test_unreadable_checkpoint_exit_4_naming_the_path(tmp_path, capsys):
+    # a directory opens with IsADirectoryError, an OSError that is not
+    # FileNotFoundError
+    checkpoint = tmp_path / "a_directory"
+    checkpoint.mkdir()
+    assert cli.main(["sample", "--checkpoint", str(checkpoint),
+                     "--out", str(tmp_path / "x.csv")]) == 4
+    assert str(checkpoint) in capsys.readouterr().err
+
+
 def test_sample_corrupt_checkpoint_exit_4(trained_run, tmp_path):
     corrupt = tmp_path / "corrupt.bin"
     corrupt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes()[:40])

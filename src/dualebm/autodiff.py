@@ -58,7 +58,9 @@ gradient copy, an AdaGrad accumulator) is a flat array in the same layout;
 error message.
 
 The tape is rebuilt per training step; nothing here is thread-shared
-except Parameters, which only ``Tape.backward`` mutates (their ``.grad``).
+except Parameters, which only ``Tape.backward`` mutates (their ``.grad``),
+and a model's ``Workspace``, which its recorded passes write: one model
+must not record passes from two threads at once.
 """
 
 from __future__ import annotations
@@ -335,10 +337,9 @@ class Workspace:
     holding what one forward writes and its backward reads, so that as many
     passes may be recorded before their backwards run; each slot's
     ``scratch`` is one namespace, shared by all slots, of arrays a backward
-    writes and reads before it returns. All arrays are views of one buffer
-    (a single allocation, which the heap's trimming does not touch while
-    it lives). Nothing in a workspace is recorded on a tape or returned to
-    a caller.
+    writes and reads before it returns. All arrays are views of one buffer,
+    allocated once. Nothing in a workspace is recorded on a tape or
+    returned to a caller.
     """
 
     def __init__(self, rows: int, n_slots: int, slot: dict, scratch: dict):

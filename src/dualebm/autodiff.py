@@ -15,20 +15,22 @@ Numerically sensitive primitives use overflow-safe identities:
 Each primitive family is defined once: ``+``, ``-`` and ``*`` are rows of
 ``_BINARY``, the elementwise functions (``tanh``, ``sigmoid``,
 ``softplus``, ``log``, ``square``) rows of ``_UNARY``, and ``.sum()`` and
-``.mean()`` one reduction. ``dense(x, w, b, activation)`` is
-activation(x @ w + b) as one tape entry with a hand-written backward. It
-takes its activation from ``_UNARY``, so a fused layer gives the same bits
-as the unfused matmul, add and activation chain.
+``.mean()`` one reduction.
 
-A whole model pass is one tape entry too: ``model_entry`` records it, with
-the model's ``ParameterStore`` watched as one leaf, and its hand-written
+A whole model pass is one tape entry: ``model_entry`` records it, with the
+model's ``ParameterStore`` watched as one leaf, and its hand-written
 backward adds the parameter gradient into the store and passes the input's
 gradient on (see ``energy_model`` and ``generator_model``). Those passes
 compute each value with the expressions of the primitives here
 (``sigmoid_values``, ``softplus_values``, ``batch_statistics`` and
 ``batch_norm_dx`` are shared), so they give the same bits as the chain of
 primitives, and they keep their intermediates in a ``Workspace`` the model
-reuses from step to step.
+reuses from step to step. The k-th pass of a model recorded on a tape
+writes the workspace's slot k, so a tape may record as many passes as it
+needs before its backward. The next tape that records a pass of the model
+starts again at slot 0: a backward whose slot that tape has overwritten
+raises TapeError, so run each tape's backward before recording a pass of
+the same model on another tape.
 
 Gradient pruning: each tape entry records whether it depends on a watched
 parameter. An entry built only from constants and frozen parameters gets no
@@ -65,7 +67,7 @@ must not record passes from two threads at once.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
@@ -86,7 +88,8 @@ class DomainError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: non-scalar backward root or operands from different tapes."""
+    """Tape misuse: non-scalar backward root, operands from different tapes,
+    or a model pass whose workspace slot a later pass has overwritten."""
 
 
 def _as_array(x) -> np.ndarray:
@@ -229,7 +232,10 @@ class Tape:
     in place into ``param.grad``, so no per-leaf sum is allocated.
     """
 
+    _serials = itertools.count()
+
     def __init__(self):
+        self.serial = next(Tape._serials)   # tells a Workspace a new tape began
         self._values: list[np.ndarray] = []
         self._backward: list[Optional[Callable]] = []
         self._watched: dict[int, int] = {}          # id(parameter or store) -> node idx
@@ -333,59 +339,43 @@ class Workspace:
     their intermediates, allocated once and reused from step to step.
 
     ``slot`` and ``scratch`` map names to a shape or a list of shapes. The
-    workspace holds ``n_slots`` namespaces of the ``slot`` arrays, each
-    holding what one forward writes and its backward reads, so that as many
-    passes may be recorded before their backwards run; each slot's
-    ``scratch`` is one namespace, shared by all slots, of arrays a backward
-    writes and reads before it returns. All arrays are views of one buffer,
-    allocated once. Nothing in a workspace is recorded on a tape or
-    returned to a caller.
+    k-th pass of the model recorded on a tape writes slot k, a namespace of
+    the ``slot`` arrays holding what its forward writes and its backward
+    reads; a slot is made the first time a tape records that many passes.
+    ``scratch`` is one namespace, shared by all slots (``slot.scratch``), of
+    arrays a backward writes and reads before it returns. Nothing in a
+    workspace is recorded on a tape or returned to a caller.
     """
 
-    def __init__(self, rows: int, n_slots: int, slot: dict, scratch: dict):
+    def __init__(self, rows: int, slot: dict, scratch: dict):
         self.rows = rows
-        self._buffer = np.empty(sum(
-            _aligned(shape) for spec in [slot] * n_slots + [scratch]
-            for shapes in spec.values() for shape in _listed(shapes)))
-        offset = 0
-
-        def view(shape):
-            nonlocal offset
-            array = self._buffer[offset:offset + math.prod(shape)].reshape(shape)
-            offset += _aligned(shape)
-            return array
-
-        def carve(spec):
-            return SimpleNamespace(**{
-                name: ([view(s) for s in shapes] if isinstance(shapes, list)
-                       else view(shapes))
-                for name, shapes in spec.items()})
-
-        self.slots = [carve(slot) for _ in range(n_slots)]
-        shared = carve(scratch)
+        self.slots: list[SimpleNamespace] = []
+        self._slot = slot
+        self._scratch = _arrays(scratch)
+        self._tape = None    # serial of the tape that recorded the last pass
+        self._passes = 0     # passes that tape has recorded
         self._clock = 0
-        for each in self.slots:
-            each.scratch = shared
-            each.stamp = 0
 
-    def claim(self, slot=None) -> tuple:
-        """``slot``, or else the slot written longest ago, marked as written
-        now; returns it and the stamp of this write."""
-        if slot is None:
-            slot = min(self.slots, key=lambda s: s.stamp)
+    def next_slot(self, tape: "Tape") -> SimpleNamespace:
+        """The slot of the next pass recorded on ``tape``, its ``stamp``
+        moved on to mark this write."""
+        if tape.serial != self._tape:
+            self._tape, self._passes = tape.serial, 0
+        if self._passes == len(self.slots):
+            self.slots.append(_arrays(self._slot))
+            self.slots[-1].scratch = self._scratch
+        slot = self.slots[self._passes]
+        self._passes += 1
         self._clock += 1
         slot.stamp = self._clock
-        return slot, self._clock
+        return slot
 
 
-def _listed(shapes) -> list:
-    return shapes if isinstance(shapes, list) else [shapes]
-
-
-def _aligned(shape: tuple) -> int:
-    """The entries of an array of ``shape``, rounded up to whole 64-byte
-    lines of float64."""
-    return -(-math.prod(shape) // 8) * 8
+def _arrays(spec: dict) -> SimpleNamespace:
+    return SimpleNamespace(**{
+        name: ([np.empty(s) for s in shapes] if isinstance(shapes, list)
+               else np.empty(shapes))
+        for name, shapes in spec.items()})
 
 
 def model_entry(x: Node, store: ParameterStore, workspace: Workspace,
@@ -394,24 +384,22 @@ def model_entry(x: Node, store: ParameterStore, workspace: Workspace,
 
     ``forward(xv, slot)`` returns the pass's output, a fresh array, for
     x's values, and writes what its backward reads into the workspace
-    slot; run again on the same slot it writes the same values and changes
-    nothing else. ``backward(xv, out, slot, g, grads, ix, want_params)``
-    takes the gradient g of the output ``out``, adds the parameter gradient
-    into the views of ``store.grad`` when ``want_params`` and passes x's
-    gradient on with ``_acc`` when ``ix`` is set. The store is one leaf,
-    watched or, when frozen, a constant. A backward whose slot a later
-    pass has written runs its forward again first.
+    slot. ``backward(xv, out, slot, g, grads, ix, want_params)`` takes the
+    gradient g of the output ``out``, adds the parameter gradient into the
+    views of ``store.grad`` when ``want_params`` and passes x's gradient on
+    with ``_acc`` when ``ix`` is set. The store is one leaf, watched or,
+    when frozen, a constant. A backward whose slot a later pass has written
+    raises TapeError.
     """
     tape, (xv, _), needs = _operands(x, x.tape.watch(store))
     ix, istore = needs
-    slot, stamp = workspace.claim()
+    slot = workspace.next_slot(tape)
+    stamp = slot.stamp
     out = forward(xv, slot)
 
     def entry_backward(g, grads):
-        nonlocal stamp
         if slot.stamp != stamp:
-            _, stamp = workspace.claim(slot)
-            forward(xv, slot)
+            raise TapeError("run backward before recording another pass of the model")
         backward(xv, out, slot, g, grads, ix, istore is not None)
 
     return _record_op(tape, out, entry_backward, needs)
@@ -591,9 +579,7 @@ def _log_values(a: np.ndarray) -> np.ndarray:
     return np.log(a)
 
 
-# name -> (value(a), derivative(g, a, out) = g * d out / d a). ``dense``
-# applies the activations among them (DENSE_ACTIVATIONS), so a fused layer
-# gives the same bits as the unfused matmul, add and activation chain.
+# name -> (value(a), derivative(g, a, out) = g * d out / d a)
 _UNARY: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, lambda g, a, out: g * (1.0 - out * out)),
     "sigmoid": (sigmoid_values, lambda g, a, out: g * out * (1.0 - out)),
@@ -601,7 +587,6 @@ _UNARY: dict[str, tuple[Callable, Callable]] = {
     "log": (_log_values, lambda g, a, out: g / a),
     "square": (np.square, lambda g, a, out: 2.0 * a * g),
 }
-DENSE_ACTIVATIONS = ("linear", "tanh", "sigmoid", "softplus")
 
 
 def _unary(a: Operand, name: str):
@@ -633,39 +618,6 @@ def log(a: Operand):
 
 def square(a: Operand):
     return _unary(a, "square")
-
-
-def dense(x: Operand, w: Operand, b: Operand, activation: str):
-    """activation(x @ w + b) for a (batch, in) x, an (in, out) w and an
-    (out,) b, as one tape entry.
-
-    activation is one of ``DENSE_ACTIVATIONS``. The backward computes the
-    activation's derivative once and passes it on as the matmul and the bias
-    add would, with the same expressions, so values and gradients equal
-    those of the unfused chain bit for bit.
-    """
-    if activation not in DENSE_ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    fns = _UNARY.get(activation)       # None for the identity, "linear"
-    tape, (xv, wv, bv), needs = _operands(x, w, b)
-    ix, iw, ib = needs
-    _check_matmul(xv, wv)
-    if bv.shape != (wv.shape[1],):
-        raise ShapeError(f"dense: bias of shape {bv.shape} for weights {wv.shape}")
-    pre = xv @ wv
-    pre += bv
-    out = pre if fns is None else fns[0](pre)
-
-    def backward(g, grads):
-        ga = g if fns is None else fns[1](g, pre, out)
-        if ix is not None:
-            _acc(grads, ix, ga @ wv.T)
-        if iw is not None:
-            _acc(grads, iw, xv.T @ ga)
-        if ib is not None:
-            _acc(grads, ib, _unbroadcast(ga, bv.shape))
-
-    return _record_op(tape, out, backward, needs)
 
 
 def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState,

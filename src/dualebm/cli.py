@@ -173,7 +173,11 @@ def cmd_energy_map(args) -> int:
     if not -math.inf < lo < hi < math.inf:  # false for NaN too
         raise ConfigError(f"--bounds must be finite with LO < HI, got {lo} {hi}")
     checkpoint = _open_2d_checkpoint(args.checkpoint, "energy-map")
-    grid = energy_heatmap(checkpoint.dem, [(lo, hi), (lo, hi)], args.res)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        grid = energy_heatmap(checkpoint.dem, [(lo, hi), (lo, hi)], args.res)
+    if not np.isfinite(grid.values).all():
+        raise ConfigError(f"--bounds {lo} {hi}: the energy overflows on that box; "
+                          "give smaller bounds")
     with _output(args.out):
         export_image_grid(grid, args.out)
     print(f"wrote {args.res}x{args.res} energy map to {args.out} "

@@ -126,19 +126,29 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _parse_value(name: str, raw, target_example) -> object:
+    """``raw`` as the type of ``target_example``. A string (a command-line
+    override, or a JSON string) is parsed; any other JSON value must be of
+    the field's type already: an int for an int field (not a float or a
+    bool), a number for a float field, a list of ints for a list field."""
     if isinstance(target_example, bool):
         raise ConfigError(f"unsupported field type for {name}")
-    if isinstance(target_example, int):
-        return int(raw)
-    if isinstance(target_example, float):
-        return float(raw)
-    if isinstance(target_example, str):
-        return str(raw)
+    if isinstance(raw, str):
+        if isinstance(target_example, list):
+            return [int(v) for v in raw.split(",") if v]
+        return type(target_example)(raw)
     if isinstance(target_example, list):
-        if isinstance(raw, list):
-            return [int(v) for v in raw]
-        return [int(v) for v in str(raw).split(",") if v]
-    raise ConfigError(f"unsupported field type for {name}")
+        if isinstance(raw, list) and all(_is_int(v) for v in raw):
+            return list(raw)
+        raise ValueError(f"expected a list of integers, got {raw!r}")
+    if isinstance(target_example, int) and _is_int(raw):
+        return raw
+    if isinstance(target_example, float) and (_is_int(raw) or isinstance(raw, float)):
+        return float(raw)
+    raise ValueError(f"expected {type(target_example).__name__}, got {raw!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _set_field(config: RunConfig, key: str, raw, source: str) -> None:

@@ -18,13 +18,12 @@ when the tape watches the store, and passes the gradient of the energy
 with respect to x, ∇ₓE, on to x when x needs one. That is how the
 generator loss reaches the generator through the frozen energy model. The
 backward uses the expressions, and sums in the order, of the primitive
-chain (``autodiff.dense``, ``square``, ``+``, ``.sum()``) it replaces, so
-gradients keep their bits. A recorded pass writes its intermediates into
-the model's ``autodiff.Workspace``, kept for one batch size and rebuilt
-when the size changes. It has two slots, one per phase of ``dem_loss``, so
-both phases are recorded on one tape before its one backward. A third pass
-recorded before that backward costs the first pass a second forward, not
-a wrong gradient.
+chain it replaces (per layer ``@``, ``+`` and the activation, then
+``square``, ``*`` and ``.sum()``), so gradients keep their bits. A recorded
+pass writes its intermediates into a slot of the model's
+``autodiff.Workspace``, kept for one batch size and rebuilt when the size
+changes: ``dem_loss`` records both phases on one tape before its one
+backward, so the workspace holds two slots.
 
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 tape-free passes over many rows (energy grids, held-out sets, ``sample``).
@@ -110,36 +109,21 @@ class EnergyModel:
             raise ShapeError(
                 f"expected input of shape (batch, {self.d_in}), got {x.shape}")
 
-    def features(self, x):
-        """Deterministic forward pass: tanh hidden layers, sigmoid output.
-
-        x is a tape node (the features are then one entry on its tape) or a
-        plain array (they come back as a plain array; nothing is recorded).
-        """
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """Deterministic forward pass of the rows of a plain array: tanh
+        hidden layers, sigmoid output. Nothing is recorded."""
+        x = np.asarray(x, dtype=np.float64)
         self._check_width(x)
-        if not isinstance(x, Node):
-            return self._features(np.asarray(x, dtype=np.float64))
-
-        def forward(xv, slot):
-            return self._features(xv, slot).copy()
-
-        def backward(xv, out, slot, g, grads, ix, want_params):
-            dh = slot.scratch.dh[-1]
-            dh[...] = g
-            dx = self._features_backward(xv, slot, dh, want_params, ix is not None)
-            if dx is not None:
-                ad._acc(grads, ix, dx.copy())
-
-        return ad.model_entry(x, self.store, self._workspace_for(x.shape[0]),
-                              forward, backward)
+        return self._features(x)
 
     def energy(self, x):
         """Per-row energy; low values mark configurations the model favors.
 
-        x is a tape node or a plain array, as for ``features``. On a node
-        the whole pass is one tape entry whose backward adds the parameter
-        gradient, when the parameters are watched, and passes the gradient
-        of the energy with respect to x on to x, when x needs one.
+        x is a tape node or a plain array (the energies then come back as a
+        plain array; nothing is recorded). On a node the whole pass is one
+        tape entry whose backward adds the parameter gradient, when the
+        parameters are watched, and passes the gradient of the energy with
+        respect to x on to x, when x needs one.
         """
         self._check_width(x)
         if not isinstance(x, Node):
@@ -158,15 +142,15 @@ class EnergyModel:
 
     def _workspace_for(self, rows: int) -> ad.Workspace:
         """The workspace for recorded passes over ``rows`` rows, rebuilt
-        when the row count changes. Its two slots let both phases of
-        ``dem_loss`` be recorded on one tape before its backward runs."""
+        when the row count changes. Both phases of ``dem_loss`` are
+        recorded on one tape, so it holds two slots."""
         ws = self._workspace
         if ws is None or ws.rows != rows:
             fan = list(zip(self.widths[:-1], self.widths[1:]))
             hidden = [(rows, o) for _, o in fan]
             experts = (rows, self.n_experts)
             ws = self._workspace = ad.Workspace(
-                rows, 2, slot={"h": hidden, "pre_e": experts},
+                rows, slot={"h": hidden, "pre_e": experts},
                 scratch={"ga": hidden, "dh": hidden, "dw": fan, "ga_e": experts,
                          "dw_e": self.expert_w.values.shape, "x": (rows, self.d_in)})
         return ws

@@ -34,11 +34,10 @@ every weight, bias and batch-norm parameter into the model's
 ``ParameterStore`` and passes z's gradient on when z needs one. Its
 batch-norm backward is ``autodiff.batch_norm_dx``, the one that
 ``autodiff.batch_norm`` uses, so gradients keep the bits of the primitive
-chain. A recorded pass writes its intermediates into the model's
-``autodiff.Workspace`` (one slot), kept for one batch size and rebuilt
-when the size changes. A recorded pass repeated for its backward, after a
-later pass took the slot, normalizes by the batch statistics it recorded
-and moves no running statistic.
+chain. A recorded pass writes its intermediates, the batch statistics its
+backward divides by included, into a slot of the model's
+``autodiff.Workspace``, kept for one batch size and rebuilt when the size
+changes; ``dgm_loss`` records one pass, so the workspace holds one slot.
 
 scipy is imported inside ``nearest_neighbour_entropy_node``, the one
 function here that uses it, not with the module: importing
@@ -155,19 +154,13 @@ class GeneratorModel:
             raise ShapeError(
                 f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
         if not isinstance(z, Node):
-            return self._forward(np.asarray(z, dtype=np.float64), mode)[0]
-        stats = []   # the recorded pass's statistics, for running it again
-
-        def forward(zv, slot):
-            x, used = self._forward(zv, mode, slot, stats or None)
-            stats[:] = used
-            return x
+            return self._forward(np.asarray(z, dtype=np.float64), mode)
 
         def backward(zv, x, slot, g, grads, iz, want_params):
-            self._backward(zv, x, slot, stats, mode, g, grads, iz, want_params)
+            self._backward(zv, x, slot, mode, g, grads, iz, want_params)
 
         return ad.model_entry(z, self.store, self._workspace_for(z.shape[0]),
-                              forward, backward)
+                              lambda zv, slot: self._forward(zv, mode, slot), backward)
 
     def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
         """Samples as a plain array, from ``generate_node`` on plain values:
@@ -184,42 +177,38 @@ class GeneratorModel:
     # --- the one forward and backward of a pass ------------------------------
 
     def _workspace_for(self, rows: int) -> ad.Workspace:
-        """The workspace for recorded passes over ``rows`` rows (one slot),
-        rebuilt when the row count changes."""
+        """The workspace for recorded passes over ``rows`` rows, rebuilt
+        when the row count changes."""
         ws = self._workspace
         if ws is None or ws.rows != rows:
             hidden = [(rows, layer.w.values.shape[1]) for layer in self.layers[:-1]]
             out = (rows, self.widths[-1])
             ws = self._workspace = ad.Workspace(
-                rows, 1, slot={"a": hidden, "xhat": hidden, "h": hidden, "pre": out},
+                rows, slot={"a": hidden, "xhat": hidden, "h": hidden, "pre": out,
+                            "inv": [(w,) for _, w in hidden]},
                 scratch={"ga": hidden, "dh": hidden,
                          "dw": [layer.w.values.shape for layer in self.layers],
                          "ga_out": out, "g_out": out})
         return ws
 
-    def _forward(self, z: np.ndarray, mode: str, slot=None, stats=None):
-        """Samples for the rows of z, as a fresh array, and the per-layer
-        (mean, 1/sqrt(var + eps)) the batch norms normalized by.
+    def _forward(self, z: np.ndarray, mode: str, slot=None) -> np.ndarray:
+        """Samples for the rows of z, as a fresh array.
 
         With a workspace slot, each intermediate the backward reads goes
-        into it; without one, each layer's arrays are fresh and freed once
-        the next layer has them. ``stats`` repeats a recorded pass: the
-        batch norms then normalize by them and no running statistic moves.
+        into it, the 1/sqrt(var + eps) each batch norm divided by included;
+        without one, each layer's arrays are fresh and freed once the next
+        layer has them.
         """
         h = z
-        used = []
         for i, layer in enumerate(self.layers[:-1]):
             a = np.matmul(h, layer.w.values, out=slot.a[i] if slot else None)
             a += layer.b.values
             np.tanh(a, out=a)
-            xhat = slot.xhat[i] if slot else None
-            if stats:
-                mu, inv = stats[i]
-                xhat = np.subtract(a, mu, out=xhat)
-            else:
-                mu, inv, xhat = ad.batch_statistics(a, layer.bn_state, mode, out=xhat,
-                                                    work=slot.h[i] if slot else a)
-            used.append((mu, inv))
+            _, inv, xhat = ad.batch_statistics(a, layer.bn_state, mode,
+                                               out=slot.xhat[i] if slot else None,
+                                               work=slot.h[i] if slot else a)
+            if slot:
+                slot.inv[i][...] = inv
             xhat *= inv
             h = np.multiply(xhat, layer.bn_scale.values, out=slot.h[i] if slot else xhat)
             h += layer.bn_shift.values
@@ -227,17 +216,17 @@ class GeneratorModel:
         if self.output_activation == "linear":
             x = h @ w.values
             x += b.values
-            return x, used
+            return x
         pre = np.matmul(h, w.values, out=slot.pre if slot else None)
         pre += b.values
-        return ad.sigmoid_values(pre, out=None if slot else pre), used
+        return ad.sigmoid_values(pre, out=None if slot else pre)
 
-    def _backward(self, z, x, slot, stats, mode, g, grads, iz, want_params) -> None:
+    def _backward(self, z, x, slot, mode, g, grads, iz, want_params) -> None:
         """Backward of a recorded ``_forward`` for the gradient g of the
-        samples x, with the expressions of the primitive chain (dense
-        layers and ``autodiff.batch_norm``): the parameter gradient is added
-        into ``self.store.grad`` when ``want_params``, and z's gradient is
-        passed on when ``iz`` is set."""
+        samples x, with the expressions of the primitive chain (per layer
+        ``@``, ``+``, the activation and ``autodiff.batch_norm``): the
+        parameter gradient is added into ``self.store.grad`` when
+        ``want_params``, and z's gradient is passed on when ``iz`` is set."""
         sc = slot.scratch
         last = len(self.layers) - 1
         if self.output_activation == "sigmoid":   # g * x * (1 - x)
@@ -256,7 +245,7 @@ class GeneratorModel:
                     layer.bn_shift.grad += np.add.reduce(dh, axis=0)
                     layer.bn_scale.grad += np.add.reduce(np.multiply(dh, xhat, out=ga),
                                                          axis=0)
-                ad.batch_norm_dx(dh, xhat, layer.bn_scale.values, stats[i][1], mode,
+                ad.batch_norm_dx(dh, xhat, layer.bn_scale.values, slot.inv[i], mode,
                                  out=ga, work=dh)
                 np.multiply(a, a, out=dh)   # tanh: * (1 - a * a)
                 np.subtract(1.0, dh, out=dh)

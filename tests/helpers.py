@@ -50,42 +50,51 @@ def write_idx_pair(tmp_path, count=10, rows=4, cols=3, pixel_fn=None):
 
 # --- the primitive chains that one-entry model passes replace ----------------
 
+_ACTIVATIONS = {"linear": lambda a: a, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
+                "softplus": ad.softplus}
+
+
+def reference_layer(h, w, b, activation):
+    """activation(h @ w + b) as the matmul, add and activation entries."""
+    return _ACTIVATIONS[activation](h @ w + b)
+
+
 def reference_energy(model, x):
     """``model.energy`` of node x as the chain of tape primitives it was
-    built from: one ``ad.dense`` per layer, then ``square``, ``*`` and
-    ``.sum()``. A one-entry pass must match it bit for bit."""
+    built from: one ``reference_layer`` per layer, then ``square``, ``*``
+    and ``.sum()``. A one-entry pass must match it bit for bit."""
     tape = x.tape
     f = reference_features(model, x)
     quadratic = ad.square(x).sum(axis=1) * (1.0 / model.sigma**2)
     mean_term = (x * tape.watch(model.b_vis)).sum(axis=1)
-    experts = ad.dense(f, tape.watch(model.expert_w), tape.watch(model.expert_b),
-                       "softplus")
+    experts = reference_layer(f, tape.watch(model.expert_w),
+                              tape.watch(model.expert_b), "softplus")
     return quadratic - mean_term - experts.sum(axis=1)
 
 
 def reference_features(model, x):
-    """``model.features`` of node x as one ``ad.dense`` per layer."""
+    """The features of node x as one ``reference_layer`` per layer."""
     tape = x.tape
     h = x
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = ad.dense(h, tape.watch(w), tape.watch(b), "tanh")
-    return ad.dense(h, tape.watch(model.weights[-1]), tape.watch(model.biases[-1]),
-                    "sigmoid")
+        h = reference_layer(h, tape.watch(w), tape.watch(b), "tanh")
+    return reference_layer(h, tape.watch(model.weights[-1]),
+                           tape.watch(model.biases[-1]), "sigmoid")
 
 
 def reference_generate(gen, z, mode):
-    """``gen.generate_node`` of node z as the chain of ``ad.dense`` and
-    ``ad.batch_norm`` entries it was built from."""
+    """``gen.generate_node`` of node z as the chain of ``reference_layer``
+    and ``ad.batch_norm`` entries it was built from."""
     tape = z.tape
     h = z
     for layer in gen.layers:
         w, b = tape.watch(layer.w), tape.watch(layer.b)
         if layer.has_batch_norm:
-            h = ad.dense(h, w, b, "tanh")
+            h = reference_layer(h, w, b, "tanh")
             h = ad.batch_norm(h, tape.watch(layer.bn_shift), tape.watch(layer.bn_scale),
                               layer.bn_state, mode)
         else:
-            h = ad.dense(h, w, b, gen.output_activation)
+            h = reference_layer(h, w, b, gen.output_activation)
     return h
 
 

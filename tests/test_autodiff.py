@@ -16,7 +16,7 @@ from dualebm.autodiff import (
 )
 from dualebm.gradcheck import finite_difference
 
-from helpers import assert_grads_match, grads_of, param
+from helpers import assert_grads_match, grads_of, param, reference_layer
 
 
 def test_matmul_identity():
@@ -236,7 +236,9 @@ def _batch_norm_case(mode):
     return build
 
 
-def _dense_case(activation):
+def _layer_case(activation):
+    """A dense layer, activation(x @ w + b), as the chain of entries that the
+    reference model passes in helpers.py are built from."""
     def build(rng):
         x = param(rng.normal(size=(3, 4)), "x")
         w = param(rng.normal(size=(4, 5)), "w")
@@ -245,7 +247,7 @@ def _dense_case(activation):
 
         def loss():
             tape = Tape()
-            out = ad.dense(tape.watch(x), tape.watch(w), tape.watch(b), activation)
+            out = reference_layer(tape.watch(x), tape.watch(w), tape.watch(b), activation)
             out = (out * r).sum()
             tape.backward(out)
             return float(out.values)
@@ -277,10 +279,10 @@ PRIMITIVE_CASES = {
     "mean_axis1": _reduction_case(lambda x: x.mean(axis=1)),
     "batch_norm_train": _batch_norm_case("train"),
     "batch_norm_infer": _batch_norm_case("infer"),
-    "dense_linear": _dense_case("linear"),
-    "dense_tanh": _dense_case("tanh"),
-    "dense_sigmoid": _dense_case("sigmoid"),
-    "dense_softplus": _dense_case("softplus"),
+    "dense_linear": _layer_case("linear"),
+    "dense_tanh": _layer_case("tanh"),
+    "dense_sigmoid": _layer_case("sigmoid"),
+    "dense_softplus": _layer_case("softplus"),
 }
 
 
@@ -313,7 +315,6 @@ RULE_CASES = {
     "softplus": (ad.softplus, ((3, 4),)),
     "log": (ad.log, ((3, 4),)),
     "square": (ad.square, ((3, 4),)),
-    "dense": (lambda x, w, b: ad.dense(x, w, b, "tanh"), ((3, 4), (4, 5), (5,))),
     "batch_norm_train": (lambda x, s, c: ad.batch_norm(
         x, s, c, BatchNormState.initial(4), "train"), ((8, 4), (4,), (4,))),
     "batch_norm_infer": (lambda x, s, c: ad.batch_norm(
@@ -392,62 +393,6 @@ def test_numpy_defers_to_a_node():
         np.ones((2, 3)) @ node
 
 
-# --- dense specifics ----------------------------------------------------------
-
-UNFUSED = {
-    "linear": lambda a: a,
-    "tanh": ad.tanh,
-    "sigmoid": ad.sigmoid,
-    "softplus": ad.softplus,
-}
-
-
-@pytest.mark.parametrize("activation", sorted(UNFUSED))
-@pytest.mark.parametrize("seed", range(3))
-def test_dense_is_bit_equal_to_the_unfused_chain(activation, seed):
-    """Same value and same gradients, to the bit, as matmul, add, activation."""
-    rng = np.random.default_rng(seed)
-    x, w, b = (param(rng.normal(size=shape), name) for shape, name in
-               (((16, 7), "x"), ((7, 9), "w"), ((9,), "b")))
-    r = rng.normal(size=(16, 9))
-
-    def run(layer):
-        tape = Tape()
-        # the layer's output feeds two consumers, as a model's hidden layers do
-        out = layer(tape.watch(x), tape.watch(w), tape.watch(b))
-        root = (out * r).sum() + ad.square(out).mean()
-        tape.backward(root)
-        return out.values, [p.grad.copy() for p in (x, w, b)]
-
-    fused = run(lambda xn, wn, bn: ad.dense(xn, wn, bn, activation))
-    unfused = run(lambda xn, wn, bn: UNFUSED[activation](xn @ wn + bn))
-    assert np.array_equal(fused[0], unfused[0])
-    for g_fused, g_unfused in zip(fused[1], unfused[1]):
-        assert np.array_equal(g_fused, g_unfused)
-
-
-@pytest.mark.parametrize("activation", sorted(UNFUSED))
-def test_dense_on_arrays_is_bit_equal_to_the_recorded_layer(activation):
-    rng = np.random.default_rng(5)
-    x, w, b = rng.normal(size=(33, 6)), rng.normal(size=(6, 11)), rng.normal(size=11)
-    plain = ad.dense(x, w, b, activation)
-    tape = Tape()
-    recorded = ad.dense(tape.constant(x), tape.constant(w), tape.constant(b), activation)
-    assert type(plain) is np.ndarray
-    assert np.array_equal(plain, recorded.values)
-
-
-def test_dense_rejects_bad_shapes_and_activation():
-    tape = Tape()
-    x, w = tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((3, 4)))
-    with pytest.raises(ShapeError, match="inner dimensions"):
-        ad.dense(x, tape.constant(np.zeros((2, 4))), tape.constant(np.zeros(4)), "tanh")
-    with pytest.raises(ShapeError, match="bias"):
-        ad.dense(x, w, tape.constant(np.zeros(3)), "tanh")
-    with pytest.raises(ValueError, match="relu"):
-        ad.dense(x, w, tape.constant(np.zeros(4)), "relu")
-
-
 # --- gradient pruning and acyclic tapes ----------------------------------------
 
 def test_operations_on_constants_and_frozen_parameters_record_no_backward():
@@ -463,26 +408,25 @@ def test_operations_on_constants_and_frozen_parameters_record_no_backward():
     dead = [
         c + f, c - f, c * f, c @ f, f.sum(axis=0), f.mean(), ad.tanh(f),
         ad.sigmoid(c), ad.softplus(f), ad.square(c), ad.log(ad.square(f) + 1.0),
-        ad.dense(c, f, bias, "softplus"),
         ad.batch_norm(c, bias, bias, state, "train"),
     ]
     assert all(tape._backward[n.idx] is None for n in dead)
     assert tape._backward[f.idx] is None
     w = tape.watch(live)
     assert all(tape._backward[n.idx] is not None for n in (
-        w, c @ w, ad.dense(c, w, bias, "tanh"), ad.dense(w, f, bias, "linear"),
-        (c * w).sum()))
+        w, c @ w, (c * w).sum()))
 
 
 def test_unwatched_operand_of_a_dense_layer_gets_no_gradient():
-    """The frozen weights of a layer fed by a watched input get no gradient."""
+    """The frozen weights of a layer (matmul, tanh) fed by a watched input
+    get no gradient."""
     rng = np.random.default_rng(1)
     x = param(rng.normal(size=(5, 3)), "x")
     w = param(rng.normal(size=(3, 4)), "w")
     w.grad[:] = 7.0
     tape = Tape()
     tape.freeze([w])
-    out = ad.dense(tape.watch(x), tape.watch(w), tape.constant(np.zeros(4)), "tanh")
+    out = ad.tanh(tape.watch(x) @ tape.watch(w))
     tape.backward(out.sum())
     assert np.all(w.grad == 7.0)
     expected = (1.0 - out.values ** 2) @ w.values.T
@@ -492,8 +436,7 @@ def test_unwatched_operand_of_a_dense_layer_gets_no_gradient():
 def test_tape_is_freed_with_its_last_node():
     p = param(np.ones((3, 3)), "p")
     tape = Tape()
-    root = ad.dense(tape.constant(np.ones((2, 3))), tape.watch(p),
-                    tape.constant(np.zeros(3)), "sigmoid").sum()
+    root = ad.tanh(tape.constant(np.ones((2, 3))) @ tape.watch(p)).sum()
     tape.backward(root)
     ref = weakref.ref(tape)
     del tape

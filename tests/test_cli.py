@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,32 @@ def test_train_unparseable_override_is_config_error(tmp_path, capsys, flag,
     code, _ = _train(tmp_path, flag, value)
     assert code == 2
     assert f"bad value for {flag[2:]!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.7),
+    ("steps", True),
+    ("batch_size", 16.0),
+    ("dem_hidden", [1.5]),
+    ("gen_hidden", [16, "8"]),
+    ("dem_hidden", 16),
+    ("dem_lr", False),
+    ("dataset", 5),
+])
+def test_train_mistyped_json_value_is_config_error(tmp_path, capsys, key, value):
+    """A JSON value of another type than its field's is rejected, not
+    coerced: a float seed is not truncated, ``true`` is not one step."""
+    code, run_dir = _train(tmp_path, **{key: value})
+    assert code == 2
+    assert f"bad value for {key!r}" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_json_values_of_the_field_type_load():
+    config = config_from_dict({"seed": 3, "sigma": 2, "dem_lr": 0.5,
+                               "dem_hidden": [8, 4], "steps": "7"})
+    assert (config.seed, config.dem_hidden, config.steps) == (3, [8, 4], 7)
+    assert type(config.sigma) is float and config.sigma == 2.0
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -324,6 +351,20 @@ def test_energy_map_rejects_nonfinite_or_empty_bounds(trained_run, tmp_path, cap
                      str(trained_run / "checkpoint_final.bin"),
                      "--bounds", lo, hi, "--res", "4", "--out", str(out)]) == 2
     assert "--bounds must be finite with LO < HI" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_energy_map_rejects_bounds_on_which_the_energy_overflows(trained_run, tmp_path,
+                                                                  capsys):
+    out = tmp_path / "map.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["energy-map", "--checkpoint",
+                         str(trained_run / "checkpoint_final.bin"), "--bounds", "1",
+                         "1e308", "--res", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--bounds 1.0 1e+308" in err and "overflows" in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 

@@ -8,16 +8,17 @@ import pytest
 
 from dualebm import autodiff as ad
 from dualebm.autodiff import Tape, TapeError
+from dualebm.config import RunConfig, build_models
 from dualebm.energy_model import EnergyModel, dem_loss_gradient
 from dualebm.generator_model import GeneratorModel, dgm_loss_gradient, sample_prior
 from dualebm.gradcheck import GRADCHECK_TOLERANCE, finite_difference, run_gradcheck
+from dualebm.training import train
 
 from helpers import (
     assert_grads_match,
     reference_dem_loss_gradient,
     reference_dgm_loss_gradient,
     reference_energy,
-    reference_features,
     reference_generate,
 )
 
@@ -69,23 +70,23 @@ def test_loss_gradients_are_bit_equal_to_the_primitive_chain(batch, output_activ
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_input_gradients_are_bit_equal_to_the_primitive_chain(mode):
-    """A loss that reaches z through the generator, and x through the
-    features and through the energy of the samples."""
+    """A loss that reaches z through the generator and the energy of its
+    samples, and x through the energy of x."""
     x, _, z = _data(9, 5)
-    weights = np.random.default_rng(2).standard_normal((9, 4))
+    weights = np.random.default_rng(2).standard_normal(9)
 
-    def run(energy, generate, features):
+    def run(energy, generate):
         dem, gen = _pair("sigmoid", 5)
         tape = Tape()
         zp, xp = ad.Parameter(z, "z"), ad.Parameter(x, "x")
         loss = (energy(dem, generate(gen, tape.watch(zp), mode)).mean()
-                + (features(dem, tape.watch(xp)) * weights).sum())
+                + (energy(dem, tape.watch(xp)) * weights).sum())
         tape.backward(loss)
         return (float(loss.values), zp.grad.copy(), xp.grad.copy(),
                 dem.store.grad.copy(), gen.store.grad.copy())
 
-    got = run(EnergyModel.energy, GeneratorModel.generate_node, EnergyModel.features)
-    want = run(reference_energy, reference_generate, reference_features)
+    got = run(EnergyModel.energy, GeneratorModel.generate_node)
+    want = run(reference_energy, reference_generate)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
@@ -136,12 +137,22 @@ def test_switching_the_batch_size_gives_the_results_of_a_fresh_model():
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-def test_a_pass_whose_buffers_a_later_pass_took_is_run_again():
+def test_each_pass_on_a_tape_writes_a_slot_of_its_own(monkeypatch):
     """Three energy passes and two generator passes of one batch size on one
-    tape: more than the workspaces hold, so the earliest passes' backwards
-    run their forwards again, and the gradients stay those of the chain."""
+    tape: the k-th pass of a model writes slot k, so the workspaces grow to
+    3 and 2 slots, each pass runs its forward once, and the gradients stay
+    those of the chain."""
     x1, x2, z1 = _data(10, 2)
     z2 = _data(10, 2, seed=4)[2]
+    forwards = []
+    for owner, name in ((EnergyModel, "_energy"), (GeneratorModel, "_forward")):
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name):
+            forwards.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
 
     def run(energy, generate):
         dem, gen = _pair()
@@ -151,14 +162,48 @@ def test_a_pass_whose_buffers_a_later_pass_took_is_run_again():
         loss = (energy(dem, tape.constant(x1)).mean() + energy(dem, s1).mean() * 0.5
                 + energy(dem, tape.constant(x2)).mean() * 2.0 + (s2 * s2).sum())
         tape.backward(loss)
-        return dem.store.grad.copy(), gen.store.grad.copy(), _bn_states(gen)
+        return dem, gen, (dem.store.grad.copy(), gen.store.grad.copy(), _bn_states(gen))
 
-    got = run(EnergyModel.energy, GeneratorModel.generate_node)
-    want = run(reference_energy, reference_generate)
+    dem, gen, got = run(EnergyModel.energy, GeneratorModel.generate_node)
+    assert (forwards.count("_energy"), forwards.count("_forward")) == (3, 2)
+    assert (len(dem._workspace.slots), len(gen._workspace.slots)) == (3, 2)
+    want = run(reference_energy, reference_generate)[2]
     for a, b in zip(got[:2], want[:2]):
         assert np.array_equal(a, b)
     for (m, v), (ref_m, ref_v) in zip(got[2], want[2]):
         assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+
+@pytest.mark.parametrize("model", ["energy", "generator"])
+def test_a_backward_after_another_tape_took_its_slot_is_a_tape_error(model):
+    """Tape a records a pass, tape b records a pass of the same model into
+    the same slot, then a runs its backward: the slot no longer holds a's
+    intermediates."""
+    dem, gen = _pair()
+    x, _, z = _data(8, 2)
+
+    def record(tape):
+        if model == "energy":
+            return dem.energy(tape.constant(x)).sum()
+        return gen.generate_node(tape.constant(z), "train").sum()
+
+    a, b = Tape(), Tape()
+    root_a = record(a)
+    root_b = record(b)
+    with pytest.raises(TapeError, match="run backward before recording another pass"):
+        a.backward(root_a)
+    b.backward(root_b)
+
+
+@pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])
+def test_training_keeps_one_slot_per_pass_of_a_step(estimator):
+    """Each step's tapes start again at slot 0, so however many steps run,
+    the energy model holds a slot per phase of its loss and the generator
+    one."""
+    config = RunConfig(seed=0, steps=5, entropy_estimator=estimator)
+    dem, gen = build_models(config)
+    train(dem, gen, np.random.default_rng(30).normal(size=(256, 2)), config)
+    assert (len(dem._workspace.slots), len(gen._workspace.slots)) == (2, 1)
 
 
 def test_one_entry_per_model_pass():

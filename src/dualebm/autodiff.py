@@ -48,8 +48,8 @@ be a node or a plain array, a plain operand is read as its values and is
 never recorded as a tape entry, and when no operand is a node the result
 is a plain array, computed with the same numpy expression as the
 recorded value. ``by_row_blocks`` runs a plain pass over many rows in
-blocks of ``ROW_BLOCK`` rows, so its memory does not grow with the row
-count.
+blocks of ``ROW_BLOCK`` rows, each written straight into its slice of one
+output, so its memory does not grow with the row count.
 
 ``ParameterStore`` lays a model's parameters out in one values buffer and
 one grad buffer; each ``Parameter`` then holds views into them, so tapes
@@ -311,26 +311,28 @@ class Tape:
                 fn(g, grads)
 
 
-def by_row_blocks(fn: Callable[[np.ndarray], np.ndarray],
-                  x: np.ndarray) -> np.ndarray:
-    """``fn(x)`` for a plain-array pass ``fn`` in which each output row
-    depends on its input row alone, run on blocks of ``ROW_BLOCK`` rows and
-    written into one preallocated output.
+def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
+                  x: np.ndarray, row_shape: tuple) -> np.ndarray:
+    """A plain-array pass over the rows of x, in which each output row (of
+    shape ``row_shape``) depends on its input row alone, run on blocks of
+    ``ROW_BLOCK`` rows.
+
+    The float64 output is allocated once; ``fn(block, out)`` writes the
+    block's rows straight into ``out``, their slice of it, so no block's
+    result is copied. The caller checks x's shape first: ``fn`` never runs
+    when x has no rows.
 
     Peak memory is the output plus a few block activations, whatever the
     row count. A block's 128-wide float64 activation is 256 KiB: it stays in
     L2 cache, and glibc serves it from heap memory the previous block freed,
-    so no page is faulted in anew (a 784-wide block, 1.6 MB, still faults
-    its pages in). BLAS may pick its kernel by the row count, so a row of a
-    pass over more than ``ROW_BLOCK`` rows can differ from the one-batch
-    pass in the last ulp. ``fn`` runs at least once, on an empty block if x
-    has no rows, so its input checks hold.
+    so no page is faulted in anew; a 784-wide output layer writes into the
+    output, whose pages are faulted in once. BLAS may pick its kernel by the
+    row count, so a row of a pass over more than ``ROW_BLOCK`` rows can
+    differ from the one-batch pass in the last ulp.
     """
-    first = fn(x[:ROW_BLOCK])
-    out = np.empty((x.shape[0],) + first.shape[1:], dtype=first.dtype)
-    out[:ROW_BLOCK] = first
-    for start in range(ROW_BLOCK, x.shape[0], ROW_BLOCK):
-        out[start:start + ROW_BLOCK] = fn(x[start:start + ROW_BLOCK])
+    out = np.empty((x.shape[0], *row_shape))
+    for start in range(0, x.shape[0], ROW_BLOCK):
+        fn(x[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK])
     return out
 
 

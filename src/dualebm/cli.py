@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -92,6 +93,12 @@ def _positive_float(text: str) -> float:
 
 
 _positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+# argparse reads an argument that starts with "-" as an option unless it
+# matches its parser's negative-number pattern, which knows -1 and -1.5 but
+# not -1e1, -1_0 or -inf. Every float spelling starts with a digit, a point
+# and a digit, "inf" or "nan" after its sign; no option here does.
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def _open_checkpoint(path) -> Checkpoint:
@@ -263,6 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--checkpoint", required=True)
     p_map.add_argument("--bounds", type=float, nargs=2, default=[-1.5, 1.5],
                        metavar=("LO", "HI"))
+    p_map._negative_number_matcher = _NEGATIVE_NUMBER
     p_map.add_argument("--res", type=_at_least(2), default=200)
     p_map.add_argument("--out", required=True)
     p_map.set_defaults(fn=cmd_energy_map)

@@ -28,12 +28,15 @@ backward, so the workspace holds two slots.
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 tape-free passes over many rows (energy grids, held-out sets, ``sample``).
 Both run in blocks of ``autodiff.ROW_BLOCK`` = 256 rows through
-``autodiff.by_row_blocks``, so a call's peak memory does not grow with the
-row count. A 256-row, 128-wide float64 activation is 256 KiB, which stays
-in L2 cache and reuses the heap memory the previous block freed, so no page
-is faulted in anew. A train-mode ``generate`` stays one batch, since
-batch norm normalizes by whole-batch statistics; no training step calls a
-blocked pass.
+``autodiff.by_row_blocks``, which allocates the output once: the last
+expression of each block's pass (here the final subtraction, in the
+generator the output layer's matmul, bias and sigmoid) writes into the
+block's slice of it, so no block result is copied and a call's peak memory
+is the output plus a few block arrays, whatever the row count. A 256-row,
+128-wide float64 activation is 256 KiB, which stays in L2 cache and reuses
+the heap memory the previous block freed, so no page is faulted in anew. A
+train-mode ``generate`` stays one batch, since batch norm normalizes by
+whole-batch statistics; no training step calls a blocked pass.
 
 scipy is imported inside ``grid_log_density``, the one function here that
 uses it, not with the module: importing ``scipy.special`` takes ~0.15 s
@@ -136,7 +139,9 @@ class EnergyModel:
         ``autodiff.ROW_BLOCK`` rows (see the module docstring); no tape is
         built. Each row's energy depends on that row alone, so blocking
         changes no value beyond the last ulp of BLAS products."""
-        return ad.by_row_blocks(self.energy, np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        self._check_width(x)
+        return ad.by_row_blocks(lambda block, out: self._energy(block, out=out), x, ())
 
     # --- the one forward and backward of a pass ------------------------------
 
@@ -166,16 +171,19 @@ class EnergyModel:
             h = np.tanh(pre, out=pre) if i < last else ad.sigmoid_values(pre, out=pre)
         return h
 
-    def _energy(self, x: np.ndarray, slot=None) -> np.ndarray:
+    def _energy(self, x: np.ndarray, slot=None, out=None) -> np.ndarray:
         """(1/sigma^2) x.x - b_vis.x - sum softplus(f(x) @ expert_w +
-        expert_b), as a fresh array; a slot takes the intermediates."""
+        expert_b), as a fresh array or into ``out`` when given; a slot
+        takes the intermediates."""
         f = self._features(x, slot)
         pre_e = np.matmul(f, self.expert_w.values, out=slot.pre_e if slot else None)
         pre_e += self.expert_b.values
         tmp = slot.scratch.x if slot else None
         quadratic = np.add.reduce(np.square(x, out=tmp), axis=1) * (1.0 / self.sigma**2)
         mean_term = np.add.reduce(np.multiply(x, self.b_vis.values, out=tmp), axis=1)
-        return quadratic - mean_term - np.add.reduce(ad.softplus_values(pre_e), axis=1)
+        quadratic -= mean_term
+        return np.subtract(quadratic, np.add.reduce(ad.softplus_values(pre_e), axis=1),
+                           out=out)
 
     def _energy_backward(self, x, out, slot, g, grads, ix, want_params) -> None:
         """Backward of a recorded ``_energy`` for the gradient g of each

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import ROW_BLOCK
 from .data_io import SPIRAL_SPECS, arm_curve
 from .energy_model import grid_log_density
 from .generator_model import GeneratorModel
@@ -161,7 +162,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     height, width = pixels.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
+        f.write(np.ascontiguousarray(pixels).data)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -180,7 +181,9 @@ def export_image_grid(obj, path) -> None:
     """Heatmaps go to CSV, image-row samples to a PGM strip of square tiles.
 
     Min/max scaling is recorded in a ``<path>.meta`` sidecar; a constant
-    input produces a zero image with the degenerate scale noted.
+    input produces a zero image with the degenerate scale noted. The
+    samples are scaled a row block at a time into the one uint8 strip, so
+    the export needs an eighth of the samples' memory, not copies of them.
     """
     if isinstance(obj, HeatmapGrid):
         xs, ys = _cell_centers(obj.bounds, obj.resolution)
@@ -200,20 +203,33 @@ def export_image_grid(obj, path) -> None:
     if side * side != samples.shape[1]:
         raise ValueError(
             f"samples of width {samples.shape[1]} are not square images")
+    k = samples.shape[0]
     vmin, vmax = float(samples.min()), float(samples.max())
-    meta = {"vmin": repr(vmin), "vmax": repr(vmax),
-            "tiles": samples.shape[0], "tile_side": side}
+    meta = {"vmin": repr(vmin), "vmax": repr(vmax), "tiles": k, "tile_side": side}
+    strip = np.zeros((side, k * side), dtype=np.uint8)
     if vmax > vmin:
-        scaled = np.round((samples - vmin) / (vmax - vmin) * 255.0)
+        _scale_into_tiles(samples, vmin, vmax,
+                          strip.reshape(side, k, side).transpose(1, 0, 2))
     else:
-        scaled = np.zeros_like(samples)
         meta["degenerate_scale"] = "true"
-    strip = (scaled.astype(np.uint8)
-             .reshape(samples.shape[0], side, side)
-             .transpose(1, 0, 2)
-             .reshape(side, samples.shape[0] * side))
     write_pgm(path, strip)
     _write_sidecar(path, meta)
+
+
+def _scale_into_tiles(samples: np.ndarray, vmin: float, vmax: float,
+                      tiles: np.ndarray) -> None:
+    """round((samples - vmin) / (vmax - vmin) * 255) into the (k, side,
+    side) uint8 view ``tiles``, ``ROW_BLOCK`` rows at a time through one
+    float buffer, so no full-size float temporary is made."""
+    span = vmax - vmin
+    buf = np.empty((min(samples.shape[0], ROW_BLOCK), samples.shape[1]))
+    for start in range(0, samples.shape[0], ROW_BLOCK):
+        block = samples[start:start + ROW_BLOCK]
+        scaled = np.subtract(block, vmin, out=buf[:block.shape[0]])
+        scaled /= span
+        scaled *= 255.0
+        np.round(scaled, out=scaled)
+        tiles[start:start + ROW_BLOCK] = scaled.reshape(-1, *tiles.shape[1:])
 
 
 def read_sidecar(path) -> dict:

@@ -39,6 +39,13 @@ backward divides by included, into a slot of the model's
 ``autodiff.Workspace``, kept for one batch size and rebuilt when the size
 changes; ``dgm_loss`` records one pass, so the workspace holds one slot.
 
+Plain infer-mode sampling (``generate``, behind ``sample`` and
+``interpolate``) runs ``_forward`` on blocks of ``autodiff.ROW_BLOCK`` rows
+through ``autodiff.by_row_blocks``. The output layer's matmul, bias and
+sigmoid write each block straight into its slice of the one output array,
+so a 784-wide (mnist) call makes no block-sized copy of its result and its
+peak memory is the output plus a few block arrays.
+
 scipy is imported inside ``nearest_neighbour_entropy_node``, the one
 function here that uses it, not with the module: importing
 ``scipy.spatial.distance`` and ``scipy.special`` takes ~0.24 s (2-core
@@ -150,9 +157,7 @@ class GeneratorModel:
         by the entropy term then actually widens the sample distribution
         instead of disappearing into a saturated nonlinearity.
         """
-        if len(z.shape) != 2 or z.shape[1] != self.d_z:
-            raise ShapeError(
-                f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
+        self._check_latents(z)
         if not isinstance(z, Node):
             return self._forward(np.asarray(z, dtype=np.float64), mode)
 
@@ -166,13 +171,21 @@ class GeneratorModel:
         """Samples as a plain array, from ``generate_node`` on plain values:
         no tape is built, and each layer's input is freed once the next
         layer has it. Infer mode is free of side effects and row by row, so
-        it runs on blocks of ``autodiff.ROW_BLOCK`` rows, whose peak memory
-        does not grow with the row count (see ``autodiff.by_row_blocks``).
-        Train mode is one batch: batch norm needs whole-batch statistics."""
+        it runs on blocks of ``autodiff.ROW_BLOCK`` rows, whose output layer
+        writes into the one output array and whose peak memory does not
+        grow with the row count (see ``autodiff.by_row_blocks``). Train
+        mode is one batch: batch norm needs whole-batch statistics."""
         z = np.asarray(z, dtype=np.float64)
         if mode == "train":
             return self.generate_node(z, mode)
-        return ad.by_row_blocks(lambda block: self.generate_node(block, mode), z)
+        self._check_latents(z)
+        return ad.by_row_blocks(lambda block, out: self._forward(block, mode, out=out),
+                                z, (self.widths[-1],))
+
+    def _check_latents(self, z) -> None:
+        if len(z.shape) != 2 or z.shape[1] != self.d_z:
+            raise ShapeError(
+                f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
 
     # --- the one forward and backward of a pass ------------------------------
 
@@ -191,8 +204,9 @@ class GeneratorModel:
                          "ga_out": out, "g_out": out})
         return ws
 
-    def _forward(self, z: np.ndarray, mode: str, slot=None) -> np.ndarray:
-        """Samples for the rows of z, as a fresh array.
+    def _forward(self, z: np.ndarray, mode: str, slot=None, out=None) -> np.ndarray:
+        """Samples for the rows of z, as a fresh array, or written into
+        ``out`` when given (a plain pass only).
 
         With a workspace slot, each intermediate the backward reads goes
         into it, the 1/sqrt(var + eps) each batch norm divided by included;
@@ -214,10 +228,10 @@ class GeneratorModel:
             h += layer.bn_shift.values
         w, b = self.layers[-1].w, self.layers[-1].b
         if self.output_activation == "linear":
-            x = h @ w.values
+            x = np.matmul(h, w.values, out=out)
             x += b.values
             return x
-        pre = np.matmul(h, w.values, out=slot.pre if slot else None)
+        pre = np.matmul(h, w.values, out=slot.pre if slot else out)
         pre += b.values
         return ad.sigmoid_values(pre, out=None if slot else pre)
 

@@ -124,3 +124,27 @@ def reference_dgm_loss_gradient(gen, dem, z, entropy_weight, estimator):
     tape.backward(loss)
     return gen.store.grad.copy(), {"e_gen": float(e_gen.values),
                                    "entropy": float(entropy.values)}
+
+
+# --- the full-array image export that the blocked one replaces ---------------
+
+def reference_image_files(samples):
+    """The bytes of the PGM strip and the text of its ``.meta`` sidecar that
+    ``export_image_grid`` writes for image rows, computed on the whole array
+    at once: one min/max scaling expression, then the tile layout."""
+    samples = np.asarray(samples, dtype=np.float64)
+    k, width = samples.shape
+    side = int(round(np.sqrt(width)))
+    vmin, vmax = float(samples.min()), float(samples.max())
+    meta = {"vmin": repr(vmin), "vmax": repr(vmax), "tiles": k, "tile_side": side}
+    if vmax > vmin:
+        scaled = np.round((samples - vmin) / (vmax - vmin) * 255.0)
+    else:
+        scaled = np.zeros_like(samples)
+        meta["degenerate_scale"] = "true"
+    strip = (scaled.astype(np.uint8)
+             .reshape(k, side, side)
+             .transpose(1, 0, 2)
+             .reshape(side, k * side))
+    pgm = f"P5\n{k * side} {side}\n255\n".encode("ascii") + strip.tobytes()
+    return pgm, "".join(f"{key}={value}\n" for key, value in meta.items())

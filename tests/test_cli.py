@@ -14,10 +14,10 @@ from dualebm.config import config_from_dict
 from dualebm.data_io import Checkpoint, load_checkpoint, save_checkpoint
 from dualebm.energy_model import EnergyModel
 from dualebm.evaluation import read_pgm
-from dualebm.generator_model import GeneratorModel
+from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import TrainState
 
-from helpers import write_idx_pair
+from helpers import reference_image_files, write_idx_pair
 
 
 def _write_config(tmp_path, **overrides):
@@ -343,7 +343,7 @@ def test_2d_commands_reject_a_784d_checkpoint(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("0", "inf"), ("-1", "nan"),
-                                    ("1", "-1"), ("1", "1")])
+                                    ("1", "-1"), ("1", "1"), ("-inf", "1")])
 def test_energy_map_rejects_nonfinite_or_empty_bounds(trained_run, tmp_path, capsys,
                                                       lo, hi):
     out = tmp_path / "map.csv"
@@ -352,6 +352,18 @@ def test_energy_map_rejects_nonfinite_or_empty_bounds(trained_run, tmp_path, cap
                      "--bounds", lo, hi, "--res", "4", "--out", str(out)]) == 2
     assert "--bounds must be finite with LO < HI" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lo, hi", [("-1e1", "1e1"), ("-1E+1", "10"), ("-1_0", "1e1")])
+def test_energy_map_bounds_take_any_float_spelling(trained_run, tmp_path, lo, hi):
+    checkpoint = str(trained_run / "checkpoint_final.bin")
+    maps = []
+    for bounds in ((lo, hi), ("-10", "10")):
+        out = tmp_path / f"map{len(maps)}.csv"
+        assert cli.main(["energy-map", "--checkpoint", checkpoint, "--bounds", *bounds,
+                         "--res", "6", "--out", str(out)]) == 0
+        maps.append((out.read_bytes(), (tmp_path / f"{out.name}.meta").read_bytes()))
+    assert maps[0] == maps[1]
 
 
 def test_energy_map_rejects_bounds_on_which_the_energy_overflows(trained_run, tmp_path,
@@ -406,6 +418,25 @@ def test_interpolate_image_model_writes_strip(tmp_path):
     assert cli.main(["interpolate", "--checkpoint", str(ckpt_path),
                      "--k", "5", "--out", str(out)]) == 0
     assert read_pgm(out).shape == (4, 20)
+
+
+def test_sample_image_model_matches_the_full_array_export(tmp_path):
+    """An mnist-shaped checkpoint: the strip of 257 samples, one more than
+    a row block, is the full-array export of ``generate``'s samples."""
+    dem = EnergyModel.build((784, 8, 4), 4, np.random.default_rng(6))
+    gen = GeneratorModel.build((4, 16, 784), np.random.default_rng(7),
+                               output_activation="sigmoid")
+    gen.generate(sample_prior(64, 4, np.random.default_rng(8)), "train")
+    ckpt_path = tmp_path / "mnist.bin"
+    save_checkpoint(ckpt_path, Checkpoint({"dataset": "mnist"}, dem, gen,
+                                          TrainState.initial(0)))
+    out = tmp_path / "samples.pgm"
+    assert cli.main(["sample", "--checkpoint", str(ckpt_path), "--n", "257",
+                     "--seed", "9", "--out", str(out)]) == 0
+    z = sample_prior(257, 4, np.random.default_rng(9))
+    pgm, meta = reference_image_files(load_checkpoint(ckpt_path).gen.generate(z, "infer"))
+    assert out.read_bytes() == pgm
+    assert (tmp_path / "samples.pgm.meta").read_text() == meta
 
 
 def test_eval_reports_metrics(trained_run, capsys):

@@ -134,6 +134,15 @@ def test_energy_values_runs_in_row_blocks():
     assert_allclose(e, model.energy(x), rtol=0, atol=1e-14)
 
 
+def test_energy_values_zero_rows_and_wrong_width():
+    model = EnergyModel.build((2, 8, 3), 2, np.random.default_rng(38))
+    e = model.energy_values(np.empty((0, 2)))
+    assert e.shape == (0,) and e.dtype == np.float64
+    for x in (np.zeros((3, 5)), np.empty((0, 3)), np.zeros(2)):
+        with pytest.raises(ShapeError, match=r"\(batch, 2\)"):
+            model.energy_values(x)
+
+
 @pytest.mark.parametrize("rows", [20_000, 80_000])
 def test_energy_values_peak_memory_does_not_grow_with_rows(rows):
     width = 128

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import gaussian_kde
 
+from dualebm.autodiff import ROW_BLOCK
 from dualebm.data_io import arm_curve, make_dataset
 from dualebm.energy_model import EnergyModel
 from dualebm.evaluation import (
@@ -18,6 +20,8 @@ from dualebm.evaluation import (
     read_sidecar,
 )
 from dualebm.generator_model import GeneratorModel, sample_prior
+
+from helpers import reference_image_files
 
 
 def _bowl_model():
@@ -225,6 +229,43 @@ def test_constant_samples_give_degenerate_scale(tmp_path):
     pixels = read_pgm(path)
     assert np.all(pixels == 0)
     assert read_sidecar(path)["degenerate_scale"] == "true"
+
+
+@pytest.mark.parametrize("width", [49, 784])
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 3 * ROW_BLOCK + 5])
+def test_image_strip_is_byte_identical_to_the_full_array_export(tmp_path, k, width):
+    samples = np.random.default_rng(k + width).uniform(-0.3, 1.2, size=(k, width))
+    path = tmp_path / "strip.pgm"
+    export_image_grid(samples, path)
+    pgm, meta = reference_image_files(samples)
+    assert path.read_bytes() == pgm
+    assert (tmp_path / "strip.pgm.meta").read_text() == meta
+
+
+@pytest.mark.parametrize("width", [49, 784])
+def test_constant_image_strip_is_byte_identical_to_the_full_array_export(tmp_path,
+                                                                        width):
+    samples = np.full((ROW_BLOCK + 3, width), -0.25)
+    path = tmp_path / "flat.pgm"
+    export_image_grid(samples, path)
+    pgm, meta = reference_image_files(samples)
+    assert path.read_bytes() == pgm
+    assert (tmp_path / "flat.pgm.meta").read_text() == meta
+
+
+@pytest.mark.parametrize("width", [49, 784])
+def test_image_strip_makes_no_full_size_float_temporary(tmp_path, width):
+    samples = np.random.default_rng(24).uniform(0.0, 1.0, size=(5000, width))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        export_image_grid(samples, tmp_path / "strip.pgm")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the uint8 strip is an eighth of the samples, one float block buffer
+    # a few per cent of them; a full-size float temporary alone is the lot
+    assert peak < samples.nbytes / 4
 
 
 def test_interpolation_strip_layout(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualebm.autodiff import ROW_BLOCK, Tape
+from dualebm.autodiff import ROW_BLOCK, ShapeError, Tape
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import (
     GeneratorModel,
@@ -138,8 +138,14 @@ def test_generate_peak_memory_is_a_few_hidden_activations(mode):
     assert peak < 4 * rows * width * 8
 
 
-def test_generate_infer_runs_in_row_blocks():
-    gen = GeneratorModel.build((4, 128, 128, 2), np.random.default_rng(26))
+# (output width, output activation): the 2D models' and the mnist models'
+OUTPUTS = [(2, "linear"), (784, "sigmoid")]
+
+
+@pytest.mark.parametrize("out_width, activation", OUTPUTS)
+def test_generate_infer_runs_in_row_blocks(out_width, activation):
+    gen = GeneratorModel.build((4, 128, 128, out_width), np.random.default_rng(26),
+                               output_activation=activation)
     gen.generate(sample_prior(64, 4, np.random.default_rng(27)), "train")
     stats = [(l.bn_state.mean.copy(), l.bn_state.var.copy())
              for l in gen.layers if l.has_batch_norm]
@@ -156,10 +162,14 @@ def test_generate_infer_runs_in_row_blocks():
         assert np.array_equal(layer.bn_state.var, var)
 
 
-@pytest.mark.parametrize("rows", [20_000, 80_000])
-def test_generate_infer_peak_memory_does_not_grow_with_rows(rows):
+@pytest.mark.parametrize("out_width, activation, rows",
+                         [(2, "linear", 20_000), (2, "linear", 80_000),
+                          (784, "sigmoid", 2_000), (784, "sigmoid", 8_000)])
+def test_generate_infer_peak_memory_does_not_grow_with_rows(out_width, activation,
+                                                            rows):
     width = 128
-    gen = GeneratorModel.build((4, width, width, 2), np.random.default_rng(24))
+    gen = GeneratorModel.build((4, width, width, out_width), np.random.default_rng(24),
+                               output_activation=activation)
     z = sample_prior(rows, 4, np.random.default_rng(25))
     tracemalloc.start()
     try:
@@ -168,7 +178,21 @@ def test_generate_infer_peak_memory_does_not_grow_with_rows(rows):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < rows * 2 * 8 + 4 * ROW_BLOCK * width * 8
+    # the output, four hidden block arrays and one output-width block
+    # array (the sigmoid's exp(-|x|)): the output layer writes into the
+    # output, so no block of its result is made and copied
+    assert peak < rows * out_width * 8 + ROW_BLOCK * (4 * width + out_width) * 8
+
+
+@pytest.mark.parametrize("out_width, activation", OUTPUTS)
+def test_generate_infer_zero_rows_and_wrong_width(out_width, activation):
+    gen = GeneratorModel.build((4, 8, out_width), np.random.default_rng(29),
+                               output_activation=activation)
+    x = gen.generate(np.empty((0, 4)), "infer")
+    assert x.shape == (0, out_width) and x.dtype == np.float64
+    for z in (np.zeros((3, 5)), np.empty((0, 5)), np.zeros(4)):
+        with pytest.raises(ShapeError, match=r"\(batch, 4\)"):
+            gen.generate(z, "infer")
 
 
 def test_infer_matches_train_after_running_stats_converge():

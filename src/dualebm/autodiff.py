@@ -116,7 +116,8 @@ class ParameterStore:
     Building the store copies each parameter's values and gradient into
     consecutive slices of ``values`` and ``grad``, in the order given, and
     rebinds ``p.values`` and ``p.grad`` to reshaped views of those slices.
-    Writes through either name then reach the same memory.
+    Writes through either name then reach the same memory. ``spans`` holds
+    each parameter's ``(name, slice, shape)`` in that order.
     """
 
     def __init__(self, params: Sequence[Parameter]):
@@ -127,11 +128,11 @@ class ParameterStore:
         size = sum(p.values.size for p in self.params)
         self.values = np.empty(size)
         self.grad = np.empty(size)
-        self._slices = []
+        self.spans = []
         offset = 0
         for p in self.params:
             span = slice(offset, offset + p.values.size)
-            self._slices.append((p.name, span, p.values.shape))
+            self.spans.append((p.name, span, p.values.shape))
             self.values[span] = p.values.ravel()
             self.grad[span] = p.grad.ravel()
             p.values = self.values[span].reshape(p.values.shape)
@@ -144,14 +145,14 @@ class ParameterStore:
         if flat.shape != self.values.shape:
             raise ShapeError(
                 f"flat array of shape {flat.shape}, store holds {self.values.shape}")
-        return {name: flat[span].reshape(shape) for name, span, shape in self._slices}
+        return {name: flat[span].reshape(shape) for name, span, shape in self.spans}
 
     def first_nonfinite(self, flat: np.ndarray) -> Optional[str]:
         """Name of the first parameter whose part of ``flat`` holds NaN or
         +/-inf, or None when every entry is finite."""
         if np.isfinite(flat).all():
             return None
-        for name, span, _ in self._slices:
+        for name, span, _ in self.spans:
             if not np.isfinite(flat[span]).all():
                 return name
         return None

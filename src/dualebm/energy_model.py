@@ -112,13 +112,6 @@ class EnergyModel:
             raise ShapeError(
                 f"expected input of shape (batch, {self.d_in}), got {x.shape}")
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic forward pass of the rows of a plain array: tanh
-        hidden layers, sigmoid output. Nothing is recorded."""
-        x = np.asarray(x, dtype=np.float64)
-        self._check_width(x)
-        return self._features(x)
-
     def energy(self, x):
         """Per-row energy; low values mark configurations the model favors.
 

@@ -3,13 +3,17 @@
 Each step draws a data minibatch and a generated minibatch, updates the
 energy model with the positive/negative phase gradient, and (every
 ``dem_updates_per_dgm_update`` batches) updates the generator on a fresh
-latent draw. Both models use AdaGrad. Gradients are checked for finiteness
-before every update; a NaN aborts the run with the offending parameter and
-step rather than being masked.
+latent draw. Both models use AdaGrad: one ``adagrad_step`` per model
+update squares the flat gradient once, and that square gives the logged
+gradient norm, the finiteness check and the accumulator's increment. A NaN
+or infinite gradient aborts the run with the offending parameter and step
+rather than being masked. Each ``train`` call allocates the optimizer's
+scratch once and drops it on return; it is never checkpointed.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -20,12 +24,6 @@ from .generator_model import GeneratorModel, dgm_loss_gradient, sample_prior
 
 if TYPE_CHECKING:  # config imports data_io, which imports this module
     from .config import RunConfig
-
-
-# Entries per AdaGrad pass. Each block's temporaries (64 KiB) stay in cache
-# and below glibc's default mmap threshold, so every step reuses the same
-# heap memory instead of growing the heap and faulting fresh pages in.
-ADAGRAD_BLOCK = 8192
 
 
 class ConfigError(ValueError):
@@ -73,31 +71,42 @@ class TrainState:
 
 
 def adagrad_step(store: ParameterStore, grad: np.ndarray,
-                 accumulator: np.ndarray, lr: float, eps: float) -> None:
+                 accumulator: np.ndarray, lr: float, eps: float,
+                 scratch: Optional[np.ndarray] = None) -> float:
     """acc += g^2; values -= lr * g / (sqrt(acc) + eps), elementwise over a
-    model's flat parameter store.
+    model's flat parameter store; returns the gradient's Euclidean norm.
 
-    grad and accumulator are flat arrays laid out like ``store.values``.
-    Every gradient entry is checked before anything moves; a non-finite one
-    raises ``NonFiniteGradientError`` naming its parameter. Coordinates with
-    g == 0 are left untouched even when acc and eps are both zero (the 0/0
-    case).
+    grad and accumulator are flat arrays laid out like ``store.values``;
+    scratch, a (2, grad.size) float64 array with contiguous rows, is
+    overwritten (allocated when None). g^2 is computed once, and every operation works
+    in place on the whole flat array. The norm sums g^2 per parameter span
+    with ``np.add.reduce``, which has the bits of ``(g_p * g_p).sum()``. A
+    sum that is not finite triggers the check: a NaN or infinite entry
+    raises ``NonFiniteGradientError`` naming its parameter before anything
+    moves, while a finite gradient whose square overflows proceeds with
+    norm inf. Coordinates with g == 0 are left untouched even when acc and
+    eps are both zero (the 0/0 case).
     """
-    bad = store.first_nonfinite(grad)
-    if bad is not None:
-        raise NonFiniteGradientError(bad)
-    for start in range(0, grad.size, ADAGRAD_BLOCK):
-        block = slice(start, start + ADAGRAD_BLOCK)
-        g, acc = grad[block], accumulator[block]
-        denom = g * g
-        acc += denom
-        np.sqrt(acc, out=denom)
-        denom += eps
-        delta = lr * g
-        with np.errstate(invalid="ignore", divide="ignore"):
-            delta /= denom
-        delta[g == 0.0] = 0.0
-        store.values[block] -= delta
+    sq, delta = np.empty((2, grad.size)) if scratch is None else scratch
+    np.multiply(grad, grad, out=sq)
+    total = 0.0
+    for _, span, _ in store.spans:
+        total += float(np.add.reduce(sq[span]))
+    if not math.isfinite(total):
+        bad = store.first_nonfinite(grad)
+        if bad is not None:
+            raise NonFiniteGradientError(bad)
+    accumulator += sq
+    denom = np.sqrt(accumulator, out=sq)
+    denom += eps
+    np.multiply(grad, lr, out=delta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta /= denom
+    # denom is spent: its first grad.size bytes hold the g == 0 mask
+    zero = np.equal(grad, 0.0, out=sq.view(np.bool_)[:grad.size])
+    np.copyto(delta, 0.0, where=zero)
+    store.values -= delta
+    return math.sqrt(total)
 
 
 def _accumulator(state: TrainState, key: str, store: ParameterStore) -> np.ndarray:
@@ -106,10 +115,6 @@ def _accumulator(state: TrainState, key: str, store: ParameterStore) -> np.ndarr
     if accumulator is None:
         accumulator = state.accumulators[key] = np.zeros_like(store.values)
     return accumulator
-
-
-def _grad_norm(store: ParameterStore, grad: np.ndarray) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in store.views(grad).values())))
 
 
 def _format_metrics(metrics: dict) -> str:
@@ -136,6 +141,9 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
         raise ConfigError(f"dataset must be a nonempty (n, d) array, got {points.shape}")
     if state is None:
         state = TrainState.initial(config.seed)
+    buffer = np.empty((2, max(dem.store.values.size, gen.store.values.size)))
+    dem_scratch = buffer[:, :dem.store.values.size]
+    gen_scratch = buffer[:, :gen.store.values.size]
     n = config.batch_size
     while state.step < config.steps:
         try:
@@ -144,23 +152,25 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
             z = sample_prior(n, gen.d_z, state.prior_rng)
             x_neg = gen.generate(z, "train")
             dem_grad, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
-            adagrad_step(dem.store, dem_grad, _accumulator(state, "dem", dem.store),
-                         config.dem_lr, config.adagrad_eps)
+            dem_gnorm = adagrad_step(dem.store, dem_grad,
+                                     _accumulator(state, "dem", dem.store),
+                                     config.dem_lr, config.adagrad_eps, dem_scratch)
             metrics = {
                 "step": state.step,
                 "e_pos": dem_stats["e_pos"],
                 "e_neg": dem_stats["e_neg"],
-                "dem_gnorm": _grad_norm(dem.store, dem_grad),
+                "dem_gnorm": dem_gnorm,
             }
             if (state.step + 1) % config.dem_updates_per_dgm_update == 0:
                 z2 = sample_prior(n, gen.d_z, state.prior_rng)
                 dgm_grad, dgm_stats = dgm_loss_gradient(
                     gen, dem, z2, config.entropy_weight, config.entropy_estimator)
-                adagrad_step(gen.store, dgm_grad, _accumulator(state, "gen", gen.store),
-                             config.dgm_lr, config.adagrad_eps)
+                dgm_gnorm = adagrad_step(gen.store, dgm_grad,
+                                         _accumulator(state, "gen", gen.store),
+                                         config.dgm_lr, config.adagrad_eps, gen_scratch)
                 metrics["e_gen"] = dgm_stats["e_gen"]
                 metrics["entropy"] = dgm_stats["entropy"]
-                metrics["dgm_gnorm"] = _grad_norm(gen.store, dgm_grad)
+                metrics["dgm_gnorm"] = dgm_gnorm
         except NonFiniteGradientError as err:
             raise NonFiniteGradientError(err.param_name, step=state.step) from None
         state.step += 1

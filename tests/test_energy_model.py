@@ -30,7 +30,7 @@ def _quadratic_model(sigma=1.0, n_experts=0):
 
 def test_features_zero_parameters_sigmoid_gives_half():
     model = _zeroed(EnergyModel.build((2, 4, 3), 2, np.random.default_rng(0)))
-    f = model.features(np.random.default_rng(1).normal(size=(5, 2)))
+    f = model._features(np.random.default_rng(1).normal(size=(5, 2)))
     assert_allclose(f, 0.5 * np.ones((5, 3)))
 
 
@@ -38,21 +38,23 @@ def test_features_identical_rows_identical_outputs():
     model = EnergyModel.build((2, 8, 3), 2, np.random.default_rng(2))
     x = np.array([[0.3, -1.2]])
     batch = np.repeat(x, 4, axis=0)
-    f = model.features(batch)
+    f = model._features(batch)
     assert np.array_equal(f, np.repeat(f[:1], 4, axis=0))
 
 
 def test_features_bounded_on_extreme_inputs():
     model = EnergyModel.build((2, 16, 4), 4, np.random.default_rng(3))
     x = np.random.default_rng(4).uniform(-100.0, 100.0, size=(10_000, 2))
-    f = model.features(x)
+    f = model._features(x)
     assert np.all(f >= 0.0) and np.all(f <= 1.0)
 
 
 def test_features_rejects_wrong_width():
+    """``_features`` trusts its input; the recorded pass that reaches it
+    checks the width first (``energy_values`` is checked below)."""
     model = EnergyModel.build((2, 4, 3), 2, np.random.default_rng(5))
     with pytest.raises(ShapeError, match=r"\(batch, 2\)"):
-        model.features(np.zeros((3, 5)))
+        model.energy(Tape().constant(np.zeros((3, 5))))
 
 
 def test_energy_zero_parameters_closed_form():

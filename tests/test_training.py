@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,72 @@ def test_flat_adagrad_equals_the_per_parameter_rule_bitwise(eps):
         assert np.array_equal(p.values, q.values), p.name
         assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
     assert np.all(np.isfinite(flat_model.store.values))
+
+
+def _span_store(rng):
+    """A store with one parameter over 8192 entries and two under 128, so
+    the norm's per-span sums cover short sums and long pairwise ones."""
+    return ParameterStore([param(rng.normal(size=(96, 90)), "big"),
+                           param(rng.normal(size=5), "small"),
+                           param(rng.normal(size=(40, 3)), "mid")])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-8])
+def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
+    store, ref = _span_store(np.random.default_rng(42)), _span_store(np.random.default_rng(42))
+    rng = np.random.default_rng(43)
+    acc, ref_acc = np.zeros_like(store.values), {}
+    scratch = np.empty((2, store.values.size))
+    for step in range(4):
+        flat = rng.normal(size=store.values.size) * 10.0 ** rng.integers(-3, 3)
+        flat[rng.random(flat.size) < 0.3] = 0.0
+        if step == 0:
+            flat[-130:] = 0.0                      # the 0/0 case, in the small spans
+        grads = store.views(flat)
+        expected = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+        norm = adagrad_step(store, flat, acc, lr=0.05, eps=eps,
+                            scratch=scratch if step % 2 else None)
+        assert norm == expected, step
+        _per_parameter_adagrad(ref.params, grads, ref_acc, lr=0.05, eps=eps)
+    acc_views = store.views(acc)
+    for p, q in zip(store.params, ref.params):
+        assert np.array_equal(p.values, q.values), p.name
+        assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
+
+
+def test_adagrad_steps_on_a_finite_gradient_whose_square_overflows():
+    """The check looks for non-finite gradient entries, not squares."""
+    store, ref = _span_store(np.random.default_rng(44)), _span_store(np.random.default_rng(44))
+    rng = np.random.default_rng(45)
+    acc, ref_acc = np.zeros_like(store.values), {}
+    flat = rng.normal(size=store.values.size)
+    flat[::7] = 1e200
+    flat[3::7] = -1e200
+    flat[5::11] = 0.0
+    with np.errstate(over="ignore"):
+        norm = adagrad_step(store, flat, acc, lr=0.05, eps=1e-8)
+        _per_parameter_adagrad(ref.params, store.views(flat), ref_acc, lr=0.05, eps=1e-8)
+    assert norm == math.inf
+    acc_views = store.views(acc)
+    for p, q in zip(store.params, ref.params):
+        assert np.array_equal(p.values, q.values), p.name
+        assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
+    assert np.all(np.isfinite(store.values))
+
+
+def test_adagrad_step_with_scratch_allocates_no_store_sized_array():
+    store = _span_store(np.random.default_rng(46))
+    rng = np.random.default_rng(47)
+    acc, scratch = np.zeros_like(store.values), np.empty((2, store.values.size))
+    grad = rng.normal(size=store.values.size)
+    adagrad_step(store, grad, acc, 0.05, 1e-8, scratch)    # warm-up
+    tracemalloc.start()
+    try:
+        adagrad_step(store, grad, acc, 0.05, 1e-8, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < store.values.nbytes / 4
 
 
 def test_adagrad_names_the_first_nonfinite_parameter_and_moves_nothing():

@@ -78,14 +78,14 @@ def adagrad_step(store: ParameterStore, grad: np.ndarray,
 
     grad and accumulator are flat arrays laid out like ``store.values``;
     scratch, a (2, grad.size) float64 array with contiguous rows, is
-    overwritten (allocated when None). g^2 is computed once, and every operation works
-    in place on the whole flat array. The norm sums g^2 per parameter span
-    with ``np.add.reduce``, which has the bits of ``(g_p * g_p).sum()``. A
-    sum that is not finite triggers the check: a NaN or infinite entry
-    raises ``NonFiniteGradientError`` naming its parameter before anything
-    moves, while a finite gradient whose square overflows proceeds with
-    norm inf. Coordinates with g == 0 are left untouched even when acc and
-    eps are both zero (the 0/0 case).
+    overwritten (allocated when None). g^2 is computed once, and every
+    operation works in place on the whole flat array. The norm sums g^2
+    per parameter span with ``np.add.reduce``, which has the bits of
+    ``(g_p * g_p).sum()``. A sum that is not finite triggers the check: a
+    NaN or infinite entry raises ``NonFiniteGradientError`` naming its
+    parameter before anything moves, while a finite gradient whose square
+    overflows proceeds with norm inf. Coordinates with g == 0 are left
+    untouched even when acc and eps are both zero (the 0/0 case).
     """
     sq, delta = np.empty((2, grad.size)) if scratch is None else scratch
     np.multiply(grad, grad, out=sq)

@@ -120,7 +120,7 @@ def _span_store(rng):
 
 @pytest.mark.parametrize("eps", [0.0, 1e-8])
 def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
-    store, ref = _span_store(np.random.default_rng(42)), _span_store(np.random.default_rng(42))
+    store, ref = (_span_store(np.random.default_rng(42)) for _ in range(2))
     rng = np.random.default_rng(43)
     acc, ref_acc = np.zeros_like(store.values), {}
     scratch = np.empty((2, store.values.size))
@@ -143,7 +143,7 @@ def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
 
 def test_adagrad_steps_on_a_finite_gradient_whose_square_overflows():
     """The check looks for non-finite gradient entries, not squares."""
-    store, ref = _span_store(np.random.default_rng(44)), _span_store(np.random.default_rng(44))
+    store, ref = (_span_store(np.random.default_rng(44)) for _ in range(2))
     rng = np.random.default_rng(45)
     acc, ref_acc = np.zeros_like(store.values), {}
     flat = rng.normal(size=store.values.size)

@@ -8,27 +8,15 @@ low-energy samples the energy model needs for that negative phase.
 from .autodiff import (
     BatchNormState,
     DomainError,
-    Node,
     Parameter,
     ShapeError,
-    Tape,
-    TapeError,
-    batch_norm,
-    sigmoid,
-    softplus,
 )
 
 __all__ = [
     "BatchNormState",
     "DomainError",
-    "Node",
     "Parameter",
     "ShapeError",
-    "Tape",
-    "TapeError",
-    "batch_norm",
-    "sigmoid",
-    "softplus",
 ]
 
 __version__ = "0.1.0"

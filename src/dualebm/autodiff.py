@@ -1,4 +1,14 @@
-"""Reverse-mode automatic differentiation on a flat operation tape.
+"""Reverse-mode automatic differentiation on a flat operation tape, and the
+numeric pieces the models' hand-written passes share.
+
+No command records on a tape. The tape and its primitives are the
+reference that the tests compare the models' hand-written passes and loss
+backwards with, bit for bit (``tests/helpers.py``), and the target of the
+benchmark's per-primitive timings. The pieces the program runs are
+``ParameterStore``, ``workspace``, ``by_row_blocks``, ``batch_statistics``,
+``batch_norm_dx``, ``sigmoid_values`` and ``softplus_values``: the models
+compute each value with these expressions, which are the primitives' own,
+so a pass gives the bits of the chain of primitives it stands for.
 
 Runtime values are numpy float64 arrays (C order, batch as the leading
 dimension). A ``Tape`` records every primitive in execution order, so the
@@ -17,26 +27,10 @@ Each primitive family is defined once: ``+``, ``-`` and ``*`` are rows of
 ``softplus``, ``log``, ``square``) rows of ``_UNARY``, and ``.sum()`` and
 ``.mean()`` one reduction.
 
-A whole model pass is one tape entry: ``model_entry`` records it, with the
-model's ``ParameterStore`` watched as one leaf, and its hand-written
-backward adds the parameter gradient into the store and passes the input's
-gradient on (see ``energy_model`` and ``generator_model``). Those passes
-compute each value with the expressions of the primitives here
-(``sigmoid_values``, ``softplus_values``, ``batch_statistics`` and
-``batch_norm_dx`` are shared), so they give the same bits as the chain of
-primitives, and they keep their intermediates in a ``Workspace`` the model
-reuses from step to step. The k-th pass of a model recorded on a tape
-writes the workspace's slot k, so a tape may record as many passes as it
-needs before its backward. The next tape that records a pass of the model
-starts again at slot 0: a backward whose slot that tape has overwritten
-raises TapeError, so run each tape's backward before recording a pass of
-the same model on another tape.
-
 Gradient pruning: each tape entry records whether it depends on a watched
 parameter. An entry built only from constants and frozen parameters gets no
 backward closure, and a closure computes no gradient for an operand that no
-parameter depends on (the data batches of the energy-model loss, the frozen
-energy-model weights on the generator tape).
+parameter depends on.
 
 Closures capture operand indices and arrays, never ``Node`` handles, so a
 tape holds no reference back to its nodes. Nodes refer to their tape, not
@@ -53,21 +47,19 @@ output, so its memory does not grow with the row count.
 
 ``ParameterStore`` lays a model's parameters out in one values buffer and
 one grad buffer; each ``Parameter`` then holds views into them, so tapes
-and finite differences, which work per parameter, and AdaGrad, which works
-on the flat buffers, see one state. Every other per-parameter array (a
-gradient copy, an AdaGrad accumulator) is a flat array in the same layout;
-``views`` names its parts where a name is needed: in a checkpoint, in an
-error message.
+and finite differences, which work per parameter, and AdaGrad and the
+hand-written backwards, which work on the flat buffers, see one state.
+Every other per-parameter array (a gradient copy, an AdaGrad accumulator)
+is a flat array in the same layout; ``views`` names its parts where a name
+is needed: in a checkpoint, in an error message.
 
-The tape is rebuilt per training step; nothing here is thread-shared
-except Parameters, which only ``Tape.backward`` mutates (their ``.grad``),
-and a model's ``Workspace``, which its recorded passes write: one model
-must not record passes from two threads at once.
+Nothing here is thread-shared except Parameters, whose ``.grad`` a
+backward writes, and a model's workspace, which its passes write: one
+model must not run passes from two threads at once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
@@ -88,8 +80,8 @@ class DomainError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: non-scalar backward root, operands from different tapes,
-    or a model pass whose workspace slot a later pass has overwritten."""
+    """Tape misuse: a non-scalar backward root, or operands from different
+    tapes."""
 
 
 def _as_array(x) -> np.ndarray:
@@ -233,14 +225,11 @@ class Tape:
     in place into ``param.grad``, so no per-leaf sum is allocated.
     """
 
-    _serials = itertools.count()
-
     def __init__(self):
-        self.serial = next(Tape._serials)   # tells a Workspace a new tape began
         self._values: list[np.ndarray] = []
         self._backward: list[Optional[Callable]] = []
-        self._watched: dict[int, int] = {}          # id(parameter or store) -> node idx
-        self._leaves: list = []     # (node idx, Parameter or store), watched, not frozen
+        self._watched: dict[int, int] = {}          # id(parameter) -> node idx
+        self._leaves: list = []     # (node idx, Parameter), watched, not frozen
         self._frozen: set[int] = set()
 
     def _record(self, values: np.ndarray,
@@ -254,19 +243,16 @@ class Tape:
         """Leaf holding a fixed array; no gradient is tracked for it."""
         return self._record(_as_array(values), None)
 
-    def watch(self, param: Union[Parameter, ParameterStore]) -> Node:
-        """Leaf bound to a Parameter, or to all of a ParameterStore's
-        parameters at once; repeated watches return the same node.
+    def watch(self, param: Parameter) -> Node:
+        """Leaf bound to a Parameter; repeated watches return the same node.
 
         Frozen parameters come back as constants, which is how a loss is cut
-        off from one model's parameters while differentiating the other. A
-        store is frozen when all its parameters are; freezing some of them
-        only is a TapeError.
+        off from one model's parameters while differentiating the other.
         """
         cached = self._watched.get(id(param))
         if cached is not None:
             return Node(self, cached)
-        if self._is_frozen(param):
+        if id(param) in self._frozen:
             node = self.constant(param.values)
         else:
             node = self._record(param.values, _watched_leaf)
@@ -277,15 +263,6 @@ class Tape:
     def freeze(self, params: Sequence[Parameter]) -> None:
         """Treat these parameters as constants for this tape."""
         self._frozen.update(id(p) for p in params)
-
-    def _is_frozen(self, param: Union[Parameter, ParameterStore]) -> bool:
-        if isinstance(param, Parameter):
-            return id(param) in self._frozen
-        frozen = [id(p) in self._frozen for p in param.params]
-        if any(frozen) and not all(frozen):
-            raise TapeError("a parameter store is watched with only some of "
-                            "its parameters frozen")
-        return all(frozen)
 
     def backward(self, root: Node) -> None:
         """Accumulate d(root)/d(node) for every ancestor of a scalar root.
@@ -337,75 +314,17 @@ def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
     return out
 
 
-class Workspace:
-    """Arrays in which a model's recorded passes over ``rows`` rows keep
-    their intermediates, allocated once and reused from step to step.
-
-    ``slot`` and ``scratch`` map names to a shape or a list of shapes. The
-    k-th pass of the model recorded on a tape writes slot k, a namespace of
-    the ``slot`` arrays holding what its forward writes and its backward
-    reads; a slot is made the first time a tape records that many passes.
-    ``scratch`` is one namespace, shared by all slots (``slot.scratch``), of
-    arrays a backward writes and reads before it returns. Nothing in a
-    workspace is recorded on a tape or returned to a caller.
-    """
-
-    def __init__(self, rows: int, slot: dict, scratch: dict):
-        self.rows = rows
-        self.slots: list[SimpleNamespace] = []
-        self._slot = slot
-        self._scratch = _arrays(scratch)
-        self._tape = None    # serial of the tape that recorded the last pass
-        self._passes = 0     # passes that tape has recorded
-        self._clock = 0
-
-    def next_slot(self, tape: "Tape") -> SimpleNamespace:
-        """The slot of the next pass recorded on ``tape``, its ``stamp``
-        moved on to mark this write."""
-        if tape.serial != self._tape:
-            self._tape, self._passes = tape.serial, 0
-        if self._passes == len(self.slots):
-            self.slots.append(_arrays(self._slot))
-            self.slots[-1].scratch = self._scratch
-        slot = self.slots[self._passes]
-        self._passes += 1
-        self._clock += 1
-        slot.stamp = self._clock
-        return slot
-
-
-def _arrays(spec: dict) -> SimpleNamespace:
-    return SimpleNamespace(**{
+def workspace(rows: int, spec: dict) -> SimpleNamespace:
+    """Arrays in which a model's passes over ``rows`` rows keep their
+    intermediates: one namespace holding, under each name of ``spec``, an
+    array of the shape given there, or a list of arrays for a list of
+    shapes, and ``rows`` itself. A model allocates one, reuses it from step
+    to step and builds a new one when the row count changes. Nothing in it
+    is returned to a caller."""
+    return SimpleNamespace(rows=rows, **{
         name: ([np.empty(s) for s in shapes] if isinstance(shapes, list)
                else np.empty(shapes))
         for name, shapes in spec.items()})
-
-
-def model_entry(x: Node, store: ParameterStore, workspace: Workspace,
-                forward: Callable, backward: Callable) -> Node:
-    """A whole model pass over the rows of node ``x`` as one tape entry.
-
-    ``forward(xv, slot)`` returns the pass's output, a fresh array, for
-    x's values, and writes what its backward reads into the workspace
-    slot. ``backward(xv, out, slot, g, grads, ix, want_params)`` takes the
-    gradient g of the output ``out``, adds the parameter gradient into the
-    views of ``store.grad`` when ``want_params`` and passes x's gradient on
-    with ``_acc`` when ``ix`` is set. The store is one leaf, watched or,
-    when frozen, a constant. A backward whose slot a later pass has written
-    raises TapeError.
-    """
-    tape, (xv, _), needs = _operands(x, x.tape.watch(store))
-    ix, istore = needs
-    slot = workspace.next_slot(tape)
-    stamp = slot.stamp
-    out = forward(xv, slot)
-
-    def entry_backward(g, grads):
-        if slot.stamp != stamp:
-            raise TapeError("run backward before recording another pass of the model")
-        backward(xv, out, slot, g, grads, ix, istore is not None)
-
-    return _record_op(tape, out, entry_backward, needs)
 
 
 def _operands(*xs) -> tuple[Optional[Tape], list, list]:
@@ -450,13 +369,13 @@ def _record_op(tape: Optional[Tape], out: np.ndarray, backward: Callable,
 
 
 def _acc(grads: list, idx: int, g: np.ndarray) -> None:
-    # A watched leaf's slot holds its Parameter (or store), whose zeroed .grad takes
+    # A watched leaf's slot holds its Parameter, whose zeroed .grad takes
     # each contribution in place. Other slots are never mutated in place,
     # so stored gradients may alias upstream arrays.
     current = grads[idx]
     if current is None:
         grads[idx] = g
-    elif isinstance(current, (Parameter, ParameterStore)):
+    elif isinstance(current, Parameter):
         current.grad += g
     else:
         grads[idx] = current + g

@@ -3,9 +3,9 @@
 Subcommands: train, sample, energy-map, interpolate, gradcheck, eval.
 Every command is deterministic given (config, seed, checkpoint). Exit
 codes: 0 success, 2 configuration problem or out-of-range argument, 3
-non-finite gradient abort (step number printed), 4 missing or corrupt
-checkpoint. The environment variable DUALEBM_OUTDIR overrides the
-configured output directory.
+training abort on a non-finite gradient or a singular entropy estimate
+(step number printed), 4 missing or corrupt checkpoint. The environment
+variable DUALEBM_OUTDIR overrides the configured output directory.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteGradientError as err:
+    except (NonFiniteGradientError, SingularEntropyError) as err:
         print(f"aborted: {err}", file=sys.stderr)
         return EXIT_NONFINITE
     except CheckpointError as err:

@@ -11,23 +11,22 @@ is integrable and the model defines a proper unnormalized density. sigma
 is a fixed hyperparameter, not trained.
 
 The forward pass is written once (``_energy``, one numpy expression per
-value) and serves every caller. On a tape node, ``energy`` records the
-whole pass as one tape entry (``autodiff.model_entry``). Its hand-written
-backward adds the parameter gradient into the model's ``ParameterStore``
-when the tape watches the store, and passes the gradient of the energy
-with respect to x, ∇ₓE, on to x when x needs one. That is how the
-generator loss reaches the generator through the frozen energy model. The
-backward uses the expressions, and sums in the order, of the primitive
-chain it replaces (per layer ``@``, ``+`` and the activation, then
-``square``, ``*`` and ``.sum()``), so gradients keep their bits. A recorded
-pass writes its intermediates into a slot of the model's
-``autodiff.Workspace``, kept for one batch size and rebuilt when the size
-changes: ``dem_loss`` records both phases on one tape before its one
-backward, so the workspace holds two slots.
+value) and serves every caller. ``energy_gradient`` runs it into the
+model's workspace (``autodiff.workspace``: one namespace of arrays, kept
+for one batch size and rebuilt when the size changes) and then its
+hand-written backward for given per-row weights w, the gradient of
+sum_i w_i E(x_i): into the parameters' gradients for the energy-model
+loss, or in x, the plain ∇ₓE, for the generator loss, which reaches the
+generator through the energy of its samples. The backward uses the
+expressions, and sums in the order, of the tape's primitive chain (per
+layer ``@``, ``+`` and the activation, then ``square``, ``*`` and
+``.sum()``), so gradients keep the chain's bits. ``dem_loss`` runs the
+negative phase's pass and backward before the positive phase's, the order
+of the chain's reverse sweep, so one workspace serves both.
 
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
-tape-free passes over many rows (energy grids, held-out sets, ``sample``).
-Both run in blocks of ``autodiff.ROW_BLOCK`` = 256 rows through
+passes over many rows (energy grids, held-out sets, ``sample``). Both run
+in blocks of ``autodiff.ROW_BLOCK`` = 256 rows through
 ``autodiff.by_row_blocks``, which allocates the output once: the last
 expression of each block's pass (here the final subtraction, in the
 generator the output layer's matmul, bias and sigmoid) writes into the
@@ -53,7 +52,7 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node, Parameter, ParameterStore, ShapeError, Tape
+from .autodiff import Parameter, ParameterStore, ShapeError
 
 
 class EnergyModel:
@@ -112,114 +111,104 @@ class EnergyModel:
             raise ShapeError(
                 f"expected input of shape (batch, {self.d_in}), got {x.shape}")
 
-    def energy(self, x):
-        """Per-row energy; low values mark configurations the model favors.
-
-        x is a tape node or a plain array (the energies then come back as a
-        plain array; nothing is recorded). On a node the whole pass is one
-        tape entry whose backward adds the parameter gradient, when the
-        parameters are watched, and passes the gradient of the energy with
-        respect to x on to x, when x needs one.
-        """
-        self._check_width(x)
-        if not isinstance(x, Node):
-            return self._energy(np.asarray(x, dtype=np.float64))
-        return ad.model_entry(x, self.store, self._workspace_for(x.shape[0]),
-                              self._energy, self._energy_backward)
-
     def energy_values(self, x: np.ndarray) -> np.ndarray:
-        """Energies of a plain array, by ``energy`` on plain blocks of
-        ``autodiff.ROW_BLOCK`` rows (see the module docstring); no tape is
-        built. Each row's energy depends on that row alone, so blocking
-        changes no value beyond the last ulp of BLAS products."""
+        """Per-row energies of a plain array; low values mark configurations
+        the model favors. Runs ``_energy`` on blocks of
+        ``autodiff.ROW_BLOCK`` rows (see the module docstring). Each row's
+        energy depends on that row alone, so blocking changes no value
+        beyond the last ulp of BLAS products."""
         x = np.asarray(x, dtype=np.float64)
         self._check_width(x)
         return ad.by_row_blocks(lambda block, out: self._energy(block, out=out), x, ())
 
+    def energy_gradient(self, x: np.ndarray, weights: np.ndarray, params: bool,
+                        onto=None):
+        """The energies of the rows of x, a fresh array, and the gradient of
+        sum_i weights[i] * E(x[i]), from one pass over x as one batch.
+
+        With ``params`` the gradient over the parameters is added into
+        ``self.store.grad`` and None comes back in place of the gradient in
+        x. Without it the parameters' gradients are untouched and the
+        gradient in x, each row's ∇ₓE times its weight, comes back: a fresh
+        array, or, when ``onto`` (an array of x's shape) is given, added
+        into ``onto`` in place, first of all the terms.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        self._check_width(x)
+        ws = self._workspace_for(x.shape[0])
+        return self._energy(x, ws), self._energy_backward(x, ws, weights, params, onto)
+
     # --- the one forward and backward of a pass ------------------------------
 
-    def _workspace_for(self, rows: int) -> ad.Workspace:
-        """The workspace for recorded passes over ``rows`` rows, rebuilt
-        when the row count changes. Both phases of ``dem_loss`` are
-        recorded on one tape, so it holds two slots."""
+    def _workspace_for(self, rows: int):
+        """The workspace for passes over ``rows`` rows, rebuilt when the row
+        count changes."""
         ws = self._workspace
         if ws is None or ws.rows != rows:
             fan = list(zip(self.widths[:-1], self.widths[1:]))
             hidden = [(rows, o) for _, o in fan]
             experts = (rows, self.n_experts)
-            ws = self._workspace = ad.Workspace(
-                rows, slot={"h": hidden, "pre_e": experts},
-                scratch={"ga": hidden, "dh": hidden, "dw": fan, "ga_e": experts,
-                         "dw_e": self.expert_w.values.shape, "x": (rows, self.d_in)})
+            ws = self._workspace = ad.workspace(
+                rows, {"h": hidden, "pre_e": experts, "ga": hidden, "dh": hidden,
+                       "dw": fan, "ga_e": experts, "dw_e": self.expert_w.values.shape,
+                       "x": (rows, self.d_in)})
         return ws
 
-    def _features(self, x: np.ndarray, slot=None) -> np.ndarray:
-        """Features of the rows of x; with a workspace slot, each layer's
-        output goes into ``slot.h``, else into a fresh array."""
+    def _features(self, x: np.ndarray, ws=None) -> np.ndarray:
+        """Features of the rows of x; with a workspace, each layer's output
+        goes into ``ws.h``, else into a fresh array."""
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = np.matmul(h, w.values, out=slot.h[i] if slot else None)
+            pre = np.matmul(h, w.values, out=ws.h[i] if ws else None)
             pre += b.values
             h = np.tanh(pre, out=pre) if i < last else ad.sigmoid_values(pre, out=pre)
         return h
 
-    def _energy(self, x: np.ndarray, slot=None, out=None) -> np.ndarray:
+    def _energy(self, x: np.ndarray, ws=None, out=None) -> np.ndarray:
         """(1/sigma^2) x.x - b_vis.x - sum softplus(f(x) @ expert_w +
-        expert_b), as a fresh array or into ``out`` when given; a slot
+        expert_b), as a fresh array or into ``out`` when given; a workspace
         takes the intermediates."""
-        f = self._features(x, slot)
-        pre_e = np.matmul(f, self.expert_w.values, out=slot.pre_e if slot else None)
+        f = self._features(x, ws)
+        pre_e = np.matmul(f, self.expert_w.values, out=ws.pre_e if ws else None)
         pre_e += self.expert_b.values
-        tmp = slot.scratch.x if slot else None
+        tmp = ws.x if ws else None
         quadratic = np.add.reduce(np.square(x, out=tmp), axis=1) * (1.0 / self.sigma**2)
         mean_term = np.add.reduce(np.multiply(x, self.b_vis.values, out=tmp), axis=1)
         quadratic -= mean_term
         return np.subtract(quadratic, np.add.reduce(ad.softplus_values(pre_e), axis=1),
                            out=out)
 
-    def _energy_backward(self, x, out, slot, g, grads, ix, want_params) -> None:
-        """Backward of a recorded ``_energy`` for the gradient g of each
-        row's energy: adds the parameter gradient into ``self.store.grad``
-        when ``want_params``, and passes g times ∇ₓE (2 x / sigma^2 - b_vis
-        - the experts' term through the features) on to x when ``ix`` is
-        set."""
-        sc = slot.scratch
+    def _energy_backward(self, x, ws, g, params: bool, onto):
+        """Backward of the ``_energy`` pass over x that wrote ``ws``, for
+        the weight g of each row's energy (see ``energy_gradient``)."""
         minus_g = (-g)[:, None]
-        ga = np.multiply(minus_g, ad.sigmoid_values(slot.pre_e), out=sc.ga_e)
-        if want_params:
-            self.expert_w.grad += np.matmul(slot.h[-1].T, ga, out=sc.dw_e)
+        ga = np.multiply(minus_g, ad.sigmoid_values(ws.pre_e), out=ws.ga_e)
+        dh = np.matmul(ga, self.expert_w.values.T, out=ws.dh[-1])
+        if params:
+            self.expert_w.grad += np.matmul(ws.h[-1].T, ga, out=ws.dw_e)
             self.expert_b.grad += np.add.reduce(ga, axis=0)
-            self.b_vis.grad += np.add.reduce(np.multiply(minus_g, x, out=sc.x), axis=0)
-        dh = np.matmul(ga, self.expert_w.values.T, out=sc.dh[-1])
-        if ix is not None:
-            # onto what x holds already (the nearest-neighbour entropy's
-            # part), in the chain's order: -g b_vis, 2 g x / sigma^2, then
-            # the first layer's part
-            prior = grads[ix]
-            dx = np.multiply(minus_g, self.b_vis.values)
-            if isinstance(prior, np.ndarray):
-                np.add(prior, dx, out=dx)
-            quadratic = np.multiply(x, 2.0, out=sc.x)
-            quadratic *= (g * (1.0 / self.sigma**2))[:, None]
-            dx += quadratic
-        first = self._features_backward(x, slot, dh, want_params, ix is not None)
-        if ix is not None:
-            dx += first
-            if isinstance(prior, np.ndarray):
-                grads[ix] = dx
-            else:
-                ad._acc(grads, ix, dx)
+            self.b_vis.grad += np.add.reduce(np.multiply(minus_g, x, out=ws.x), axis=0)
+            self._features_backward(x, ws, dh, params)
+            return None
+        # in the chain's order: -g b_vis (onto ``onto``), 2 g x / sigma^2,
+        # then the first layer's part
+        dx = np.multiply(minus_g, self.b_vis.values)
+        if onto is not None:
+            dx = np.add(onto, dx, out=onto)
+        quadratic = np.multiply(x, 2.0, out=ws.x)
+        quadratic *= (g * (1.0 / self.sigma**2))[:, None]
+        dx += quadratic
+        dx += self._features_backward(x, ws, dh, params)
+        return dx
 
-    def _features_backward(self, x, slot, dh, want_params: bool,
-                           want_x: bool):
+    def _features_backward(self, x, ws, dh, params: bool):
         """Backward through the feature layers from the gradient dh of the
-        features, a scratch array it overwrites. Adds the layers' parameter
-        gradient when ``want_params``; returns x's gradient through the
-        first layer, in scratch, when ``want_x`` (else None)."""
-        sc = slot.scratch
+        features, a workspace array it overwrites. With ``params`` adds the
+        layers' parameter gradient and returns None; without, returns x's
+        gradient through the first layer, in the workspace."""
         for i in range(len(self.weights) - 1, -1, -1):
-            out, ga = slot.h[i], sc.ga[i]
+            out, ga = ws.h[i], ws.ga[i]
             if i == len(self.weights) - 1:   # sigmoid: dh * out * (1 - out)
                 np.subtract(1.0, out, out=ga)
                 dh *= out
@@ -228,34 +217,37 @@ class EnergyModel:
                 np.subtract(1.0, ga, out=ga)
             ga *= dh
             w = self.weights[i]
-            if want_params:
-                w.grad += np.matmul(slot.h[i - 1].T if i else x.T, ga, out=sc.dw[i])
+            if params:
+                w.grad += np.matmul(ws.h[i - 1].T if i else x.T, ga, out=ws.dw[i])
                 self.biases[i].grad += np.add.reduce(ga, axis=0)
             if i:
-                dh = np.matmul(ga, w.values.T, out=sc.dh[i - 1])
-            elif want_x:
-                return np.matmul(ga, w.values.T, out=sc.x)
+                dh = np.matmul(ga, w.values.T, out=ws.dh[i - 1])
+            elif not params:
+                return np.matmul(ga, w.values.T, out=ws.x)
         return None
 
 
 def dem_loss(model: EnergyModel, x_pos: np.ndarray,
-             x_neg: np.ndarray) -> tuple[Node, Node, Node]:
-    """The energy-model loss mean(E(x_pos)) - mean(E(x_neg)) on a new tape.
+             x_neg: np.ndarray) -> tuple[float, dict]:
+    """The energy-model loss mean(E(x_pos)) - mean(E(x_neg)) and its phase
+    means ``{"e_pos", "e_neg"}``; the loss's gradient over the model
+    parameters is left in ``model.store.grad``.
 
-    Returns the (loss, positive-phase mean, negative-phase mean) nodes.
-    x_neg must arrive as a plain array (generated samples are detached: the
-    generator that produced them gets no gradient from this loss).
+    x_neg is read as plain values: the generator that produced them gets no
+    gradient from this loss.
     """
     x_pos = np.asarray(x_pos, dtype=np.float64)
     x_neg = np.asarray(x_neg, dtype=np.float64)
-    if x_pos.shape[0] != x_neg.shape[0]:
+    n = x_pos.shape[0]
+    if n != x_neg.shape[0]:
         raise ValueError(
-            f"positive and negative batch sizes differ: {x_pos.shape[0]} vs "
-            f"{x_neg.shape[0]}")
-    tape = Tape()
-    e_pos = model.energy(tape.constant(x_pos)).mean()
-    e_neg = model.energy(tape.constant(x_neg)).mean()
-    return e_pos - e_neg, e_pos, e_neg
+            f"positive and negative batch sizes differ: {n} vs {x_neg.shape[0]}")
+    model.store.grad[...] = 0.0
+    means = {}
+    for key, x, sign in (("e_neg", x_neg, -1.0), ("e_pos", x_pos, 1.0)):
+        energies, _ = model.energy_gradient(x, np.full(n, sign) / n, params=True)
+        means[key] = float(energies.mean())
+    return means["e_pos"] - means["e_neg"], means
 
 
 def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
@@ -263,11 +255,9 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
     """Gradient of ``dem_loss`` over the model parameters.
 
     Returns the gradient, a flat copy laid out like ``model.store.values``,
-    and the phase statistics for metrics.
+    and the phase means for metrics.
     """
-    loss, e_pos, e_neg = dem_loss(model, x_pos, x_neg)
-    loss.tape.backward(loss)
-    stats = {"e_pos": float(e_pos.values), "e_neg": float(e_neg.values)}
+    _, stats = dem_loss(model, x_pos, x_neg)
     return model.store.grad.copy(), stats
 
 

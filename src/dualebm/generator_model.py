@@ -27,17 +27,18 @@ log-partition constant. Two estimators are available:
   them, and the samples may still collapse.
 
 The forward pass is written once (``_forward``, one numpy expression per
-value) and serves plain sampling and the tape alike. On a tape node,
-``generate_node`` records the whole pass as one tape entry
-(``autodiff.model_entry``). Its hand-written backward adds the gradient of
-every weight, bias and batch-norm parameter into the model's
-``ParameterStore`` and passes z's gradient on when z needs one. Its
-batch-norm backward is ``autodiff.batch_norm_dx``, the one that
-``autodiff.batch_norm`` uses, so gradients keep the bits of the primitive
-chain. A recorded pass writes its intermediates, the batch statistics its
-backward divides by included, into a slot of the model's
-``autodiff.Workspace``, kept for one batch size and rebuilt when the size
-changes; ``dgm_loss`` records one pass, so the workspace holds one slot.
+value) and serves sampling and training alike. ``dgm_loss`` runs it in
+train mode into the model's workspace (``autodiff.workspace``: one
+namespace of arrays, the batch statistics the backward divides by
+included, kept for one batch size and rebuilt when the size changes), then
+the energy of the samples, then the loss's backwards, all written by hand:
+the entropy's gradient in closed form, ∇ₓE through the energy model with
+its parameters left alone, and the generator's ``_backward``, which adds
+the gradient of every weight, bias and batch-norm parameter into the
+model's ``ParameterStore``. Each uses the expressions, and sums in the
+order, of the tape's primitive chain (per layer ``@``, ``+``, the
+activation and ``autodiff.batch_norm``, whose input gradient
+``autodiff.batch_norm_dx`` is shared), so gradients keep the chain's bits.
 
 Plain infer-mode sampling (``generate``, behind ``sample`` and
 ``interpolate``) runs ``_forward`` on blocks of ``autodiff.ROW_BLOCK`` rows
@@ -46,7 +47,7 @@ sigmoid write each block straight into its slice of the one output array,
 so a 784-wide (mnist) call makes no block-sized copy of its result and its
 peak memory is the output plus a few block arrays.
 
-scipy is imported inside ``nearest_neighbour_entropy_node``, the one
+scipy is imported inside ``nearest_neighbour_entropy``, the one
 function here that uses it, not with the module: importing
 ``scipy.spatial.distance`` and ``scipy.special`` takes ~0.24 s (2-core
 Xeon, after numpy), which every command would pay, including ``train``
@@ -58,18 +59,12 @@ tests/test_cli.py.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (
-    BatchNormState,
-    Node,
-    Parameter,
-    ParameterStore,
-    ShapeError,
-    Tape,
-)
+from .autodiff import BatchNormState, Parameter, ParameterStore, ShapeError
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
 ENTROPY_ESTIMATORS = ("nearest_neighbour", "batch_norm_scale")
@@ -78,7 +73,14 @@ OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 class SingularEntropyError(ValueError):
     """An entropy estimate is undefined: a zero batch-norm scale, or two
-    generated rows that coincide."""
+    generated rows that coincide. ``step`` is the training step it stopped,
+    when a run reports it."""
+
+    def __init__(self, reason: str, step: Optional[int] = None):
+        self.reason = reason
+        self.step = step
+        at = f" at step {step}" if step is not None else ""
+        super().__init__(f"{reason}{at}")
 
 
 class GenLayer:
@@ -144,41 +146,25 @@ class GeneratorModel:
     def scale_parameters(self) -> list[Parameter]:
         return [l.bn_scale for l in self.layers if l.has_batch_norm]
 
-    def generate_node(self, z, mode: str):
-        """Forward pass; mode picks batch-norm statistics.
+    def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
+        """Samples as a plain array; mode picks batch-norm statistics.
 
-        z is a tape node (the pass is then one entry on its tape, whose
-        backward adds the parameter gradient and passes z's gradient on) or
-        a plain array (the samples come back as a plain array and nothing
-        is recorded). Train mode moves the running statistics either way.
+        Infer mode is free of side effects and row by row, so it runs on
+        blocks of ``autodiff.ROW_BLOCK`` rows, whose output layer writes
+        into the one output array and whose peak memory does not grow with
+        the row count (see ``autodiff.by_row_blocks``). Train mode is one
+        batch, since batch norm needs whole-batch statistics, and moves the
+        running statistics.
 
         Batch norm runs after the bounded activation, so each scale
         parameter multiplies a hidden feature directly. A scale pushed up
         by the entropy term then actually widens the sample distribution
         instead of disappearing into a saturated nonlinearity.
         """
-        self._check_latents(z)
-        if not isinstance(z, Node):
-            return self._forward(np.asarray(z, dtype=np.float64), mode)
-
-        def backward(zv, x, slot, g, grads, iz, want_params):
-            self._backward(zv, x, slot, mode, g, grads, iz, want_params)
-
-        return ad.model_entry(z, self.store, self._workspace_for(z.shape[0]),
-                              lambda zv, slot: self._forward(zv, mode, slot), backward)
-
-    def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
-        """Samples as a plain array, from ``generate_node`` on plain values:
-        no tape is built, and each layer's input is freed once the next
-        layer has it. Infer mode is free of side effects and row by row, so
-        it runs on blocks of ``autodiff.ROW_BLOCK`` rows, whose output layer
-        writes into the one output array and whose peak memory does not
-        grow with the row count (see ``autodiff.by_row_blocks``). Train
-        mode is one batch: batch norm needs whole-batch statistics."""
         z = np.asarray(z, dtype=np.float64)
-        if mode == "train":
-            return self.generate_node(z, mode)
         self._check_latents(z)
+        if mode == "train":
+            return self._forward(z, mode)
         return ad.by_row_blocks(lambda block, out: self._forward(block, mode, out=out),
                                 z, (self.widths[-1],))
 
@@ -189,63 +175,59 @@ class GeneratorModel:
 
     # --- the one forward and backward of a pass ------------------------------
 
-    def _workspace_for(self, rows: int) -> ad.Workspace:
-        """The workspace for recorded passes over ``rows`` rows, rebuilt
-        when the row count changes."""
+    def _workspace_for(self, rows: int):
+        """The workspace for passes over ``rows`` rows, rebuilt when the row
+        count changes."""
         ws = self._workspace
         if ws is None or ws.rows != rows:
             hidden = [(rows, layer.w.values.shape[1]) for layer in self.layers[:-1]]
             out = (rows, self.widths[-1])
-            ws = self._workspace = ad.Workspace(
-                rows, slot={"a": hidden, "xhat": hidden, "h": hidden, "pre": out,
-                            "inv": [(w,) for _, w in hidden]},
-                scratch={"ga": hidden, "dh": hidden,
-                         "dw": [layer.w.values.shape for layer in self.layers],
-                         "ga_out": out, "g_out": out})
+            ws = self._workspace = ad.workspace(
+                rows, {"a": hidden, "xhat": hidden, "h": hidden, "pre": out,
+                       "inv": [(w,) for _, w in hidden], "ga": hidden, "dh": hidden,
+                       "dw": [layer.w.values.shape for layer in self.layers],
+                       "ga_out": out, "g_out": out})
         return ws
 
-    def _forward(self, z: np.ndarray, mode: str, slot=None, out=None) -> np.ndarray:
+    def _forward(self, z: np.ndarray, mode: str, ws=None, out=None) -> np.ndarray:
         """Samples for the rows of z, as a fresh array, or written into
-        ``out`` when given (a plain pass only).
+        ``out`` when given (a pass without a workspace only).
 
-        With a workspace slot, each intermediate the backward reads goes
-        into it, the 1/sqrt(var + eps) each batch norm divided by included;
+        With a workspace, each intermediate the backward reads goes into
+        it, the 1/sqrt(var + eps) each batch norm divided by included;
         without one, each layer's arrays are fresh and freed once the next
         layer has them.
         """
         h = z
         for i, layer in enumerate(self.layers[:-1]):
-            a = np.matmul(h, layer.w.values, out=slot.a[i] if slot else None)
+            a = np.matmul(h, layer.w.values, out=ws.a[i] if ws else None)
             a += layer.b.values
             np.tanh(a, out=a)
             _, inv, xhat = ad.batch_statistics(a, layer.bn_state, mode,
-                                               out=slot.xhat[i] if slot else None,
-                                               work=slot.h[i] if slot else a)
-            if slot:
-                slot.inv[i][...] = inv
+                                               out=ws.xhat[i] if ws else None,
+                                               work=ws.h[i] if ws else a)
+            if ws:
+                ws.inv[i][...] = inv
             xhat *= inv
-            h = np.multiply(xhat, layer.bn_scale.values, out=slot.h[i] if slot else xhat)
+            h = np.multiply(xhat, layer.bn_scale.values, out=ws.h[i] if ws else xhat)
             h += layer.bn_shift.values
         w, b = self.layers[-1].w, self.layers[-1].b
         if self.output_activation == "linear":
             x = np.matmul(h, w.values, out=out)
             x += b.values
             return x
-        pre = np.matmul(h, w.values, out=slot.pre if slot else out)
+        pre = np.matmul(h, w.values, out=ws.pre if ws else out)
         pre += b.values
-        return ad.sigmoid_values(pre, out=None if slot else pre)
+        return ad.sigmoid_values(pre, out=None if ws else pre)
 
-    def _backward(self, z, x, slot, mode, g, grads, iz, want_params) -> None:
-        """Backward of a recorded ``_forward`` for the gradient g of the
-        samples x, with the expressions of the primitive chain (per layer
-        ``@``, ``+``, the activation and ``autodiff.batch_norm``): the
-        parameter gradient is added into ``self.store.grad`` when
-        ``want_params``, and z's gradient is passed on when ``iz`` is set."""
-        sc = slot.scratch
+    def _backward(self, z, x, ws, mode, g) -> None:
+        """Backward of the ``_forward`` pass from z to the samples x that
+        wrote ``ws``, for the gradient g of x: adds the parameter gradient
+        into ``self.store.grad``."""
         last = len(self.layers) - 1
         if self.output_activation == "sigmoid":   # g * x * (1 - x)
-            ga = np.subtract(1.0, x, out=sc.ga_out)
-            ga *= np.multiply(g, x, out=sc.g_out)
+            ga = np.subtract(1.0, x, out=ws.ga_out)
+            ga *= np.multiply(g, x, out=ws.g_out)
         else:
             ga = g
         for i in range(last, -1, -1):
@@ -253,23 +235,19 @@ class GeneratorModel:
             if i < last:
                 # dh, the gradient to the batch norm's output, becomes the
                 # gradient to the tanh output, then to the layer's pre-activation
-                dh = np.matmul(ga, self.layers[i + 1].w.values.T, out=sc.dh[i])
-                xhat, a, ga = slot.xhat[i], slot.a[i], sc.ga[i]
-                if want_params:
-                    layer.bn_shift.grad += np.add.reduce(dh, axis=0)
-                    layer.bn_scale.grad += np.add.reduce(np.multiply(dh, xhat, out=ga),
-                                                         axis=0)
-                ad.batch_norm_dx(dh, xhat, layer.bn_scale.values, slot.inv[i], mode,
+                dh = np.matmul(ga, self.layers[i + 1].w.values.T, out=ws.dh[i])
+                xhat, a, ga = ws.xhat[i], ws.a[i], ws.ga[i]
+                layer.bn_shift.grad += np.add.reduce(dh, axis=0)
+                layer.bn_scale.grad += np.add.reduce(np.multiply(dh, xhat, out=ga),
+                                                     axis=0)
+                ad.batch_norm_dx(dh, xhat, layer.bn_scale.values, ws.inv[i], mode,
                                  out=ga, work=dh)
                 np.multiply(a, a, out=dh)   # tanh: * (1 - a * a)
                 np.subtract(1.0, dh, out=dh)
                 ga *= dh
-            if want_params:
-                h = slot.h[i - 1] if i else z
-                layer.w.grad += np.matmul(h.T, ga, out=sc.dw[i])
-                layer.b.grad += np.add.reduce(ga, axis=0)
-        if iz is not None:
-            ad._acc(grads, iz, ga @ self.layers[0].w.values.T)
+            h = ws.h[i - 1] if i else z
+            layer.w.grad += np.matmul(h.T, ga, out=ws.dw[i])
+            layer.b.grad += np.add.reduce(ga, axis=0)
 
 
 def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:
@@ -288,77 +266,88 @@ def _check_scales(model: GeneratorModel) -> list[Parameter]:
     return scales
 
 
-def entropy_surrogate_node(model: GeneratorModel, tape: Tape) -> Node:
-    """Sum of 0.5*log(2*e*pi*sigma_a^2) over all batch-norm scale entries;
-    its gradient w.r.t. each scale is 1/scale."""
-    terms = None
+def entropy_surrogate(model: GeneratorModel, g: Optional[float] = None) -> float:
+    """Sum of 0.5*log(2*e*pi*sigma_a^2) over all batch-norm scale entries.
+
+    With g, the gradient of g * H, g / scale, is added into each scale's
+    ``.grad``.
+    """
+    entropy = 0.0
     for p in _check_scales(model):
-        s = tape.watch(p)
-        term = (ad.log(ad.square(s)) + LOG_2PIE).sum() * 0.5
-        terms = term if terms is None else terms + term
-    if terms is None:
-        return tape.constant(0.0)
-    return terms
+        entropy += float((np.log(np.square(p.values)) + LOG_2PIE).sum()) * 0.5
+        if g is not None:
+            # the chain's log and square backwards, from the term's * 0.5
+            p.grad += 2.0 * p.values * ((g * 0.5) / np.square(p.values))
+    return entropy
 
 
-def nearest_neighbour_entropy_node(x: Node) -> Node:
-    """Kozachenko-Leonenko entropy estimate of the rows of x, in nats.
+def nearest_neighbour_entropy(x: np.ndarray, g: Optional[float] = None):
+    """Kozachenko-Leonenko entropy estimate H of the rows of x, in nats, and
+    with g the gradient of g * H in x (else None).
 
     H = (d/n) * sum_i log(rho_i) + digamma(n) - digamma(1) + log(V_d), where
     rho_i is the distance from row i to its nearest other row and V_d the
-    volume of the unit d-ball. The neighbour is chosen on plain values (no
+    volume of the unit d-ball. The neighbour is chosen on the values (no
     gradient flows through the choice); the distance is differentiated
     through both rows.
     """
     from scipy.spatial.distance import cdist
     from scipy.special import digamma
 
-    xv = x.values
-    if xv.ndim != 2 or xv.shape[0] < 2:
+    if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeError(
-            f"nearest-neighbour entropy needs a (batch >= 2, dim) input, got {xv.shape}")
-    n, d = xv.shape
-    dist = cdist(xv, xv, "sqeuclidean")
+            f"nearest-neighbour entropy needs a (batch >= 2, dim) input, got {x.shape}")
+    n, d = x.shape
+    dist = cdist(x, x, "sqeuclidean")
     np.fill_diagonal(dist, np.inf)
     pick = np.zeros((n, n))
     pick[np.arange(n), dist.argmin(axis=1)] = 1.0
-    diff = x - ad.matmul(pick, x)
-    rho_sq = ad.square(diff).sum(axis=1)
-    if np.any(rho_sq.values == 0.0):
+    diff = x - pick @ x
+    rho_sq = np.square(diff).sum(axis=1)
+    if np.any(rho_sq == 0.0):
         raise SingularEntropyError(
             "nearest-neighbour entropy is singular: two generated rows coincide")
     log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
     constant = float(digamma(n) - digamma(1)) + log_unit_ball
-    return ad.log(rho_sq).sum() * (0.5 * d / n) + constant
-
-
-def _entropy_node(gen: GeneratorModel, x: Node, estimator: str) -> Node:
-    if estimator == "nearest_neighbour":
-        return nearest_neighbour_entropy_node(x)
-    if estimator == "batch_norm_scale":
-        return entropy_surrogate_node(gen, x.tape)
-    raise ValueError(
-        f"entropy_estimator must be one of {ENTROPY_ESTIMATORS}, got {estimator!r}")
+    entropy = float(np.log(rho_sq).sum() * (0.5 * d / n) + constant)
+    if g is None:
+        return entropy, None
+    # the chain's backwards: the log, the square, then diff = x - pick @ x
+    g_diff = 2.0 * diff * ((g * (0.5 * d / n)) / rho_sq)[:, None]
+    return entropy, g_diff + pick.T @ -g_diff
 
 
 def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
-             entropy_estimator: str) -> tuple[Node, Node, Node]:
-    """The generator loss mean(E(G(z))) - entropy_weight * H on a new tape.
+             entropy_estimator: str) -> tuple[float, dict]:
+    """The generator loss mean(E(G(z))) - entropy_weight * H, and its terms
+    ``{"e_gen", "entropy"}``; the loss's gradient over the generator's
+    parameters is left in ``gen.store.grad``.
 
-    Returns the (loss, mean energy, entropy estimate) nodes. The energy
-    model's parameters are frozen on that tape, so it sees only values,
-    never gradient; the loss back-propagates through the energy function
-    into the generator.
+    The samples come from a train-mode pass, which moves the running
+    statistics. The energy model passes the gradient on to its input, the
+    samples, and its parameters' gradients stay untouched.
     """
     if entropy_weight < 0:
         raise ValueError(f"entropy_weight must be >= 0, got {entropy_weight}")
-    tape = Tape()
-    tape.freeze(dem.params())
-    x = gen.generate_node(tape.constant(z), "train")
-    e_gen = dem.energy(x).mean()
-    entropy = _entropy_node(gen, x, entropy_estimator)
+    z = np.asarray(z, dtype=np.float64)
+    gen._check_latents(z)
+    ws = gen._workspace_for(z.shape[0])
+    x = gen._forward(z, "train", ws)
+    gen.store.grad[...] = 0.0
+    g = -entropy_weight if entropy_weight > 0 else None   # d loss / d H
+    if entropy_estimator == "nearest_neighbour":
+        entropy, dx = nearest_neighbour_entropy(x, g)
+    elif entropy_estimator == "batch_norm_scale":
+        entropy, dx = entropy_surrogate(gen, g), None
+    else:
+        raise ValueError(f"entropy_estimator must be one of {ENTROPY_ESTIMATORS}, "
+                         f"got {entropy_estimator!r}")
+    n = x.shape[0]
+    energies, dx = dem.energy_gradient(x, np.full(n, 1.0) / n, params=False, onto=dx)
+    gen._backward(z, x, ws, "train", dx)
+    e_gen = float(energies.mean())
     loss = e_gen - entropy_weight * entropy if entropy_weight > 0 else e_gen
-    return loss, e_gen, entropy
+    return loss, {"e_gen": e_gen, "entropy": entropy}
 
 
 def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
@@ -375,7 +364,5 @@ def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
     as a flat copy laid out like ``gen.store.values``; the stats hold the
     mean energy and the entropy estimate the loss used.
     """
-    loss, e_gen, entropy = dgm_loss(gen, dem, z, entropy_weight, entropy_estimator)
-    loss.tape.backward(loss)
-    stats = {"e_gen": float(e_gen.values), "entropy": float(entropy.values)}
+    _, stats = dgm_loss(gen, dem, z, entropy_weight, entropy_estimator)
     return gen.store.grad.copy(), stats

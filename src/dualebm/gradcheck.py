@@ -1,9 +1,9 @@
 """Finite-difference gradient checking.
 
-The oracle only ever calls the loss forward, so it is independent of the
-tape's backward pass. ``worst_relative_error`` guards the denominator with
-max(1, |analytic|, |numeric|): plain relative error for O(1) gradients,
-absolute error for vanishing ones.
+The oracle only ever reads the loss's value, so it is independent of the
+hand-written backwards whose gradients it checks. ``worst_relative_error``
+guards the denominator with max(1, |analytic|, |numeric|): plain relative
+error for O(1) gradients, absolute error for vanishing ones.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ def run_gradcheck(seed: int = 0, scale: float = 1.0) -> tuple[float, dict[str, f
 
     Covers the energy model's two-phase loss and the generator loss, which
     back-propagates through the energy function, once with each entropy
-    estimator. Both are the ``dem_loss`` and ``dgm_loss`` that training
-    differentiates. Returns the worst guarded relative error and the
-    per-loss breakdown.
+    estimator. The differences are taken of the values of ``dem_loss`` and
+    ``dgm_loss``, the functions whose gradients training uses. Returns the
+    worst guarded relative error and the per-loss breakdown.
     """
     from .energy_model import EnergyModel, dem_loss, dem_loss_gradient
     from .generator_model import (
@@ -83,13 +83,11 @@ def run_gradcheck(seed: int = 0, scale: float = 1.0) -> tuple[float, dict[str, f
     dem_analytic, _ = dem_loss_gradient(dem, x_pos, x_neg)
     breakdown = {"dem_loss": worst_relative_error(
         dem.store.views(dem_analytic),
-        finite_difference(lambda: float(dem_loss(dem, x_pos, x_neg)[0].values),
-                          dem.params()))}
+        finite_difference(lambda: dem_loss(dem, x_pos, x_neg)[0], dem.params()))}
     for estimator in ENTROPY_ESTIMATORS:
         dgm_analytic, _ = dgm_loss_gradient(gen, dem, z, 1.0, estimator)
         breakdown[f"dgm_loss[{estimator}]"] = worst_relative_error(
             gen.store.views(dgm_analytic),
             finite_difference(
-                lambda: float(dgm_loss(gen, dem, z, 1.0, estimator)[0].values),
-                gen.params()))
+                lambda: dgm_loss(gen, dem, z, 1.0, estimator)[0], gen.params()))
     return max(breakdown.values()), breakdown

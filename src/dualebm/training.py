@@ -3,12 +3,16 @@
 Each step draws a data minibatch and a generated minibatch, updates the
 energy model with the positive/negative phase gradient, and (every
 ``dem_updates_per_dgm_update`` batches) updates the generator on a fresh
-latent draw. Both models use AdaGrad: one ``adagrad_step`` per model
-update squares the flat gradient once, and that square gives the logged
-gradient norm, the finiteness check and the accumulator's increment. A NaN
-or infinite gradient aborts the run with the offending parameter and step
-rather than being masked. Each ``train`` call allocates the optimizer's
-scratch once and drops it on return; it is never checkpointed.
+latent draw. Each gradient comes from its loss's hand-written backward
+(``energy_model.dem_loss_gradient``, ``generator_model.dgm_loss_gradient``);
+no step records anything on a tape. Both models use AdaGrad: one
+``adagrad_step`` per model update squares the flat gradient once, and that
+square gives the logged gradient norm, the finiteness check and the
+accumulator's increment. A NaN or infinite gradient aborts the run with
+the offending parameter and step rather than being masked, and so does an
+entropy estimate that becomes singular, with its step. Each ``train`` call
+allocates the optimizer's scratch once and drops it on return; it is never
+checkpointed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ import numpy as np
 
 from .autodiff import ParameterStore
 from .energy_model import EnergyModel, dem_loss_gradient
-from .generator_model import GeneratorModel, dgm_loss_gradient, sample_prior
+from .generator_model import (
+    GeneratorModel,
+    SingularEntropyError,
+    dgm_loss_gradient,
+    sample_prior,
+)
 
 if TYPE_CHECKING:  # config imports data_io, which imports this module
     from .config import RunConfig
@@ -173,6 +182,8 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
                 metrics["dgm_gnorm"] = dgm_gnorm
         except NonFiniteGradientError as err:
             raise NonFiniteGradientError(err.param_name, step=state.step) from None
+        except SingularEntropyError as err:
+            raise SingularEntropyError(err.reason, step=state.step) from None
         state.step += 1
         if metrics_out is not None:
             metrics_out.write(_format_metrics(metrics) + "\n")

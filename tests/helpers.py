@@ -1,11 +1,13 @@
 """Shared assertions and tiny builders for the test suite."""
 
+import math
 import struct
 
 import numpy as np
 
 from dualebm import autodiff as ad
 from dualebm.autodiff import Parameter, Tape
+from dualebm.generator_model import LOG_2PIE
 
 
 def assert_grads_match(analytic, numeric, rtol, floor=0.01):
@@ -48,7 +50,7 @@ def write_idx_pair(tmp_path, count=10, rows=4, cols=3, pixel_fn=None):
     return images, labels, pixels
 
 
-# --- the primitive chains that one-entry model passes replace ----------------
+# --- the primitive chains that the hand-written passes and backwards stand for
 
 _ACTIVATIONS = {"linear": lambda a: a, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
                 "softplus": ad.softplus}
@@ -60,9 +62,10 @@ def reference_layer(h, w, b, activation):
 
 
 def reference_energy(model, x):
-    """``model.energy`` of node x as the chain of tape primitives it was
-    built from: one ``reference_layer`` per layer, then ``square``, ``*``
-    and ``.sum()``. A one-entry pass must match it bit for bit."""
+    """The energies of node x as the chain of tape primitives that
+    ``EnergyModel._energy`` and its backward stand for: one
+    ``reference_layer`` per layer, then ``square``, ``*`` and ``.sum()``.
+    The hand-written pass must match it bit for bit."""
     tape = x.tape
     f = reference_features(model, x)
     quadratic = ad.square(x).sum(axis=1) * (1.0 / model.sigma**2)
@@ -83,8 +86,9 @@ def reference_features(model, x):
 
 
 def reference_generate(gen, z, mode):
-    """``gen.generate_node`` of node z as the chain of ``reference_layer``
-    and ``ad.batch_norm`` entries it was built from."""
+    """The samples of node z as the chain of ``reference_layer`` and
+    ``ad.batch_norm`` entries that ``GeneratorModel._forward`` and its
+    backward stand for."""
     tape = z.tape
     h = z
     for layer in gen.layers:
@@ -109,17 +113,42 @@ def reference_dem_loss_gradient(model, x_pos, x_neg):
                                      "e_neg": float(e_neg.values)}
 
 
+def reference_entropy_surrogate(gen, tape):
+    """The batch-norm-scale entropy on the tape: each scale watched, then
+    ``log``, ``square``, ``+``, ``.sum()`` and ``*``."""
+    terms = None
+    for p in gen.scale_parameters():
+        term = (ad.log(ad.square(tape.watch(p))) + LOG_2PIE).sum() * 0.5
+        terms = term if terms is None else terms + term
+    return tape.constant(0.0) if terms is None else terms
+
+
+def reference_nearest_neighbour_entropy(x):
+    """The Kozachenko-Leonenko entropy of the rows of node x on the tape,
+    with the neighbours picked on its values."""
+    from scipy.spatial.distance import cdist
+    from scipy.special import digamma
+
+    n, d = x.shape
+    dist = cdist(x.values, x.values, "sqeuclidean")
+    np.fill_diagonal(dist, np.inf)
+    pick = np.zeros((n, n))
+    pick[np.arange(n), dist.argmin(axis=1)] = 1.0
+    diff = x - ad.matmul(pick, x)
+    rho_sq = ad.square(diff).sum(axis=1)
+    log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+    constant = float(digamma(n) - digamma(1)) + log_unit_ball
+    return ad.log(rho_sq).sum() * (0.5 * d / n) + constant
+
+
 def reference_dgm_loss_gradient(gen, dem, z, entropy_weight, estimator):
     """``dgm_loss_gradient`` on the primitive chain."""
-    from dualebm.generator_model import (entropy_surrogate_node,
-                                         nearest_neighbour_entropy_node)
-
     tape = Tape()
     tape.freeze(dem.params())
     x = reference_generate(gen, tape.constant(z), "train")
     e_gen = reference_energy(dem, x).mean()
-    entropy = (nearest_neighbour_entropy_node(x) if estimator == "nearest_neighbour"
-               else entropy_surrogate_node(gen, tape))
+    entropy = (reference_nearest_neighbour_entropy(x) if estimator == "nearest_neighbour"
+               else reference_entropy_surrogate(gen, tape))
     loss = e_gen - entropy_weight * entropy
     tape.backward(loss)
     return gen.store.grad.copy(), {"e_gen": float(e_gen.values),

@@ -237,6 +237,21 @@ def test_nonfinite_abort_maps_to_exit_3(tmp_path, monkeypatch):
     assert cli.main(["train", "--config", str(config)]) == 3
 
 
+def test_singular_entropy_abort_maps_to_exit_3_with_its_step(tmp_path, monkeypatch,
+                                                             capsys):
+    """A generator step large enough to map two latents onto one point makes
+    the nearest-neighbour entropy singular: the run aborts at that step."""
+    monkeypatch.setenv("DUALEBM_OUTDIR", str(tmp_path / "run"))
+    code = cli.main(["train", "--entropy_estimator", "nearest_neighbour",
+                     "--dgm_lr", "1000", "--steps", "300", "--n_points", "500"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: nearest-neighbour entropy is singular")
+    step = int(err.split(" at step ")[1])
+    metrics = (tmp_path / "run" / "metrics.txt").read_text().splitlines()
+    assert len(metrics) == step and step < 300
+
+
 # --- checkpoint-consuming commands --------------------------------------------
 
 @pytest.fixture(scope="module")

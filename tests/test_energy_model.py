@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 from dualebm.autodiff import ROW_BLOCK, ShapeError, Tape
 from dualebm.energy_model import (
     EnergyModel,
+    dem_loss,
     dem_loss_gradient,
     grid_log_density,
 )
 from dualebm.gradcheck import finite_difference
 
-from helpers import assert_grads_match
+from helpers import assert_grads_match, reference_energy
 
 
 def _zeroed(model):
@@ -50,11 +51,11 @@ def test_features_bounded_on_extreme_inputs():
 
 
 def test_features_rejects_wrong_width():
-    """``_features`` trusts its input; the recorded pass that reaches it
+    """``_features`` trusts its input; the training pass that reaches it
     checks the width first (``energy_values`` is checked below)."""
     model = EnergyModel.build((2, 4, 3), 2, np.random.default_rng(5))
     with pytest.raises(ShapeError, match=r"\(batch, 2\)"):
-        model.energy(Tape().constant(np.zeros((3, 5))))
+        model.energy_gradient(np.zeros((3, 5)), np.ones(3), params=True)
 
 
 def test_energy_zero_parameters_closed_form():
@@ -89,10 +90,12 @@ def test_energy_batch_permutation_equivariance():
 
 @pytest.mark.parametrize("rows", [500, ROW_BLOCK + 7])
 def test_energy_values_is_bit_equal_to_the_recorded_pass(rows):
+    """``energy_values`` against the chain of tape primitives it stands
+    for, one block at a time."""
     model = EnergyModel.build((2, 32, 32, 4), 4, np.random.default_rng(30))
     x = np.random.default_rng(31).normal(size=(rows, 2))
     recorded = np.concatenate([
-        model.energy(Tape().constant(x[start:start + ROW_BLOCK])).values
+        reference_energy(model, Tape().constant(x[start:start + ROW_BLOCK])).values
         for start in range(0, rows, ROW_BLOCK)])
     assert np.array_equal(model.energy_values(x), recorded)
 
@@ -129,11 +132,11 @@ def test_energy_values_runs_in_row_blocks():
     rows = 3 * ROW_BLOCK + 5
     x = np.random.default_rng(37).normal(size=(rows, 2))
     e = model.energy_values(x)
-    blocks = np.concatenate([model.energy(x[start:start + ROW_BLOCK])
+    blocks = np.concatenate([model._energy(x[start:start + ROW_BLOCK])
                              for start in range(0, rows, ROW_BLOCK)])
     assert np.array_equal(e, blocks)
     # BLAS may pick its kernel by the row count: one batch agrees to an ulp
-    assert_allclose(e, model.energy(x), rtol=0, atol=1e-14)
+    assert_allclose(e, model._energy(x), rtol=0, atol=1e-14)
 
 
 def test_energy_values_zero_rows_and_wrong_width():
@@ -182,14 +185,8 @@ def test_dem_loss_gradient_matches_finite_differences():
     x_pos = rng.normal(size=(8, 2))
     x_neg = rng.normal(size=(8, 2))
 
-    def loss():
-        tape = Tape()
-        root = (model.energy(tape.constant(x_pos)).mean()
-                - model.energy(tape.constant(x_neg)).mean())
-        return float(root.values)
-
     analytic, _ = dem_loss_gradient(model, x_pos, x_neg)
-    numeric = finite_difference(loss, model.params())
+    numeric = finite_difference(lambda: dem_loss(model, x_pos, x_neg)[0], model.params())
     assert_grads_match(model.store.views(analytic), numeric, rtol=1e-5)
 
 
@@ -218,10 +215,10 @@ def test_negative_phase_estimator_averages_toward_large_batch():
     gen = GeneratorModel.build((3, 8, 2), np.random.default_rng(18))
 
     def neg_phase_grad(z):
-        tape = Tape()
-        root = model.energy(tape.constant(gen.generate(z, "infer"))).mean()
-        tape.backward(root)
-        return np.concatenate([p.grad.ravel() for p in model.params()])
+        model.store.grad[...] = 0.0
+        model.energy_gradient(gen.generate(z, "infer"), np.full(len(z), 1.0 / len(z)),
+                              params=True)
+        return model.store.grad.copy()
 
     rng = np.random.default_rng(19)
     reference = neg_phase_grad(sample_prior(200_000, 3, rng))

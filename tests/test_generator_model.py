@@ -5,23 +5,31 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dualebm.autodiff import ROW_BLOCK, ShapeError, Tape
+from dualebm.autodiff import ROW_BLOCK, Parameter, ShapeError, Tape
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import (
     GeneratorModel,
+    SingularEntropyError,
+    dgm_loss,
     dgm_loss_gradient,
-    entropy_surrogate_node,
-    nearest_neighbour_entropy_node,
+    entropy_surrogate,
+    nearest_neighbour_entropy,
     sample_prior,
 )
 from dualebm.gradcheck import finite_difference
 from dualebm.training import adagrad_step
 
-from helpers import assert_grads_match
+from helpers import (
+    assert_grads_match,
+    reference_entropy_surrogate,
+    reference_generate,
+    reference_nearest_neighbour_entropy,
+)
 
 
 class ConstantEnergy:
-    """Stand-in energy model: E(x) = c for every row, no parameters."""
+    """Stand-in energy model: E(x) = c for every row, no parameters, so
+    its gradient in x is zero."""
 
     def __init__(self, c=0.0):
         self.c = c
@@ -29,8 +37,9 @@ class ConstantEnergy:
     def params(self):
         return []
 
-    def energy(self, x):
-        return (x * 0.0).sum(axis=1) + self.c
+    def energy_gradient(self, x, weights, params, onto=None):
+        dx = onto if onto is not None else np.zeros_like(x)
+        return np.full(x.shape[0], self.c), None if params else dx
 
 
 # --- prior -----------------------------------------------------------------
@@ -91,6 +100,7 @@ def test_generate_rejects_wrong_latent_width():
 @pytest.mark.parametrize("output_activation", ["linear", "sigmoid"])
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_generate_is_bit_equal_to_the_recorded_pass(mode, output_activation):
+    """``generate`` against the chain of tape primitives it stands for."""
     # two copies, since a train-mode pass moves the running statistics
     plain, recorded = (GeneratorModel.build((4, 32, 32, 3), np.random.default_rng(20),
                                             output_activation=output_activation)
@@ -98,7 +108,8 @@ def test_generate_is_bit_equal_to_the_recorded_pass(mode, output_activation):
     z = sample_prior(300, 4, np.random.default_rng(21))
     for _ in range(2):
         x_plain = plain.generate(z, mode)
-        x_recorded = recorded.generate_node(Tape().constant(z), mode).values
+        tape = Tape()
+        x_recorded = reference_generate(recorded, tape.constant(z), mode).values
         assert type(x_plain) is np.ndarray
         assert np.array_equal(x_plain, x_recorded)
         for a, b in zip(plain.layers, recorded.layers):
@@ -152,11 +163,11 @@ def test_generate_infer_runs_in_row_blocks(out_width, activation):
     rows = 3 * ROW_BLOCK + 5
     z = sample_prior(rows, 4, np.random.default_rng(28))
     x = gen.generate(z, "infer")
-    blocks = np.concatenate([gen.generate_node(z[start:start + ROW_BLOCK], "infer")
+    blocks = np.concatenate([gen._forward(z[start:start + ROW_BLOCK], "infer")
                              for start in range(0, rows, ROW_BLOCK)])
     assert np.array_equal(x, blocks)
     # BLAS may pick its kernel by the row count: one batch agrees to an ulp
-    assert_allclose(x, gen.generate_node(z, "infer"), rtol=0, atol=1e-14)
+    assert_allclose(x, gen._forward(z, "infer"), rtol=0, atol=1e-14)
     for (mean, var), layer in zip(stats, [l for l in gen.layers if l.has_batch_norm]):
         assert np.array_equal(layer.bn_state.mean, mean)
         assert np.array_equal(layer.bn_state.var, var)
@@ -204,7 +215,7 @@ def test_infer_matches_train_after_running_stats_converge():
     assert np.max(np.abs(x_train - x_infer)) < 1e-2
 
 
-# --- entropy surrogate ----------------------------------------------------------
+# --- entropy estimates ----------------------------------------------------------
 
 def _single_scale_model(value):
     gen = GeneratorModel.build((2, 1, 1), np.random.default_rng(10))
@@ -212,27 +223,75 @@ def _single_scale_model(value):
     return gen
 
 
+def _reference_surrogate(gen, g):
+    """The surrogate's value and g times its gradient in each scale, on the
+    tape."""
+    tape = Tape()
+    entropy = reference_entropy_surrogate(gen, tape)
+    tape.backward(entropy * g)
+    return float(entropy.values), [p.grad.copy() for p in gen.scale_parameters()]
+
+
 def test_entropy_surrogate_unit_scale():
-    assert_allclose(entropy_surrogate_node(_single_scale_model(1.0), Tape()).values,
-                    1.418939, atol=1e-6)
+    gen = _single_scale_model(1.0)
+    assert_allclose(entropy_surrogate(gen), 1.418939, atol=1e-6)
+    assert entropy_surrogate(gen) == _reference_surrogate(gen, 1.0)[0]
 
 
 def test_entropy_surrogate_doubling_adds_log2():
-    assert_allclose(entropy_surrogate_node(_single_scale_model(2.0), Tape()).values,
+    assert_allclose(entropy_surrogate(_single_scale_model(2.0)),
                     1.418939 + math.log(2.0), atol=1e-6)
 
 
 def test_entropy_surrogate_gradient_is_reciprocal_scale():
     gen = _single_scale_model(0.5)
-    tape = Tape()
-    tape.backward(entropy_surrogate_node(gen, tape))
+    gen.store.grad[...] = 0.0
+    entropy_surrogate(gen, 1.0)
     assert_allclose(gen.scale_parameters()[0].grad, [2.0], rtol=1e-12)
+
+
+def test_entropy_surrogate_is_bit_equal_to_the_tape():
+    gen = GeneratorModel.build((3, 16, 8, 2), np.random.default_rng(30))
+    rng = np.random.default_rng(31)
+    for p in gen.scale_parameters():
+        p.values[...] = rng.uniform(-2.0, 2.0, size=p.values.shape)
+    want_value, want_grads = _reference_surrogate(gen, -0.7)
+    gen.store.grad[...] = 0.0
+    assert entropy_surrogate(gen, -0.7) == want_value
+    for p, want in zip(gen.scale_parameters(), want_grads):
+        assert np.array_equal(p.grad, want)
 
 
 def test_entropy_surrogate_zero_scale_is_singular():
     gen = _single_scale_model(0.0)
-    with pytest.raises(ValueError, match="singular"):
-        entropy_surrogate_node(gen, Tape())
+    with pytest.raises(SingularEntropyError, match="singular"):
+        entropy_surrogate(gen)
+
+
+@pytest.mark.parametrize("shape", [(64, 2), (9, 5)])
+def test_nearest_neighbour_entropy_is_bit_equal_to_the_tape(shape):
+    x = np.random.default_rng(32).normal(size=shape)
+    p = Parameter(x, "x")
+    tape = Tape()
+    entropy = reference_nearest_neighbour_entropy(tape.watch(p))
+    tape.backward(entropy * -0.7)
+    value, dx = nearest_neighbour_entropy(x, -0.7)
+    assert value == float(entropy.values)
+    assert np.array_equal(dx, p.grad)
+    assert nearest_neighbour_entropy(x) == (value, None)
+
+
+def test_nearest_neighbour_entropy_coincident_rows_are_singular():
+    x = np.random.default_rng(33).normal(size=(6, 2))
+    x[4] = x[1]
+    with pytest.raises(SingularEntropyError, match="coincide"):
+        nearest_neighbour_entropy(x)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (0, 2), (5,)])
+def test_nearest_neighbour_entropy_needs_two_rows(shape):
+    with pytest.raises(ShapeError, match="batch >= 2"):
+        nearest_neighbour_entropy(np.zeros(shape))
 
 
 # --- generator loss gradient ------------------------------------------------------
@@ -263,20 +322,9 @@ def test_dgm_loss_gradient_matches_finite_differences(entropy_weight, estimator)
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(16))
     z = sample_prior(8, 2, np.random.default_rng(17))
 
-    def loss():
-        from dualebm.generator_model import entropy_surrogate_node
-        tape = Tape()
-        tape.freeze(dem.params())
-        x = gen.generate_node(tape.constant(z), "train")
-        root = dem.energy(x).mean()
-        if estimator == "nearest_neighbour":
-            root = root - entropy_weight * nearest_neighbour_entropy_node(x)
-        elif entropy_weight > 0:
-            root = root - entropy_weight * entropy_surrogate_node(gen, tape)
-        return float(root.values)
-
     analytic, _ = dgm_loss_gradient(gen, dem, z, entropy_weight, estimator)
-    numeric = finite_difference(loss, gen.params())
+    numeric = finite_difference(
+        lambda: dgm_loss(gen, dem, z, entropy_weight, estimator)[0], gen.params())
     assert_grads_match(gen.store.views(analytic), numeric, rtol=1e-5)
 
 
@@ -320,8 +368,7 @@ def test_entropy_pressure_increases_every_scale():
 
 
 def test_entropy_unbounded_below_near_zero_scale():
-    vals = [float(entropy_surrogate_node(_single_scale_model(s), Tape()).values)
-            for s in (1.0, 0.1, 0.01, 1e-6)]
+    vals = [entropy_surrogate(_single_scale_model(s)) for s in (1.0, 0.1, 0.01, 1e-6)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < -10.0
 

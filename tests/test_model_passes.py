@@ -1,13 +1,13 @@
-"""Each model pass is one tape entry with a hand-written backward over
-buffers the model reuses: it must give the bits of the primitive chain it
-replaces, pass every gradient check, and never let a buffer leak into what
-a caller keeps."""
+"""Each model pass and each loss has a hand-written backward over buffers
+the model reuses: it must give the bits of the chain of tape primitives it
+stands for, pass every gradient check, and never let a buffer leak into
+what a caller keeps."""
 
 import numpy as np
 import pytest
 
 from dualebm import autodiff as ad
-from dualebm.autodiff import Tape, TapeError
+from dualebm.autodiff import Tape
 from dualebm.config import RunConfig, build_models
 from dualebm.energy_model import EnergyModel, dem_loss_gradient
 from dualebm.generator_model import GeneratorModel, dgm_loss_gradient, sample_prior
@@ -70,25 +70,36 @@ def test_loss_gradients_are_bit_equal_to_the_primitive_chain(batch, output_activ
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_input_gradients_are_bit_equal_to_the_primitive_chain(mode):
-    """A loss that reaches z through the generator and the energy of its
-    samples, and x through the energy of x."""
+    """A loss that reaches the generator through the energy of its samples,
+    and x through the energy of x, with row weights: the plain ∇ₓE
+    backward, without and with a gradient already in x, then the
+    generator's backward."""
     x, _, z = _data(9, 5)
-    weights = np.random.default_rng(2).standard_normal(9)
+    rng = np.random.default_rng(2)
+    weights, onto = rng.standard_normal(9), rng.standard_normal((9, 5))
 
-    def run(energy, generate):
-        dem, gen = _pair("sigmoid", 5)
-        tape = Tape()
-        zp, xp = ad.Parameter(z, "z"), ad.Parameter(x, "x")
-        loss = (energy(dem, generate(gen, tape.watch(zp), mode)).mean()
-                + (energy(dem, tape.watch(xp)) * weights).sum())
-        tape.backward(loss)
-        return (float(loss.values), zp.grad.copy(), xp.grad.copy(),
-                dem.store.grad.copy(), gen.store.grad.copy())
+    dem, gen = _pair("sigmoid", 5)
+    gen.store.grad[...] = 0.0
+    ws = gen._workspace_for(9)
+    samples = gen._forward(z, mode, ws)
+    e_gen, dx_gen = dem.energy_gradient(samples, np.full(9, 1.0) / 9, params=False)
+    gen._backward(z, samples, ws, mode, dx_gen)
+    e_x, dx = dem.energy_gradient(x, weights, params=False, onto=onto.copy())
+    got = (e_gen, gen.store.grad.copy(), e_x, dx)
 
-    got = run(EnergyModel.energy, GeneratorModel.generate_node)
-    want = run(reference_energy, reference_generate)
+    dem, gen = _pair("sigmoid", 5)
+    tape = Tape()
+    tape.freeze(dem.params())
+    xp = ad.Parameter(x, "x")
+    e_samples = reference_energy(dem, reference_generate(gen, tape.constant(z), mode))
+    e_x_node = reference_energy(dem, tape.watch(xp))
+    # x's first gradient is onto: it is recorded last
+    tape.backward(e_samples.mean() + (e_x_node * weights).sum()
+                  + (tape.watch(xp) * onto).sum())
+    want = (e_samples.values, gen.store.grad.copy(), e_x_node.values, xp.grad)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
+    assert not dem.store.grad.any()
 
 
 @pytest.mark.parametrize("scale", [1.0, 3.0])
@@ -101,11 +112,11 @@ def test_gradcheck_passes(seed, scale):
 def test_energy_gradient_in_x_matches_finite_differences():
     dem, _ = _pair()
     x = ad.Parameter(np.random.default_rng(3).normal(size=(6, 2)), "x")
-    tape = Tape()
-    tape.freeze(dem.params())
-    tape.backward(dem.energy(tape.watch(x)).sum())
-    numeric = finite_difference(lambda: float(dem.energy_values(x.values).sum()), [x])
-    assert_grads_match({"x": x.grad}, numeric, rtol=1e-6)
+    weights = np.random.default_rng(4).standard_normal(6)
+    _, dx = dem.energy_gradient(x.values, weights, params=False)
+    numeric = finite_difference(
+        lambda: float((dem.energy_values(x.values) * weights).sum()), [x])
+    assert_grads_match({"x": dx}, numeric, rtol=1e-6)
 
 
 def test_kept_results_do_not_change_when_the_next_call_runs():
@@ -137,87 +148,16 @@ def test_switching_the_batch_size_gives_the_results_of_a_fresh_model():
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-def test_each_pass_on_a_tape_writes_a_slot_of_its_own(monkeypatch):
-    """Three energy passes and two generator passes of one batch size on one
-    tape: the k-th pass of a model writes slot k, so the workspaces grow to
-    3 and 2 slots, each pass runs its forward once, and the gradients stay
-    those of the chain."""
-    x1, x2, z1 = _data(10, 2)
-    z2 = _data(10, 2, seed=4)[2]
-    forwards = []
-    for owner, name in ((EnergyModel, "_energy"), (GeneratorModel, "_forward")):
-        original = getattr(owner, name)
-
-        def counted(*args, _original=original, _name=name):
-            forwards.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    def run(energy, generate):
-        dem, gen = _pair()
-        tape = Tape()
-        s1 = generate(gen, tape.constant(z1), "train")
-        s2 = generate(gen, tape.constant(z2), "train")
-        loss = (energy(dem, tape.constant(x1)).mean() + energy(dem, s1).mean() * 0.5
-                + energy(dem, tape.constant(x2)).mean() * 2.0 + (s2 * s2).sum())
-        tape.backward(loss)
-        return dem, gen, (dem.store.grad.copy(), gen.store.grad.copy(), _bn_states(gen))
-
-    dem, gen, got = run(EnergyModel.energy, GeneratorModel.generate_node)
-    assert (forwards.count("_energy"), forwards.count("_forward")) == (3, 2)
-    assert (len(dem._workspace.slots), len(gen._workspace.slots)) == (3, 2)
-    want = run(reference_energy, reference_generate)[2]
-    for a, b in zip(got[:2], want[:2]):
-        assert np.array_equal(a, b)
-    for (m, v), (ref_m, ref_v) in zip(got[2], want[2]):
-        assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
-
-
-@pytest.mark.parametrize("model", ["energy", "generator"])
-def test_a_backward_after_another_tape_took_its_slot_is_a_tape_error(model):
-    """Tape a records a pass, tape b records a pass of the same model into
-    the same slot, then a runs its backward: the slot no longer holds a's
-    intermediates."""
-    dem, gen = _pair()
-    x, _, z = _data(8, 2)
-
-    def record(tape):
-        if model == "energy":
-            return dem.energy(tape.constant(x)).sum()
-        return gen.generate_node(tape.constant(z), "train").sum()
-
-    a, b = Tape(), Tape()
-    root_a = record(a)
-    root_b = record(b)
-    with pytest.raises(TapeError, match="run backward before recording another pass"):
-        a.backward(root_a)
-    b.backward(root_b)
-
-
 @pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])
-def test_training_keeps_one_slot_per_pass_of_a_step(estimator):
-    """Each step's tapes start again at slot 0, so however many steps run,
-    the energy model holds a slot per phase of its loss and the generator
-    one."""
-    config = RunConfig(seed=0, steps=5, entropy_estimator=estimator)
+def test_training_keeps_one_workspace_per_model(estimator):
+    """Every step's passes share their model's one workspace, built at the
+    first step for the batch size and kept as long as the size holds."""
+    config = RunConfig(seed=0, steps=2, entropy_estimator=estimator)
     dem, gen = build_models(config)
-    train(dem, gen, np.random.default_rng(30).normal(size=(256, 2)), config)
-    assert (len(dem._workspace.slots), len(gen._workspace.slots)) == (2, 1)
-
-
-def test_one_entry_per_model_pass():
-    dem, gen = _pair()
-    tape = Tape()
-    x = gen.generate_node(tape.constant(_data(8, 2)[2]), "train")
-    dem.energy(x)
-    # a constant, the generator's store, its pass; the energy model's store, its pass
-    assert len(tape._values) == 5
-
-
-def test_freezing_part_of_a_model_is_rejected():
-    dem, _ = _pair()
-    tape = Tape()
-    tape.freeze(dem.params()[:1])
-    with pytest.raises(TapeError, match="only some"):
-        dem.energy(tape.constant(np.zeros((3, 2))))
+    points = np.random.default_rng(30).normal(size=(256, 2))
+    state = train(dem, gen, points, config)
+    workspaces = (dem._workspace, gen._workspace)
+    assert [ws.rows for ws in workspaces] == [config.batch_size] * 2
+    config.steps = 5
+    train(dem, gen, points, config, state=state)
+    assert dem._workspace is workspaces[0] and gen._workspace is workspaces[1]

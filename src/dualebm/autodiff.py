@@ -5,10 +5,24 @@ No command records on a tape. The tape and its primitives are the
 reference that the tests compare the models' hand-written passes and loss
 backwards with, bit for bit (``tests/helpers.py``), and the target of the
 benchmark's per-primitive timings. The pieces the program runs are
-``ParameterStore``, ``workspace``, ``by_row_blocks``, ``batch_statistics``,
-``batch_norm_dx``, ``sigmoid_values`` and ``softplus_values``: the models
-compute each value with these expressions, which are the primitives' own,
-so a pass gives the bits of the chain of primitives it stands for.
+``ParameterStore``, the dense-layer stack, ``by_row_blocks``,
+``batch_statistics``, ``batch_norm_dx``, ``sigmoid_values`` and
+``softplus_values``: the models compute each value with these
+expressions, which are the primitives' own, so a pass gives the bits of
+the chain of primitives it stands for.
+
+The dense-layer stack is the one network of both models: the energy
+model's feature layers (tanh, then sigmoid) and the generator (tanh and
+batch norm, then a linear or sigmoid output). A ``Dense`` layer computes
+activation(h @ w + b), then batch norm when it has one; ``dense_stack``
+builds the layers. ``stack_forward`` runs them, into a model's
+``workspace`` (arrays kept from call to call, rebuilt when the row count
+changes) when a backward follows; ``stack_backward`` then adds the
+parameters' gradients or returns the input's. Its expressions, and the
+order of its sums, are the chain's of ``matmul``, ``add``, the activation
+and ``batch_norm``, with tanh' = 1 - out * out and sigmoid' = (1 - out) *
+out formed from the activation's output, so its gradients have the
+chain's bits.
 
 Runtime values are numpy float64 arrays (C order, batch as the leading
 dimension). A ``Tape`` records every primitive in execution order, so the
@@ -46,8 +60,8 @@ blocks of ``ROW_BLOCK`` rows, each written straight into its slice of one
 output, so its memory does not grow with the row count.
 
 ``ParameterStore`` lays a model's parameters out in one values buffer and
-one grad buffer; each ``Parameter`` then holds views into them, so tapes
-and finite differences, which work per parameter, and AdaGrad and the
+one grad buffer; each ``Parameter`` then holds views into them, so tapes,
+which work per parameter, and AdaGrad, finite differences and the
 hand-written backwards, which work on the flat buffers, see one state.
 Every other per-parameter array (a gradient copy, an AdaGrad accumulator)
 is a flat array in the same layout; ``views`` names its parts where a name
@@ -312,19 +326,6 @@ def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
     for start in range(0, x.shape[0], ROW_BLOCK):
         fn(x[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK])
     return out
-
-
-def workspace(rows: int, spec: dict) -> SimpleNamespace:
-    """Arrays in which a model's passes over ``rows`` rows keep their
-    intermediates: one namespace holding, under each name of ``spec``, an
-    array of the shape given there, or a list of arrays for a list of
-    shapes, and ``rows`` itself. A model allocates one, reuses it from step
-    to step and builds a new one when the row count changes. Nothing in it
-    is returned to a caller."""
-    return SimpleNamespace(rows=rows, **{
-        name: ([np.empty(s) for s in shapes] if isinstance(shapes, list)
-               else np.empty(shapes))
-        for name, shapes in spec.items()})
 
 
 def _operands(*xs) -> tuple[Optional[Tape], list, list]:
@@ -638,3 +639,138 @@ def batch_norm_dx(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
     dx -= np.multiply(xhat, dxhat_xhat_sum, out=dxhat)
     dx *= inv / n
     return dx
+
+
+# --- the dense-layer stack of both models ------------------------------------
+
+# activation name -> its value, computed in place in the array it is given
+_ACTIVATE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "linear": lambda a: a,
+    "tanh": lambda a: np.tanh(a, out=a),
+    "sigmoid": lambda a: sigmoid_values(a, out=a),
+}
+
+
+class Dense:
+    """activation(h @ w + b), then batch norm with ``bn_shift``,
+    ``bn_scale`` and the running statistics ``bn_state`` when it has them."""
+
+    def __init__(self, w: Parameter, b: Parameter, activation: str):
+        self.w, self.b, self.activation = w, b, activation
+        self.bn_shift = self.bn_scale = self.bn_state = None
+
+    @property
+    def has_batch_norm(self) -> bool:
+        return self.bn_scale is not None
+
+
+def dense_stack(prefix: str, widths: Sequence[int], activations: Sequence[str],
+                rng: np.random.Generator, init_scale: float,
+                batch_norm: bool) -> list[Dense]:
+    """Layers from width ``widths[0]`` to ``widths[-1]``, layer i with
+    ``activations[i]`` and parameters ``{prefix}.layer{i}.w``, ``.b``,
+    ``.bn_shift`` and ``.bn_scale``; with ``batch_norm`` every layer but the
+    last has batch norm. Weights are uniform in +/- init_scale /
+    sqrt(fan_in), drawn from rng layer by layer; biases and shifts start at
+    zero, scales at one."""
+    if any(width < 1 for width in widths):
+        raise ValueError(f"layer widths must be at least 1, got {list(widths)}")
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
+        name = f"{prefix}.layer{i}"
+        bound = init_scale / np.sqrt(fan_in)
+        layer = Dense(Parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
+                                f"{name}.w"),
+                      Parameter(np.zeros(fan_out), f"{name}.b"), activations[i])
+        if batch_norm and i < len(widths) - 2:
+            layer.bn_shift = Parameter(np.zeros(fan_out), f"{name}.bn_shift")
+            layer.bn_scale = Parameter(np.ones(fan_out), f"{name}.bn_scale")
+            layer.bn_state = BatchNormState.initial(fan_out)
+        layers.append(layer)
+    return layers
+
+
+def workspace(ws: Optional[SimpleNamespace], rows: int, layers: Sequence[Dense],
+              **extra) -> SimpleNamespace:
+    """``ws`` when it was built for ``rows`` rows, else a new one: per layer
+    the activation ``a``, the gradients ``ga`` of the activation's input and
+    ``dh`` of the layer's output, and the weight gradient ``dw``; per
+    batch-norm layer ``xhat``, ``inv`` and the layer's output ``h``
+    (elsewhere None, None and ``a``); an array of each shape in ``extra``;
+    and ``rows``."""
+    if ws is not None and ws.rows == rows:
+        return ws
+    ws = SimpleNamespace(rows=rows, a=[], ga=[], dh=[], dw=[], xhat=[], inv=[], h=[],
+                         **{name: np.empty(shape) for name, shape in extra.items()})
+    for layer in layers:
+        shape = (rows, layer.w.values.shape[1])
+        norm = layer.has_batch_norm
+        ws.a.append(np.empty(shape))
+        ws.ga.append(np.empty(shape))
+        ws.dh.append(np.empty(shape))
+        ws.dw.append(np.empty(layer.w.values.shape))
+        ws.xhat.append(np.empty(shape) if norm else None)
+        ws.inv.append(np.empty(shape[1]) if norm else None)
+        ws.h.append(np.empty(shape) if norm else ws.a[-1])
+    return ws
+
+
+def stack_forward(layers: Sequence[Dense], x: np.ndarray, mode: str, ws=None,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The stack's output for the rows of x, ``mode`` picking the batch-norm
+    statistics. A workspace takes what the backward reads, the output
+    included; without one, the arrays are fresh, and the last layer writes
+    into ``out`` when given."""
+    h = x
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        a = np.matmul(h, layer.w.values,
+                      out=ws.a[i] if ws else out if i == last else None)
+        a += layer.b.values
+        h = _ACTIVATE[layer.activation](a)
+        if layer.has_batch_norm:
+            _, inv, xhat = batch_statistics(a, layer.bn_state, mode,
+                                            out=ws.xhat[i] if ws else None,
+                                            work=ws.h[i] if ws else a)
+            if ws:
+                ws.inv[i][...] = inv
+            xhat *= inv
+            h = np.multiply(xhat, layer.bn_scale.values, out=ws.h[i] if ws else xhat)
+            h += layer.bn_shift.values
+    return h
+
+
+def stack_backward(layers: Sequence[Dense], x: np.ndarray, ws, dh: np.ndarray,
+                   mode: str, params: bool,
+                   dx_out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+    """Backward of the ``stack_forward`` pass over x that wrote ``ws``, from
+    the gradient dh of its output, which it may overwrite. With ``params``
+    it adds the parameters' gradients into their ``.grad``; without, it
+    returns x's gradient, into ``dx_out`` when given."""
+    for i in range(len(layers) - 1, -1, -1):
+        layer, a, ga = layers[i], ws.a[i], ws.ga[i]
+        if layer.has_batch_norm:   # dh becomes the gradient to the activation
+            if params:
+                layer.bn_shift.grad += np.add.reduce(dh, axis=0)
+                layer.bn_scale.grad += np.add.reduce(np.multiply(dh, ws.xhat[i], out=ga),
+                                                     axis=0)
+            batch_norm_dx(dh, ws.xhat[i], layer.bn_scale.values, ws.inv[i], mode,
+                          out=dh, work=ga)
+        if layer.activation == "linear":
+            ga = dh
+        else:
+            if layer.activation == "tanh":   # (1 - a * a) * dh
+                np.multiply(a, a, out=ga)
+                np.subtract(1.0, ga, out=ga)
+            else:                            # sigmoid: (1 - a) * (dh * a)
+                np.subtract(1.0, a, out=ga)
+                dh *= a
+            ga *= dh
+        if params:
+            layer.w.grad += np.matmul(ws.h[i - 1].T if i else x.T, ga, out=ws.dw[i])
+            layer.b.grad += np.add.reduce(ga, axis=0)
+        if i:
+            dh = np.matmul(ga, layer.w.values.T, out=ws.dh[i - 1])
+        elif not params:
+            return np.matmul(ga, layer.w.values.T, out=dx_out)
+    return None

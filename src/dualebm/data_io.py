@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import struct
 import tempfile
@@ -179,14 +178,9 @@ def _accumulator_views(dem: EnergyModel, gen: GeneratorModel,
             for name, view in stores[key].views(flat).items()}
 
 
-def _rng_state(rng: Optional[np.random.Generator]):
-    return None if rng is None else rng.bit_generator.state
-
-
-def _restore_rng(saved):
-    if saved is None:
-        return None
+def _restore_rng(saved) -> np.random.Generator:
     rng = np.random.default_rng(0)
+    # a saved state that is no PCG64 state raises TypeError, ValueError or KeyError
     rng.bit_generator.state = saved
     return rng
 
@@ -210,8 +204,8 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
         },
         "state": {
             "step": state.step,
-            "data_rng": _rng_state(state.data_rng),
-            "prior_rng": _rng_state(state.prior_rng),
+            "data_rng": state.data_rng.bit_generator.state,
+            "prior_rng": state.prior_rng.bit_generator.state,
         },
         "tensors": manifest,
     }
@@ -300,7 +294,7 @@ def load_checkpoint(path) -> Checkpoint:
             tuple(gen_meta["widths"]), np.random.default_rng(0),
             output_activation=gen_meta["output_activation"])
         state = TrainState(
-            step=operator.index(state_meta["step"]),
+            step=state_meta["step"],
             data_rng=_restore_rng(state_meta["data_rng"]),
             prior_rng=_restore_rng(state_meta["prior_rng"]),
         )

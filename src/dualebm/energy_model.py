@@ -10,19 +10,17 @@ most linearly in ||x|| while the quadratic term dominates, so exp(-energy)
 is integrable and the model defines a proper unnormalized density. sigma
 is a fixed hyperparameter, not trained.
 
-The forward pass is written once (``_energy``, one numpy expression per
-value) and serves every caller. ``energy_gradient`` runs it into the
-model's workspace (``autodiff.workspace``: one namespace of arrays, kept
-for one batch size and rebuilt when the size changes) and then its
-hand-written backward for given per-row weights w, the gradient of
-sum_i w_i E(x_i): into the parameters' gradients for the energy-model
-loss, or in x, the plain ∇ₓE, for the generator loss, which reaches the
-generator through the energy of its samples. The backward uses the
-expressions, and sums in the order, of the tape's primitive chain (per
-layer ``@``, ``+`` and the activation, then ``square``, ``*`` and
-``.sum()``), so gradients keep the chain's bits. ``dem_loss`` runs the
-negative phase's pass and backward before the positive phase's, the order
-of the chain's reverse sweep, so one workspace serves both.
+f is an ``autodiff`` dense-layer stack (see there). ``_energy`` adds the
+expert, quadratic and visible-bias terms to its pass, and
+``energy_gradient`` runs that into the model's workspace, then the
+backward for given per-row weights w, the gradient of sum_i w_i E(x_i):
+into the parameters' gradients for the energy-model loss, or in x, the
+plain ∇ₓE, for the generator loss, which reaches the generator through the
+energy of its samples. The terms' backward uses the expressions, and sums
+in the order, of the tape's ``square``, ``*`` and ``.sum()``, so
+gradients keep the chain's bits. ``dem_loss`` runs the negative phase's
+pass and backward before the positive phase's, the order of the chain's
+reverse sweep, so one workspace serves both.
 
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 passes over many rows (energy grids, held-out sets, ``sample``). Both run
@@ -48,6 +46,7 @@ tests/test_cli.py.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -56,15 +55,15 @@ from .autodiff import Parameter, ParameterStore, ShapeError
 
 
 class EnergyModel:
-    def __init__(self, weights, biases, expert_w, expert_b, b_vis, sigma,
-                 widths):
-        self.weights = list(weights)
-        self.biases = list(biases)
+    def __init__(self, layers, expert_w, expert_b, b_vis, sigma, widths):
+        self.layers = list(layers)
         self.expert_w = expert_w
         self.expert_b = expert_b
         self.b_vis = b_vis
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        # also false for NaN; an infinite sigma drops the quadratic term
+        # that makes exp(-energy) integrable
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         self.sigma = float(sigma)
         self.widths = tuple(widths)
         self.store = ParameterStore(self.params())
@@ -79,20 +78,16 @@ class EnergyModel:
         """
         if len(widths) < 2:
             raise ValueError("need at least an input and a feature width")
-        weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            bound = init_scale / np.sqrt(fan_in)
-            weights.append(Parameter(
-                rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                f"dem.layer{i}.w"))
-            biases.append(Parameter(np.zeros(fan_out), f"dem.layer{i}.b"))
+        activations = ["tanh"] * (len(widths) - 2) + ["sigmoid"]
+        layers = ad.dense_stack("dem", widths, activations, rng, init_scale,
+                                batch_norm=False)
         d_feat = widths[-1]
         expert_w = Parameter(
             rng.uniform(-0.1 * init_scale, 0.1 * init_scale, size=(d_feat, n_experts)),
             "dem.expert_w")
         expert_b = Parameter(np.zeros(n_experts), "dem.expert_b")
         b_vis = Parameter(np.zeros(widths[0]), "dem.b_vis")
-        return cls(weights, biases, expert_w, expert_b, b_vis, sigma, widths)
+        return cls(layers, expert_w, expert_b, b_vis, sigma, widths)
 
     @property
     def d_in(self) -> int:
@@ -103,7 +98,7 @@ class EnergyModel:
         return self.expert_w.values.shape[1]
 
     def params(self) -> list[Parameter]:
-        return (self.weights + self.biases
+        return ([layer.w for layer in self.layers] + [layer.b for layer in self.layers]
                 + [self.expert_w, self.expert_b, self.b_vis])
 
     def _check_width(self, x) -> None:
@@ -135,41 +130,20 @@ class EnergyModel:
         """
         x = np.asarray(x, dtype=np.float64)
         self._check_width(x)
-        ws = self._workspace_for(x.shape[0])
+        rows = x.shape[0]
+        ws = self._workspace = ad.workspace(
+            self._workspace, rows, self.layers, pre_e=(rows, self.n_experts),
+            ga_e=(rows, self.n_experts), dw_e=self.expert_w.values.shape,
+            x=(rows, self.d_in))
         return self._energy(x, ws), self._energy_backward(x, ws, weights, params, onto)
 
     # --- the one forward and backward of a pass ------------------------------
-
-    def _workspace_for(self, rows: int):
-        """The workspace for passes over ``rows`` rows, rebuilt when the row
-        count changes."""
-        ws = self._workspace
-        if ws is None or ws.rows != rows:
-            fan = list(zip(self.widths[:-1], self.widths[1:]))
-            hidden = [(rows, o) for _, o in fan]
-            experts = (rows, self.n_experts)
-            ws = self._workspace = ad.workspace(
-                rows, {"h": hidden, "pre_e": experts, "ga": hidden, "dh": hidden,
-                       "dw": fan, "ga_e": experts, "dw_e": self.expert_w.values.shape,
-                       "x": (rows, self.d_in)})
-        return ws
-
-    def _features(self, x: np.ndarray, ws=None) -> np.ndarray:
-        """Features of the rows of x; with a workspace, each layer's output
-        goes into ``ws.h``, else into a fresh array."""
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = np.matmul(h, w.values, out=ws.h[i] if ws else None)
-            pre += b.values
-            h = np.tanh(pre, out=pre) if i < last else ad.sigmoid_values(pre, out=pre)
-        return h
 
     def _energy(self, x: np.ndarray, ws=None, out=None) -> np.ndarray:
         """(1/sigma^2) x.x - b_vis.x - sum softplus(f(x) @ expert_w +
         expert_b), as a fresh array or into ``out`` when given; a workspace
         takes the intermediates."""
-        f = self._features(x, ws)
+        f = ad.stack_forward(self.layers, x, "infer", ws)
         pre_e = np.matmul(f, self.expert_w.values, out=ws.pre_e if ws else None)
         pre_e += self.expert_b.values
         tmp = ws.x if ws else None
@@ -189,7 +163,7 @@ class EnergyModel:
             self.expert_w.grad += np.matmul(ws.h[-1].T, ga, out=ws.dw_e)
             self.expert_b.grad += np.add.reduce(ga, axis=0)
             self.b_vis.grad += np.add.reduce(np.multiply(minus_g, x, out=ws.x), axis=0)
-            self._features_backward(x, ws, dh, params)
+            ad.stack_backward(self.layers, x, ws, dh, "infer", params)
             return None
         # in the chain's order: -g b_vis (onto ``onto``), 2 g x / sigma^2,
         # then the first layer's part
@@ -199,32 +173,8 @@ class EnergyModel:
         quadratic = np.multiply(x, 2.0, out=ws.x)
         quadratic *= (g * (1.0 / self.sigma**2))[:, None]
         dx += quadratic
-        dx += self._features_backward(x, ws, dh, params)
+        dx += ad.stack_backward(self.layers, x, ws, dh, "infer", params, dx_out=ws.x)
         return dx
-
-    def _features_backward(self, x, ws, dh, params: bool):
-        """Backward through the feature layers from the gradient dh of the
-        features, a workspace array it overwrites. With ``params`` adds the
-        layers' parameter gradient and returns None; without, returns x's
-        gradient through the first layer, in the workspace."""
-        for i in range(len(self.weights) - 1, -1, -1):
-            out, ga = ws.h[i], ws.ga[i]
-            if i == len(self.weights) - 1:   # sigmoid: dh * out * (1 - out)
-                np.subtract(1.0, out, out=ga)
-                dh *= out
-            else:                            # tanh: dh * (1 - out * out)
-                np.multiply(out, out, out=ga)
-                np.subtract(1.0, ga, out=ga)
-            ga *= dh
-            w = self.weights[i]
-            if params:
-                w.grad += np.matmul(ws.h[i - 1].T if i else x.T, ga, out=ws.dw[i])
-                self.biases[i].grad += np.add.reduce(ga, axis=0)
-            if i:
-                dh = np.matmul(ga, w.values.T, out=ws.dh[i - 1])
-            elif not params:
-                return np.matmul(ga, w.values.T, out=ws.x)
-        return None
 
 
 def dem_loss(model: EnergyModel, x_pos: np.ndarray,

@@ -26,26 +26,19 @@ log-partition constant. Two estimators are available:
   grow without limit while the next linear layer can shrink to cancel
   them, and the samples may still collapse.
 
-The forward pass is written once (``_forward``, one numpy expression per
-value) and serves sampling and training alike. ``dgm_loss`` runs it in
-train mode into the model's workspace (``autodiff.workspace``: one
-namespace of arrays, the batch statistics the backward divides by
-included, kept for one batch size and rebuilt when the size changes), then
-the energy of the samples, then the loss's backwards, all written by hand:
-the entropy's gradient in closed form, ∇ₓE through the energy model with
-its parameters left alone, and the generator's ``_backward``, which adds
-the gradient of every weight, bias and batch-norm parameter into the
-model's ``ParameterStore``. Each uses the expressions, and sums in the
-order, of the tape's primitive chain (per layer ``@``, ``+``, the
-activation and ``autodiff.batch_norm``, whose input gradient
-``autodiff.batch_norm_dx`` is shared), so gradients keep the chain's bits.
+The network is an ``autodiff`` dense-layer stack (see there), which serves
+sampling and training alike. ``dgm_loss`` runs it in train mode into the
+model's workspace, where the samples stay, then the energy of the samples,
+then the loss's backwards, all written by hand: the entropy's gradient in
+closed form, ∇ₓE through the energy model with its parameters left alone,
+and the stack's backward, which adds the gradient of every weight, bias
+and batch-norm parameter into the model's ``ParameterStore``. Each uses
+the expressions, and sums in the order, of the tape's primitive chain, so
+gradients keep the chain's bits.
 
 Plain infer-mode sampling (``generate``, behind ``sample`` and
-``interpolate``) runs ``_forward`` on blocks of ``autodiff.ROW_BLOCK`` rows
-through ``autodiff.by_row_blocks``. The output layer's matmul, bias and
-sigmoid write each block straight into its slice of the one output array,
-so a 784-wide (mnist) call makes no block-sized copy of its result and its
-peak memory is the output plus a few block arrays.
+``interpolate``) runs the stack on blocks of rows, each written into its
+slice of one output (see ``energy_model`` and ``autodiff.by_row_blocks``).
 
 scipy is imported inside ``nearest_neighbour_entropy``, the one
 function here that uses it, not with the module: importing
@@ -64,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Parameter, ParameterStore, ShapeError
+from .autodiff import Parameter, ParameterStore, ShapeError
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
 ENTROPY_ESTIMATORS = ("nearest_neighbour", "batch_norm_scale")
@@ -83,25 +76,12 @@ class SingularEntropyError(ValueError):
         super().__init__(f"{reason}{at}")
 
 
-class GenLayer:
-    def __init__(self, w, b, bn_shift=None, bn_scale=None, bn_state=None):
-        self.w = w
-        self.b = b
-        self.bn_shift = bn_shift
-        self.bn_scale = bn_scale
-        self.bn_state = bn_state
-
-    @property
-    def has_batch_norm(self) -> bool:
-        return self.bn_scale is not None
-
-
 class GeneratorModel:
-    def __init__(self, layers, d_z, widths, output_activation):
+    def __init__(self, layers, widths):
         self.layers = list(layers)
-        self.d_z = int(d_z)
         self.widths = tuple(widths)
-        self.output_activation = output_activation
+        self.d_z = int(self.widths[0])
+        self.output_activation = self.layers[-1].activation
         self.store = ParameterStore(self.params())
         self._workspace = None
 
@@ -117,31 +97,13 @@ class GeneratorModel:
             raise ValueError("need at least a latent and an output width")
         if output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown activation {output_activation!r}")
-        layers = []
-        for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
-            bound = init_scale / np.sqrt(fan_in)
-            w = Parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                          f"gen.layer{i}.w")
-            b = Parameter(np.zeros(fan_out), f"gen.layer{i}.b")
-            if i == len(widths) - 2:
-                layers.append(GenLayer(w, b))
-            else:
-                layers.append(GenLayer(
-                    w, b,
-                    bn_shift=Parameter(np.zeros(fan_out), f"gen.layer{i}.bn_shift"),
-                    bn_scale=Parameter(np.ones(fan_out), f"gen.layer{i}.bn_scale"),
-                    bn_state=BatchNormState.initial(fan_out)))
-        return cls(layers, widths[0], widths, output_activation)
+        activations = ["tanh"] * (len(widths) - 2) + [output_activation]
+        return cls(ad.dense_stack("gen", widths, activations, rng, init_scale,
+                                  batch_norm=True), widths)
 
     def params(self) -> list[Parameter]:
-        out = []
-        for layer in self.layers:
-            out.append(layer.w)
-            out.append(layer.b)
-            if layer.has_batch_norm:
-                out.append(layer.bn_shift)
-                out.append(layer.bn_scale)
-        return out
+        return [p for l in self.layers for p in (l.w, l.b, l.bn_shift, l.bn_scale)
+                if p is not None]
 
     def scale_parameters(self) -> list[Parameter]:
         return [l.bn_scale for l in self.layers if l.has_batch_norm]
@@ -164,90 +126,15 @@ class GeneratorModel:
         z = np.asarray(z, dtype=np.float64)
         self._check_latents(z)
         if mode == "train":
-            return self._forward(z, mode)
-        return ad.by_row_blocks(lambda block, out: self._forward(block, mode, out=out),
-                                z, (self.widths[-1],))
+            return ad.stack_forward(self.layers, z, mode)
+        return ad.by_row_blocks(
+            lambda block, out: ad.stack_forward(self.layers, block, mode, out=out),
+            z, (self.widths[-1],))
 
     def _check_latents(self, z) -> None:
         if len(z.shape) != 2 or z.shape[1] != self.d_z:
             raise ShapeError(
                 f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
-
-    # --- the one forward and backward of a pass ------------------------------
-
-    def _workspace_for(self, rows: int):
-        """The workspace for passes over ``rows`` rows, rebuilt when the row
-        count changes."""
-        ws = self._workspace
-        if ws is None or ws.rows != rows:
-            hidden = [(rows, layer.w.values.shape[1]) for layer in self.layers[:-1]]
-            out = (rows, self.widths[-1])
-            ws = self._workspace = ad.workspace(
-                rows, {"a": hidden, "xhat": hidden, "h": hidden, "pre": out,
-                       "inv": [(w,) for _, w in hidden], "ga": hidden, "dh": hidden,
-                       "dw": [layer.w.values.shape for layer in self.layers],
-                       "ga_out": out, "g_out": out})
-        return ws
-
-    def _forward(self, z: np.ndarray, mode: str, ws=None, out=None) -> np.ndarray:
-        """Samples for the rows of z, as a fresh array, or written into
-        ``out`` when given (a pass without a workspace only).
-
-        With a workspace, each intermediate the backward reads goes into
-        it, the 1/sqrt(var + eps) each batch norm divided by included;
-        without one, each layer's arrays are fresh and freed once the next
-        layer has them.
-        """
-        h = z
-        for i, layer in enumerate(self.layers[:-1]):
-            a = np.matmul(h, layer.w.values, out=ws.a[i] if ws else None)
-            a += layer.b.values
-            np.tanh(a, out=a)
-            _, inv, xhat = ad.batch_statistics(a, layer.bn_state, mode,
-                                               out=ws.xhat[i] if ws else None,
-                                               work=ws.h[i] if ws else a)
-            if ws:
-                ws.inv[i][...] = inv
-            xhat *= inv
-            h = np.multiply(xhat, layer.bn_scale.values, out=ws.h[i] if ws else xhat)
-            h += layer.bn_shift.values
-        w, b = self.layers[-1].w, self.layers[-1].b
-        if self.output_activation == "linear":
-            x = np.matmul(h, w.values, out=out)
-            x += b.values
-            return x
-        pre = np.matmul(h, w.values, out=ws.pre if ws else out)
-        pre += b.values
-        return ad.sigmoid_values(pre, out=None if ws else pre)
-
-    def _backward(self, z, x, ws, mode, g) -> None:
-        """Backward of the ``_forward`` pass from z to the samples x that
-        wrote ``ws``, for the gradient g of x: adds the parameter gradient
-        into ``self.store.grad``."""
-        last = len(self.layers) - 1
-        if self.output_activation == "sigmoid":   # g * x * (1 - x)
-            ga = np.subtract(1.0, x, out=ws.ga_out)
-            ga *= np.multiply(g, x, out=ws.g_out)
-        else:
-            ga = g
-        for i in range(last, -1, -1):
-            layer = self.layers[i]
-            if i < last:
-                # dh, the gradient to the batch norm's output, becomes the
-                # gradient to the tanh output, then to the layer's pre-activation
-                dh = np.matmul(ga, self.layers[i + 1].w.values.T, out=ws.dh[i])
-                xhat, a, ga = ws.xhat[i], ws.a[i], ws.ga[i]
-                layer.bn_shift.grad += np.add.reduce(dh, axis=0)
-                layer.bn_scale.grad += np.add.reduce(np.multiply(dh, xhat, out=ga),
-                                                     axis=0)
-                ad.batch_norm_dx(dh, xhat, layer.bn_scale.values, ws.inv[i], mode,
-                                 out=ga, work=dh)
-                np.multiply(a, a, out=dh)   # tanh: * (1 - a * a)
-                np.subtract(1.0, dh, out=dh)
-                ga *= dh
-            h = ws.h[i - 1] if i else z
-            layer.w.grad += np.matmul(h.T, ga, out=ws.dw[i])
-            layer.b.grad += np.add.reduce(ga, axis=0)
 
 
 def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:
@@ -331,8 +218,8 @@ def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
         raise ValueError(f"entropy_weight must be >= 0, got {entropy_weight}")
     z = np.asarray(z, dtype=np.float64)
     gen._check_latents(z)
-    ws = gen._workspace_for(z.shape[0])
-    x = gen._forward(z, "train", ws)
+    ws = gen._workspace = ad.workspace(gen._workspace, z.shape[0], gen.layers)
+    x = ad.stack_forward(gen.layers, z, "train", ws)
     gen.store.grad[...] = 0.0
     g = -entropy_weight if entropy_weight > 0 else None   # d loss / d H
     if entropy_estimator == "nearest_neighbour":
@@ -344,7 +231,7 @@ def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
                          f"got {entropy_estimator!r}")
     n = x.shape[0]
     energies, dx = dem.energy_gradient(x, np.full(n, 1.0) / n, params=False, onto=dx)
-    gen._backward(z, x, ws, "train", dx)
+    ad.stack_backward(gen.layers, z, ws, dx, "train", params=True)
     e_gen = float(energies.mean())
     loss = e_gen - entropy_weight * entropy if entropy_weight > 0 else e_gen
     return loss, {"e_gen": e_gen, "entropy": entropy}

@@ -67,7 +67,10 @@ class TrainState:
     store's ``views``.
     """
 
-    def __init__(self, step=0, data_rng=None, prior_rng=None):
+    def __init__(self, step: int, data_rng: np.random.Generator,
+                 prior_rng: np.random.Generator):
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+            raise ValueError(f"step must be a non-negative integer, got {step!r}")
         self.step = step
         self.accumulators: dict[str, np.ndarray] = {}
         self.data_rng = data_rng
@@ -76,7 +79,7 @@ class TrainState:
     @classmethod
     def initial(cls, seed: int) -> "TrainState":
         streams = rng_streams(seed)
-        return cls(data_rng=streams["data"], prior_rng=streams["prior"])
+        return cls(0, streams["data"], streams["prior"])
 
 
 def adagrad_step(store: ParameterStore, grad: np.ndarray,

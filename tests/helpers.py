@@ -1,5 +1,6 @@
 """Shared assertions and tiny builders for the test suite."""
 
+import json
 import math
 import struct
 
@@ -8,6 +9,7 @@ import numpy as np
 from dualebm import autodiff as ad
 from dualebm.autodiff import Parameter, Tape
 from dualebm.generator_model import LOG_2PIE
+from dualebm.gradcheck import finite_difference
 
 
 def assert_grads_match(analytic, numeric, rtol, floor=0.01):
@@ -34,6 +36,11 @@ def grads_of(params):
     return {p.name: p.grad.copy() for p in params}
 
 
+def numeric_grads(loss_fn, params):
+    """Central differences of ``loss_fn`` over each parameter, by name."""
+    return {p.name: finite_difference(loss_fn, p.values) for p in params}
+
+
 def write_idx_pair(tmp_path, count=10, rows=4, cols=3, pixel_fn=None):
     """Hand-rolled IDX writer: independent of the loader under test."""
     images = tmp_path / "images.idx"
@@ -50,6 +57,17 @@ def write_idx_pair(tmp_path, count=10, rows=4, cols=3, pixel_fn=None):
     return images, labels, pixels
 
 
+def rewrite_checkpoint_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+    data = path.read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    header = json.loads(data[20:20 + header_len])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob
+                     + data[20 + header_len:])
+
+
 # --- the primitive chains that the hand-written passes and backwards stand for
 
 _ACTIVATIONS = {"linear": lambda a: a, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
@@ -64,8 +82,9 @@ def reference_layer(h, w, b, activation):
 def reference_energy(model, x):
     """The energies of node x as the chain of tape primitives that
     ``EnergyModel._energy`` and its backward stand for: one
-    ``reference_layer`` per layer, then ``square``, ``*`` and ``.sum()``.
-    The hand-written pass must match it bit for bit."""
+    ``reference_layer`` per feature layer and one for the experts, then
+    ``square``, ``*`` and ``.sum()``. The hand-written pass must match it
+    bit for bit."""
     tape = x.tape
     f = reference_features(model, x)
     quadratic = ad.square(x).sum(axis=1) * (1.0 / model.sigma**2)
@@ -76,19 +95,20 @@ def reference_energy(model, x):
 
 
 def reference_features(model, x):
-    """The features of node x as one ``reference_layer`` per layer."""
+    """The features of node x as one ``reference_layer`` per layer of
+    ``model.layers``: tanh, then sigmoid at the last."""
     tape = x.tape
     h = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = reference_layer(h, tape.watch(w), tape.watch(b), "tanh")
-    return reference_layer(h, tape.watch(model.weights[-1]),
-                           tape.watch(model.biases[-1]), "sigmoid")
+    for layer in model.layers[:-1]:
+        h = reference_layer(h, tape.watch(layer.w), tape.watch(layer.b), "tanh")
+    last = model.layers[-1]
+    return reference_layer(h, tape.watch(last.w), tape.watch(last.b), "sigmoid")
 
 
 def reference_generate(gen, z, mode):
     """The samples of node z as the chain of ``reference_layer`` and
-    ``ad.batch_norm`` entries that ``GeneratorModel._forward`` and its
-    backward stand for."""
+    ``ad.batch_norm`` entries, one pair per layer of ``gen.layers``, that
+    ``autodiff.stack_forward`` and ``stack_backward`` stand for."""
     tape = z.tape
     h = z
     for layer in gen.layers:

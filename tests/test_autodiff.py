@@ -16,7 +16,7 @@ from dualebm.autodiff import (
 )
 from dualebm.gradcheck import finite_difference
 
-from helpers import assert_grads_match, grads_of, param, reference_layer
+from helpers import assert_grads_match, grads_of, numeric_grads, param, reference_layer
 
 
 def test_matmul_identity():
@@ -55,7 +55,7 @@ def test_matmul_gradient_matches_finite_differences(seed):
 
     loss()
     analytic = grads_of([a, b])
-    numeric = finite_difference(loss, [a, b])
+    numeric = numeric_grads(loss, [a, b])
     assert_grads_match(analytic, numeric, rtol=1e-6)
 
 
@@ -293,7 +293,7 @@ def test_primitive_gradient_sweep(name, seed):
     params, loss = PRIMITIVE_CASES[name](np.random.default_rng(seed))
     loss()
     analytic = grads_of(params)
-    numeric = finite_difference(loss, params)
+    numeric = numeric_grads(loss, params)
     for pname, a in analytic.items():
         f = numeric[pname]
         tol = np.maximum(1e-5, 1e-4 * np.maximum(np.abs(a), np.abs(f)))
@@ -467,6 +467,86 @@ def test_parameter_store_views_share_memory():
         ad.ParameterStore([param([1.0], "x"), param([2.0], "x")])
 
 
+# --- the dense-layer stack ---------------------------------------------------
+
+def _stack(seed=7):
+    """A stack with every activation, batch norm on its hidden layers, and
+    every parameter moved off its initial value."""
+    rng = np.random.default_rng(seed)
+    layers = ad.dense_stack("s", (3, 6, 5, 4), ["tanh", "sigmoid", "linear"], rng, 1.0,
+                            batch_norm=True)
+    store = ad.ParameterStore([p for l in layers for p in (l.w, l.b, l.bn_shift, l.bn_scale)
+                               if p is not None])
+    store.values += 0.1 * rng.standard_normal(store.values.shape)
+    return layers, store
+
+
+@pytest.mark.parametrize("params", [True, False])
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_stack_is_bit_equal_to_the_primitive_chain(mode, params):
+    """The forward, and the backward into the parameters or into x, of
+    ``stack_forward`` and ``stack_backward`` against matmul, add, the
+    activation and ``batch_norm`` on a tape."""
+    rng = np.random.default_rng(8)
+    x, dh = rng.normal(size=(8, 3)), rng.normal(size=(8, 4))
+    layers, store = _stack()
+    store.grad[...] = 0.0
+    ws = ad.workspace(None, 8, layers)
+    out = ad.stack_forward(layers, x, mode, ws).copy()
+    dx = ad.stack_backward(layers, x, ws, dh.copy(), mode, params)
+
+    ref_layers, ref_store = _stack()
+    tape = Tape()
+    xp = param(x, "x")
+    h = tape.watch(xp)
+    for layer in ref_layers:
+        h = reference_layer(h, tape.watch(layer.w), tape.watch(layer.b), layer.activation)
+        if layer.has_batch_norm:
+            h = ad.batch_norm(h, tape.watch(layer.bn_shift), tape.watch(layer.bn_scale),
+                              layer.bn_state, mode)
+    tape.backward((h * dh).sum())
+    assert np.array_equal(out, h.values)
+    if params:
+        assert dx is None and np.array_equal(store.grad, ref_store.grad)
+    else:
+        assert np.array_equal(dx, xp.grad) and not store.grad.any()
+    for layer, ref in zip(layers[:-1], ref_layers[:-1]):
+        assert np.array_equal(layer.bn_state.mean, ref.bn_state.mean)
+        assert np.array_equal(layer.bn_state.var, ref.bn_state.var)
+
+
+def test_dense_stack_names_its_parameters_and_draws_weights_in_layer_order():
+    layers = ad.dense_stack("m", (2, 3, 1), ["tanh", "linear"], np.random.default_rng(0),
+                            2.0, batch_norm=True)
+    names = [p.name for l in layers for p in (l.w, l.b, l.bn_shift, l.bn_scale)
+             if p is not None]
+    assert names == ["m.layer0.w", "m.layer0.b", "m.layer0.bn_shift",
+                     "m.layer0.bn_scale", "m.layer1.w", "m.layer1.b"]
+    rng = np.random.default_rng(0)
+    first = rng.uniform(-2.0 / np.sqrt(2), 2.0 / np.sqrt(2), size=(2, 3))
+    assert np.array_equal(layers[0].w.values, first)
+    assert np.array_equal(layers[1].w.values,
+                          rng.uniform(-2.0 / np.sqrt(3), 2.0 / np.sqrt(3), size=(3, 1)))
+    assert [l.has_batch_norm for l in layers] == [True, False]
+
+
+@pytest.mark.parametrize("widths", [(2, 0, 3), (0, 4), (2, 4, -1)])
+def test_dense_stack_rejects_a_width_below_one(widths):
+    with pytest.raises(ValueError, match="at least 1"):
+        ad.dense_stack("m", widths, ["tanh"] * (len(widths) - 1),
+                       np.random.default_rng(0), 1.0, batch_norm=False)
+
+
+def test_workspace_is_kept_for_its_row_count():
+    layers, _ = _stack()
+    ws = ad.workspace(None, 8, layers, extra=(8, 2))
+    assert ad.workspace(ws, 8, layers) is ws
+    assert ws.extra.shape == (8, 2)
+    assert [a.shape for a in ws.a] == [(8, 6), (8, 5), (8, 4)]
+    assert ws.h[-1] is ws.a[-1] and ws.xhat[-1] is None and ws.inv[-1] is None
+    assert ad.workspace(ws, 9, layers).rows == 9
+
+
 # --- batch norm specifics ---------------------------------------------------
 
 def test_batch_norm_identity_parameters():
@@ -509,7 +589,7 @@ def test_batch_norm_scale_gradient_vs_finite_differences():
 
     loss()
     analytic = {"scale": scale.grad.copy()}
-    numeric = {"scale": finite_difference(loss, [scale])["scale"]}
+    numeric = {"scale": finite_difference(loss, scale.values)}
     assert_grads_match(analytic, numeric, rtol=1e-5)
 
 
@@ -563,7 +643,7 @@ def test_three_layer_mlp_gradients(seed):
     loss = _mlp_loss(params, x)
     loss()
     analytic = grads_of(params)
-    numeric = finite_difference(loss, params)
+    numeric = numeric_grads(loss, params)
     assert_grads_match(analytic, numeric, rtol=1e-5)
 
 

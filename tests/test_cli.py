@@ -17,7 +17,7 @@ from dualebm.evaluation import read_pgm
 from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import TrainState
 
-from helpers import reference_image_files, write_idx_pair
+from helpers import reference_image_files, rewrite_checkpoint_header, write_idx_pair
 
 
 def _write_config(tmp_path, **overrides):
@@ -312,6 +312,27 @@ def test_sample_corrupt_checkpoint_exit_4(trained_run, tmp_path):
     corrupt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes()[:40])
     assert cli.main(["sample", "--checkpoint", str(corrupt),
                      "--out", str(tmp_path / "x.csv")]) == 4
+
+
+@pytest.mark.parametrize("command, edit", [
+    ("sample", lambda h: h["gen"].update(widths=[4, 0, 2])),
+    ("eval", lambda h: h["dem"].update(sigma=float("nan"))),
+    ("eval", lambda h: h["dem"].update(sigma=float("inf"))),
+], ids=["sample_zero_width", "eval_nan_sigma", "eval_infinite_sigma"])
+def test_checkpoint_of_an_invalid_model_exit_4(trained_run, tmp_path, capsys, command,
+                                               edit):
+    """A zero width once killed ``sample`` with an OverflowError traceback,
+    and a NaN or infinite sigma let ``eval`` print its metrics."""
+    ckpt = tmp_path / "invalid.bin"
+    ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
+    rewrite_checkpoint_header(ckpt, edit)
+    argv = [command, "--checkpoint", str(ckpt)]
+    if command == "sample":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert "corrupt header" in captured.err and not captured.out
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_commands_do_not_mutate_checkpoint(trained_run, tmp_path):

@@ -25,7 +25,7 @@ from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel
 from dualebm.training import TrainState, train
 
-from helpers import write_idx_pair
+from helpers import rewrite_checkpoint_header, write_idx_pair
 
 
 # --- spirals -------------------------------------------------------------------
@@ -323,17 +323,6 @@ def test_checkpoint_bad_header_structure(tmp_path, damage):
         load_checkpoint(path)
 
 
-def _rewrite_header(path, edit):
-    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
-    data = path.read_bytes()
-    header_len = struct.unpack("<Q", data[12:20])[0]
-    header = json.loads(data[20:20 + header_len])
-    edit(header)
-    blob = json.dumps(header).encode()
-    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob
-                     + data[20 + header_len:])
-
-
 def _rename_tensor(header, old, new):
     for entry in header["tensors"]:
         if entry[0] == old:
@@ -349,13 +338,23 @@ def _rename_tensor(header, old, new):
     lambda h: h.update(config=[]),
     lambda h: h["gen"].update(output_activation="relu"),
     lambda h: h["state"].update(step="3"),
+    lambda h: h["dem"].update(widths=[2, 0, 4]),
+    lambda h: h["gen"].update(widths=[2, 0, 2]),
+    lambda h: h["dem"].update(sigma=float("nan")),
+    lambda h: h["dem"].update(sigma=float("inf")),
+    lambda h: h["state"].update(data_rng=None),
+    lambda h: h["state"].update(prior_rng=None),
+    lambda h: h["state"].update(step=-5),
+    lambda h: h["state"].update(step=True),
 ], ids=["dem_list", "bn_stat_renamed", "no_data_rng", "tensors_dict",
-        "negative_sigma", "config_list", "unknown_activation", "step_string"])
+        "negative_sigma", "config_list", "unknown_activation", "step_string",
+        "dem_zero_width", "gen_zero_width", "nan_sigma", "infinite_sigma",
+        "null_data_rng", "null_prior_rng", "negative_step", "bool_step"])
 def test_checkpoint_malformed_header_value(tmp_path, edit):
     dem, gen, _, _ = _small_run(tmp_path)
     path = tmp_path / "header.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
-    _rewrite_header(path, edit)
+    rewrite_checkpoint_header(path, edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -397,7 +396,8 @@ def test_checkpoint_missing_accumulator_is_zero_and_unknown_one_ignored(tmp_path
     state = train(dem, gen, points, config)
     path = tmp_path / "acc.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
-    _rewrite_header(path, lambda h: _rename_tensor(h, "acc.dem.b_vis", "acc.dem.nothing"))
+    rewrite_checkpoint_header(
+        path, lambda h: _rename_tensor(h, "acc.dem.b_vis", "acc.dem.nothing"))
     loaded = load_checkpoint(path).state.accumulators
     assert sorted(loaded) == ["dem", "gen"]
     assert np.array_equal(loaded["gen"], state.accumulators["gen"])
@@ -418,7 +418,7 @@ def test_checkpoint_with_older_header_fields_loads(tmp_path):
         header["gen"].update(batch_norm_hidden=True, hidden_activation="tanh")
         header["state"]["history"] = [{"step": 0, "e_pos": 0.5, "e_neg": 0.25}]
 
-    _rewrite_header(path, add_old_fields)
+    rewrite_checkpoint_header(path, add_old_fields)
     loaded = load_checkpoint(path)
     assert loaded.state.step == state.step
     x = np.random.default_rng(3).normal(size=(32, 2))

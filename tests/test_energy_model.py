@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dualebm import autodiff as ad
 from dualebm.autodiff import ROW_BLOCK, ShapeError, Tape
 from dualebm.energy_model import (
     EnergyModel,
@@ -31,7 +32,8 @@ def _quadratic_model(sigma=1.0, n_experts=0):
 
 def test_features_zero_parameters_sigmoid_gives_half():
     model = _zeroed(EnergyModel.build((2, 4, 3), 2, np.random.default_rng(0)))
-    f = model._features(np.random.default_rng(1).normal(size=(5, 2)))
+    f = ad.stack_forward(model.layers, np.random.default_rng(1).normal(size=(5, 2)),
+                         "infer")
     assert_allclose(f, 0.5 * np.ones((5, 3)))
 
 
@@ -39,23 +41,31 @@ def test_features_identical_rows_identical_outputs():
     model = EnergyModel.build((2, 8, 3), 2, np.random.default_rng(2))
     x = np.array([[0.3, -1.2]])
     batch = np.repeat(x, 4, axis=0)
-    f = model._features(batch)
+    f = ad.stack_forward(model.layers, batch, "infer")
     assert np.array_equal(f, np.repeat(f[:1], 4, axis=0))
 
 
 def test_features_bounded_on_extreme_inputs():
     model = EnergyModel.build((2, 16, 4), 4, np.random.default_rng(3))
     x = np.random.default_rng(4).uniform(-100.0, 100.0, size=(10_000, 2))
-    f = model._features(x)
+    f = ad.stack_forward(model.layers, x, "infer")
     assert np.all(f >= 0.0) and np.all(f <= 1.0)
 
 
 def test_features_rejects_wrong_width():
-    """``_features`` trusts its input; the training pass that reaches it
+    """The stack trusts its input; the training pass that reaches it
     checks the width first (``energy_values`` is checked below)."""
     model = EnergyModel.build((2, 4, 3), 2, np.random.default_rng(5))
     with pytest.raises(ShapeError, match=r"\(batch, 2\)"):
         model.energy_gradient(np.zeros((3, 5)), np.ones(3), params=True)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_sigma_must_be_positive_and_finite(sigma):
+    """An infinite sigma drops the quadratic term that makes exp(-E)
+    integrable; a NaN one makes every energy NaN."""
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        EnergyModel.build((2, 4, 3), 2, np.random.default_rng(0), sigma=sigma)
 
 
 def test_energy_zero_parameters_closed_form():
@@ -186,8 +196,10 @@ def test_dem_loss_gradient_matches_finite_differences():
     x_neg = rng.normal(size=(8, 2))
 
     analytic, _ = dem_loss_gradient(model, x_pos, x_neg)
-    numeric = finite_difference(lambda: dem_loss(model, x_pos, x_neg)[0], model.params())
-    assert_grads_match(model.store.views(analytic), numeric, rtol=1e-5)
+    numeric = finite_difference(lambda: dem_loss(model, x_pos, x_neg)[0],
+                                model.store.values)
+    assert_grads_match(model.store.views(analytic), model.store.views(numeric),
+                       rtol=1e-5)
 
 
 def test_one_gradient_step_separates_phases():

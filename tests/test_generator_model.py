@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from dualebm import autodiff as ad
 from dualebm.autodiff import ROW_BLOCK, Parameter, ShapeError, Tape
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import (
@@ -163,11 +164,12 @@ def test_generate_infer_runs_in_row_blocks(out_width, activation):
     rows = 3 * ROW_BLOCK + 5
     z = sample_prior(rows, 4, np.random.default_rng(28))
     x = gen.generate(z, "infer")
-    blocks = np.concatenate([gen._forward(z[start:start + ROW_BLOCK], "infer")
+    blocks = np.concatenate([ad.stack_forward(gen.layers, z[start:start + ROW_BLOCK],
+                                              "infer")
                              for start in range(0, rows, ROW_BLOCK)])
     assert np.array_equal(x, blocks)
     # BLAS may pick its kernel by the row count: one batch agrees to an ulp
-    assert_allclose(x, gen._forward(z, "infer"), rtol=0, atol=1e-14)
+    assert_allclose(x, ad.stack_forward(gen.layers, z, "infer"), rtol=0, atol=1e-14)
     for (mean, var), layer in zip(stats, [l for l in gen.layers if l.has_batch_norm]):
         assert np.array_equal(layer.bn_state.mean, mean)
         assert np.array_equal(layer.bn_state.var, var)
@@ -324,8 +326,8 @@ def test_dgm_loss_gradient_matches_finite_differences(entropy_weight, estimator)
 
     analytic, _ = dgm_loss_gradient(gen, dem, z, entropy_weight, estimator)
     numeric = finite_difference(
-        lambda: dgm_loss(gen, dem, z, entropy_weight, estimator)[0], gen.params())
-    assert_grads_match(gen.store.views(analytic), numeric, rtol=1e-5)
+        lambda: dgm_loss(gen, dem, z, entropy_weight, estimator)[0], gen.store.values)
+    assert_grads_match(gen.store.views(analytic), gen.store.views(numeric), rtol=1e-5)
 
 
 def test_dgm_loss_leaves_energy_model_untouched():

@@ -398,7 +398,7 @@ def test_dgm_update_cadence():
 def test_nonfinite_abort_carries_step_and_parameter():
     dem, gen = _models(15)
     points = np.random.default_rng(16).normal(size=(64, 2))
-    dem.weights[0].values[0, 0] = np.nan
+    dem.layers[0].w.values[0, 0] = np.nan
     with pytest.raises(NonFiniteGradientError) as err:
         train(dem, gen, points, _tiny_config(steps=5))
     assert err.value.step == 0

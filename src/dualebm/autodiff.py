@@ -59,13 +59,12 @@ recorded value. ``by_row_blocks`` runs a plain pass over many rows in
 blocks of ``ROW_BLOCK`` rows, each written straight into its slice of one
 output, so its memory does not grow with the row count.
 
-``ParameterStore`` lays a model's parameters out in one values buffer and
-one grad buffer; each ``Parameter`` then holds views into them, so tapes,
-which work per parameter, and AdaGrad, finite differences and the
-hand-written backwards, which work on the flat buffers, see one state.
-Every other per-parameter array (a gradient copy, an AdaGrad accumulator)
-is a flat array in the same layout; ``views`` names its parts where a name
-is needed: in a checkpoint, in an error message.
+``ParameterStore`` lays a model's parameters out in three flat buffers of
+one layout: values, gradients and AdaGrad accumulators. Each ``Parameter``
+holds views into the first two, so tapes, which work per parameter, and
+AdaGrad, finite differences and the hand-written backwards, which work on
+the flat buffers, see one state. ``views`` names the parts of a flat
+buffer where a name is needed: in a checkpoint, in an error message.
 
 Nothing here is thread-shared except Parameters, whose ``.grad`` a
 backward writes, and a model's workspace, which its passes write: one
@@ -117,12 +116,14 @@ class Parameter:
 
 
 class ParameterStore:
-    """A model's parameters as views into one values buffer and one grad buffer.
+    """A model's parameters as views into one values buffer and one grad
+    buffer, beside one AdaGrad accumulator of the same layout.
 
     Building the store copies each parameter's values and gradient into
     consecutive slices of ``values`` and ``grad``, in the order given, and
     rebinds ``p.values`` and ``p.grad`` to reshaped views of those slices.
-    Writes through either name then reach the same memory. ``spans`` holds
+    Writes through either name then reach the same memory. ``acc`` starts
+    at zero; ``training.adagrad_step`` updates it in place. ``spans`` holds
     each parameter's ``(name, slice, shape)`` in that order.
     """
 
@@ -134,6 +135,7 @@ class ParameterStore:
         size = sum(p.values.size for p in self.params)
         self.values = np.empty(size)
         self.grad = np.empty(size)
+        self.acc = np.zeros(size)
         self.spans = []
         offset = 0
         for p in self.params:

@@ -30,6 +30,7 @@ from .config import (
     load_run_dataset,
 )
 from .data_io import (
+    SPIRAL_SPECS,
     Checkpoint,
     CheckpointError,
     load_checkpoint,
@@ -119,6 +120,20 @@ def _open_2d_checkpoint(path, command: str) -> Checkpoint:
         raise ConfigError(f"{command} is defined for 2D models only; {path} "
                           f"holds a model of {checkpoint.dem.d_in} dimensions")
     return checkpoint
+
+
+def _stored_2d_config(checkpoint: Checkpoint, path) -> RunConfig:
+    """The checkpoint's stored run config, validated, whose dataset must be
+    a 2D spiral; a config that fails is part of a corrupt checkpoint."""
+    try:
+        config = config_from_dict(checkpoint.config, source="checkpoint config")
+        config.validate()
+    except ConfigError as err:
+        raise CheckpointError(f"{path}: invalid stored config: {err}") from None
+    if config.dataset not in SPIRAL_SPECS:
+        raise CheckpointError(f"{path}: invalid stored config: dataset "
+                              f"{config.dataset!r} is not a 2D dataset")
+    return config
 
 
 @contextmanager
@@ -222,7 +237,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_eval(args) -> int:
     checkpoint = _open_2d_checkpoint(args.checkpoint, "eval")
-    config = config_from_dict(checkpoint.config, source="checkpoint config")
+    config = _stored_2d_config(checkpoint, args.checkpoint)
     held_out = load_run_dataset(
         config, np.random.default_rng(np.random.SeedSequence(config.seed + 1)))
     z = sample_prior(args.n, checkpoint.gen.d_z, np.random.default_rng(args.seed))

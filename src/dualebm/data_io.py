@@ -9,8 +9,11 @@ Checkpoints are a single binary container: magic, version word, a
 length-prefixed JSON header (config, architectures, step, RNG states,
 tensor manifest) followed by raw little-endian float64 tensor blocks in
 manifest order: parameters, batch-norm statistics and AdaGrad
-accumulators, one block per parameter name. Loading reconstructs models
-bit-exactly; writes go through a temp file and an atomic rename.
+accumulators (each model's ``store.acc``), one block per parameter name.
+A model's accumulator blocks are left out while the accumulator is all
+zero, as before the model's first update, and absent ones load as zero.
+Loading reconstructs models bit-exactly; writes go through a temp file and
+an atomic rename.
 """
 
 from __future__ import annotations
@@ -170,12 +173,10 @@ def _model_tensors(dem: EnergyModel, gen: GeneratorModel) -> dict[str, np.ndarra
     return tensors
 
 
-def _accumulator_views(dem: EnergyModel, gen: GeneratorModel,
-                       state: TrainState) -> dict[str, np.ndarray]:
-    """The AdaGrad accumulators of ``state``, by checkpoint name."""
-    stores = {"dem": dem.store, "gen": gen.store}
-    return {f"acc.{name}": view for key, flat in state.accumulators.items()
-            for name, view in stores[key].views(flat).items()}
+def _accumulator_views(stores) -> dict[str, np.ndarray]:
+    """The AdaGrad accumulators of the given stores, by checkpoint name."""
+    return {f"acc.{name}": view for store in stores
+            for name, view in store.views(store.acc).items()}
 
 
 def _restore_rng(saved) -> np.random.Generator:
@@ -189,7 +190,8 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     """Write atomically: temp file in the target directory, then rename."""
     dem, gen, state = checkpoint.dem, checkpoint.gen, checkpoint.state
     tensors = _model_tensors(dem, gen)
-    tensors.update(sorted(_accumulator_views(dem, gen, state).items()))
+    tensors.update(sorted(_accumulator_views(
+        store for store in (dem.store, gen.store) if store.acc.any()).items()))
     manifest = [[name, list(arr.shape)] for name, arr in tensors.items()]
     header = {
         "config": checkpoint.config,
@@ -300,13 +302,14 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err!r}") from None
-    # a model has an accumulator once it has been updated; an absent entry
-    # of one reads as zero, an entry that names no parameter is ignored
-    for key, store in (("dem", dem.store), ("gen", gen.store)):
-        if any(f"acc.{p.name}" in tensors for p in store.params):
-            state.accumulators[key] = np.zeros_like(store.values)
+    if gen.widths[-1] != dem.d_in:
+        raise CheckpointError(
+            f"{path}: corrupt header: the generator's output width "
+            f"{gen.widths[-1]} differs from the energy model's input width {dem.d_in}")
     _restore(path, tensors, _model_tensors(dem, gen), required=True)
-    _restore(path, tensors, _accumulator_views(dem, gen, state), required=False)
+    # an absent accumulator entry reads as zero; one that names no
+    # parameter is ignored
+    _restore(path, tensors, _accumulator_views((dem.store, gen.store)), required=False)
     return Checkpoint(header["config"], dem, gen, state)
 
 

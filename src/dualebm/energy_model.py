@@ -18,9 +18,9 @@ into the parameters' gradients for the energy-model loss, or in x, the
 plain ∇ₓE, for the generator loss, which reaches the generator through the
 energy of its samples. The terms' backward uses the expressions, and sums
 in the order, of the tape's ``square``, ``*`` and ``.sum()``, so
-gradients keep the chain's bits. ``dem_loss`` runs the negative phase's
-pass and backward before the positive phase's, the order of the chain's
-reverse sweep, so one workspace serves both.
+gradients keep the chain's bits. ``dem_loss_gradient`` runs the negative
+phase's pass and backward before the positive phase's, the order of the
+chain's reverse sweep, so one workspace serves both.
 
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 passes over many rows (energy grids, held-out sets, ``sample``). Both run
@@ -177,11 +177,12 @@ class EnergyModel:
         return dx
 
 
-def dem_loss(model: EnergyModel, x_pos: np.ndarray,
-             x_neg: np.ndarray) -> tuple[float, dict]:
+def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
+                      x_neg: np.ndarray) -> tuple[float, dict]:
     """The energy-model loss mean(E(x_pos)) - mean(E(x_neg)) and its phase
     means ``{"e_pos", "e_neg"}``; the loss's gradient over the model
-    parameters is left in ``model.store.grad``.
+    parameters is left in ``model.store.grad``, which training and
+    gradcheck read in place.
 
     x_neg is read as plain values: the generator that produced them gets no
     gradient from this loss.
@@ -198,17 +199,6 @@ def dem_loss(model: EnergyModel, x_pos: np.ndarray,
         energies, _ = model.energy_gradient(x, np.full(n, sign) / n, params=True)
         means[key] = float(energies.mean())
     return means["e_pos"] - means["e_neg"], means
-
-
-def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
-                      x_neg: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Gradient of ``dem_loss`` over the model parameters.
-
-    Returns the gradient, a flat copy laid out like ``model.store.values``,
-    and the phase means for metrics.
-    """
-    _, stats = dem_loss(model, x_pos, x_neg)
-    return model.store.grad.copy(), stats
 
 
 def trapezoid_grid(bounds, grid_n: int):

@@ -27,12 +27,13 @@ log-partition constant. Two estimators are available:
   them, and the samples may still collapse.
 
 The network is an ``autodiff`` dense-layer stack (see there), which serves
-sampling and training alike. ``dgm_loss`` runs it in train mode into the
-model's workspace, where the samples stay, then the energy of the samples,
-then the loss's backwards, all written by hand: the entropy's gradient in
-closed form, ∇ₓE through the energy model with its parameters left alone,
-and the stack's backward, which adds the gradient of every weight, bias
-and batch-norm parameter into the model's ``ParameterStore``. Each uses
+sampling and training alike. ``dgm_loss_gradient`` runs it in train mode
+into the model's workspace, where the samples stay, then the energy of the
+samples, then the loss's backwards, all written by hand: the entropy's
+gradient in closed form, ∇ₓE through the energy model with its parameters
+left alone, and the stack's backward, which adds the gradient of every
+weight, bias and batch-norm parameter into the model's ``ParameterStore``,
+where training and gradcheck read it in place. Each uses
 the expressions, and sums in the order, of the tape's primitive chain, so
 gradients keep the chain's bits.
 
@@ -190,8 +191,14 @@ def nearest_neighbour_entropy(x: np.ndarray, g: Optional[float] = None):
     pick = np.zeros((n, n))
     pick[np.arange(n), dist.argmin(axis=1)] = 1.0
     diff = x - pick @ x
-    rho_sq = np.square(diff).sum(axis=1)
-    if np.any(rho_sq == 0.0):
+    # coinciding rows leave a zero row of diff, found before the square,
+    # which overflows on huge rows; rho_sq == 0 then catches a tiny row
+    # whose square underflows
+    singular = not diff.any(axis=1).all()
+    if not singular:
+        rho_sq = np.square(diff).sum(axis=1)
+        singular = bool(np.any(rho_sq == 0.0))
+    if singular:
         raise SingularEntropyError(
             "nearest-neighbour entropy is singular: two generated rows coincide")
     log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
@@ -204,15 +211,22 @@ def nearest_neighbour_entropy(x: np.ndarray, g: Optional[float] = None):
     return entropy, g_diff + pick.T @ -g_diff
 
 
-def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
-             entropy_estimator: str) -> tuple[float, dict]:
+def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
+                      entropy_weight: float,
+                      entropy_estimator: str) -> tuple[float, dict]:
     """The generator loss mean(E(G(z))) - entropy_weight * H, and its terms
     ``{"e_gen", "entropy"}``; the loss's gradient over the generator's
     parameters is left in ``gen.store.grad``.
 
-    The samples come from a train-mode pass, which moves the running
-    statistics. The energy model passes the gradient on to its input, the
-    samples, and its parameters' gradients stay untouched.
+    ``entropy_estimator`` picks H (see the module docstring). With
+    ``"nearest_neighbour"`` the loss is, up to the log-partition constant,
+    a batch estimate of KL(generator || model), so its minimum is a
+    generator that samples the energy model; with ``"batch_norm_scale"``,
+    the paper's surrogate and ``RunConfig``'s default, H rewards growing
+    batch-norm scales whether or not the samples spread. The samples come
+    from a train-mode pass, which moves the running statistics. The energy
+    model passes the gradient on to its input, the samples, and its
+    parameters' gradients stay untouched.
     """
     if entropy_weight < 0:
         raise ValueError(f"entropy_weight must be >= 0, got {entropy_weight}")
@@ -235,21 +249,3 @@ def dgm_loss(gen: GeneratorModel, dem, z: np.ndarray, entropy_weight: float,
     e_gen = float(energies.mean())
     loss = e_gen - entropy_weight * entropy if entropy_weight > 0 else e_gen
     return loss, {"e_gen": e_gen, "entropy": entropy}
-
-
-def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
-                      entropy_weight: float,
-                      entropy_estimator: str) -> tuple[np.ndarray, dict]:
-    """Gradient of ``dgm_loss`` over the generator parameters.
-
-    ``entropy_estimator`` picks H (see the module docstring). With
-    ``"nearest_neighbour"`` the loss is, up to the log-partition constant,
-    a batch estimate of KL(generator || model), so its minimum is a
-    generator that samples the energy model; with ``"batch_norm_scale"``,
-    the paper's surrogate and ``RunConfig``'s default, H rewards growing
-    batch-norm scales whether or not the samples spread. The gradient comes
-    as a flat copy laid out like ``gen.store.values``; the stats hold the
-    mean energy and the entropy estimate the loss used.
-    """
-    _, stats = dgm_loss(gen, dem, z, entropy_weight, entropy_estimator)
-    return gen.store.grad.copy(), stats

@@ -46,22 +46,33 @@ GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_BATCH = 8
 
 
+def _loss_error(loss_fn: Callable[[], tuple], store) -> float:
+    """Worst guarded relative error between the gradient ``loss_fn`` leaves
+    in ``store.grad`` and central differences of the loss it returns, over
+    ``store.values``. The analytic gradient is copied first, since each
+    difference reruns the loss and overwrites ``store.grad``."""
+    loss_fn()
+    analytic = store.grad.copy()
+    return worst_relative_error(
+        analytic, finite_difference(lambda: loss_fn()[0], store.values))
+
+
 def run_gradcheck(seed: int = 0, scale: float = 1.0) -> tuple[float, dict[str, float]]:
     """Check every parameter of a small random model pair against central
     differences, through both training losses.
 
     Covers the energy model's two-phase loss and the generator loss, which
     back-propagates through the energy function, once with each entropy
-    estimator. The differences are taken of the values of ``dem_loss`` and
-    ``dgm_loss``, the functions whose gradients training uses, over each
-    model's flat ``store.values``, and compared with the flat gradient.
+    estimator. ``dem_loss_gradient`` and ``dgm_loss_gradient``, the
+    functions training calls, give both sides: the gradient they leave in
+    each model's ``store.grad``, and the loss value they return, whose
+    differences are taken over the model's flat ``store.values``.
     Returns the worst guarded relative error and the per-loss breakdown.
     """
-    from .energy_model import EnergyModel, dem_loss, dem_loss_gradient
+    from .energy_model import EnergyModel, dem_loss_gradient
     from .generator_model import (
         ENTROPY_ESTIMATORS,
         GeneratorModel,
-        dgm_loss,
         dgm_loss_gradient,
         sample_prior,
     )
@@ -73,14 +84,9 @@ def run_gradcheck(seed: int = 0, scale: float = 1.0) -> tuple[float, dict[str, f
     x_neg = rng.normal(size=(GRADCHECK_BATCH, 2))
     z = sample_prior(GRADCHECK_BATCH, 4, rng)
 
-    dem_analytic, _ = dem_loss_gradient(dem, x_pos, x_neg)
-    breakdown = {"dem_loss": worst_relative_error(
-        dem_analytic,
-        finite_difference(lambda: dem_loss(dem, x_pos, x_neg)[0], dem.store.values))}
+    breakdown = {"dem_loss": _loss_error(
+        lambda: dem_loss_gradient(dem, x_pos, x_neg), dem.store)}
     for estimator in ENTROPY_ESTIMATORS:
-        dgm_analytic, _ = dgm_loss_gradient(gen, dem, z, 1.0, estimator)
-        breakdown[f"dgm_loss[{estimator}]"] = worst_relative_error(
-            dgm_analytic,
-            finite_difference(lambda: dgm_loss(gen, dem, z, 1.0, estimator)[0],
-                              gen.store.values))
+        breakdown[f"dgm_loss[{estimator}]"] = _loss_error(
+            lambda: dgm_loss_gradient(gen, dem, z, 1.0, estimator), gen.store)
     return max(breakdown.values()), breakdown

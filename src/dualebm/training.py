@@ -4,15 +4,16 @@ Each step draws a data minibatch and a generated minibatch, updates the
 energy model with the positive/negative phase gradient, and (every
 ``dem_updates_per_dgm_update`` batches) updates the generator on a fresh
 latent draw. Each gradient comes from its loss's hand-written backward
-(``energy_model.dem_loss_gradient``, ``generator_model.dgm_loss_gradient``);
-no step records anything on a tape. Both models use AdaGrad: one
-``adagrad_step`` per model update squares the flat gradient once, and that
-square gives the logged gradient norm, the finiteness check and the
-accumulator's increment. A NaN or infinite gradient aborts the run with
-the offending parameter and step rather than being masked, and so does an
-entropy estimate that becomes singular, with its step. Each ``train`` call
-allocates the optimizer's scratch once and drops it on return; it is never
-checkpointed.
+(``energy_model.dem_loss_gradient``, ``generator_model.dgm_loss_gradient``),
+which leaves it in the model's ``store.grad``; no step records anything on
+a tape or copies a gradient. Both models use AdaGrad: one ``adagrad_step``
+per model update squares ``store.grad`` once, and that square gives the
+logged gradient norm, the finiteness check and the increment of
+``store.acc``, the accumulator each model carries in its store. A NaN or
+infinite gradient aborts the run with the offending parameter and step
+rather than being masked, and so does an entropy estimate that becomes
+singular, with its step. Each ``train`` call allocates the optimizer's
+scratch once and drops it on return; it is never checkpointed.
 """
 
 from __future__ import annotations
@@ -58,21 +59,14 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 
 class TrainState:
-    """Step counter, AdaGrad accumulators and RNG streams.
-
-    ``accumulators`` holds one flat AdaGrad accumulator per model, keyed
-    ``"dem"`` and ``"gen"`` and laid out like that model's
-    ``ParameterStore``; each is created, zero, at the model's first update.
-    A checkpoint writes and reads it per parameter name, through the
-    store's ``views``.
-    """
+    """Step counter and the data and prior RNG streams; the AdaGrad
+    accumulators live in the models' stores."""
 
     def __init__(self, step: int, data_rng: np.random.Generator,
                  prior_rng: np.random.Generator):
         if isinstance(step, bool) or not isinstance(step, int) or step < 0:
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
         self.step = step
-        self.accumulators: dict[str, np.ndarray] = {}
         self.data_rng = data_rng
         self.prior_rng = prior_rng
 
@@ -82,14 +76,13 @@ class TrainState:
         return cls(0, streams["data"], streams["prior"])
 
 
-def adagrad_step(store: ParameterStore, grad: np.ndarray,
-                 accumulator: np.ndarray, lr: float, eps: float,
+def adagrad_step(store: ParameterStore, lr: float, eps: float,
                  scratch: Optional[np.ndarray] = None) -> float:
     """acc += g^2; values -= lr * g / (sqrt(acc) + eps), elementwise over a
-    model's flat parameter store; returns the gradient's Euclidean norm.
+    model's flat parameter store, with g = ``store.grad`` and acc =
+    ``store.acc``; returns the gradient's Euclidean norm.
 
-    grad and accumulator are flat arrays laid out like ``store.values``;
-    scratch, a (2, grad.size) float64 array with contiguous rows, is
+    scratch, a (2, store size) float64 array with contiguous rows, is
     overwritten (allocated when None). g^2 is computed once, and every
     operation works in place on the whole flat array. The norm sums g^2
     per parameter span with ``np.add.reduce``, which has the bits of
@@ -99,6 +92,7 @@ def adagrad_step(store: ParameterStore, grad: np.ndarray,
     overflows proceeds with norm inf. Coordinates with g == 0 are left
     untouched even when acc and eps are both zero (the 0/0 case).
     """
+    grad = store.grad
     sq, delta = np.empty((2, grad.size)) if scratch is None else scratch
     np.multiply(grad, grad, out=sq)
     total = 0.0
@@ -108,8 +102,8 @@ def adagrad_step(store: ParameterStore, grad: np.ndarray,
         bad = store.first_nonfinite(grad)
         if bad is not None:
             raise NonFiniteGradientError(bad)
-    accumulator += sq
-    denom = np.sqrt(accumulator, out=sq)
+    store.acc += sq
+    denom = np.sqrt(store.acc, out=sq)
     denom += eps
     np.multiply(grad, lr, out=delta)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -119,14 +113,6 @@ def adagrad_step(store: ParameterStore, grad: np.ndarray,
     np.copyto(delta, 0.0, where=zero)
     store.values -= delta
     return math.sqrt(total)
-
-
-def _accumulator(state: TrainState, key: str, store: ParameterStore) -> np.ndarray:
-    """The flat accumulator of the model under ``key``, zero when new."""
-    accumulator = state.accumulators.get(key)
-    if accumulator is None:
-        accumulator = state.accumulators[key] = np.zeros_like(store.values)
-    return accumulator
 
 
 def _format_metrics(metrics: dict) -> str:
@@ -145,7 +131,8 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
     (or the array itself); it is never mutated. One line of ``key=value``
     metrics per step goes to ``metrics_out`` when given.
     ``checkpoint_fn(state)`` fires every ``checkpoint_interval`` steps.
-    Returns the final state; models are updated in place.
+    Returns the final state; the models, with the AdaGrad accumulators in
+    their stores, are updated in place.
     """
     config.validate()
     points = np.asarray(getattr(dataset, "points", dataset), dtype=np.float64)
@@ -163,10 +150,9 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
             x_pos = points[idx]
             z = sample_prior(n, gen.d_z, state.prior_rng)
             x_neg = gen.generate(z, "train")
-            dem_grad, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
-            dem_gnorm = adagrad_step(dem.store, dem_grad,
-                                     _accumulator(state, "dem", dem.store),
-                                     config.dem_lr, config.adagrad_eps, dem_scratch)
+            _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
+            dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps,
+                                     dem_scratch)
             metrics = {
                 "step": state.step,
                 "e_pos": dem_stats["e_pos"],
@@ -175,11 +161,10 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
             }
             if (state.step + 1) % config.dem_updates_per_dgm_update == 0:
                 z2 = sample_prior(n, gen.d_z, state.prior_rng)
-                dgm_grad, dgm_stats = dgm_loss_gradient(
+                _, dgm_stats = dgm_loss_gradient(
                     gen, dem, z2, config.entropy_weight, config.entropy_estimator)
-                dgm_gnorm = adagrad_step(gen.store, dgm_grad,
-                                         _accumulator(state, "gen", gen.store),
-                                         config.dgm_lr, config.adagrad_eps, gen_scratch)
+                dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps,
+                                         gen_scratch)
                 metrics["e_gen"] = dgm_stats["e_gen"]
                 metrics["entropy"] = dgm_stats["entropy"]
                 metrics["dgm_gnorm"] = dgm_gnorm

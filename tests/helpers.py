@@ -123,14 +123,15 @@ def reference_generate(gen, z, mode):
 
 
 def reference_dem_loss_gradient(model, x_pos, x_neg):
-    """``dem_loss_gradient`` on the primitive chain."""
+    """``dem_loss_gradient`` on the primitive chain: the loss, a copy of the
+    gradient it leaves in ``model.store.grad``, and the phase means."""
     tape = Tape()
     e_pos = reference_energy(model, tape.constant(x_pos)).mean()
     e_neg = reference_energy(model, tape.constant(x_neg)).mean()
     loss = e_pos - e_neg
     tape.backward(loss)
-    return model.store.grad.copy(), {"e_pos": float(e_pos.values),
-                                     "e_neg": float(e_neg.values)}
+    return float(loss.values), model.store.grad.copy(), {
+        "e_pos": float(e_pos.values), "e_neg": float(e_neg.values)}
 
 
 def reference_entropy_surrogate(gen, tape):
@@ -162,7 +163,8 @@ def reference_nearest_neighbour_entropy(x):
 
 
 def reference_dgm_loss_gradient(gen, dem, z, entropy_weight, estimator):
-    """``dgm_loss_gradient`` on the primitive chain."""
+    """``dgm_loss_gradient`` on the primitive chain: the loss, a copy of the
+    gradient it leaves in ``gen.store.grad``, and its terms."""
     tape = Tape()
     tape.freeze(dem.params())
     x = reference_generate(gen, tape.constant(z), "train")
@@ -171,8 +173,8 @@ def reference_dgm_loss_gradient(gen, dem, z, entropy_weight, estimator):
                else reference_entropy_surrogate(gen, tape))
     loss = e_gen - entropy_weight * entropy
     tape.backward(loss)
-    return gen.store.grad.copy(), {"e_gen": float(e_gen.values),
-                                   "entropy": float(entropy.values)}
+    return float(loss.values), gen.store.grad.copy(), {
+        "e_gen": float(e_gen.values), "entropy": float(entropy.values)}
 
 
 # --- the full-array image export that the blocked one replaces ---------------

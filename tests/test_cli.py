@@ -318,21 +318,52 @@ def test_sample_corrupt_checkpoint_exit_4(trained_run, tmp_path):
     ("sample", lambda h: h["gen"].update(widths=[4, 0, 2])),
     ("eval", lambda h: h["dem"].update(sigma=float("nan"))),
     ("eval", lambda h: h["dem"].update(sigma=float("inf"))),
-], ids=["sample_zero_width", "eval_nan_sigma", "eval_infinite_sigma"])
+    ("eval", lambda h: h["gen"]["widths"].__setitem__(-1, 3)),
+    ("sample", lambda h: h["gen"]["widths"].__setitem__(-1, 3)),
+    ("energy-map", lambda h: h["gen"]["widths"].__setitem__(-1, 3)),
+], ids=["sample_zero_width", "eval_nan_sigma", "eval_infinite_sigma",
+        "eval_mismatched_widths", "sample_mismatched_widths",
+        "energy_map_mismatched_widths"])
 def test_checkpoint_of_an_invalid_model_exit_4(trained_run, tmp_path, capsys, command,
                                                edit):
     """A zero width once killed ``sample`` with an OverflowError traceback,
-    and a NaN or infinite sigma let ``eval`` print its metrics."""
+    a NaN or infinite sigma let ``eval`` print its metrics, and a generator
+    whose output width is not the energy model's input width killed
+    ``eval`` with a scipy traceback while ``sample`` and ``energy-map``
+    ran."""
     ckpt = tmp_path / "invalid.bin"
     ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
     rewrite_checkpoint_header(ckpt, edit)
     argv = [command, "--checkpoint", str(ckpt)]
-    if command == "sample":
+    if command != "eval":
         argv += ["--out", str(tmp_path / "x.csv")]
     assert cli.main(argv) == 4
     captured = capsys.readouterr()
     assert "corrupt header" in captured.err and not captured.out
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"dataset": "bogus"},
+    {"n_points": -5},
+    {"noise_sd": -1.0},
+    {"no_such_key": 1},
+    {"dataset": "mnist", "mnist_images": "i.idx", "mnist_labels": "l.idx"},
+    {"dataset": "mnist"},
+    {"n_points": "many"},
+], ids=["unknown_dataset", "negative_n_points", "negative_noise_sd", "unknown_key",
+        "mnist_dataset", "mnist_without_paths", "mistyped_value"])
+def test_eval_of_an_invalid_stored_config_exit_4(trained_run, tmp_path, capsys, config):
+    """``eval`` rebuilds its held-out set from the stored config, which
+    must be a valid config of a 2D dataset: these values once ended in a
+    traceback (exit 1) or, for an unknown key, a usage error."""
+    ckpt = tmp_path / "invalid.bin"
+    ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
+    rewrite_checkpoint_header(ckpt, lambda h: h["config"].update(config))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--n", "50",
+                     "--grid-n", "10"]) == 4
+    captured = capsys.readouterr()
+    assert "invalid stored config" in captured.err and not captured.out
 
 
 def test_commands_do_not_mutate_checkpoint(trained_run, tmp_path):

@@ -190,8 +190,9 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
                     loaded.dem.params() + loaded.gen.params()):
         assert p.name == q.name
         assert np.array_equal(p.values, q.values)
-    for name, acc in state.accumulators.items():
-        assert np.array_equal(acc, loaded.state.accumulators[name])
+    for model, twin in ((dem, loaded.dem), (gen, loaded.gen)):
+        assert model.store.acc.any()
+        assert np.array_equal(model.store.acc, twin.store.acc)
     for a, b in zip(gen.layers, loaded.gen.layers):
         if a.has_batch_norm:
             assert np.array_equal(a.bn_state.mean, b.bn_state.mean)
@@ -256,9 +257,8 @@ def test_checkpoint_resume_gives_the_uninterrupted_state(tmp_path, estimator):
         if a.has_batch_norm:
             assert np.array_equal(a.bn_state.mean, b.bn_state.mean)
             assert np.array_equal(a.bn_state.var, b.bn_state.var)
-    assert sorted(state.accumulators) == sorted(state2.accumulators)
-    for name, acc in state.accumulators.items():
-        assert np.array_equal(acc, state2.accumulators[name]), name
+    for model, twin in ((dem, resumed.dem), (gen, resumed.gen)):
+        assert np.array_equal(model.store.acc, twin.store.acc)
     assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
 
 
@@ -398,12 +398,42 @@ def test_checkpoint_missing_accumulator_is_zero_and_unknown_one_ignored(tmp_path
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     rewrite_checkpoint_header(
         path, lambda h: _rename_tensor(h, "acc.dem.b_vis", "acc.dem.nothing"))
-    loaded = load_checkpoint(path).state.accumulators
-    assert sorted(loaded) == ["dem", "gen"]
-    assert np.array_equal(loaded["gen"], state.accumulators["gen"])
-    saved = dem.store.views(state.accumulators["dem"])
-    for name, view in dem.store.views(loaded["dem"]).items():
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded.gen.store.acc, gen.store.acc)
+    saved = dem.store.views(dem.store.acc)
+    for name, view in dem.store.views(loaded.dem.store.acc).items():
         assert np.all(view == (0.0 if name == "dem.b_vis" else saved[name])), name
+
+
+def test_checkpoint_before_a_models_first_update_resumes_to_the_uninterrupted_run(
+        tmp_path):
+    """A model's accumulator is written once it holds a nonzero entry, so a
+    checkpoint taken before the generator's first update holds none of
+    ``acc.gen.*`` and loads a zero accumulator; resuming from it gives the
+    bytes of the uninterrupted run's final checkpoint."""
+    def config(steps):
+        return RunConfig(batch_size=16, steps=steps, seed=9,
+                         dem_updates_per_dgm_update=3)
+
+    dem, gen, points, _ = _small_run(tmp_path)
+    state = train(dem, gen, points, config(7))
+    save_checkpoint(tmp_path / "full.bin", Checkpoint({}, dem, gen, state))
+
+    dem2, gen2, points2, _ = _small_run(tmp_path)
+    state2 = train(dem2, gen2, points2, config(1))
+    save_checkpoint(tmp_path / "early.bin", Checkpoint({}, dem2, gen2, state2))
+    data = (tmp_path / "early.bin").read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    names = [name for name, _ in json.loads(data[20:20 + header_len])["tensors"]]
+    assert any(name.startswith("acc.dem.") for name in names)
+    assert not any(name.startswith("acc.gen.") for name in names)
+    resumed = load_checkpoint(tmp_path / "early.bin")
+    assert not resumed.gen.store.acc.any()
+    assert np.array_equal(resumed.dem.store.acc, dem2.store.acc)
+    state2 = train(resumed.dem, resumed.gen, points2, config(7), state=resumed.state)
+    save_checkpoint(tmp_path / "resumed.bin",
+                    Checkpoint({}, resumed.dem, resumed.gen, state2))
+    assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
 
 
 def test_checkpoint_with_older_header_fields_loads(tmp_path):

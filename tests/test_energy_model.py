@@ -9,7 +9,6 @@ from dualebm import autodiff as ad
 from dualebm.autodiff import ROW_BLOCK, ShapeError, Tape
 from dualebm.energy_model import (
     EnergyModel,
-    dem_loss,
     dem_loss_gradient,
     grid_log_density,
 )
@@ -178,9 +177,9 @@ def test_energy_values_peak_memory_does_not_grow_with_rows(rows):
 def test_identical_phases_cancel_exactly():
     model = EnergyModel.build((2, 4, 3), 3, np.random.default_rng(10))
     x = np.random.default_rng(11).normal(size=(8, 2))
-    grads, stats = dem_loss_gradient(model, x, x.copy())
-    assert stats["e_pos"] == stats["e_neg"]
-    assert np.all(grads == 0.0)
+    loss, stats = dem_loss_gradient(model, x, x.copy())
+    assert stats["e_pos"] == stats["e_neg"] and loss == 0.0
+    assert np.all(model.store.grad == 0.0)
 
 
 def test_dem_loss_gradient_rejects_batch_mismatch():
@@ -195,8 +194,9 @@ def test_dem_loss_gradient_matches_finite_differences():
     x_pos = rng.normal(size=(8, 2))
     x_neg = rng.normal(size=(8, 2))
 
-    analytic, _ = dem_loss_gradient(model, x_pos, x_neg)
-    numeric = finite_difference(lambda: dem_loss(model, x_pos, x_neg)[0],
+    dem_loss_gradient(model, x_pos, x_neg)
+    analytic = model.store.grad.copy()
+    numeric = finite_difference(lambda: dem_loss_gradient(model, x_pos, x_neg)[0],
                                 model.store.values)
     assert_grads_match(model.store.views(analytic), model.store.views(numeric),
                        rtol=1e-5)
@@ -209,8 +209,8 @@ def test_one_gradient_step_separates_phases():
     x_neg = rng.normal(size=(32, 2)) * 0.1 + 1.0
     before_pos = model.energy_values(x_pos).mean()
     before_neg = model.energy_values(x_neg).mean()
-    grads, _ = dem_loss_gradient(model, x_pos, x_neg)
-    model.store.values -= 1e-3 * grads
+    dem_loss_gradient(model, x_pos, x_neg)
+    model.store.values -= 1e-3 * model.store.grad
     assert model.energy_values(x_pos).mean() < before_pos
     assert model.energy_values(x_neg).mean() > before_neg
 

@@ -11,7 +11,6 @@ from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import (
     GeneratorModel,
     SingularEntropyError,
-    dgm_loss,
     dgm_loss_gradient,
     entropy_surrogate,
     nearest_neighbour_entropy,
@@ -301,9 +300,9 @@ def test_nearest_neighbour_entropy_needs_two_rows(shape):
 def test_constant_energy_zero_weight_gives_zero_gradient():
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(11))
     z = sample_prior(8, 2, np.random.default_rng(12))
-    grads, _ = dgm_loss_gradient(gen, ConstantEnergy(3.7), z, entropy_weight=0.0,
-                                 entropy_estimator="batch_norm_scale")
-    assert np.all(grads == 0.0)
+    dgm_loss_gradient(gen, ConstantEnergy(3.7), z, entropy_weight=0.0,
+                      entropy_estimator="batch_norm_scale")
+    assert np.all(gen.store.grad == 0.0)
 
 
 def test_dgm_loss_gradient_rejects_negative_entropy_weight():
@@ -324,9 +323,11 @@ def test_dgm_loss_gradient_matches_finite_differences(entropy_weight, estimator)
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(16))
     z = sample_prior(8, 2, np.random.default_rng(17))
 
-    analytic, _ = dgm_loss_gradient(gen, dem, z, entropy_weight, estimator)
+    dgm_loss_gradient(gen, dem, z, entropy_weight, estimator)
+    analytic = gen.store.grad.copy()
     numeric = finite_difference(
-        lambda: dgm_loss(gen, dem, z, entropy_weight, estimator)[0], gen.store.values)
+        lambda: dgm_loss_gradient(gen, dem, z, entropy_weight, estimator)[0],
+        gen.store.values)
     assert_grads_match(gen.store.views(analytic), gen.store.views(numeric), rtol=1e-5)
 
 
@@ -361,10 +362,10 @@ def test_entropy_pressure_increases_every_scale():
     """With the energy frozen flat, one AdaGrad step grows every bn scale."""
     gen = GeneratorModel.build((2, 8, 8, 2), np.random.default_rng(24))
     z = sample_prior(16, 2, np.random.default_rng(25))
-    grads, _ = dgm_loss_gradient(gen, ConstantEnergy(), z, entropy_weight=1.0,
-                                 entropy_estimator="batch_norm_scale")
+    dgm_loss_gradient(gen, ConstantEnergy(), z, entropy_weight=1.0,
+                      entropy_estimator="batch_norm_scale")
     before = [p.values.copy() for p in gen.scale_parameters()]
-    adagrad_step(gen.store, grads, np.zeros_like(gen.store.values), lr=0.05, eps=1e-8)
+    adagrad_step(gen.store, lr=0.05, eps=1e-8)
     for p, b in zip(gen.scale_parameters(), before):
         assert np.all(p.values > b)
 
@@ -390,12 +391,11 @@ def test_collapse_without_entropy_pressure():
         return float(np.sqrt((diffs**2).sum(-1)).mean())
 
     spreads = [spread()]
-    acc = np.zeros_like(gen.store.values)
     for step in range(600):
         z = sample_prior(64, 2, prior_rng)
-        grads, _ = dgm_loss_gradient(gen, dem, z, entropy_weight=0.0,
-                                     entropy_estimator="batch_norm_scale")
-        adagrad_step(gen.store, grads, acc, lr=0.05, eps=1e-8)
+        dgm_loss_gradient(gen, dem, z, entropy_weight=0.0,
+                          entropy_estimator="batch_norm_scale")
+        adagrad_step(gen.store, lr=0.05, eps=1e-8)
         if (step + 1) % 150 == 0:
             spreads.append(spread())
     assert spreads[-1] < 0.25 * spreads[0]

@@ -55,15 +55,15 @@ def test_loss_gradients_are_bit_equal_to_the_primitive_chain(batch, output_activ
     ref_dem, ref_gen = _pair(output_activation, d_out)
     x_pos, x_neg, z = _data(batch, d_out)
     for _ in range(2):   # the second call reuses the workspaces
-        grad, stats = dem_loss_gradient(dem, x_pos, x_neg)
-        ref_grad, ref_stats = reference_dem_loss_gradient(ref_dem, x_pos, x_neg)
-        assert np.array_equal(grad, ref_grad)
-        assert stats == ref_stats
-        grad, stats = dgm_loss_gradient(gen, dem, z, 0.5, estimator)
-        ref_grad, ref_stats = reference_dgm_loss_gradient(ref_gen, ref_dem, z, 0.5,
-                                                          estimator)
-        assert np.array_equal(grad, ref_grad)
-        assert stats == ref_stats
+        loss, stats = dem_loss_gradient(dem, x_pos, x_neg)
+        ref_loss, ref_grad, ref_stats = reference_dem_loss_gradient(ref_dem, x_pos, x_neg)
+        assert np.array_equal(dem.store.grad, ref_grad)
+        assert (loss, stats) == (ref_loss, ref_stats)
+        loss, stats = dgm_loss_gradient(gen, dem, z, 0.5, estimator)
+        ref_loss, ref_grad, ref_stats = reference_dgm_loss_gradient(
+            ref_gen, ref_dem, z, 0.5, estimator)
+        assert np.array_equal(gen.store.grad, ref_grad)
+        assert (loss, stats) == (ref_loss, ref_stats)
         for (m, v), (ref_m, ref_v) in zip(_bn_states(gen), _bn_states(ref_gen)):
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
@@ -122,21 +122,22 @@ def test_kept_results_do_not_change_when_the_next_call_runs():
     dem, gen = _pair()
     x_pos, x_neg, z = _data(16, 2)
     samples = gen.generate(z, "train")
-    dem_grad, _ = dem_loss_gradient(dem, x_pos, x_neg)
-    dgm_grad, _ = dgm_loss_gradient(gen, dem, z, 1.0, "batch_norm_scale")
-    kept = [a.copy() for a in (samples, dem_grad, dgm_grad)]
+    energies = dem.energy_values(x_pos)
+    _, dx = dem.energy_gradient(x_neg, np.full(16, 1.0 / 16), params=False)
+    kept = [a.copy() for a in (samples, energies, dx)]
     other_pos, other_neg, other_z = _data(16, 2, seed=5)
     gen.generate(other_z, "train")
     dem_loss_gradient(dem, other_pos, other_neg)
     dgm_loss_gradient(gen, dem, other_z, 1.0, "batch_norm_scale")
-    for array, copy in zip((samples, dem_grad, dgm_grad), kept):
+    for array, copy in zip((samples, energies, dx), kept):
         assert np.array_equal(array, copy)
 
 
 def test_switching_the_batch_size_gives_the_results_of_a_fresh_model():
     def gradients(dem, gen, x_pos, x_neg, z):
-        return (*dem_loss_gradient(dem, x_pos, x_neg),
-                *dgm_loss_gradient(gen, dem, z, 1.0, "nearest_neighbour"))
+        dem_result = dem_loss_gradient(dem, x_pos, x_neg)
+        dgm_result = dgm_loss_gradient(gen, dem, z, 1.0, "nearest_neighbour")
+        return dem_result, dgm_result, dem.store.grad.copy(), gen.store.grad.copy()
 
     dem, gen = _pair()
     for batch in (64, 7, 64, 12):

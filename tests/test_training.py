@@ -32,50 +32,55 @@ def _models(seed=0, d_in=2):
 
 # --- AdaGrad -----------------------------------------------------------------
 
+def _adagrad(store, grad, lr, eps, scratch=None):
+    """Put ``grad`` in ``store.grad``, as a loss would, and take one step."""
+    store.grad[...] = grad
+    return adagrad_step(store, lr, eps, scratch)
+
+
 def test_adagrad_first_step():
     p = param([0.0])
-    store, acc = ParameterStore([p]), np.zeros(1)
-    adagrad_step(store, np.array([1.0]), acc, lr=0.1, eps=0.0)
+    store = ParameterStore([p])
+    _adagrad(store, [1.0], lr=0.1, eps=0.0)
     assert_allclose(p.values, [-0.1], rtol=1e-12)
 
 
 def test_adagrad_second_step_shrinks():
     p = param([0.0])
-    store, acc = ParameterStore([p]), np.zeros(1)
-    g = np.array([1.0])
-    adagrad_step(store, g, acc, lr=0.1, eps=0.0)
-    adagrad_step(store, g, acc, lr=0.1, eps=0.0)
+    store = ParameterStore([p])
+    _adagrad(store, [1.0], lr=0.1, eps=0.0)
+    _adagrad(store, [1.0], lr=0.1, eps=0.0)
     assert_allclose(p.values, [-0.1 - 0.1 / math.sqrt(2.0)], rtol=1e-12)
 
 
 def test_adagrad_zero_gradient_is_a_noop():
     p = param([3.0])
-    store, acc = ParameterStore([p]), np.zeros(1)
-    adagrad_step(store, np.array([0.0]), acc, lr=0.1, eps=0.0)
+    store = ParameterStore([p])
+    _adagrad(store, [0.0], lr=0.1, eps=0.0)
     assert p.values[0] == 3.0
-    assert acc[0] == 0.0
+    assert store.acc[0] == 0.0
 
 
 def test_adagrad_rejects_nonfinite_gradient():
     p = param([0.0], "bad_param")
     with pytest.raises(NonFiniteGradientError, match="bad_param"):
-        adagrad_step(ParameterStore([p]), np.array([np.nan]), np.zeros(1), 0.1, 1e-8)
+        _adagrad(ParameterStore([p]), [np.nan], 0.1, 1e-8)
 
 
 @given(st.floats(0.01, 10.0), st.integers(1, 20))
 @settings(max_examples=30, deadline=None)
 def test_adagrad_step_sizes_nonincreasing_for_constant_gradient(g, steps):
     p = param([0.0])
-    store, acc = ParameterStore([p]), np.zeros(1)
+    store = ParameterStore([p])
     lr = 0.1
     positions = [0.0]
     for _ in range(steps):
-        adagrad_step(store, np.array([g]), acc, lr=lr, eps=1e-8)
+        _adagrad(store, [g], lr=lr, eps=1e-8)
         positions.append(float(p.values[0]))
     deltas = [abs(b - a) for a, b in zip(positions, positions[1:])]
     assert deltas[0] <= lr * g / (g + 1e-8) + 1e-15
     assert all(b <= a + 1e-15 for a, b in zip(deltas, deltas[1:]))
-    assert np.all(acc >= 0.0)
+    assert np.all(store.acc >= 0.0)
 
 
 def _per_parameter_adagrad(params, grads, accumulators, lr, eps):
@@ -94,16 +99,16 @@ def test_flat_adagrad_equals_the_per_parameter_rule_bitwise(eps):
     flat_model, ref_model = (GeneratorModel.build((3, 6, 6, 2), np.random.default_rng(40))
                              for _ in range(2))
     rng = np.random.default_rng(41)
-    acc, ref_acc = np.zeros_like(flat_model.store.values), {}
+    ref_acc = {}
     for step in range(6):
         flat = rng.normal(size=flat_model.store.values.size) * 10.0 ** rng.integers(-3, 3)
         flat[rng.random(flat.size) < 0.3] = 0.0   # exact zeros, with acc still 0 at first
         if step == 0:
             flat[:5] = 0.0                         # with eps = 0: the 0/0 case
         grads = flat_model.store.views(flat)
-        adagrad_step(flat_model.store, flat, acc, lr=0.05, eps=eps)
+        _adagrad(flat_model.store, flat, lr=0.05, eps=eps)
         _per_parameter_adagrad(ref_model.params(), grads, ref_acc, lr=0.05, eps=eps)
-    acc_views = flat_model.store.views(acc)
+    acc_views = flat_model.store.views(flat_model.store.acc)
     for p, q in zip(flat_model.params(), ref_model.params()):
         assert np.array_equal(p.values, q.values), p.name
         assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
@@ -122,7 +127,7 @@ def _span_store(rng):
 def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
     store, ref = (_span_store(np.random.default_rng(42)) for _ in range(2))
     rng = np.random.default_rng(43)
-    acc, ref_acc = np.zeros_like(store.values), {}
+    ref_acc = {}
     scratch = np.empty((2, store.values.size))
     for step in range(4):
         flat = rng.normal(size=store.values.size) * 10.0 ** rng.integers(-3, 3)
@@ -131,11 +136,11 @@ def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
             flat[-130:] = 0.0                      # the 0/0 case, in the small spans
         grads = store.views(flat)
         expected = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-        norm = adagrad_step(store, flat, acc, lr=0.05, eps=eps,
-                            scratch=scratch if step % 2 else None)
+        norm = _adagrad(store, flat, lr=0.05, eps=eps,
+                        scratch=scratch if step % 2 else None)
         assert norm == expected, step
         _per_parameter_adagrad(ref.params, grads, ref_acc, lr=0.05, eps=eps)
-    acc_views = store.views(acc)
+    acc_views = store.views(store.acc)
     for p, q in zip(store.params, ref.params):
         assert np.array_equal(p.values, q.values), p.name
         assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
@@ -145,16 +150,16 @@ def test_adagrad_steps_on_a_finite_gradient_whose_square_overflows():
     """The check looks for non-finite gradient entries, not squares."""
     store, ref = (_span_store(np.random.default_rng(44)) for _ in range(2))
     rng = np.random.default_rng(45)
-    acc, ref_acc = np.zeros_like(store.values), {}
+    ref_acc = {}
     flat = rng.normal(size=store.values.size)
     flat[::7] = 1e200
     flat[3::7] = -1e200
     flat[5::11] = 0.0
     with np.errstate(over="ignore"):
-        norm = adagrad_step(store, flat, acc, lr=0.05, eps=1e-8)
+        norm = _adagrad(store, flat, lr=0.05, eps=1e-8)
         _per_parameter_adagrad(ref.params, store.views(flat), ref_acc, lr=0.05, eps=1e-8)
     assert norm == math.inf
-    acc_views = store.views(acc)
+    acc_views = store.views(store.acc)
     for p, q in zip(store.params, ref.params):
         assert np.array_equal(p.values, q.values), p.name
         assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
@@ -164,27 +169,60 @@ def test_adagrad_steps_on_a_finite_gradient_whose_square_overflows():
 def test_adagrad_step_with_scratch_allocates_no_store_sized_array():
     store = _span_store(np.random.default_rng(46))
     rng = np.random.default_rng(47)
-    acc, scratch = np.zeros_like(store.values), np.empty((2, store.values.size))
-    grad = rng.normal(size=store.values.size)
-    adagrad_step(store, grad, acc, 0.05, 1e-8, scratch)    # warm-up
+    scratch = np.empty((2, store.values.size))
+    store.grad[...] = rng.normal(size=store.values.size)
+    adagrad_step(store, 0.05, 1e-8, scratch)    # warm-up
     tracemalloc.start()
     try:
-        adagrad_step(store, grad, acc, 0.05, 1e-8, scratch)
+        adagrad_step(store, 0.05, 1e-8, scratch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < store.values.nbytes / 4
 
 
+@pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])
+def test_a_loss_and_its_update_allocate_no_store_sized_array(estimator):
+    """Each loss leaves its gradient in its store, and AdaGrad reads it
+    there and updates the store's accumulator in place: after a warm-up, a
+    loss and its update on 256-wide models allocate less than a quarter of
+    a store."""
+    dem = EnergyModel.build((2, 256, 256, 4), 4, np.random.default_rng(48))
+    gen = GeneratorModel.build((4, 256, 256, 2), np.random.default_rng(49))
+    rng = np.random.default_rng(50)
+    x_pos = rng.normal(size=(64, 2))
+    x_neg = gen.generate(sample_prior(64, gen.d_z, rng), "train")
+    z = sample_prior(64, gen.d_z, rng)
+    dem_scratch = np.empty((2, dem.store.values.size))
+    gen_scratch = np.empty((2, gen.store.values.size))
+
+    def dem_pair():
+        training.dem_loss_gradient(dem, x_pos, x_neg)
+        adagrad_step(dem.store, 0.01, 1e-8, dem_scratch)
+
+    def gen_pair():
+        training.dgm_loss_gradient(gen, dem, z, 1.0, estimator)
+        adagrad_step(gen.store, 0.01, 1e-8, gen_scratch)
+
+    for pair, store in ((dem_pair, dem.store), (gen_pair, gen.store)):
+        pair()    # warm-up: the workspaces are built
+        tracemalloc.start()
+        try:
+            pair()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < store.values.nbytes / 4, pair.__name__
+
+
 def test_adagrad_names_the_first_nonfinite_parameter_and_moves_nothing():
     a, b, c = param([1.0, 2.0], "a"), param([[3.0]], "b"), param([4.0, 5.0], "c")
     store = ParameterStore([a, b, c])
     before = store.values.copy()
-    acc = np.zeros(5)
     with pytest.raises(NonFiniteGradientError, match="'b'"):
-        adagrad_step(store, np.array([1.0, 1.0, np.nan, np.inf, 1.0]), acc, 0.1, 1e-8)
+        _adagrad(store, [1.0, 1.0, np.nan, np.inf, 1.0], 0.1, 1e-8)
     assert np.array_equal(store.values, before)
-    assert np.all(acc == 0.0)
+    assert np.all(store.acc == 0.0)
 
 
 def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
@@ -192,11 +230,11 @@ def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
     calls = []
 
     def poisoned(gen, *args, **kwargs):
-        grads, stats = real(gen, *args, **kwargs)
+        result = real(gen, *args, **kwargs)
         calls.append(None)
         if len(calls) == 4:
-            gen.store.views(grads)["gen.layer1.b"][1] = np.nan
-        return grads, stats
+            gen.store.views(gen.store.grad)["gen.layer1.b"][1] = np.nan
+        return result
 
     monkeypatch.setattr(training, "dgm_loss_gradient", poisoned)
     dem, gen = _models(19)
@@ -210,18 +248,18 @@ def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
     assert not np.array_equal(gen.store.values, before)   # steps 0-2 moved it
 
 
-def test_each_model_gets_one_flat_accumulator_at_its_first_update():
+def test_each_model_updates_the_accumulator_of_its_own_store():
     dem, gen = _models(21)
+    dem_acc, gen_acc = dem.store.acc, gen.store.acc
     points = np.random.default_rng(22).normal(size=(64, 2))
     config = _tiny_config(steps=1, dem_updates_per_dgm_update=2)
     state = train(dem, gen, points, config)
-    assert list(state.accumulators) == ["dem"]    # the generator has not moved yet
-    dem_acc = state.accumulators["dem"]
-    assert dem_acc.shape == dem.store.values.shape and dem_acc.any()
+    assert dem.store.acc is dem_acc and dem_acc.any()
+    assert gen.store.acc is gen_acc and not gen_acc.any()   # not updated yet
     config.steps = 2
     state = train(dem, gen, points, config, state=state)
-    assert state.accumulators["dem"] is dem_acc
-    assert state.accumulators["gen"].shape == gen.store.values.shape
+    assert dem.store.acc is dem_acc and gen.store.acc is gen_acc and gen_acc.any()
+    assert not hasattr(state, "accumulators")
 
 
 @pytest.mark.parametrize("estimator", ["nearest_neighbour", "batch_norm_scale"])
@@ -265,7 +303,7 @@ def test_a_training_step_records_nothing_on_a_tape(monkeypatch, estimator):
     points = np.random.default_rng(30).normal(size=(256, 2))
     monkeypatch.setattr(Tape, "_record", counted)
     state = train(dem, gen, points, config)
-    assert state.step == 1 and "gen" in state.accumulators
+    assert state.step == 1 and gen.store.acc.any()
     assert records == []
 
 

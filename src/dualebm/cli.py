@@ -102,20 +102,10 @@ _positive_float.__name__ = "float"  # argparse names the type in "invalid float 
 _NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def _open_checkpoint(path) -> Checkpoint:
-    try:
-        return load_checkpoint(path)
-    except FileNotFoundError:
-        raise CheckpointError(f"{path}: no such checkpoint") from None
-    except OSError as err:  # a directory, no permission, a read error
-        raise CheckpointError(
-            f"{path}: cannot read checkpoint: {err.strerror or err}") from None
-
-
 def _open_2d_checkpoint(path, command: str) -> Checkpoint:
     """The checkpoint at ``path``, whose energy model must take 2D points:
     ``eval`` and ``energy-map`` are defined on the plane only."""
-    checkpoint = _open_checkpoint(path)
+    checkpoint = load_checkpoint(path)
     if checkpoint.dem.d_in != 2:
         raise ConfigError(f"{command} is defined for 2D models only; {path} "
                           f"holds a model of {checkpoint.dem.d_in} dimensions")
@@ -180,7 +170,7 @@ def _write_generated(path, points: np.ndarray) -> None:
 
 
 def cmd_sample(args) -> int:
-    checkpoint = _open_checkpoint(args.checkpoint)
+    checkpoint = load_checkpoint(args.checkpoint)
     gen = checkpoint.gen
     z = sample_prior(args.n, gen.d_z, np.random.default_rng(args.seed))
     samples = gen.generate(z, "infer")
@@ -208,7 +198,7 @@ def cmd_energy_map(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    checkpoint = _open_checkpoint(args.checkpoint)
+    checkpoint = load_checkpoint(args.checkpoint)
     gen = checkpoint.gen
     rng = np.random.default_rng(args.seed)
     z = sample_prior(2, gen.d_z, rng)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import SPIRAL_SPECS, Dataset, load_mnist_idx, make_dataset
-from .energy_model import EnergyModel
+from .energy_model import EnergyModel, inverse_sigma_sq
 from .generator_model import ENTROPY_ESTIMATORS, GeneratorModel
 from .training import ConfigError, rng_streams
 
@@ -82,8 +82,10 @@ class RunConfig:
             raise ConfigError("d_feat and d_z must be positive")
         if self.n_experts < 0:
             raise ConfigError(f"n_experts must be >= 0, got {self.n_experts}")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        try:
+            inverse_sigma_sq(self.sigma)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if any(w < 1 for w in list(self.dem_hidden) + list(self.gen_hidden)):
             raise ConfigError("hidden widths must be positive")
         if not self.gen_hidden:

@@ -12,8 +12,11 @@ manifest order: parameters, batch-norm statistics and AdaGrad
 accumulators (each model's ``store.acc``), one block per parameter name.
 A model's accumulator blocks are left out while the accumulator is all
 zero, as before the model's first update, and absent ones load as zero.
-Loading reconstructs models bit-exactly; writes go through a temp file and
-an atomic rename.
+Saving writes each array's buffer to a temp file renamed atomically. Loading
+checks the header and payload size, builds the models, then walks the
+manifest once: a block named for a model array is shape-checked and copied
+from the file bytes into it, any other is skipped, and a parameter or
+batch-norm statistic no block names is missing. Models load bit-exactly.
 """
 
 from __future__ import annotations
@@ -71,35 +74,32 @@ class Dataset:
             raise ValueError("dataset contains non-finite points")
 
 
+def _spiral_points(t: np.ndarray, arm, arms: int, t_max: float) -> np.ndarray:
+    """t*(cos, sin)(t + 2*pi*arm/arms)/t_max per entry of t (and of arm, if an array)."""
+    angle = t + 2.0 * math.pi * arm / arms
+    return t[:, None] * np.column_stack([np.cos(angle), np.sin(angle)]) / t_max
+
+
 def arm_curve(name: str, arm: int, num: int = 2000) -> np.ndarray:
     """Dense noiseless sampling of one arm's center line."""
     arms, t_min, t_max = SPIRAL_SPECS[name]
-    t = np.linspace(t_min, t_max, num)
-    angle = t + 2.0 * math.pi * arm / arms
-    return (t * np.array([np.cos(angle), np.sin(angle)])).T / t_max
-
-
-def _spiral_dataset(name: str, n: int, noise_sd: float,
-                    rng: np.random.Generator) -> Dataset:
-    arms, t_min, t_max = SPIRAL_SPECS[name]
-    if n < arms:
-        raise ValueError(f"need n >= {arms}, got {n}")
-    if noise_sd < 0:
-        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
-    arm = np.arange(n) % arms          # balanced within +/- 1 per arm
-    t = rng.uniform(t_min, t_max, size=n)
-    angle = t + 2.0 * math.pi * arm / arms
-    points = (t[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])) / t_max
-    if noise_sd > 0:
-        points = points + rng.normal(0.0, noise_sd, size=points.shape)
-    return Dataset(points, name, labels=arm.copy())
+    return _spiral_points(np.linspace(t_min, t_max, num), arm, arms, t_max)
 
 
 def make_dataset(name: str, n: int, noise_sd: float,
                  rng: np.random.Generator) -> Dataset:
     if name not in SPIRAL_SPECS:
         raise ValueError(f"unknown dataset {name!r}")
-    return _spiral_dataset(name, n, noise_sd, rng)
+    arms, t_min, t_max = SPIRAL_SPECS[name]
+    if n < arms:
+        raise ValueError(f"need n >= {arms}, got {n}")
+    if noise_sd < 0:
+        raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
+    arm = np.arange(n) % arms          # balanced within +/- 1 per arm
+    points = _spiral_points(rng.uniform(t_min, t_max, size=n), arm, arms, t_max)
+    if noise_sd > 0:
+        points = points + rng.normal(0.0, noise_sd, size=points.shape)
+    return Dataset(points, name, labels=arm.copy())
 
 
 # --- MNIST IDX ----------------------------------------------------------------
@@ -192,7 +192,6 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
     tensors = _model_tensors(dem, gen)
     tensors.update(sorted(_accumulator_views(
         store for store in (dem.store, gen.store) if store.acc.any()).items()))
-    manifest = [[name, list(arr.shape)] for name, arr in tensors.items()]
     header = {
         "config": checkpoint.config,
         "dem": {
@@ -209,7 +208,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
             "data_rng": state.data_rng.bit_generator.state,
             "prior_rng": state.prior_rng.bit_generator.state,
         },
-        "tensors": manifest,
+        "tensors": [[name, list(arr.shape)] for name, arr in tensors.items()],
     }
     blob = json.dumps(header).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
@@ -220,8 +219,8 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
             f.write(struct.pack("<I", CHECKPOINT_VERSION))
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
-            for name, _ in manifest:
-                f.write(np.ascontiguousarray(tensors[name]).astype("<f8").tobytes())
+            for arr in tensors.values():
+                f.write(np.ascontiguousarray(arr, dtype="<f8"))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -239,11 +238,17 @@ def _is_manifest(manifest) -> bool:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and rebuild; any inconsistency raises ``CheckpointError``.
-    Header fields that older versions wrote and this one does not read (the
-    activation names, the metrics history) are ignored."""
-    with open(path, "rb") as f:
-        payload = f.read()
+    """Parse and rebuild; an unreadable file or any inconsistency raises
+    ``CheckpointError``. Header fields that older versions wrote and this
+    one does not read (the activation names, the metrics history) are ignored."""
+    try:
+        with open(path, "rb") as f:
+            payload = f.read()
+    except FileNotFoundError:
+        raise CheckpointError(f"{path}: no such checkpoint") from None
+    except OSError as err:  # a directory, no permission, a read error
+        raise CheckpointError(
+            f"{path}: cannot read checkpoint: {err.strerror or err}") from None
     if len(payload) < len(CHECKPOINT_MAGIC) + 12:
         raise CheckpointError(f"{path}: truncated checkpoint header")
     if payload[:8] != CHECKPOINT_MAGIC:
@@ -272,20 +277,12 @@ def load_checkpoint(path) -> Checkpoint:
     if not _is_manifest(manifest):
         raise CheckpointError(f"{path}: corrupt header: malformed tensor manifest")
 
-    expected = 20 + header_len + sum(
-        8 * int(np.prod(shape)) for _, shape in manifest)
+    # Python ints, so a shape whose size overflows int64 cannot wrap
+    expected = 20 + header_len + 8 * sum(math.prod(shape) for _, shape in manifest)
     if len(payload) != expected:
         raise CheckpointError(
             f"{path}: corrupt tensor payload, expected {expected} bytes, "
             f"got {len(payload)}")
-
-    tensors = {}
-    offset = 20 + header_len
-    for name, shape in manifest:
-        size = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-        tensors[name] = arr.reshape(shape).copy()
-        offset += 8 * size
 
     try:
         dem_meta, gen_meta, state_meta = header["dem"], header["gen"], header["state"]
@@ -306,23 +303,22 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: corrupt header: the generator's output width "
             f"{gen.widths[-1]} differs from the energy model's input width {dem.d_in}")
-    _restore(path, tensors, _model_tensors(dem, gen), required=True)
-    # an absent accumulator entry reads as zero; one that names no
-    # parameter is ignored
-    _restore(path, tensors, _accumulator_views((dem.store, gen.store)), required=False)
+
+    targets = _model_tensors(dem, gen)
+    unseen = dict.fromkeys(targets)  # accumulators may be absent: they stay zero
+    targets.update(_accumulator_views((dem.store, gen.store)))
+    offset = 20 + header_len
+    for name, shape in manifest:
+        size = math.prod(shape)
+        target = targets.get(name)
+        if target is not None:
+            if tuple(shape) != target.shape:
+                raise CheckpointError(f"{path}: tensor {name!r} has shape "
+                                      f"{tuple(shape)}, model expects {target.shape}")
+            block = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
+            target[...] = block.reshape(target.shape)
+            unseen.pop(name, None)
+        offset += 8 * size
+    if unseen:
+        raise CheckpointError(f"{path}: missing tensor {', '.join(map(repr, unseen))}")
     return Checkpoint(header["config"], dem, gen, state)
-
-
-def _restore(path, tensors: dict, targets: dict, required: bool) -> None:
-    """Copy each checkpoint tensor into the target array of its name, after
-    checking its shape; a missing one is an error when ``required``."""
-    for name, target in targets.items():
-        if name not in tensors:
-            if required:
-                raise CheckpointError(f"{path}: missing tensor {name!r}")
-            continue
-        if tensors[name].shape != target.shape:
-            raise CheckpointError(
-                f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
-                f"model expects {target.shape}")
-        target[...] = tensors[name]

@@ -54,16 +54,26 @@ from . import autodiff as ad
 from .autodiff import Parameter, ParameterStore, ShapeError
 
 
+def inverse_sigma_sq(sigma) -> float:
+    """1/sigma^2, the weight of the quadratic term that makes exp(-energy)
+    integrable; ValueError unless sigma > 0 and this is a finite positive float."""
+    try:
+        inv = 1.0 / float(sigma) ** 2
+    except (OverflowError, ZeroDivisionError):  # sigma^2 leaves float range
+        inv = math.nan
+    if not (sigma > 0 and 0 < inv < math.inf):
+        raise ValueError(f"sigma must be positive and finite, with 1/sigma^2 "
+                         f"in float range, got {sigma}")
+    return inv
+
+
 class EnergyModel:
     def __init__(self, layers, expert_w, expert_b, b_vis, sigma, widths):
         self.layers = list(layers)
         self.expert_w = expert_w
         self.expert_b = expert_b
         self.b_vis = b_vis
-        # also false for NaN; an infinite sigma drops the quadratic term
-        # that makes exp(-energy) integrable
-        if not 0 < sigma < math.inf:
-            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        self._inv_sigma_sq = inverse_sigma_sq(sigma)
         self.sigma = float(sigma)
         self.widths = tuple(widths)
         self.store = ParameterStore(self.params())
@@ -147,7 +157,7 @@ class EnergyModel:
         pre_e = np.matmul(f, self.expert_w.values, out=ws.pre_e if ws else None)
         pre_e += self.expert_b.values
         tmp = ws.x if ws else None
-        quadratic = np.add.reduce(np.square(x, out=tmp), axis=1) * (1.0 / self.sigma**2)
+        quadratic = np.add.reduce(np.square(x, out=tmp), axis=1) * self._inv_sigma_sq
         mean_term = np.add.reduce(np.multiply(x, self.b_vis.values, out=tmp), axis=1)
         quadratic -= mean_term
         return np.subtract(quadratic, np.add.reduce(ad.softplus_values(pre_e), axis=1),
@@ -171,7 +181,7 @@ class EnergyModel:
         if onto is not None:
             dx = np.add(onto, dx, out=onto)
         quadratic = np.multiply(x, 2.0, out=ws.x)
-        quadratic *= (g * (1.0 / self.sigma**2))[:, None]
+        quadratic *= (g * self._inv_sigma_sq)[:, None]
         dx += quadratic
         dx += ad.stack_backward(self.layers, x, ws, dh, "infer", params, dx_out=ws.x)
         return dx

@@ -146,6 +146,17 @@ def test_train_rejects_nonfinite_float(tmp_path, capsys, flag, value):
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["1e200", "1e-200", "1e-160"])
+def test_train_rejects_sigma_out_of_float_range(tmp_path, capsys, value):
+    """1/sigma^2 must be a finite positive float: these sigmas once ended
+    in an OverflowError or ZeroDivisionError traceback, or an abort on a
+    non-finite gradient."""
+    code, run_dir = _train(tmp_path, "--sigma", value)
+    assert code == 2
+    assert "sigma must be positive and finite" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("overrides, message", [
     ("--n_points 3", "n_points must be >= 4 for four_spin, got 3"),
     ("--dataset mnist --mnist_images {d}/missing.idx --mnist_labels {d}/labels.idx",
@@ -321,16 +332,21 @@ def test_sample_corrupt_checkpoint_exit_4(trained_run, tmp_path):
     ("eval", lambda h: h["gen"]["widths"].__setitem__(-1, 3)),
     ("sample", lambda h: h["gen"]["widths"].__setitem__(-1, 3)),
     ("energy-map", lambda h: h["gen"]["widths"].__setitem__(-1, 3)),
+    ("eval", lambda h: h["dem"].update(sigma=1e200)),
+    ("eval", lambda h: h["dem"].update(sigma=1e-200)),
+    ("energy-map", lambda h: h["dem"].update(sigma=1e200)),
 ], ids=["sample_zero_width", "eval_nan_sigma", "eval_infinite_sigma",
         "eval_mismatched_widths", "sample_mismatched_widths",
-        "energy_map_mismatched_widths"])
+        "energy_map_mismatched_widths", "eval_huge_sigma", "eval_tiny_sigma",
+        "energy_map_huge_sigma"])
 def test_checkpoint_of_an_invalid_model_exit_4(trained_run, tmp_path, capsys, command,
                                                edit):
     """A zero width once killed ``sample`` with an OverflowError traceback,
     a NaN or infinite sigma let ``eval`` print its metrics, and a generator
     whose output width is not the energy model's input width killed
     ``eval`` with a scipy traceback while ``sample`` and ``energy-map``
-    ran."""
+    ran. A sigma whose square leaves float range loaded, and then ``eval``
+    and ``energy-map`` died with an OverflowError or ZeroDivisionError."""
     ckpt = tmp_path / "invalid.bin"
     ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
     rewrite_checkpoint_header(ckpt, edit)
@@ -340,6 +356,24 @@ def test_checkpoint_of_an_invalid_model_exit_4(trained_run, tmp_path, capsys, co
     assert cli.main(argv) == 4
     captured = capsys.readouterr()
     assert "corrupt header" in captured.err and not captured.out
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sample", "eval", "energy-map"])
+def test_checkpoint_block_of_an_overflowing_size_exit_4(trained_run, tmp_path, capsys,
+                                                         command):
+    """A [2^32, 2^32] block's size wraps to 0 in int64, which once passed
+    the payload size check and died in a reshape traceback."""
+    ckpt = tmp_path / "huge.bin"
+    ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
+    rewrite_checkpoint_header(
+        ckpt, lambda h: h["tensors"].append(["extra", [2**32, 2**32]]))
+    argv = [command, "--checkpoint", str(ckpt)]
+    if command != "eval":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert "corrupt tensor payload" in captured.err and not captured.out
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -2,13 +2,14 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
-from dualebm.config import RunConfig
+from dualebm.config import RunConfig, build_models
 from dualebm.data_io import (
     Checkpoint,
     CheckpointError,
@@ -346,11 +347,15 @@ def _rename_tensor(header, old, new):
     lambda h: h["state"].update(prior_rng=None),
     lambda h: h["state"].update(step=-5),
     lambda h: h["state"].update(step=True),
+    lambda h: h["tensors"].append(["extra", [2**32, 2**32]]),
 ], ids=["dem_list", "bn_stat_renamed", "no_data_rng", "tensors_dict",
         "negative_sigma", "config_list", "unknown_activation", "step_string",
         "dem_zero_width", "gen_zero_width", "nan_sigma", "infinite_sigma",
-        "null_data_rng", "null_prior_rng", "negative_step", "bool_step"])
+        "null_data_rng", "null_prior_rng", "negative_step", "bool_step",
+        "block_size_overflowing_int64"])
 def test_checkpoint_malformed_header_value(tmp_path, edit):
+    """The last case's block size wraps to 0 in int64, which once passed
+    the payload size check and failed in a reshape's ValueError."""
     dem, gen, _, _ = _small_run(tmp_path)
     path = tmp_path / "header.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
@@ -434,6 +439,69 @@ def test_checkpoint_before_a_models_first_update_resumes_to_the_uninterrupted_ru
     save_checkpoint(tmp_path / "resumed.bin",
                     Checkpoint({}, resumed.dem, resumed.gen, state2))
     assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+
+
+def _insert_block(path, index, name, values):
+    """Rewrite the checkpoint at ``path`` with one more block, ``name``
+    holding ``values``, at manifest position ``index``."""
+    data = path.read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    header = json.loads(data[20:20 + header_len])
+    offset = 20 + header_len + sum(8 * math.prod(shape)
+                                   for _, shape in header["tensors"][:index])
+    header["tensors"].insert(index, [name, list(values.shape)])
+    blob = json.dumps(header).encode()
+    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob
+                     + data[20 + header_len:offset] + values.astype("<f8").tobytes()
+                     + data[offset:])
+
+
+def test_checkpoint_unknown_block_before_a_model_block_is_skipped(tmp_path):
+    """The loader walks the manifest once, so a block that names no model
+    array must still advance the offset of the blocks after it."""
+    dem, gen, points, config = _small_run(tmp_path)
+    state = train(dem, gen, points, config)
+    path = tmp_path / "extra.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, state))
+    _insert_block(path, 0, "dem.no_such_parameter", np.arange(5.0))
+    loaded = load_checkpoint(path)
+    for p, q in zip(dem.params() + gen.params(),
+                    loaded.dem.params() + loaded.gen.params()):
+        assert np.array_equal(p.values, q.values), p.name
+    for model, twin in ((dem, loaded.dem), (gen, loaded.gen)):
+        assert np.array_equal(model.store.acc, twin.store.acc)
+    for a, b in zip(gen.layers, loaded.gen.layers):
+        if a.has_batch_norm:
+            assert np.array_equal(a.bn_state.mean, b.bn_state.mean)
+            assert np.array_equal(a.bn_state.var, b.bn_state.var)
+
+
+def test_checkpoint_that_cannot_be_read(tmp_path):
+    with pytest.raises(CheckpointError, match="no such checkpoint"):
+        load_checkpoint(tmp_path / "absent.bin")
+    with pytest.raises(CheckpointError, match=f"{tmp_path}: cannot read checkpoint"):
+        load_checkpoint(tmp_path)
+
+
+def test_save_checkpoint_writes_the_arrays_without_copying_them(tmp_path):
+    """On the default 784-d pair with nonzero accumulators (a ~3.8 MB
+    file), saving allocates a small part of the file: each array's buffer
+    is written as it is, with no bytes copy."""
+    config = RunConfig(dataset="mnist", mnist_images="i.idx", mnist_labels="l.idx")
+    dem, gen = build_models(config.validate())
+    for model in (dem, gen):
+        model.store.acc[...] = np.random.default_rng(6).uniform(size=model.store.acc.shape)
+    checkpoint = Checkpoint(config.to_dict(), dem, gen, TrainState.initial(0))
+    path = tmp_path / "wide.bin"
+    save_checkpoint(path, checkpoint)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(path, checkpoint)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 10
 
 
 def test_checkpoint_with_older_header_fields_loads(tmp_path):

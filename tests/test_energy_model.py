@@ -59,10 +59,13 @@ def test_features_rejects_wrong_width():
         model.energy_gradient(np.zeros((3, 5)), np.ones(3), params=True)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-200, 1e-160])
 def test_sigma_must_be_positive_and_finite(sigma):
     """An infinite sigma drops the quadratic term that makes exp(-E)
-    integrable; a NaN one makes every energy NaN."""
+    integrable; a NaN one makes every energy NaN. A sigma whose 1/sigma^2
+    leaves float range (sigma^2 overflows, underflows to 0 or to a
+    subnormal whose inverse is inf) once built and then failed in the
+    energy with an OverflowError, a ZeroDivisionError or inf energies."""
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         EnergyModel.build((2, 4, 3), 2, np.random.default_rng(0), sigma=sigma)
 

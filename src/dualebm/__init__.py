@@ -5,18 +5,4 @@ on data and up on generated samples; the generator learns to produce the
 low-energy samples the energy model needs for that negative phase.
 """
 
-from .autodiff import (
-    BatchNormState,
-    DomainError,
-    Parameter,
-    ShapeError,
-)
-
-__all__ = [
-    "BatchNormState",
-    "DomainError",
-    "Parameter",
-    "ShapeError",
-]
-
 __version__ = "0.1.0"

@@ -1,15 +1,11 @@
 """Reverse-mode automatic differentiation on a flat operation tape, and the
 numeric pieces the models' hand-written passes share.
 
-No command records on a tape. The tape and its primitives are the
-reference that the tests compare the models' hand-written passes and loss
-backwards with, bit for bit (``tests/helpers.py``), and the target of the
-benchmark's per-primitive timings. The pieces the program runs are
-``ParameterStore``, the dense-layer stack, ``by_row_blocks``,
-``batch_statistics``, ``batch_norm_dx``, ``sigmoid_values`` and
-``softplus_values``: the models compute each value with these
-expressions, which are the primitives' own, so a pass gives the bits of
-the chain of primitives it stands for.
+The pieces the program runs are ``ParameterStore``, the dense-layer
+stack, ``by_row_blocks``, ``batch_statistics``, ``batch_norm_dx``,
+``sigmoid_values`` and ``softplus_values``: the models compute each value
+with these expressions, which are the primitives' own, so a pass gives the
+bits of the chain of primitives it stands for.
 
 The dense-layer stack is the one network of both models: the energy
 model's feature layers (tanh, then sigmoid) and the generator (tanh and
@@ -22,14 +18,22 @@ parameters' gradients or returns the input's. Its expressions, and the
 order of its sums, are the chain's of ``matmul``, ``add``, the activation
 and ``batch_norm``, with tanh' = 1 - out * out and sigmoid' = (1 - out) *
 out formed from the activation's output, so its gradients have the
-chain's bits.
+chain's bits. ``by_row_blocks`` runs a plain pass over many rows in blocks
+of ``ROW_BLOCK`` rows, each written straight into its slice of one output,
+so its memory does not grow with the row count.
 
-Runtime values are numpy float64 arrays (C order, batch as the leading
-dimension). A ``Tape`` records every primitive in execution order, so the
-node list is topologically sorted by construction and the backward pass is
-a single reverse sweep. ``Parameter`` objects are trainable leaves: after
+The tape is a reference, and no command records on one. The tests build
+each model pass and loss as a chain of primitives on a ``Tape``
+(``tests/helpers.py``) and compare the hand-written passes and backwards
+with it bit for bit; the benchmark times the primitives and counts the
+tape's records. A ``Tape`` records every primitive in execution order, so
+its backward is one reverse sweep. Each primitive takes at least one
+``Node`` operand; any other operand may be a plain array (or number), read
+as its values. ``Parameter`` objects are trainable leaves: after
 ``tape.backward(root)`` each parameter watched by the tape holds
 d(root)/d(parameter) in ``.grad`` (zero if unreachable from the root).
+Runtime values are numpy float64 arrays (C order, batch as the leading
+dimension).
 
 Numerically sensitive primitives use overflow-safe identities:
 
@@ -40,24 +44,6 @@ Each primitive family is defined once: ``+``, ``-`` and ``*`` are rows of
 ``_BINARY``, the elementwise functions (``tanh``, ``sigmoid``,
 ``softplus``, ``log``, ``square``) rows of ``_UNARY``, and ``.sum()`` and
 ``.mean()`` one reduction.
-
-Gradient pruning: each tape entry records whether it depends on a watched
-parameter. An entry built only from constants and frozen parameters gets no
-backward closure, and a closure computes no gradient for an operand that no
-parameter depends on.
-
-Closures capture operand indices and arrays, never ``Node`` handles, so a
-tape holds no reference back to its nodes. Nodes refer to their tape, not
-the other way round: a tape is freed by reference counting as soon as its
-last node goes, without waiting for the cycle collector.
-
-Every primitive follows one operand rule (``_operands``): any operand may
-be a node or a plain array, a plain operand is read as its values and is
-never recorded as a tape entry, and when no operand is a node the result
-is a plain array, computed with the same numpy expression as the
-recorded value. ``by_row_blocks`` runs a plain pass over many rows in
-blocks of ``ROW_BLOCK`` rows, each written straight into its slice of one
-output, so its memory does not grow with the row count.
 
 ``ParameterStore`` lays a model's parameters out in three flat buffers of
 one layout: values, gradients and AdaGrad accumulators. Each ``Parameter``
@@ -93,8 +79,8 @@ class DomainError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Tape misuse: a non-scalar backward root, or operands from different
-    tapes."""
+    """Tape misuse: a non-scalar backward root, operands from different
+    tapes, or a primitive with no node operand."""
 
 
 def _as_array(x) -> np.ndarray:
@@ -235,10 +221,9 @@ class Tape:
     """Append-only record of primitive operations (a Wengert list).
 
     Invariant: every entry's operands have smaller indices, so iterating
-    in reverse visits consumers before producers. An entry has a backward
-    closure exactly when it depends on a watched parameter. During
-    ``backward`` each contribution to a watched parameter's leaf is added
-    in place into ``param.grad``, so no per-leaf sum is allocated.
+    in reverse visits consumers before producers. Every primitive's entry
+    has a backward closure; a leaf (a constant or a watched parameter) has
+    none.
     """
 
     def __init__(self):
@@ -256,7 +241,7 @@ class Tape:
         return Node(self, idx)
 
     def constant(self, values) -> Node:
-        """Leaf holding a fixed array; no gradient is tracked for it."""
+        """Leaf holding a fixed array; no parameter takes its gradient."""
         return self._record(_as_array(values), None)
 
     def watch(self, param: Parameter) -> Node:
@@ -268,10 +253,8 @@ class Tape:
         cached = self._watched.get(id(param))
         if cached is not None:
             return Node(self, cached)
-        if id(param) in self._frozen:
-            node = self.constant(param.values)
-        else:
-            node = self._record(param.values, _watched_leaf)
+        node = self.constant(param.values)
+        if id(param) not in self._frozen:
             self._leaves.append((node.idx, param))
         self._watched[id(param)] = node.idx
         return node
@@ -281,11 +264,11 @@ class Tape:
         self._frozen.update(id(p) for p in params)
 
     def backward(self, root: Node) -> None:
-        """Accumulate d(root)/d(node) for every ancestor of a scalar root.
+        """Sum d(root)/d(node) for every ancestor of a scalar root in one
+        reverse sweep.
 
-        Watched parameters get their ``.grad`` overwritten: zero first, then
-        the summed contributions of every tape node bound to them. Parameters
-        never reached from the root therefore hold exactly zero.
+        Then each watched parameter's ``.grad`` is overwritten with the sum
+        at its leaf, or with zero when the root does not reach it.
         """
         if root.tape is not self:
             raise TapeError("backward root belongs to a different tape")
@@ -293,9 +276,6 @@ class Tape:
             raise TapeError(
                 f"backward root must be scalar, got shape {root.values.shape}")
         grads: list = [None] * len(self._values)
-        for idx, param in self._leaves:
-            param.grad[...] = 0.0
-            grads[idx] = param
         _acc(grads, root.idx, np.ones_like(self._values[root.idx]))
         for i in range(root.idx, -1, -1):
             g = grads[i]
@@ -303,6 +283,8 @@ class Tape:
             if g is not None and fn is not None:
                 grads[i] = None
                 fn(g, grads)
+        for idx, param in self._leaves:
+            param.grad[...] = 0.0 if grads[idx] is None else grads[idx]
 
 
 def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
@@ -330,17 +312,15 @@ def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
     return out
 
 
-def _operands(*xs) -> tuple[Optional[Tape], list, list]:
-    """The operand rule of every primitive: any operand may be a node or a
-    plain array (or number), and a plain operand is read as its values and
-    never recorded.
+def _operands(*xs) -> tuple[Tape, list, list]:
+    """The operands of a primitive: at least one is a node, and any other
+    may be a plain array (or number), read as its values and never recorded.
 
-    Returns the tape the node operands share (None when no operand is a
-    node), each operand's values, and each operand's index where some
-    watched parameter reaches it (None elsewhere, plain operands included).
+    Returns the tape the node operands share, each operand's values, and
+    each operand's tape index (None for a plain operand).
     """
     tape = None
-    values, needs = [], []
+    values, idxs = [], []
     for x in xs:
         if isinstance(x, Node):
             if tape is None:
@@ -348,40 +328,20 @@ def _operands(*xs) -> tuple[Optional[Tape], list, list]:
             elif x.tape is not tape:
                 raise TapeError("operands were recorded on different tapes")
             values.append(tape._values[x.idx])
-            needs.append(x.idx if tape._backward[x.idx] is not None else None)
+            idxs.append(x.idx)
         else:
             values.append(_as_array(x))
-            needs.append(None)
-    return tape, values, needs
-
-
-def _watched_leaf(g, grads) -> None:
-    """Backward of a watched parameter's leaf: nothing to pass on, since
-    ``_acc`` has summed its gradient into ``param.grad`` already."""
-
-
-def _record_op(tape: Optional[Tape], out: np.ndarray, backward: Callable,
-               needs: list):
-    """A primitive's result: ``out`` itself when no operand is a node (no
-    tape); otherwise a tape entry, with ``backward`` when some operand index
-    in ``needs`` is set and with none when no watched parameter reaches any
-    operand."""
+            idxs.append(None)
     if tape is None:
-        return out
-    return tape._record(out, None if needs.count(None) == len(needs) else backward)
+        raise TapeError("a primitive needs at least one node operand")
+    return tape, values, idxs
 
 
 def _acc(grads: list, idx: int, g: np.ndarray) -> None:
-    # A watched leaf's slot holds its Parameter, whose zeroed .grad takes
-    # each contribution in place. Other slots are never mutated in place,
-    # so stored gradients may alias upstream arrays.
+    # Slots are never mutated in place, so stored gradients may alias
+    # upstream arrays.
     current = grads[idx]
-    if current is None:
-        grads[idx] = g
-    elif isinstance(current, Parameter):
-        current.grad += g
-    else:
-        grads[idx] = current + g
+    grads[idx] = g if current is None else current + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -408,8 +368,7 @@ _BINARY: dict[str, tuple[Callable, Callable, Callable]] = {
 
 def _binary(a: Operand, b: Operand, name: str):
     value, grad_a, grad_b = _BINARY[name]
-    tape, (av, bv), needs = _operands(a, b)
-    ia, ib = needs
+    tape, (av, bv), (ia, ib) = _operands(a, b)
     try:
         out = value(av, bv)
     except ValueError:
@@ -421,7 +380,7 @@ def _binary(a: Operand, b: Operand, name: str):
         if ib is not None:
             _acc(grads, ib, _unbroadcast(grad_b(g, av, bv), bv.shape))
 
-    return _record_op(tape, out, backward, needs)
+    return tape._record(out, backward)
 
 
 def add(a: Operand, b: Operand):
@@ -437,8 +396,7 @@ def _check_matmul(av: np.ndarray, bv: np.ndarray) -> None:
 
 
 def matmul(a: Operand, b: Operand):
-    tape, (av, bv), needs = _operands(a, b)
-    ia, ib = needs
+    tape, (av, bv), (ia, ib) = _operands(a, b)
     _check_matmul(av, bv)
 
     def backward(g, grads):
@@ -447,14 +405,14 @@ def matmul(a: Operand, b: Operand):
         if ib is not None:
             _acc(grads, ib, av.T @ g)
 
-    return _record_op(tape, av @ bv, backward, needs)
+    return tape._record(av @ bv, backward)
 
 
 def _reduce(a: Operand, axis: Optional[int], mean: bool):
     """The sum of ``a`` over ``axis`` (every axis when None), or the mean
     when ``mean``. Each input entry's gradient is that of the output entry
     it was reduced into, divided by the count for a mean."""
-    tape, (av,), needs = _operands(a)
+    tape, (av,), (ia,) = _operands(a)
     out = _as_array(av.mean(axis=axis) if mean else av.sum(axis=axis))
 
     def backward(g, grads):
@@ -466,9 +424,9 @@ def _reduce(a: Operand, axis: Optional[int], mean: bool):
             count = shape[axis]
         spread = np.empty(shape)
         spread[...] = g.reshape(kept)
-        _acc(grads, needs[0], spread / count if mean else spread)
+        _acc(grads, ia, spread / count if mean else spread)
 
-    return _record_op(tape, out, backward, needs)
+    return tape._record(out, backward)
 
 
 def _exp_minus_abs(x: np.ndarray) -> np.ndarray:
@@ -516,13 +474,13 @@ _UNARY: dict[str, tuple[Callable, Callable]] = {
 
 def _unary(a: Operand, name: str):
     value, derivative = _UNARY[name]
-    tape, (av,), needs = _operands(a)
+    tape, (av,), (ia,) = _operands(a)
     out = value(av)
 
     def backward(g, grads):
-        _acc(grads, needs[0], derivative(g, av, out))
+        _acc(grads, ia, derivative(g, av, out))
 
-    return _record_op(tape, out, backward, needs)
+    return tape._record(out, backward)
 
 
 def sigmoid(a: Operand):
@@ -553,12 +511,9 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
     ``BN_EPS``) and updates ``state`` in place by an EMA with momentum
     ``BN_MOMENTUM``. Infer mode normalizes by the running statistics and has
     no side effects. Gradients flow to x, shift and scale in both modes;
-    train mode differentiates through the batch statistics. With no node
-    among x, shift and scale the result is a plain array, computed in one
-    fresh buffer.
+    train mode differentiates through the batch statistics.
     """
-    tape, (xv, shift_v, scale_v), needs = _operands(x, shift, scale)
-    ix, ishift, iscale = needs
+    tape, (xv, shift_v, scale_v), (ix, ishift, iscale) = _operands(x, shift, scale)
     if xv.ndim != 2:
         raise ShapeError(f"batch_norm expects (batch, dim) input, got {xv.shape}")
     d = xv.shape[1]
@@ -568,11 +523,6 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
             f"{shift_v.shape} and {scale_v.shape}")
     _, inv, xhat = batch_statistics(xv, state, mode)
     xhat *= inv
-    if tape is None:
-        xhat *= scale_v
-        xhat += shift_v
-        return xhat
-
     out = xhat * scale_v + shift_v
 
     def backward(g, grads):
@@ -583,7 +533,7 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
         if ix is not None:
             _acc(grads, ix, batch_norm_dx(g, xhat, scale_v, inv, mode))
 
-    return _record_op(tape, out, backward, needs)
+    return tape._record(out, backward)
 
 
 def batch_statistics(xv: np.ndarray, state: BatchNormState, mode: str,

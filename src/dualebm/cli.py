@@ -235,7 +235,6 @@ def cmd_eval(args) -> int:
     coverage = mode_coverage(samples, config.dataset)
     divergence = model_data_divergence(
         checkpoint.dem, held_out.points, dataset_bounds(config), args.grid_n)
-    e_data = checkpoint.dem.energy_values(held_out.points).mean()
     box = np.random.default_rng(args.seed + 1).uniform(
         held_out.points.min(), held_out.points.max(), size=(args.n, 2))
     e_probe = checkpoint.dem.energy_values(box).mean()
@@ -244,7 +243,7 @@ def cmd_eval(args) -> int:
         "unassigned": coverage["unassigned"],
         "cross_entropy": divergence["cross_entropy"],
         "kl_vs_kde": divergence["kl_vs_kde"],
-        "energy_gap": float(e_probe - e_data),
+        "energy_gap": float(e_probe - divergence["mean_energy"]),
     }
     for i, fraction in enumerate(coverage["fractions"]):
         report[f"mode_{i}"] = fraction

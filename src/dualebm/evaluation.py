@@ -125,7 +125,8 @@ def gaussian_kde(points: np.ndarray):
 
 def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
     """Cross-entropy of held-out points under the grid-normalized model, and
-    KL(model density || Gaussian KDE of the points) over the same grid.
+    KL(model density || Gaussian KDE of the points) over the same grid; also
+    the normalizer ``log_z`` and the points' mean energy ``mean_energy``.
 
     The KDE bandwidth is Scott's rule. Both densities are normalized with
     identical trapezoid weights, so the comparison is between two discrete
@@ -136,14 +137,16 @@ def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
     energy_fn = _as_energy_fn(dem)
     points = np.asarray(points, dtype=np.float64)
     grid_points, log_p, log_z, log_w = grid_log_density(energy_fn, bounds, grid_n)
-    cross_entropy = float(np.mean(energy_fn(points)) + log_z)
+    mean_energy = float(np.mean(energy_fn(points)))
+    cross_entropy = float(mean_energy + log_z)
 
     kde = gaussian_kde(points.T)
     log_q = kde.logpdf(grid_points.T) + log_w
     log_q = log_q - logsumexp(log_q)
     p = np.exp(log_p)
     kl = float(np.sum(np.where(p > 0, p * (log_p - log_q), 0.0)))
-    return {"cross_entropy": cross_entropy, "kl_vs_kde": kl, "log_z": log_z}
+    return {"cross_entropy": cross_entropy, "kl_vs_kde": kl, "log_z": log_z,
+            "mean_energy": mean_energy}
 
 
 # --- exports ---------------------------------------------------------------------

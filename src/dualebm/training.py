@@ -11,9 +11,11 @@ per model update squares ``store.grad`` once, and that square gives the
 logged gradient norm, the finiteness check and the increment of
 ``store.acc``, the accumulator each model carries in its store. A NaN or
 infinite gradient aborts the run with the offending parameter and step
-rather than being masked, and so does an entropy estimate that becomes
-singular, with its step. Each ``train`` call allocates the optimizer's
-scratch once and drops it on return; it is never checkpointed.
+rather than being masked; so does a finite gradient whose norm overflows,
+which would make the accumulator infinite and freeze the model, and so
+does an entropy estimate that becomes singular, with its step. Each
+``train`` call allocates the optimizer's scratch once and drops it on
+return; it is never checkpointed.
 """
 
 from __future__ import annotations
@@ -89,20 +91,22 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     ``(g_p * g_p).sum()``. A sum that is not finite triggers the check: a
     NaN or infinite entry raises ``NonFiniteGradientError`` naming its
     parameter before anything moves, while a finite gradient whose square
-    overflows proceeds with norm inf. Coordinates with g == 0 are left
-    untouched even when acc and eps are both zero (the 0/0 case).
+    overflows proceeds with norm inf and no numpy warning (``train`` aborts
+    on that norm). Coordinates with g == 0 are left untouched even when acc
+    and eps are both zero (the 0/0 case).
     """
     grad = store.grad
     sq, delta = np.empty((2, grad.size)) if scratch is None else scratch
-    np.multiply(grad, grad, out=sq)
-    total = 0.0
-    for _, span, _ in store.spans:
-        total += float(np.add.reduce(sq[span]))
-    if not math.isfinite(total):
-        bad = store.first_nonfinite(grad)
-        if bad is not None:
-            raise NonFiniteGradientError(bad)
-    store.acc += sq
+    with np.errstate(over="ignore"):   # an overflow shows as a norm of inf
+        np.multiply(grad, grad, out=sq)
+        total = 0.0
+        for _, span, _ in store.spans:
+            total += float(np.add.reduce(sq[span]))
+        if not math.isfinite(total):
+            bad = store.first_nonfinite(grad)
+            if bad is not None:
+                raise NonFiniteGradientError(bad)
+        store.acc += sq
     denom = np.sqrt(store.acc, out=sq)
     denom += eps
     np.multiply(grad, lr, out=delta)
@@ -113,6 +117,22 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     np.copyto(delta, 0.0, where=zero)
     store.values -= delta
     return math.sqrt(total)
+
+
+def _check_norm(store: ParameterStore, norm: float) -> None:
+    """Abort on a gradient norm that overflowed: the squares that AdaGrad
+    accumulates have left float range, or soon will, and the model would
+    stop moving. The parameter named is the first whose accumulator is not
+    finite, else the one with the largest sum of squared gradients."""
+    if math.isfinite(norm):
+        return
+    name = store.first_nonfinite(store.acc)
+    if name is None:
+        with np.errstate(over="ignore"):
+            sums = [np.add.reduce(np.square(store.grad[span]))
+                    for _, span, _ in store.spans]
+        name = store.spans[int(np.argmax(sums))][0]
+    raise NonFiniteGradientError(name)
 
 
 def _format_metrics(metrics: dict) -> str:
@@ -153,6 +173,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
             _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
             dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps,
                                      dem_scratch)
+            _check_norm(dem.store, dem_gnorm)
             metrics = {
                 "step": state.step,
                 "e_pos": dem_stats["e_pos"],
@@ -165,6 +186,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
                     gen, dem, z2, config.entropy_weight, config.entropy_estimator)
                 dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps,
                                          gen_scratch)
+                _check_norm(gen.store, dgm_gnorm)
                 metrics["e_gen"] = dgm_stats["e_gen"]
                 metrics["entropy"] = dgm_stats["entropy"]
                 metrics["dgm_gnorm"] = dgm_gnorm

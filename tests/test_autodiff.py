@@ -87,7 +87,7 @@ def test_sigmoid_is_bit_equal_to_the_two_branch_formula():
     ex = np.exp(x[~pos])
     expected[~pos] = ex / (1.0 + ex)
     for shape in ((x.size,), (4, x.size // 4)):
-        out = ad.sigmoid(x.reshape(shape)).ravel()
+        out = ad.sigmoid_values(x.reshape(shape)).ravel()
         assert np.array_equal(out.view(np.int64), expected.view(np.int64))
 
 
@@ -329,15 +329,10 @@ def _rule_operands(shapes):
 
 
 @pytest.mark.parametrize("name", sorted(RULE_CASES))
-def test_all_plain_operands_give_the_recorded_value_as_a_plain_array(name):
+def test_a_primitive_with_no_node_operand_is_refused(name):
     op, shapes = RULE_CASES[name]
-    values = _rule_operands(shapes)
-    plain = op(*values)
-    tape = Tape()
-    recorded = op(*[tape.constant(v) for v in values])
-    assert type(plain) is np.ndarray
-    assert plain.shape == recorded.shape
-    assert plain.tobytes() == np.asarray(recorded.values).tobytes()
+    with pytest.raises(TapeError, match="node operand"):
+        op(*_rule_operands(shapes))
 
 
 def _run_with_one_plain_operand(op, shapes, plain_at, as_constant):
@@ -393,29 +388,7 @@ def test_numpy_defers_to_a_node():
         np.ones((2, 3)) @ node
 
 
-# --- gradient pruning and acyclic tapes ----------------------------------------
-
-def test_operations_on_constants_and_frozen_parameters_record_no_backward():
-    rng = np.random.default_rng(0)
-    frozen = param(rng.normal(size=(4, 4)), "frozen")
-    live = param(rng.normal(size=(4, 4)), "live")
-    tape = Tape()
-    tape.freeze([frozen])
-    c = tape.constant(rng.normal(size=(4, 4)))
-    f = tape.watch(frozen)
-    bias = tape.constant(np.zeros(4))
-    state = BatchNormState.initial(4)
-    dead = [
-        c + f, c - f, c * f, c @ f, f.sum(axis=0), f.mean(), ad.tanh(f),
-        ad.sigmoid(c), ad.softplus(f), ad.square(c), ad.log(ad.square(f) + 1.0),
-        ad.batch_norm(c, bias, bias, state, "train"),
-    ]
-    assert all(tape._backward[n.idx] is None for n in dead)
-    assert tape._backward[f.idx] is None
-    w = tape.watch(live)
-    assert all(tape._backward[n.idx] is not None for n in (
-        w, c @ w, (c * w).sum()))
-
+# --- frozen operands and freeing ----------------------------------------------
 
 def test_unwatched_operand_of_a_dense_layer_gets_no_gradient():
     """The frozen weights of a layer (matmul, tanh) fed by a watched input

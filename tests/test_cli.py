@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dualebm import cli
-from dualebm.config import config_from_dict
+from dualebm.config import config_from_dict, load_run_dataset
 from dualebm.data_io import Checkpoint, load_checkpoint, save_checkpoint
 from dualebm.energy_model import EnergyModel
 from dualebm.evaluation import read_pgm
@@ -261,6 +261,28 @@ def test_singular_entropy_abort_maps_to_exit_3_with_its_step(tmp_path, monkeypat
     step = int(err.split(" at step ")[1])
     metrics = (tmp_path / "run" / "metrics.txt").read_text().splitlines()
     assert len(metrics) == step and step < 300
+
+
+@pytest.mark.parametrize("flag, value, quiet", [
+    ("--sigma", "1e-100", True),      # energies ~1e199: the generator's square overflows
+    ("--dem_lr", "1e300", True),      # the first energy step throws the model off range
+    ("--noise_sd", "1e300", False),   # data ~1e300: the energies overflow first
+])
+def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, quiet):
+    """A finite gradient whose square overflows would make the AdaGrad
+    accumulator infinite and freeze that model for good; the run aborts at
+    the step instead, with exit 3, and with no numpy warning from AdaGrad."""
+    result = subprocess.run(
+        [sys.executable, "-m", "dualebm.cli", "train", "--steps", "5", "--n_points",
+         "200", "--out_dir", str(tmp_path / "run"), flag, value],
+        capture_output=True, text=True)
+    assert result.returncode == 3
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith("aborted: non-finite gradient for parameter ")
+    assert last.endswith(" at step 0")
+    assert (tmp_path / "run" / "metrics.txt").read_text() == ""
+    if quiet:
+        assert "Warning" not in result.stderr
 
 
 # --- checkpoint-consuming commands --------------------------------------------
@@ -548,6 +570,24 @@ def test_eval_reports_metrics(trained_run, capsys):
     for key in ("mode_0", "mode_3", "unassigned", "cross_entropy",
                 "kl_vs_kde", "energy_gap"):
         assert f"{key}=" in out
+
+
+def test_eval_computes_the_held_out_energies_once(trained_run, monkeypatch, capsys):
+    path = trained_run / "checkpoint_final.bin"
+    config = config_from_dict(load_checkpoint(path).config)
+    held_out = load_run_dataset(
+        config, np.random.default_rng(np.random.SeedSequence(config.seed + 1)))
+    inputs = []
+    energy_values = EnergyModel.energy_values
+
+    def spy(self, x):
+        inputs.append(np.array(x))
+        return energy_values(self, x)
+
+    monkeypatch.setattr(EnergyModel, "energy_values", spy)
+    assert cli.main(["eval", "--checkpoint", str(path), "--n", "200",
+                     "--grid-n", "60"]) == 0
+    assert sum(np.array_equal(x, held_out.points) for x in inputs) == 1
 
 
 def test_gradcheck_rejects_negative_seed(capsys):

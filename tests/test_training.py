@@ -248,6 +248,31 @@ def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
     assert not np.array_equal(gen.store.values, before)   # steps 0-2 moved it
 
 
+@pytest.mark.parametrize("poison", [[1e200, 0.0], [1e154, 1e154]],
+                         ids=["square_overflows", "sum_of_squares_overflows"])
+def test_an_overflowing_gradient_norm_aborts_with_parameter_and_step(monkeypatch,
+                                                                     poison):
+    """A finite gradient whose norm is inf aborts the run at its step: its
+    square left the accumulator infinite, or its squares sum past float
+    range. The parameter named is the one that overflowed."""
+    real = training.dgm_loss_gradient
+    calls = []
+
+    def poisoned(gen, *args, **kwargs):
+        result = real(gen, *args, **kwargs)
+        calls.append(None)
+        if len(calls) == 4:
+            gen.store.views(gen.store.grad)["gen.layer1.b"][...] = poison
+        return result
+
+    monkeypatch.setattr(training, "dgm_loss_gradient", poisoned)
+    dem, gen = _models(19)
+    points = np.random.default_rng(20).normal(size=(64, 2))
+    with pytest.raises(NonFiniteGradientError) as err:
+        train(dem, gen, points, _tiny_config(steps=10))
+    assert (err.value.param_name, err.value.step) == ("gen.layer1.b", 3)
+
+
 def test_each_model_updates_the_accumulator_of_its_own_store():
     dem, gen = _models(21)
     dem_acc, gen_acc = dem.store.acc, gen.store.acc

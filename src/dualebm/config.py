@@ -208,7 +208,20 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
             ds = Dataset(ds.points[:config.mnist_limit], ds.name,
                          None if ds.labels is None else ds.labels[:config.mnist_limit])
         return ds
-    return make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
+    ds = make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
+    # the quadratic energy term |x|^2 / sigma^2 of a batch's points, summed
+    # for its mean, must be a float: a noise_sd of 1e300 puts the points
+    # near 1e300, where every energy is inf before any step is taken
+    with np.errstate(over="ignore"):
+        largest = float(np.square(ds.points).sum(axis=1).max())
+        batch_energy = config.batch_size * largest * inverse_sigma_sq(config.sigma)
+    if not batch_energy < math.inf:
+        raise ConfigError(
+            f"noise_sd {config.noise_sd!r}: the data's energies overflow with sigma "
+            f"{config.sigma!r} (the largest |x|^2 is {largest:.3g}, and the sum of "
+            f"|x|^2 / sigma^2 over {config.batch_size} such points leaves float range); "
+            "give a smaller noise_sd or a larger sigma")
+    return ds
 
 
 def build_models(config: RunConfig) -> tuple[EnergyModel, GeneratorModel]:

@@ -13,10 +13,11 @@ accumulators (each model's ``store.acc``), one block per parameter name.
 A model's accumulator blocks are left out while the accumulator is all
 zero, as before the model's first update, and absent ones load as zero.
 Saving writes each array's buffer to a temp file renamed atomically. Loading
-checks the header and payload size, builds the models, then walks the
-manifest once: a block named for a model array is shape-checked and copied
-from the file bytes into it, any other is skipped, and a parameter or
-batch-norm statistic no block names is missing. Models load bit-exactly.
+checks the header and the file size, builds the models, then walks the
+manifest once: a block named for a model array is shape-checked and read
+from the file straight into it, any other is skipped, and a parameter or
+batch-norm statistic no block names is missing. No copy of the file is
+held. Models load bit-exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import math
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Optional
@@ -243,26 +245,33 @@ def load_checkpoint(path) -> Checkpoint:
     one does not read (the activation names, the metrics history) are ignored."""
     try:
         with open(path, "rb") as f:
-            payload = f.read()
+            return _read_checkpoint(f, path)
     except FileNotFoundError:
         raise CheckpointError(f"{path}: no such checkpoint") from None
     except OSError as err:  # a directory, no permission, a read error
         raise CheckpointError(
             f"{path}: cannot read checkpoint: {err.strerror or err}") from None
-    if len(payload) < len(CHECKPOINT_MAGIC) + 12:
+
+
+def _read_checkpoint(f, path) -> Checkpoint:
+    """The checkpoint in the open binary file f, read front to back: the
+    header, then each tensor block straight into its model array."""
+    file_size = os.fstat(f.fileno()).st_size
+    head = f.read(20)
+    if len(head) < 20:
         raise CheckpointError(f"{path}: truncated checkpoint header")
-    if payload[:8] != CHECKPOINT_MAGIC:
+    if head[:8] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (magic mismatch)")
-    version = struct.unpack("<I", payload[8:12])[0]
+    version = struct.unpack("<I", head[8:12])[0]
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version}, "
             f"expected {CHECKPOINT_VERSION}")
-    header_len = struct.unpack("<Q", payload[12:20])[0]
-    if len(payload) < 20 + header_len:
+    header_len = struct.unpack("<Q", head[12:20])[0]
+    if file_size < 20 + header_len:
         raise CheckpointError(f"{path}: truncated checkpoint header")
     try:
-        header = json.loads(payload[20:20 + header_len].decode("utf-8"))
+        header = json.loads(f.read(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err}") from None
     if not isinstance(header, dict):
@@ -279,10 +288,10 @@ def load_checkpoint(path) -> Checkpoint:
 
     # Python ints, so a shape whose size overflows int64 cannot wrap
     expected = 20 + header_len + 8 * sum(math.prod(shape) for _, shape in manifest)
-    if len(payload) != expected:
+    if file_size != expected:
         raise CheckpointError(
             f"{path}: corrupt tensor payload, expected {expected} bytes, "
-            f"got {len(payload)}")
+            f"got {file_size}")
 
     try:
         dem_meta, gen_meta, state_meta = header["dem"], header["gen"], header["state"]
@@ -307,18 +316,22 @@ def load_checkpoint(path) -> Checkpoint:
     targets = _model_tensors(dem, gen)
     unseen = dict.fromkeys(targets)  # accumulators may be absent: they stay zero
     targets.update(_accumulator_views((dem.store, gen.store)))
-    offset = 20 + header_len
     for name, shape in manifest:
-        size = math.prod(shape)
+        nbytes = 8 * math.prod(shape)
         target = targets.get(name)
-        if target is not None:
-            if tuple(shape) != target.shape:
-                raise CheckpointError(f"{path}: tensor {name!r} has shape "
-                                      f"{tuple(shape)}, model expects {target.shape}")
-            block = np.frombuffer(payload, dtype="<f8", count=size, offset=offset)
-            target[...] = block.reshape(target.shape)
-            unseen.pop(name, None)
-        offset += 8 * size
+        if target is None:
+            f.seek(nbytes, os.SEEK_CUR)
+            continue
+        if tuple(shape) != target.shape:
+            raise CheckpointError(f"{path}: tensor {name!r} has shape "
+                                  f"{tuple(shape)}, model expects {target.shape}")
+        # every target is a C-contiguous float64 array: a flat store's view
+        # or a batch-norm statistic
+        if f.readinto(memoryview(target).cast("B")) != nbytes:
+            raise CheckpointError(f"{path}: truncated tensor {name!r}")
+        if sys.byteorder != "little":   # the blocks are little-endian
+            target.byteswap(inplace=True)
+        unseen.pop(name, None)
     if unseen:
         raise CheckpointError(f"{path}: missing tensor {', '.join(map(repr, unseen))}")
     return Checkpoint(header["config"], dem, gen, state)

@@ -5,27 +5,22 @@ arm-coverage fractions against the known generating curves, and density fit
 becomes cross-entropy / KL numbers computed with the brute-force partition
 quadrature. Image-shaped samples are written as binary PGM strips so no
 codec is involved.
-
-scipy is imported inside the functions that use it (``mode_coverage``,
-``gaussian_kde``, ``model_data_divergence``), not with the module:
-importing ``scipy.stats`` takes ~0.64 s (2-core Xeon, after numpy), and
-only ``eval`` needs it, while every command imports this module. A
-module-level scipy import fails
-``test_commands_that_need_no_scipy_never_import_it`` in tests/test_cli.py.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import ROW_BLOCK
 from .data_io import SPIRAL_SPECS, arm_curve
-from .energy_model import grid_log_density
-from .generator_model import GeneratorModel
+from .energy_model import grid_log_density, logsumexp
+from .generator_model import GeneratorModel, squared_distances
 
 MODE_DISTANCE_THRESHOLD = 0.1  # in normalized data coordinates
+KDE_BLOCK_FLOATS = 1 << 19     # 4 MiB: the most a KDE logpdf block holds
 
 
 @dataclass
@@ -91,14 +86,12 @@ def mode_coverage(samples: np.ndarray, dataset_name: str,
     is unassigned when even the closest arm is farther than the threshold.
     Fractions and the unassigned share sum to one exactly.
     """
-    from scipy.spatial import cKDTree
-
     if dataset_name not in SPIRAL_SPECS:
         raise ValueError(f"no mode-assignment rule for dataset {dataset_name!r}")
     samples = np.asarray(samples, dtype=np.float64)
     arms = SPIRAL_SPECS[dataset_name][0]
-    trees = [cKDTree(arm_curve(dataset_name, arm)) for arm in range(arms)]
-    distances = np.column_stack([tree.query(samples)[0] for tree in trees])
+    distances = np.column_stack([nearest_distances(samples, arm_curve(dataset_name, arm))
+                                 for arm in range(arms)])
     nearest = distances.argmin(axis=1)
     assigned = distances[np.arange(len(samples)), nearest] <= threshold
     counts = np.bincount(nearest[assigned], minlength=arms)
@@ -111,16 +104,88 @@ def mode_coverage(samples: np.ndarray, dataset_name: str,
     }
 
 
-def gaussian_kde(points: np.ndarray):
-    """``scipy.stats.gaussian_kde(points)``, with scipy.stats imported on the
-    first call rather than with this module.
+def nearest_distances(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of points to the nearest row of
+    curve: the root of the least of the exact squared distances
+    (``generator_model.squared_distances``), so these are the bits of
+    ``scipy.spatial.cKDTree.query``. ``ROW_BLOCK`` rows are compared at a
+    time, through two block-by-curve buffers."""
+    if points.ndim != 2 or curve.ndim != 2 or points.shape[1] != curve.shape[1]:
+        raise ValueError(f"points {points.shape} and curve {curve.shape} "
+                         "need the same number of columns")
+    out = np.empty(points.shape[0])
+    sq = np.empty((min(points.shape[0], ROW_BLOCK), curve.shape[0]))
+    scratch = np.empty_like(sq)
+    for start in range(0, points.shape[0], ROW_BLOCK):
+        block = points[start:start + ROW_BLOCK]
+        rows = block.shape[0]
+        squared_distances(block, curve, sq[:rows], scratch[:rows]).min(
+            axis=1, out=out[start:start + rows])
+    return np.sqrt(out, out=out)
 
-    It is a module attribute, looked up as a global by
-    ``model_data_divergence``, so that a profiler can replace it by name to
-    time the KDE (perfbench's ``evaluation.kde_ms`` does).
+
+class gaussian_kde:
+    """Gaussian kernel density estimate of the rows of ``points``, with
+    ``scipy.stats.gaussian_kde``'s formula: Scott's bandwidth factor
+    n^(-1/(d+4)) on the sample covariance (``np.cov``), whose scaled
+    Cholesky factor L whitens the kernel, so that
+
+        log q(x) = log((1/n) sum_i exp(-|L^-1 (x - x_i)|^2 / 2))
+                   - (d/2) log(2 pi) - log det L.
+
+    ``logpdf`` takes its points in blocks of at most ``ROW_BLOCK`` rows
+    and ``KDE_BLOCK_FLOATS`` kernel values: one matmul gives each block
+    row's inner products with the whitened sample, and one log-sum-exp,
+    in place in that block buffer, sums the kernels. So it never holds the
+    whole points-by-sample matrix, and eval's 10 000 held-out points take
+    52-row blocks. Both sides are centred on the sample mean first, which
+    keeps the expanded squares small where the kernels are large.
+
+    The class is a module attribute, looked up as a global by
+    ``model_data_divergence``, so that a profiler can replace it by name
+    and reassign ``logpdf`` on what it returns (perfbench's
+    ``evaluation.kde_ms`` does).
     """
-    from scipy.stats import gaussian_kde as scipy_gaussian_kde
-    return scipy_gaussian_kde(points)
+
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[0] <= points.shape[1]:
+            raise ValueError(
+                f"a KDE needs more rows than columns, got shape {points.shape}")
+        n, d = points.shape
+        chol = np.linalg.cholesky(np.atleast_2d(np.cov(points, rowvar=False)))
+        chol *= n ** (-1.0 / (d + 4))
+        self.mean = points.mean(axis=0)
+        self.whiten = np.linalg.inv(chol).T   # rows @ whiten: L^-1 applied to each
+        self.sample = (points - self.mean) @ self.whiten
+        self.half_sq = 0.5 * np.square(self.sample).sum(axis=1)
+        self.log_norm = (-math.log(n) - 0.5 * d * math.log(2.0 * math.pi)
+                         - float(np.log(np.diag(chol)).sum()))
+
+    def logpdf(self, x: np.ndarray) -> np.ndarray:
+        """log q at each row of x."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.sample.shape[1]:
+            raise ValueError(f"points of shape {x.shape} for a KDE of "
+                             f"{self.sample.shape[1]} dimensions")
+        x = (x - self.mean) @ self.whiten
+        n = self.sample.shape[0]
+        rows = max(1, min(ROW_BLOCK, KDE_BLOCK_FLOATS // n))
+        out = np.empty(x.shape[0])
+        buf = np.empty((min(x.shape[0], rows), n))
+        for start in range(0, x.shape[0], rows):
+            block = x[start:start + rows]
+            # -|x - x_i|^2 / 2 = x.x_i - |x_i|^2 / 2 - |x|^2 / 2; the last
+            # term is the row's own and is added after the sum
+            arg = np.matmul(block, self.sample.T, out=buf[:block.shape[0]])
+            arg -= self.half_sq
+            row_max = arg.max(axis=1)
+            arg -= row_max[:, None]
+            np.exp(arg, out=arg)
+            out[start:start + block.shape[0]] = (
+                np.log(arg.sum(axis=1)) + row_max - 0.5 * np.square(block).sum(axis=1))
+        out += self.log_norm
+        return out
 
 
 def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
@@ -132,16 +197,14 @@ def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
     identical trapezoid weights, so the comparison is between two discrete
     distributions on the same support.
     """
-    from scipy.special import logsumexp
-
     energy_fn = _as_energy_fn(dem)
     points = np.asarray(points, dtype=np.float64)
     grid_points, log_p, log_z, log_w = grid_log_density(energy_fn, bounds, grid_n)
     mean_energy = float(np.mean(energy_fn(points)))
     cross_entropy = float(mean_energy + log_z)
 
-    kde = gaussian_kde(points.T)
-    log_q = kde.logpdf(grid_points.T) + log_w
+    kde = gaussian_kde(points)
+    log_q = kde.logpdf(grid_points) + log_w
     log_q = log_q - logsumexp(log_q)
     p = np.exp(log_p)
     kl = float(np.sum(np.where(p > 0, p * (log_p - log_q), 0.0)))

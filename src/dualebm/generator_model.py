@@ -40,14 +40,6 @@ gradients keep the chain's bits.
 Plain infer-mode sampling (``generate``, behind ``sample`` and
 ``interpolate``) runs the stack on blocks of rows, each written into its
 slice of one output (see ``energy_model`` and ``autodiff.by_row_blocks``).
-
-scipy is imported inside ``nearest_neighbour_entropy``, the one
-function here that uses it, not with the module: importing
-``scipy.spatial.distance`` and ``scipy.special`` takes ~0.24 s (2-core
-Xeon, after numpy), which every command would pay, including ``train``
-with the surrogate, which never calls it. A module-level scipy import
-fails ``test_commands_that_need_no_scipy_never_import_it`` in
-tests/test_cli.py.
 """
 
 from __future__ import annotations
@@ -173,20 +165,18 @@ def nearest_neighbour_entropy(x: np.ndarray, g: Optional[float] = None):
     """Kozachenko-Leonenko entropy estimate H of the rows of x, in nats, and
     with g the gradient of g * H in x (else None).
 
-    H = (d/n) * sum_i log(rho_i) + digamma(n) - digamma(1) + log(V_d), where
-    rho_i is the distance from row i to its nearest other row and V_d the
-    volume of the unit d-ball. The neighbour is chosen on the values (no
-    gradient flows through the choice); the distance is differentiated
-    through both rows.
+    H = (d/n) * sum_i log(rho_i) + H_(n-1) + log(V_d), where rho_i is the
+    distance from row i to its nearest other row, H_(n-1) = digamma(n) -
+    digamma(1) the (n-1)-th harmonic number and V_d the volume of the unit
+    d-ball. The neighbour is chosen on the values (no gradient flows
+    through the choice); the distance is differentiated through both rows.
     """
-    from scipy.spatial.distance import cdist
-    from scipy.special import digamma
-
     if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeError(
             f"nearest-neighbour entropy needs a (batch >= 2, dim) input, got {x.shape}")
     n, d = x.shape
-    dist = cdist(x, x, "sqeuclidean")
+    dist = np.empty((n, n))
+    squared_distances(x, x, dist, np.empty_like(dist))
     np.fill_diagonal(dist, np.inf)
     pick = np.zeros((n, n))
     pick[np.arange(n), dist.argmin(axis=1)] = 1.0
@@ -201,14 +191,39 @@ def nearest_neighbour_entropy(x: np.ndarray, g: Optional[float] = None):
     if singular:
         raise SingularEntropyError(
             "nearest-neighbour entropy is singular: two generated rows coincide")
-    log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-    constant = float(digamma(n) - digamma(1)) + log_unit_ball
-    entropy = float(np.log(rho_sq).sum() * (0.5 * d / n) + constant)
+    entropy = float(np.log(rho_sq).sum() * (0.5 * d / n)
+                    + nearest_neighbour_constant(n, d))
     if g is None:
         return entropy, None
     # the chain's backwards: the log, the square, then diff = x - pick @ x
     g_diff = 2.0 * diff * ((g * (0.5 * d / n)) / rho_sq)[:, None]
     return entropy, g_diff + pick.T @ -g_diff
+
+
+def nearest_neighbour_constant(n: int, d: int) -> float:
+    """The additive constant H_(n-1) + log(V_d) of the Kozachenko-Leonenko
+    estimate of n rows in d dimensions. The terms 1/k of the harmonic
+    number are summed exactly and rounded once (``math.fsum``)."""
+    harmonic = math.fsum(1.0 / k for k in range(1, n))
+    log_unit_ball = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
+    return harmonic + log_unit_ball
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                      scratch: np.ndarray) -> np.ndarray:
+    """The squared distances between the rows of a and the rows of b, into
+    the (len(a), len(b)) array out, with scratch a second array of its
+    shape: squares of exact differences, summed column by column in order.
+    So no (len(a), len(b), d) temporary is made, and these are the bits of
+    scipy's ``cdist(a, b, "sqeuclidean")`` and ``cKDTree``. As there, a
+    square that overflows is inf, silently; callers find such rows."""
+    b_columns = np.ascontiguousarray(b.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.square(np.subtract(a[:, :1], b_columns[0], out=out), out=out)
+        for k in range(1, a.shape[1]):
+            out += np.square(np.subtract(a[:, k:k + 1], b_columns[k], out=scratch),
+                             out=scratch)
+    return out
 
 
 def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,

@@ -266,7 +266,6 @@ def test_singular_entropy_abort_maps_to_exit_3_with_its_step(tmp_path, monkeypat
 @pytest.mark.parametrize("flag, value, quiet", [
     ("--sigma", "1e-100", True),      # energies ~1e199: the generator's square overflows
     ("--dem_lr", "1e300", True),      # the first energy step throws the model off range
-    ("--noise_sd", "1e300", False),   # data ~1e300: the energies overflow first
 ])
 def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, quiet):
     """A finite gradient whose square overflows would make the AdaGrad
@@ -283,6 +282,25 @@ def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, 
     assert (tmp_path / "run" / "metrics.txt").read_text() == ""
     if quiet:
         assert "Warning" not in result.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ("--noise_sd", "1e300"),                   # data ~1e300: every energy is inf
+    ("--noise_sd", "1e153", "--batch_size", "1000"),   # a batch's energies sum to inf
+], ids=["noise_sd_1e300", "batch_sum_1e153"])
+def test_train_rejects_a_data_scale_whose_energies_overflow(tmp_path, flags):
+    """Data whose energies overflow is a usage error naming noise_sd, found
+    before any step and with no numpy warning; it once printed numpy's
+    overflow warning from the energy and aborted at step 0 with exit 3."""
+    result = subprocess.run(
+        [sys.executable, "-m", "dualebm.cli", "train", "--steps", "5", "--n_points",
+         "200", "--out_dir", str(tmp_path / "run"), *flags],
+        capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"config error: noise_sd {float(flags[1])!r}: "
+                                    "the data's energies overflow with sigma 1.0")
+    assert "Warning" not in result.stderr
+    assert not (tmp_path / "run").exists()
 
 
 # --- checkpoint-consuming commands --------------------------------------------
@@ -637,19 +655,23 @@ def test_every_module_is_reached_from_the_cli():
 
 
 def test_commands_that_need_no_scipy_never_import_it(tmp_path):
-    """train (with the command line's default estimator), sample,
-    energy-map and interpolate run on numpy alone: scipy is imported inside
-    the functions that call it, so these commands never load it."""
+    """Every command runs on numpy alone: train with either entropy
+    estimator, sample, energy-map, interpolate, eval (its KDE, log-sum-exp
+    and nearest distances included) and gradcheck never load scipy."""
     config = _write_config(tmp_path, steps=5)
     checkpoint = tmp_path / "run" / "checkpoint_final.bin"
     commands = [
         ["train", "--config", str(config)],
+        ["train", "--config", str(config), "--entropy_estimator", "nearest_neighbour",
+         "--out_dir", str(tmp_path / "nn")],
         ["sample", "--checkpoint", str(checkpoint), "--n", "20",
          "--out", str(tmp_path / "samples.csv")],
         ["energy-map", "--checkpoint", str(checkpoint), "--res", "5",
          "--out", str(tmp_path / "map.csv")],
         ["interpolate", "--checkpoint", str(checkpoint), "--k", "3",
          "--out", str(tmp_path / "path.csv")],
+        ["eval", "--checkpoint", str(checkpoint), "--n", "50", "--grid-n", "20"],
+        ["gradcheck"],
     ]
     package = Path(cli.__file__).parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -663,7 +685,7 @@ def test_commands_that_need_no_scipy_never_import_it(tmp_path):
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True, env=env)
     report = json.loads(result.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0] * len(commands)
     assert report["scipy"] == []
 
 

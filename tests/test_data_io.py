@@ -504,6 +504,32 @@ def test_save_checkpoint_writes_the_arrays_without_copying_them(tmp_path):
     assert peak < path.stat().st_size / 10
 
 
+def test_load_checkpoint_reads_each_block_into_its_array(tmp_path):
+    """Loading the default 784-d pair with nonzero accumulators (a ~3.8 MB
+    file) allocates the two models and little more: each block is read
+    straight into its array, with no copy of the file."""
+    config = RunConfig(dataset="mnist", mnist_images="i.idx", mnist_labels="l.idx")
+    dem, gen = build_models(config.validate())
+    for model in (dem, gen):
+        model.store.acc[...] = np.random.default_rng(7).uniform(size=model.store.acc.shape)
+    path = tmp_path / "wide.bin"
+    save_checkpoint(path, Checkpoint(config.to_dict(), dem, gen, TrainState.initial(0)))
+    load_checkpoint(path)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    for model, original in ((loaded.dem, dem), (loaded.gen, gen)):
+        assert np.array_equal(model.store.values, original.store.values)
+        assert np.array_equal(model.store.acc, original.store.acc)
+    # building the two models peaks at ~7.6 MB, twice the file; a copy of
+    # the whole file on top of that made the load peak 11.4 MB
+    assert peak < 2 * path.stat().st_size + (1 << 20)
+
+
 def test_checkpoint_with_older_header_fields_loads(tmp_path):
     # earlier versions also wrote activation names and a metrics history
     dem, gen, points, config = _small_run(tmp_path)

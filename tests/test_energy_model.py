@@ -11,10 +11,37 @@ from dualebm.energy_model import (
     EnergyModel,
     dem_loss_gradient,
     grid_log_density,
+    logsumexp,
 )
 from dualebm.gradcheck import finite_difference
 
 from helpers import assert_grads_match, reference_energy
+
+
+@pytest.mark.parametrize("a", [
+    np.random.default_rng(60).normal(scale=30.0, size=1000),
+    np.array([-np.inf, 1.5, -np.inf, 2.5, 2.5, -3.0]),
+    np.full(7, -np.inf),
+    np.array([700.0, -700.0, 699.5, 700.0]),
+    np.array([-700.0, -700.0, -709.0]),
+    np.array([np.inf, 1.0]),
+    np.array([]),
+], ids=["normal", "mixed_with_-inf", "all_-inf", "+700", "-700", "+inf", "empty"])
+def test_logsumexp_keeps_scipys_bits(a):
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    with np.errstate(over="ignore"):   # scipy's unshifted pass on +inf
+        expected = float(scipy_logsumexp(a))
+    assert logsumexp(a) == expected
+
+
+def test_grid_log_density_keeps_scipys_normalizer():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    model = EnergyModel.build((2, 16, 4), 4, np.random.default_rng(61))
+    bounds = [(-1.5, 1.5), (-1.5, 1.5)]
+    points, _, log_z, log_w = grid_log_density(model.energy_values, bounds, 150)
+    assert log_z == float(scipy_logsumexp(-model.energy_values(points) + log_w))
 
 
 def _zeroed(model):

@@ -4,18 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.stats import gaussian_kde
+from scipy.spatial import cKDTree
+from scipy.stats import gaussian_kde as scipy_gaussian_kde
 
 from dualebm.autodiff import ROW_BLOCK
-from dualebm.data_io import arm_curve, make_dataset
-from dualebm.energy_model import EnergyModel
+from dualebm.data_io import SPIRAL_SPECS, arm_curve, make_dataset
+from dualebm.energy_model import EnergyModel, trapezoid_grid
 from dualebm.evaluation import (
+    KDE_BLOCK_FLOATS,
     HeatmapGrid,
     energy_heatmap,
     export_image_grid,
+    gaussian_kde,
     latent_interpolation,
     mode_coverage,
     model_data_divergence,
+    nearest_distances,
     read_pgm,
     read_sidecar,
 )
@@ -162,14 +166,61 @@ def test_mode_coverage_unknown_dataset():
         mode_coverage(np.zeros((2, 2)), "mystery")
 
 
+@pytest.mark.parametrize("dataset", sorted(SPIRAL_SPECS))
+def test_mode_coverage_is_ckdtrees(dataset):
+    """The nearest distances to each arm are cKDTree's, bit for bit, so the
+    coverage report is the one cKDTree's distances give."""
+    samples = make_dataset(dataset, 10_000, 0.06, np.random.default_rng(14)).points
+    arms = SPIRAL_SPECS[dataset][0]
+    distances = np.column_stack([cKDTree(arm_curve(dataset, arm)).query(samples)[0]
+                                 for arm in range(arms)])
+    for arm in range(arms):
+        assert np.array_equal(nearest_distances(samples, arm_curve(dataset, arm)),
+                              distances[:, arm])
+    nearest = distances.argmin(axis=1)
+    assigned = distances[np.arange(len(samples)), nearest] <= 0.1
+    counts = np.bincount(nearest[assigned], minlength=arms)
+    report = mode_coverage(samples, dataset)
+    assert report["fractions"] == (counts / len(samples)).tolist()
+    assert report["unassigned"] == float((len(samples) - counts.sum()) / len(samples))
+    assert 0.0 < report["unassigned"] < 1.0
+
+
 # --- divergence metrics --------------------------------------------------------------
 
 def test_divergence_kde_self_comparison():
     ds = make_dataset("four_spin", 800, 0.02, np.random.default_rng(13))
-    kde = gaussian_kde(ds.points.T)
+    kde = scipy_gaussian_kde(ds.points.T)
     report = model_data_divergence(lambda x: -kde.logpdf(x.T), ds.points,
                                    [(-1.4, 1.4), (-1.4, 1.4)], 120)
     assert report["kl_vs_kde"] < 1e-6
+
+
+def test_kde_logpdf_is_scipys():
+    """Scott's bandwidth and the whitened kernel sum of scipy's
+    gaussian_kde: eval's 10 000 held-out points at its 200 x 200 grid."""
+    points = make_dataset("four_spin", 10_000, 0.01, np.random.default_rng(15)).points
+    grid, _ = trapezoid_grid([(-1.5, 1.5), (-1.5, 1.5)], 200)
+    expected = scipy_gaussian_kde(points.T).logpdf(grid.T)
+    assert_allclose(gaussian_kde(points).logpdf(grid), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_kde_logpdf_holds_one_block():
+    """logpdf keeps one block buffer of at most KDE_BLOCK_FLOATS kernel
+    values (4 MiB), not the points-by-sample matrix, which is over 150
+    times larger here."""
+    points = make_dataset("two_spiral", 10_000, 0.02, np.random.default_rng(16)).points
+    grid = np.random.default_rng(17).uniform(-1.5, 1.5, size=(32 * ROW_BLOCK, 2))
+    kde = gaussian_kde(points)
+    kde.logpdf(grid[:10])   # first-call caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kde.logpdf(grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * KDE_BLOCK_FLOATS
 
 
 def test_divergence_constant_energy_cross_entropy_is_log_area():

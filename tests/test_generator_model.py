@@ -13,8 +13,10 @@ from dualebm.generator_model import (
     SingularEntropyError,
     dgm_loss_gradient,
     entropy_surrogate,
+    nearest_neighbour_constant,
     nearest_neighbour_entropy,
     sample_prior,
+    squared_distances,
 )
 from dualebm.gradcheck import finite_difference
 from dualebm.training import adagrad_step
@@ -280,6 +282,27 @@ def test_nearest_neighbour_entropy_is_bit_equal_to_the_tape(shape):
     assert value == float(entropy.values)
     assert np.array_equal(dx, p.grad)
     assert nearest_neighbour_entropy(x) == (value, None)
+
+
+def test_nearest_neighbour_constant_is_the_digamma_difference():
+    """H_(n-1) stands for digamma(n) - digamma(1), within 4 ulp."""
+    from scipy.special import digamma
+
+    for n in range(2, 1025):
+        expected = float(digamma(n) - digamma(1))
+        assert abs(nearest_neighbour_constant(n, 0) - expected) <= 4 * np.spacing(expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 784])
+def test_nearest_neighbour_distances_are_cdists(d):
+    """The squared distances that pick each row's neighbour are cdist's,
+    bit for bit, at the 2D and the 784-d widths."""
+    from scipy.spatial.distance import cdist
+
+    x = np.random.default_rng(62).normal(scale=3.0, size=(64, d))
+    out, scratch = np.empty((64, 64)), np.empty((64, 64))
+    assert np.array_equal(squared_distances(x, x, out, scratch),
+                          cdist(x, x, "sqeuclidean"))
 
 
 def test_nearest_neighbour_entropy_coincident_rows_are_singular():

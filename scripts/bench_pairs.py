@@ -129,8 +129,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "unit": spec["unit"],
                 "better": spec["better"],
                 **stats,
-                "change_vs_parent": round(
-                    stats["change"]["median"] / stats["parent"]["median"] - 1.0, 4),
+                "change_vs_parent": round(relative(
+                    stats["change"]["median"] - stats["parent"]["median"],
+                    stats["parent"]["median"]), 4),
                 "change_wins": sum(d > 0 for d in deltas),
                 "ties": sum(d == 0 for d in deltas),
                 "pairs": len(runs),

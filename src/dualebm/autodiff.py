@@ -8,19 +8,19 @@ with these expressions, which are the primitives' own, so a pass gives the
 bits of the chain of primitives it stands for.
 
 The dense-layer stack is the one network of both models: the energy
-model's feature layers (tanh, then sigmoid) and the generator (tanh and
-batch norm, then a linear or sigmoid output). A ``Dense`` layer computes
-activation(h @ w + b), then batch norm when it has one; ``dense_stack``
-builds the layers. ``stack_forward`` runs them, into a model's
-``workspace`` (arrays kept from call to call, rebuilt when the row count
-changes) when a backward follows; ``stack_backward`` then adds the
-parameters' gradients or returns the input's. Its expressions, and the
-order of its sums, are the chain's of ``matmul``, ``add``, the activation
-and ``batch_norm``, with tanh' = 1 - out * out and sigmoid' = (1 - out) *
-out formed from the activation's output, so its gradients have the
-chain's bits. ``by_row_blocks`` runs a plain pass over many rows in blocks
-of ``ROW_BLOCK`` rows, each written straight into its slice of one output,
-so its memory does not grow with the row count.
+model's feature layers (tanh, then sigmoid) followed by its linear expert
+layer, and the generator (tanh and batch norm, then a linear or sigmoid
+output). A ``Dense`` layer computes activation(h @ w + b), then batch norm
+when it has one; ``dense_stack`` builds the layers. ``stack_forward`` runs
+them, into a model's ``workspace`` (arrays kept from call to call, rebuilt
+when the row count changes) when a backward follows; ``stack_backward``
+then adds the parameters' gradients or returns the input's. Its
+expressions, and the order of its sums, are the chain's of ``matmul``,
+``add``, the activation and ``batch_norm``, with tanh' = 1 - out * out and
+sigmoid' = (1 - out) * out formed from the activation's output, so its
+gradients have the chain's bits. ``by_row_blocks`` runs a plain pass over
+many rows in blocks of ``ROW_BLOCK`` rows, each written straight into its
+slice of one output, so its memory does not grow with the row count.
 
 The tape is a reference, and no command records on one. The tests build
 each model pass and loss as a chain of primitives on a ``Tape``
@@ -140,16 +140,6 @@ class ParameterStore:
             raise ShapeError(
                 f"flat array of shape {flat.shape}, store holds {self.values.shape}")
         return {name: flat[span].reshape(shape) for name, span, shape in self.spans}
-
-    def first_nonfinite(self, flat: np.ndarray) -> Optional[str]:
-        """Name of the first parameter whose part of ``flat`` holds NaN or
-        +/-inf, or None when every entry is finite."""
-        if np.isfinite(flat).all():
-            return None
-        for name, span, _ in self.spans:
-            if not np.isfinite(flat[span]).all():
-                return name
-        return None
 
 
 @dataclass

@@ -230,6 +230,11 @@ def cmd_eval(args) -> int:
     config = _stored_2d_config(checkpoint, args.checkpoint)
     held_out = load_run_dataset(
         config, np.random.default_rng(np.random.SeedSequence(config.seed + 1)))
+    if held_out.points.shape[0] <= held_out.points.shape[1]:
+        raise ConfigError(
+            f"eval fits a KDE to a held-out set of n_points={config.n_points} points, "
+            f"which needs more than {held_out.points.shape[1]}; train with a larger "
+            "n_points")
     z = sample_prior(args.n, checkpoint.gen.d_z, np.random.default_rng(args.seed))
     samples = checkpoint.gen.generate(z, "infer")
     coverage = mode_coverage(samples, config.dataset)

@@ -106,38 +106,42 @@ def make_dataset(name: str, n: int, noise_sd: float,
 
 # --- MNIST IDX ----------------------------------------------------------------
 
-def _read_exact(f, count: int, path: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise IdxFormatError(
-            f"{path}: truncated file, wanted {count} bytes, got {len(data)}")
-    return data
+def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
+    """The dimensions and the flat uint8 data of a big-endian IDX file
+    whose header holds ``magic`` and ``n_dims`` sizes. The sizes must be
+    non-negative and the file exactly as long as they say, which is checked
+    before the data are read, so a corrupt header cannot ask for more memory
+    than the file holds."""
+    header_size = 4 * (1 + n_dims)
+    with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
+        header = f.read(header_size)
+        if len(header) != header_size:
+            raise IdxFormatError(f"{path}: truncated file, wanted a {header_size}-byte "
+                                 f"header, got {len(header)} bytes")
+        found, *dims = struct.unpack(f">{1 + n_dims}i", header)
+        if found != magic:
+            raise IdxFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+        if min(dims) < 0:
+            raise IdxFormatError(f"{path}: negative dimension in header {dims}")
+        expected = header_size + math.prod(dims)
+        if file_size != expected:
+            raise IdxFormatError(
+                f"{path}: {'truncated file' if file_size < expected else 'trailing bytes'}"
+                f", the header's dimensions {dims} need {expected} bytes, "
+                f"the file has {file_size}")
+        return dims, np.fromfile(f, dtype=np.uint8, count=expected - header_size)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Standard big-endian IDX pair; pixels rescaled from bytes to [0, 1]."""
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, str(images_path)))
-        if magic != IDX_IMAGES_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad magic 0x{magic:08x}, "
-                f"expected 0x{IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(f, count * rows * cols, str(images_path))
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">ii", _read_exact(f, 8, str(labels_path)))
-        if magic != IDX_LABELS_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x}, "
-                f"expected 0x{IDX_LABELS_MAGIC:08x}")
-        labels = np.frombuffer(_read_exact(f, label_count, str(labels_path)),
-                               dtype=np.uint8)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
     if label_count != count:
         raise IdxFormatError(
             f"count mismatch: {count} images but {label_count} labels")
-    return Dataset(pixels.astype(np.float64) / 255.0, "mnist",
-                   labels=labels.astype(np.int64))
+    return Dataset(pixels.reshape(count, rows * cols).astype(np.float64) / 255.0,
+                   "mnist", labels=labels.astype(np.int64))
 
 
 def save_points_csv(path, points: np.ndarray) -> None:

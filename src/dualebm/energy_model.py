@@ -10,17 +10,23 @@ most linearly in ||x|| while the quadratic term dominates, so exp(-energy)
 is integrable and the model defines a proper unnormalized density. sigma
 is a fixed hyperparameter, not trained.
 
-f is an ``autodiff`` dense-layer stack (see there). ``_energy`` adds the
-expert, quadratic and visible-bias terms to its pass, and
-``energy_gradient`` runs that into the model's workspace, then the
-backward for given per-row weights w, the gradient of sum_i w_i E(x_i):
-into the parameters' gradients for the energy-model loss, or in x, the
-plain ∇ₓE, for the generator loss, which reaches the generator through the
-energy of its samples. The terms' backward uses the expressions, and sums
-in the order, of the tape's ``square``, ``*`` and ``.sum()``, so
-gradients keep the chain's bits. ``dem_loss_gradient`` runs the negative
-phase's pass and backward before the positive phase's, the order of the
-chain's reverse sweep, so one workspace serves both.
+The model is one ``autodiff`` dense-layer stack (see there): f's layers,
+then the experts as a last, linear layer whose weight ``dem.expert_w``
+holds one column w_i per expert and whose bias is ``dem.expert_b``, so the
+stack's output holds each expert's input w_i . f(x) + b_i and
+``layers[:-1]`` is f. ``_energy`` sums the softplus of that output and
+adds the quadratic and visible-bias terms, and ``energy_gradient`` runs
+that into the model's workspace, then the backward for given per-row
+weights c, the gradient of sum_r c_r E(x_r): -c_r sigmoid(w_i . f(x_r) +
+b_i) becomes the gradient of the stack's output, which
+``autodiff.stack_backward`` carries into the parameters' gradients for the
+energy-model loss, or into x, the plain ∇ₓE, for the generator loss, which
+reaches the generator through the energy of its samples. The terms'
+backward uses the expressions, and sums in the order, of the tape's
+``square``, ``*`` and ``.sum()``, so gradients keep the chain's bits.
+``dem_loss_gradient`` runs the negative phase's pass and backward before
+the positive phase's, the order of the chain's reverse sweep, so one
+workspace serves both.
 
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 passes over many rows (energy grids, held-out sets, ``sample``). Both run
@@ -61,10 +67,8 @@ def inverse_sigma_sq(sigma) -> float:
 
 
 class EnergyModel:
-    def __init__(self, layers, expert_w, expert_b, b_vis, sigma, widths):
+    def __init__(self, layers, b_vis, sigma, widths):
         self.layers = list(layers)
-        self.expert_w = expert_w
-        self.expert_b = expert_b
         self.b_vis = b_vis
         self._inv_sigma_sq = inverse_sigma_sq(sigma)
         self.sigma = float(sigma)
@@ -77,7 +81,9 @@ class EnergyModel:
         """Random model: fan-in uniform feature weights, small uniform experts.
 
         widths runs input -> hidden... -> feature dimension, e.g. (2, 128,
-        128, 4).
+        128, 4); the experts' layer follows, from the feature dimension to
+        n_experts. The feature weights are drawn from rng first, then the
+        experts' weights.
         """
         if len(widths) < 2:
             raise ValueError("need at least an input and a feature width")
@@ -88,9 +94,10 @@ class EnergyModel:
         expert_w = Parameter(
             rng.uniform(-0.1 * init_scale, 0.1 * init_scale, size=(d_feat, n_experts)),
             "dem.expert_w")
-        expert_b = Parameter(np.zeros(n_experts), "dem.expert_b")
+        layers.append(ad.Dense(expert_w, Parameter(np.zeros(n_experts), "dem.expert_b"),
+                               "linear"))
         b_vis = Parameter(np.zeros(widths[0]), "dem.b_vis")
-        return cls(layers, expert_w, expert_b, b_vis, sigma, widths)
+        return cls(layers, b_vis, sigma, widths)
 
     @property
     def d_in(self) -> int:
@@ -98,11 +105,14 @@ class EnergyModel:
 
     @property
     def n_experts(self) -> int:
-        return self.expert_w.values.shape[1]
+        return self.layers[-1].w.values.shape[1]
 
     def params(self) -> list[Parameter]:
-        return ([layer.w for layer in self.layers] + [layer.b for layer in self.layers]
-                + [self.expert_w, self.expert_b, self.b_vis])
+        """Feature weights, feature biases, then the experts' weight and
+        bias and ``b_vis``: the store's, and so the checkpoint's, order."""
+        *features, experts = self.layers
+        return ([layer.w for layer in features] + [layer.b for layer in features]
+                + [experts.w, experts.b, self.b_vis])
 
     def _check_width(self, x) -> None:
         if len(x.shape) != 2 or x.shape[1] != self.d_in:
@@ -134,10 +144,8 @@ class EnergyModel:
         x = np.asarray(x, dtype=np.float64)
         self._check_width(x)
         rows = x.shape[0]
-        ws = self._workspace = ad.workspace(
-            self._workspace, rows, self.layers, pre_e=(rows, self.n_experts),
-            ga_e=(rows, self.n_experts), dw_e=self.expert_w.values.shape,
-            x=(rows, self.d_in))
+        ws = self._workspace = ad.workspace(self._workspace, rows, self.layers,
+                                            x=(rows, self.d_in))
         return self._energy(x, ws), self._energy_backward(x, ws, weights, params, onto)
 
     # --- the one forward and backward of a pass ------------------------------
@@ -146,9 +154,7 @@ class EnergyModel:
         """(1/sigma^2) x.x - b_vis.x - sum softplus(f(x) @ expert_w +
         expert_b), as a fresh array or into ``out`` when given; a workspace
         takes the intermediates."""
-        f = ad.stack_forward(self.layers, x, "infer", ws)
-        pre_e = np.matmul(f, self.expert_w.values, out=ws.pre_e if ws else None)
-        pre_e += self.expert_b.values
+        pre_e = ad.stack_forward(self.layers, x, "infer", ws)
         tmp = ws.x if ws else None
         quadratic = np.add.reduce(np.square(x, out=tmp), axis=1) * self._inv_sigma_sq
         mean_term = np.add.reduce(np.multiply(x, self.b_vis.values, out=tmp), axis=1)
@@ -160,11 +166,9 @@ class EnergyModel:
         """Backward of the ``_energy`` pass over x that wrote ``ws``, for
         the weight g of each row's energy (see ``energy_gradient``)."""
         minus_g = (-g)[:, None]
-        ga = np.multiply(minus_g, ad.sigmoid_values(ws.pre_e), out=ws.ga_e)
-        dh = np.matmul(ga, self.expert_w.values.T, out=ws.dh[-1])
+        dh = ad.sigmoid_values(ws.a[-1], out=ws.dh[-1])   # softplus' of the experts
+        dh *= minus_g
         if params:
-            self.expert_w.grad += np.matmul(ws.h[-1].T, ga, out=ws.dw_e)
-            self.expert_b.grad += np.add.reduce(ga, axis=0)
             self.b_vis.grad += np.add.reduce(np.multiply(minus_g, x, out=ws.x), axis=0)
             ad.stack_backward(self.layers, x, ws, dh, "infer", params)
             return None

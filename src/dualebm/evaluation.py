@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ROW_BLOCK
+from .autodiff import ROW_BLOCK, by_row_blocks
 from .data_io import SPIRAL_SPECS, arm_curve
 from .energy_model import grid_log_density, logsumexp
 from .generator_model import GeneratorModel, squared_distances
@@ -108,19 +108,20 @@ def nearest_distances(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of points to the nearest row of
     curve: the root of the least of the exact squared distances
     (``generator_model.squared_distances``), so these are the bits of
-    ``scipy.spatial.cKDTree.query``. ``ROW_BLOCK`` rows are compared at a
-    time, through two block-by-curve buffers."""
+    ``scipy.spatial.cKDTree.query``. The rows run through
+    ``autodiff.by_row_blocks``, each block through two block-by-curve
+    buffers."""
     if points.ndim != 2 or curve.ndim != 2 or points.shape[1] != curve.shape[1]:
         raise ValueError(f"points {points.shape} and curve {curve.shape} "
                          "need the same number of columns")
-    out = np.empty(points.shape[0])
     sq = np.empty((min(points.shape[0], ROW_BLOCK), curve.shape[0]))
     scratch = np.empty_like(sq)
-    for start in range(0, points.shape[0], ROW_BLOCK):
-        block = points[start:start + ROW_BLOCK]
+
+    def nearest(block, out):
         rows = block.shape[0]
-        squared_distances(block, curve, sq[:rows], scratch[:rows]).min(
-            axis=1, out=out[start:start + rows])
+        squared_distances(block, curve, sq[:rows], scratch[:rows]).min(axis=1, out=out)
+
+    out = by_row_blocks(nearest, points, ())
     return np.sqrt(out, out=out)
 
 

@@ -4,16 +4,17 @@ Each step draws a data minibatch and a generated minibatch, updates the
 energy model with the positive/negative phase gradient, and (every
 ``dem_updates_per_dgm_update`` batches) updates the generator on a fresh
 latent draw. Each gradient comes from its loss's hand-written backward
-(``energy_model.dem_loss_gradient``, ``generator_model.dgm_loss_gradient``),
-which leaves it in the model's ``store.grad``; no step records anything on
-a tape or copies a gradient. Both models use AdaGrad: one ``adagrad_step``
-per model update squares ``store.grad`` once, and that square gives the
-logged gradient norm, the finiteness check and the increment of
-``store.acc``, the accumulator each model carries in its store. A NaN or
-infinite gradient aborts the run with the offending parameter and step
-rather than being masked; so does a finite gradient whose norm overflows,
-which would make the accumulator infinite and freeze the model, and so
-does an entropy estimate that becomes singular, with its step. Each
+(``energy_model.dem_loss_gradient``,
+``generator_model.dgm_loss_gradient``), which leaves it in the model's
+``store.grad``; no step records anything on a tape or copies a gradient.
+Both models use AdaGrad: one ``adagrad_step`` per model update squares
+``store.grad`` once, and that square gives the logged gradient norm, the
+one finiteness check and the increment of ``store.acc``, the accumulator
+each model carries in its store. A norm that is not finite aborts the run
+with the offending parameter and step before anything moves, rather than
+being masked: a NaN or infinite gradient, or a finite one whose squares
+overflow, which would make the accumulator infinite and freeze the model.
+So does an entropy estimate that becomes singular, with its step. Each
 ``train`` call allocates the optimizer's scratch once and drops it on
 return; it is never checkpointed.
 """
@@ -88,24 +89,25 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     overwritten (allocated when None). g^2 is computed once, and every
     operation works in place on the whole flat array. The norm sums g^2
     per parameter span with ``np.add.reduce``, which has the bits of
-    ``(g_p * g_p).sum()``. A sum that is not finite triggers the check: a
-    NaN or infinite entry raises ``NonFiniteGradientError`` naming its
-    parameter before anything moves, while a finite gradient whose square
-    overflows proceeds with norm inf and no numpy warning (``train`` aborts
-    on that norm). Coordinates with g == 0 are left untouched even when acc
-    and eps are both zero (the 0/0 case).
+    ``(g_p * g_p).sum()``. A norm that is not finite, from a NaN or
+    infinite entry or from squares that overflow, raises
+    ``NonFiniteGradientError`` before anything moves, with no numpy
+    warning. It names the first parameter whose sum is not finite, else
+    the one with the largest sum. Coordinates with g == 0 are left
+    untouched even when acc and eps are both zero (the 0/0 case).
     """
     grad = store.grad
     sq, delta = np.empty((2, grad.size)) if scratch is None else scratch
-    with np.errstate(over="ignore"):   # an overflow shows as a norm of inf
+    with np.errstate(over="ignore"):   # an overflow shows as a sum of inf
         np.multiply(grad, grad, out=sq)
+        sums = [float(np.add.reduce(sq[span])) for _, span, _ in store.spans]
         total = 0.0
-        for _, span, _ in store.spans:
-            total += float(np.add.reduce(sq[span]))
+        for part in sums:   # left to right, which fixes the logged norm's bits
+            total += part
         if not math.isfinite(total):
-            bad = store.first_nonfinite(grad)
-            if bad is not None:
-                raise NonFiniteGradientError(bad)
+            bad = next((i for i, part in enumerate(sums) if not math.isfinite(part)),
+                       int(np.argmax(sums)))
+            raise NonFiniteGradientError(store.spans[bad][0])
         store.acc += sq
     denom = np.sqrt(store.acc, out=sq)
     denom += eps
@@ -117,22 +119,6 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     np.copyto(delta, 0.0, where=zero)
     store.values -= delta
     return math.sqrt(total)
-
-
-def _check_norm(store: ParameterStore, norm: float) -> None:
-    """Abort on a gradient norm that overflowed: the squares that AdaGrad
-    accumulates have left float range, or soon will, and the model would
-    stop moving. The parameter named is the first whose accumulator is not
-    finite, else the one with the largest sum of squared gradients."""
-    if math.isfinite(norm):
-        return
-    name = store.first_nonfinite(store.acc)
-    if name is None:
-        with np.errstate(over="ignore"):
-            sums = [np.add.reduce(np.square(store.grad[span]))
-                    for _, span, _ in store.spans]
-        name = store.spans[int(np.argmax(sums))][0]
-    raise NonFiniteGradientError(name)
 
 
 def _format_metrics(metrics: dict) -> str:
@@ -173,7 +159,6 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
             _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
             dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps,
                                      dem_scratch)
-            _check_norm(dem.store, dem_gnorm)
             metrics = {
                 "step": state.step,
                 "e_pos": dem_stats["e_pos"],
@@ -186,7 +171,6 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
                     gen, dem, z2, config.entropy_weight, config.entropy_estimator)
                 dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps,
                                          gen_scratch)
-                _check_norm(gen.store, dgm_gnorm)
                 metrics["e_gen"] = dgm_stats["e_gen"]
                 metrics["entropy"] = dgm_stats["entropy"]
                 metrics["dgm_gnorm"] = dgm_gnorm

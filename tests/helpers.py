@@ -88,19 +88,19 @@ def reference_energy(model, x):
     f = reference_features(model, x)
     quadratic = ad.square(x).sum(axis=1) * (1.0 / model.sigma**2)
     mean_term = (x * tape.watch(model.b_vis)).sum(axis=1)
-    experts = reference_layer(f, tape.watch(model.expert_w),
-                              tape.watch(model.expert_b), "softplus")
+    layer = model.layers[-1]
+    experts = reference_layer(f, tape.watch(layer.w), tape.watch(layer.b), "softplus")
     return quadratic - mean_term - experts.sum(axis=1)
 
 
 def reference_features(model, x):
-    """The features of node x as one ``reference_layer`` per layer of
-    ``model.layers``: tanh, then sigmoid at the last."""
+    """The features of node x as one ``reference_layer`` per feature layer,
+    ``model.layers[:-1]``: tanh, then sigmoid at the last."""
     tape = x.tape
+    *hidden, last = model.layers[:-1]
     h = x
-    for layer in model.layers[:-1]:
+    for layer in hidden:
         h = reference_layer(h, tape.watch(layer.w), tape.watch(layer.b), "tanh")
-    last = model.layers[-1]
     return reference_layer(h, tape.watch(last.w), tape.watch(last.b), "sigmoid")
 
 

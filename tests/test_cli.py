@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -171,20 +172,31 @@ def test_train_rejects_sigma_out_of_float_range(tmp_path, capsys, value):
      "--mnist_labels {d}/empty/labels.idx", "nonempty"),
     ("--dataset mnist --mnist_images {d}/small/images.idx "
      "--mnist_labels {d}/small/labels.idx", "images of 12 pixels"),
+    ("--dataset mnist --mnist_images {d}/negative/images.idx "
+     "--mnist_labels {d}/labels.idx", "negative dimension in header"),
+    ("--dataset mnist --mnist_images {d}/huge/images.idx "
+     "--mnist_labels {d}/labels.idx", "truncated file"),
 ], ids=["n_points_below_arms", "missing_images", "truncated_images",
-        "limit_empties_dataset", "negative_limit", "no_images", "not_28x28"])
+        "limit_empties_dataset", "negative_limit", "no_images", "not_28x28",
+        "negative_dims", "count_past_the_file"])
 def test_train_rejects_bad_data_input(tmp_path, capsys, overrides, message):
     """A data input that cannot give a dataset exits 2 before anything is
     written, and a negative mnist_limit is refused, not read as "drop the
     last images". {d} holds a pair of 50 images of 28x28, the same pair with
-    its images file cut short, a pair of 0 images and one of 4x3 images."""
+    its images file cut short, a pair of 0 images, one of 4x3 images, and
+    two whose images header claims 50 images of -28x-28 or 2^31 - 1 images
+    of 28x28."""
     write_idx_pair(tmp_path, count=50, rows=28, cols=28)
     for sub, count, rows, cols in (("truncated", 50, 28, 28), ("empty", 0, 28, 28),
-                                   ("small", 50, 4, 3)):
+                                   ("small", 50, 4, 3), ("negative", 50, 28, 28),
+                                   ("huge", 50, 28, 28)):
         (tmp_path / sub).mkdir()
         write_idx_pair(tmp_path / sub, count=count, rows=rows, cols=cols)
     truncated = tmp_path / "truncated" / "images.idx"
     truncated.write_bytes(truncated.read_bytes()[:-5])
+    for sub, header in (("negative", (50, -28, -28)), ("huge", (2**31 - 1, 28, 28))):
+        with open(tmp_path / sub / "images.idx", "r+b") as f:
+            f.write(struct.pack(">iiii", 0x00000803, *header))
     run_dir = tmp_path / "run"
     argv = ["train", *overrides.format(d=tmp_path).split(), "--steps", "2",
             "--dem_hidden", "8", "--gen_hidden", "8", "--out_dir", str(run_dir)]
@@ -608,6 +620,16 @@ def test_eval_computes_the_held_out_energies_once(trained_run, monkeypatch, caps
     assert sum(np.array_equal(x, held_out.points) for x in inputs) == 1
 
 
+def test_eval_of_a_run_too_small_for_a_kde_is_usage_error(tmp_path, capsys):
+    """Two held-out points in the plane cannot give a KDE's covariance."""
+    code, run_dir = _train(tmp_path, dataset="two_spiral", n_points=2, steps=2)
+    assert code == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(run_dir / "checkpoint_final.bin"),
+                     "--n", "50", "--grid-n", "20"]) == 2
+    assert "n_points=2" in capsys.readouterr().err
+
+
 def test_gradcheck_rejects_negative_seed(capsys):
     assert cli.main(["gradcheck", "--seed", "-1"]) == 2
     assert "argument --seed: must be at least 0" in capsys.readouterr().err
@@ -772,3 +794,10 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate():
         {"name": "r", "unit": "1/s", "better": "higher", "bound": 0.2}])
     assert bench.verdicts(workloads) == {"worse": [], "unresolved": ["w:t"]}
     assert bench.relative(0.0, 0.0) == 0.0 and bench.relative(1.0, 0.0) == float("inf")
+
+    # A metric whose parent median is 0, as unassigned_frac often reads:
+    # the change is 0 when the change's median is 0 too, else infinite.
+    zeros = [_bench_pair(s, (0.0, 0.0), (0.0, c)) for s, c in ((1, 0.0), (2, 0.5), (3, 1.0))]
+    rows = bench.summarize(zeros, end_to_end)["w"]
+    assert rows["t"]["change_vs_parent"] == 0.0
+    assert rows["r"]["change_vs_parent"] == float("inf")

@@ -12,6 +12,8 @@ from scipy.spatial.distance import cdist
 from dualebm.config import RunConfig, build_models
 from dualebm.data_io import (
     Checkpoint,
+    IDX_IMAGES_MAGIC,
+    IDX_LABELS_MAGIC,
     CheckpointError,
     Dataset,
     IdxFormatError,
@@ -158,6 +160,31 @@ def test_idx_truncated_pixels(tmp_path):
         load_mnist_idx(images, labels)
 
 
+@pytest.mark.parametrize("which, header, message", [
+    ("images", (10, -4, -3), "negative dimension in header"),
+    ("images", (2**31 - 1, 4, 3), "truncated file"),
+    ("labels", (2**31 - 1,), "truncated file"),
+], ids=["negative_dims", "images_past_the_file", "labels_past_the_file"])
+def test_idx_header_is_checked_before_reading(tmp_path, which, header, message):
+    """Negative rows and columns whose product matches the data would
+    train as if they were positive, and a count past the end of the file
+    would ask ``read`` for more memory than the file holds."""
+    paths = dict(zip(("images", "labels"), write_idx_pair(tmp_path)))
+    magic = IDX_IMAGES_MAGIC if which == "images" else IDX_LABELS_MAGIC
+    with open(paths[which], "r+b") as f:
+        f.write(struct.pack(f">{1 + len(header)}i", magic, *header))
+    with pytest.raises(IdxFormatError, match=message):
+        load_mnist_idx(paths["images"], paths["labels"])
+
+
+def test_idx_trailing_bytes(tmp_path):
+    images, labels, _ = write_idx_pair(tmp_path)
+    with open(images, "ab") as f:
+        f.write(bytes(3))
+    with pytest.raises(IdxFormatError, match="trailing bytes"):
+        load_mnist_idx(images, labels)
+
+
 def test_idx_count_mismatch(tmp_path):
     images, labels, _ = write_idx_pair(tmp_path)
     with open(labels, "wb") as f:
@@ -177,6 +204,37 @@ def _small_run(tmp_path, steps=20, ckpt_interval=0):
                        checkpoint_interval=ckpt_interval,
                        entropy_estimator="nearest_neighbour")
     return dem, gen, points, config
+
+
+def test_checkpoint_manifest_is_pinned(tmp_path):
+    """The names, shapes and order of a checkpoint's blocks after one
+    update of each model, accumulators included. Checkpoints written
+    earlier load only while this layout holds, so a refactor that renames
+    or reorders a model's parameters must fail here."""
+    dem = EnergyModel.build((2, 8, 5), 3, np.random.default_rng(0))
+    gen = GeneratorModel.build((3, 6, 2), np.random.default_rng(1))
+    points = make_dataset("four_spin", 64, 0.01, np.random.default_rng(2)).points
+    state = train(dem, gen, points, RunConfig(batch_size=16, steps=1, seed=9))
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, state))
+    header_len = struct.unpack("<Q", path.read_bytes()[12:20])[0]
+    manifest = json.loads(path.read_bytes()[20:20 + header_len])["tensors"]
+    assert [(name, tuple(shape)) for name, shape in manifest] == [
+        ("dem.layer0.w", (2, 8)), ("dem.layer1.w", (8, 5)),
+        ("dem.layer0.b", (8,)), ("dem.layer1.b", (5,)),
+        ("dem.expert_w", (5, 3)), ("dem.expert_b", (3,)), ("dem.b_vis", (2,)),
+        ("gen.layer0.w", (3, 6)), ("gen.layer0.b", (6,)),
+        ("gen.layer0.bn_shift", (6,)), ("gen.layer0.bn_scale", (6,)),
+        ("gen.layer1.w", (6, 2)), ("gen.layer1.b", (2,)),
+        ("gen.layer0.bn_running_mean", (6,)), ("gen.layer0.bn_running_var", (6,)),
+        ("acc.dem.b_vis", (2,)), ("acc.dem.expert_b", (3,)),
+        ("acc.dem.expert_w", (5, 3)), ("acc.dem.layer0.b", (8,)),
+        ("acc.dem.layer0.w", (2, 8)), ("acc.dem.layer1.b", (5,)),
+        ("acc.dem.layer1.w", (8, 5)), ("acc.gen.layer0.b", (6,)),
+        ("acc.gen.layer0.bn_scale", (6,)), ("acc.gen.layer0.bn_shift", (6,)),
+        ("acc.gen.layer0.w", (3, 6)), ("acc.gen.layer1.b", (2,)),
+        ("acc.gen.layer1.w", (6, 2)),
+    ]
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):

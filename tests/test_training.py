@@ -146,24 +146,25 @@ def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
         assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
 
 
-def test_adagrad_steps_on_a_finite_gradient_whose_square_overflows():
-    """The check looks for non-finite gradient entries, not squares."""
-    store, ref = (_span_store(np.random.default_rng(44)) for _ in range(2))
+def test_adagrad_refuses_a_finite_gradient_whose_square_overflows():
+    """A finite gradient whose squares leave float range would make the
+    accumulator infinite and freeze the model: the step raises, with no
+    numpy warning, and moves neither the values nor the accumulator. It
+    names the parameter whose sum of squares is inf, else, when only the
+    sum over all parameters overflows, the one with the largest sum."""
+    store = _span_store(np.random.default_rng(44))
     rng = np.random.default_rng(45)
-    ref_acc = {}
-    flat = rng.normal(size=store.values.size)
-    flat[::7] = 1e200
-    flat[3::7] = -1e200
-    flat[5::11] = 0.0
-    with np.errstate(over="ignore"):
-        norm = _adagrad(store, flat, lr=0.05, eps=1e-8)
-        _per_parameter_adagrad(ref.params, store.views(flat), ref_acc, lr=0.05, eps=1e-8)
-    assert norm == math.inf
-    acc_views = store.views(store.acc)
-    for p, q in zip(store.params, ref.params):
-        assert np.array_equal(p.values, q.values), p.name
-        assert np.array_equal(acc_views[p.name], ref_acc[q.name]), p.name
-    assert np.all(np.isfinite(store.values))
+    _adagrad(store, rng.normal(size=store.values.size), lr=0.05, eps=1e-8)
+    values, acc = store.values.copy(), store.acc.copy()
+    for poison, named in (({"small": 1e200}, "small"),
+                          ({"small": 1e154, "mid": 1.2e154}, "mid")):
+        flat = rng.normal(size=store.values.size)
+        for name, value in poison.items():
+            store.views(flat)[name].flat[0] = value
+        with pytest.raises(NonFiniteGradientError, match=repr(named)):
+            _adagrad(store, flat, lr=0.05, eps=1e-8)
+        assert np.array_equal(store.values, values)
+        assert np.array_equal(store.acc, acc)
 
 
 def test_adagrad_step_with_scratch_allocates_no_store_sized_array():
@@ -253,16 +254,18 @@ def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
 def test_an_overflowing_gradient_norm_aborts_with_parameter_and_step(monkeypatch,
                                                                      poison):
     """A finite gradient whose norm is inf aborts the run at its step: its
-    square left the accumulator infinite, or its squares sum past float
-    range. The parameter named is the one that overflowed."""
+    square would leave the accumulator infinite, or its squares sum past
+    float range. The parameter named is the one that overflowed, and the
+    aborted update moves neither the values nor the accumulator."""
     real = training.dgm_loss_gradient
-    calls = []
+    calls, before = [], []
 
     def poisoned(gen, *args, **kwargs):
         result = real(gen, *args, **kwargs)
         calls.append(None)
         if len(calls) == 4:
             gen.store.views(gen.store.grad)["gen.layer1.b"][...] = poison
+            before.extend((gen.store.values.copy(), gen.store.acc.copy()))
         return result
 
     monkeypatch.setattr(training, "dgm_loss_gradient", poisoned)
@@ -271,6 +274,8 @@ def test_an_overflowing_gradient_norm_aborts_with_parameter_and_step(monkeypatch
     with pytest.raises(NonFiniteGradientError) as err:
         train(dem, gen, points, _tiny_config(steps=10))
     assert (err.value.param_name, err.value.step) == ("gen.layer1.b", 3)
+    assert np.array_equal(gen.store.values, before[0])
+    assert np.array_equal(gen.store.acc, before[1])
 
 
 def test_each_model_updates_the_accumulator_of_its_own_store():

@@ -194,9 +194,14 @@ def apply_overrides(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfi
 
 
 def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
+    """The run's training data: for mnist, the uint8 pixel rows of the
+    first ``mnist_limit`` images of the IDX pair (all of them when it is
+    0), with no other image read; for a spiral, ``n_points`` float64
+    points drawn from ``rng``."""
     if config.dataset == "mnist":
         try:
-            ds = load_mnist_idx(config.mnist_images, config.mnist_labels)
+            ds = load_mnist_idx(config.mnist_images, config.mnist_labels,
+                                config.mnist_limit)
         except (OSError, ValueError) as err:
             # a missing or unreadable file, an IdxFormatError, or the
             # ValueError of a Dataset with no images
@@ -204,9 +209,6 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
         if ds.points.shape[1] != MNIST_PIXELS:
             raise ConfigError(f"{config.mnist_images}: images of {ds.points.shape[1]} "
                               f"pixels, the mnist models take {MNIST_PIXELS}")
-        if config.mnist_limit and ds.points.shape[0] > config.mnist_limit:
-            ds = Dataset(ds.points[:config.mnist_limit], ds.name,
-                         None if ds.labels is None else ds.labels[:config.mnist_limit])
         return ds
     ds = make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
     # the quadratic energy term |x|^2 / sigma^2 of a batch's points, summed

@@ -5,6 +5,11 @@ m-armed figure is t*(cos(t + 2*pi*k/m), sin(t + 2*pi*k/m)) / t_max, plus
 isotropic Gaussian noise. Dividing by the arm's own t_max keeps every
 dataset inside the unit disk regardless of arm length.
 
+An MNIST dataset holds the IDX file's pixels as they are stored, one
+uint8 row per image, and only the images a run trains on: the first
+``limit`` of them. ``training.train`` decodes each minibatch it draws to
+float64 in [0, 1] as byte / 255 (``training.decode_rows``).
+
 Checkpoints are a single binary container: magic, version word, a
 length-prefixed JSON header (config, architectures, step, RNG states,
 tensor manifest) followed by raw little-endian float64 tensor blocks in
@@ -36,7 +41,7 @@ import numpy as np
 from .autodiff import ROW_BLOCK
 from .energy_model import EnergyModel
 from .generator_model import GeneratorModel
-from .training import TrainState
+from .training import TrainState, data_rows
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -63,16 +68,20 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Dataset:
+    """A nonempty (n, d) array of points and their labels. The points are
+    float64, or uint8 image bytes, which are held as they are and decoded
+    a minibatch at a time (``training.data_rows``, ``training.decode_rows``).
+    Bytes are finite, so only float points are checked for NaN and inf."""
     points: np.ndarray
     name: str
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64)
+        self.points = data_rows(self.points)
         if self.points.ndim != 2 or self.points.shape[0] < 1:
             raise ValueError(f"points must be a nonempty (n, d) array, "
                              f"got shape {self.points.shape}")
-        if not np.all(np.isfinite(self.points)):
+        if self.points.dtype != np.uint8 and not np.all(np.isfinite(self.points)):
             raise ValueError("dataset contains non-finite points")
 
 
@@ -106,12 +115,15 @@ def make_dataset(name: str, n: int, noise_sd: float,
 
 # --- MNIST IDX ----------------------------------------------------------------
 
-def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
-    """The dimensions and the flat uint8 data of a big-endian IDX file
-    whose header holds ``magic`` and ``n_dims`` sizes. The sizes must be
-    non-negative and the file exactly as long as they say, which is checked
-    before the data are read, so a corrupt header cannot ask for more memory
-    than the file holds."""
+def _read_idx(path, magic: int, n_dims: int,
+              limit: int = 0) -> tuple[list[int], np.ndarray]:
+    """The header's dimensions and the uint8 data, shaped by them, of a
+    big-endian IDX file whose header holds ``magic`` and ``n_dims`` sizes;
+    with ``limit`` > 0, only the first ``limit`` items along the first
+    dimension are read. The sizes must be non-negative and the whole file
+    exactly as long as they say, which is checked before the data are
+    read, so a corrupt header cannot ask for more memory than the file
+    holds."""
     header_size = 4 * (1 + n_dims)
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
@@ -130,18 +142,22 @@ def _read_idx(path, magic: int, n_dims: int) -> tuple[list[int], np.ndarray]:
                 f"{path}: {'truncated file' if file_size < expected else 'trailing bytes'}"
                 f", the header's dimensions {dims} need {expected} bytes, "
                 f"the file has {file_size}")
-        return dims, np.fromfile(f, dtype=np.uint8, count=expected - header_size)
+        shape = (min(dims[0], limit) if limit else dims[0], *dims[1:])
+        return dims, np.fromfile(f, dtype=np.uint8, count=math.prod(shape)).reshape(shape)
 
 
-def load_mnist_idx(images_path, labels_path) -> Dataset:
-    """Standard big-endian IDX pair; pixels rescaled from bytes to [0, 1]."""
-    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
-    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+def load_mnist_idx(images_path, labels_path, limit: int = 0) -> Dataset:
+    """A standard big-endian IDX pair as a dataset of uint8 pixel rows
+    (image bytes, not yet scaled to [0, 1]) and int64 labels. With
+    ``limit`` > 0 only the first ``limit`` images and labels are read;
+    both headers are checked in full either way."""
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, limit)
+    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, limit)
     if label_count != count:
         raise IdxFormatError(
             f"count mismatch: {count} images but {label_count} labels")
-    return Dataset(pixels.reshape(count, rows * cols).astype(np.float64) / 255.0,
-                   "mnist", labels=labels.astype(np.int64))
+    return Dataset(pixels.reshape(len(pixels), rows * cols), "mnist",
+                   labels=labels.astype(np.int64))
 
 
 def save_points_csv(path, points: np.ndarray) -> None:

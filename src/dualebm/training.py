@@ -121,6 +121,22 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     return math.sqrt(total)
 
 
+def data_rows(points) -> np.ndarray:
+    """points as training holds them: a uint8 array (image bytes, which
+    ``decode_rows`` turns into float64 a minibatch at a time) as it is,
+    anything else as float64."""
+    if isinstance(points, np.ndarray) and points.dtype == np.uint8:
+        return points
+    return np.asarray(points, dtype=np.float64)
+
+
+def decode_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows of ``data_rows`` as float64: image bytes scaled to [0, 1] by
+    ``np.divide(rows, 255.0)``, which has the bits of
+    ``rows.astype(np.float64) / 255.0``; float rows as they are."""
+    return np.divide(rows, 255.0) if rows.dtype == np.uint8 else rows
+
+
 def _format_metrics(metrics: dict) -> str:
     parts = [f"step={metrics['step']}"]
     parts += [f"{k}={v!r}" for k, v in metrics.items() if k != "step"]
@@ -134,14 +150,16 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
 
     config is the run's ``config.RunConfig``, validated here; only its
     training fields are read. dataset is anything with a ``points`` array
-    (or the array itself); it is never mutated. One line of ``key=value``
-    metrics per step goes to ``metrics_out`` when given.
+    (or the array itself); it is never mutated. Float points are used as
+    float64; uint8 points are image bytes, held as they are, and only each
+    minibatch drawn from them is decoded (``decode_rows``). One line of
+    ``key=value`` metrics per step goes to ``metrics_out`` when given.
     ``checkpoint_fn(state)`` fires every ``checkpoint_interval`` steps.
     Returns the final state; the models, with the AdaGrad accumulators in
     their stores, are updated in place.
     """
     config.validate()
-    points = np.asarray(getattr(dataset, "points", dataset), dtype=np.float64)
+    points = data_rows(getattr(dataset, "points", dataset))
     if points.ndim != 2 or points.shape[0] < 1:
         raise ConfigError(f"dataset must be a nonempty (n, d) array, got {points.shape}")
     if state is None:
@@ -153,7 +171,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
     while state.step < config.steps:
         try:
             idx = state.data_rng.integers(0, points.shape[0], size=n)
-            x_pos = points[idx]
+            x_pos = decode_rows(points[idx])
             z = sample_prior(n, gen.d_z, state.prior_rng)
             x_neg = gen.generate(z, "train")
             _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)

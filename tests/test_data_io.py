@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
-from dualebm.config import RunConfig, build_models
+from dualebm.config import RunConfig, build_models, load_run_dataset
 from dualebm.data_io import (
     Checkpoint,
     IDX_IMAGES_MAGIC,
@@ -26,7 +26,7 @@ from dualebm.data_io import (
 )
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel
-from dualebm.training import TrainState, train
+from dualebm.training import TrainState, decode_rows, train
 
 from helpers import rewrite_checkpoint_header, write_idx_pair
 
@@ -113,6 +113,8 @@ def test_dataset_rejects_empty_or_nonfinite():
         Dataset(np.zeros((0, 2)), "empty")
     with pytest.raises(ValueError):
         Dataset(np.array([[np.nan, 0.0]]), "nan")
+    with pytest.raises(ValueError, match="nonempty"):
+        Dataset(np.zeros((0, 784), dtype=np.uint8), "empty bytes")
 
 
 # --- MNIST IDX -------------------------------------------------------------------
@@ -122,8 +124,9 @@ def test_idx_roundtrip_shapes_and_scaling(tmp_path):
     ds = load_mnist_idx(images, labels)
     assert ds.points.shape == (10, 12)
     assert ds.labels.shape == (10,)
-    assert np.all(ds.points >= 0.0) and np.all(ds.points <= 1.0)
-    assert_allclose(ds.points, pixels.reshape(10, 12) / 255.0)
+    rows = decode_rows(ds.points)
+    assert np.all(rows >= 0.0) and np.all(rows <= 1.0)
+    assert np.array_equal(rows, pixels.reshape(10, 12) / 255.0)
 
 
 def test_idx_byte_endpoints_map_to_unit_interval(tmp_path):
@@ -133,15 +136,38 @@ def test_idx_byte_endpoints_map_to_unit_interval(tmp_path):
         return px
 
     images, labels, _ = write_idx_pair(tmp_path, pixel_fn=extremes)
-    ds = load_mnist_idx(images, labels)
-    assert ds.points[0, 0] == 1.0
-    assert ds.points[0, 1] == 0.0
+    rows = decode_rows(load_mnist_idx(images, labels).points)
+    assert rows[0, 0] == 1.0
+    assert rows[0, 1] == 0.0
 
 
 def test_idx_standard_training_header_dimensions(tmp_path):
     images, labels, _ = write_idx_pair(tmp_path, count=60_000, rows=28, cols=28)
     ds = load_mnist_idx(images, labels)
     assert ds.points.shape == (60_000, 784)
+
+
+def test_mnist_limit_reads_only_the_images_a_run_trains_on(tmp_path):
+    """The dataset holds the first mnist_limit images as bytes, and the
+    load allocates no more than that: no float copy and no whole file."""
+    images, labels, pixels = write_idx_pair(tmp_path, count=2000, rows=28, cols=28)
+    config = RunConfig(dataset="mnist", mnist_images=str(images),
+                       mnist_labels=str(labels), mnist_limit=500)
+    tracemalloc.start()
+    try:
+        ds = load_run_dataset(config, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.points.dtype == np.uint8 and ds.points.shape == (500, 784)
+    assert np.array_equal(ds.points, pixels[:500].reshape(500, 784))
+    assert ds.labels.shape == (500,)
+    array = ds.points
+    while isinstance(array, np.ndarray):
+        assert array.nbytes <= 500 * 784
+        array = array.base
+    assert array is None
+    assert peak < 2 * 500 * 784 + 64 * 1024
 
 
 def test_idx_bad_magic(tmp_path):

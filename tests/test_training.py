@@ -385,6 +385,29 @@ def test_train_metric_streams_are_deterministic():
     assert first.splitlines()[0].startswith("step=0 ")
 
 
+def test_training_on_image_bytes_matches_training_on_their_decoded_floats():
+    """A byte dataset, decoded a minibatch at a time, trains the default
+    mnist models bit for bit as its decoded float64 array does."""
+    from dualebm.config import build_models
+    from dualebm.data_io import Dataset
+
+    config = RunConfig(dataset="mnist", mnist_images="images.idx",
+                       mnist_labels="labels.idx", steps=20, seed=4)
+    pixels = np.random.default_rng(7).integers(0, 256, size=(300, 784), dtype=np.uint8)
+    runs = []
+    for data in (Dataset(pixels, "mnist"), pixels.astype(np.float64) / 255.0):
+        dem, gen = build_models(config)
+        out = io.StringIO()
+        train(dem, gen, data, config, metrics_out=out)
+        runs.append((out.getvalue(), dem, gen))
+    (bytes_lines, *byte_models), (float_lines, *float_models) = runs
+    assert len(bytes_lines.splitlines()) == 20
+    assert bytes_lines == float_lines
+    for a, b in zip(byte_models, float_models):
+        assert np.array_equal(a.store.values.view(np.int64), b.store.values.view(np.int64))
+        assert np.array_equal(a.store.acc.view(np.int64), b.store.acc.view(np.int64))
+
+
 def test_train_returns_state_and_respects_step_budget():
     dem, gen = _models(4)
     points = np.random.default_rng(6).normal(size=(100, 2))

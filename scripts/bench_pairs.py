@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -79,10 +80,14 @@ def run_benchmark(root: Path, seed: int, seconds: int) -> dict:
 
 
 def environment(root: Path, seed: int) -> dict:
-    """The environment a run in ``root`` recorded, from its results file."""
+    """The environment a run in ``root`` recorded, from its results file,
+    and whether PYTHONDONTWRITEBYTECODE was set for the runs, which inherit
+    this process's environment: when it is, every worker compiles the
+    package from source, and ``setup_s`` includes that compile time."""
     results = sorted((root / ".perfbench" / "results").glob(f"*-seed{seed}-trace0.json"))
     recorded = json.loads(results[0].read_text())["environment"] if results else {}
-    return {key: recorded[key] for key in ENVIRONMENT_KEYS if key in recorded}
+    return {**{key: recorded[key] for key in ENVIRONMENT_KEYS if key in recorded},
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
 
 
 def quartiles(values: list[float]) -> dict:

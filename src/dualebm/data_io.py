@@ -5,10 +5,11 @@ m-armed figure is t*(cos(t + 2*pi*k/m), sin(t + 2*pi*k/m)) / t_max, plus
 isotropic Gaussian noise. Dividing by the arm's own t_max keeps every
 dataset inside the unit disk regardless of arm length.
 
-An MNIST dataset holds the IDX file's pixels as they are stored, one
-uint8 row per image, and only the images a run trains on: the first
-``limit`` of them. ``training.train`` decodes each minibatch it draws to
-float64 in [0, 1] as byte / 255 (``training.decode_rows``).
+A ``Dataset`` owns the training rows and their format. An MNIST dataset
+holds the IDX file's pixels as they are stored, one uint8 row per image,
+and only the images a run trains on: the first ``limit`` of them.
+``Dataset.minibatch`` gives the rows ``training.train`` draws as float64,
+decoding bytes to [0, 1] as byte / 255.
 
 Checkpoints are a single binary container: magic, version word, a
 length-prefixed JSON header (config, architectures, step, RNG states,
@@ -18,7 +19,8 @@ accumulators (each model's ``store.acc``), one block per parameter name.
 A model's accumulator blocks are left out while the accumulator is all
 zero, as before the model's first update, and absent ones load as zero.
 Saving writes each array's buffer to a temp file renamed atomically. Loading
-checks the header and the file size, builds the models, then walks the
+checks the header and the file size, refuses layer widths whose weights
+would hold more floats than the payload, builds the models, then walks the
 manifest once: a block named for a model array is shape-checked and read
 from the file straight into it, any other is skipped, and a parameter or
 batch-norm statistic no block names is missing. No copy of the file is
@@ -34,14 +36,13 @@ import struct
 import sys
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .autodiff import ROW_BLOCK
 from .energy_model import EnergyModel
 from .generator_model import GeneratorModel
-from .training import TrainState, data_rows
+from .training import TrainState
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -68,21 +69,26 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Dataset:
-    """A nonempty (n, d) array of points and their labels. The points are
-    float64, or uint8 image bytes, which are held as they are and decoded
-    a minibatch at a time (``training.data_rows``, ``training.decode_rows``).
-    Bytes are finite, so only float points are checked for NaN and inf."""
+    """The training rows: a nonempty (n, d) array of points. uint8 points
+    are image bytes, held as they are; any other points are held as
+    float64 and must be finite. ``minibatch`` gives rows as float64."""
     points: np.ndarray
-    name: str
-    labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.points = data_rows(self.points)
+        if not (isinstance(self.points, np.ndarray) and self.points.dtype == np.uint8):
+            self.points = np.asarray(self.points, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[0] < 1:
             raise ValueError(f"points must be a nonempty (n, d) array, "
                              f"got shape {self.points.shape}")
         if self.points.dtype != np.uint8 and not np.all(np.isfinite(self.points)):
             raise ValueError("dataset contains non-finite points")
+
+    def minibatch(self, idx) -> np.ndarray:
+        """The rows at ``idx`` as float64: image bytes scaled to [0, 1] by
+        ``np.divide(rows, 255.0)``, which has the bits of
+        ``rows.astype(np.float64) / 255.0``; float rows as they are."""
+        rows = self.points[idx]
+        return np.divide(rows, 255.0) if rows.dtype == np.uint8 else rows
 
 
 def _spiral_points(t: np.ndarray, arm, arms: int, t_max: float) -> np.ndarray:
@@ -110,54 +116,52 @@ def make_dataset(name: str, n: int, noise_sd: float,
     points = _spiral_points(rng.uniform(t_min, t_max, size=n), arm, arms, t_max)
     if noise_sd > 0:
         points = points + rng.normal(0.0, noise_sd, size=points.shape)
-    return Dataset(points, name, labels=arm.copy())
+    return Dataset(points)
 
 
 # --- MNIST IDX ----------------------------------------------------------------
 
-def _read_idx(path, magic: int, n_dims: int,
-              limit: int = 0) -> tuple[list[int], np.ndarray]:
-    """The header's dimensions and the uint8 data, shaped by them, of a
-    big-endian IDX file whose header holds ``magic`` and ``n_dims`` sizes;
-    with ``limit`` > 0, only the first ``limit`` items along the first
-    dimension are read. The sizes must be non-negative and the whole file
-    exactly as long as they say, which is checked before the data are
-    read, so a corrupt header cannot ask for more memory than the file
-    holds."""
+def _idx_dims(path, magic: int, n_dims: int) -> list[int]:
+    """The dimensions in the header of a big-endian IDX file, which must
+    hold ``magic`` and ``n_dims`` sizes. The sizes must be non-negative and
+    the whole file exactly as long as they say, which is checked before
+    any data are read, so a corrupt header cannot ask for more memory than
+    the file holds."""
     header_size = 4 * (1 + n_dims)
     with open(path, "rb") as f:
         file_size = os.fstat(f.fileno()).st_size
         header = f.read(header_size)
-        if len(header) != header_size:
-            raise IdxFormatError(f"{path}: truncated file, wanted a {header_size}-byte "
-                                 f"header, got {len(header)} bytes")
-        found, *dims = struct.unpack(f">{1 + n_dims}i", header)
-        if found != magic:
-            raise IdxFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
-        if min(dims) < 0:
-            raise IdxFormatError(f"{path}: negative dimension in header {dims}")
-        expected = header_size + math.prod(dims)
-        if file_size != expected:
-            raise IdxFormatError(
-                f"{path}: {'truncated file' if file_size < expected else 'trailing bytes'}"
-                f", the header's dimensions {dims} need {expected} bytes, "
-                f"the file has {file_size}")
-        shape = (min(dims[0], limit) if limit else dims[0], *dims[1:])
-        return dims, np.fromfile(f, dtype=np.uint8, count=math.prod(shape)).reshape(shape)
+    if len(header) != header_size:
+        raise IdxFormatError(f"{path}: truncated file, wanted a {header_size}-byte "
+                             f"header, got {len(header)} bytes")
+    found, *dims = struct.unpack(f">{1 + n_dims}i", header)
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    if min(dims) < 0:
+        raise IdxFormatError(f"{path}: negative dimension in header {dims}")
+    expected = header_size + math.prod(dims)
+    if file_size != expected:
+        raise IdxFormatError(
+            f"{path}: {'truncated file' if file_size < expected else 'trailing bytes'}"
+            f", the header's dimensions {dims} need {expected} bytes, "
+            f"the file has {file_size}")
+    return dims
 
 
 def load_mnist_idx(images_path, labels_path, limit: int = 0) -> Dataset:
     """A standard big-endian IDX pair as a dataset of uint8 pixel rows
-    (image bytes, not yet scaled to [0, 1]) and int64 labels. With
-    ``limit`` > 0 only the first ``limit`` images and labels are read;
-    both headers are checked in full either way."""
-    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, limit)
-    (label_count,), labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, limit)
+    (image bytes, not yet scaled to [0, 1]). With ``limit`` > 0 only the
+    first ``limit`` images are read. Both headers are checked in full and
+    must agree on the count; no label is kept, so none is read."""
+    count, rows, cols = _idx_dims(images_path, IDX_IMAGES_MAGIC, 3)
+    (label_count,) = _idx_dims(labels_path, IDX_LABELS_MAGIC, 1)
     if label_count != count:
         raise IdxFormatError(
             f"count mismatch: {count} images but {label_count} labels")
-    return Dataset(pixels.reshape(len(pixels), rows * cols), "mnist",
-                   labels=labels.astype(np.int64))
+    n = min(count, limit) if limit else count
+    pixels = np.fromfile(images_path, dtype=np.uint8, count=n * rows * cols,
+                         offset=16)   # past the header's magic and three sizes
+    return Dataset(pixels.reshape(n, rows * cols))
 
 
 def save_points_csv(path, points: np.ndarray) -> None:
@@ -307,7 +311,8 @@ def _read_checkpoint(f, path) -> Checkpoint:
         raise CheckpointError(f"{path}: corrupt header: malformed tensor manifest")
 
     # Python ints, so a shape whose size overflows int64 cannot wrap
-    expected = 20 + header_len + 8 * sum(math.prod(shape) for _, shape in manifest)
+    payload = sum(math.prod(shape) for _, shape in manifest)
+    expected = 20 + header_len + 8 * payload
     if file_size != expected:
         raise CheckpointError(
             f"{path}: corrupt tensor payload, expected {expected} bytes, "
@@ -315,6 +320,15 @@ def _read_checkpoint(f, path) -> Checkpoint:
 
     try:
         dem_meta, gen_meta, state_meta = header["dem"], header["gen"], header["state"]
+        # each weight, the experts' (d_feat x n_experts) too, is a payload
+        # block; abs, so a negative width cannot offset a large one
+        weights = sum(abs(a * b) for widths in (
+            (*dem_meta["widths"], dem_meta["n_experts"]), gen_meta["widths"])
+            for a, b in zip(widths, widths[1:]))
+        if weights > payload:   # refused before any model array is allocated
+            raise CheckpointError(
+                f"{path}: corrupt header: the layer widths need {weights} floats "
+                f"of weights, the tensor payload holds {payload}")
         dem = EnergyModel.build(
             tuple(dem_meta["widths"]), dem_meta["n_experts"],
             np.random.default_rng(0), sigma=dem_meta["sigma"])
@@ -326,6 +340,8 @@ def _read_checkpoint(f, path) -> Checkpoint:
             data_rng=_restore_rng(state_meta["data_rng"]),
             prior_rng=_restore_rng(state_meta["prior_rng"]),
         )
+    except CheckpointError:
+        raise
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"{path}: corrupt header: {err!r}") from None
     if gen.widths[-1] != dem.d_in:
@@ -346,8 +362,8 @@ def _read_checkpoint(f, path) -> Checkpoint:
             raise CheckpointError(f"{path}: tensor {name!r} has shape "
                                   f"{tuple(shape)}, model expects {target.shape}")
         # every target is a C-contiguous float64 array: a flat store's view
-        # or a batch-norm statistic
-        if f.readinto(memoryview(target).cast("B")) != nbytes:
+        # or a batch-norm statistic; an empty one (no experts) reads nothing
+        if nbytes and f.readinto(memoryview(target).cast("B")) != nbytes:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         if sys.byteorder != "little":   # the blocks are little-endian
             target.byteswap(inplace=True)

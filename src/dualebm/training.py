@@ -1,6 +1,7 @@
 """Alternating training of the energy model and the generator.
 
-Each step draws a data minibatch and a generated minibatch, updates the
+Each step draws a data minibatch, float64 rows from
+``data_io.Dataset.minibatch``, and a generated minibatch, updates the
 energy model with the positive/negative phase gradient, and (every
 ``dem_updates_per_dgm_update`` batches) updates the generator on a fresh
 latent draw. Each gradient comes from its loss's hand-written backward
@@ -35,8 +36,9 @@ from .generator_model import (
     sample_prior,
 )
 
-if TYPE_CHECKING:  # config imports data_io, which imports this module
+if TYPE_CHECKING:  # config and data_io import this module
     from .config import RunConfig
+    from .data_io import Dataset
 
 
 class ConfigError(ValueError):
@@ -121,47 +123,27 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     return math.sqrt(total)
 
 
-def data_rows(points) -> np.ndarray:
-    """points as training holds them: a uint8 array (image bytes, which
-    ``decode_rows`` turns into float64 a minibatch at a time) as it is,
-    anything else as float64."""
-    if isinstance(points, np.ndarray) and points.dtype == np.uint8:
-        return points
-    return np.asarray(points, dtype=np.float64)
-
-
-def decode_rows(rows: np.ndarray) -> np.ndarray:
-    """Rows of ``data_rows`` as float64: image bytes scaled to [0, 1] by
-    ``np.divide(rows, 255.0)``, which has the bits of
-    ``rows.astype(np.float64) / 255.0``; float rows as they are."""
-    return np.divide(rows, 255.0) if rows.dtype == np.uint8 else rows
-
-
 def _format_metrics(metrics: dict) -> str:
     parts = [f"step={metrics['step']}"]
     parts += [f"{k}={v!r}" for k, v in metrics.items() if k != "step"]
     return " ".join(parts)
 
 
-def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
+def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunConfig,
           state: Optional[TrainState] = None, metrics_out=None,
           checkpoint_fn=None) -> TrainState:
     """Run the dual loop until ``state.step`` reaches ``config.steps``.
 
     config is the run's ``config.RunConfig``, validated here; only its
-    training fields are read. dataset is anything with a ``points`` array
-    (or the array itself); it is never mutated. Float points are used as
-    float64; uint8 points are image bytes, held as they are, and only each
-    minibatch drawn from them is decoded (``decode_rows``). One line of
+    training fields are read. dataset is a ``data_io.Dataset``, never
+    mutated: each step draws row indices over its points and reads the
+    float64 rows through ``dataset.minibatch``. One line of
     ``key=value`` metrics per step goes to ``metrics_out`` when given.
     ``checkpoint_fn(state)`` fires every ``checkpoint_interval`` steps.
     Returns the final state; the models, with the AdaGrad accumulators in
     their stores, are updated in place.
     """
     config.validate()
-    points = data_rows(getattr(dataset, "points", dataset))
-    if points.ndim != 2 or points.shape[0] < 1:
-        raise ConfigError(f"dataset must be a nonempty (n, d) array, got {points.shape}")
     if state is None:
         state = TrainState.initial(config.seed)
     buffer = np.empty((2, max(dem.store.values.size, gen.store.values.size)))
@@ -170,8 +152,8 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset, config: RunConfig,
     n = config.batch_size
     while state.step < config.steps:
         try:
-            idx = state.data_rng.integers(0, points.shape[0], size=n)
-            x_pos = decode_rows(points[idx])
+            idx = state.data_rng.integers(0, dataset.points.shape[0], size=n)
+            x_pos = dataset.minibatch(idx)
             z = sample_prior(n, gen.d_z, state.prior_rng)
             x_neg = gen.generate(z, "train")
             _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)

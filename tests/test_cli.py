@@ -429,6 +429,41 @@ def test_checkpoint_block_of_an_overflowing_size_exit_4(trained_run, tmp_path, c
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "eval", "energy-map", "interpolate"])
+def test_checkpoint_widths_past_the_payload_exit_4(trained_run, tmp_path, capsys,
+                                                   command):
+    """Layer widths whose weights need more floats than the file holds are
+    refused before a model is built: these once asked for a 298 GiB weight
+    and ended in a MemoryError traceback."""
+    ckpt = tmp_path / "wide.bin"
+    ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
+    wide = [2, 200_000, 200_000, 4]
+    rewrite_checkpoint_header(ckpt, lambda h: h["dem"].update(widths=wide))
+    argv = [command, "--checkpoint", str(ckpt)]
+    if command != "eval":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("checkpoint error: ") and not captured.out
+    assert "the tensor payload holds" in captured.err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_checkpoint_of_a_model_without_experts_is_read(tmp_path):
+    """``n_experts`` 0 is a valid model whose experts' weight and bias
+    are empty blocks: every reader of its checkpoint once died casting the
+    empty array for the read."""
+    code, run_dir = _train(tmp_path, "--n_experts", "0", "--steps", "3")
+    assert code == 0
+    ckpt = str(run_dir / "checkpoint_final.bin")
+    assert load_checkpoint(ckpt).dem.n_experts == 0
+    for argv in (["sample", "--n", "20", "--out", str(tmp_path / "s.csv")],
+                 ["eval", "--n", "50", "--grid-n", "10"],
+                 ["energy-map", "--res", "8", "--out", str(tmp_path / "m.csv")],
+                 ["interpolate", "--k", "3", "--out", str(tmp_path / "i.csv")]):
+        assert cli.main([argv[0], "--checkpoint", ckpt, *argv[1:]]) == 0, argv[0]
+
+
 @pytest.mark.parametrize("config", [
     {"dataset": "bogus"},
     {"n_points": -5},
@@ -750,8 +785,19 @@ def _bench_pair(seed, parent, change):
     return {"seed": seed, "parent": side(parent, 0), "change": side(change, 1)}
 
 
-def test_bench_pairs_counts_wins_ties_and_the_claim_gate():
+def test_bench_pairs_counts_wins_ties_and_the_claim_gate(tmp_path, monkeypatch):
     bench = _load_script("bench_pairs")
+    # the environment block: the run's recorded keys, and whether the runs
+    # were left to compile the package from source
+    results = tmp_path / ".perfbench" / "results"
+    results.mkdir(parents=True)
+    (results / "all-seed7-trace0.json").write_text(json.dumps(
+        {"environment": {"nproc": 2, "OPENBLAS_NUM_THREADS": "1", "host": "x"}}))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench.environment(tmp_path, 7) == {
+        "OPENBLAS_NUM_THREADS": "1", "nproc": 2, "PYTHONDONTWRITEBYTECODE": True}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert bench.environment(tmp_path, 8) == {"PYTHONDONTWRITEBYTECODE": False}
     assert bench.parse_seeds("701-703") == [701, 702, 703]
     runs = [_bench_pair(1, (1.0, 10.0), (0.5, 12.0)),
             _bench_pair(2, (1.1, 10.0), (0.5, 10.0)),

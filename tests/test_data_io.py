@@ -11,6 +11,7 @@ from scipy.spatial.distance import cdist
 
 from dualebm.config import RunConfig, build_models, load_run_dataset
 from dualebm.data_io import (
+    SPIRAL_SPECS,
     Checkpoint,
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
@@ -26,7 +27,7 @@ from dualebm.data_io import (
 )
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel
-from dualebm.training import TrainState, decode_rows, train
+from dualebm.training import TrainState, train
 
 from helpers import rewrite_checkpoint_header, write_idx_pair
 
@@ -46,11 +47,26 @@ def test_two_spiral_inverse_parameterization():
     assert np.all(np.minimum(residual0, residual1) < 1e-9)
 
 
+def _arm_counts(name, n, seed):
+    """Points per arm of the noiseless dataset drawn with ``seed``, each
+    point's arm read from its polar angle, t + 2 pi arm / arms at radius
+    t / t_max. Noise moves points but assigns no arm, so these are the arm
+    sizes of the noisy dataset drawn with ``seed`` too."""
+    arms, _, t_max = SPIRAL_SPECS[name]
+    points = make_dataset(name, n, 0.0, np.random.default_rng(seed)).points
+    t = np.linalg.norm(points, axis=1) * t_max
+    offset = (np.arctan2(points[:, 1], points[:, 0]) - t) % (2.0 * math.pi)
+    arm = np.rint(offset * arms / (2.0 * math.pi))
+    residual = np.abs(offset - arm * 2.0 * math.pi / arms)
+    assert np.all(np.minimum(residual, 2.0 * math.pi - residual) < 1e-9)
+    return np.bincount(arm.astype(int) % arms, minlength=arms)
+
+
 def test_two_spiral_arm_balance_and_size():
     ds = make_dataset("two_spiral", 10_000, 0.01, np.random.default_rng(1))
     assert ds.points.shape == (10_000, 2)
-    counts = np.bincount(ds.labels)
-    assert abs(counts[0] - counts[1]) <= 1
+    counts = _arm_counts("two_spiral", 10_000, 1)
+    assert counts.sum() == 10_000 and abs(counts[0] - counts[1]) <= 1
 
 
 def test_two_spiral_stays_in_box_at_small_noise():
@@ -59,9 +75,8 @@ def test_two_spiral_stays_in_box_at_small_noise():
 
 
 def test_two_spiral_odd_count_balance():
-    ds = make_dataset("two_spiral", 101, 0.0, np.random.default_rng(3))
-    counts = np.bincount(ds.labels)
-    assert abs(int(counts[0]) - int(counts[1])) <= 1
+    counts = _arm_counts("two_spiral", 101, 3)
+    assert counts.sum() == 101 and abs(int(counts[0]) - int(counts[1])) <= 1
 
 
 def test_generators_are_pure_functions_of_seed():
@@ -72,8 +87,8 @@ def test_generators_are_pure_functions_of_seed():
 
 def test_four_spin_balance_and_center():
     ds = make_dataset("four_spin", 10_000, 0.01, np.random.default_rng(4))
-    counts = np.bincount(ds.labels)
-    assert counts.max() - counts.min() <= 1
+    counts = _arm_counts("four_spin", 10_000, 4)
+    assert counts.sum() == 10_000 and counts.max() - counts.min() <= 1
     assert np.linalg.norm(ds.points.mean(axis=0)) < 0.02
 
 
@@ -110,11 +125,31 @@ def test_arm_curve_endpoints():
 
 def test_dataset_rejects_empty_or_nonfinite():
     with pytest.raises(ValueError):
-        Dataset(np.zeros((0, 2)), "empty")
+        Dataset(np.zeros((0, 2)))
     with pytest.raises(ValueError):
-        Dataset(np.array([[np.nan, 0.0]]), "nan")
+        Dataset(np.array([[np.nan, 0.0]]))
     with pytest.raises(ValueError, match="nonempty"):
-        Dataset(np.zeros((0, 784), dtype=np.uint8), "empty bytes")
+        Dataset(np.zeros((0, 784), dtype=np.uint8))
+    with pytest.raises(ValueError, match="nonempty"):
+        Dataset(np.zeros(5))
+
+
+def test_minibatch_decodes_bytes_and_keeps_floats():
+    """Image bytes are held as uint8 and each minibatch is decoded to the
+    bits of ``byte.astype(float64) / 255``, for every byte value; other
+    points are held and drawn as float64."""
+    pixels = np.arange(256, dtype=np.uint8).reshape(64, 4)
+    ds = Dataset(pixels)
+    assert ds.points is pixels
+    idx = np.r_[np.arange(64)[::-1], 5, 5]
+    rows = ds.minibatch(idx)
+    assert rows.dtype == np.float64
+    expected = pixels[idx].astype(np.float64) / 255.0
+    assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+    floats = Dataset([[0.5, -1.0], [2.0, 3.0]])
+    assert floats.points.dtype == np.float64
+    assert np.array_equal(floats.minibatch(np.array([1, 1, 0])),
+                          [[2.0, 3.0], [2.0, 3.0], [0.5, -1.0]])
 
 
 # --- MNIST IDX -------------------------------------------------------------------
@@ -123,8 +158,7 @@ def test_idx_roundtrip_shapes_and_scaling(tmp_path):
     images, labels, pixels = write_idx_pair(tmp_path)
     ds = load_mnist_idx(images, labels)
     assert ds.points.shape == (10, 12)
-    assert ds.labels.shape == (10,)
-    rows = decode_rows(ds.points)
+    rows = ds.minibatch(np.arange(10))
     assert np.all(rows >= 0.0) and np.all(rows <= 1.0)
     assert np.array_equal(rows, pixels.reshape(10, 12) / 255.0)
 
@@ -136,7 +170,7 @@ def test_idx_byte_endpoints_map_to_unit_interval(tmp_path):
         return px
 
     images, labels, _ = write_idx_pair(tmp_path, pixel_fn=extremes)
-    rows = decode_rows(load_mnist_idx(images, labels).points)
+    rows = load_mnist_idx(images, labels).minibatch(np.arange(10))
     assert rows[0, 0] == 1.0
     assert rows[0, 1] == 0.0
 
@@ -161,7 +195,6 @@ def test_mnist_limit_reads_only_the_images_a_run_trains_on(tmp_path):
         tracemalloc.stop()
     assert ds.points.dtype == np.uint8 and ds.points.shape == (500, 784)
     assert np.array_equal(ds.points, pixels[:500].reshape(500, 784))
-    assert ds.labels.shape == (500,)
     array = ds.points
     while isinstance(array, np.ndarray):
         assert array.nbytes <= 500 * 784
@@ -225,11 +258,11 @@ def test_idx_count_mismatch(tmp_path):
 def _small_run(tmp_path, steps=20, ckpt_interval=0):
     dem = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(0))
     gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(1))
-    points = make_dataset("four_spin", 256, 0.01, np.random.default_rng(2)).points
+    data = make_dataset("four_spin", 256, 0.01, np.random.default_rng(2))
     config = RunConfig(batch_size=16, steps=steps, seed=9,
                        checkpoint_interval=ckpt_interval,
                        entropy_estimator="nearest_neighbour")
-    return dem, gen, points, config
+    return dem, gen, data, config
 
 
 def test_checkpoint_manifest_is_pinned(tmp_path):
@@ -239,8 +272,8 @@ def test_checkpoint_manifest_is_pinned(tmp_path):
     or reorders a model's parameters must fail here."""
     dem = EnergyModel.build((2, 8, 5), 3, np.random.default_rng(0))
     gen = GeneratorModel.build((3, 6, 2), np.random.default_rng(1))
-    points = make_dataset("four_spin", 64, 0.01, np.random.default_rng(2)).points
-    state = train(dem, gen, points, RunConfig(batch_size=16, steps=1, seed=9))
+    data = make_dataset("four_spin", 64, 0.01, np.random.default_rng(2))
+    state = train(dem, gen, data, RunConfig(batch_size=16, steps=1, seed=9))
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     header_len = struct.unpack("<Q", path.read_bytes()[12:20])[0]
@@ -264,8 +297,8 @@ def test_checkpoint_manifest_is_pinned(tmp_path):
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, Checkpoint({"note": "test"}, dem, gen, state))
     loaded = load_checkpoint(path)
@@ -284,14 +317,50 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
             assert np.array_equal(a.bn_state.var, b.bn_state.var)
 
 
-def test_checkpoint_resume_replays_identically(tmp_path):
-    dem, gen, points, config = _small_run(tmp_path, steps=40)
-    full = io.StringIO()
-    train(dem, gen, points, config, metrics_out=full)
+def _bits(array):
+    return np.asarray(array, dtype=np.float64).view(np.int64)
 
-    dem2, gen2, points2, _ = _small_run(tmp_path)
+
+@pytest.mark.parametrize("overrides", [
+    {"n_experts": 0},
+    {"dem_hidden": []},
+    {"d_feat": 1, "n_experts": 1},
+    {"d_z": 1},
+    {"dataset": "mnist", "mnist_images": "i.idx", "mnist_labels": "l.idx"},
+], ids=["no_experts", "no_dem_hidden", "one_feature_one_expert", "one_latent", "mnist"])
+def test_checkpoint_roundtrip_over_architecture_edges(tmp_path, overrides):
+    """Each edge of the architectures the config accepts saves and loads
+    with its parameters, AdaGrad accumulators and batch-norm statistics
+    bit-equal, so no loader change can drop one."""
+    config = RunConfig(batch_size=16, steps=3, seed=9, **overrides).validate()
+    dem, gen = build_models(config)
+    rng = np.random.default_rng(2)
+    data = Dataset(rng.integers(0, 256, size=(64, 784), dtype=np.uint8)
+                   if config.dataset == "mnist" else rng.normal(size=(64, 2)))
+    state = train(dem, gen, data, config)
+    path = tmp_path / "edge.bin"
+    save_checkpoint(path, Checkpoint(config.to_dict(), dem, gen, state))
+    loaded = load_checkpoint(path)
+    assert (loaded.dem.widths, loaded.dem.n_experts, loaded.gen.widths) == (
+        dem.widths, dem.n_experts, gen.widths)
+    for model, twin in ((dem, loaded.dem), (gen, loaded.gen)):
+        assert model.store.acc.any()
+        assert np.array_equal(_bits(model.store.values), _bits(twin.store.values))
+        assert np.array_equal(_bits(model.store.acc), _bits(twin.store.acc))
+    for a, b in zip(gen.layers, loaded.gen.layers):
+        if a.has_batch_norm:
+            assert np.array_equal(_bits(a.bn_state.mean), _bits(b.bn_state.mean))
+            assert np.array_equal(_bits(a.bn_state.var), _bits(b.bn_state.var))
+
+
+def test_checkpoint_resume_replays_identically(tmp_path):
+    dem, gen, data, config = _small_run(tmp_path, steps=40)
+    full = io.StringIO()
+    train(dem, gen, data, config, metrics_out=full)
+
+    dem2, gen2, data2, _ = _small_run(tmp_path)
     half = io.StringIO()
-    state = train(dem2, gen2, points2,
+    state = train(dem2, gen2, data2,
                   RunConfig(batch_size=16, steps=20, seed=9,
                             entropy_estimator="nearest_neighbour"),
                   metrics_out=half)
@@ -299,7 +368,7 @@ def test_checkpoint_resume_replays_identically(tmp_path):
     save_checkpoint(path, Checkpoint({}, dem2, gen2, state))
 
     resumed = load_checkpoint(path)
-    train(resumed.dem, resumed.gen, points2,
+    train(resumed.dem, resumed.gen, data2,
           RunConfig(batch_size=16, steps=40, seed=9,
                     entropy_estimator="nearest_neighbour"), state=resumed.state,
           metrics_out=half)
@@ -319,17 +388,17 @@ def test_checkpoint_resume_gives_the_uninterrupted_state(tmp_path, estimator):
         return RunConfig(batch_size=16, steps=steps, seed=9,
                          entropy_estimator=estimator)
 
-    dem, gen, points, _ = _small_run(tmp_path)
+    dem, gen, data, _ = _small_run(tmp_path)
     full = io.StringIO()
-    state = train(dem, gen, points, config(40), metrics_out=full)
+    state = train(dem, gen, data, config(40), metrics_out=full)
     save_checkpoint(tmp_path / "full.bin", Checkpoint({}, dem, gen, state))
 
-    dem2, gen2, points2, _ = _small_run(tmp_path)
+    dem2, gen2, data2, _ = _small_run(tmp_path)
     half = io.StringIO()
-    state2 = train(dem2, gen2, points2, config(20), metrics_out=half)
+    state2 = train(dem2, gen2, data2, config(20), metrics_out=half)
     save_checkpoint(tmp_path / "mid.bin", Checkpoint({}, dem2, gen2, state2))
     resumed = load_checkpoint(tmp_path / "mid.bin")
-    state2 = train(resumed.dem, resumed.gen, points2, config(40), state=resumed.state,
+    state2 = train(resumed.dem, resumed.gen, data2, config(40), state=resumed.state,
                    metrics_out=half)
     save_checkpoint(tmp_path / "resumed.bin",
                     Checkpoint({}, resumed.dem, resumed.gen, state2))
@@ -348,8 +417,8 @@ def test_checkpoint_resume_gives_the_uninterrupted_state(tmp_path, estimator):
 
 
 def test_checkpoint_rng_state_roundtrip(tmp_path):
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "rng.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     loaded = load_checkpoint(path)
@@ -360,8 +429,8 @@ def test_checkpoint_rng_state_roundtrip(tmp_path):
 
 
 def test_checkpoint_truncation_detected(tmp_path):
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "trunc.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     data = path.read_bytes()
@@ -372,8 +441,8 @@ def test_checkpoint_truncation_detected(tmp_path):
 
 
 def test_checkpoint_bad_magic_and_version(tmp_path):
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "bad.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     data = bytearray(path.read_bytes())
@@ -448,6 +517,31 @@ def test_checkpoint_malformed_header_value(tmp_path, edit):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: h["dem"].update(widths=[2, 200_000, 200_000, 4]),
+    lambda h: h["gen"].update(widths=[4, 200_000, 200_000, 2]),
+    lambda h: h["dem"].update(n_experts=10**12),
+    lambda h: h["dem"].update(widths=[2, 200_000, 200_000, 4], n_experts=-10**10),
+], ids=["dem_widths", "gen_widths", "n_experts", "negative_n_experts_offsetting"])
+def test_checkpoint_widths_past_the_payload_are_refused_before_building(
+        tmp_path, monkeypatch, edit):
+    """A header whose weights would hold more floats than the payload is
+    refused before any model array is allocated; a negative width cannot
+    offset a large one."""
+    dem, gen, _, _ = _small_run(tmp_path)
+    path = tmp_path / "wide.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
+    rewrite_checkpoint_header(path, edit)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(EnergyModel, "build", build)
+    monkeypatch.setattr(GeneratorModel, "build", build)
+    with pytest.raises(CheckpointError, match="weights, the tensor payload holds"):
+        load_checkpoint(path)
+
+
 def _resize_tensor(path, name, size):
     """Rewrite the checkpoint at ``path`` so that tensor ``name`` holds
     ``size`` ones: its manifest entry and its payload block both change."""
@@ -471,8 +565,8 @@ def _resize_tensor(path, name, size):
 def test_checkpoint_accumulator_of_the_wrong_shape(tmp_path, size):
     """An accumulator that does not fit its parameter (b_vis has 2 entries)
     is a corrupt checkpoint, not something to broadcast on resume."""
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "acc.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     _resize_tensor(path, "acc.dem.b_vis", size)
@@ -481,8 +575,8 @@ def test_checkpoint_accumulator_of_the_wrong_shape(tmp_path, size):
 
 
 def test_checkpoint_missing_accumulator_is_zero_and_unknown_one_ignored(tmp_path):
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "acc.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     rewrite_checkpoint_header(
@@ -504,12 +598,12 @@ def test_checkpoint_before_a_models_first_update_resumes_to_the_uninterrupted_ru
         return RunConfig(batch_size=16, steps=steps, seed=9,
                          dem_updates_per_dgm_update=3)
 
-    dem, gen, points, _ = _small_run(tmp_path)
-    state = train(dem, gen, points, config(7))
+    dem, gen, data, _ = _small_run(tmp_path)
+    state = train(dem, gen, data, config(7))
     save_checkpoint(tmp_path / "full.bin", Checkpoint({}, dem, gen, state))
 
-    dem2, gen2, points2, _ = _small_run(tmp_path)
-    state2 = train(dem2, gen2, points2, config(1))
+    dem2, gen2, data2, _ = _small_run(tmp_path)
+    state2 = train(dem2, gen2, data2, config(1))
     save_checkpoint(tmp_path / "early.bin", Checkpoint({}, dem2, gen2, state2))
     data = (tmp_path / "early.bin").read_bytes()
     header_len = struct.unpack("<Q", data[12:20])[0]
@@ -519,7 +613,7 @@ def test_checkpoint_before_a_models_first_update_resumes_to_the_uninterrupted_ru
     resumed = load_checkpoint(tmp_path / "early.bin")
     assert not resumed.gen.store.acc.any()
     assert np.array_equal(resumed.dem.store.acc, dem2.store.acc)
-    state2 = train(resumed.dem, resumed.gen, points2, config(7), state=resumed.state)
+    state2 = train(resumed.dem, resumed.gen, data2, config(7), state=resumed.state)
     save_checkpoint(tmp_path / "resumed.bin",
                     Checkpoint({}, resumed.dem, resumed.gen, state2))
     assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
@@ -543,8 +637,8 @@ def _insert_block(path, index, name, values):
 def test_checkpoint_unknown_block_before_a_model_block_is_skipped(tmp_path):
     """The loader walks the manifest once, so a block that names no model
     array must still advance the offset of the blocks after it."""
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "extra.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
     _insert_block(path, 0, "dem.no_such_parameter", np.arange(5.0))
@@ -616,8 +710,8 @@ def test_load_checkpoint_reads_each_block_into_its_array(tmp_path):
 
 def test_checkpoint_with_older_header_fields_loads(tmp_path):
     # earlier versions also wrote activation names and a metrics history
-    dem, gen, points, config = _small_run(tmp_path)
-    state = train(dem, gen, points, config)
+    dem, gen, data, config = _small_run(tmp_path)
+    state = train(dem, gen, data, config)
     path = tmp_path / "old.bin"
     save_checkpoint(path, Checkpoint({}, dem, gen, state))
 

@@ -250,8 +250,8 @@ def test_training_lowers_cross_entropy():
     dem = EnergyModel.build((2, 32, 4), 4, np.random.default_rng(18))
     gen = GeneratorModel.build((4, 32, 2), np.random.default_rng(19))
     before = model_data_divergence(dem, ds.points, bounds, 100)
-    train(dem, gen, ds.points, RunConfig(batch_size=32, steps=1500, seed=20,
-                                         entropy_estimator="nearest_neighbour"))
+    train(dem, gen, ds, RunConfig(batch_size=32, steps=1500, seed=20,
+                                  entropy_estimator="nearest_neighbour"))
     after = model_data_divergence(dem, ds.points, bounds, 100)
     assert after["cross_entropy"] < before["cross_entropy"]
 

@@ -9,6 +9,7 @@ import pytest
 from dualebm import autodiff as ad
 from dualebm.autodiff import Tape
 from dualebm.config import RunConfig, build_models
+from dualebm.data_io import Dataset
 from dualebm.energy_model import EnergyModel, dem_loss_gradient
 from dualebm.generator_model import GeneratorModel, dgm_loss_gradient, sample_prior
 from dualebm.gradcheck import GRADCHECK_TOLERANCE, finite_difference, run_gradcheck
@@ -154,10 +155,10 @@ def test_training_keeps_one_workspace_per_model(estimator):
     first step for the batch size and kept as long as the size holds."""
     config = RunConfig(seed=0, steps=2, entropy_estimator=estimator)
     dem, gen = build_models(config)
-    points = np.random.default_rng(30).normal(size=(256, 2))
-    state = train(dem, gen, points, config)
+    data = Dataset(np.random.default_rng(30).normal(size=(256, 2)))
+    state = train(dem, gen, data, config)
     workspaces = (dem._workspace, gen._workspace)
     assert [ws.rows for ws in workspaces] == [config.batch_size] * 2
     config.steps = 5
-    train(dem, gen, points, config, state=state)
+    train(dem, gen, data, config, state=state)
     assert dem._workspace is workspaces[0] and gen._workspace is workspaces[1]

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from dualebm import training
 from dualebm.autodiff import ParameterStore, Tape
 from dualebm.config import RunConfig
+from dualebm.data_io import Dataset
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import (
@@ -239,10 +240,10 @@ def test_nan_gradient_aborts_with_parameter_and_step(monkeypatch):
 
     monkeypatch.setattr(training, "dgm_loss_gradient", poisoned)
     dem, gen = _models(19)
-    points = np.random.default_rng(20).normal(size=(64, 2))
+    data = Dataset(np.random.default_rng(20).normal(size=(64, 2)))
     before = gen.store.values.copy()
     with pytest.raises(NonFiniteGradientError) as err:
-        train(dem, gen, points, _tiny_config(steps=10))
+        train(dem, gen, data, _tiny_config(steps=10))
     assert err.value.param_name == "gen.layer1.b"
     assert err.value.step == 3
     assert str(err.value) == "non-finite gradient for parameter 'gen.layer1.b' at step 3"
@@ -270,9 +271,9 @@ def test_an_overflowing_gradient_norm_aborts_with_parameter_and_step(monkeypatch
 
     monkeypatch.setattr(training, "dgm_loss_gradient", poisoned)
     dem, gen = _models(19)
-    points = np.random.default_rng(20).normal(size=(64, 2))
+    data = Dataset(np.random.default_rng(20).normal(size=(64, 2)))
     with pytest.raises(NonFiniteGradientError) as err:
-        train(dem, gen, points, _tiny_config(steps=10))
+        train(dem, gen, data, _tiny_config(steps=10))
     assert (err.value.param_name, err.value.step) == ("gen.layer1.b", 3)
     assert np.array_equal(gen.store.values, before[0])
     assert np.array_equal(gen.store.acc, before[1])
@@ -281,13 +282,13 @@ def test_an_overflowing_gradient_norm_aborts_with_parameter_and_step(monkeypatch
 def test_each_model_updates_the_accumulator_of_its_own_store():
     dem, gen = _models(21)
     dem_acc, gen_acc = dem.store.acc, gen.store.acc
-    points = np.random.default_rng(22).normal(size=(64, 2))
+    data = Dataset(np.random.default_rng(22).normal(size=(64, 2)))
     config = _tiny_config(steps=1, dem_updates_per_dgm_update=2)
-    state = train(dem, gen, points, config)
+    state = train(dem, gen, data, config)
     assert dem.store.acc is dem_acc and dem_acc.any()
     assert gen.store.acc is gen_acc and not gen_acc.any()   # not updated yet
     config.steps = 2
-    state = train(dem, gen, points, config, state=state)
+    state = train(dem, gen, data, config, state=state)
     assert dem.store.acc is dem_acc and gen.store.acc is gen_acc and gen_acc.any()
     assert not hasattr(state, "accumulators")
 
@@ -330,9 +331,9 @@ def test_a_training_step_records_nothing_on_a_tape(monkeypatch, estimator):
 
     config = RunConfig(seed=0, entropy_estimator=estimator, steps=1)
     dem, gen = build_models(config)
-    points = np.random.default_rng(30).normal(size=(256, 2))
+    data = Dataset(np.random.default_rng(30).normal(size=(256, 2)))
     monkeypatch.setattr(Tape, "_record", counted)
-    state = train(dem, gen, points, config)
+    state = train(dem, gen, data, config)
     assert state.step == 1 and gen.store.acc.any()
     assert records == []
 
@@ -375,8 +376,8 @@ def test_train_metric_streams_are_deterministic():
     def run():
         dem, gen = _models(3)
         out = io.StringIO()
-        points = np.random.default_rng(5).normal(size=(200, 2))
-        train(dem, gen, points, _tiny_config(), metrics_out=out)
+        data = Dataset(np.random.default_rng(5).normal(size=(200, 2)))
+        train(dem, gen, data, _tiny_config(), metrics_out=out)
         return out.getvalue()
 
     first = run()
@@ -389,13 +390,12 @@ def test_training_on_image_bytes_matches_training_on_their_decoded_floats():
     """A byte dataset, decoded a minibatch at a time, trains the default
     mnist models bit for bit as its decoded float64 array does."""
     from dualebm.config import build_models
-    from dualebm.data_io import Dataset
 
     config = RunConfig(dataset="mnist", mnist_images="images.idx",
                        mnist_labels="labels.idx", steps=20, seed=4)
     pixels = np.random.default_rng(7).integers(0, 256, size=(300, 784), dtype=np.uint8)
     runs = []
-    for data in (Dataset(pixels, "mnist"), pixels.astype(np.float64) / 255.0):
+    for data in (Dataset(pixels), Dataset(pixels.astype(np.float64) / 255.0)):
         dem, gen = build_models(config)
         out = io.StringIO()
         train(dem, gen, data, config, metrics_out=out)
@@ -410,35 +410,35 @@ def test_training_on_image_bytes_matches_training_on_their_decoded_floats():
 
 def test_train_returns_state_and_respects_step_budget():
     dem, gen = _models(4)
-    points = np.random.default_rng(6).normal(size=(100, 2))
-    state = train(dem, gen, points, _tiny_config(steps=10))
+    data = Dataset(np.random.default_rng(6).normal(size=(100, 2)))
+    state = train(dem, gen, data, _tiny_config(steps=10))
     assert state.step == 10
 
 
 def test_train_does_not_mutate_dataset():
     dem, gen = _models(5)
-    points = np.random.default_rng(8).normal(size=(100, 2))
-    original = points.copy()
-    train(dem, gen, points, _tiny_config(steps=5))
-    assert np.array_equal(points, original)
+    data = Dataset(np.random.default_rng(8).normal(size=(100, 2)))
+    original = data.points.copy()
+    train(dem, gen, data, _tiny_config(steps=5))
+    assert np.array_equal(data.points, original)
 
 
 def test_degenerate_dataset_carves_a_minimum():
     dem, gen = _models(9)
     target = np.array([[0.4, -0.3]])
-    points = np.repeat(target, 64, axis=0)
-    train(dem, gen, points, _tiny_config(steps=500, batch_size=32))
+    data = Dataset(np.repeat(target, 64, axis=0))
+    train(dem, gen, data, _tiny_config(steps=500, batch_size=32))
     probes = np.random.default_rng(10).uniform(-1.5, 1.5, size=(100, 2))
     assert dem.energy_values(target).mean() < dem.energy_values(probes).mean()
 
 
 def test_alternation_touches_only_its_own_parameters():
     dem, gen = _models(11)
-    points = np.random.default_rng(12).normal(size=(64, 2))
+    data = Dataset(np.random.default_rng(12).normal(size=(64, 2)))
     gen_before = [p.values.copy() for p in gen.params()]
     dem_before = [p.values.copy() for p in dem.params()]
     # with the generator update gated to every 2nd batch, step 1 is DEM-only
-    train(dem, gen, points, _tiny_config(steps=1, dem_updates_per_dgm_update=2))
+    train(dem, gen, data, _tiny_config(steps=1, dem_updates_per_dgm_update=2))
     assert all(np.array_equal(p.values, b) for p, b in zip(gen.params(), gen_before))
     assert any(not np.array_equal(p.values, b)
                for p, b in zip(dem.params(), dem_before))
@@ -465,9 +465,9 @@ def test_train_calls_go_through_the_patchable_names(monkeypatch):
     counted(GeneratorModel, "generate", lambda args, kwargs: "generate:" + kwargs.get(
         "mode", args[2] if len(args) > 2 else "infer"))
     dem, gen = _models(15)
-    points = np.random.default_rng(16).normal(size=(64, 2))
+    data = Dataset(np.random.default_rng(16).normal(size=(64, 2)))
     steps = 3
-    train(dem, gen, points, _tiny_config(steps=steps))
+    train(dem, gen, data, _tiny_config(steps=steps))
     assert calls.count("adagrad_step") == 2 * steps
     assert calls.count("generate:train") == steps
     assert len([c for c in calls if c.startswith("generate")]) == steps
@@ -478,9 +478,9 @@ def test_train_calls_go_through_the_patchable_names(monkeypatch):
 
 def test_dgm_update_cadence():
     dem, gen = _models(13)
-    points = np.random.default_rng(14).normal(size=(64, 2))
+    data = Dataset(np.random.default_rng(14).normal(size=(64, 2)))
     out = io.StringIO()
-    train(dem, gen, points, _tiny_config(steps=6, dem_updates_per_dgm_update=3),
+    train(dem, gen, data, _tiny_config(steps=6, dem_updates_per_dgm_update=3),
           metrics_out=out)
     lines = out.getvalue().splitlines()
     assert ["dgm_gnorm" in line for line in lines] == [False, False, True] * 2
@@ -488,10 +488,10 @@ def test_dgm_update_cadence():
 
 def test_nonfinite_abort_carries_step_and_parameter():
     dem, gen = _models(15)
-    points = np.random.default_rng(16).normal(size=(64, 2))
+    data = Dataset(np.random.default_rng(16).normal(size=(64, 2)))
     dem.layers[0].w.values[0, 0] = np.nan
     with pytest.raises(NonFiniteGradientError) as err:
-        train(dem, gen, points, _tiny_config(steps=5))
+        train(dem, gen, data, _tiny_config(steps=5))
     assert err.value.step == 0
     assert "dem." in err.value.param_name
 
@@ -504,14 +504,14 @@ def test_resume_matches_uninterrupted_run():
 
     dem, gen = fresh()
     full = io.StringIO()
-    train(dem, gen, np.random.default_rng(18).normal(size=(128, 2)), cfg,
+    train(dem, gen, Dataset(np.random.default_rng(18).normal(size=(128, 2))), cfg,
           metrics_out=full)
 
     dem2, gen2 = fresh()
-    points = np.random.default_rng(18).normal(size=(128, 2))
+    data = Dataset(np.random.default_rng(18).normal(size=(128, 2)))
     half = io.StringIO()
-    state = train(dem2, gen2, points, _tiny_config(steps=20), metrics_out=half)
-    state_resumed = train(dem2, gen2, points, cfg, state=state, metrics_out=half)
+    state = train(dem2, gen2, data, _tiny_config(steps=20), metrics_out=half)
+    state_resumed = train(dem2, gen2, data, cfg, state=state, metrics_out=half)
     assert state_resumed.step == 40
     assert half.getvalue() == full.getvalue()
     for p, q in zip(dem.params(), dem2.params()):

@@ -32,8 +32,14 @@ its backward is one reverse sweep. Each primitive takes at least one
 as its values. ``Parameter`` objects are trainable leaves: after
 ``tape.backward(root)`` each parameter watched by the tape holds
 d(root)/d(parameter) in ``.grad`` (zero if unreachable from the root).
-Runtime values are numpy float64 arrays (C order, batch as the leading
-dimension).
+A tape computes in float64.
+
+The model passes run in the dtype of their parameters: float64 for the 2D
+models, float32 for the 784-d (mnist) ones (``config.build_models`` picks
+it). A ``Parameter``, its ``ParameterStore``, a ``BatchNormState``, a
+workspace and a ``by_row_blocks`` output all take that one dtype, so no
+pass mixes two. Arrays are C order, with the batch as the leading
+dimension.
 
 Numerically sensitive primitives use overflow-safe identities:
 
@@ -88,12 +94,13 @@ def _as_array(x) -> np.ndarray:
 
 
 class Parameter:
-    """Trainable array plus a persistent gradient buffer of the same shape."""
+    """Trainable array plus a persistent gradient buffer of the same shape
+    and dtype (float64 unless given)."""
 
     __slots__ = ("values", "grad", "name")
 
-    def __init__(self, values, name: str):
-        self.values = np.array(values, dtype=np.float64)
+    def __init__(self, values, name: str, dtype=np.float64):
+        self.values = np.array(values, dtype=dtype)
         self.grad = np.zeros_like(self.values)
         self.name = name
 
@@ -110,7 +117,8 @@ class ParameterStore:
     rebinds ``p.values`` and ``p.grad`` to reshaped views of those slices.
     Writes through either name then reach the same memory. ``acc`` starts
     at zero; ``training.adagrad_step`` updates it in place. ``spans`` holds
-    each parameter's ``(name, slice, shape)`` in that order.
+    each parameter's ``(name, slice, shape)`` in that order. All three
+    buffers have the parameters' dtype, which they must share.
     """
 
     def __init__(self, params: Sequence[Parameter]):
@@ -118,10 +126,15 @@ class ParameterStore:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ValueError(f"parameter names must be unique, got {names}")
+        dtypes = {p.values.dtype for p in self.params} or {np.dtype(np.float64)}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters of one store share a dtype, "
+                             f"got {sorted(map(str, dtypes))}")
+        self.dtype = dtypes.pop()
         size = sum(p.values.size for p in self.params)
-        self.values = np.empty(size)
-        self.grad = np.empty(size)
-        self.acc = np.zeros(size)
+        self.values = np.empty(size, self.dtype)
+        self.grad = np.empty(size, self.dtype)
+        self.acc = np.zeros(size, self.dtype)
         self.spans = []
         offset = 0
         for p in self.params:
@@ -150,8 +163,8 @@ class BatchNormState:
     var: np.ndarray
 
     @classmethod
-    def initial(cls, dim: int) -> "BatchNormState":
-        return cls(mean=np.zeros(dim), var=np.ones(dim))
+    def initial(cls, dim: int, dtype=np.float64) -> "BatchNormState":
+        return cls(mean=np.zeros(dim, dtype), var=np.ones(dim, dtype))
 
 
 class Node:
@@ -283,20 +296,21 @@ def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
     shape ``row_shape``) depends on its input row alone, run on blocks of
     ``ROW_BLOCK`` rows.
 
-    The float64 output is allocated once; ``fn(block, out)`` writes the
-    block's rows straight into ``out``, their slice of it, so no block's
+    The output, of x's dtype, is allocated once; ``fn(block, out)`` writes
+    the block's rows straight into ``out``, their slice of it, so no block's
     result is copied. The caller checks x's shape first: ``fn`` never runs
     when x has no rows.
 
     Peak memory is the output plus a few block activations, whatever the
-    row count. A block's 128-wide float64 activation is 256 KiB: it stays in
-    L2 cache, and glibc serves it from heap memory the previous block freed,
-    so no page is faulted in anew; a 784-wide output layer writes into the
-    output, whose pages are faulted in once. BLAS may pick its kernel by the
-    row count, so a row of a pass over more than ``ROW_BLOCK`` rows can
-    differ from the one-batch pass in the last ulp.
+    row count. A block's 128-wide float64 activation is 256 KiB (a float32
+    one half that): it stays in L2 cache, and glibc serves it from heap
+    memory the previous block freed, so no page is faulted in anew; a
+    784-wide output layer writes into the output, whose pages are faulted
+    in once. BLAS may pick its kernel by the row count, so a row of a pass
+    over more than ``ROW_BLOCK`` rows can differ from the one-batch pass in
+    the last ulp.
     """
-    out = np.empty((x.shape[0], *row_shape))
+    out = np.empty((x.shape[0], *row_shape), x.dtype)
     for start in range(0, x.shape[0], ROW_BLOCK):
         fn(x[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK])
     return out
@@ -608,13 +622,15 @@ class Dense:
 
 def dense_stack(prefix: str, widths: Sequence[int], activations: Sequence[str],
                 rng: np.random.Generator, init_scale: float,
-                batch_norm: bool) -> list[Dense]:
+                batch_norm: bool, dtype=np.float64) -> list[Dense]:
     """Layers from width ``widths[0]`` to ``widths[-1]``, layer i with
     ``activations[i]`` and parameters ``{prefix}.layer{i}.w``, ``.b``,
     ``.bn_shift`` and ``.bn_scale``; with ``batch_norm`` every layer but the
     last has batch norm. Weights are uniform in +/- init_scale /
-    sqrt(fan_in), drawn from rng layer by layer; biases and shifts start at
-    zero, scales at one."""
+    sqrt(fan_in), drawn from rng layer by layer as float64 whatever
+    ``dtype``, the parameters' and batch-norm statistics' dtype, so every
+    dtype consumes rng alike; biases and shifts start at zero, scales at
+    one."""
     if any(width < 1 for width in widths):
         raise ValueError(f"layer widths must be at least 1, got {list(widths)}")
     layers = []
@@ -622,12 +638,12 @@ def dense_stack(prefix: str, widths: Sequence[int], activations: Sequence[str],
         name = f"{prefix}.layer{i}"
         bound = init_scale / np.sqrt(fan_in)
         layer = Dense(Parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                                f"{name}.w"),
-                      Parameter(np.zeros(fan_out), f"{name}.b"), activations[i])
+                                f"{name}.w", dtype),
+                      Parameter(np.zeros(fan_out), f"{name}.b", dtype), activations[i])
         if batch_norm and i < len(widths) - 2:
-            layer.bn_shift = Parameter(np.zeros(fan_out), f"{name}.bn_shift")
-            layer.bn_scale = Parameter(np.ones(fan_out), f"{name}.bn_scale")
-            layer.bn_state = BatchNormState.initial(fan_out)
+            layer.bn_shift = Parameter(np.zeros(fan_out), f"{name}.bn_shift", dtype)
+            layer.bn_scale = Parameter(np.ones(fan_out), f"{name}.bn_scale", dtype)
+            layer.bn_state = BatchNormState.initial(fan_out, dtype)
         layers.append(layer)
     return layers
 
@@ -639,21 +655,26 @@ def workspace(ws: Optional[SimpleNamespace], rows: int, layers: Sequence[Dense],
     ``dh`` of the layer's output, and the weight gradient ``dw``; per
     batch-norm layer ``xhat``, ``inv`` and the layer's output ``h``
     (elsewhere None, None and ``a``); an array of each shape in ``extra``;
-    and ``rows``."""
+    and ``rows``. Every array has the layers' dtype."""
     if ws is not None and ws.rows == rows:
         return ws
+    dtype = layers[0].w.values.dtype
+
+    def empty(shape):
+        return np.empty(shape, dtype)
+
     ws = SimpleNamespace(rows=rows, a=[], ga=[], dh=[], dw=[], xhat=[], inv=[], h=[],
-                         **{name: np.empty(shape) for name, shape in extra.items()})
+                         **{name: empty(shape) for name, shape in extra.items()})
     for layer in layers:
         shape = (rows, layer.w.values.shape[1])
         norm = layer.has_batch_norm
-        ws.a.append(np.empty(shape))
-        ws.ga.append(np.empty(shape))
-        ws.dh.append(np.empty(shape))
-        ws.dw.append(np.empty(layer.w.values.shape))
-        ws.xhat.append(np.empty(shape) if norm else None)
-        ws.inv.append(np.empty(shape[1]) if norm else None)
-        ws.h.append(np.empty(shape) if norm else ws.a[-1])
+        ws.a.append(empty(shape))
+        ws.ga.append(empty(shape))
+        ws.dh.append(empty(shape))
+        ws.dw.append(empty(layer.w.values.shape))
+        ws.xhat.append(empty(shape) if norm else None)
+        ws.inv.append(empty(shape[1]) if norm else None)
+        ws.h.append(empty(shape) if norm else ws.a[-1])
     return ws
 
 

@@ -196,20 +196,17 @@ def apply_overrides(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfi
 def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
     """The run's training data: for mnist, the uint8 pixel rows of the
     first ``mnist_limit`` images of the IDX pair (all of them when it is
-    0), with no other image read; for a spiral, ``n_points`` float64
-    points drawn from ``rng``."""
+    0), with no other image read, and none at all unless the header's
+    images have ``MNIST_PIXELS`` pixels; for a spiral, ``n_points``
+    float64 points drawn from ``rng``."""
     if config.dataset == "mnist":
         try:
-            ds = load_mnist_idx(config.mnist_images, config.mnist_labels,
-                                config.mnist_limit)
+            return load_mnist_idx(config.mnist_images, config.mnist_labels,
+                                  config.mnist_limit, MNIST_PIXELS)
         except (OSError, ValueError) as err:
-            # a missing or unreadable file, an IdxFormatError, or the
-            # ValueError of a Dataset with no images
+            # a missing or unreadable file, an IdxFormatError (wrongly sized
+            # images too), or the ValueError of a Dataset with no images
             raise ConfigError(f"cannot load mnist data: {err}") from None
-        if ds.points.shape[1] != MNIST_PIXELS:
-            raise ConfigError(f"{config.mnist_images}: images of {ds.points.shape[1]} "
-                              f"pixels, the mnist models take {MNIST_PIXELS}")
-        return ds
     ds = make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
     # the quadratic energy term |x|^2 / sigma^2 of a batch's points, summed
     # for its mean, must be a float: a noise_sd of 1e300 puts the points
@@ -227,15 +224,20 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
 
 
 def build_models(config: RunConfig) -> tuple[EnergyModel, GeneratorModel]:
-    d_in = MNIST_PIXELS if config.dataset == "mnist" else 2
+    """The run's freshly initialised models, and the one choice of the
+    dtype they compute in: float32 for the 784-d mnist models, whose steps
+    are bound by BLAS and by memory passes over their parameters, float64
+    for the 2D ones. The weights are drawn as float64 either way."""
+    mnist = config.dataset == "mnist"
+    d_in = MNIST_PIXELS if mnist else 2
+    dtype = np.float32 if mnist else np.float64
     init_rng = rng_streams(config.seed)["init"]
     dem = EnergyModel.build(
         tuple([d_in] + list(config.dem_hidden) + [config.d_feat]),
-        config.n_experts, init_rng, sigma=config.sigma)
+        config.n_experts, init_rng, sigma=config.sigma, dtype=dtype)
     gen = GeneratorModel.build(
         tuple([config.d_z] + list(config.gen_hidden) + [d_in]),
-        init_rng,
-        output_activation="sigmoid" if config.dataset == "mnist" else "linear")
+        init_rng, output_activation="sigmoid" if mnist else "linear", dtype=dtype)
     return dem, gen
 
 

@@ -8,14 +8,18 @@ dataset inside the unit disk regardless of arm length.
 A ``Dataset`` owns the training rows and their format. An MNIST dataset
 holds the IDX file's pixels as they are stored, one uint8 row per image,
 and only the images a run trains on: the first ``limit`` of them.
-``Dataset.minibatch`` gives the rows ``training.train`` draws as float64,
-decoding bytes to [0, 1] as byte / 255.
+``Dataset.minibatch`` gives the rows ``training.train`` draws in the
+models' dtype, float32 for the 784-d models and float64 for the 2D ones,
+decoding bytes to [0, 1] as byte / 255 straight into that dtype.
 
 Checkpoints are a single binary container: magic, version word, a
 length-prefixed JSON header (config, architectures, step, RNG states,
-tensor manifest) followed by raw little-endian float64 tensor blocks in
+the models' dtype, tensor manifest) followed by raw little-endian tensor
+blocks of that dtype (``<f4`` for float32, ``<f8`` for float64) in
 manifest order: parameters, batch-norm statistics and AdaGrad
 accumulators (each model's ``store.acc``), one block per parameter name.
+A header without a dtype, as written before float32 models, means
+float64.
 A model's accumulator blocks are left out while the accumulator is all
 zero, as before the model's first update, and absent ones load as zero.
 Saving writes each array's buffer to a temp file renamed atomically. Loading
@@ -24,7 +28,7 @@ would hold more floats than the payload, builds the models, then walks the
 manifest once: a block named for a model array is shape-checked and read
 from the file straight into it, any other is skipped, and a parameter or
 batch-norm statistic no block names is missing. No copy of the file is
-held. Models load bit-exactly.
+held. Models load bit-exactly, in the dtype they were saved in.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ IDX_LABELS_MAGIC = 0x00000801
 CHECKPOINT_MAGIC = b"DUALEBM\x00"
 CHECKPOINT_VERSION = 1
 HEADER_KEYS = ("config", "dem", "gen", "state", "tensors")
+CHECKPOINT_DTYPES = {name: np.dtype(name) for name in ("float32", "float64")}
 
 # (number of arms, t_min, t_max) per named 2D dataset. Arms sit at equal
 # angular offsets, so four-spin's distribution is unchanged by a quarter turn.
@@ -71,7 +76,8 @@ class CheckpointError(ValueError):
 class Dataset:
     """The training rows: a nonempty (n, d) array of points. uint8 points
     are image bytes, held as they are; any other points are held as
-    float64 and must be finite. ``minibatch`` gives rows as float64."""
+    float64 and must be finite. ``minibatch`` gives rows in the dtype asked
+    for."""
     points: np.ndarray
 
     def __post_init__(self):
@@ -83,12 +89,15 @@ class Dataset:
         if self.points.dtype != np.uint8 and not np.all(np.isfinite(self.points)):
             raise ValueError("dataset contains non-finite points")
 
-    def minibatch(self, idx) -> np.ndarray:
-        """The rows at ``idx`` as float64: image bytes scaled to [0, 1] by
-        ``np.divide(rows, 255.0)``, which has the bits of
-        ``rows.astype(np.float64) / 255.0``; float rows as they are."""
+    def minibatch(self, idx, dtype=np.float64) -> np.ndarray:
+        """The rows at ``idx`` as ``dtype``. Image bytes are decoded
+        straight into it, scaled to [0, 1] by ``np.divide(rows, 255.0,
+        dtype=dtype)``: the bits of ``rows.astype(dtype) / 255.0``, and for
+        float32 no float64 copy. Float rows are rounded to ``dtype``."""
         rows = self.points[idx]
-        return np.divide(rows, 255.0) if rows.dtype == np.uint8 else rows
+        if rows.dtype == np.uint8:
+            return np.divide(rows, 255.0, dtype=dtype)
+        return rows.astype(dtype, copy=False)
 
 
 def _spiral_points(t: np.ndarray, arm, arms: int, t_max: float) -> np.ndarray:
@@ -148,12 +157,18 @@ def _idx_dims(path, magic: int, n_dims: int) -> list[int]:
     return dims
 
 
-def load_mnist_idx(images_path, labels_path, limit: int = 0) -> Dataset:
+def load_mnist_idx(images_path, labels_path, limit: int = 0,
+                   pixels: int = 0) -> Dataset:
     """A standard big-endian IDX pair as a dataset of uint8 pixel rows
     (image bytes, not yet scaled to [0, 1]). With ``limit`` > 0 only the
-    first ``limit`` images are read. Both headers are checked in full and
-    must agree on the count; no label is kept, so none is read."""
+    first ``limit`` images are read. With ``pixels`` > 0, images of any
+    other rows x cols are refused from the header, before a pixel is read.
+    Both headers are checked in full and must agree on the count; no label
+    is kept, so none is read."""
     count, rows, cols = _idx_dims(images_path, IDX_IMAGES_MAGIC, 3)
+    if pixels and rows * cols != pixels:
+        raise IdxFormatError(f"{images_path}: images of {rows * cols} pixels, "
+                             f"the models take {pixels}")
     (label_count,) = _idx_dims(labels_path, IDX_LABELS_MAGIC, 1)
     if label_count != count:
         raise IdxFormatError(
@@ -213,8 +228,10 @@ def _restore_rng(saved) -> np.random.Generator:
 
 
 def save_checkpoint(path, checkpoint: Checkpoint) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: temp file in the target directory, then rename.
+    The blocks are in the models' dtype, which the header records."""
     dem, gen, state = checkpoint.dem, checkpoint.gen, checkpoint.state
+    block = dem.dtype.newbyteorder("<")
     tensors = _model_tensors(dem, gen)
     tensors.update(sorted(_accumulator_views(
         store for store in (dem.store, gen.store) if store.acc.any()).items()))
@@ -234,6 +251,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
             "data_rng": state.data_rng.bit_generator.state,
             "prior_rng": state.prior_rng.bit_generator.state,
         },
+        "dtype": dem.dtype.name,
         "tensors": [[name, list(arr.shape)] for name, arr in tensors.items()],
     }
     blob = json.dumps(header).encode("utf-8")
@@ -246,7 +264,7 @@ def save_checkpoint(path, checkpoint: Checkpoint) -> None:
             f.write(struct.pack("<Q", len(blob)))
             f.write(blob)
             for arr in tensors.values():
-                f.write(np.ascontiguousarray(arr, dtype="<f8"))
+                f.write(np.ascontiguousarray(arr, dtype=block))
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -266,7 +284,8 @@ def _is_manifest(manifest) -> bool:
 def load_checkpoint(path) -> Checkpoint:
     """Parse and rebuild; an unreadable file or any inconsistency raises
     ``CheckpointError``. Header fields that older versions wrote and this
-    one does not read (the activation names, the metrics history) are ignored."""
+    one does not read (the activation names, the metrics history) are
+    ignored; a header with no dtype holds float64 blocks."""
     try:
         with open(path, "rb") as f:
             return _read_checkpoint(f, path)
@@ -309,10 +328,16 @@ def _read_checkpoint(f, path) -> Checkpoint:
     manifest = header["tensors"]
     if not _is_manifest(manifest):
         raise CheckpointError(f"{path}: corrupt header: malformed tensor manifest")
+    dtype_name = header.get("dtype", "float64")
+    dtype = CHECKPOINT_DTYPES.get(dtype_name) if isinstance(dtype_name, str) else None
+    if dtype is None:
+        raise CheckpointError(f"{path}: corrupt header: dtype {dtype_name!r} "
+                              f"is none of {sorted(CHECKPOINT_DTYPES)}")
+    itemsize = dtype.itemsize
 
     # Python ints, so a shape whose size overflows int64 cannot wrap
     payload = sum(math.prod(shape) for _, shape in manifest)
-    expected = 20 + header_len + 8 * payload
+    expected = 20 + header_len + itemsize * payload
     if file_size != expected:
         raise CheckpointError(
             f"{path}: corrupt tensor payload, expected {expected} bytes, "
@@ -331,10 +356,10 @@ def _read_checkpoint(f, path) -> Checkpoint:
                 f"of weights, the tensor payload holds {payload}")
         dem = EnergyModel.build(
             tuple(dem_meta["widths"]), dem_meta["n_experts"],
-            np.random.default_rng(0), sigma=dem_meta["sigma"])
+            np.random.default_rng(0), sigma=dem_meta["sigma"], dtype=dtype)
         gen = GeneratorModel.build(
             tuple(gen_meta["widths"]), np.random.default_rng(0),
-            output_activation=gen_meta["output_activation"])
+            output_activation=gen_meta["output_activation"], dtype=dtype)
         state = TrainState(
             step=state_meta["step"],
             data_rng=_restore_rng(state_meta["data_rng"]),
@@ -353,7 +378,7 @@ def _read_checkpoint(f, path) -> Checkpoint:
     unseen = dict.fromkeys(targets)  # accumulators may be absent: they stay zero
     targets.update(_accumulator_views((dem.store, gen.store)))
     for name, shape in manifest:
-        nbytes = 8 * math.prod(shape)
+        nbytes = itemsize * math.prod(shape)
         target = targets.get(name)
         if target is None:
             f.seek(nbytes, os.SEEK_CUR)
@@ -361,8 +386,9 @@ def _read_checkpoint(f, path) -> Checkpoint:
         if tuple(shape) != target.shape:
             raise CheckpointError(f"{path}: tensor {name!r} has shape "
                                   f"{tuple(shape)}, model expects {target.shape}")
-        # every target is a C-contiguous float64 array: a flat store's view
-        # or a batch-norm statistic; an empty one (no experts) reads nothing
+        # every target is a C-contiguous array of the header's dtype: a flat
+        # store's view or a batch-norm statistic; an empty one (no experts)
+        # reads nothing
         if nbytes and f.readinto(memoryview(target).cast("B")) != nbytes:
             raise CheckpointError(f"{path}: truncated tensor {name!r}")
         if sys.byteorder != "little":   # the blocks are little-endian

@@ -35,7 +35,8 @@ in blocks of ``autodiff.ROW_BLOCK`` = 256 rows through
 expression of each block's pass (here the final subtraction, in the
 generator the output layer's matmul, bias and sigmoid) writes into the
 block's slice of it, so no block result is copied and a call's peak memory
-is the output plus a few block arrays, whatever the row count. A 256-row,
+is the output plus a few block arrays, whatever the row count. The output
+and the blocks have the model's dtype (see ``autodiff``). A 256-row,
 128-wide float64 activation is 256 KiB, which stays in L2 cache and reuses
 the heap memory the previous block freed, so no page is faulted in anew. A
 train-mode ``generate`` stays one batch, since batch norm normalizes by
@@ -77,27 +78,34 @@ class EnergyModel:
         self._workspace = None
 
     @classmethod
-    def build(cls, widths, n_experts, rng, sigma=1.0, init_scale=1.0):
+    def build(cls, widths, n_experts, rng, sigma=1.0, init_scale=1.0,
+              dtype=np.float64):
         """Random model: fan-in uniform feature weights, small uniform experts.
 
         widths runs input -> hidden... -> feature dimension, e.g. (2, 128,
         128, 4); the experts' layer follows, from the feature dimension to
         n_experts. The feature weights are drawn from rng first, then the
-        experts' weights.
+        experts' weights, as float64 and then rounded to ``dtype``, the
+        dtype the model computes in.
         """
         if len(widths) < 2:
             raise ValueError("need at least an input and a feature width")
         activations = ["tanh"] * (len(widths) - 2) + ["sigmoid"]
         layers = ad.dense_stack("dem", widths, activations, rng, init_scale,
-                                batch_norm=False)
+                                batch_norm=False, dtype=dtype)
         d_feat = widths[-1]
         expert_w = Parameter(
             rng.uniform(-0.1 * init_scale, 0.1 * init_scale, size=(d_feat, n_experts)),
-            "dem.expert_w")
-        layers.append(ad.Dense(expert_w, Parameter(np.zeros(n_experts), "dem.expert_b"),
-                               "linear"))
-        b_vis = Parameter(np.zeros(widths[0]), "dem.b_vis")
+            "dem.expert_w", dtype)
+        layers.append(ad.Dense(
+            expert_w, Parameter(np.zeros(n_experts), "dem.expert_b", dtype), "linear"))
+        b_vis = Parameter(np.zeros(widths[0]), "dem.b_vis", dtype)
         return cls(layers, b_vis, sigma, widths)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, and of every pass and its result."""
+        return self.store.dtype
 
     @property
     def d_in(self) -> int:
@@ -120,19 +128,20 @@ class EnergyModel:
                 f"expected input of shape (batch, {self.d_in}), got {x.shape}")
 
     def energy_values(self, x: np.ndarray) -> np.ndarray:
-        """Per-row energies of a plain array; low values mark configurations
-        the model favors. Runs ``_energy`` on blocks of
-        ``autodiff.ROW_BLOCK`` rows (see the module docstring). Each row's
-        energy depends on that row alone, so blocking changes no value
-        beyond the last ulp of BLAS products."""
-        x = np.asarray(x, dtype=np.float64)
+        """Per-row energies of a plain array, in the model's dtype; low
+        values mark configurations the model favors. Runs ``_energy`` on
+        blocks of ``autodiff.ROW_BLOCK`` rows (see the module docstring).
+        Each row's energy depends on that row alone, so blocking changes no
+        value beyond the last ulp of BLAS products."""
+        x = np.asarray(x, dtype=self.dtype)
         self._check_width(x)
         return ad.by_row_blocks(lambda block, out: self._energy(block, out=out), x, ())
 
     def energy_gradient(self, x: np.ndarray, weights: np.ndarray, params: bool,
                         onto=None):
         """The energies of the rows of x, a fresh array, and the gradient of
-        sum_i weights[i] * E(x[i]), from one pass over x as one batch.
+        sum_i weights[i] * E(x[i]), from one pass over x as one batch. x is
+        read in the model's dtype, which the weights must have too.
 
         With ``params`` the gradient over the parameters is added into
         ``self.store.grad`` and None comes back in place of the gradient in
@@ -141,7 +150,7 @@ class EnergyModel:
         array, or, when ``onto`` (an array of x's shape) is given, added
         into ``onto`` in place, first of all the terms.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         self._check_width(x)
         rows = x.shape[0]
         ws = self._workspace = ad.workspace(self._workspace, rows, self.layers,
@@ -192,10 +201,11 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
     gradcheck read in place.
 
     x_neg is read as plain values: the generator that produced them gets no
-    gradient from this loss.
+    gradient from this loss. Both batches, and the rows' weights 1/n, are
+    taken in the model's dtype.
     """
-    x_pos = np.asarray(x_pos, dtype=np.float64)
-    x_neg = np.asarray(x_neg, dtype=np.float64)
+    x_pos = np.asarray(x_pos, dtype=model.dtype)
+    x_neg = np.asarray(x_neg, dtype=model.dtype)
     n = x_pos.shape[0]
     if n != x_neg.shape[0]:
         raise ValueError(
@@ -203,7 +213,8 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
     model.store.grad[...] = 0.0
     means = {}
     for key, x, sign in (("e_neg", x_neg, -1.0), ("e_pos", x_pos, 1.0)):
-        energies, _ = model.energy_gradient(x, np.full(n, sign) / n, params=True)
+        energies, _ = model.energy_gradient(x, np.full(n, sign, model.dtype) / n,
+                                            params=True)
         means[key] = float(energies.mean())
     return means["e_pos"] - means["e_neg"], means
 

@@ -249,8 +249,10 @@ def export_image_grid(obj, path) -> None:
 
     Min/max scaling is recorded in a ``<path>.meta`` sidecar; a constant
     input produces a zero image with the degenerate scale noted. The
-    samples are scaled a row block at a time into the one uint8 strip, so
-    the export needs an eighth of the samples' memory, not copies of them.
+    samples keep their dtype (the 784-d models' are float32), and are
+    scaled in float64 a row block at a time into the one uint8 strip, so
+    the export needs a quarter of float32 samples' memory, an eighth of
+    float64 ones', not copies of them.
     """
     if isinstance(obj, HeatmapGrid):
         xs, ys = _cell_centers(obj.bounds, obj.resolution)
@@ -263,7 +265,7 @@ def export_image_grid(obj, path) -> None:
         _write_sidecar(path, {"vmin": repr(obj.vmin), "vmax": repr(obj.vmax)})
         return
 
-    samples = np.asarray(obj, dtype=np.float64)
+    samples = np.asarray(obj)
     if samples.ndim != 2:
         raise ValueError(f"expected (k, pixels) samples, got shape {samples.shape}")
     side = int(round(np.sqrt(samples.shape[1])))
@@ -285,14 +287,16 @@ def export_image_grid(obj, path) -> None:
 
 def _scale_into_tiles(samples: np.ndarray, vmin: float, vmax: float,
                       tiles: np.ndarray) -> None:
-    """round((samples - vmin) / (vmax - vmin) * 255) into the (k, side,
-    side) uint8 view ``tiles``, ``ROW_BLOCK`` rows at a time through one
-    float buffer, so no full-size float temporary is made."""
+    """round((samples - vmin) / (vmax - vmin) * 255), computed in float64
+    whatever the samples' dtype, into the (k, side, side) uint8 view
+    ``tiles``, ``ROW_BLOCK`` rows at a time through one float64 buffer, so
+    no full-size float temporary is made."""
     span = vmax - vmin
     buf = np.empty((min(samples.shape[0], ROW_BLOCK), samples.shape[1]))
     for start in range(0, samples.shape[0], ROW_BLOCK):
         block = samples[start:start + ROW_BLOCK]
-        scaled = np.subtract(block, vmin, out=buf[:block.shape[0]])
+        scaled = np.subtract(block, vmin, out=buf[:block.shape[0]],
+                             dtype=np.float64)
         scaled /= span
         scaled *= 255.0
         np.round(scaled, out=scaled)

@@ -79,12 +79,14 @@ class GeneratorModel:
         self._workspace = None
 
     @classmethod
-    def build(cls, widths, rng, output_activation="linear", init_scale=1.0):
+    def build(cls, widths, rng, output_activation="linear", init_scale=1.0,
+              dtype=np.float64):
         """widths runs latent -> hidden... -> data, e.g. (4, 128, 128, 2).
 
         Each hidden layer is affine, tanh, then batch norm; its batch-norm
         scales carry the ``"batch_norm_scale"`` entropy. The output layer is
-        affine then ``output_activation``, with no batch norm.
+        affine then ``output_activation``, with no batch norm. The model
+        computes in ``dtype``.
         """
         if len(widths) < 2:
             raise ValueError("need at least a latent and an output width")
@@ -92,7 +94,12 @@ class GeneratorModel:
             raise ValueError(f"unknown activation {output_activation!r}")
         activations = ["tanh"] * (len(widths) - 2) + [output_activation]
         return cls(ad.dense_stack("gen", widths, activations, rng, init_scale,
-                                  batch_norm=True), widths)
+                                  batch_norm=True, dtype=dtype), widths)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the parameters, and of the samples."""
+        return self.store.dtype
 
     def params(self) -> list[Parameter]:
         return [p for l in self.layers for p in (l.w, l.b, l.bn_shift, l.bn_scale)
@@ -102,7 +109,8 @@ class GeneratorModel:
         return [l.bn_scale for l in self.layers if l.has_batch_norm]
 
     def generate(self, z: np.ndarray, mode: str = "infer") -> np.ndarray:
-        """Samples as a plain array; mode picks batch-norm statistics.
+        """Samples as a plain array of the model's dtype, into which z is
+        cast first; mode picks batch-norm statistics.
 
         Infer mode is free of side effects and row by row, so it runs on
         blocks of ``autodiff.ROW_BLOCK`` rows, whose output layer writes
@@ -116,7 +124,7 @@ class GeneratorModel:
         by the entropy term then actually widens the sample distribution
         instead of disappearing into a saturated nonlinearity.
         """
-        z = np.asarray(z, dtype=np.float64)
+        z = np.asarray(z, dtype=self.dtype)
         self._check_latents(z)
         if mode == "train":
             return ad.stack_forward(self.layers, z, mode)
@@ -131,7 +139,9 @@ class GeneratorModel:
 
 
 def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform(-1, 1) latent rows, reproducible from the generator."""
+    """n i.i.d. uniform(-1, 1) latent rows, reproducible from the generator;
+    float64 whatever the model's dtype, so each dtype draws the same
+    stream."""
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     return rng.uniform(-1.0, 1.0, size=(n, d_z))
@@ -170,15 +180,16 @@ def nearest_neighbour_entropy(x: np.ndarray, g: Optional[float] = None):
     digamma(1) the (n-1)-th harmonic number and V_d the volume of the unit
     d-ball. The neighbour is chosen on the values (no gradient flows
     through the choice); the distance is differentiated through both rows.
+    The work, and the gradient, are in x's dtype.
     """
     if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeError(
             f"nearest-neighbour entropy needs a (batch >= 2, dim) input, got {x.shape}")
     n, d = x.shape
-    dist = np.empty((n, n))
+    dist = np.empty((n, n), x.dtype)
     squared_distances(x, x, dist, np.empty_like(dist))
     np.fill_diagonal(dist, np.inf)
-    pick = np.zeros((n, n))
+    pick = np.zeros((n, n), x.dtype)
     pick[np.arange(n), dist.argmin(axis=1)] = 1.0
     diff = x - pick @ x
     # coinciding rows leave a zero row of diff, found before the square,
@@ -241,11 +252,12 @@ def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
     batch-norm scales whether or not the samples spread. The samples come
     from a train-mode pass, which moves the running statistics. The energy
     model passes the gradient on to its input, the samples, and its
-    parameters' gradients stay untouched.
+    parameters' gradients stay untouched. z is cast to the generator's
+    dtype, which the energy model must share.
     """
     if entropy_weight < 0:
         raise ValueError(f"entropy_weight must be >= 0, got {entropy_weight}")
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=gen.dtype)
     gen._check_latents(z)
     ws = gen._workspace = ad.workspace(gen._workspace, z.shape[0], gen.layers)
     x = ad.stack_forward(gen.layers, z, "train", ws)
@@ -259,7 +271,8 @@ def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
         raise ValueError(f"entropy_estimator must be one of {ENTROPY_ESTIMATORS}, "
                          f"got {entropy_estimator!r}")
     n = x.shape[0]
-    energies, dx = dem.energy_gradient(x, np.full(n, 1.0) / n, params=False, onto=dx)
+    energies, dx = dem.energy_gradient(x, np.full(n, 1.0, x.dtype) / n, params=False,
+                                       onto=dx)
     ad.stack_backward(gen.layers, z, ws, dx, "train", params=True)
     e_gen = float(energies.mean())
     loss = e_gen - entropy_weight * entropy if entropy_weight > 0 else e_gen

@@ -1,6 +1,6 @@
 """Alternating training of the energy model and the generator.
 
-Each step draws a data minibatch, float64 rows from
+Each step draws a data minibatch, rows in the models' dtype from
 ``data_io.Dataset.minibatch``, and a generated minibatch, updates the
 energy model with the positive/negative phase gradient, and (every
 ``dem_updates_per_dgm_update`` batches) updates the generator on a fresh
@@ -87,19 +87,21 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     model's flat parameter store, with g = ``store.grad`` and acc =
     ``store.acc``; returns the gradient's Euclidean norm.
 
-    scratch, a (2, store size) float64 array with contiguous rows, is
-    overwritten (allocated when None). g^2 is computed once, and every
-    operation works in place on the whole flat array. The norm sums g^2
-    per parameter span with ``np.add.reduce``, which has the bits of
-    ``(g_p * g_p).sum()``. A norm that is not finite, from a NaN or
-    infinite entry or from squares that overflow, raises
+    scratch, a (2, store size) array of the store's dtype with contiguous
+    rows, is overwritten (allocated when None). g^2 is computed once, and
+    every operation works in place on the whole flat array, in the store's
+    dtype: float32 for the 784-d models, float64 for the 2D ones. The norm
+    sums g^2 per parameter span with ``np.add.reduce``, which has the bits
+    of ``(g_p * g_p).sum()``, and adds the spans' sums as Python floats. A
+    norm that is not finite, from a NaN or infinite entry or from squares
+    that overflow (past about 1.8e19 in float32), raises
     ``NonFiniteGradientError`` before anything moves, with no numpy
     warning. It names the first parameter whose sum is not finite, else
     the one with the largest sum. Coordinates with g == 0 are left
     untouched even when acc and eps are both zero (the 0/0 case).
     """
     grad = store.grad
-    sq, delta = np.empty((2, grad.size)) if scratch is None else scratch
+    sq, delta = np.empty((2, grad.size), grad.dtype) if scratch is None else scratch
     with np.errstate(over="ignore"):   # an overflow shows as a sum of inf
         np.multiply(grad, grad, out=sq)
         sums = [float(np.add.reduce(sq[span])) for _, span, _ in store.spans]
@@ -137,7 +139,8 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
     config is the run's ``config.RunConfig``, validated here; only its
     training fields are read. dataset is a ``data_io.Dataset``, never
     mutated: each step draws row indices over its points and reads the
-    float64 rows through ``dataset.minibatch``. One line of
+    rows through ``dataset.minibatch``, in the dtype the two models share
+    (see ``config.build_models``). One line of
     ``key=value`` metrics per step goes to ``metrics_out`` when given.
     ``checkpoint_fn(state)`` fires every ``checkpoint_interval`` steps.
     Returns the final state; the models, with the AdaGrad accumulators in
@@ -146,14 +149,15 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
     config.validate()
     if state is None:
         state = TrainState.initial(config.seed)
-    buffer = np.empty((2, max(dem.store.values.size, gen.store.values.size)))
+    dtype = dem.dtype
+    buffer = np.empty((2, max(dem.store.values.size, gen.store.values.size)), dtype)
     dem_scratch = buffer[:, :dem.store.values.size]
     gen_scratch = buffer[:, :gen.store.values.size]
     n = config.batch_size
     while state.step < config.steps:
         try:
             idx = state.data_rng.integers(0, dataset.points.shape[0], size=n)
-            x_pos = dataset.minibatch(idx)
+            x_pos = dataset.minibatch(idx, dtype)
             z = sample_prior(n, gen.d_z, state.prior_rng)
             x_neg = gen.generate(z, "train")
             _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)

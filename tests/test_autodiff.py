@@ -440,6 +440,16 @@ def test_parameter_store_views_share_memory():
         ad.ParameterStore([param([1.0], "x"), param([2.0], "x")])
 
 
+def test_parameter_store_takes_its_parameters_dtype():
+    store = ad.ParameterStore([ad.Parameter([1.0, 2.0], "a", np.float32),
+                               ad.Parameter([[3.0]], "b", np.float32)])
+    for flat in (store.values, store.grad, store.acc):
+        assert flat.dtype == np.float32
+    assert store.dtype == np.float32 and store.params[1].values.dtype == np.float32
+    with pytest.raises(ValueError, match="share a dtype"):
+        ad.ParameterStore([ad.Parameter([1.0], "a", np.float32), param([2.0], "b")])
+
+
 # --- the dense-layer stack ---------------------------------------------------
 
 def _stack(seed=7):

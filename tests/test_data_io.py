@@ -27,7 +27,7 @@ from dualebm.data_io import (
 )
 from dualebm.energy_model import EnergyModel
 from dualebm.generator_model import GeneratorModel
-from dualebm.training import TrainState, train
+from dualebm.training import ConfigError, TrainState, train
 
 from helpers import rewrite_checkpoint_header, write_idx_pair
 
@@ -152,6 +152,30 @@ def test_minibatch_decodes_bytes_and_keeps_floats():
                           [[2.0, 3.0], [2.0, 3.0], [0.5, -1.0]])
 
 
+def test_minibatch_decodes_bytes_straight_to_float32():
+    """A float32 minibatch of bytes has the bits of ``byte.astype(float32)
+    / 255``, and of the float64 decoding rounded to float32, for every byte
+    value, so a float dataset trains the float32 models as its bytes do;
+    no float64 copy of the rows is made."""
+    pixels = np.arange(256, dtype=np.uint8).reshape(64, 4)
+    idx = np.r_[np.arange(64)[::-1], 5, 5]
+    rows = Dataset(pixels).minibatch(idx, np.float32)
+    assert rows.dtype == np.float32
+    expected = pixels[idx].astype(np.float32) / 255.0
+    assert np.array_equal(rows.view(np.int32), expected.view(np.int32))
+    floats = Dataset(pixels / 255.0).minibatch(idx, np.float32)
+    assert np.array_equal(floats.view(np.int32), expected.view(np.int32))
+    images = Dataset(np.zeros((2000, 784), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        images.minibatch(np.arange(2000), np.float32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bytes and the float32 rows; a float64 copy alone would be 8 per pixel
+    assert peak < 2000 * 784 * (1 + 4) + 64 * 1024
+
+
 # --- MNIST IDX -------------------------------------------------------------------
 
 def test_idx_roundtrip_shapes_and_scaling(tmp_path):
@@ -201,6 +225,23 @@ def test_mnist_limit_reads_only_the_images_a_run_trains_on(tmp_path):
         array = array.base
     assert array is None
     assert peak < 2 * 500 * 784 + 64 * 1024
+
+
+def test_wrongly_sized_mnist_images_are_refused_before_any_pixel_is_read(tmp_path):
+    """The images header's rows x cols are checked against the models'
+    784 pixels before the pixels are read: a pair of 40 images of 500x500
+    is refused having allocated far less than its 10 MB of pixels."""
+    images, labels, _ = write_idx_pair(tmp_path, count=40, rows=500, cols=500)
+    config = RunConfig(dataset="mnist", mnist_images=str(images),
+                       mnist_labels=str(labels))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="images of 250000 pixels"):
+            load_run_dataset(config, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 500 * 500 / 100
 
 
 def test_idx_bad_magic(tmp_path):
@@ -414,6 +455,131 @@ def test_checkpoint_resume_gives_the_uninterrupted_state(tmp_path, estimator):
     for model, twin in ((dem, resumed.dem), (gen, resumed.gen)):
         assert np.array_equal(model.store.acc, twin.store.acc)
     assert (tmp_path / "resumed.bin").read_bytes() == (tmp_path / "full.bin").read_bytes()
+
+
+# --- float32 (784-d) runs and checkpoints -------------------------------------
+
+def _mnist_config(steps, **overrides):
+    """A small 784-d run: float32 models, as ``build_models`` makes them."""
+    base = dict(dataset="mnist", mnist_images="i.idx", mnist_labels="l.idx",
+                dem_hidden=[32], gen_hidden=[32], batch_size=16, steps=steps,
+                seed=3)
+    return RunConfig(**{**base, **overrides}).validate()
+
+
+def _mnist_bytes():
+    return Dataset(np.random.default_rng(4).integers(0, 256, size=(200, 784),
+                                                     dtype=np.uint8))
+
+
+def _payload(path):
+    """A checkpoint's header and the bytes of its tensor blocks."""
+    data = path.read_bytes()
+    header_len = struct.unpack("<Q", data[12:20])[0]
+    return json.loads(data[20:20 + header_len]), data[20 + header_len:]
+
+
+@pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])
+def test_float32_run_is_deterministic_and_resumes_from_a_periodic_checkpoint(
+        tmp_path, estimator):
+    """Two 20-step float32 mnist runs give the same metrics and final
+    checkpoint bytes, and so does a run resumed from the step-10 periodic
+    checkpoint of the first."""
+    config = _mnist_config(20, checkpoint_interval=10, entropy_estimator=estimator)
+    data = _mnist_bytes()
+    runs = []
+    for name in ("first", "second"):
+        dem, gen = build_models(config)
+        out = tmp_path / name
+        out.mkdir()
+
+        def write(state, file_name, dem=dem, gen=gen, out=out):
+            save_checkpoint(out / file_name,
+                            Checkpoint(config.to_dict(), dem, gen, state))
+
+        metrics = io.StringIO()
+        state = train(dem, gen, data, config, metrics_out=metrics,
+                      checkpoint_fn=lambda s: write(s, f"checkpoint_{s.step}.bin"))
+        write(state, "checkpoint_final.bin")
+        runs.append((metrics.getvalue(), (out / "checkpoint_final.bin").read_bytes()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0].splitlines()) == 20
+
+    resumed = load_checkpoint(tmp_path / "first" / "checkpoint_10.bin")
+    assert resumed.state.step == 10 and resumed.dem.dtype == np.float32
+    metrics = io.StringIO()
+    state = train(resumed.dem, resumed.gen, data, config, state=resumed.state,
+                  metrics_out=metrics)
+    save_checkpoint(tmp_path / "resumed.bin",
+                    Checkpoint(config.to_dict(), resumed.dem, resumed.gen, state))
+    assert metrics.getvalue().splitlines() == runs[0][0].splitlines()[10:]
+    assert (tmp_path / "resumed.bin").read_bytes() == runs[0][1]
+
+
+def test_float32_checkpoint_holds_f4_blocks_and_loads_as_float32(tmp_path):
+    config = _mnist_config(3)
+    dem, gen = build_models(config)
+    state = train(dem, gen, _mnist_bytes(), config)
+    path = tmp_path / "f32.bin"
+    save_checkpoint(path, Checkpoint(config.to_dict(), dem, gen, state))
+    header, payload = _payload(path)
+    assert header["dtype"] == "float32"
+    assert len(payload) == 4 * sum(math.prod(shape) for _, shape in header["tensors"])
+    first = dem.layers[0].w.values
+    assert header["tensors"][0] == ["dem.layer0.w", list(first.shape)]
+    assert payload[:4 * first.size] == first.astype("<f4").tobytes()
+
+    loaded = load_checkpoint(path)
+    for model, twin in ((dem, loaded.dem), (gen, loaded.gen)):
+        for name in ("values", "grad", "acc"):
+            assert getattr(twin.store, name).dtype == np.float32, name
+        assert np.array_equal(model.store.values.view(np.int32),
+                              twin.store.values.view(np.int32))
+        assert np.array_equal(model.store.acc.view(np.int32),
+                              twin.store.acc.view(np.int32))
+    for a, b in zip(gen.layers, loaded.gen.layers):
+        if a.has_batch_norm:
+            for stat in ("mean", "var"):
+                assert getattr(b.bn_state, stat).dtype == np.float32
+                assert np.array_equal(getattr(a.bn_state, stat).view(np.int32),
+                                      getattr(b.bn_state, stat).view(np.int32))
+
+
+def test_784_checkpoint_with_no_dtype_in_its_header_loads_as_float64(tmp_path):
+    """Checkpoints written before float32 models record no dtype and hold
+    float64 blocks: a 784-d one still loads as float64, bit-exactly."""
+    rng = np.random.default_rng(5)
+    dem = EnergyModel.build((784, 16, 4), 4, rng)
+    gen = GeneratorModel.build((4, 16, 784), rng, output_activation="sigmoid")
+    state = train(dem, gen, _mnist_bytes(), RunConfig(batch_size=16, steps=3, seed=9))
+    path = tmp_path / "f64.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, state))
+    rewrite_checkpoint_header(path, lambda header: header.pop("dtype"))
+    header, payload = _payload(path)
+    assert "dtype" not in header
+    assert len(payload) == 8 * sum(math.prod(shape) for _, shape in header["tensors"])
+
+    loaded = load_checkpoint(path)
+    for model, twin in ((dem, loaded.dem), (gen, loaded.gen)):
+        assert twin.dtype == np.float64
+        assert np.array_equal(model.store.values.view(np.int64),
+                              twin.store.values.view(np.int64))
+        assert np.array_equal(model.store.acc.view(np.int64),
+                              twin.store.acc.view(np.int64))
+    for a, b in zip(gen.layers, loaded.gen.layers):
+        if a.has_batch_norm:
+            assert np.array_equal(a.bn_state.var.view(np.int64),
+                                  b.bn_state.var.view(np.int64))
+
+
+@pytest.mark.parametrize("dtype", ["float16", "<f4", ["float32"], None])
+def test_checkpoint_with_an_unknown_dtype_is_refused(tmp_path, dtype):
+    dem, gen, _, _ = _small_run(tmp_path)
+    path = tmp_path / "dtype.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
+    rewrite_checkpoint_header(path, lambda header: header.update(dtype=dtype))
+    with pytest.raises(CheckpointError, match="dtype"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rng_state_roundtrip(tmp_path):

@@ -319,6 +319,28 @@ def test_image_strip_makes_no_full_size_float_temporary(tmp_path, width):
     assert peak < samples.nbytes / 4
 
 
+@pytest.mark.parametrize("width", [49, 784])
+def test_float32_image_strip_is_scaled_in_float64_with_no_copy(tmp_path, width):
+    """Float32 samples, which the 784-d models give, export the bytes that
+    their exact float64 values do, with no float64 copy of them made."""
+    samples = (np.random.default_rng(25).uniform(-0.3, 1.2, size=(5000, width))
+               .astype(np.float32))
+    path = tmp_path / "strip.pgm"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        export_image_grid(samples, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the uint8 strip is a quarter of float32 samples, the float64 block
+    # buffer a few per cent of them; a float64 copy alone is twice them
+    assert peak < samples.nbytes / 2
+    pgm, meta = reference_image_files(samples)
+    assert path.read_bytes() == pgm
+    assert (tmp_path / "strip.pgm.meta").read_text() == meta
+
+
 def test_interpolation_strip_layout(tmp_path):
     gen = GeneratorModel.build((10, 32, 784), np.random.default_rng(22),
                                output_activation="sigmoid")

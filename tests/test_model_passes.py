@@ -162,3 +162,46 @@ def test_training_keeps_one_workspace_per_model(estimator):
     config.steps = 5
     train(dem, gen, data, config, state=state)
     assert dem._workspace is workspaces[0] and gen._workspace is workspaces[1]
+
+
+# --- the float32 passes of the 784-d models ----------------------------------
+
+def _784_pairs(seed):
+    """The default 784-d models in float32, as ``build_models`` makes them,
+    and float64 twins holding the same float32-rounded parameters."""
+    dem32, gen32 = build_models(RunConfig(dataset="mnist", mnist_images="i.idx",
+                                          mnist_labels="l.idx", seed=seed))
+    rng = np.random.default_rng(seed)
+    dem64 = EnergyModel.build(dem32.widths, dem32.n_experts, rng)
+    gen64 = GeneratorModel.build(gen32.widths, rng, output_activation="sigmoid")
+    for twin, model in ((dem64, dem32), (gen64, gen32)):
+        assert model.dtype == np.float32 and twin.dtype == np.float64
+        twin.store.values[...] = model.store.values
+    return dem32, gen32, dem64, gen64
+
+
+def _relative_error(got, want):
+    return float(np.linalg.norm(got.astype(np.float64) - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_loss_gradients_agree_with_float64(seed):
+    """On the same float32-rounded parameters and inputs, each loss's
+    float32 gradient is within 1e-5 of the float64 one, relative to its
+    norm (at most 2.3e-6 was measured here)."""
+    dem32, gen32, dem64, gen64 = _784_pairs(seed)
+    rng = np.random.default_rng(100 + seed)
+    x_pos = Dataset(rng.integers(0, 256, size=(64, 784), dtype=np.uint8)).minibatch(
+        np.arange(64), np.float32)
+    x_neg = gen32.generate(sample_prior(64, gen32.d_z, rng), "infer")
+    z = sample_prior(64, gen32.d_z, rng).astype(np.float32)
+    assert x_neg.dtype == np.float32
+    dem_loss_gradient(dem32, x_pos, x_neg)
+    dem_loss_gradient(dem64, x_pos.astype(np.float64), x_neg.astype(np.float64))
+    assert dem32.store.grad.dtype == np.float32
+    assert _relative_error(dem32.store.grad, dem64.store.grad) <= 1e-5
+    for estimator in ("batch_norm_scale", "nearest_neighbour"):
+        dgm_loss_gradient(gen32, dem32, z, 1.0, estimator)
+        dgm_loss_gradient(gen64, dem64, z.astype(np.float64), 1.0, estimator)
+        assert gen32.store.grad.dtype == np.float32
+        assert _relative_error(gen32.store.grad, gen64.store.grad) <= 1e-5, estimator

@@ -517,3 +517,51 @@ def test_resume_matches_uninterrupted_run():
     for p, q in zip(dem.params(), dem2.params()):
         assert np.array_equal(p.values, q.values)
 
+
+
+@pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])
+@pytest.mark.parametrize("dataset, dtype", [("mnist", np.float32),
+                                            ("four_spin", np.float64)])
+def test_a_step_keeps_every_array_in_the_models_dtype(monkeypatch, dataset, dtype,
+                                                      estimator):
+    """The dtype follows the dataset: after one step of the 784-d models
+    every store array, batch-norm statistic, workspace array, minibatch,
+    energy and sample is float32; after one four-spin step, float64."""
+    from dualebm.config import build_models
+    from dualebm.data_io import make_dataset
+
+    config = RunConfig(dataset=dataset, mnist_images="i.idx", mnist_labels="l.idx",
+                       steps=1, batch_size=16, dem_hidden=[32], gen_hidden=[32],
+                       entropy_estimator=estimator)
+    dem, gen = build_models(config)
+    rng = np.random.default_rng(60)
+    data = (Dataset(rng.integers(0, 256, size=(100, 784), dtype=np.uint8))
+            if dataset == "mnist" else make_dataset(dataset, 100, 0.01, rng))
+    minibatches = []
+    real_minibatch = Dataset.minibatch
+
+    def minibatch(self, *args):
+        minibatches.append(real_minibatch(self, *args))
+        return minibatches[-1]
+
+    monkeypatch.setattr(Dataset, "minibatch", minibatch)
+    train(dem, gen, data, config)
+    arrays = {"minibatch": minibatches[0],
+              "energies": dem.energy_values(minibatches[0]),
+              "samples": gen.generate(sample_prior(300, gen.d_z, rng)),
+              "train samples": gen.generate(sample_prior(16, gen.d_z, rng), "train")}
+    for model in (dem, gen):
+        for name in ("values", "grad", "acc"):
+            arrays[f"{model.layers[0].w.name} store {name}"] = getattr(model.store, name)
+        for i, layer in enumerate(model.layers):
+            if layer.has_batch_norm:
+                arrays[f"bn mean {i}"] = layer.bn_state.mean
+                arrays[f"bn var {i}"] = layer.bn_state.var
+        for key, value in vars(model._workspace).items():
+            for j, array in enumerate(value if isinstance(value, list) else [value]):
+                if isinstance(array, np.ndarray):
+                    arrays[f"{model.layers[0].w.name} workspace {key}[{j}]"] = array
+    assert len(minibatches) == 1
+    wrong = {name: str(array.dtype) for name, array in arrays.items()
+             if array.dtype != dtype}
+    assert not wrong

@@ -10,7 +10,11 @@ of the change), each with its own src/, perfbench/ and BENCHMARK.json. For
 every seed S the script runs ``python3 perfbench/run.py --workload all
 --seed S --seconds N``, N being BENCHMARK.json's run_seconds, in both
 roots, one after the other; the parent runs first for odd S, the change
-for even S, so drift in machine speed falls on both sides alike. It reads
+for even S, so drift in machine speed falls on both sides alike. Each
+run.py starts with one BLAS and OpenMP thread (``PINNED_THREADS``), so its
+own reference-kernel readings are pinned as its workers' are, and each
+root's src/ is byte-compiled once before the first pair, so no worker's
+set-up compiles the package, even under PYTHONDONTWRITEBYTECODE. It reads
 each run's last output line (the per-workload end-to-end metrics) and
 rewrites the summary after every pair, so an interrupted series keeps the
 pairs it finished.
@@ -43,6 +47,8 @@ from pathlib import Path
 ENVIRONMENT_KEYS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "blas", "cpu",
                     "nproc", "numpy", "python", "scipy")
 SIDES = ("parent", "change")
+PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                  "MKL_NUM_THREADS": "1"}
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -73,21 +79,29 @@ def run_benchmark(root: Path, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all",
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, stdout=subprocess.PIPE, text=True)
+        cwd=root, stdout=subprocess.PIPE, text=True, env={**os.environ, **PINNED_THREADS})
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: perfbench exited {proc.returncode} on seed {seed}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def compile_sources(root: Path) -> None:
+    """Byte-compile ``root``'s src/ in place, as every run then imports it."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=root, check=True)
+
+
 def environment(root: Path, seed: int) -> dict:
-    """The environment a run in ``root`` recorded, from its results file,
-    and whether PYTHONDONTWRITEBYTECODE was set for the runs, which inherit
-    this process's environment: when it is, every worker compiles the
-    package from source, and ``setup_s`` includes that compile time."""
+    """The environment a run in ``root`` recorded, from its results file;
+    whether PYTHONDONTWRITEBYTECODE was set for the runs, which inherit this
+    process's environment; the thread counts each run.py started with; and
+    that src/ was compiled before the runs, so that no worker compiled the
+    package and ``setup_s`` holds no compile time."""
     results = sorted((root / ".perfbench" / "results").glob(f"*-seed{seed}-trace0.json"))
     recorded = json.loads(results[0].read_text())["environment"] if results else {}
     return {**{key: recorded[key] for key in ENVIRONMENT_KEYS if key in recorded},
-            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))}
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "run_py_env": dict(PINNED_THREADS),
+            "src_compiled_before_runs": True}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -203,6 +217,8 @@ def main(argv=None) -> int:
     if args.claim and metric not in {m["name"] for m in spec["end_to_end"]}:
         parser.error(f"{metric} is not an end-to-end metric of BENCHMARK.json")
 
+    for root in roots.values():
+        compile_sources(root)
     runs = []
     for seed in args.seeds:
         order = SIDES if seed % 2 else SIDES[::-1]

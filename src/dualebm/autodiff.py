@@ -525,7 +525,7 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
         raise ShapeError(
             f"batch_norm: shift/scale must have shape ({d},), got "
             f"{shift_v.shape} and {scale_v.shape}")
-    _, inv, xhat = batch_statistics(xv, state, mode)
+    inv, xhat = batch_statistics(xv, state, mode)
     xhat *= inv
     out = xhat * scale_v + shift_v
 
@@ -543,10 +543,10 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
 def batch_statistics(xv: np.ndarray, state: BatchNormState, mode: str,
                      out: Optional[np.ndarray] = None,
                      work: Optional[np.ndarray] = None) -> tuple:
-    """The mean and 1/sqrt(var + ``BN_EPS``), as arrays of their own, that
-    batch norm normalizes the rows of xv by, and xv minus that mean (into
-    ``out`` when given). Train mode takes the batch's own statistics, with
-    the expressions of ``xv.mean(axis=0)`` and ``xv.var(axis=0)``, and moves
+    """The 1/sqrt(var + ``BN_EPS``), as an array of its own, that batch norm
+    normalizes the rows of xv by, and xv minus the mean (into ``out`` when
+    given). Train mode takes the batch's own statistics, with the
+    expressions of ``xv.mean(axis=0)`` and ``xv.var(axis=0)``, and moves
     ``state`` toward them; ``work``, an array of xv's shape that may be xv
     itself, then holds the squared deviations. Infer mode takes the running
     statistics of ``state``."""
@@ -563,12 +563,11 @@ def batch_statistics(xv: np.ndarray, state: BatchNormState, mode: str,
         state.mean[:] = BN_MOMENTUM * state.mean + (1.0 - BN_MOMENTUM) * mu
         state.var[:] = BN_MOMENTUM * state.var + (1.0 - BN_MOMENTUM) * var
     elif mode == "infer":
-        mu = state.mean.copy()   # a later train-mode pass moves state.mean
         inv = 1.0 / np.sqrt(state.var + BN_EPS)
-        centered = np.subtract(xv, mu, out=out)
+        centered = np.subtract(xv, state.mean, out=out)
     else:
         raise ValueError(f"batch_norm mode must be 'train' or 'infer', got {mode!r}")
-    return mu, inv, centered
+    return inv, centered
 
 
 def batch_norm_dx(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
@@ -692,9 +691,9 @@ def stack_forward(layers: Sequence[Dense], x: np.ndarray, mode: str, ws=None,
         a += layer.b.values
         h = _ACTIVATE[layer.activation](a)
         if layer.has_batch_norm:
-            _, inv, xhat = batch_statistics(a, layer.bn_state, mode,
-                                            out=ws.xhat[i] if ws else None,
-                                            work=ws.h[i] if ws else a)
+            inv, xhat = batch_statistics(a, layer.bn_state, mode,
+                                         out=ws.xhat[i] if ws else None,
+                                         work=ws.h[i] if ws else a)
             if ws:
                 ws.inv[i][...] = inv
             xhat *= inv

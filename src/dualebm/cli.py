@@ -2,10 +2,12 @@
 
 Subcommands: train, sample, energy-map, interpolate, gradcheck, eval.
 Every command is deterministic given (config, seed, checkpoint). Exit
-codes: 0 success, 2 configuration problem or out-of-range argument, 3
-training abort on a non-finite gradient or a singular entropy estimate
-(step number printed), 4 missing or corrupt checkpoint. The environment
-variable DUALEBM_OUTDIR overrides the configured output directory.
+codes: 0 success, 1 ``gradcheck`` error above its tolerance, 2
+configuration problem, out-of-range argument, a report whose values leave
+float range or a size too large for memory, 3 training abort on a
+non-finite gradient or a singular entropy estimate (step number printed),
+4 missing or corrupt checkpoint. The environment variable DUALEBM_OUTDIR
+overrides the configured output directory.
 """
 
 from __future__ import annotations
@@ -237,21 +239,27 @@ def cmd_eval(args) -> int:
             "n_points")
     z = sample_prior(args.n, checkpoint.gen.d_z, np.random.default_rng(args.seed))
     samples = checkpoint.gen.generate(z, "infer")
-    coverage = mode_coverage(samples, config.dataset)
-    divergence = model_data_divergence(
-        checkpoint.dem, held_out.points, dataset_bounds(config), args.grid_n)
-    box = np.random.default_rng(args.seed + 1).uniform(
-        held_out.points.min(), held_out.points.max(), size=(args.n, 2))
-    e_probe = checkpoint.dem.energy_values(box).mean()
-    report = {
-        "dataset": config.dataset,
-        "unassigned": coverage["unassigned"],
-        "cross_entropy": divergence["cross_entropy"],
-        "kl_vs_kde": divergence["kl_vs_kde"],
-        "energy_gap": float(e_probe - divergence["mean_energy"]),
-    }
+    with np.errstate(all="ignore"):  # every value is checked below
+        coverage = mode_coverage(samples, config.dataset)
+        divergence = model_data_divergence(
+            checkpoint.dem.energy_values, held_out.points, dataset_bounds(config),
+            args.grid_n)
+        box = np.random.default_rng(args.seed + 1).uniform(
+            held_out.points.min(), held_out.points.max(), size=(args.n, 2))
+        e_probe = checkpoint.dem.energy_values(box).mean()
+        report = {
+            "dataset": config.dataset,
+            "unassigned": coverage["unassigned"],
+            "cross_entropy": divergence["cross_entropy"],
+            "kl_vs_kde": divergence["kl_vs_kde"],
+            "energy_gap": float(e_probe - divergence["mean_energy"]),
+        }
     for i, fraction in enumerate(coverage["fractions"]):
         report[f"mode_{i}"] = fraction
+    for key, value in report.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"eval: {key} is {value}: the model's energies on "
+                              f"{args.checkpoint}'s held-out data leave float range")
     for key, value in report.items():
         print(f"{key}={value}")
     return EXIT_OK
@@ -331,6 +339,9 @@ def main(argv=None) -> int:
     except CheckpointError as err:
         print(f"checkpoint error: {err}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except MemoryError as err:  # a size argument or field too large for this machine
+        print(f"config error: not enough memory: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

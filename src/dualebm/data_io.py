@@ -179,14 +179,16 @@ def load_mnist_idx(images_path, labels_path, limit: int = 0,
     return Dataset(pixels.reshape(n, rows * cols))
 
 
-def save_points_csv(path, points: np.ndarray) -> None:
-    """One header line x0,x1,... and one line per row, each value written
-    as its shortest round-tripping repr; the rows are formatted and written
-    a block of ``ROW_BLOCK`` at a time."""
+def save_points_csv(path, points: np.ndarray, columns=None) -> None:
+    """One header line of the column names, x0,x1,... unless given, and one
+    line per row, each value written as its shortest round-tripping repr;
+    the rows are formatted and written a block of ``ROW_BLOCK`` at a time."""
     points = np.asarray(points, dtype=np.float64)
+    if columns is None:
+        columns = [f"x{i}" for i in range(points.shape[1])]
     fmt = ",".join(["%r"] * points.shape[1]) + "\n"
     with open(path, "w") as f:
-        f.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
+        f.write(",".join(columns) + "\n")
         for start in range(0, points.shape[0], ROW_BLOCK):
             rows = points[start:start + ROW_BLOCK].tolist()
             f.write("".join([fmt % tuple(row) for row in rows]))

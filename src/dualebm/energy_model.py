@@ -201,20 +201,15 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
     gradcheck read in place.
 
     x_neg is read as plain values: the generator that produced them gets no
-    gradient from this loss. Both batches, and the rows' weights 1/n, are
-    taken in the model's dtype.
+    gradient from this loss. Each phase weights its rows by 1/n, n its own
+    row count, so the phases may differ in size. The batches, and those
+    weights, are taken in the model's dtype.
     """
-    x_pos = np.asarray(x_pos, dtype=model.dtype)
-    x_neg = np.asarray(x_neg, dtype=model.dtype)
-    n = x_pos.shape[0]
-    if n != x_neg.shape[0]:
-        raise ValueError(
-            f"positive and negative batch sizes differ: {n} vs {x_neg.shape[0]}")
     model.store.grad[...] = 0.0
     means = {}
     for key, x, sign in (("e_neg", x_neg, -1.0), ("e_pos", x_pos, 1.0)):
-        energies, _ = model.energy_gradient(x, np.full(n, sign, model.dtype) / n,
-                                            params=True)
+        energies, _ = model.energy_gradient(
+            x, np.full(len(x), sign, model.dtype) / len(x), params=True)
         means[key] = float(energies.mean())
     return means["e_pos"] - means["e_neg"], means
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ROW_BLOCK, by_row_blocks
-from .data_io import SPIRAL_SPECS, arm_curve
-from .energy_model import grid_log_density, logsumexp
+from .data_io import SPIRAL_SPECS, arm_curve, save_points_csv
+from .energy_model import EnergyModel, grid_log_density, logsumexp
 from .generator_model import GeneratorModel, squared_distances
 
 MODE_DISTANCE_THRESHOLD = 0.1  # in normalized data coordinates
@@ -32,28 +32,16 @@ class HeatmapGrid:
     vmax: float
 
 
-def _as_energy_fn(model_or_fn):
-    fn = getattr(model_or_fn, "energy_values", model_or_fn)
-    if not callable(fn):
-        raise TypeError("need an energy model or an energy callable")
-    return fn
-
-
-def energy_heatmap(dem, bounds, resolution) -> HeatmapGrid:
-    """Energies at the cell centers of a 2D grid; never mutates the model."""
-    d_in = getattr(dem, "d_in", 2)
-    if d_in != 2:
-        raise ValueError(f"heatmaps need a 2-dimensional model, got d_in={d_in}")
-    (x_lo, x_hi), (y_lo, y_hi) = [tuple(map(float, b)) for b in bounds]
-    nx, ny = (resolution, resolution) if np.isscalar(resolution) else resolution
-    if nx < 2 or ny < 2:
-        raise ValueError(f"resolution must be >= 2 per dimension, got {nx}x{ny}")
-    bounds = ((x_lo, x_hi), (y_lo, y_hi))
-    xs, ys = _cell_centers(bounds, (nx, ny))
-    gx, gy = np.meshgrid(xs, ys)
-    energies = _as_energy_fn(dem)(np.column_stack([gx.ravel(), gy.ravel()]))
-    values = np.asarray(energies, dtype=np.float64).reshape(ny, nx)
-    return HeatmapGrid(bounds, (nx, ny), values,
+def energy_heatmap(dem: EnergyModel, bounds, resolution: int) -> HeatmapGrid:
+    """Energies of a 2D energy model at the cell centers of a resolution-
+    by-resolution grid over the bounds; never mutates the model."""
+    if dem.d_in != 2:
+        raise ValueError(f"heatmaps need a 2-dimensional model, got d_in={dem.d_in}")
+    bounds = tuple(tuple(map(float, b)) for b in bounds)
+    gx, gy = np.meshgrid(*_cell_centers(bounds, (resolution, resolution)))
+    energies = dem.energy_values(np.column_stack([gx.ravel(), gy.ravel()]))
+    values = np.asarray(energies, dtype=np.float64).reshape(resolution, resolution)
+    return HeatmapGrid(bounds, (resolution, resolution), values,
                        float(values.min()), float(values.max()))
 
 
@@ -78,13 +66,13 @@ def latent_interpolation(gen: GeneratorModel, z_a: np.ndarray,
     return gen.generate(z, "infer")
 
 
-def mode_coverage(samples: np.ndarray, dataset_name: str,
-                  threshold: float = MODE_DISTANCE_THRESHOLD) -> dict:
+def mode_coverage(samples: np.ndarray, dataset_name: str) -> dict:
     """Fraction of samples nearest each arm, plus the off-manifold fraction.
 
     A sample belongs to the arm whose noiseless center line is closest; it
-    is unassigned when even the closest arm is farther than the threshold.
-    Fractions and the unassigned share sum to one exactly.
+    is unassigned when even the closest arm is farther than
+    ``MODE_DISTANCE_THRESHOLD``. Fractions and the unassigned share sum to
+    one exactly.
     """
     if dataset_name not in SPIRAL_SPECS:
         raise ValueError(f"no mode-assignment rule for dataset {dataset_name!r}")
@@ -93,14 +81,12 @@ def mode_coverage(samples: np.ndarray, dataset_name: str,
     distances = np.column_stack([nearest_distances(samples, arm_curve(dataset_name, arm))
                                  for arm in range(arms)])
     nearest = distances.argmin(axis=1)
-    assigned = distances[np.arange(len(samples)), nearest] <= threshold
+    assigned = distances[np.arange(len(samples)), nearest] <= MODE_DISTANCE_THRESHOLD
     counts = np.bincount(nearest[assigned], minlength=arms)
     n = len(samples)
     return {
         "fractions": (counts / n).tolist(),
         "unassigned": float((n - counts.sum()) / n),
-        "threshold": threshold,
-        "n_samples": n,
     }
 
 
@@ -189,16 +175,16 @@ class gaussian_kde:
         return out
 
 
-def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
-    """Cross-entropy of held-out points under the grid-normalized model, and
-    KL(model density || Gaussian KDE of the points) over the same grid; also
-    the normalizer ``log_z`` and the points' mean energy ``mean_energy``.
+def model_data_divergence(energy_fn, points: np.ndarray, bounds, grid_n: int) -> dict:
+    """Cross-entropy of held-out points under the grid-normalized density
+    exp(-energy_fn), and KL(model density || Gaussian KDE of the points)
+    over the same grid; also the points' mean energy ``mean_energy``.
+    energy_fn maps an (n, 2) array to its n energies.
 
     The KDE bandwidth is Scott's rule. Both densities are normalized with
     identical trapezoid weights, so the comparison is between two discrete
     distributions on the same support.
     """
-    energy_fn = _as_energy_fn(dem)
     points = np.asarray(points, dtype=np.float64)
     grid_points, log_p, log_z, log_w = grid_log_density(energy_fn, bounds, grid_n)
     mean_energy = float(np.mean(energy_fn(points)))
@@ -209,7 +195,7 @@ def model_data_divergence(dem, points: np.ndarray, bounds, grid_n: int) -> dict:
     log_q = log_q - logsumexp(log_q)
     p = np.exp(log_p)
     kl = float(np.sum(np.where(p > 0, p * (log_p - log_q), 0.0)))
-    return {"cross_entropy": cross_entropy, "kl_vs_kde": kl, "log_z": log_z,
+    return {"cross_entropy": cross_entropy, "kl_vs_kde": kl,
             "mean_energy": mean_energy}
 
 
@@ -255,13 +241,9 @@ def export_image_grid(obj, path) -> None:
     float64 ones', not copies of them.
     """
     if isinstance(obj, HeatmapGrid):
-        xs, ys = _cell_centers(obj.bounds, obj.resolution)
-        x_text = [repr(x) for x in xs.tolist()]
-        values = np.asarray(obj.values, dtype=np.float64).tolist()
-        with open(path, "w") as f:
-            f.write("x,y,energy\n")
-            for y, row in zip(ys.tolist(), values):
-                f.write("".join(f"{x},{y!r},{v!r}\n" for x, v in zip(x_text, row)))
+        gx, gy = np.meshgrid(*_cell_centers(obj.bounds, obj.resolution))
+        rows = np.column_stack([gx.ravel(), gy.ravel(), np.ravel(obj.values)])
+        save_points_csv(path, rows, columns=("x", "y", "energy"))
         _write_sidecar(path, {"vmin": repr(obj.vmin), "vmax": repr(obj.vmax)})
         return
 

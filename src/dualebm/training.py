@@ -125,12 +125,6 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     return math.sqrt(total)
 
 
-def _format_metrics(metrics: dict) -> str:
-    parts = [f"step={metrics['step']}"]
-    parts += [f"{k}={v!r}" for k, v in metrics.items() if k != "step"]
-    return " ".join(parts)
-
-
 def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunConfig,
           state: Optional[TrainState] = None, metrics_out=None,
           checkpoint_fn=None) -> TrainState:
@@ -184,7 +178,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
             raise SingularEntropyError(err.reason, step=state.step) from None
         state.step += 1
         if metrics_out is not None:
-            metrics_out.write(_format_metrics(metrics) + "\n")
+            metrics_out.write(" ".join(f"{k}={v!r}" for k, v in metrics.items()) + "\n")
         if (checkpoint_fn is not None and config.checkpoint_interval > 0
                 and state.step % config.checkpoint_interval == 0
                 and state.step < config.steps):

@@ -665,6 +665,54 @@ def test_eval_of_a_run_too_small_for_a_kde_is_usage_error(tmp_path, capsys):
     assert "n_points=2" in capsys.readouterr().err
 
 
+def test_eval_of_energies_out_of_float_range_is_usage_error(tmp_path, capsys):
+    """noise_sd 3e152 passes train's check on a batch, but eval averages the
+    energies of all 2000 held-out points, which overflows: exit 2, with no
+    numpy warning and nothing on stdout. It once printed cross_entropy=inf
+    and exited 0."""
+    out_dir = tmp_path / "run"
+    assert cli.main(["train", "--steps", "3", "--n_points", "2000", "--noise_sd",
+                     "3e152", "--out_dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(out_dir / "checkpoint_final.bin")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: eval: cross_entropy is inf")
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy-map", "--res", "200000", "--out", "map.csv"],
+    ["eval", "--grid-n", "200000"],
+    ["sample", "--n", "3000000000", "--out", "samples.csv"],
+    ["interpolate", "--k", "3000000000", "--out", "path.csv"],
+    ["train", "--dem_hidden", "2000000000"],
+    ["train", "--n_points", "3000000000"],
+    ["train", "--batch_size", "3000000000"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_size_too_large_for_memory_is_usage_error(trained_run, tmp_path, argv):
+    """Under a 2 GiB address-space limit, sizes whose arrays need tens or
+    hundreds of GiB are refused by the allocator before any memory is
+    touched, and the MemoryError is a usage error, not a traceback."""
+    if argv[0] == "train":
+        argv = [*argv, "--out_dir", "run"]
+    else:
+        argv = [*argv, "--checkpoint", str(trained_run / "checkpoint_final.bin")]
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from dualebm.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    package = Path(cli.__file__).parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, cwd=tmp_path, env=env)
+    assert result.returncode == 2
+    assert result.stderr.startswith("config error: not enough memory: Unable to allocate")
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_gradcheck_rejects_negative_seed(capsys):
     assert cli.main(["gradcheck", "--seed", "-1"]) == 2
     assert "argument --seed: must be at least 0" in capsys.readouterr().err
@@ -787,17 +835,22 @@ def _bench_pair(seed, parent, change):
 
 def test_bench_pairs_counts_wins_ties_and_the_claim_gate(tmp_path, monkeypatch):
     bench = _load_script("bench_pairs")
-    # the environment block: the run's recorded keys, and whether the runs
-    # were left to compile the package from source
+    # the environment block: the run's recorded keys, whether the runs
+    # were left to compile the package from source, the threads run.py
+    # starts with, and that src/ was compiled before them
     results = tmp_path / ".perfbench" / "results"
     results.mkdir(parents=True)
     (results / "all-seed7-trace0.json").write_text(json.dumps(
         {"environment": {"nproc": 2, "OPENBLAS_NUM_THREADS": "1", "host": "x"}}))
+    pinned = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     assert bench.environment(tmp_path, 7) == {
-        "OPENBLAS_NUM_THREADS": "1", "nproc": 2, "PYTHONDONTWRITEBYTECODE": True}
+        "OPENBLAS_NUM_THREADS": "1", "nproc": 2, "PYTHONDONTWRITEBYTECODE": True,
+        "run_py_env": pinned, "src_compiled_before_runs": True}
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
-    assert bench.environment(tmp_path, 8) == {"PYTHONDONTWRITEBYTECODE": False}
+    assert bench.environment(tmp_path, 8) == {
+        "PYTHONDONTWRITEBYTECODE": False, "run_py_env": pinned,
+        "src_compiled_before_runs": True}
     assert bench.parse_seeds("701-703") == [701, 702, 703]
     runs = [_bench_pair(1, (1.0, 10.0), (0.5, 12.0)),
             _bench_pair(2, (1.1, 10.0), (0.5, 10.0)),
@@ -847,3 +900,39 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate(tmp_path, monkeypatch):
     rows = bench.summarize(zeros, end_to_end)["w"]
     assert rows["t"]["change_vs_parent"] == 0.0
     assert rows["r"]["change_vs_parent"] == float("inf")
+
+    # A series: both roots' src/ compiled before the first pair, and every
+    # run.py started with one BLAS and OpenMP thread, whatever this
+    # process's environment holds.
+    roots = {side: tmp_path / side for side in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": end_to_end}))
+    calls = []
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        calls.append((cmd, Path(cwd), env))
+        stdout = ""
+        if "perfbench/run.py" in cmd:
+            side = "parent" if Path(cwd) == roots["parent"] else "change"
+            stdout = json.dumps(_bench_pair(0, (1.0, 10.0), (1.0, 10.0))[side]) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                       "--seeds", "1-2", "--description", "d", "--out", str(out)]) == 0
+    compile_cmd = [sys.executable, "-m", "compileall", "-q", "src"]
+    assert [(cmd, cwd) for cmd, cwd, _ in calls[:2]] == [
+        (compile_cmd, roots["parent"]), (compile_cmd, roots["change"])]
+    assert sum(cmd == compile_cmd for cmd, _, _ in calls) == 2
+    benchmark_runs = [(cwd, env) for cmd, cwd, env in calls if "perfbench/run.py" in cmd]
+    assert [cwd for cwd, _ in benchmark_runs] == [
+        roots["parent"], roots["change"], roots["change"], roots["parent"]]
+    for _, env in benchmark_runs:
+        assert env == {**os.environ, **pinned}
+    assert json.loads(out.read_text())["environment"] == {
+        "PYTHONDONTWRITEBYTECODE": False, "run_py_env": pinned,
+        "src_compiled_before_runs": True}

@@ -15,7 +15,7 @@ from dualebm.energy_model import (
 )
 from dualebm.gradcheck import finite_difference
 
-from helpers import assert_grads_match, reference_energy
+from helpers import assert_grads_match, reference_dem_loss_gradient, reference_energy
 
 
 @pytest.mark.parametrize("a", [
@@ -212,10 +212,20 @@ def test_identical_phases_cancel_exactly():
     assert np.all(model.store.grad == 0.0)
 
 
-def test_dem_loss_gradient_rejects_batch_mismatch():
-    model = EnergyModel.build((2, 4, 3), 3, np.random.default_rng(12))
-    with pytest.raises(ValueError, match="batch sizes differ"):
-        dem_loss_gradient(model, np.zeros((4, 2)), np.zeros((5, 2)))
+def test_dem_loss_gradient_weights_each_phase_by_its_own_rows():
+    """7 positives and 12 negatives: each phase's rows weigh 1/n of its own
+    n, with the bits of the primitive chain's two means."""
+    model, ref = (EnergyModel.build((2, 8, 4), 3, np.random.default_rng(12), sigma=0.7)
+                  for _ in range(2))
+    shift = 0.1 * np.random.default_rng(13).standard_normal(model.store.values.shape)
+    model.store.values += shift
+    ref.store.values += shift
+    rng = np.random.default_rng(14)
+    x_pos, x_neg = rng.normal(size=(7, 2)), rng.normal(size=(12, 2))
+    loss, stats = dem_loss_gradient(model, x_pos, x_neg)
+    ref_loss, ref_grad, ref_stats = reference_dem_loss_gradient(ref, x_pos, x_neg)
+    assert loss == ref_loss and stats == ref_stats
+    assert np.array_equal(model.store.grad, ref_grad)
 
 
 def test_dem_loss_gradient_matches_finite_differences():

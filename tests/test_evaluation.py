@@ -150,7 +150,7 @@ def test_mode_coverage_far_points_unassigned():
 
 def test_mode_coverage_origin_is_within_threshold_of_arm_start():
     # the arms begin at radius 0.25/(1.5 pi) ~= 0.053 < 0.1, so the origin
-    # is *not* off-manifold under the default threshold
+    # is *not* off-manifold under MODE_DISTANCE_THRESHOLD
     report = mode_coverage(np.zeros((3, 2)), "four_spin")
     assert report["unassigned"] == 0.0
 
@@ -234,7 +234,7 @@ def test_divergence_invariant_to_energy_shift():
     ds = make_dataset("four_spin", 500, 0.02, np.random.default_rng(15))
     model = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(16))
     bounds = [(-1.5, 1.5), (-1.5, 1.5)]
-    base = model_data_divergence(model, ds.points, bounds, 100)
+    base = model_data_divergence(model.energy_values, ds.points, bounds, 100)
     shifted = model_data_divergence(
         lambda x: model.energy_values(x) + 11.5, ds.points, bounds, 100)
     assert abs(base["cross_entropy"] - shifted["cross_entropy"]) < 1e-6
@@ -249,10 +249,10 @@ def test_training_lowers_cross_entropy():
     bounds = [(-1.5, 1.5), (-1.5, 1.5)]
     dem = EnergyModel.build((2, 32, 4), 4, np.random.default_rng(18))
     gen = GeneratorModel.build((4, 32, 2), np.random.default_rng(19))
-    before = model_data_divergence(dem, ds.points, bounds, 100)
+    before = model_data_divergence(dem.energy_values, ds.points, bounds, 100)
     train(dem, gen, ds, RunConfig(batch_size=32, steps=1500, seed=20,
                                   entropy_estimator="nearest_neighbour"))
-    after = model_data_divergence(dem, ds.points, bounds, 100)
+    after = model_data_divergence(dem.energy_values, ds.points, bounds, 100)
     assert after["cross_entropy"] < before["cross_entropy"]
 
 

@@ -34,11 +34,13 @@ as its values. ``Parameter`` objects are trainable leaves: after
 d(root)/d(parameter) in ``.grad`` (zero if unreachable from the root).
 A tape computes in float64.
 
-The model passes run in the dtype of their parameters: float64 for the 2D
-models, float32 for the 784-d (mnist) ones (``config.build_models`` picks
-it). A ``Parameter``, its ``ParameterStore``, a ``BatchNormState``, a
-workspace and a ``by_row_blocks`` output all take that one dtype, so no
-pass mixes two. Arrays are C order, with the batch as the leading
+The model passes run in the dtype of their parameters: float32 for every
+model a run builds (``config.COMPUTE_DTYPE``, which
+``config.build_models`` gives them), float64 for models built so on
+purpose (a float64 checkpoint, the tape comparisons, ``gradcheck``). A
+``Parameter``, its ``ParameterStore``, a ``BatchNormState``, a workspace
+and a ``by_row_blocks`` output all take that one dtype, so no pass mixes
+two. Arrays are C order, with the batch as the leading
 dimension.
 
 Numerically sensitive primitives use overflow-safe identities:
@@ -302,8 +304,8 @@ def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
     when x has no rows.
 
     Peak memory is the output plus a few block activations, whatever the
-    row count. A block's 128-wide float64 activation is 256 KiB (a float32
-    one half that): it stays in L2 cache, and glibc serves it from heap
+    row count. A block's 128-wide float32 activation is 128 KiB (a float64
+    one twice that): it stays in L2 cache, and glibc serves it from heap
     memory the previous block freed, so no page is faulted in anew; a
     784-wide output layer writes into the output, whose pages are faulted
     in once. BLAS may pick its kernel by the row count, so a row of a pass

@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import re
+import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -150,12 +151,25 @@ def cmd_train(args) -> int:
         save_checkpoint(out_dir / name,
                         Checkpoint(config.to_dict(), dem, gen, state))
 
+    # the outermost directory mkdir makes, if it makes one
+    made = next((p for p in reversed([out_dir, *out_dir.parents]) if not p.exists()),
+                None)
     with _output(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "metrics.txt", "w") as metrics:
-            state = train(
-                dem, gen, dataset, config, metrics_out=metrics,
-                checkpoint_fn=lambda s: write_checkpoint(s, f"checkpoint_{s.step}.bin"))
+        try:
+            with open(out_dir / "metrics.txt", "w") as metrics:
+                state = train(
+                    dem, gen, dataset, config, metrics_out=metrics,
+                    checkpoint_fn=lambda s: write_checkpoint(s, f"checkpoint_{s.step}.bin"))
+        except MemoryError:
+            # a batch too large for memory fails in the first step; a run
+            # that ends no step is a refused config, and leaves nothing
+            if (out_dir / "metrics.txt").stat().st_size == 0:
+                if made:
+                    shutil.rmtree(made)
+                else:
+                    (out_dir / "metrics.txt").unlink()
+            raise
         write_checkpoint(state, "checkpoint_final.bin")
     print(f"trained {state.step} steps; outputs in {out_dir}")
     return EXIT_OK

@@ -23,6 +23,13 @@ from .training import ConfigError, rng_streams
 
 DATASET_NAMES = ("two_spiral", "four_spin", "mnist")
 MNIST_PIXELS = 28 * 28  # the input width of the mnist models
+# The one dtype every run's models compute in. Their steps are bound by
+# BLAS, tanh and memory passes over activations and parameters, all faster
+# in float32: a default step takes about half its float64 time at 784
+# dimensions and about 0.6 of it on the 2D toys. Models built in another
+# dtype on purpose (a float64 checkpoint, the tape comparisons, gradcheck)
+# keep theirs.
+COMPUTE_DTYPE = np.float32
 
 
 def check_finite_floats(config) -> None:
@@ -198,7 +205,8 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
     first ``mnist_limit`` images of the IDX pair (all of them when it is
     0), with no other image read, and none at all unless the header's
     images have ``MNIST_PIXELS`` pixels; for a spiral, ``n_points``
-    float64 points drawn from ``rng``."""
+    float64 points drawn from ``rng``, refused unless a batch of them has
+    energies in ``COMPUTE_DTYPE``'s range."""
     if config.dataset == "mnist":
         try:
             return load_mnist_idx(config.mnist_images, config.mnist_labels,
@@ -208,36 +216,42 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
             # images too), or the ValueError of a Dataset with no images
             raise ConfigError(f"cannot load mnist data: {err}") from None
     ds = make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
-    # the quadratic energy term |x|^2 / sigma^2 of a batch's points, summed
-    # for its mean, must be a float: a noise_sd of 1e300 puts the points
-    # near 1e300, where every energy is inf before any step is taken
+    # a batch's energies sum |x|^2 / sigma^2 over its points in the models'
+    # dtype, whose range that sum, and the squares, must stay in: a noise_sd
+    # of 1e20 puts the points near 1e20, where every float32 energy is inf
+    # before any step is taken. A 1/sigma^2 past that range is no fault of
+    # the data: every energy is then inf whatever noise_sd is, and the run
+    # aborts at step 0 on its gradient.
+    limit = float(np.finfo(COMPUTE_DTYPE).max)
+    inv_sigma_sq = inverse_sigma_sq(config.sigma)
     with np.errstate(over="ignore"):
         largest = float(np.square(ds.points).sum(axis=1).max())
-        batch_energy = config.batch_size * largest * inverse_sigma_sq(config.sigma)
-    if not batch_energy < math.inf:
+        batch_sum = config.batch_size * largest
+    if not (batch_sum <= limit and (batch_sum * inv_sigma_sq <= limit
+                                    or inv_sigma_sq > limit)):
         raise ConfigError(
             f"noise_sd {config.noise_sd!r}: the data's energies overflow with sigma "
             f"{config.sigma!r} (the largest |x|^2 is {largest:.3g}, and the sum of "
-            f"|x|^2 / sigma^2 over {config.batch_size} such points leaves float range); "
+            f"|x|^2 / sigma^2 over {config.batch_size} such points leaves the "
+            f"{np.dtype(COMPUTE_DTYPE).name} range of the models); "
             "give a smaller noise_sd or a larger sigma")
     return ds
 
 
 def build_models(config: RunConfig) -> tuple[EnergyModel, GeneratorModel]:
-    """The run's freshly initialised models, and the one choice of the
-    dtype they compute in: float32 for the 784-d mnist models, whose steps
-    are bound by BLAS and by memory passes over their parameters, float64
-    for the 2D ones. The weights are drawn as float64 either way."""
+    """The run's freshly initialised models, in ``COMPUTE_DTYPE``. The
+    weights are drawn as float64 and then rounded, so the dtype consumes
+    the init stream as float64 models would."""
     mnist = config.dataset == "mnist"
     d_in = MNIST_PIXELS if mnist else 2
-    dtype = np.float32 if mnist else np.float64
     init_rng = rng_streams(config.seed)["init"]
     dem = EnergyModel.build(
         tuple([d_in] + list(config.dem_hidden) + [config.d_feat]),
-        config.n_experts, init_rng, sigma=config.sigma, dtype=dtype)
+        config.n_experts, init_rng, sigma=config.sigma, dtype=COMPUTE_DTYPE)
     gen = GeneratorModel.build(
         tuple([config.d_z] + list(config.gen_hidden) + [d_in]),
-        init_rng, output_activation="sigmoid" if mnist else "linear", dtype=dtype)
+        init_rng, output_activation="sigmoid" if mnist else "linear",
+        dtype=COMPUTE_DTYPE)
     return dem, gen
 
 

@@ -9,8 +9,8 @@ A ``Dataset`` owns the training rows and their format. An MNIST dataset
 holds the IDX file's pixels as they are stored, one uint8 row per image,
 and only the images a run trains on: the first ``limit`` of them.
 ``Dataset.minibatch`` gives the rows ``training.train`` draws in the
-models' dtype, float32 for the 784-d models and float64 for the 2D ones,
-decoding bytes to [0, 1] as byte / 255 straight into that dtype.
+models' dtype, float32 for a run's models, decoding bytes to [0, 1] as
+byte / 255 straight into that dtype and rounding float points to it.
 
 Checkpoints are a single binary container: magic, version word, a
 length-prefixed JSON header (config, architectures, step, RNG states,
@@ -19,7 +19,8 @@ blocks of that dtype (``<f4`` for float32, ``<f8`` for float64) in
 manifest order: parameters, batch-norm statistics and AdaGrad
 accumulators (each model's ``store.acc``), one block per parameter name.
 A header without a dtype, as written before float32 models, means
-float64.
+float64. A 2D checkpoint written while the 2D models computed in
+float64 says float64 or nothing, and its models load and run in float64.
 A model's accumulator blocks are left out while the accumulator is all
 zero, as before the model's first update, and absent ones load as zero.
 Saving writes each array's buffer to a temp file renamed atomically. Loading

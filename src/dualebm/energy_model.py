@@ -37,7 +37,7 @@ generator the output layer's matmul, bias and sigmoid) writes into the
 block's slice of it, so no block result is copied and a call's peak memory
 is the output plus a few block arrays, whatever the row count. The output
 and the blocks have the model's dtype (see ``autodiff``). A 256-row,
-128-wide float64 activation is 256 KiB, which stays in L2 cache and reuses
+128-wide float32 activation is 128 KiB, which stays in L2 cache and reuses
 the heap memory the previous block freed, so no page is faulted in anew. A
 train-mode ``generate`` stays one batch, since batch norm normalizes by
 whole-batch statistics; no training step calls a blocked pass.

@@ -1,6 +1,7 @@
 """Alternating training of the energy model and the generator.
 
-Each step draws a data minibatch, rows in the models' dtype from
+Each step draws a data minibatch, rows in the models' dtype (float32 for
+the models ``config.build_models`` gives a run) from
 ``data_io.Dataset.minibatch``, and a generated minibatch, updates the
 energy model with the positive/negative phase gradient, and (every
 ``dem_updates_per_dgm_update`` batches) updates the generator on a fresh
@@ -15,7 +16,11 @@ each model carries in its store. A norm that is not finite aborts the run
 with the offending parameter and step before anything moves, rather than
 being masked: a NaN or infinite gradient, or a finite one whose squares
 overflow, which would make the accumulator infinite and freeze the model.
-So does an entropy estimate that becomes singular, with its step. Each
+Each step runs with numpy's overflow and invalid-value warnings off: a
+value that leaves the dtype's range (in float32, past about 3.4e38) and
+spoils a gradient shows up at that check, which aborts the run with no
+warning printed first. An entropy estimate that becomes singular aborts the run
+too, with its step. Each
 ``train`` call allocates the optimizer's scratch once and drops it on
 return; it is never checkpointed.
 """
@@ -90,7 +95,8 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     scratch, a (2, store size) array of the store's dtype with contiguous
     rows, is overwritten (allocated when None). g^2 is computed once, and
     every operation works in place on the whole flat array, in the store's
-    dtype: float32 for the 784-d models, float64 for the 2D ones. The norm
+    dtype: float32 for a run's models, float64 for ones loaded from a
+    float64 checkpoint. The norm
     sums g^2 per parameter span with ``np.add.reduce``, which has the bits
     of ``(g_p * g_p).sum()``, and adds the spans' sums as Python floats. A
     norm that is not finite, from a NaN or infinite entry or from squares
@@ -150,28 +156,32 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
     n = config.batch_size
     while state.step < config.steps:
         try:
-            idx = state.data_rng.integers(0, dataset.points.shape[0], size=n)
-            x_pos = dataset.minibatch(idx, dtype)
-            z = sample_prior(n, gen.d_z, state.prior_rng)
-            x_neg = gen.generate(z, "train")
-            _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
-            dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps,
-                                     dem_scratch)
-            metrics = {
-                "step": state.step,
-                "e_pos": dem_stats["e_pos"],
-                "e_neg": dem_stats["e_neg"],
-                "dem_gnorm": dem_gnorm,
-            }
-            if (state.step + 1) % config.dem_updates_per_dgm_update == 0:
-                z2 = sample_prior(n, gen.d_z, state.prior_rng)
-                _, dgm_stats = dgm_loss_gradient(
-                    gen, dem, z2, config.entropy_weight, config.entropy_estimator)
-                dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps,
-                                         gen_scratch)
-                metrics["e_gen"] = dgm_stats["e_gen"]
-                metrics["entropy"] = dgm_stats["entropy"]
-                metrics["dgm_gnorm"] = dgm_gnorm
+            # an overflow or a NaN anywhere in the step reaches adagrad_step
+            # as a gradient that is not finite and aborts the run there,
+            # with its step, so numpy need not warn of it on the way
+            with np.errstate(over="ignore", invalid="ignore"):
+                idx = state.data_rng.integers(0, dataset.points.shape[0], size=n)
+                x_pos = dataset.minibatch(idx, dtype)
+                z = sample_prior(n, gen.d_z, state.prior_rng)
+                x_neg = gen.generate(z, "train")
+                _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
+                dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps,
+                                         dem_scratch)
+                metrics = {
+                    "step": state.step,
+                    "e_pos": dem_stats["e_pos"],
+                    "e_neg": dem_stats["e_neg"],
+                    "dem_gnorm": dem_gnorm,
+                }
+                if (state.step + 1) % config.dem_updates_per_dgm_update == 0:
+                    z2 = sample_prior(n, gen.d_z, state.prior_rng)
+                    _, dgm_stats = dgm_loss_gradient(
+                        gen, dem, z2, config.entropy_weight, config.entropy_estimator)
+                    dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps,
+                                             gen_scratch)
+                    metrics["e_gen"] = dgm_stats["e_gen"]
+                    metrics["entropy"] = dgm_stats["entropy"]
+                    metrics["dgm_gnorm"] = dgm_gnorm
         except NonFiniteGradientError as err:
             raise NonFiniteGradientError(err.param_name, step=state.step) from None
         except SingularEntropyError as err:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dualebm import cli
+from dualebm import config as run_config
 from dualebm.config import config_from_dict, load_run_dataset
 from dualebm.data_io import Checkpoint, load_checkpoint, save_checkpoint
 from dualebm.energy_model import EnergyModel
@@ -249,6 +250,45 @@ def test_periodic_checkpoints(tmp_path):
     assert (run_dir / "checkpoint_final.bin").exists()
 
 
+@pytest.mark.parametrize("out_dir, before, left", [
+    ("a/b/run", [], []),
+    ("run", ["run/checkpoint_final.bin"], ["run", "run/checkpoint_final.bin"]),
+], ids=["nested_new_dirs", "existing_dir"])
+def test_train_out_of_memory_before_a_step_leaves_nothing(tmp_path, monkeypatch,
+                                                          out_dir, before, left):
+    """A run that fails for memory before its first step ends is a refused
+    config: train removes the directories it made, or, in a directory that
+    was there before, the metrics file it opened, and nothing else."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.4 GiB")
+
+    monkeypatch.setattr(cli, "train", no_memory)
+    monkeypatch.chdir(tmp_path)
+    for name in before:
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_bytes(b"kept")
+    config = _write_config(tmp_path, out_dir=out_dir)
+    assert cli.main(["train", "--config", str(config)]) == 2
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                  if p.name != "config.json") == left
+
+
+def test_train_out_of_memory_after_a_step_keeps_its_outputs(tmp_path, monkeypatch):
+    """Once a step has ended, its metrics line and checkpoints stay, as
+    after any other abort."""
+    real_train = cli.train
+
+    def fail_after_the_steps(*args, **kwargs):
+        real_train(*args, **kwargs)
+        raise MemoryError("Unable to allocate 22.4 GiB")
+
+    monkeypatch.setattr(cli, "train", fail_after_the_steps)
+    code, run_dir = _train(tmp_path, "--steps", "2", "--checkpoint_interval", "1")
+    assert code == 2
+    assert len((run_dir / "metrics.txt").read_text().splitlines()) == 2
+    assert (run_dir / "checkpoint_1.bin").exists()
+
+
 def test_nonfinite_abort_maps_to_exit_3(tmp_path, monkeypatch):
     from dualebm.training import NonFiniteGradientError
 
@@ -275,17 +315,28 @@ def test_singular_entropy_abort_maps_to_exit_3_with_its_step(tmp_path, monkeypat
     assert len(metrics) == step and step < 300
 
 
-@pytest.mark.parametrize("flag, value, quiet", [
-    ("--sigma", "1e-100", True),      # energies ~1e199: the generator's square overflows
-    ("--dem_lr", "1e300", True),      # the first energy step throws the model off range
+@pytest.mark.parametrize("flag, value, quiet, dataset", [
+    # 1/sigma^2 = 1e200 is inf in float32, and so is every energy
+    pytest.param("--sigma", "1e-100", True, "four_spin", id="--sigma-1e-100-True"),
+    # the first energy step throws the model off range
+    pytest.param("--dem_lr", "1e300", True, "four_spin", id="--dem_lr-1e300-True"),
+    pytest.param("--sigma", "1e-100", True, "mnist", id="mnist--sigma-1e-100"),
+    pytest.param("--dem_lr", "1e300", True, "mnist", id="mnist--dem_lr-1e300"),
 ])
-def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, quiet):
-    """A finite gradient whose square overflows would make the AdaGrad
-    accumulator infinite and freeze that model for good; the run aborts at
-    the step instead, with exit 3, and with no numpy warning from AdaGrad."""
+def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, quiet,
+                                                         dataset):
+    """A gradient that is not finite, or one whose square overflows, would
+    make the AdaGrad accumulator infinite and freeze that model for good;
+    the run aborts at the step instead, with exit 3, and with no numpy
+    warning from the step, on the 2D and the 784-d models alike."""
+    data = []
+    if dataset == "mnist":
+        images, labels, _ = write_idx_pair(tmp_path, count=20, rows=28, cols=28)
+        data = ["--dataset", "mnist", "--mnist_images", str(images),
+                "--mnist_labels", str(labels)]
     result = subprocess.run(
         [sys.executable, "-m", "dualebm.cli", "train", "--steps", "5", "--n_points",
-         "200", "--out_dir", str(tmp_path / "run"), flag, value],
+         "200", "--out_dir", str(tmp_path / "run"), *data, flag, value],
         capture_output=True, text=True)
     assert result.returncode == 3
     last = result.stderr.splitlines()[-1]
@@ -299,7 +350,8 @@ def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, 
 @pytest.mark.parametrize("flags", [
     ("--noise_sd", "1e300"),                   # data ~1e300: every energy is inf
     ("--noise_sd", "1e153", "--batch_size", "1000"),   # a batch's energies sum to inf
-], ids=["noise_sd_1e300", "batch_sum_1e153"])
+    ("--noise_sd", "1e20"),                    # in float64 range, not in float32's
+], ids=["noise_sd_1e300", "batch_sum_1e153", "float32_1e20"])
 def test_train_rejects_a_data_scale_whose_energies_overflow(tmp_path, flags):
     """Data whose energies overflow is a usage error naming noise_sd, found
     before any step and with no numpy warning; it once printed numpy's
@@ -462,6 +514,28 @@ def test_checkpoint_of_a_model_without_experts_is_read(tmp_path):
                  ["energy-map", "--res", "8", "--out", str(tmp_path / "m.csv")],
                  ["interpolate", "--k", "3", "--out", str(tmp_path / "i.csv")]):
         assert cli.main([argv[0], "--checkpoint", ckpt, *argv[1:]]) == 0, argv[0]
+
+
+def test_a_float64_2d_checkpoint_loads_as_float64_and_is_read(tmp_path, monkeypatch):
+    """2D models computed in float64 until float32 became the one compute
+    dtype; their checkpoints still load in float64, bit-exactly, and
+    ``sample`` and ``eval`` read them."""
+    monkeypatch.setattr(run_config, "COMPUTE_DTYPE", np.float64)
+    code, run_dir = _train(tmp_path, "--steps", "5")
+    assert code == 0
+    monkeypatch.undo()
+    ckpt = run_dir / "checkpoint_final.bin"
+    checkpoint = load_checkpoint(ckpt)
+    assert checkpoint.dem.dtype == np.float64 and checkpoint.gen.dtype == np.float64
+    assert checkpoint.dem.store.values.dtype == np.float64
+    samples = tmp_path / "s.csv"
+    assert cli.main(["sample", "--checkpoint", str(ckpt), "--n", "20", "--seed", "3",
+                     "--out", str(samples)]) == 0
+    z = sample_prior(20, checkpoint.gen.d_z, np.random.default_rng(3))
+    rows = np.loadtxt(samples, delimiter=",", skiprows=1)
+    assert np.array_equal(rows, checkpoint.gen.generate(z, "infer"))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--n", "50",
+                     "--grid-n", "10"]) == 0
 
 
 @pytest.mark.parametrize("config", [
@@ -666,13 +740,13 @@ def test_eval_of_a_run_too_small_for_a_kde_is_usage_error(tmp_path, capsys):
 
 
 def test_eval_of_energies_out_of_float_range_is_usage_error(tmp_path, capsys):
-    """noise_sd 3e152 passes train's check on a batch, but eval averages the
-    energies of all 2000 held-out points, which overflows: exit 2, with no
-    numpy warning and nothing on stdout. It once printed cross_entropy=inf
-    and exited 0."""
+    """noise_sd 4e17 passes train's check on a batch, but eval averages the
+    float32 energies of all 2000 held-out points, which overflows: exit 2,
+    with no numpy warning and nothing on stdout. It once printed
+    cross_entropy=inf and exited 0."""
     out_dir = tmp_path / "run"
     assert cli.main(["train", "--steps", "3", "--n_points", "2000", "--noise_sd",
-                     "3e152", "--out_dir", str(out_dir)]) == 0
+                     "4e17", "--out_dir", str(out_dir)]) == 0
     capsys.readouterr()
     assert cli.main(["eval", "--checkpoint", str(out_dir / "checkpoint_final.bin")]) == 2
     captured = capsys.readouterr()
@@ -711,6 +785,7 @@ def test_a_size_too_large_for_memory_is_usage_error(trained_run, tmp_path, argv)
     assert result.stderr.startswith("config error: not enough memory: Unable to allocate")
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+    assert not (tmp_path / "run").exists()   # a refused train leaves no out_dir
 
 
 def test_gradcheck_rejects_negative_seed(capsys):

@@ -9,7 +9,7 @@ import pytest
 from dualebm import autodiff as ad
 from dualebm.autodiff import Tape
 from dualebm.config import RunConfig, build_models
-from dualebm.data_io import Dataset
+from dualebm.data_io import Dataset, make_dataset
 from dualebm.energy_model import EnergyModel, dem_loss_gradient
 from dualebm.generator_model import GeneratorModel, dgm_loss_gradient, sample_prior
 from dualebm.gradcheck import GRADCHECK_TOLERANCE, finite_difference, run_gradcheck
@@ -164,16 +164,18 @@ def test_training_keeps_one_workspace_per_model(estimator):
     assert dem._workspace is workspaces[0] and gen._workspace is workspaces[1]
 
 
-# --- the float32 passes of the 784-d models ----------------------------------
+# --- the float32 passes of the run's models ----------------------------------
 
-def _784_pairs(seed):
-    """The default 784-d models in float32, as ``build_models`` makes them,
-    and float64 twins holding the same float32-rounded parameters."""
-    dem32, gen32 = build_models(RunConfig(dataset="mnist", mnist_images="i.idx",
+def _float32_pairs(dataset, seed):
+    """The default models of ``dataset`` in float32, as ``build_models``
+    makes them, and float64 twins holding the same float32-rounded
+    parameters."""
+    dem32, gen32 = build_models(RunConfig(dataset=dataset, mnist_images="i.idx",
                                           mnist_labels="l.idx", seed=seed))
     rng = np.random.default_rng(seed)
     dem64 = EnergyModel.build(dem32.widths, dem32.n_experts, rng)
-    gen64 = GeneratorModel.build(gen32.widths, rng, output_activation="sigmoid")
+    gen64 = GeneratorModel.build(gen32.widths, rng, output_activation=(
+        "sigmoid" if dataset == "mnist" else "linear"))
     for twin, model in ((dem64, dem32), (gen64, gen32)):
         assert model.dtype == np.float32 and twin.dtype == np.float64
         twin.store.values[...] = model.store.values
@@ -184,15 +186,25 @@ def _relative_error(got, want):
     return float(np.linalg.norm(got.astype(np.float64) - want) / np.linalg.norm(want))
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_float32_loss_gradients_agree_with_float64(seed):
+@pytest.mark.parametrize("dataset, seed", [
+    *[pytest.param("mnist", seed, id=str(seed)) for seed in range(3)],
+    *[pytest.param("four_spin", seed, id=f"four_spin-{seed}") for seed in range(3)],
+])
+def test_float32_loss_gradients_agree_with_float64(dataset, seed):
     """On the same float32-rounded parameters and inputs, each loss's
     float32 gradient is within 1e-5 of the float64 one, relative to its
-    norm (at most 2.3e-6 was measured here)."""
-    dem32, gen32, dem64, gen64 = _784_pairs(seed)
+    norm, for the default 784-d and four-spin models (at most 2.3e-6 was
+    measured on the 784-d ones, 5.3e-6 on the four-spin ones). The one
+    exception is the four-spin nearest-neighbour gradient, within 1e-4: it
+    scales each row's term by 1 / rho^2, and 64 initial 2D samples of size
+    ~1 lie as close as rho ~0.006, so the samples' float32 rounding (~5e-7)
+    moves it by up to 3.6e-5 (as much when the estimate is computed in
+    float64 from the float32 samples)."""
+    dem32, gen32, dem64, gen64 = _float32_pairs(dataset, seed)
     rng = np.random.default_rng(100 + seed)
-    x_pos = Dataset(rng.integers(0, 256, size=(64, 784), dtype=np.uint8)).minibatch(
-        np.arange(64), np.float32)
+    data = (Dataset(rng.integers(0, 256, size=(64, 784), dtype=np.uint8))
+            if dataset == "mnist" else make_dataset(dataset, 64, 0.01, rng))
+    x_pos = data.minibatch(np.arange(64), np.float32)
     x_neg = gen32.generate(sample_prior(64, gen32.d_z, rng), "infer")
     z = sample_prior(64, gen32.d_z, rng).astype(np.float32)
     assert x_neg.dtype == np.float32
@@ -204,4 +216,5 @@ def test_float32_loss_gradients_agree_with_float64(seed):
         dgm_loss_gradient(gen32, dem32, z, 1.0, estimator)
         dgm_loss_gradient(gen64, dem64, z.astype(np.float64), 1.0, estimator)
         assert gen32.store.grad.dtype == np.float32
-        assert _relative_error(gen32.store.grad, gen64.store.grad) <= 1e-5, estimator
+        bound = 1e-4 if (dataset, estimator) == ("four_spin", "nearest_neighbour") else 1e-5
+        assert _relative_error(gen32.store.grad, gen64.store.grad) <= bound, estimator

@@ -4,14 +4,15 @@ and divergence numbers, export the energy map and generator samples.
 
 Usage: python scripts/run_fourspin.py [out_dir] [--field value ...]
 
-The overrides and DUALEBM_OUTDIR mean what they mean to ``dualebm train``.
-Exits with the first non-zero code of the four commands, or 0.
+The options are ``dualebm train``'s (``dualebm train --help``); an
+``--out_dir`` among them overrides the positional out_dir. Exits with the
+first non-zero code of the four commands, or 0.
 """
 
 import sys
 from pathlib import Path
 
-from dualebm.cli import load_run_config
+from dualebm.cli import build_parser
 from dualebm.cli import main as cli_main
 
 
@@ -21,7 +22,7 @@ def run(out_dir: str, overrides) -> int:
     if code != 0:
         return code
 
-    run_dir = Path(load_run_config(None, train_args).out_dir)
+    run_dir = Path(build_parser().parse_args(["train", *train_args]).out_dir)
     ckpt = str(run_dir / "checkpoint_final.bin")
     for argv in (["energy-map", "--checkpoint", ckpt, "--res", "200",
                   "--out", str(run_dir / "energy_map.csv")],

@@ -6,15 +6,15 @@ codes: 0 success, 1 ``gradcheck`` error above its tolerance, 2
 configuration problem, out-of-range argument, a report whose values leave
 float range or a size too large for memory, 3 training abort on a
 non-finite gradient or a singular entropy estimate (step number printed),
-4 missing or corrupt checkpoint. The environment variable DUALEBM_OUTDIR
-overrides the configured output directory.
+4 missing or corrupt checkpoint. ``train`` takes every RunConfig field as
+an option (``dualebm train --help``), which overrides the field's value
+in the ``--config`` JSON file or its default.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import re
 import shutil
 import sys
@@ -25,12 +25,12 @@ import numpy as np
 
 from .config import (
     RunConfig,
-    apply_overrides,
     build_models,
     config_from_dict,
     dataset_bounds,
     load_config,
     load_run_dataset,
+    parse_field,
 )
 from .data_io import (
     SPIRAL_SPECS,
@@ -57,22 +57,26 @@ EXIT_NONFINITE = 3
 EXIT_CHECKPOINT = 4
 
 
-def load_run_config(config_path, overrides) -> RunConfig:
-    """The validated RunConfig of ``dualebm train``: the JSON file (or the
-    defaults), then ``--field value`` overrides, then DUALEBM_OUTDIR."""
-    config = load_config(config_path) if config_path else RunConfig()
-    pairs = []
-    leftover = list(overrides)
-    while leftover:
-        key = leftover.pop(0)
-        if not key.startswith("--") or not leftover:
-            raise ConfigError(f"overrides must be '--key value' pairs, got {key!r}")
-        pairs.append((key[2:].replace("-", "_"), leftover.pop(0)))
-    apply_overrides(config, pairs)
-    outdir_env = os.environ.get("DUALEBM_OUTDIR")
-    if outdir_env:
-        config.out_dir = outdir_env
+def load_run_config(args) -> RunConfig:
+    """The validated RunConfig of parsed ``dualebm train`` arguments: the
+    ``--config`` JSON file (or the defaults), then the fields given as
+    options."""
+    config = load_config(args.config) if args.config else RunConfig()
+    for name in vars(config):
+        if hasattr(args, name):
+            setattr(config, name, getattr(args, name))
     return config.validate()
+
+
+def _field_type(name: str):
+    """argparse type of RunConfig field ``name``: ``parse_field``, whose
+    refusal is a usage error (exit 2)."""
+    def parse(text: str):
+        try:
+            return parse_field(name, text)
+        except ConfigError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
 def _at_least(minimum: int):
@@ -141,7 +145,7 @@ def _output(path):
 
 
 def cmd_train(args) -> int:
-    config = load_run_config(args.config, args.overrides)
+    config = load_run_config(args)
     dem, gen = build_models(config)
     streams = rng_streams(config.seed)
     dataset = load_run_dataset(config, streams["data"])
@@ -260,7 +264,7 @@ def cmd_eval(args) -> int:
             args.grid_n)
         box = np.random.default_rng(args.seed + 1).uniform(
             held_out.points.min(), held_out.points.max(), size=(args.n, 2))
-        e_probe = checkpoint.dem.energy_values(box).mean()
+        e_probe = np.mean(checkpoint.dem.energy_values(box), dtype=np.float64)
         report = {
             "dataset": config.dataset,
             "unassigned": coverage["unassigned"],
@@ -286,9 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "each other; inspect the result.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="run the dual training loop")
+    p_train = sub.add_parser(
+        "train", help="run the dual training loop", allow_abbrev=False,
+        description="Each option overrides its field of --config. Lists are "
+                    "comma-separated: --dem_hidden 128,128.")
     p_train.add_argument("--config", help="JSON config file")
-    p_train.set_defaults(fn=cmd_train, overrides=[])
+    p_train._negative_number_matcher = _NEGATIVE_NUMBER
+    for name, default in vars(RunConfig()).items():
+        p_train.add_argument(f"--{name}", type=_field_type(name),
+                             default=argparse.SUPPRESS,
+                             metavar=type(default).__name__.upper(),
+                             help=f"default {default!r}")
+    p_train.set_defaults(fn=cmd_train)
 
     p_sample = sub.add_parser("sample", help="draw generator samples")
     p_sample.add_argument("--checkpoint", required=True)
@@ -333,15 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exit_err:  # argparse reports its own usage errors
         code = exit_err.code or 0
         return EXIT_CONFIG if code == 2 else int(code)
-    if args.fn is cmd_train:
-        args.overrides = extra  # --field value pairs, validated against RunConfig
-    elif extra:
-        print(f"unrecognized arguments: {' '.join(extra)}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
         return args.fn(args)
     except ConfigError as err:

@@ -1,9 +1,9 @@
 """Run configuration: a flat JSON file with typed, validated fields.
 
 Unknown keys are rejected up front so typos fail before any compute.
-Command-line overrides are applied as ``--field value`` pairs and parsed
-with the same types. All randomness descends from the single ``seed``
-through named substreams (data, prior, init).
+``dualebm train`` takes every field as an option too, which
+``parse_field`` parses as it does a JSON string. All randomness descends
+from the single ``seed`` through named substreams (data, prior, init).
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class RunConfig:
             raise ConfigError("d_feat and d_z must be positive")
         if self.n_experts < 0:
             raise ConfigError(f"n_experts must be >= 0, got {self.n_experts}")
-        try:
-            inverse_sigma_sq(self.sigma)
+        try:  # past COMPUTE_DTYPE's range, every energy would be inf
+            inverse_sigma_sq(self.sigma, COMPUTE_DTYPE)
         except ValueError as err:
             raise ConfigError(str(err)) from None
         if any(w < 1 for w in list(self.dem_hidden) + list(self.gen_hidden)):
@@ -131,50 +131,46 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_DEFAULTS = RunConfig()
 
 
-def _parse_value(name: str, raw, target_example) -> object:
-    """``raw`` as the type of ``target_example``. A string (a command-line
-    override, or a JSON string) is parsed; any other JSON value must be of
-    the field's type already: an int for an int field (not a float or a
-    bool), a number for a float field, a list of ints for a list field."""
-    if isinstance(target_example, bool):
-        raise ConfigError(f"unsupported field type for {name}")
+def parse_field(key: str, raw) -> object:
+    """``raw`` as the value of field ``key``, or ConfigError. A string (a
+    command-line option, or a JSON string) is parsed; any other JSON value
+    must be of the field's type already: an int for an int field (not a
+    float or a bool), a number for a float field, a list of ints for a
+    list field."""
+    if key not in vars(_DEFAULTS):
+        raise ConfigError(f"unknown config key {key!r}")
+    example = getattr(_DEFAULTS, key)
     if isinstance(raw, str):
-        if isinstance(target_example, list):
-            return [int(v) for v in raw.split(",") if v]
-        return type(target_example)(raw)
-    if isinstance(target_example, list):
-        if isinstance(raw, list) and all(_is_int(v) for v in raw):
-            return list(raw)
-        raise ValueError(f"expected a list of integers, got {raw!r}")
-    if isinstance(target_example, int) and _is_int(raw):
+        try:
+            if isinstance(example, list):
+                return [int(v) for v in raw.split(",") if v]
+            return type(example)(raw)
+        except ValueError as err:
+            raise ConfigError(f"bad value for {key!r}: {err}") from None
+    if isinstance(example, list) and isinstance(raw, list) and all(map(_is_int, raw)):
+        return list(raw)
+    if isinstance(example, int) and _is_int(raw):
         return raw
-    if isinstance(target_example, float) and (_is_int(raw) or isinstance(raw, float)):
+    if isinstance(example, float) and (_is_int(raw) or isinstance(raw, float)):
         return float(raw)
-    raise ValueError(f"expected {type(target_example).__name__}, got {raw!r}")
+    raise ConfigError(f"bad value for {key!r}: expected "
+                      f"{type(example).__name__}, got {raw!r}")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _set_field(config: RunConfig, key: str, raw, source: str) -> None:
-    """Parse ``raw`` as field ``key`` and store it, or raise ConfigError."""
-    if key not in _FIELDS:
-        raise ConfigError(f"{source}: unknown config key {key!r}")
-    try:
-        parsed = _parse_value(key, raw, getattr(config, key))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{source}: bad value for {key!r}: {err}") from None
-    setattr(config, key, parsed)
-
-
 def config_from_dict(data: dict, source: str = "config") -> RunConfig:
     config = RunConfig()
     for key, value in data.items():
-        _set_field(config, key, value, source)
+        try:
+            setattr(config, key, parse_field(key, value))
+        except ConfigError as err:
+            raise ConfigError(f"{source}: {err}") from None
     return config
 
 
@@ -192,12 +188,6 @@ def load_config(path) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config_from_dict(data, source=str(path))
-
-
-def apply_overrides(config: RunConfig, pairs: list[tuple[str, str]]) -> RunConfig:
-    for key, value in pairs:
-        _set_field(config, key, value, f"override --{key}")
-    return config
 
 
 def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
@@ -219,16 +209,13 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
     # a batch's energies sum |x|^2 / sigma^2 over its points in the models'
     # dtype, whose range that sum, and the squares, must stay in: a noise_sd
     # of 1e20 puts the points near 1e20, where every float32 energy is inf
-    # before any step is taken. A 1/sigma^2 past that range is no fault of
-    # the data: every energy is then inf whatever noise_sd is, and the run
-    # aborts at step 0 on its gradient.
+    # before any step is taken.
     limit = float(np.finfo(COMPUTE_DTYPE).max)
     inv_sigma_sq = inverse_sigma_sq(config.sigma)
     with np.errstate(over="ignore"):
         largest = float(np.square(ds.points).sum(axis=1).max())
         batch_sum = config.batch_size * largest
-    if not (batch_sum <= limit and (batch_sum * inv_sigma_sq <= limit
-                                    or inv_sigma_sq > limit)):
+    if not (batch_sum <= limit and batch_sum * inv_sigma_sq <= limit):
         raise ConfigError(
             f"noise_sd {config.noise_sd!r}: the data's energies overflow with sigma "
             f"{config.sigma!r} (the largest |x|^2 is {largest:.3g}, and the sum of "

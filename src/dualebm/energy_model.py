@@ -54,16 +54,17 @@ from . import autodiff as ad
 from .autodiff import Parameter, ParameterStore, ShapeError
 
 
-def inverse_sigma_sq(sigma) -> float:
+def inverse_sigma_sq(sigma, dtype=np.float64) -> float:
     """1/sigma^2, the weight of the quadratic term that makes exp(-energy)
-    integrable; ValueError unless sigma > 0 and this is a finite positive float."""
+    integrable; ValueError unless sigma > 0 and this is a positive float in
+    ``dtype``'s range."""
     try:
         inv = 1.0 / float(sigma) ** 2
     except (OverflowError, ZeroDivisionError):  # sigma^2 leaves float range
         inv = math.nan
-    if not (sigma > 0 and 0 < inv < math.inf):
+    if not (sigma > 0 and 0 < inv <= float(np.finfo(dtype).max)):
         raise ValueError(f"sigma must be positive and finite, with 1/sigma^2 "
-                         f"in float range, got {sigma}")
+                         f"in {np.dtype(dtype).name} range, got {sigma}")
     return inv
 
 

@@ -178,8 +178,9 @@ class gaussian_kde:
 def model_data_divergence(energy_fn, points: np.ndarray, bounds, grid_n: int) -> dict:
     """Cross-entropy of held-out points under the grid-normalized density
     exp(-energy_fn), and KL(model density || Gaussian KDE of the points)
-    over the same grid; also the points' mean energy ``mean_energy``.
-    energy_fn maps an (n, 2) array to its n energies.
+    over the same grid; also the points' mean energy ``mean_energy``,
+    accumulated in float64 so that float32 energies average within float64's
+    range. energy_fn maps an (n, 2) array to its n energies.
 
     The KDE bandwidth is Scott's rule. Both densities are normalized with
     identical trapezoid weights, so the comparison is between two discrete
@@ -187,7 +188,7 @@ def model_data_divergence(energy_fn, points: np.ndarray, bounds, grid_n: int) ->
     """
     points = np.asarray(points, dtype=np.float64)
     grid_points, log_p, log_z, log_w = grid_log_density(energy_fn, bounds, grid_n)
-    mean_energy = float(np.mean(energy_fn(points)))
+    mean_energy = float(np.mean(energy_fn(points), dtype=np.float64))
     cross_entropy = float(mean_energy + log_z)
 
     kde = gaussian_kde(points)

@@ -97,6 +97,31 @@ def test_train_rejects_unknown_override(tmp_path):
     assert cli.main(["train", "--config", str(config), "--bogus", "1"]) == 2
 
 
+def test_train_help_names_every_run_config_field(capsys):
+    assert cli.main(["train", "--help"]) == 0
+    out = capsys.readouterr().out
+    for name in vars(run_config.RunConfig()):
+        assert f"--{name} " in out
+
+
+@pytest.mark.parametrize("option", ["--step", "--dem-lr"])
+def test_train_refuses_an_option_not_spelled_in_full(tmp_path, capsys, option):
+    """An option is a field's full name, with underscores: --step is not
+    taken for --steps, nor --dem-lr for --dem_lr."""
+    code, run_dir = _train(tmp_path, option, "5")
+    assert code == 2
+    assert f"unrecognized arguments: {option} 5" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+def test_train_negative_float_option_reaches_validate(tmp_path, capsys):
+    """-1e-3 is a value, not an option: it is refused by RunConfig.validate."""
+    code, run_dir = _train(tmp_path, "--noise_sd", "-1e-3")
+    assert code == 2
+    assert "config error: noise_sd must be >= 0, got -0.001" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--steps", "abc"),
     ("--dem_hidden", "a,b"),
@@ -148,11 +173,12 @@ def test_train_rejects_nonfinite_float(tmp_path, capsys, flag, value):
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("value", ["1e200", "1e-200", "1e-160"])
+@pytest.mark.parametrize("value", ["1e200", "1e-200", "1e-160", "1e-100"])
 def test_train_rejects_sigma_out_of_float_range(tmp_path, capsys, value):
-    """1/sigma^2 must be a finite positive float: these sigmas once ended
-    in an OverflowError or ZeroDivisionError traceback, or an abort on a
-    non-finite gradient."""
+    """1/sigma^2 must be a positive float in the models' float32 range:
+    these sigmas once ended in an OverflowError or ZeroDivisionError
+    traceback, or (1e-100, whose 1/sigma^2 is finite only in float64) an
+    abort at step 0 naming a generator weight."""
     code, run_dir = _train(tmp_path, "--sigma", value)
     assert code == 2
     assert "sigma must be positive and finite" in capsys.readouterr().err
@@ -206,16 +232,15 @@ def test_train_rejects_bad_data_input(tmp_path, capsys, overrides, message):
     assert not run_dir.exists()
 
 
-def test_checkpoint_config_round_trips_to_the_run_config(tmp_path, monkeypatch):
+def test_checkpoint_config_round_trips_to_the_run_config(tmp_path):
     """eval rebuilds the run's config from the checkpoint header, so the one
     config type must come back equal: training fields and run fields alike."""
-    monkeypatch.delenv("DUALEBM_OUTDIR", raising=False)
     overrides = ["--dem_lr", "0.02", "--entropy_estimator", "nearest_neighbour",
                  "--n_points", "300", "--dem_hidden", "16,8", "--gen_hidden", "16",
                  "--batch_size", "16", "--steps", "5",
                  "--out_dir", str(tmp_path / "run")]
     assert cli.main(["train", *overrides]) == 0
-    expected = cli.load_run_config(None, overrides)
+    expected = cli.load_run_config(cli.build_parser().parse_args(["train", *overrides]))
     assert (expected.dem_lr, expected.entropy_estimator) == (0.02, "nearest_neighbour")
     assert (expected.n_points, expected.dem_hidden) == (300, [16, 8])
     header = load_checkpoint(tmp_path / "run" / "checkpoint_final.bin").config
@@ -233,13 +258,6 @@ def test_train_rejects_generator_without_hidden_layer(tmp_path, capsys, via):
     assert code == 2
     assert "gen_hidden needs at least one hidden layer" in capsys.readouterr().err
     assert not run_dir.exists()
-
-
-def test_outdir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DUALEBM_OUTDIR", str(tmp_path / "env_run"))
-    code, _ = _train(tmp_path)
-    assert code == 0
-    assert (tmp_path / "env_run" / "metrics.txt").exists()
 
 
 def test_periodic_checkpoints(tmp_path):
@@ -300,13 +318,12 @@ def test_nonfinite_abort_maps_to_exit_3(tmp_path, monkeypatch):
     assert cli.main(["train", "--config", str(config)]) == 3
 
 
-def test_singular_entropy_abort_maps_to_exit_3_with_its_step(tmp_path, monkeypatch,
-                                                             capsys):
+def test_singular_entropy_abort_maps_to_exit_3_with_its_step(tmp_path, capsys):
     """A generator step large enough to map two latents onto one point makes
     the nearest-neighbour entropy singular: the run aborts at that step."""
-    monkeypatch.setenv("DUALEBM_OUTDIR", str(tmp_path / "run"))
     code = cli.main(["train", "--entropy_estimator", "nearest_neighbour",
-                     "--dgm_lr", "1000", "--steps", "300", "--n_points", "500"])
+                     "--dgm_lr", "1000", "--steps", "300", "--n_points", "500",
+                     "--out_dir", str(tmp_path / "run")])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("aborted: nearest-neighbour entropy is singular")
@@ -316,11 +333,8 @@ def test_singular_entropy_abort_maps_to_exit_3_with_its_step(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("flag, value, quiet, dataset", [
-    # 1/sigma^2 = 1e200 is inf in float32, and so is every energy
-    pytest.param("--sigma", "1e-100", True, "four_spin", id="--sigma-1e-100-True"),
     # the first energy step throws the model off range
     pytest.param("--dem_lr", "1e300", True, "four_spin", id="--dem_lr-1e300-True"),
-    pytest.param("--sigma", "1e-100", True, "mnist", id="mnist--sigma-1e-100"),
     pytest.param("--dem_lr", "1e300", True, "mnist", id="mnist--dem_lr-1e300"),
 ])
 def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, quiet,
@@ -643,11 +657,9 @@ def test_energy_map_rejects_bounds_on_which_the_energy_overflows(trained_run, tm
 
 
 @pytest.mark.parametrize("command", ["sample", "energy-map", "interpolate", "train"])
-def test_unwritable_output_path_is_usage_error(trained_run, tmp_path, capsys,
-                                               monkeypatch, command):
+def test_unwritable_output_path_is_usage_error(trained_run, tmp_path, capsys, command):
     """An output under a missing directory, or under a regular file, exits 2
     with a one-line message naming the path."""
-    monkeypatch.delenv("DUALEBM_OUTDIR", raising=False)
     (tmp_path / "a_file").write_text("")
     if command == "train":
         out = tmp_path / "a_file" / "run"
@@ -739,19 +751,42 @@ def test_eval_of_a_run_too_small_for_a_kde_is_usage_error(tmp_path, capsys):
     assert "n_points=2" in capsys.readouterr().err
 
 
-def test_eval_of_energies_out_of_float_range_is_usage_error(tmp_path, capsys):
-    """noise_sd 4e17 passes train's check on a batch, but eval averages the
-    float32 energies of all 2000 held-out points, which overflows: exit 2,
-    with no numpy warning and nothing on stdout. It once printed
+def test_eval_of_energies_out_of_float_range_is_usage_error(trained_run, tmp_path,
+                                                             capsys):
+    """A visible bias of -3.4e38 makes the float32 energies of the held-out
+    points with |x0 + x1| past ~1 infinite, of either sign: eval exits 2,
+    with no numpy warning and nothing on stdout. Such a report once printed
     cross_entropy=inf and exited 0."""
+    checkpoint = load_checkpoint(trained_run / "checkpoint_final.bin")
+    checkpoint.dem.b_vis.values[:] = -3.4e38
+    path = tmp_path / "huge_bias.bin"
+    save_checkpoint(path, checkpoint)
+    config = config_from_dict(checkpoint.config)
+    held_out = load_run_dataset(
+        config, np.random.default_rng(np.random.SeedSequence(config.seed + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(checkpoint.dem.energy_values(held_out.points)).any()
+    assert cli.main(["eval", "--checkpoint", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: eval: cross_entropy is nan")
+    assert "leave float range" in captured.err
+
+
+def test_eval_averages_float32_energies_in_float64(tmp_path, capsys):
+    """noise_sd 4e17 passes train's check on a batch, and every held-out
+    float32 energy is finite (~3e35), but their float32 sum over 2000
+    points is not: eval accumulates its means in float64 and reports
+    finite values. With float32 means it refused this run with exit 2."""
     out_dir = tmp_path / "run"
     assert cli.main(["train", "--steps", "3", "--n_points", "2000", "--noise_sd",
                      "4e17", "--out_dir", str(out_dir)]) == 0
     capsys.readouterr()
-    assert cli.main(["eval", "--checkpoint", str(out_dir / "checkpoint_final.bin")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: eval: cross_entropy is inf")
+    assert cli.main(["eval", "--checkpoint", str(out_dir / "checkpoint_final.bin")]) == 0
+    report = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    values = [float(v) for k, v in report.items() if k != "dataset"]
+    assert np.isfinite(values).all()
+    assert float(report["cross_entropy"]) > 1e35
 
 
 @pytest.mark.parametrize("argv", [
@@ -887,14 +922,15 @@ def test_run_fourspin_override_without_value_exit_2(tmp_path):
     assert _run_fourspin()(str(tmp_path / "out"), ["--steps"]) == 2
 
 
-def test_run_fourspin_follows_outdir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("DUALEBM_OUTDIR", str(tmp_path / "env_run"))
+def test_run_fourspin_follows_an_out_dir_option(tmp_path):
+    """The script finds the run through train's parser: an --out_dir among
+    its options, not the positional one, holds every output."""
     code = _run_fourspin()(str(tmp_path / "out"), [
         "--steps", "5", "--n_points", "256", "--batch_size", "16",
-        "--dem_hidden", "8,8", "--gen_hidden", "8,8"])
+        "--dem_hidden", "8,8", "--gen_hidden", "8,8", "--out_dir", str(tmp_path / "run")])
     assert code == 0
     for name in ("checkpoint_final.bin", "energy_map.csv", "samples.csv"):
-        assert (tmp_path / "env_run" / name).exists()
+        assert (tmp_path / "run" / name).exists()
     assert not (tmp_path / "out").exists()
 
 

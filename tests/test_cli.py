@@ -173,13 +173,25 @@ def test_train_rejects_nonfinite_float(tmp_path, capsys, flag, value):
     assert not run_dir.exists()
 
 
-@pytest.mark.parametrize("value", ["1e200", "1e-200", "1e-160", "1e-100"])
-def test_train_rejects_sigma_out_of_float_range(tmp_path, capsys, value):
+@pytest.mark.parametrize("value, dataset", [
+    pytest.param("1e200", "four_spin", id="1e200"),
+    pytest.param("1e-200", "four_spin", id="1e-200"),
+    pytest.param("1e-160", "four_spin", id="1e-160"),
+    pytest.param("1e-100", "four_spin", id="1e-100"),
+    pytest.param("1e-100", "mnist", id="mnist-1e-100"),
+])
+def test_train_rejects_sigma_out_of_float_range(tmp_path, capsys, value, dataset):
     """1/sigma^2 must be a positive float in the models' float32 range:
     these sigmas once ended in an OverflowError or ZeroDivisionError
     traceback, or (1e-100, whose 1/sigma^2 is finite only in float64) an
-    abort at step 0 naming a generator weight."""
-    code, run_dir = _train(tmp_path, "--sigma", value)
+    abort at step 0 naming a generator weight, on the 2D and the 784-d
+    models alike."""
+    data = []
+    if dataset == "mnist":
+        images, labels, _ = write_idx_pair(tmp_path, count=20, rows=28, cols=28)
+        data = ["--dataset", "mnist", "--mnist_images", str(images),
+                "--mnist_labels", str(labels)]
+    code, run_dir = _train(tmp_path, *data, "--sigma", value)
     assert code == 2
     assert "sigma must be positive and finite" in capsys.readouterr().err
     assert not run_dir.exists()

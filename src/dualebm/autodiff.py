@@ -67,6 +67,7 @@ model must not run passes from two threads at once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
@@ -112,15 +113,17 @@ class Parameter:
 
 class ParameterStore:
     """A model's parameters as views into one values buffer and one grad
-    buffer, beside one AdaGrad accumulator of the same layout.
+    buffer, beside one AdaGrad accumulator of the same layout and the
+    two rows of AdaGrad's scratch.
 
     Building the store copies each parameter's values and gradient into
     consecutive slices of ``values`` and ``grad``, in the order given, and
     rebinds ``p.values`` and ``p.grad`` to reshaped views of those slices.
     Writes through either name then reach the same memory. ``acc`` starts
-    at zero; ``training.adagrad_step`` updates it in place. ``spans`` holds
-    each parameter's ``(name, slice, shape)`` in that order. All three
-    buffers have the parameters' dtype, which they must share.
+    at zero; ``training.adagrad_step`` updates it in place and overwrites
+    ``scratch``, which no checkpoint holds. ``spans`` holds each
+    parameter's ``(name, slice, shape)`` in that order. All the buffers
+    have the parameters' dtype, which they must share.
     """
 
     def __init__(self, params: Sequence[Parameter]):
@@ -147,6 +150,12 @@ class ParameterStore:
             p.values = self.values[span].reshape(p.values.shape)
             p.grad = self.grad[span].reshape(p.grad.shape)
             offset = span.stop
+
+    @functools.cached_property
+    def scratch(self) -> np.ndarray:
+        """AdaGrad's two rows of working space, allocated at the first
+        update, so a model that is only evaluated never holds them."""
+        return np.empty((2, self.values.size), self.dtype)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-parameter views, by name, of a flat array laid out like

@@ -21,7 +21,7 @@ from .energy_model import EnergyModel, inverse_sigma_sq
 from .generator_model import ENTROPY_ESTIMATORS, GeneratorModel
 from .training import ConfigError, rng_streams
 
-DATASET_NAMES = ("two_spiral", "four_spin", "mnist")
+DATASET_NAMES = (*SPIRAL_SPECS, "mnist")
 MNIST_PIXELS = 28 * 28  # the input width of the mnist models
 # The one dtype every run's models compute in. Their steps are bound by
 # BLAS, tanh and memory passes over activations and parameters, all faster
@@ -32,45 +32,59 @@ MNIST_PIXELS = 28 * 28  # the input width of the mnist models
 COMPUTE_DTYPE = np.float32
 
 
-def check_finite_floats(config) -> None:
-    """Reject NaN and +/-inf in every float field of a config (a range
-    check such as ``weight > 0`` is false for NaN, not an error)."""
-    for name, value in vars(config).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+def _field(default, *, minimum=None, above=None, choices=None):
+    """A RunConfig field and, in its metadata, the rules ``validate``
+    holds its value (each entry of a list) to: ``minimum`` (inclusive),
+    ``above`` (exclusive) and ``choices``, each checked when given."""
+    rules = {"minimum": minimum, "above": above, "choices": choices}
+    metadata = {key: rule for key, rule in rules.items() if rule is not None}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class RunConfig:
-    dataset: str = "four_spin"
-    n_points: int = 10_000
-    noise_sd: float = 0.01
+    dataset: str = _field("four_spin", choices=DATASET_NAMES)
+    n_points: int = 10_000   # validate: at least one point per spiral arm
+    noise_sd: float = _field(0.01, minimum=0)
     mnist_images: str = ""
     mnist_labels: str = ""
-    mnist_limit: int = 10_000
-    dem_hidden: list = field(default_factory=lambda: [128, 128])
-    d_feat: int = 4
-    n_experts: int = 4
-    sigma: float = 1.0
-    d_z: int = 4
-    gen_hidden: list = field(default_factory=lambda: [128, 128])
-    batch_size: int = 64
-    dem_lr: float = 0.01
-    dgm_lr: float = 0.01
-    adagrad_eps: float = 1e-8
-    entropy_weight: float = 1.0
-    entropy_estimator: str = "batch_norm_scale"
-    steps: int = 20_000
-    dem_updates_per_dgm_update: int = 1
-    seed: int = 0
-    checkpoint_interval: int = 0
+    mnist_limit: int = _field(10_000, minimum=0)   # 0 means no limit
+    dem_hidden: list = _field([128, 128], minimum=1)
+    d_feat: int = _field(4, minimum=1)
+    n_experts: int = _field(4, minimum=0)
+    sigma: float = 1.0   # validate: 1/sigma^2 in COMPUTE_DTYPE's range
+    d_z: int = _field(4, minimum=1)
+    gen_hidden: list = _field([128, 128], minimum=1)
+    batch_size: int = _field(64, minimum=2)
+    dem_lr: float = _field(0.01, above=0)
+    dgm_lr: float = _field(0.01, above=0)
+    adagrad_eps: float = _field(1e-8, above=0)
+    entropy_weight: float = _field(1.0, minimum=0)
+    entropy_estimator: str = _field("batch_norm_scale", choices=ENTROPY_ESTIMATORS)
+    steps: int = _field(20_000, minimum=1)
+    dem_updates_per_dgm_update: int = _field(1, minimum=1)
+    seed: int = _field(0, minimum=0)
+    checkpoint_interval: int = _field(0, minimum=0)
     out_dir: str = "runs/run"
 
     def validate(self) -> "RunConfig":
-        check_finite_floats(self)
-        if self.dataset not in DATASET_NAMES:
-            raise ConfigError(
-                f"dataset must be one of {DATASET_NAMES}, got {self.dataset!r}")
+        """Refuse a float that is not finite (NaN would pass any range
+        check) or a value outside its field's rules (each entry of a list
+        field), then the rules that read another field or a dtype."""
+        for f in dataclasses.fields(self):
+            value, rule = getattr(self, f.name), f.metadata
+            for v in value if isinstance(value, list) else [value]:
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ConfigError(f"{f.name} must be finite, got {v}")
+                if "minimum" in rule and v < rule["minimum"]:
+                    raise ConfigError(f"{f.name} must be >= {rule['minimum']}, got {v}")
+                if "above" in rule and v <= rule["above"]:
+                    raise ConfigError(f"{f.name} must be > {rule['above']}, got {v}")
+                if "choices" in rule and v not in rule["choices"]:
+                    raise ConfigError(
+                        f"{f.name} must be one of {rule['choices']}, got {v!r}")
         if self.dataset == "mnist" and not (self.mnist_images and self.mnist_labels):
             raise ConfigError("mnist dataset needs mnist_images and mnist_labels paths")
         # a spiral needs a point on every arm; mnist, which ignores
@@ -80,46 +94,14 @@ class RunConfig:
         if self.n_points < min_points:
             raise ConfigError(f"n_points must be >= {min_points} for "
                               f"{self.dataset}, got {self.n_points}")
-        if self.noise_sd < 0:
-            raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        if self.mnist_limit < 0:
-            raise ConfigError(
-                f"mnist_limit must be >= 0 (0 means no limit), got {self.mnist_limit}")
-        if self.d_feat < 1 or self.d_z < 1:
-            raise ConfigError("d_feat and d_z must be positive")
-        if self.n_experts < 0:
-            raise ConfigError(f"n_experts must be >= 0, got {self.n_experts}")
         try:  # past COMPUTE_DTYPE's range, every energy would be inf
             inverse_sigma_sq(self.sigma, COMPUTE_DTYPE)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if any(w < 1 for w in list(self.dem_hidden) + list(self.gen_hidden)):
-            raise ConfigError("hidden widths must be positive")
         if not self.gen_hidden:
             # the batch norm of each generator hidden layer carries the
             # entropy surrogate; with none it is the constant 0
             raise ConfigError("gen_hidden needs at least one hidden layer")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.dem_lr <= 0 or self.dgm_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.adagrad_eps <= 0:
-            raise ConfigError(f"adagrad_eps must be positive, got {self.adagrad_eps}")
-        if self.entropy_weight < 0:
-            raise ConfigError(
-                f"entropy_weight must be >= 0, got {self.entropy_weight}")
-        if self.entropy_estimator not in ENTROPY_ESTIMATORS:
-            raise ConfigError(
-                f"entropy_estimator must be one of {ENTROPY_ESTIMATORS}, "
-                f"got {self.entropy_estimator!r}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be positive, got {self.steps}")
-        if self.dem_updates_per_dgm_update < 1:
-            raise ConfigError("dem_updates_per_dgm_update must be positive")
-        if self.checkpoint_interval < 0:
-            raise ConfigError("checkpoint_interval must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     def train_config(self) -> "RunConfig":

@@ -72,10 +72,10 @@ class EnergyModel:
     def __init__(self, layers, b_vis, sigma, widths):
         self.layers = list(layers)
         self.b_vis = b_vis
-        self._inv_sigma_sq = inverse_sigma_sq(sigma)
+        self.store = ParameterStore(self.params())
+        self._inv_sigma_sq = inverse_sigma_sq(sigma, self.dtype)
         self.sigma = float(sigma)
         self.widths = tuple(widths)
-        self.store = ParameterStore(self.params())
         self._workspace = None
 
     @classmethod

@@ -20,9 +20,8 @@ Each step runs with numpy's overflow and invalid-value warnings off: a
 value that leaves the dtype's range (in float32, past about 3.4e38) and
 spoils a gradient shows up at that check, which aborts the run with no
 warning printed first. An entropy estimate that becomes singular aborts the run
-too, with its step. Each
-``train`` call allocates the optimizer's scratch once and drops it on
-return; it is never checkpointed.
+too, with its step. AdaGrad works in each store's ``scratch``, which no
+checkpoint holds.
 """
 
 from __future__ import annotations
@@ -86,15 +85,13 @@ class TrainState:
         return cls(0, streams["data"], streams["prior"])
 
 
-def adagrad_step(store: ParameterStore, lr: float, eps: float,
-                 scratch: Optional[np.ndarray] = None) -> float:
+def adagrad_step(store: ParameterStore, lr: float, eps: float) -> float:
     """acc += g^2; values -= lr * g / (sqrt(acc) + eps), elementwise over a
     model's flat parameter store, with g = ``store.grad`` and acc =
     ``store.acc``; returns the gradient's Euclidean norm.
 
-    scratch, a (2, store size) array of the store's dtype with contiguous
-    rows, is overwritten (allocated when None). g^2 is computed once, and
-    every operation works in place on the whole flat array, in the store's
+    ``store.scratch`` is overwritten. g^2 is computed once, and every
+    operation works in place on the whole flat array, in the store's
     dtype: float32 for a run's models, float64 for ones loaded from a
     float64 checkpoint. The norm
     sums g^2 per parameter span with ``np.add.reduce``, which has the bits
@@ -107,7 +104,7 @@ def adagrad_step(store: ParameterStore, lr: float, eps: float,
     untouched even when acc and eps are both zero (the 0/0 case).
     """
     grad = store.grad
-    sq, delta = np.empty((2, grad.size), grad.dtype) if scratch is None else scratch
+    sq, delta = store.scratch
     with np.errstate(over="ignore"):   # an overflow shows as a sum of inf
         np.multiply(grad, grad, out=sq)
         sums = [float(np.add.reduce(sq[span])) for _, span, _ in store.spans]
@@ -150,9 +147,6 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
     if state is None:
         state = TrainState.initial(config.seed)
     dtype = dem.dtype
-    buffer = np.empty((2, max(dem.store.values.size, gen.store.values.size)), dtype)
-    dem_scratch = buffer[:, :dem.store.values.size]
-    gen_scratch = buffer[:, :gen.store.values.size]
     n = config.batch_size
     while state.step < config.steps:
         try:
@@ -165,8 +159,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
                 z = sample_prior(n, gen.d_z, state.prior_rng)
                 x_neg = gen.generate(z, "train")
                 _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
-                dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps,
-                                         dem_scratch)
+                dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps)
                 metrics = {
                     "step": state.step,
                     "e_pos": dem_stats["e_pos"],
@@ -177,8 +170,7 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
                     z2 = sample_prior(n, gen.d_z, state.prior_rng)
                     _, dgm_stats = dgm_loss_gradient(
                         gen, dem, z2, config.entropy_weight, config.entropy_estimator)
-                    dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps,
-                                             gen_scratch)
+                    dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps)
                     metrics["e_gen"] = dgm_stats["e_gen"]
                     metrics["entropy"] = dgm_stats["entropy"]
                     metrics["dgm_gnorm"] = dgm_gnorm

@@ -465,10 +465,14 @@ def test_sample_corrupt_checkpoint_exit_4(trained_run, tmp_path):
     ("eval", lambda h: h["dem"].update(sigma=1e200)),
     ("eval", lambda h: h["dem"].update(sigma=1e-200)),
     ("energy-map", lambda h: h["dem"].update(sigma=1e200)),
+    ("sample", lambda h: h["dem"].update(sigma=1e-25)),
+    ("eval", lambda h: h["dem"].update(sigma=1e-25)),
+    ("energy-map", lambda h: h["dem"].update(sigma=1e-25)),
 ], ids=["sample_zero_width", "eval_nan_sigma", "eval_infinite_sigma",
         "eval_mismatched_widths", "sample_mismatched_widths",
         "energy_map_mismatched_widths", "eval_huge_sigma", "eval_tiny_sigma",
-        "energy_map_huge_sigma"])
+        "energy_map_huge_sigma", "sample_float32_tiny_sigma",
+        "eval_float32_tiny_sigma", "energy_map_float32_tiny_sigma"])
 def test_checkpoint_of_an_invalid_model_exit_4(trained_run, tmp_path, capsys, command,
                                                edit):
     """A zero width once killed ``sample`` with an OverflowError traceback,
@@ -476,7 +480,10 @@ def test_checkpoint_of_an_invalid_model_exit_4(trained_run, tmp_path, capsys, co
     whose output width is not the energy model's input width killed
     ``eval`` with a scipy traceback while ``sample`` and ``energy-map``
     ran. A sigma whose square leaves float range loaded, and then ``eval``
-    and ``energy-map`` died with an OverflowError or ZeroDivisionError."""
+    and ``energy-map`` died with an OverflowError or ZeroDivisionError. A
+    sigma of 1e-25, whose 1/sigma^2 fits float64 but not the run's
+    float32, loaded too: ``energy-map`` and ``eval`` blamed their inputs
+    for the infinite energies, and ``sample`` exited 0."""
     ckpt = tmp_path / "invalid.bin"
     ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
     rewrite_checkpoint_header(ckpt, edit)

@@ -572,6 +572,23 @@ def test_784_checkpoint_with_no_dtype_in_its_header_loads_as_float64(tmp_path):
                                   b.bn_state.var.view(np.int64))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_sigma_is_checked_in_the_models_dtype(tmp_path, dtype):
+    """sigma 1e-25 has 1/sigma^2 = 1e50, in float64 range and past
+    float32's: a float32 checkpoint with it is corrupt, a float64 one
+    loads."""
+    dem = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(0), dtype=dtype)
+    gen = GeneratorModel.build((2, 8, 2), np.random.default_rng(1), dtype=dtype)
+    path = tmp_path / "sigma.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
+    rewrite_checkpoint_header(path, lambda header: header["dem"].update(sigma=1e-25))
+    if dtype == np.float32:
+        with pytest.raises(CheckpointError, match="in float32 range"):
+            load_checkpoint(path)
+    else:
+        assert load_checkpoint(path).dem.sigma == 1e-25
+
+
 @pytest.mark.parametrize("dtype", ["float16", "<f4", ["float32"], None])
 def test_checkpoint_with_an_unknown_dtype_is_refused(tmp_path, dtype):
     dem, gen, _, _ = _small_run(tmp_path)

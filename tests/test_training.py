@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import math
@@ -33,10 +34,10 @@ def _models(seed=0, d_in=2):
 
 # --- AdaGrad -----------------------------------------------------------------
 
-def _adagrad(store, grad, lr, eps, scratch=None):
+def _adagrad(store, grad, lr, eps):
     """Put ``grad`` in ``store.grad``, as a loss would, and take one step."""
     store.grad[...] = grad
-    return adagrad_step(store, lr, eps, scratch)
+    return adagrad_step(store, lr, eps)
 
 
 def test_adagrad_first_step():
@@ -129,7 +130,6 @@ def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
     store, ref = (_span_store(np.random.default_rng(42)) for _ in range(2))
     rng = np.random.default_rng(43)
     ref_acc = {}
-    scratch = np.empty((2, store.values.size))
     for step in range(4):
         flat = rng.normal(size=store.values.size) * 10.0 ** rng.integers(-3, 3)
         flat[rng.random(flat.size) < 0.3] = 0.0
@@ -137,8 +137,7 @@ def test_adagrad_returns_the_per_parameter_norm_bitwise(eps):
             flat[-130:] = 0.0                      # the 0/0 case, in the small spans
         grads = store.views(flat)
         expected = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-        norm = _adagrad(store, flat, lr=0.05, eps=eps,
-                        scratch=scratch if step % 2 else None)
+        norm = _adagrad(store, flat, lr=0.05, eps=eps)
         assert norm == expected, step
         _per_parameter_adagrad(ref.params, grads, ref_acc, lr=0.05, eps=eps)
     acc_views = store.views(store.acc)
@@ -171,12 +170,11 @@ def test_adagrad_refuses_a_finite_gradient_whose_square_overflows():
 def test_adagrad_step_with_scratch_allocates_no_store_sized_array():
     store = _span_store(np.random.default_rng(46))
     rng = np.random.default_rng(47)
-    scratch = np.empty((2, store.values.size))
     store.grad[...] = rng.normal(size=store.values.size)
-    adagrad_step(store, 0.05, 1e-8, scratch)    # warm-up
+    adagrad_step(store, 0.05, 1e-8)    # warm-up
     tracemalloc.start()
     try:
-        adagrad_step(store, 0.05, 1e-8, scratch)
+        adagrad_step(store, 0.05, 1e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -195,16 +193,14 @@ def test_a_loss_and_its_update_allocate_no_store_sized_array(estimator):
     x_pos = rng.normal(size=(64, 2))
     x_neg = gen.generate(sample_prior(64, gen.d_z, rng), "train")
     z = sample_prior(64, gen.d_z, rng)
-    dem_scratch = np.empty((2, dem.store.values.size))
-    gen_scratch = np.empty((2, gen.store.values.size))
 
     def dem_pair():
         training.dem_loss_gradient(dem, x_pos, x_neg)
-        adagrad_step(dem.store, 0.01, 1e-8, dem_scratch)
+        adagrad_step(dem.store, 0.01, 1e-8)
 
     def gen_pair():
         training.dgm_loss_gradient(gen, dem, z, 1.0, estimator)
-        adagrad_step(gen.store, 0.01, 1e-8, gen_scratch)
+        adagrad_step(gen.store, 0.01, 1e-8)
 
     for pair, store in ((dem_pair, dem.store), (gen_pair, gen.store)):
         pair()    # warm-up: the workspaces are built
@@ -340,6 +336,42 @@ def test_a_training_step_records_nothing_on_a_tape(monkeypatch, estimator):
 
 # --- config -------------------------------------------------------------------
 
+_MNIST = {"dataset": "mnist", "mnist_images": "images.idx", "mnist_labels": "labels.idx"}
+
+
+@pytest.mark.parametrize("good", [
+    {"dataset": "two_spiral"},
+    {"dataset": "four_spin"},
+    _MNIST,
+    {"n_points": 4},
+    {"dataset": "two_spiral", "n_points": 2},
+    {**_MNIST, "n_points": 2},
+    {"noise_sd": 0.0},
+    {"mnist_limit": 0},
+    {"dem_hidden": [1]},
+    {"dem_hidden": []},
+    {"d_feat": 1},
+    {"n_experts": 0},
+    {"sigma": 1e-19},
+    {"sigma": 1e154},
+    {"d_z": 1},
+    {"gen_hidden": [1]},
+    {"batch_size": 2},
+    {"dem_lr": 1e-300},
+    {"dgm_lr": 1e-300},
+    {"adagrad_eps": 1e-300},
+    {"entropy_weight": 0.0},
+    {"entropy_estimator": "nearest_neighbour"},
+    {"entropy_estimator": "batch_norm_scale"},
+    {"steps": 1},
+    {"dem_updates_per_dgm_update": 1},
+    {"seed": 0},
+    {"checkpoint_interval": 0},
+])
+def test_config_accepts_each_bound(good):
+    RunConfig(**good).validate()
+
+
 @pytest.mark.parametrize("bad", [
     {"steps": 0},
     {"batch_size": 1},
@@ -348,10 +380,59 @@ def test_a_training_step_records_nothing_on_a_tape(monkeypatch, estimator):
     {"entropy_weight": -1.0},
     {"dem_updates_per_dgm_update": 0},
     {"entropy_estimator": "kernel_density"},
+    {"dataset": "three_spiral"},
+    {"dataset": "mnist"},
+    {"dataset": "mnist", "mnist_images": "images.idx"},
+    {"n_points": 3},
+    {"dataset": "two_spiral", "n_points": 1},
+    {**_MNIST, "n_points": 1},
+    {"noise_sd": -1e-300},
+    {"mnist_limit": -1},
+    {"dem_hidden": [0]},
+    {"dem_hidden": [8, -1]},
+    {"d_feat": 0},
+    {"n_experts": -1},
+    {"sigma": 1e-20},
+    {"sigma": 1e155},
+    {"d_z": 0},
+    {"gen_hidden": [0]},
+    {"gen_hidden": [8, -1]},
+    {"gen_hidden": []},
+    {"dem_lr": -1e-300},
+    {"dgm_lr": 0.0},
+    {"adagrad_eps": -1e-300},
+    {"entropy_weight": -1e-300},
+    {"seed": -1},
+    {"checkpoint_interval": -1},
 ])
 def test_config_validation(bad):
     with pytest.raises(ConfigError):
         RunConfig(**bad).validate()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"n_experts": -1}, "n_experts must be >= 0, got -1"),
+    ({"dem_hidden": [8, 0]}, "dem_hidden must be >= 1, got 0"),
+    ({"dgm_lr": 0.0}, "dgm_lr must be > 0, got 0.0"),
+    ({"dataset": "ring"}, "dataset must be one of ('two_spiral', 'four_spin', "
+                          "'mnist'), got 'ring'"),
+    ({"entropy_weight": math.nan}, "entropy_weight must be finite, got nan"),
+])
+def test_config_refusal_names_the_field_its_rule_and_the_value(bad, message):
+    with pytest.raises(ConfigError) as err:
+        RunConfig(**bad).validate()
+    assert str(err.value) == message
+
+
+def test_every_number_field_declares_its_range():
+    """An int or float field states the values it accepts where it is
+    declared, so validate checks it with no code of its own. n_points and
+    sigma are the exceptions: their rules read the dataset and the compute
+    dtype, and validate checks them by hand."""
+    undeclared = [f.name for f in dataclasses.fields(RunConfig)
+                  if type(getattr(RunConfig(), f.name)) in (int, float)
+                  and not f.metadata]
+    assert undeclared == ["n_points", "sigma"]
 
 
 @pytest.mark.parametrize("name", ["dem_lr", "dgm_lr", "adagrad_eps",

@@ -182,17 +182,22 @@ def load_mnist_idx(images_path, labels_path, limit: int = 0,
 
 def save_points_csv(path, points: np.ndarray, columns=None) -> None:
     """One header line of the column names, x0,x1,... unless given, and one
-    line per row, each value written as its shortest round-tripping repr;
-    the rows are formatted and written a block of ``ROW_BLOCK`` at a time."""
-    points = np.asarray(points, dtype=np.float64)
+    line per row. A float32 array's values are written with 9 significant
+    digits (``%.9g``), which always parse back to the same float32; any
+    other array is read as float64 and each value written as its shortest
+    round-tripping repr. The rows are formatted by one ``%`` call and
+    written a block of ``ROW_BLOCK`` rows at a time."""
+    points, spec = np.asarray(points), "%.9g"
+    if points.dtype != np.float32:
+        points, spec = points.astype(np.float64, copy=False), "%r"
     if columns is None:
         columns = [f"x{i}" for i in range(points.shape[1])]
-    fmt = ",".join(["%r"] * points.shape[1]) + "\n"
+    row_fmt = ",".join([spec] * points.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
         for start in range(0, points.shape[0], ROW_BLOCK):
-            rows = points[start:start + ROW_BLOCK].tolist()
-            f.write("".join([fmt % tuple(row) for row in rows]))
+            block = points[start:start + ROW_BLOCK]
+            f.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 # --- checkpoints -----------------------------------------------------------------

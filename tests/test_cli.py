@@ -15,7 +15,12 @@ from dualebm import config as run_config
 from dualebm.config import config_from_dict, load_run_dataset
 from dualebm.data_io import Checkpoint, load_checkpoint, save_checkpoint
 from dualebm.energy_model import EnergyModel
-from dualebm.evaluation import read_pgm
+from dualebm.evaluation import (
+    energy_heatmap,
+    latent_interpolation,
+    read_pgm,
+    read_sidecar,
+)
 from dualebm.generator_model import GeneratorModel, sample_prior
 from dualebm.training import TrainState
 
@@ -699,6 +704,45 @@ def test_interpolate_2d_writes_csv(trained_run, tmp_path):
                      str(trained_run / "checkpoint_final.bin"),
                      "--k", "7", "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 8
+
+
+def test_float32_sample_and_interpolate_csvs_read_back_bit_for_bit(trained_run, tmp_path):
+    """A float32 2D checkpoint's ``sample`` and ``interpolate`` CSVs hold
+    its float32 outputs exactly, at float32 precision."""
+    ckpt = trained_run / "checkpoint_final.bin"
+    gen = load_checkpoint(ckpt).gen
+    assert gen.dtype == np.float32
+    samples, path = tmp_path / "s.csv", tmp_path / "i.csv"
+    assert cli.main(["sample", "--checkpoint", str(ckpt), "--n", "300", "--seed", "3",
+                     "--out", str(samples)]) == 0
+    assert cli.main(["interpolate", "--checkpoint", str(ckpt), "--k", "9",
+                     "--seed", "4", "--out", str(path)]) == 0
+    z = sample_prior(300, gen.d_z, np.random.default_rng(3))
+    ends = sample_prior(2, gen.d_z, np.random.default_rng(4))
+    for out, expected in ((samples, gen.generate(z, "infer")),
+                          (path, latent_interpolation(gen, ends[0], ends[1], 9))):
+        assert expected.dtype == np.float32
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, dtype=np.float32)
+        assert np.array_equal(rows.view(np.uint32), expected.view(np.uint32))
+
+
+def test_energy_map_of_a_float32_checkpoint_writes_float64_reprs(trained_run, tmp_path):
+    """The energy-map CSV stays in float64 reprs, so its energies are the
+    float64 values the sidecar's vmin/vmax are the repr of: the parsed
+    column's min and max equal them exactly."""
+    ckpt = trained_run / "checkpoint_final.bin"
+    dem = load_checkpoint(ckpt).dem
+    assert dem.dtype == np.float32
+    out = tmp_path / "m.csv"
+    assert cli.main(["energy-map", "--checkpoint", str(ckpt), "--res", "20",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    energies = [float(line.split(",")[2]) for line in lines]
+    meta = read_sidecar(out)
+    assert float(meta["vmin"]) == min(energies) and float(meta["vmax"]) == max(energies)
+    assert lines == [",".join(repr(float(v)) for v in line.split(",")) for line in lines]
+    grid = energy_heatmap(dem, [(-1.5, 1.5), (-1.5, 1.5)], 20)
+    assert np.array_equal(energies, grid.values.ravel())
 
 
 def test_interpolate_image_model_writes_strip(tmp_path):

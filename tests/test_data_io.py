@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
+from dualebm.autodiff import ROW_BLOCK
 from dualebm.config import RunConfig, build_models, load_run_dataset
 from dualebm.data_io import (
     SPIRAL_SPECS,
@@ -931,3 +932,34 @@ def test_points_csv_writes_float_reprs(tmp_path):
     save_points_csv(path, pts)
     assert path.read_text().splitlines()[1:] == [
         ",".join(repr(float(v)) for v in row) for row in pts]
+
+
+def _float32_values(size: int) -> np.ndarray:
+    """float32's edge values first, then random magnitudes over 1e-30..1e30
+    of either sign."""
+    f32 = np.finfo(np.float32)
+    one = np.float32(1.0)
+    edges = np.array([-0.0, 1e-45, f32.tiny, f32.max, -f32.max,
+                      np.nextafter(one, np.float32(0.0)), one,
+                      np.nextafter(one, np.float32(2.0))], dtype=np.float32)
+    rng = np.random.default_rng(size)
+    values = (rng.choice([-1.0, 1.0], size=size)
+              * 10.0 ** rng.uniform(-30.0, 30.0, size=size)).astype(np.float32)
+    values[:min(size, edges.size)] = edges[:size]
+    return values
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("rows", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+def test_points_csv_of_float32_reads_back_bit_for_bit(tmp_path, rows, width):
+    """float32 values are written with 9 significant digits, which parse
+    back to the same float32: -0.0, the smallest subnormal and float32's max
+    too, in every row block."""
+    pts = _float32_values(rows * width).reshape(rows, width)
+    path = tmp_path / "points.csv"
+    save_points_csv(path, pts)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(f"x{i}" for i in range(width))
+    parsed = np.array([[np.float32(float(s)) for s in line.split(",")]
+                       for line in lines[1:]], dtype=np.float32).reshape(rows, width)
+    assert np.array_equal(parsed.view(np.uint32), pts.view(np.uint32))

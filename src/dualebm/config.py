@@ -187,16 +187,20 @@ def load_run_dataset(config: RunConfig, rng: np.random.Generator) -> Dataset:
             # a missing or unreadable file, an IdxFormatError (wrongly sized
             # images too), or the ValueError of a Dataset with no images
             raise ConfigError(f"cannot load mnist data: {err}") from None
-    ds = make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
     # a batch's energies sum |x|^2 / sigma^2 over its points in the models'
     # dtype, whose range that sum, and the squares, must stay in: a noise_sd
     # of 1e20 puts the points near 1e20, where every float32 energy is inf
-    # before any step is taken.
+    # before any step is taken, and one of 1e308 draws points past float64's.
     limit = float(np.finfo(COMPUTE_DTYPE).max)
     inv_sigma_sq = inverse_sigma_sq(config.sigma)
-    with np.errstate(over="ignore"):
-        largest = float(np.square(ds.points).sum(axis=1).max())
-        batch_sum = config.batch_size * largest
+    try:
+        ds = make_dataset(config.dataset, config.n_points, config.noise_sd, rng)
+    except ValueError:   # Dataset refuses a point that is not finite
+        largest = math.inf
+    else:
+        with np.errstate(over="ignore"):
+            largest = float(np.square(ds.points).sum(axis=1).max())
+    batch_sum = config.batch_size * largest
     if not (batch_sum <= limit and batch_sum * inv_sigma_sq <= limit):
         raise ConfigError(
             f"noise_sd {config.noise_sd!r}: the data's energies overflow with sigma "
@@ -226,6 +230,4 @@ def build_models(config: RunConfig) -> tuple[EnergyModel, GeneratorModel]:
 
 def dataset_bounds(config: RunConfig) -> list:
     """Evaluation box for the 2D datasets (unit disk plus a 0.5 margin)."""
-    if config.dataset == "mnist":
-        raise ConfigError("grid evaluation is only defined for 2D datasets")
     return [(-1.5, 1.5), (-1.5, 1.5)]

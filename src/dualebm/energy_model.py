@@ -225,8 +225,6 @@ def trapezoid_grid(bounds, grid_n: int):
     if not 1 <= len(bounds) <= 2:
         raise ValueError(
             f"quadrature supports 1 or 2 dimensions, got {len(bounds)}")
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
     axes, log_weights = [], []
     for lo, hi in bounds:
         axes.append(np.linspace(lo, hi, grid_n))

@@ -57,8 +57,6 @@ def _cell_centers(bounds, resolution) -> tuple[np.ndarray, np.ndarray]:
 def latent_interpolation(gen: GeneratorModel, z_a: np.ndarray,
                          z_b: np.ndarray, k: int) -> np.ndarray:
     """Samples along the straight line between two latents, infer mode."""
-    if k < 2:
-        raise ValueError(f"need at least the two endpoints, got k={k}")
     z_a = np.asarray(z_a, dtype=np.float64).ravel()
     z_b = np.asarray(z_b, dtype=np.float64).ravel()
     t = np.linspace(0.0, 1.0, k)[:, None]
@@ -136,9 +134,6 @@ class gaussian_kde:
 
     def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] <= points.shape[1]:
-            raise ValueError(
-                f"a KDE needs more rows than columns, got shape {points.shape}")
         n, d = points.shape
         chol = np.linalg.cholesky(np.atleast_2d(np.cov(points, rowvar=False)))
         chol *= n ** (-1.0 / (d + 4))
@@ -152,9 +147,6 @@ class gaussian_kde:
     def logpdf(self, x: np.ndarray) -> np.ndarray:
         """log q at each row of x."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.sample.shape[1]:
-            raise ValueError(f"points of shape {x.shape} for a KDE of "
-                             f"{self.sample.shape[1]} dimensions")
         x = (x - self.mean) @ self.whiten
         n = self.sample.shape[0]
         rows = max(1, min(ROW_BLOCK, KDE_BLOCK_FLOATS // n))
@@ -249,8 +241,6 @@ def export_image_grid(obj, path) -> None:
         return
 
     samples = np.asarray(obj)
-    if samples.ndim != 2:
-        raise ValueError(f"expected (k, pixels) samples, got shape {samples.shape}")
     side = int(round(np.sqrt(samples.shape[1])))
     if side * side != samples.shape[1]:
         raise ValueError(

@@ -97,6 +97,21 @@ def test_train_rejects_malformed_json(tmp_path):
     assert cli.main(["train", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"),
+    ("[1, 2]", "config must be a JSON object"),
+], ids=["missing_file", "json_array"])
+def test_train_refuses_a_config_file_that_holds_no_config(tmp_path, capsys, text,
+                                                          message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    run_dir = tmp_path / "run"
+    assert cli.main(["train", "--config", str(path), "--out_dir", str(run_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_train_rejects_unknown_override(tmp_path):
     config = _write_config(tmp_path)
     assert cli.main(["train", "--config", str(config), "--bogus", "1"]) == 2
@@ -382,7 +397,8 @@ def test_an_overflowing_gradient_norm_aborts_at_its_step(tmp_path, flag, value, 
     ("--noise_sd", "1e300"),                   # data ~1e300: every energy is inf
     ("--noise_sd", "1e153", "--batch_size", "1000"),   # a batch's energies sum to inf
     ("--noise_sd", "1e20"),                    # in float64 range, not in float32's
-], ids=["noise_sd_1e300", "batch_sum_1e153", "float32_1e20"])
+    ("--noise_sd", "1e308"),                   # points past float64's range
+], ids=["noise_sd_1e300", "batch_sum_1e153", "float32_1e20", "float64_1e308"])
 def test_train_rejects_a_data_scale_whose_energies_overflow(tmp_path, flags):
     """Data whose energies overflow is a usage error naming noise_sd, found
     before any step and with no numpy warning; it once printed numpy's
@@ -473,11 +489,14 @@ def test_sample_corrupt_checkpoint_exit_4(trained_run, tmp_path):
     ("sample", lambda h: h["dem"].update(sigma=1e-25)),
     ("eval", lambda h: h["dem"].update(sigma=1e-25)),
     ("energy-map", lambda h: h["dem"].update(sigma=1e-25)),
+    ("eval", lambda h: h["dem"].update(widths=[2])),
+    ("sample", lambda h: h["gen"].update(widths=[2])),
 ], ids=["sample_zero_width", "eval_nan_sigma", "eval_infinite_sigma",
         "eval_mismatched_widths", "sample_mismatched_widths",
         "energy_map_mismatched_widths", "eval_huge_sigma", "eval_tiny_sigma",
         "energy_map_huge_sigma", "sample_float32_tiny_sigma",
-        "eval_float32_tiny_sigma", "energy_map_float32_tiny_sigma"])
+        "eval_float32_tiny_sigma", "energy_map_float32_tiny_sigma",
+        "eval_one_dem_width", "sample_one_gen_width"])
 def test_checkpoint_of_an_invalid_model_exit_4(trained_run, tmp_path, capsys, command,
                                                edit):
     """A zero width once killed ``sample`` with an OverflowError traceback,
@@ -597,6 +616,22 @@ def test_eval_of_an_invalid_stored_config_exit_4(trained_run, tmp_path, capsys, 
                      "--grid-n", "10"]) == 4
     captured = capsys.readouterr()
     assert "invalid stored config" in captured.err and not captured.out
+
+
+def test_eval_of_a_stored_noise_sd_past_float64_range_is_a_config_error(
+        trained_run, tmp_path, capsys):
+    """A noise_sd of 1e308 draws held-out points past float64's range:
+    ``eval`` refuses it as ``train`` does, where it once died with a
+    ValueError traceback (exit 1)."""
+    ckpt = tmp_path / "noisy.bin"
+    ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
+    rewrite_checkpoint_header(ckpt, lambda h: h["config"].update(noise_sd=1e308))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--n", "50",
+                     "--grid-n", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: noise_sd 1e+308: the data's "
+                                   "energies overflow with sigma 1.0")
+    assert not captured.out
 
 
 def test_commands_do_not_mutate_checkpoint(trained_run, tmp_path):

@@ -278,6 +278,14 @@ def test_idx_header_is_checked_before_reading(tmp_path, which, header, message):
         load_mnist_idx(paths["images"], paths["labels"])
 
 
+@pytest.mark.parametrize("which", ["images", "labels"])
+def test_idx_file_shorter_than_its_header(tmp_path, which):
+    paths = dict(zip(("images", "labels"), write_idx_pair(tmp_path)))
+    paths[which].write_bytes(paths[which].read_bytes()[:6])
+    with pytest.raises(IdxFormatError, match=r"truncated file, wanted a \d+-byte header"):
+        load_mnist_idx(paths["images"], paths["labels"])
+
+
 def test_idx_trailing_bytes(tmp_path):
     images, labels, _ = write_idx_pair(tmp_path)
     with open(images, "ab") as f:
@@ -661,6 +669,17 @@ def test_checkpoint_bad_header_structure(tmp_path, damage):
         load_checkpoint(path)
 
 
+def test_checkpoint_header_that_is_not_utf8(tmp_path):
+    dem, gen, _, _ = _small_run(tmp_path)
+    path = tmp_path / "header.bin"
+    save_checkpoint(path, Checkpoint({}, dem, gen, TrainState.initial(0)))
+    data = bytearray(path.read_bytes())
+    data[20] = 0xFF   # the header's opening brace; 0xFF is no UTF-8 byte
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="corrupt header"):
+        load_checkpoint(path)
+
+
 def _rename_tensor(header, old, new):
     for entry in header["tensors"]:
         if entry[0] == old:
@@ -843,6 +862,23 @@ def test_checkpoint_that_cannot_be_read(tmp_path):
         load_checkpoint(tmp_path / "absent.bin")
     with pytest.raises(CheckpointError, match=f"{tmp_path}: cannot read checkpoint"):
         load_checkpoint(tmp_path)
+
+
+def test_a_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
+    """A write that fails at the rename is re-raised, and neither the temp
+    file nor the checkpoint is left in the directory."""
+    dem, gen, _, _ = _small_run(tmp_path)
+    directory = tmp_path / "out"
+    directory.mkdir()
+
+    def refuse(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(directory / "checkpoint.bin",
+                        Checkpoint({}, dem, gen, TrainState.initial(0)))
+    assert list(directory.iterdir()) == []
 
 
 def test_save_checkpoint_writes_the_arrays_without_copying_them(tmp_path):

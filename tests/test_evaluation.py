@@ -274,6 +274,17 @@ def test_pgm_roundtrip_exact(tmp_path):
     assert float(meta["vmax"]) == vmax
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P2\n2 1\n255\n\x00\x01", "not a binary PGM file"),
+    (b"P5\n2 1\n65535\n\x00\x00\x00\x01", "unsupported max value 65535"),
+], ids=["ascii_pgm", "16_bit_pgm"])
+def test_read_pgm_refuses_a_file_it_cannot_read(tmp_path, data, message):
+    path = tmp_path / "other.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
+        read_pgm(path)
+
+
 def test_constant_samples_give_degenerate_scale(tmp_path):
     path = tmp_path / "flat.pgm"
     export_image_grid(np.full((3, 16), 0.7), path)

@@ -38,7 +38,6 @@ from .data_io import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
-    save_points_csv,
 )
 from .evaluation import (
     energy_heatmap,
@@ -179,23 +178,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _write_generated(path, points: np.ndarray) -> None:
-    """Generated rows as a PGM strip when their width is the square of a
-    side >= 2 (images), as CSV otherwise (2D points)."""
-    side = int(round(np.sqrt(points.shape[1])))
-    if side >= 2 and side * side == points.shape[1]:
-        export_image_grid(points, path)
-    else:
-        save_points_csv(path, points)
-
-
 def cmd_sample(args) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     gen = checkpoint.gen
     z = sample_prior(args.n, gen.d_z, np.random.default_rng(args.seed))
     samples = gen.generate(z, "infer")
     with _output(args.out):
-        _write_generated(args.out, samples)
+        export_image_grid(samples, args.out)
     print(f"wrote {samples.shape[0]} samples to {args.out}")
     return EXIT_OK
 
@@ -224,7 +213,7 @@ def cmd_interpolate(args) -> int:
     z = sample_prior(2, gen.d_z, rng)
     path_points = latent_interpolation(gen, z[0], z[1], args.k)
     with _output(args.out):
-        _write_generated(args.out, path_points)
+        export_image_grid(path_points, args.out)
     print(f"wrote {args.k}-step interpolation to {args.out}")
     return EXIT_OK
 

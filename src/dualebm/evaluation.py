@@ -3,8 +3,8 @@
 Energy surfaces become grids with exported min/max, sample quality becomes
 arm-coverage fractions against the known generating curves, and density fit
 becomes cross-entropy / KL numbers computed with the brute-force partition
-quadrature. Image-shaped samples are written as binary PGM strips so no
-codec is involved.
+quadrature. ``export_image_grid`` writes every generated file: heatmaps
+and points as CSV, images as binary PGM strips so no codec is involved.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ KDE_BLOCK_FLOATS = 1 << 19     # 4 MiB: the most a KDE logpdf block holds
 
 @dataclass
 class HeatmapGrid:
-    bounds: tuple            # ((x_lo, x_hi), (y_lo, y_hi))
-    resolution: tuple        # (nx, ny)
-    values: np.ndarray       # (ny, nx) energies at cell centers
+    points: np.ndarray       # (ny * nx, 2) cell centers, x fastest
+    values: np.ndarray       # (ny, nx) energies at those points
     vmin: float
     vmax: float
 
@@ -37,21 +36,14 @@ def energy_heatmap(dem: EnergyModel, bounds, resolution: int) -> HeatmapGrid:
     by-resolution grid over the bounds; never mutates the model."""
     if dem.d_in != 2:
         raise ValueError(f"heatmaps need a 2-dimensional model, got d_in={dem.d_in}")
-    bounds = tuple(tuple(map(float, b)) for b in bounds)
-    gx, gy = np.meshgrid(*_cell_centers(bounds, (resolution, resolution)))
-    energies = dem.energy_values(np.column_stack([gx.ravel(), gy.ravel()]))
+    (x_lo, x_hi), (y_lo, y_hi) = (tuple(map(float, b)) for b in bounds)
+    centers = np.arange(resolution) + 0.5
+    gx, gy = np.meshgrid(x_lo + centers * (x_hi - x_lo) / resolution,
+                         y_lo + centers * (y_hi - y_lo) / resolution)
+    points = np.column_stack([gx.ravel(), gy.ravel()])
+    energies = dem.energy_values(points)
     values = np.asarray(energies, dtype=np.float64).reshape(resolution, resolution)
-    return HeatmapGrid(bounds, (resolution, resolution), values,
-                       float(values.min()), float(values.max()))
-
-
-def _cell_centers(bounds, resolution) -> tuple[np.ndarray, np.ndarray]:
-    """x and y centres of the cells of an nx-by-ny grid over the bounds."""
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
-    nx, ny = resolution
-    xs = x_lo + (np.arange(nx) + 0.5) * (x_hi - x_lo) / nx
-    ys = y_lo + (np.arange(ny) + 0.5) * (y_hi - y_lo) / ny
-    return xs, ys
+    return HeatmapGrid(points, values, float(values.min()), float(values.max()))
 
 
 def latent_interpolation(gen: GeneratorModel, z_a: np.ndarray,
@@ -224,27 +216,29 @@ def read_pgm(path) -> np.ndarray:
 
 
 def export_image_grid(obj, path) -> None:
-    """Heatmaps go to CSV, image-row samples to a PGM strip of square tiles.
+    """The one writer of generated files. A ``HeatmapGrid`` goes to an
+    x,y,energy CSV of its points; rows whose width is the square of a side
+    >= 2 go to a PGM strip of square image tiles; any other rows go to
+    ``save_points_csv``. The name predates the last case and stays because
+    profilers replace this function by name.
 
-    Min/max scaling is recorded in a ``<path>.meta`` sidecar; a constant
-    input produces a zero image with the degenerate scale noted. The
-    samples keep their dtype (the 784-d models' are float32), and are
-    scaled in float64 a row block at a time into the one uint8 strip, so
-    the export needs a quarter of float32 samples' memory, an eighth of
-    float64 ones', not copies of them.
+    Heatmap and image min/max go to a ``<path>.meta`` sidecar; a constant
+    image is all zeros with the degenerate scale noted. Images keep their
+    dtype (the 784-d models' are float32) and are scaled in float64 a row
+    block at a time into the one uint8 strip, so the export needs a quarter
+    of float32 samples' memory, an eighth of float64 ones', not copies.
     """
     if isinstance(obj, HeatmapGrid):
-        gx, gy = np.meshgrid(*_cell_centers(obj.bounds, obj.resolution))
-        rows = np.column_stack([gx.ravel(), gy.ravel(), np.ravel(obj.values)])
+        rows = np.column_stack([obj.points, np.ravel(obj.values)])
         save_points_csv(path, rows, columns=("x", "y", "energy"))
         _write_sidecar(path, {"vmin": repr(obj.vmin), "vmax": repr(obj.vmax)})
         return
 
     samples = np.asarray(obj)
-    side = int(round(np.sqrt(samples.shape[1])))
-    if side * side != samples.shape[1]:
-        raise ValueError(
-            f"samples of width {samples.shape[1]} are not square images")
+    side = math.isqrt(samples.shape[1])
+    if side < 2 or side * side != samples.shape[1]:
+        save_points_csv(path, samples)
+        return
     k = samples.shape[0]
     vmin, vmax = float(samples.min()), float(samples.max())
     meta = {"vmin": repr(vmin), "vmax": repr(vmax), "tiles": k, "tile_side": side}

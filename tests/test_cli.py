@@ -13,7 +13,7 @@ import pytest
 from dualebm import cli
 from dualebm import config as run_config
 from dualebm.config import config_from_dict, load_run_dataset
-from dualebm.data_io import Checkpoint, load_checkpoint, save_checkpoint
+from dualebm.data_io import Checkpoint, load_checkpoint, save_checkpoint, save_points_csv
 from dualebm.energy_model import EnergyModel
 from dualebm.evaluation import (
     energy_heatmap,
@@ -809,6 +809,37 @@ def test_sample_image_model_matches_the_full_array_export(tmp_path):
     pgm, meta = reference_image_files(load_checkpoint(ckpt_path).gen.generate(z, "infer"))
     assert out.read_bytes() == pgm
     assert (tmp_path / "samples.pgm.meta").read_text() == meta
+
+
+@pytest.mark.parametrize("command", ["sample", "interpolate"])
+@pytest.mark.parametrize("width, side", [(1, None), (3, None), (4, 2), (16, 4)])
+def test_output_width_picks_csv_or_pgm_strip(tmp_path, command, width, side):
+    """Generated rows whose width is the square of a side >= 2 are images:
+    ``sample`` and ``interpolate`` write them as a PGM strip with its
+    sidecar. Rows of any other width, 1 included, are points, written as a
+    CSV alone."""
+    dem = EnergyModel.build((width, 8, 4), 4, np.random.default_rng(2))
+    gen = GeneratorModel.build((4, 8, width), np.random.default_rng(3))
+    ckpt = tmp_path / "ckpt.bin"
+    save_checkpoint(ckpt, Checkpoint({}, dem, gen, TrainState.initial(0)))
+    out = tmp_path / "out"
+    count = "--n" if command == "sample" else "--k"
+    assert cli.main([command, "--checkpoint", str(ckpt), count, "6", "--seed", "5",
+                     "--out", str(out)]) == 0
+    gen = load_checkpoint(ckpt).gen
+    assert gen.dtype == np.float64
+    z = sample_prior(6 if command == "sample" else 2, 4, np.random.default_rng(5))
+    rows = (gen.generate(z, "infer") if command == "sample"
+            else latent_interpolation(gen, z[0], z[1], 6))
+    if side is None:
+        save_points_csv(tmp_path / "expected.csv", rows)
+        assert out.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert not (tmp_path / "out.meta").exists()
+    else:
+        pgm, meta = reference_image_files(rows)
+        assert read_pgm(out).shape == (side, 6 * side)
+        assert out.read_bytes() == pgm
+        assert (tmp_path / "out.meta").read_text() == meta
 
 
 def test_eval_reports_metrics(trained_run, capsys):

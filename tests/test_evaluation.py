@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import gaussian_kde as scipy_gaussian_kde
 
 from dualebm.autodiff import ROW_BLOCK
-from dualebm.data_io import SPIRAL_SPECS, arm_curve, make_dataset
+from dualebm.data_io import SPIRAL_SPECS, arm_curve, make_dataset, save_points_csv
 from dualebm.energy_model import EnergyModel, trapezoid_grid
 from dualebm.evaluation import (
     KDE_BLOCK_FLOATS,
@@ -376,16 +376,21 @@ def test_heatmap_csv_export(tmp_path):
 
 
 def test_heatmap_csv_rows_are_float_reprs(tmp_path):
+    xs, ys = [-0.75, -0.25, 0.25, 0.75], [0.5, 1.5, 2.5]
+    points = np.array([(x, y) for y in ys for x in xs])
     values = np.arange(12).reshape(3, 4)  # integers are written as floats
-    grid = HeatmapGrid(((-1.0, 1.0), (0.0, 3.0)), (4, 3), values, 0.0, 11.0)
+    grid = HeatmapGrid(points, values, 0.0, 11.0)
     path = tmp_path / "grid.csv"
     export_image_grid(grid, path)
-    xs = [-0.75, -0.25, 0.25, 0.75]
     expected = [f"{x!r},{y!r},{float(values[iy, ix])!r}"
-                for iy, y in enumerate([0.5, 1.5, 2.5]) for ix, x in enumerate(xs)]
+                for iy, y in enumerate(ys) for ix, x in enumerate(xs)]
     assert path.read_text().splitlines() == ["x,y,energy"] + expected
 
 
-def test_non_square_samples_rejected(tmp_path):
-    with pytest.raises(ValueError, match="square"):
-        export_image_grid(np.zeros((2, 10)), tmp_path / "bad.pgm")
+def test_non_square_samples_are_written_as_points_csv(tmp_path):
+    samples = np.random.default_rng(0).normal(size=(2, 10))
+    path, expected = tmp_path / "rows.csv", tmp_path / "expected.csv"
+    export_image_grid(samples, path)
+    save_points_csv(expected, samples)
+    assert path.read_bytes() == expected.read_bytes()
+    assert not (tmp_path / "rows.csv.meta").exists()

@@ -20,7 +20,8 @@ expressions, and the order of its sums, are the chain's of ``matmul``,
 sigmoid' = (1 - out) * out formed from the activation's output, so its
 gradients have the chain's bits. ``by_row_blocks`` runs a plain pass over
 many rows in blocks of ``ROW_BLOCK`` rows, each written straight into its
-slice of one output, so its memory does not grow with the row count.
+slice of one output, so its memory does not grow with the row count, and
+``run_in_shares`` spreads such a block loop over every usable core.
 
 The tape is a reference, and no command records on one. The tests build
 each model pass and loss as a chain of primitives on a ``Tape``
@@ -60,14 +61,20 @@ AdaGrad, finite differences and the hand-written backwards, which work on
 the flat buffers, see one state. ``views`` names the parts of a flat
 buffer where a name is needed: in a checkpoint, in an error message.
 
-Nothing here is thread-shared except Parameters, whose ``.grad`` a
-backward writes, and a model's workspace, which its passes write: one
-model must not run passes from two threads at once.
+Parameters, whose ``.grad`` a backward writes, and a model's workspace,
+which its passes write, are shared by whatever uses the model: one model
+must not run passes from two threads at once. ``run_in_shares`` is the one
+place that starts threads. It runs the blocks of one plain pass on several
+threads at once, one share of the blocks per usable core, and joins them
+before it returns; each block reads the model's parameters and writes its
+own slice of the output, and no block writes into a workspace.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
@@ -301,29 +308,95 @@ class Tape:
             param.grad[...] = 0.0 if grads[idx] is None else grads[idx]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def share_count(rows: int) -> int:
+    """How many shares ``run_in_shares`` splits ``rows`` rows into: one per
+    usable CPU, and no more than there are blocks of ``ROW_BLOCK`` rows."""
+    return max(1, min(usable_cpus(), -(-rows // ROW_BLOCK)))
+
+
+def run_in_shares(share: Callable[[range], object], rows: int) -> None:
+    """Run a loop over the blocks of ``ROW_BLOCK`` rows of ``rows`` rows on
+    every usable core: ``share(starts)`` loops over the first rows
+    ``starts`` of its blocks, in order. With n = ``share_count(rows)``,
+    share k takes blocks k, k + n, k + 2n, ...; the block boundaries are
+    the serial loop's, so a pass whose BLAS kernel depends on the row count
+    keeps its bits. With one share it is the serial loop, on the calling
+    thread.
+
+    Otherwise the calling thread runs share 0 and n - 1 threads run the
+    others, each under the caller's numpy error state (which new threads do
+    not inherit). Every share runs to its end, or to its exception, before
+    this returns; then the exception of the lowest-numbered share that
+    raised one is raised, so no share writes into a caller's array after
+    the call. ``share`` calls may run at once, so none may write where
+    another reads or writes.
+    """
+    n = share_count(rows)
+    if n == 1:
+        share(range(0, rows, ROW_BLOCK))
+        return
+    errstate = np.geterr()
+    errors: list[Optional[BaseException]] = [None] * n
+
+    def run(k: int) -> None:
+        try:
+            with np.errstate(**errstate):
+                share(range(k * ROW_BLOCK, rows, n * ROW_BLOCK))
+        except BaseException as err:
+            errors[k] = err
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
                   x: np.ndarray, row_shape: tuple) -> np.ndarray:
     """A plain-array pass over the rows of x, in which each output row (of
     shape ``row_shape``) depends on its input row alone, run on blocks of
-    ``ROW_BLOCK`` rows.
+    ``ROW_BLOCK`` rows, on every usable core (``run_in_shares``).
 
     The output, of x's dtype, is allocated once; ``fn(block, out)`` writes
     the block's rows straight into ``out``, their slice of it, so no block's
     result is copied. The caller checks x's shape first: ``fn`` never runs
-    when x has no rows.
+    when x has no rows. ``fn`` may run on several threads at once, each
+    call on its own block, so it must not share writable scratch between
+    calls.
 
-    Peak memory is the output plus a few block activations, whatever the
-    row count. A block's 128-wide float32 activation is 128 KiB (a float64
-    one twice that): it stays in L2 cache, and glibc serves it from heap
-    memory the previous block freed, so no page is faulted in anew; a
-    784-wide output layer writes into the output, whose pages are faulted
-    in once. BLAS may pick its kernel by the row count, so a row of a pass
-    over more than ``ROW_BLOCK`` rows can differ from the one-batch pass in
-    the last ulp.
+    Peak memory is the output plus a few block arrays per share, whatever
+    the row count. A block's 128-wide float32 activation is 128 KiB (a
+    float64 one twice that): it stays in L2 cache, and glibc serves it from
+    heap memory the share's previous block freed, so no page is faulted in
+    anew; a 784-wide output layer writes into the output, whose pages are
+    faulted in once. BLAS may pick its kernel by the row count, so a row of
+    a pass over more than ``ROW_BLOCK`` rows can differ from the one-batch
+    pass in the last ulp.
     """
     out = np.empty((x.shape[0], *row_shape), x.dtype)
-    for start in range(0, x.shape[0], ROW_BLOCK):
-        fn(x[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK])
+
+    def share(starts: range) -> None:
+        for start in starts:
+            fn(x[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK])
+
+    run_in_shares(share, x.shape[0])
     return out
 
 

@@ -31,16 +31,19 @@ workspace serves both.
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 passes over many rows (energy grids, held-out sets, ``sample``). Both run
 in blocks of ``autodiff.ROW_BLOCK`` = 256 rows through
-``autodiff.by_row_blocks``, which allocates the output once: the last
-expression of each block's pass (here the final subtraction, in the
-generator the output layer's matmul, bias and sigmoid) writes into the
-block's slice of it, so no block result is copied and a call's peak memory
-is the output plus a few block arrays, whatever the row count. The output
-and the blocks have the model's dtype (see ``autodiff``). A 256-row,
-128-wide float32 activation is 128 KiB, which stays in L2 cache and reuses
-the heap memory the previous block freed, so no page is faulted in anew. A
-train-mode ``generate`` stays one batch, since batch norm normalizes by
-whole-batch statistics; no training step calls a blocked pass.
+``autodiff.by_row_blocks``, which shares the blocks out over every usable
+core and allocates the output once: the last expression of each block's
+pass (here the final subtraction, in the generator the output layer's
+matmul, bias and sigmoid) writes into the block's slice of it, so no block
+result is copied and a call's peak memory is the output plus a few block
+arrays per share, whatever the row count. The output and the blocks have
+the model's dtype (see ``autodiff``). A 256-row, 128-wide float32
+activation is 128 KiB, which stays in L2 cache and reuses the heap memory
+the share's previous block freed, so no page is faulted in anew. A block's
+pass reads the model and writes only its own arrays, so the blocks may run
+at once. A train-mode ``generate`` stays one batch, since batch norm
+normalizes by whole-batch statistics; no training step calls a blocked
+pass.
 """
 
 from __future__ import annotations

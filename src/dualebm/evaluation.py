@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ROW_BLOCK, by_row_blocks
+from .autodiff import ROW_BLOCK, run_in_shares
 from .data_io import SPIRAL_SPECS, arm_curve, save_points_csv
 from .energy_model import EnergyModel, grid_log_density, logsumexp
 from .generator_model import GeneratorModel, squared_distances
@@ -84,20 +84,20 @@ def nearest_distances(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of points to the nearest row of
     curve: the root of the least of the exact squared distances
     (``generator_model.squared_distances``), so these are the bits of
-    ``scipy.spatial.cKDTree.query``. The rows run through
-    ``autodiff.by_row_blocks``, each block through two block-by-curve
-    buffers."""
+    ``scipy.spatial.cKDTree.query``. The rows run serially in blocks of
+    ``ROW_BLOCK`` rows, each block through the same two block-by-curve
+    buffers, so the memory stays that of one block."""
     if points.ndim != 2 or curve.ndim != 2 or points.shape[1] != curve.shape[1]:
         raise ValueError(f"points {points.shape} and curve {curve.shape} "
                          "need the same number of columns")
     sq = np.empty((min(points.shape[0], ROW_BLOCK), curve.shape[0]))
     scratch = np.empty_like(sq)
-
-    def nearest(block, out):
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], ROW_BLOCK):
+        block = points[start:start + ROW_BLOCK]
         rows = block.shape[0]
-        squared_distances(block, curve, sq[:rows], scratch[:rows]).min(axis=1, out=out)
-
-    out = by_row_blocks(nearest, points, ())
+        squared_distances(block, curve, sq[:rows], scratch[:rows]).min(
+            axis=1, out=out[start:start + rows])
     return np.sqrt(out, out=out)
 
 
@@ -224,9 +224,11 @@ def export_image_grid(obj, path) -> None:
 
     Heatmap and image min/max go to a ``<path>.meta`` sidecar; a constant
     image is all zeros with the degenerate scale noted. Images keep their
-    dtype (the 784-d models' are float32) and are scaled in float64 a row
-    block at a time into the one uint8 strip, so the export needs a quarter
-    of float32 samples' memory, an eighth of float64 ones', not copies.
+    dtype (the 784-d models' are float32). Their min/max and their scaling
+    in float64 into the one uint8 strip run a row block at a time on every
+    usable core (``autodiff.run_in_shares``), so the export needs a
+    quarter of float32 samples' memory, an eighth of float64 ones', not
+    copies.
     """
     if isinstance(obj, HeatmapGrid):
         rows = np.column_stack([obj.points, np.ravel(obj.values)])
@@ -240,7 +242,7 @@ def export_image_grid(obj, path) -> None:
         save_points_csv(path, samples)
         return
     k = samples.shape[0]
-    vmin, vmax = float(samples.min()), float(samples.max())
+    vmin, vmax = _value_range(samples)
     meta = {"vmin": repr(vmin), "vmax": repr(vmax), "tiles": k, "tile_side": side}
     strip = np.zeros((side, k * side), dtype=np.uint8)
     if vmax > vmin:
@@ -252,22 +254,45 @@ def export_image_grid(obj, path) -> None:
     _write_sidecar(path, meta)
 
 
+def _value_range(samples: np.ndarray) -> tuple[float, float]:
+    """``samples.min()`` and ``samples.max()`` as floats, from the extremes
+    of each block of ``ROW_BLOCK`` rows, found on every usable core."""
+    blocks = -(-samples.shape[0] // ROW_BLOCK)
+    lows, highs = np.empty(blocks, samples.dtype), np.empty(blocks, samples.dtype)
+
+    def share(starts: range) -> None:
+        for start in starts:
+            block = samples[start:start + ROW_BLOCK]
+            lows[start // ROW_BLOCK] = block.min()
+            highs[start // ROW_BLOCK] = block.max()
+
+    run_in_shares(share, samples.shape[0])
+    return float(lows.min()), float(highs.max())
+
+
 def _scale_into_tiles(samples: np.ndarray, vmin: float, vmax: float,
                       tiles: np.ndarray) -> None:
     """round((samples - vmin) / (vmax - vmin) * 255), computed in float64
     whatever the samples' dtype, into the (k, side, side) uint8 view
-    ``tiles``, ``ROW_BLOCK`` rows at a time through one float64 buffer, so
-    no full-size float temporary is made."""
+    ``tiles``, ``ROW_BLOCK`` rows at a time on every usable core. Each
+    share scales its blocks through one float64 buffer of its own, so the
+    memory is the strip plus a few block arrays per share, and no
+    full-size float temporary is made."""
     span = vmax - vmin
-    buf = np.empty((min(samples.shape[0], ROW_BLOCK), samples.shape[1]))
-    for start in range(0, samples.shape[0], ROW_BLOCK):
-        block = samples[start:start + ROW_BLOCK]
-        scaled = np.subtract(block, vmin, out=buf[:block.shape[0]],
-                             dtype=np.float64)
-        scaled /= span
-        scaled *= 255.0
-        np.round(scaled, out=scaled)
-        tiles[start:start + ROW_BLOCK] = scaled.reshape(-1, *tiles.shape[1:])
+
+    def share(starts: range) -> None:
+        buf = np.empty((min(samples.shape[0], ROW_BLOCK), samples.shape[1]))
+        for start in starts:
+            block = samples[start:start + ROW_BLOCK]
+            scaled = buf[:block.shape[0]]
+            scaled[...] = block     # exact; a ufunc casting it would buffer 64 KiB
+            scaled -= vmin
+            scaled /= span
+            scaled *= 255.0
+            np.round(scaled, out=scaled)
+            tiles[start:start + ROW_BLOCK] = scaled.reshape(-1, *tiles.shape[1:])
+
+    run_in_shares(share, samples.shape[0])
 
 
 def read_sidecar(path) -> dict:

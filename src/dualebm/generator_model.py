@@ -38,8 +38,10 @@ the expressions, and sums in the order, of the tape's primitive chain, so
 gradients keep the chain's bits.
 
 Plain infer-mode sampling (``generate``, behind ``sample`` and
-``interpolate``) runs the stack on blocks of rows, each written into its
-slice of one output (see ``energy_model`` and ``autodiff.by_row_blocks``).
+``interpolate``) runs the stack on blocks of rows, on every usable core,
+each written into its slice of one output, so its peak memory is the
+output plus a few block arrays per share (see ``energy_model`` and
+``autodiff.by_row_blocks``).
 """
 
 from __future__ import annotations
@@ -113,9 +115,10 @@ class GeneratorModel:
         cast first; mode picks batch-norm statistics.
 
         Infer mode is free of side effects and row by row, so it runs on
-        blocks of ``autodiff.ROW_BLOCK`` rows, whose output layer writes
-        into the one output array and whose peak memory does not grow with
-        the row count (see ``autodiff.by_row_blocks``). Train mode is one
+        blocks of ``autodiff.ROW_BLOCK`` rows, on every usable core, whose
+        output layer writes into the one output array and whose peak
+        memory does not grow with the row count (see
+        ``autodiff.by_row_blocks``). Train mode is one
         batch, since batch norm needs whole-batch statistics, and moves the
         running statistics.
 

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -528,6 +530,67 @@ def test_workspace_is_kept_for_its_row_count():
     assert [a.shape for a in ws.a] == [(8, 6), (8, 5), (8, 4)]
     assert ws.h[-1] is ws.a[-1] and ws.xhat[-1] is None and ws.inv[-1] is None
     assert ad.workspace(ws, 9, layers).rows == 9
+
+
+# --- row-block passes on every core ------------------------------------------
+
+def _block_index(block):
+    return int(block[0, 0]) // ad.ROW_BLOCK
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_by_row_blocks_gives_share_k_every_nth_block_in_order(monkeypatch, cpus):
+    monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
+    rows = 5 * ad.ROW_BLOCK + 3
+    x = np.arange(rows, dtype=np.float64)[:, None]
+    runs = []     # (block index, thread); list.append is atomic
+
+    def fn(block, out):
+        runs.append((_block_index(block), threading.current_thread()))
+        out[...] = 2.0 * block
+
+    out = ad.by_row_blocks(fn, x, (1,))
+    assert np.array_equal(out, 2.0 * x)
+    shares = ad.share_count(rows)
+    assert shares == min(cpus, 6)
+    threads = {index: thread for index, thread in runs}
+    assert sorted(threads) == list(range(6))
+    assert threads[0] is threading.current_thread()   # the caller runs share 0
+    for k in range(shares):
+        assert {threads[i] for i in range(k, 6, shares)} == {threads[k]}
+        assert [i for i, thread in runs if thread == threads[k]] == list(range(k, 6, shares))
+    assert len(set(threads.values())) == shares
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_by_row_blocks_raises_a_blocks_error_after_every_share_ends(failing):
+    """A block that raises stops its own share; the error reaches the caller
+    only once every other share has run all its blocks, so none writes into
+    the output after the call."""
+    rows = 4 * ad.ROW_BLOCK
+    x = np.arange(rows, dtype=np.float64)[:, None]
+    done = []
+
+    def fn(block, out):
+        index = _block_index(block)
+        if index == failing:
+            raise ValueError(f"block {index}")
+        time.sleep(0.05)
+        out[...] = block
+        done.append(index)
+
+    with pytest.raises(ValueError, match=f"block {failing}"):
+        ad.by_row_blocks(fn, x, (1,))
+    shares = ad.share_count(rows)
+    stopped = [i for i in range(4) if i % shares == failing % shares and i > failing]
+    assert sorted(done) == [i for i in range(4) if i != failing and i not in stopped]
+
+
+def test_share_count_is_one_per_usable_cpu_and_at_most_one_per_block(monkeypatch):
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 4)
+    assert [ad.share_count(rows) for rows in
+            (0, 1, ad.ROW_BLOCK, ad.ROW_BLOCK + 1, 3 * ad.ROW_BLOCK, 10 ** 6)] == [
+        1, 1, 1, 2, 3, 4]
 
 
 # --- batch norm specifics ---------------------------------------------------

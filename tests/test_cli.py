@@ -715,6 +715,22 @@ def test_energy_map_rejects_bounds_on_which_the_energy_overflows(trained_run, tm
     assert not out.exists()
 
 
+def test_energy_map_overflow_on_two_blocks_warns_on_no_thread(trained_run, tmp_path,
+                                                              capsys):
+    """400 rows are two blocks, run on two threads where two CPUs are
+    usable: the block on the second thread ignores the overflow as the
+    caller does, so no RuntimeWarning is shown."""
+    out = tmp_path / "map.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["energy-map", "--checkpoint",
+                         str(trained_run / "checkpoint_final.bin"), "--bounds", "1",
+                         "1e308", "--res", "20", "--out", str(out)]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "energy-map", "interpolate", "train"])
 def test_unwritable_output_path_is_usage_error(trained_run, tmp_path, capsys, command):
     """An output under a missing directory, or under a regular file, exits 2
@@ -996,6 +1012,19 @@ def test_every_module_is_reached_from_the_cli():
          "import sys, dualebm.cli; print(*sorted(sys.modules))"],
         capture_output=True, text=True, check=True, env=env)
     assert expected - set(result.stdout.split()) == set()
+
+
+def test_importing_the_cli_leaves_concurrent_futures_out():
+    """``concurrent.futures`` loads ``logging``, about 7 ms of every
+    command's start-up; the row-block shares run on plain threads."""
+    package = Path(cli.__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dualebm.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert result.stdout.strip() == "False"
 
 
 def test_commands_that_need_no_scipy_never_import_it(tmp_path):

@@ -178,6 +178,17 @@ def test_energy_values_runs_in_row_blocks():
     assert_allclose(e, model._energy(x), rtol=0, atol=1e-14)
 
 
+def test_energy_values_keep_the_callers_error_state_on_every_share():
+    """numpy's error state does not reach new threads: an overflow in a
+    block that another thread runs still raises under the caller's
+    ``np.errstate(over="raise")``."""
+    model = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(39), dtype=np.float32)
+    x = np.zeros((3 * ROW_BLOCK, 2))
+    x[ROW_BLOCK:2 * ROW_BLOCK] = 1e30     # its square overflows float32
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        model.energy_values(x)
+
+
 def test_energy_values_zero_rows_and_wrong_width():
     model = EnergyModel.build((2, 8, 3), 2, np.random.default_rng(38))
     e = model.energy_values(np.empty((0, 2)))
@@ -187,19 +198,31 @@ def test_energy_values_zero_rows_and_wrong_width():
             model.energy_values(x)
 
 
-@pytest.mark.parametrize("rows", [20_000, 80_000])
-def test_energy_values_peak_memory_does_not_grow_with_rows(rows):
-    width = 128
+def _energy_values_peak(rows, width):
     model = EnergyModel.build((2, width, width, 4), 4, np.random.default_rng(34))
     x = np.random.default_rng(35).normal(size=(rows, 2))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         model.energy_values(x)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < rows * 8 + 4 * ROW_BLOCK * width * 8
+
+
+@pytest.mark.parametrize("rows", [20_000, 80_000])
+def test_energy_values_peak_memory_does_not_grow_with_rows(rows):
+    # the output, and four block arrays for each share of the blocks
+    width = 128
+    assert (_energy_values_peak(rows, width)
+            < rows * 8 + ad.share_count(rows) * 4 * ROW_BLOCK * width * 8)
+
+
+def test_energy_values_peak_memory_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
+    rows, width = 20_000, 128
+    assert ad.share_count(rows) == 1
+    assert _energy_values_peak(rows, width) < rows * 8 + 4 * ROW_BLOCK * width * 8
 
 
 # --- maximum-likelihood-style gradient -----------------------------------------

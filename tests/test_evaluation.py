@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 from scipy.stats import gaussian_kde as scipy_gaussian_kde
 
+from dualebm import autodiff as ad
 from dualebm.autodiff import ROW_BLOCK
 from dualebm.data_io import SPIRAL_SPECS, arm_curve, make_dataset, save_points_csv
 from dualebm.energy_model import EnergyModel, trapezoid_grid
@@ -347,6 +348,27 @@ def test_float32_image_strip_is_scaled_in_float64_with_no_copy(tmp_path, width):
     # the uint8 strip is a quarter of float32 samples, the float64 block
     # buffer a few per cent of them; a float64 copy alone is twice them
     assert peak < samples.nbytes / 2
+    pgm, meta = reference_image_files(samples)
+    assert path.read_bytes() == pgm
+    assert (tmp_path / "strip.pgm.meta").read_text() == meta
+
+
+def test_784d_samples_and_their_strip_keep_the_serial_bits(tmp_path):
+    """A float32 784-d generator, as the CLI builds it, gives over many
+    blocks, on every core, the bits of the serial block loop, and its
+    strip the bytes of the full-array export."""
+    gen = GeneratorModel.build((10, 128, 128, 784), np.random.default_rng(40),
+                               output_activation="sigmoid", dtype=np.float32)
+    rows = 5 * ROW_BLOCK + 3
+    z = sample_prior(rows, 10, np.random.default_rng(41))
+    samples = gen.generate(z, "infer")
+    z = z.astype(np.float32)
+    serial = np.concatenate([ad.stack_forward(gen.layers, z[start:start + ROW_BLOCK],
+                                              "infer")
+                             for start in range(0, rows, ROW_BLOCK)])
+    assert samples.dtype == np.float32 and np.array_equal(samples, serial)
+    path = tmp_path / "strip.pgm"
+    export_image_grid(samples, path)
     pgm, meta = reference_image_files(samples)
     assert path.read_bytes() == pgm
     assert (tmp_path / "strip.pgm.meta").read_text() == meta

@@ -176,12 +176,7 @@ def test_generate_infer_runs_in_row_blocks(out_width, activation):
         assert np.array_equal(layer.bn_state.var, var)
 
 
-@pytest.mark.parametrize("out_width, activation, rows",
-                         [(2, "linear", 20_000), (2, "linear", 80_000),
-                          (784, "sigmoid", 2_000), (784, "sigmoid", 8_000)])
-def test_generate_infer_peak_memory_does_not_grow_with_rows(out_width, activation,
-                                                            rows):
-    width = 128
+def _generate_infer_peak(out_width, activation, rows, width):
     gen = GeneratorModel.build((4, width, width, out_width), np.random.default_rng(24),
                                output_activation=activation)
     z = sample_prior(rows, 4, np.random.default_rng(25))
@@ -189,13 +184,33 @@ def test_generate_infer_peak_memory_does_not_grow_with_rows(out_width, activatio
     try:
         base = tracemalloc.get_traced_memory()[0]
         gen.generate(z, "infer")
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # the output, four hidden block arrays and one output-width block
-    # array (the sigmoid's exp(-|x|)): the output layer writes into the
-    # output, so no block of its result is made and copied
-    assert peak < rows * out_width * 8 + ROW_BLOCK * (4 * width + out_width) * 8
+
+
+@pytest.mark.parametrize("out_width, activation, rows",
+                         [(2, "linear", 20_000), (2, "linear", 80_000),
+                          (784, "sigmoid", 2_000), (784, "sigmoid", 8_000)])
+def test_generate_infer_peak_memory_does_not_grow_with_rows(out_width, activation,
+                                                            rows):
+    # the output and, for each share of the blocks, four hidden block
+    # arrays and one output-width block array (the sigmoid's exp(-|x|)):
+    # the output layer writes into the output, so no block of its result
+    # is made and copied
+    width = 128
+    assert (_generate_infer_peak(out_width, activation, rows, width)
+            < rows * out_width * 8
+            + ad.share_count(rows) * ROW_BLOCK * (4 * width + out_width) * 8)
+
+
+@pytest.mark.parametrize("out_width, activation", OUTPUTS)
+def test_generate_infer_peak_memory_on_one_cpu(monkeypatch, out_width, activation):
+    monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
+    rows, width = 8_000, 128
+    assert ad.share_count(rows) == 1
+    assert (_generate_infer_peak(out_width, activation, rows, width)
+            < rows * out_width * 8 + ROW_BLOCK * (4 * width + out_width) * 8)
 
 
 @pytest.mark.parametrize("out_width, activation", OUTPUTS)

@@ -328,21 +328,18 @@ def run_in_shares(share: Callable[[range], object], rows: int) -> None:
     ``starts`` of its blocks, in order. With n = ``share_count(rows)``,
     share k takes blocks k, k + n, k + 2n, ...; the block boundaries are
     the serial loop's, so a pass whose BLAS kernel depends on the row count
-    keeps its bits. With one share it is the serial loop, on the calling
-    thread.
+    keeps its bits.
 
-    Otherwise the calling thread runs share 0 and n - 1 threads run the
-    others, each under the caller's numpy error state (which new threads do
-    not inherit). Every share runs to its end, or to its exception, before
-    this returns; then the exception of the lowest-numbered share that
-    raised one is raised, so no share writes into a caller's array after
-    the call. ``share`` calls may run at once, so none may write where
-    another reads or writes.
+    The calling thread runs share 0, so one share is the serial loop on the
+    calling thread, and n - 1 threads run the others. Each share runs under
+    the caller's numpy error state (which new threads do not inherit).
+    Every share runs to its end, or to its exception, before this returns;
+    then the exception of the lowest-numbered share that raised one is
+    raised, so no share writes into a caller's array after the call.
+    ``share`` calls may run at once, so none may write where another reads
+    or writes.
     """
     n = share_count(rows)
-    if n == 1:
-        share(range(0, rows, ROW_BLOCK))
-        return
     errstate = np.geterr()
     errors: list[Optional[BaseException]] = [None] * n
 

@@ -1014,23 +1014,13 @@ def test_every_module_is_reached_from_the_cli():
     assert expected - set(result.stdout.split()) == set()
 
 
-def test_importing_the_cli_leaves_concurrent_futures_out():
-    """``concurrent.futures`` loads ``logging``, about 7 ms of every
-    command's start-up; the row-block shares run on plain threads."""
-    package = Path(cli.__file__).parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, dualebm.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env)
-    assert result.stdout.strip() == "False"
-
-
 def test_commands_that_need_no_scipy_never_import_it(tmp_path):
     """Every command runs on numpy alone: train with either entropy
     estimator, sample, energy-map, interpolate, eval (its KDE, log-sum-exp
-    and nearest distances included) and gradcheck never load scipy."""
+    and nearest distances included) and gradcheck never load scipy. Nor do
+    they load ``concurrent.futures`` (about 7 ms of start-up, through
+    ``logging``): eval's 400-point grid runs its row-block shares on plain
+    threads."""
     config = _write_config(tmp_path, steps=5)
     checkpoint = tmp_path / "run" / "checkpoint_final.bin"
     commands = [
@@ -1054,12 +1044,14 @@ def test_commands_that_need_no_scipy_never_import_it(tmp_path):
         "import dualebm.cli\n"
         f"codes = [dualebm.cli.main(argv) for argv in {commands!r}]\n"
         "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "print(json.dumps({'codes': codes, 'scipy': scipy}))\n")
+        "futures = 'concurrent.futures' in sys.modules\n"
+        "print(json.dumps({'codes': codes, 'scipy': scipy, 'futures': futures}))\n")
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, check=True, env=env)
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["codes"] == [0] * len(commands)
     assert report["scipy"] == []
+    assert report["futures"] is False
 
 
 # --- scripts/ ---------------------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 from .config import (
     RunConfig,
     build_models,
+    check_rules,
     config_from_dict,
     dataset_bounds,
     load_config,
@@ -67,44 +68,27 @@ def load_run_config(args) -> RunConfig:
     return config.validate()
 
 
-def _field_type(name: str):
-    """argparse type of RunConfig field ``name``: ``parse_field``, whose
-    refusal is a usage error (exit 2)."""
-    def parse(text: str):
+def _argument(parse, **rules):
+    """argparse type: ``parse`` of the text, held to ``rules``, when given, by
+    ``check_rules`` (``train`` gives none: ``validate`` holds its fields).
+    A refusal of either is a usage error (exit 2)."""
+    def argument(text: str):
         try:
-            return parse_field(name, text)
+            value = parse(text)
+            if rules:
+                check_rules(value, rules)
         except ConfigError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
-    return parse
-
-
-def _at_least(minimum: int):
-    """argparse type: an int no smaller than ``minimum``; anything else is
-    a usage error (exit 2)."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {value}")
         return value
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
+    argument.__name__ = parse.__name__  # argparse's "invalid int value" names it
+    return argument
 
-
-def _positive_float(text: str) -> float:
-    """argparse type: a positive finite float, else a usage error (exit 2)."""
-    value = float(text)
-    if not 0.0 < value < math.inf:  # false for NaN too
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
-_positive_float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 # argparse reads an argument that starts with "-" as an option unless it
 # matches its parser's negative-number pattern, which knows -1 and -1.5 but
 # not -1e1, -1_0 or -inf. Every float spelling starts with a digit, a point
-# and a digit, "inf" or "nan" after its sign; no option here does.
+# and a digit, "inf" or "nan" after its sign; no option here does. Every
+# subcommand takes it, so a value such as "--out -1.csv" is a value too.
 _NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
@@ -284,18 +268,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Each option overrides its field of --config. Lists are "
                     "comma-separated: --dem_hidden 128,128.")
     p_train.add_argument("--config", help="JSON config file")
-    p_train._negative_number_matcher = _NEGATIVE_NUMBER
     for name, default in vars(RunConfig()).items():
-        p_train.add_argument(f"--{name}", type=_field_type(name),
-                             default=argparse.SUPPRESS,
+        field_type = _argument(lambda text, name=name: parse_field(name, text))
+        p_train.add_argument(f"--{name}", type=field_type, default=argparse.SUPPRESS,
                              metavar=type(default).__name__.upper(),
                              help=f"default {default!r}")
     p_train.set_defaults(fn=cmd_train)
 
     p_sample = sub.add_parser("sample", help="draw generator samples")
     p_sample.add_argument("--checkpoint", required=True)
-    p_sample.add_argument("--n", type=_at_least(1), default=1000)
-    p_sample.add_argument("--seed", type=_at_least(0), default=0)
+    p_sample.add_argument("--n", type=_argument(int, minimum=1), default=1000)
+    p_sample.add_argument("--seed", type=_argument(int, minimum=0), default=0)
     p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(fn=cmd_sample)
 
@@ -303,32 +286,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--checkpoint", required=True)
     p_map.add_argument("--bounds", type=float, nargs=2, default=[-1.5, 1.5],
                        metavar=("LO", "HI"))
-    p_map._negative_number_matcher = _NEGATIVE_NUMBER
-    p_map.add_argument("--res", type=_at_least(2), default=200)
+    p_map.add_argument("--res", type=_argument(int, minimum=2), default=200)
     p_map.add_argument("--out", required=True)
     p_map.set_defaults(fn=cmd_energy_map)
 
     p_interp = sub.add_parser("interpolate",
                               help="generate samples along a latent line")
     p_interp.add_argument("--checkpoint", required=True)
-    p_interp.add_argument("--k", type=_at_least(2), default=10)
-    p_interp.add_argument("--seed", type=_at_least(0), default=0)
+    p_interp.add_argument("--k", type=_argument(int, minimum=2), default=10)
+    p_interp.add_argument("--seed", type=_argument(int, minimum=0), default=0)
     p_interp.add_argument("--out", required=True)
     p_interp.set_defaults(fn=cmd_interpolate)
 
     p_grad = sub.add_parser("gradcheck",
                             help="compare analytic gradients to central differences")
-    p_grad.add_argument("--scale", type=_positive_float, default=1.0,
+    p_grad.add_argument("--scale", type=_argument(float, above=0.0), default=1.0,
                         help="random init scale for the probe models")
-    p_grad.add_argument("--seed", type=_at_least(0), default=0)
+    p_grad.add_argument("--seed", type=_argument(int, minimum=0), default=0)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     p_eval = sub.add_parser("eval", help="mode coverage and divergence metrics")
     p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--n", type=_at_least(1), default=5000)
-    p_eval.add_argument("--seed", type=_at_least(0), default=0)
-    p_eval.add_argument("--grid-n", type=_at_least(2), default=200)
+    p_eval.add_argument("--n", type=_argument(int, minimum=1), default=5000)
+    p_eval.add_argument("--seed", type=_argument(int, minimum=0), default=0)
+    p_eval.add_argument("--grid-n", type=_argument(int, minimum=2), default=200)
     p_eval.set_defaults(fn=cmd_eval)
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -32,10 +32,25 @@ MNIST_PIXELS = 28 * 28  # the input width of the mnist models
 COMPUTE_DTYPE = np.float32
 
 
+def check_rules(value, rules) -> None:
+    """Refuse, with a ConfigError that names no field, a float that is not
+    finite (NaN would pass any range check) or a value outside ``rules``:
+    ``minimum`` (inclusive), ``above`` (exclusive) and ``choices``, each
+    checked when given, on each entry of a list."""
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"must be finite, got {v}")
+        if "minimum" in rules and v < rules["minimum"]:
+            raise ConfigError(f"must be >= {rules['minimum']}, got {v}")
+        if "above" in rules and v <= rules["above"]:
+            raise ConfigError(f"must be > {rules['above']}, got {v}")
+        if "choices" in rules and v not in rules["choices"]:
+            raise ConfigError(f"must be one of {rules['choices']}, got {v!r}")
+
+
 def _field(default, *, minimum=None, above=None, choices=None):
     """A RunConfig field and, in its metadata, the rules ``validate``
-    holds its value (each entry of a list) to: ``minimum`` (inclusive),
-    ``above`` (exclusive) and ``choices``, each checked when given."""
+    holds its value to through ``check_rules``."""
     rules = {"minimum": minimum, "above": above, "choices": choices}
     metadata = {key: rule for key, rule in rules.items() if rule is not None}
     if isinstance(default, list):
@@ -70,21 +85,14 @@ class RunConfig:
     out_dir: str = "runs/run"
 
     def validate(self) -> "RunConfig":
-        """Refuse a float that is not finite (NaN would pass any range
-        check) or a value outside its field's rules (each entry of a list
-        field), then the rules that read another field or a dtype."""
+        """Hold each field to its rules (``check_rules``, the refusal
+        prefixed with the field's name), then check the rules that read
+        another field or a dtype."""
         for f in dataclasses.fields(self):
-            value, rule = getattr(self, f.name), f.metadata
-            for v in value if isinstance(value, list) else [value]:
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ConfigError(f"{f.name} must be finite, got {v}")
-                if "minimum" in rule and v < rule["minimum"]:
-                    raise ConfigError(f"{f.name} must be >= {rule['minimum']}, got {v}")
-                if "above" in rule and v <= rule["above"]:
-                    raise ConfigError(f"{f.name} must be > {rule['above']}, got {v}")
-                if "choices" in rule and v not in rule["choices"]:
-                    raise ConfigError(
-                        f"{f.name} must be one of {rule['choices']}, got {v!r}")
+            try:
+                check_rules(getattr(self, f.name), f.metadata)
+            except ConfigError as err:
+                raise ConfigError(f"{f.name} {err}") from None
         if self.dataset == "mnist" and not (self.mnist_images and self.mnist_labels):
             raise ConfigError("mnist dataset needs mnist_images and mnist_labels paths")
         # a spiral needs a point on every arm; mnist, which ignores

@@ -34,8 +34,6 @@ class HeatmapGrid:
 def energy_heatmap(dem: EnergyModel, bounds, resolution: int) -> HeatmapGrid:
     """Energies of a 2D energy model at the cell centers of a resolution-
     by-resolution grid over the bounds; never mutates the model."""
-    if dem.d_in != 2:
-        raise ValueError(f"heatmaps need a 2-dimensional model, got d_in={dem.d_in}")
     (x_lo, x_hi), (y_lo, y_hi) = (tuple(map(float, b)) for b in bounds)
     centers = np.arange(resolution) + 0.5
     gx, gy = np.meshgrid(x_lo + centers * (x_hi - x_lo) / resolution,
@@ -64,8 +62,6 @@ def mode_coverage(samples: np.ndarray, dataset_name: str) -> dict:
     ``MODE_DISTANCE_THRESHOLD``. Fractions and the unassigned share sum to
     one exactly.
     """
-    if dataset_name not in SPIRAL_SPECS:
-        raise ValueError(f"no mode-assignment rule for dataset {dataset_name!r}")
     samples = np.asarray(samples, dtype=np.float64)
     arms = SPIRAL_SPECS[dataset_name][0]
     distances = np.column_stack([nearest_distances(samples, arm_curve(dataset_name, arm))

@@ -440,7 +440,7 @@ def test_out_of_range_argument_is_usage_error(tmp_path, capsys, command, flag,
     if command != "eval":
         argv += ["--out", str(tmp_path / "out.csv")]
     assert cli.main(argv) == 2  # a missing checkpoint would give 4
-    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
 
 
 def test_sample_deterministic_csv(trained_run, tmp_path):
@@ -616,6 +616,22 @@ def test_eval_of_an_invalid_stored_config_exit_4(trained_run, tmp_path, capsys, 
                      "--grid-n", "10"]) == 4
     captured = capsys.readouterr()
     assert "invalid stored config" in captured.err and not captured.out
+
+
+def test_eval_of_a_stored_mnist_config_is_refused_as_not_2d(trained_run, tmp_path,
+                                                            capsys):
+    """A valid stored mnist config on a 2D model passes ``validate``, and
+    ``eval``'s spiral gate, the one check of that rule, refuses it by name."""
+    ckpt = tmp_path / "mnist.bin"
+    ckpt.write_bytes((trained_run / "checkpoint_final.bin").read_bytes())
+    rewrite_checkpoint_header(ckpt, lambda h: h["config"].update(
+        dataset="mnist", mnist_images="i.idx", mnist_labels="l.idx"))
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--n", "50",
+                     "--grid-n", "10"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (f"checkpoint error: {ckpt}: invalid stored config: "
+                            "dataset 'mnist' is not a 2D dataset\n")
+    assert not captured.out
 
 
 def test_eval_of_a_stored_noise_sd_past_float64_range_is_a_config_error(
@@ -970,14 +986,14 @@ def test_a_size_too_large_for_memory_is_usage_error(trained_run, tmp_path, argv)
 
 def test_gradcheck_rejects_negative_seed(capsys):
     assert cli.main(["gradcheck", "--seed", "-1"]) == 2
-    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+    assert "argument --seed: must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-1e-3"])
 def test_gradcheck_rejects_nonpositive_or_nonfinite_scale(capsys, scale):
     assert cli.main(["gradcheck", "--scale", scale]) == 2
-    assert "argument --scale: must be a positive finite number" in (
-        capsys.readouterr().err)
+    rule = "must be finite" if scale in ("nan", "inf") else "must be > 0.0"
+    assert f"argument --scale: {rule}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", ["1e-200", "1e300"])

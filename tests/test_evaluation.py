@@ -67,12 +67,6 @@ def test_heatmap_refinement_keeps_argmin_within_coarse_cell():
     assert abs((-1.5 + (fy + 0.5) * 3.0 / 64) - (-1.5 + (cy + 0.5) * cell)) <= cell
 
 
-def test_heatmap_rejects_non_2d_model():
-    model = EnergyModel.build((3, 4, 2), 2, np.random.default_rng(3))
-    with pytest.raises(ValueError, match="2-dimensional"):
-        energy_heatmap(model, [(-1, 1), (-1, 1)], 10)
-
-
 def test_heatmap_does_not_mutate_model():
     model = EnergyModel.build((2, 8, 4), 4, np.random.default_rng(4))
     before = [p.values.copy() for p in model.params()]
@@ -160,11 +154,6 @@ def test_mode_coverage_fractions_sum_to_one():
     samples = np.random.default_rng(12).uniform(-1.2, 1.2, size=(500, 2))
     report = mode_coverage(samples, "two_spiral")
     assert sum(report["fractions"]) + report["unassigned"] == 1.0
-
-
-def test_mode_coverage_unknown_dataset():
-    with pytest.raises(ValueError, match="no mode-assignment rule"):
-        mode_coverage(np.zeros((2, 2)), "mystery")
 
 
 @pytest.mark.parametrize("dataset", sorted(SPIRAL_SPECS))

@@ -32,6 +32,11 @@ unresolved. A claimed metric (``--claim``, left out when the change claims
 no gain) is met when the change wins at least nine tenths of the pairs and
 the medians differ, in the better direction, by more than the parent's
 interquartile range. Every run's values are kept under "runs".
+
+PARENT must be a git checkout, so the summary names the commit it measured
+against (make one with ``git worktree add --detach DIR COMMIT``): a root
+where ``git rev-parse HEAD`` fails is refused before anything compiles or
+runs.
 """
 
 from __future__ import annotations
@@ -67,10 +72,11 @@ def parse_claim(text: str) -> tuple[str, str]:
     return workload, metric
 
 
-def git_commit(root: Path) -> str:
+def git_commit(root: Path) -> str | None:
+    """The commit checked out in ``root``, or None when git names none."""
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else "not a git checkout"
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def run_benchmark(root: Path, seed: int, seconds: int) -> dict:
@@ -209,6 +215,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    parent_commit = git_commit(roots["parent"])
+    if parent_commit is None:
+        parser.error(f"--parent {args.parent} is not a git checkout, so its commit "
+                     f"is unknown; make one with git worktree add --detach DIR COMMIT")
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workload, metric = args.claim or (None, None)
@@ -230,7 +240,7 @@ def main(argv=None) -> int:
         workloads = summarize(runs, spec["end_to_end"])
         summary = {
             "change": args.description,
-            "parent_commit": git_commit(roots["parent"]),
+            "parent_commit": parent_commit,
             "environment": environment(roots["change"], seed),
             "method": {"end_to_end": (
                 f"python3 perfbench/run.py --workload all --seed S --seconds {seconds}, "

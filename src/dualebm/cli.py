@@ -49,7 +49,7 @@ from .evaluation import (
 )
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
 from .generator_model import SingularEntropyError, sample_prior
-from .training import ConfigError, NonFiniteGradientError, rng_streams, train
+from .training import ABORTS, ConfigError, rng_streams, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonFiniteGradientError, SingularEntropyError) as err:
+    except ABORTS as err:
         print(f"aborted: {err}", file=sys.stderr)
         return EXIT_NONFINITE
     except CheckpointError as err:

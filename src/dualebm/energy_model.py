@@ -200,9 +200,9 @@ class EnergyModel:
 def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
                       x_neg: np.ndarray) -> tuple[float, dict]:
     """The energy-model loss mean(E(x_pos)) - mean(E(x_neg)) and its phase
-    means ``{"e_pos", "e_neg"}``; the loss's gradient over the model
-    parameters is left in ``model.store.grad``, which training and
-    gradcheck read in place.
+    means ``{"e_pos", "e_neg"}``, in that order, the order training logs
+    them in; the loss's gradient over the model parameters is left in
+    ``model.store.grad``, which training and gradcheck read in place.
 
     x_neg is read as plain values: the generator that produced them gets no
     gradient from this loss. Each phase weights its rows by 1/n, n its own
@@ -210,12 +210,11 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
     weights, are taken in the model's dtype.
     """
     model.store.grad[...] = 0.0
-    means = {}
-    for key, x, sign in (("e_neg", x_neg, -1.0), ("e_pos", x_pos, 1.0)):
-        energies, _ = model.energy_gradient(
-            x, np.full(len(x), sign, model.dtype) / len(x), params=True)
-        means[key] = float(energies.mean())
-    return means["e_pos"] - means["e_neg"], means
+    e_neg, e_pos = (
+        float(model.energy_gradient(
+            x, np.full(len(x), sign, model.dtype) / len(x), params=True)[0].mean())
+        for x, sign in ((x_neg, -1.0), (x_pos, 1.0)))
+    return e_pos - e_neg, {"e_pos": e_pos, "e_neg": e_neg}
 
 
 def trapezoid_grid(bounds, grid_n: int):

@@ -61,14 +61,7 @@ OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 class SingularEntropyError(ValueError):
     """An entropy estimate is undefined: a zero batch-norm scale, or two
-    generated rows that coincide. ``step`` is the training step it stopped,
-    when a run reports it."""
-
-    def __init__(self, reason: str, step: Optional[int] = None):
-        self.reason = reason
-        self.step = step
-        at = f" at step {step}" if step is not None else ""
-        super().__init__(f"{reason}{at}")
+    generated rows that coincide."""
 
 
 class GeneratorModel:
@@ -183,11 +176,8 @@ def nearest_neighbour_entropy(x: np.ndarray, g: Optional[float] = None):
     digamma(1) the (n-1)-th harmonic number and V_d the volume of the unit
     d-ball. The neighbour is chosen on the values (no gradient flows
     through the choice); the distance is differentiated through both rows.
-    The work, and the gradient, are in x's dtype.
+    The work, and the gradient, are in x's dtype; a lone row is singular.
     """
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ShapeError(
-            f"nearest-neighbour entropy needs a (batch >= 2, dim) input, got {x.shape}")
     n, d = x.shape
     dist = np.empty((n, n), x.dtype)
     squared_distances(x, x, dist, np.empty_like(dist))

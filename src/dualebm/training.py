@@ -13,15 +13,17 @@ Both models use AdaGrad: one ``adagrad_step`` per model update squares
 ``store.grad`` once, and that square gives the logged gradient norm, the
 one finiteness check and the increment of ``store.acc``, the accumulator
 each model carries in its store. A norm that is not finite aborts the run
-with the offending parameter and step before anything moves, rather than
+with the offending parameter before anything moves, rather than
 being masked: a NaN or infinite gradient, or a finite one whose squares
 overflow, which would make the accumulator infinite and freeze the model.
 Each step runs with numpy's overflow and invalid-value warnings off: a
 value that leaves the dtype's range (in float32, past about 3.4e38) and
 spoils a gradient shows up at that check, which aborts the run with no
 warning printed first. An entropy estimate that becomes singular aborts the run
-too, with its step. AdaGrad works in each store's ``scratch``, which no
-checkpoint holds.
+too. ``train()`` alone puts the step on an abort (``ABORTS``): ``.step``,
+and "at step N" ending its message. The losses return the stats a metrics
+line logs, in the line's order. AdaGrad works in each store's ``scratch``,
+which no checkpoint holds.
 """
 
 from __future__ import annotations
@@ -50,11 +52,13 @@ class ConfigError(ValueError):
 
 
 class NonFiniteGradientError(RuntimeError):
-    def __init__(self, param_name: str, step: Optional[int] = None):
+    def __init__(self, param_name: str):
         self.param_name = param_name
-        self.step = step
-        at = f" at step {step}" if step is not None else ""
-        super().__init__(f"non-finite gradient for parameter {param_name!r}{at}")
+        super().__init__(f"non-finite gradient for parameter {param_name!r}")
+
+
+# what aborts a run: train() marks each with its step, the CLI exits 3 on it
+ABORTS = (NonFiniteGradientError, SingularEntropyError)
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -160,24 +164,17 @@ def train(dem: EnergyModel, gen: GeneratorModel, dataset: Dataset, config: RunCo
                 x_neg = gen.generate(z, "train")
                 _, dem_stats = dem_loss_gradient(dem, x_pos, x_neg)
                 dem_gnorm = adagrad_step(dem.store, config.dem_lr, config.adagrad_eps)
-                metrics = {
-                    "step": state.step,
-                    "e_pos": dem_stats["e_pos"],
-                    "e_neg": dem_stats["e_neg"],
-                    "dem_gnorm": dem_gnorm,
-                }
+                metrics = {"step": state.step, **dem_stats, "dem_gnorm": dem_gnorm}
                 if (state.step + 1) % config.dem_updates_per_dgm_update == 0:
                     z2 = sample_prior(n, gen.d_z, state.prior_rng)
                     _, dgm_stats = dgm_loss_gradient(
                         gen, dem, z2, config.entropy_weight, config.entropy_estimator)
                     dgm_gnorm = adagrad_step(gen.store, config.dgm_lr, config.adagrad_eps)
-                    metrics["e_gen"] = dgm_stats["e_gen"]
-                    metrics["entropy"] = dgm_stats["entropy"]
-                    metrics["dgm_gnorm"] = dgm_gnorm
-        except NonFiniteGradientError as err:
-            raise NonFiniteGradientError(err.param_name, step=state.step) from None
-        except SingularEntropyError as err:
-            raise SingularEntropyError(err.reason, step=state.step) from None
+                    metrics.update(dgm_stats, dgm_gnorm=dgm_gnorm)
+        except ABORTS as err:
+            err.step = state.step
+            err.args = (f"{err} at step {state.step}",)
+            raise
         state.step += 1
         if metrics_out is not None:
             metrics_out.write(" ".join(f"{k}={v!r}" for k, v in metrics.items()) + "\n")

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import time
 import weakref
@@ -533,6 +534,13 @@ def test_workspace_is_kept_for_its_row_count():
 
 
 # --- row-block passes on every core ------------------------------------------
+
+def test_usable_cpus_without_an_affinity_call_counts_every_cpu(monkeypatch):
+    """A platform with no ``os.sched_getaffinity``, such as macOS, may run on
+    every CPU the machine has."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert ad.usable_cpus() == (os.cpu_count() or 1)
+
 
 def _block_index(block):
     return int(block[0, 0]) // ad.ROW_BLOCK

@@ -343,7 +343,7 @@ def test_nonfinite_abort_maps_to_exit_3(tmp_path, monkeypatch):
     from dualebm.training import NonFiniteGradientError
 
     def boom(*args, **kwargs):
-        raise NonFiniteGradientError("dem.layer0.w", step=7)
+        raise NonFiniteGradientError("dem.layer0.w")
 
     monkeypatch.setattr(cli, "train", boom)
     config = _write_config(tmp_path)
@@ -1189,6 +1189,8 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":   # the parent root is a checkout of this commit
+            return subprocess.CompletedProcess(cmd, 0, stdout="c0ffee\n")
         calls.append((cmd, Path(cwd), env))
         stdout = ""
         if "perfbench/run.py" in cmd:
@@ -1210,6 +1212,32 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate(tmp_path, monkeypatch):
         roots["parent"], roots["change"], roots["change"], roots["parent"]]
     for _, env in benchmark_runs:
         assert env == {**os.environ, **pinned}
-    assert json.loads(out.read_text())["environment"] == {
+    summary = json.loads(out.read_text())
+    assert summary["environment"] == {
         "PYTHONDONTWRITEBYTECODE": False, "run_py_env": pinned,
         "src_compiled_before_runs": True}
+    assert summary["parent_commit"] == "c0ffee"
+
+
+def test_bench_pairs_refuses_a_parent_that_is_not_a_git_checkout(tmp_path, monkeypatch,
+                                                                   capsys):
+    """With no commit to name, the series is refused as a usage error
+    before any root is compiled or benchmarked."""
+    bench = _load_script("bench_pairs")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 128 if cmd[0] == "git" else 0, stdout="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                    "--seeds", "1", "--description", "d",
+                    "--out", str(tmp_path / "BENCH.json")])
+    assert exit_info.value.code == 2
+    assert calls == [["git", "rev-parse", "HEAD"]]
+    assert "git worktree add --detach DIR COMMIT" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()

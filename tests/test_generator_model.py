@@ -327,12 +327,6 @@ def test_nearest_neighbour_entropy_coincident_rows_are_singular():
         nearest_neighbour_entropy(x)
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (0, 2), (5,)])
-def test_nearest_neighbour_entropy_needs_two_rows(shape):
-    with pytest.raises(ShapeError, match="batch >= 2"):
-        nearest_neighbour_entropy(np.zeros(shape))
-
-
 # --- generator loss gradient ------------------------------------------------------
 
 def test_constant_energy_zero_weight_gives_zero_gradient():

@@ -567,6 +567,21 @@ def test_dgm_update_cadence():
     assert ["dgm_gnorm" in line for line in lines] == [False, False, True] * 2
 
 
+def test_metrics_line_keys_and_their_order():
+    """Every line opens with the energy update's step, phase means and
+    gradient norm; a generator step adds its terms and gradient norm."""
+    dem, gen = _models(13)
+    data = Dataset(np.random.default_rng(14).normal(size=(64, 2)))
+    out = io.StringIO()
+    train(dem, gen, data, _tiny_config(steps=4, dem_updates_per_dgm_update=2),
+          metrics_out=out)
+    dem_keys = ["step", "e_pos", "e_neg", "dem_gnorm"]
+    dgm_keys = dem_keys + ["e_gen", "entropy", "dgm_gnorm"]
+    keys = [[field.split("=")[0] for field in line.split()]
+            for line in out.getvalue().splitlines()]
+    assert keys == [dem_keys, dgm_keys, dem_keys, dgm_keys]
+
+
 def test_nonfinite_abort_carries_step_and_parameter():
     dem, gen = _models(15)
     data = Dataset(np.random.default_rng(16).normal(size=(64, 2)))

@@ -33,10 +33,11 @@ no gain) is met when the change wins at least nine tenths of the pairs and
 the medians differ, in the better direction, by more than the parent's
 interquartile range. Every run's values are kept under "runs".
 
-PARENT must be a git checkout, so the summary names the commit it measured
-against (make one with ``git worktree add --detach DIR COMMIT``): a root
-where ``git rev-parse HEAD`` fails is refused before anything compiles or
-runs.
+PARENT must be the top of a git checkout, so the summary names the commit
+it measured against (make one with ``git worktree add --detach DIR
+COMMIT``): a root where git names no commit, or whose
+``git rev-parse --show-toplevel`` is another directory (a plain directory
+inside some checkout), is refused before anything compiles or runs.
 """
 
 from __future__ import annotations
@@ -73,10 +74,15 @@ def parse_claim(text: str) -> tuple[str, str]:
 
 
 def git_commit(root: Path) -> str | None:
-    """The commit checked out in ``root``, or None when git names none."""
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+    """The commit checked out in ``root``, or None when git names none or
+    ``root`` is not the top of the checkout git finds, whose commit would
+    say nothing of the files in ``root``."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=root,
                           capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else None
+    if proc.returncode != 0:
+        return None
+    toplevel, commit = proc.stdout.splitlines()
+    return commit if Path(toplevel).resolve() == root.resolve() else None
 
 
 def run_benchmark(root: Path, seed: int, seconds: int) -> dict:
@@ -217,8 +223,9 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     parent_commit = git_commit(roots["parent"])
     if parent_commit is None:
-        parser.error(f"--parent {args.parent} is not a git checkout, so its commit "
-                     f"is unknown; make one with git worktree add --detach DIR COMMIT")
+        parser.error(f"--parent {args.parent} is not the top of a git checkout, so "
+                     f"its commit is unknown; make one with "
+                     f"git worktree add --detach DIR COMMIT")
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workload, metric = args.claim or (None, None)

@@ -19,8 +19,9 @@ expressions, and the order of its sums, are the chain's of ``matmul``,
 ``add``, the activation and ``batch_norm``, with tanh' = 1 - out * out and
 sigmoid' = (1 - out) * out formed from the activation's output, so its
 gradients have the chain's bits. ``by_row_blocks`` runs a plain pass over
-many rows in blocks of ``ROW_BLOCK`` rows, each written straight into its
-slice of one output, so its memory does not grow with the row count, and
+many rows in blocks, of ``block_rows(width)`` rows for a model pass whose
+widest layer is width wide, each written straight into its slice of one
+output, so its memory does not grow with the row count, and
 ``run_in_shares`` spreads such a block loop over every usable core.
 
 The tape is a reference, and no command records on one. The tests build
@@ -83,7 +84,8 @@ import numpy as np
 
 BN_EPS = 1e-5         # batch-norm variance floor
 BN_MOMENTUM = 0.9     # running-statistics exponential moving average
-ROW_BLOCK = 256       # rows per block of a plain pass (see by_row_blocks)
+ROW_BLOCK = 256       # rows per block of a blocked loop; a model pass's fewest
+BLOCK_FLOATS = 1 << 17   # a model pass's widest layer's values per block (block_rows)
 
 
 class ShapeError(ValueError):
@@ -316,19 +318,30 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def share_count(rows: int) -> int:
+def block_rows(width: int) -> int:
+    """Rows per block of a model pass (``by_row_blocks``) whose widest layer
+    is ``width`` wide: as many as keep that layer's block within
+    ``BLOCK_FLOATS`` values, and no fewer than ``ROW_BLOCK``. A 128-wide
+    pass takes 1024 rows, since its cost is numpy's per-call overhead,
+    which a longer block spreads over more rows; a 784-wide one keeps
+    ``ROW_BLOCK``, where it is fastest."""
+    return max(ROW_BLOCK, BLOCK_FLOATS // width)
+
+
+def share_count(rows: int, block: int = ROW_BLOCK) -> int:
     """How many shares ``run_in_shares`` splits ``rows`` rows into: one per
-    usable CPU, and no more than there are blocks of ``ROW_BLOCK`` rows."""
-    return max(1, min(usable_cpus(), -(-rows // ROW_BLOCK)))
+    usable CPU, and no more than there are blocks of ``block`` rows."""
+    return max(1, min(usable_cpus(), -(-rows // block)))
 
 
-def run_in_shares(share: Callable[[range], object], rows: int) -> None:
-    """Run a loop over the blocks of ``ROW_BLOCK`` rows of ``rows`` rows on
+def run_in_shares(share: Callable[[range], object], rows: int,
+                  block: int = ROW_BLOCK) -> None:
+    """Run a loop over the blocks of ``block`` rows of ``rows`` rows on
     every usable core: ``share(starts)`` loops over the first rows
-    ``starts`` of its blocks, in order. With n = ``share_count(rows)``,
-    share k takes blocks k, k + n, k + 2n, ...; the block boundaries are
-    the serial loop's, so a pass whose BLAS kernel depends on the row count
-    keeps its bits.
+    ``starts`` of its blocks, in order. With n = ``share_count(rows,
+    block)``, share k takes blocks k, k + n, k + 2n, ...; the block
+    boundaries are the serial loop's, so a pass whose BLAS kernel depends
+    on the row count keeps its bits.
 
     The calling thread runs share 0, so one share is the serial loop on the
     calling thread, and n - 1 threads run the others. Each share runs under
@@ -339,14 +352,14 @@ def run_in_shares(share: Callable[[range], object], rows: int) -> None:
     ``share`` calls may run at once, so none may write where another reads
     or writes.
     """
-    n = share_count(rows)
+    n = share_count(rows, block)
     errstate = np.geterr()
     errors: list[Optional[BaseException]] = [None] * n
 
     def run(k: int) -> None:
         try:
             with np.errstate(**errstate):
-                share(range(k * ROW_BLOCK, rows, n * ROW_BLOCK))
+                share(range(k * block, rows, n * block))
         except BaseException as err:
             errors[k] = err
 
@@ -365,35 +378,42 @@ def run_in_shares(share: Callable[[range], object], rows: int) -> None:
             raise err
 
 
-def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray], object],
-                  x: np.ndarray, row_shape: tuple) -> np.ndarray:
+def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray, SimpleNamespace], object],
+                  x: np.ndarray, row_shape: tuple,
+                  block: int = ROW_BLOCK) -> np.ndarray:
     """A plain-array pass over the rows of x, in which each output row (of
     shape ``row_shape``) depends on its input row alone, run on blocks of
-    ``ROW_BLOCK`` rows, on every usable core (``run_in_shares``).
+    ``block`` rows, on every usable core (``run_in_shares``). A model pass
+    takes ``block_rows`` of its widest layer.
 
-    The output, of x's dtype, is allocated once; ``fn(block, out)`` writes
-    the block's rows straight into ``out``, their slice of it, so no block's
-    result is copied. The caller checks x's shape first: ``fn`` never runs
-    when x has no rows. ``fn`` may run on several threads at once, each
-    call on its own block, so it must not share writable scratch between
-    calls.
+    The output, of x's dtype, is allocated once; ``fn(x_block, out, share)``
+    writes the block's rows straight into ``out``, their slice of it, so no
+    block's result is copied. ``share`` is the namespace of the share that
+    runs the block, kept from one of its blocks to the next; its ``ws``,
+    None at the share's first block, is where ``fn`` keeps the workspace it
+    reuses. The caller checks x's shape first: ``fn`` never runs when x has
+    no rows. ``fn`` may run on several threads at once, each call on its
+    own block and share, so it must keep writable scratch in its share.
 
     Peak memory is the output plus a few block arrays per share, whatever
-    the row count. A block's 128-wide float32 activation is 128 KiB (a
-    float64 one twice that): it stays in L2 cache, and glibc serves it from
-    heap memory the share's previous block freed, so no page is faulted in
-    anew; a 784-wide output layer writes into the output, whose pages are
-    faulted in once. BLAS may pick its kernel by the row count, so a row of
-    a pass over more than ``ROW_BLOCK`` rows can differ from the one-batch
-    pass in the last ulp.
+    the row count: a block of the widest layer holds at most
+    ``BLOCK_FLOATS`` values (512 KiB in float32) when that layer is at
+    most 512 wide, and ``ROW_BLOCK`` rows when it is wider. A share that
+    keeps its arrays in one workspace faults their pages in once per call;
+    512 KiB arrays made and freed block by block can be faulted in anew
+    for every block (see ``energy_model``). A 784-wide output layer writes
+    into the output, whose pages are faulted in once. BLAS may pick its
+    kernel by the row count, so a row of a pass over more than one block
+    can differ from the one-batch pass in the last ulp.
     """
     out = np.empty((x.shape[0], *row_shape), x.dtype)
 
     def share(starts: range) -> None:
+        state = SimpleNamespace(ws=None)
         for start in starts:
-            fn(x[start:start + ROW_BLOCK], out[start:start + ROW_BLOCK])
+            fn(x[start:start + block], out[start:start + block], state)
 
-    run_in_shares(share, x.shape[0])
+    run_in_shares(share, x.shape[0], block)
     return out
 
 
@@ -729,32 +749,37 @@ def dense_stack(prefix: str, widths: Sequence[int], activations: Sequence[str],
 
 
 def workspace(ws: Optional[SimpleNamespace], rows: int, layers: Sequence[Dense],
-              **extra) -> SimpleNamespace:
+              backward: bool = True, **extra) -> SimpleNamespace:
     """``ws`` when it was built for ``rows`` rows, else a new one: per layer
     the activation ``a``, the gradients ``ga`` of the activation's input and
     ``dh`` of the layer's output, and the weight gradient ``dw``; per
     batch-norm layer ``xhat``, ``inv`` and the layer's output ``h``
     (elsewhere None, None and ``a``); an array of each shape in ``extra``;
-    and ``rows``. Every array has the layers' dtype."""
+    and ``rows``. Every array has the layers' dtype.
+
+    Without ``backward``, for an infer-mode pass that no backward follows,
+    only ``a`` and ``inv`` are made: ``xhat`` and ``h`` are ``a``, which
+    batch norm then normalizes in place, and ``ga``, ``dh`` and ``dw`` are
+    None."""
     if ws is not None and ws.rows == rows:
         return ws
-    dtype = layers[0].w.values.dtype
 
     def empty(shape):
-        return np.empty(shape, dtype)
+        return np.empty(shape, layers[0].w.values.dtype)
 
     ws = SimpleNamespace(rows=rows, a=[], ga=[], dh=[], dw=[], xhat=[], inv=[], h=[],
                          **{name: empty(shape) for name, shape in extra.items()})
     for layer in layers:
         shape = (rows, layer.w.values.shape[1])
         norm = layer.has_batch_norm
-        ws.a.append(empty(shape))
-        ws.ga.append(empty(shape))
-        ws.dh.append(empty(shape))
-        ws.dw.append(empty(layer.w.values.shape))
-        ws.xhat.append(empty(shape) if norm else None)
+        a = empty(shape)
+        ws.a.append(a)
+        ws.ga.append(empty(shape) if backward else None)
+        ws.dh.append(empty(shape) if backward else None)
+        ws.dw.append(empty(layer.w.values.shape) if backward else None)
+        ws.xhat.append((empty(shape) if backward else a) if norm else None)
         ws.inv.append(empty(shape[1]) if norm else None)
-        ws.h.append(empty(shape) if norm else ws.a[-1])
+        ws.h.append(empty(shape) if norm and backward else a)
     return ws
 
 
@@ -762,13 +787,13 @@ def stack_forward(layers: Sequence[Dense], x: np.ndarray, mode: str, ws=None,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """The stack's output for the rows of x, ``mode`` picking the batch-norm
     statistics. A workspace takes what the backward reads, the output
-    included; without one, the arrays are fresh, and the last layer writes
-    into ``out`` when given."""
+    included; without one, the arrays are fresh. The last layer writes into
+    ``out`` when given, so a workspace for the other layers will do."""
     h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
-        a = np.matmul(h, layer.w.values,
-                      out=ws.a[i] if ws else out if i == last else None)
+        into = out if i == last and out is not None else ws.a[i] if ws else None
+        a = np.matmul(h, layer.w.values, out=into)
         a += layer.b.values
         h = _ACTIVATE[layer.activation](a)
         if layer.has_batch_norm:

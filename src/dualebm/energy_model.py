@@ -30,20 +30,28 @@ workspace serves both.
 
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
 passes over many rows (energy grids, held-out sets, ``sample``). Both run
-in blocks of ``autodiff.ROW_BLOCK`` = 256 rows through
-``autodiff.by_row_blocks``, which shares the blocks out over every usable
-core and allocates the output once: the last expression of each block's
-pass (here the final subtraction, in the generator the output layer's
-matmul, bias and sigmoid) writes into the block's slice of it, so no block
-result is copied and a call's peak memory is the output plus a few block
-arrays per share, whatever the row count. The output and the blocks have
-the model's dtype (see ``autodiff``). A 256-row, 128-wide float32
-activation is 128 KiB, which stays in L2 cache and reuses the heap memory
-the share's previous block freed, so no page is faulted in anew. A block's
-pass reads the model and writes only its own arrays, so the blocks may run
-at once. A train-mode ``generate`` stays one batch, since batch norm
-normalizes by whole-batch statistics; no training step calls a blocked
-pass.
+through ``autodiff.by_row_blocks``, in blocks of ``autodiff.block_rows``
+of the pass's widest layer: 1024 rows for the 2D models, whose widest
+layer is 128, and ``autodiff.ROW_BLOCK`` = 256 for the 784-d ones. It
+shares the blocks out over every usable core and allocates the output
+once: the last expression of each block's pass (here the final
+subtraction, in the generator the output layer's matmul, bias and
+sigmoid) writes into the block's slice of it, so no block result is
+copied and a call's peak memory is the output plus a few block arrays per
+share, whatever the row count. The output and the blocks have the model's
+dtype (see ``autodiff``). Each share keeps its block arrays in one
+workspace (``autodiff.workspace`` without ``backward``: one array per
+layer, which batch norm normalizes in place), made at its first block and
+reused for the next. A 1024-row, 128-wide float32 activation is 512 KiB,
+and such arrays, made and freed block by block, were faulted in anew for
+nearly every block: in a fresh process a 2D ``generate`` of 50 000 rows
+took ~12 000 minor page faults on its first call and ~17 500 on each
+later one, against ~1 100 and ~440 with the workspace (256-row blocks
+made and freed took ~540 on the first call, and 3 from the third on). A
+block's pass reads the model and writes only its own share's arrays, so
+the blocks may run at once. A train-mode ``generate`` stays one batch,
+since batch norm normalizes by whole-batch statistics; no training step
+calls a blocked pass.
 """
 
 from __future__ import annotations
@@ -134,12 +142,22 @@ class EnergyModel:
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Per-row energies of a plain array, in the model's dtype; low
         values mark configurations the model favors. Runs ``_energy`` on
-        blocks of ``autodiff.ROW_BLOCK`` rows (see the module docstring).
+        blocks of as many rows as ``autodiff.block_rows`` gives for the
+        widest layer, the experts' included, into each share's workspace
+        (see the module docstring).
         Each row's energy depends on that row alone, so blocking changes no
         value beyond the last ulp of BLAS products."""
         x = np.asarray(x, dtype=self.dtype)
         self._check_width(x)
-        return ad.by_row_blocks(lambda block, out: self._energy(block, out=out), x, ())
+
+        def energy_block(block, out, share):
+            rows = block.shape[0]
+            share.ws = ad.workspace(share.ws, rows, self.layers, backward=False,
+                                    x=(rows, self.d_in))
+            self._energy(block, share.ws, out=out)
+
+        return ad.by_row_blocks(energy_block, x, (),
+                                ad.block_rows(max(*self.widths, self.n_experts)))
 
     def energy_gradient(self, x: np.ndarray, weights: np.ndarray, params: bool,
                         onto=None):

@@ -38,10 +38,11 @@ the expressions, and sums in the order, of the tape's primitive chain, so
 gradients keep the chain's bits.
 
 Plain infer-mode sampling (``generate``, behind ``sample`` and
-``interpolate``) runs the stack on blocks of rows, on every usable core,
-each written into its slice of one output, so its peak memory is the
-output plus a few block arrays per share (see ``energy_model`` and
-``autodiff.by_row_blocks``).
+``interpolate``) runs the stack on blocks of rows, 1024 for the 2D
+generator and 256 for the 784-d one (``autodiff.block_rows`` of the widest
+layer), on every usable core, each written into its slice of one output,
+so its peak memory is the output plus one workspace of hidden-layer block
+arrays per share (see ``energy_model`` and ``autodiff.by_row_blocks``).
 """
 
 from __future__ import annotations
@@ -108,12 +109,12 @@ class GeneratorModel:
         cast first; mode picks batch-norm statistics.
 
         Infer mode is free of side effects and row by row, so it runs on
-        blocks of ``autodiff.ROW_BLOCK`` rows, on every usable core, whose
-        output layer writes into the one output array and whose peak
-        memory does not grow with the row count (see
-        ``autodiff.by_row_blocks``). Train mode is one
-        batch, since batch norm needs whole-batch statistics, and moves the
-        running statistics.
+        blocks of ``autodiff.block_rows(max(widths))`` rows, on every
+        usable core, whose output layer writes into the one output array
+        and whose peak memory does not grow with the row count (see
+        ``autodiff.by_row_blocks``). Train mode is one batch, since batch
+        norm needs whole-batch statistics, and moves the running
+        statistics.
 
         Batch norm runs after the bounded activation, so each scale
         parameter multiplies a hidden feature directly. A scale pushed up
@@ -124,9 +125,16 @@ class GeneratorModel:
         self._check_latents(z)
         if mode == "train":
             return ad.stack_forward(self.layers, z, mode)
-        return ad.by_row_blocks(
-            lambda block, out: ad.stack_forward(self.layers, block, mode, out=out),
-            z, (self.widths[-1],))
+
+        def infer_block(block, out, share):
+            # the output layer writes into out, so only the hidden layers
+            # need workspace arrays
+            share.ws = ad.workspace(share.ws, block.shape[0], self.layers[:-1],
+                                    backward=False)
+            ad.stack_forward(self.layers, block, mode, share.ws, out=out)
+
+        return ad.by_row_blocks(infer_block, z, (self.widths[-1],),
+                                ad.block_rows(max(self.widths)))
 
     def _check_latents(self, z) -> None:
         if len(z.shape) != 2 or z.shape[1] != self.d_z:

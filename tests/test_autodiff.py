@@ -533,6 +533,20 @@ def test_workspace_is_kept_for_its_row_count():
     assert ad.workspace(ws, 9, layers).rows == 9
 
 
+def test_a_workspace_without_backward_holds_one_array_per_layer():
+    """An infer pass needs no gradients, and batch norm normalizes each
+    activation in place."""
+    layers, _ = _stack()
+    ws = ad.workspace(None, 8, layers, backward=False)
+    assert [a.shape for a in ws.a] == [(8, 6), (8, 5), (8, 4)]
+    assert ws.ga == ws.dh == ws.dw == [None] * 3
+    assert all(h is a for h, a in zip(ws.h, ws.a))
+    assert [x is a for x, a in zip(ws.xhat, ws.a)] == [l.has_batch_norm for l in layers]
+    x = np.random.default_rng(9).normal(size=(8, 3))
+    assert np.array_equal(ad.stack_forward(layers, x, "infer", ws),
+                          ad.stack_forward(layers, x, "infer"))
+
+
 # --- row-block passes on every core ------------------------------------------
 
 def test_usable_cpus_without_an_affinity_call_counts_every_cpu(monkeypatch):
@@ -551,23 +565,27 @@ def test_by_row_blocks_gives_share_k_every_nth_block_in_order(monkeypatch, cpus)
     monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
     rows = 5 * ad.ROW_BLOCK + 3
     x = np.arange(rows, dtype=np.float64)[:, None]
-    runs = []     # (block index, thread); list.append is atomic
+    runs = []     # (block index, thread, share); list.append is atomic
 
-    def fn(block, out):
-        runs.append((_block_index(block), threading.current_thread()))
+    def fn(block, out, share):
+        runs.append((_block_index(block), threading.current_thread(), share))
         out[...] = 2.0 * block
 
     out = ad.by_row_blocks(fn, x, (1,))
     assert np.array_equal(out, 2.0 * x)
     shares = ad.share_count(rows)
     assert shares == min(cpus, 6)
-    threads = {index: thread for index, thread in runs}
+    threads = {index: thread for index, thread, _ in runs}
     assert sorted(threads) == list(range(6))
     assert threads[0] is threading.current_thread()   # the caller runs share 0
     for k in range(shares):
         assert {threads[i] for i in range(k, 6, shares)} == {threads[k]}
-        assert [i for i, thread in runs if thread == threads[k]] == list(range(k, 6, shares))
+        assert [i for i, thread, _ in runs if thread == threads[k]] == list(range(k, 6, shares))
     assert len(set(threads.values())) == shares
+    # each share keeps one namespace of its own from block to block
+    namespaces = {thread: share for _, thread, share in runs}
+    assert all(namespaces[thread] is share for _, thread, share in runs)
+    assert len({id(share) for share in namespaces.values()}) == shares
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -579,7 +597,7 @@ def test_by_row_blocks_raises_a_blocks_error_after_every_share_ends(failing):
     x = np.arange(rows, dtype=np.float64)[:, None]
     done = []
 
-    def fn(block, out):
+    def fn(block, out, share):
         index = _block_index(block)
         if index == failing:
             raise ValueError(f"block {index}")

@@ -1189,8 +1189,8 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate(tmp_path, monkeypatch):
     calls = []
 
     def fake_run(cmd, cwd=None, env=None, **kwargs):
-        if cmd[0] == "git":   # the parent root is a checkout of this commit
-            return subprocess.CompletedProcess(cmd, 0, stdout="c0ffee\n")
+        if cmd[0] == "git":   # the parent root is the top of a checkout of this commit
+            return subprocess.CompletedProcess(cmd, 0, stdout=f"{cwd}\nc0ffee\n")
         calls.append((cmd, Path(cwd), env))
         stdout = ""
         if "perfbench/run.py" in cmd:
@@ -1238,6 +1238,34 @@ def test_bench_pairs_refuses_a_parent_that_is_not_a_git_checkout(tmp_path, monke
                     "--seeds", "1", "--description", "d",
                     "--out", str(tmp_path / "BENCH.json")])
     assert exit_info.value.code == 2
-    assert calls == [["git", "rev-parse", "HEAD"]]
+    assert calls == [["git", "rev-parse", "--show-toplevel", "HEAD"]]
     assert "git worktree add --detach DIR COMMIT" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_bench_pairs_refuses_a_parent_inside_a_git_checkout(tmp_path, monkeypatch,
+                                                            capsys):
+    """A plain directory inside a checkout is no checkout of its own: git
+    names the enclosing checkout's commit there, which says nothing of the
+    directory's files, so the series is refused before anything runs."""
+    bench = _load_script("bench_pairs")
+    top = tmp_path / "checkout"
+    inner = top / "parent"
+    inner.mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+           "-c", "commit.gpgsign=false"]
+    subprocess.run(git + ["init", "-q"], cwd=top, check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "c"], cwd=top, check=True)
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=top, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert bench.git_commit(top) == commit
+    assert bench.git_commit(inner) is None
+    (inner / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": []}))
+    monkeypatch.setattr(bench, "compile_sources", lambda root: pytest.fail("compiled"))
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--parent", str(inner), "--change", str(inner), "--seeds", "1",
+                    "--description", "d", "--out", str(tmp_path / "BENCH.json")])
+    assert exit_info.value.code == 2
+    assert "is not the top of a git checkout" in capsys.readouterr().err
     assert not (tmp_path / "BENCH.json").exists()

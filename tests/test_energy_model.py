@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,31 @@ def test_energy_values_runs_in_row_blocks():
     assert_allclose(e, model._energy(x), rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_energy_values_of_a_2d_model_runs_in_blocks_of_its_widest_layer(dtype):
+    """The 2D model's widest layer is 128 wide: its pass runs in blocks of
+    ``block_rows(128)`` rows, and gives the bits of the serial loop over
+    those blocks."""
+    model = EnergyModel.build((2, 128, 128, 4), 4, np.random.default_rng(36), dtype=dtype)
+    block = ad.block_rows(128)
+    rows = 3 * block + 5
+    x = np.random.default_rng(37).normal(size=(rows, 2)).astype(dtype)
+    serial = np.concatenate([model._energy(x[start:start + block])
+                             for start in range(0, rows, block)])
+    energy, calls = model._energy, []     # list.append is atomic
+
+    def recording(block_x, ws, out):
+        calls.append((len(block_x), threading.current_thread(), ws))
+        return energy(block_x, ws, out=out)
+
+    model._energy = recording
+    assert np.array_equal(model.energy_values(x), serial)
+    assert sorted(rows for rows, _, _ in calls) == [5, block, block, block]
+    # a share reuses one workspace for its full blocks
+    kept = {thread: ws for rows, thread, ws in calls if rows == block}
+    assert all(kept[thread] is ws for rows, thread, ws in calls if rows == block)
+
+
 def test_energy_values_keep_the_callers_error_state_on_every_share():
     """numpy's error state does not reach new threads: an overflow in a
     block that another thread runs still raises under the caller's
@@ -212,17 +238,20 @@ def _energy_values_peak(rows, width):
 
 @pytest.mark.parametrize("rows", [20_000, 80_000])
 def test_energy_values_peak_memory_does_not_grow_with_rows(rows):
-    # the output, and four block arrays for each share of the blocks
+    # the output, and four block arrays for each share of the blocks, of
+    # the rows the pass's blocks have
     width = 128
+    block = ad.block_rows(width)
     assert (_energy_values_peak(rows, width)
-            < rows * 8 + ad.share_count(rows) * 4 * ROW_BLOCK * width * 8)
+            < rows * 8 + ad.share_count(rows, block) * 4 * block * width * 8)
 
 
 def test_energy_values_peak_memory_on_one_cpu(monkeypatch):
     monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
     rows, width = 20_000, 128
-    assert ad.share_count(rows) == 1
-    assert _energy_values_peak(rows, width) < rows * 8 + 4 * ROW_BLOCK * width * 8
+    block = ad.block_rows(width)
+    assert ad.share_count(rows, block) == 1
+    assert _energy_values_peak(rows, width) < rows * 8 + 4 * block * width * 8
 
 
 # --- maximum-likelihood-style gradient -----------------------------------------

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,33 @@ def test_generate_infer_runs_in_row_blocks(out_width, activation):
         assert np.array_equal(layer.bn_state.var, var)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_generate_infer_of_a_2d_model_runs_in_blocks_of_its_widest_layer(monkeypatch,
+                                                                         dtype):
+    """The 2D generator's widest layer is 128 wide: its infer pass runs in
+    blocks of ``block_rows(128)`` rows, and gives the bits of the serial
+    loop over those blocks."""
+    gen = GeneratorModel.build((4, 128, 128, 2), np.random.default_rng(26), dtype=dtype)
+    gen.generate(sample_prior(64, 4, np.random.default_rng(27)), "train")
+    block = ad.block_rows(128)
+    rows = 3 * block + 5
+    z = sample_prior(rows, 4, np.random.default_rng(28)).astype(dtype)
+    serial = np.concatenate([ad.stack_forward(gen.layers, z[start:start + block], "infer")
+                             for start in range(0, rows, block)])
+    forward, calls = ad.stack_forward, []     # list.append is atomic
+
+    def recording(layers, h, mode, ws, out):
+        calls.append((len(h), threading.current_thread(), ws))
+        return forward(layers, h, mode, ws, out=out)
+
+    monkeypatch.setattr(ad, "stack_forward", recording)
+    assert np.array_equal(gen.generate(z, "infer"), serial)
+    assert sorted(rows for rows, _, _ in calls) == [5, block, block, block]
+    # a share reuses one workspace for its full blocks
+    kept = {thread: ws for rows, thread, ws in calls if rows == block}
+    assert all(kept[thread] is ws for rows, thread, ws in calls if rows == block)
+
+
 def _generate_infer_peak(out_width, activation, rows, width):
     gen = GeneratorModel.build((4, width, width, out_width), np.random.default_rng(24),
                                output_activation=activation)
@@ -197,20 +225,22 @@ def test_generate_infer_peak_memory_does_not_grow_with_rows(out_width, activatio
     # the output and, for each share of the blocks, four hidden block
     # arrays and one output-width block array (the sigmoid's exp(-|x|)):
     # the output layer writes into the output, so no block of its result
-    # is made and copied
+    # is made and copied; a block has the rows of the pass's widest layer
     width = 128
+    block = ad.block_rows(max(width, out_width))
     assert (_generate_infer_peak(out_width, activation, rows, width)
             < rows * out_width * 8
-            + ad.share_count(rows) * ROW_BLOCK * (4 * width + out_width) * 8)
+            + ad.share_count(rows, block) * block * (4 * width + out_width) * 8)
 
 
 @pytest.mark.parametrize("out_width, activation", OUTPUTS)
 def test_generate_infer_peak_memory_on_one_cpu(monkeypatch, out_width, activation):
     monkeypatch.setattr(ad, "usable_cpus", lambda: 1)
     rows, width = 8_000, 128
-    assert ad.share_count(rows) == 1
+    block = ad.block_rows(max(width, out_width))
+    assert ad.share_count(rows, block) == 1
     assert (_generate_infer_peak(out_width, activation, rows, width)
-            < rows * out_width * 8 + ROW_BLOCK * (4 * width + out_width) * 8)
+            < rows * out_width * 8 + block * (4 * width + out_width) * 8)
 
 
 @pytest.mark.parametrize("out_width, activation", OUTPUTS)

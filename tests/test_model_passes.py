@@ -149,6 +149,16 @@ def test_switching_the_batch_size_gives_the_results_of_a_fresh_model():
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
+@pytest.mark.parametrize("dataset, rows", [("four_spin", 1024), ("mnist", 256)])
+def test_block_rows_follow_the_widest_layer_of_the_default_models(dataset, rows):
+    """The plain passes of the default 2D models (widest layer 128) run in
+    1024-row blocks; the mnist models' (784) keep ``ROW_BLOCK``."""
+    dem, gen = build_models(RunConfig(dataset=dataset, mnist_images="i.idx",
+                                      mnist_labels="l.idx"))
+    assert (ad.block_rows(max(*dem.widths, dem.n_experts))
+            == ad.block_rows(max(gen.widths)) == rows)
+
+
 @pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])
 def test_training_keeps_one_workspace_per_model(estimator):
     """Every step's passes share their model's one workspace, built at the

@@ -28,10 +28,12 @@ relative to its median, is wider than the bound and not every change run
 beats every parent run; otherwise "worse" when the change's median is
 worse than the parent's by more than the bound, and "within_bound" when it
 is not. The summary's "verdict" lists the metrics that are worse or
-unresolved. A claimed metric (``--claim``, left out when the change claims
-no gain) is met when the change wins at least nine tenths of the pairs and
-the medians differ, in the better direction, by more than the parent's
-interquartile range. Every run's values are kept under "runs".
+unresolved, and under "more_failures" the workloads where the change
+failed a larger share of its operations than the parent. A claimed
+metric (``--claim``, left out when the change claims no gain) is met when
+the change wins at least nine tenths of the pairs and the medians differ,
+in the better direction, by more than the parent's interquartile range.
+Every run's values are kept under "runs".
 
 PARENT must be the top of a git checkout, so the summary names the commit
 it measured against (make one with ``git worktree add --detach DIR
@@ -192,6 +194,16 @@ def operations(runs: list[dict]) -> dict:
             for workload in runs[0]["parent"]}
 
 
+def more_failures(ops: dict) -> list[str]:
+    """The workloads of ``operations``' counts where the change failed a
+    larger share of the operations it attempted than the parent did."""
+    def failed_share(counts: dict) -> float:
+        return counts["failed"] / counts["attempted"] if counts["attempted"] else 0.0
+
+    return [workload for workload, sides in ops.items()
+            if failed_share(sides["change"]) > failed_share(sides["parent"])]
+
+
 def claim(workloads: dict, workload: str, metric: str) -> dict:
     row = workloads[workload][metric]
     parent, change = row["parent"], row["change"]
@@ -245,6 +257,7 @@ def main(argv=None) -> int:
             run[side] = run_benchmark(roots[side], seed, seconds)
         runs.append(run)
         workloads = summarize(runs, spec["end_to_end"])
+        ops = operations(runs)
         summary = {
             "change": args.description,
             "parent_commit": parent_commit,
@@ -258,9 +271,9 @@ def main(argv=None) -> int:
                 f"for neither; verdict holds each change median against the parent's "
                 f"and BENCHMARK.json's bound. Written by scripts/bench_pairs.py.")},
             "claim": claim(workloads, workload, metric) if args.claim else None,
-            "verdict": verdicts(workloads),
+            "verdict": {**verdicts(workloads), "more_failures": more_failures(ops)},
             "workloads": workloads,
-            "operations": operations(runs),
+            "operations": ops,
         }
         args.out.write_text(json.dumps(summary, indent=1) + "\n")
     return 0

@@ -18,11 +18,12 @@ then adds the parameters' gradients or returns the input's. Its
 expressions, and the order of its sums, are the chain's of ``matmul``,
 ``add``, the activation and ``batch_norm``, with tanh' = 1 - out * out and
 sigmoid' = (1 - out) * out formed from the activation's output, so its
-gradients have the chain's bits. ``by_row_blocks`` runs a plain pass over
-many rows in blocks, of ``block_rows(width)`` rows for a model pass whose
-widest layer is width wide, each written straight into its slice of one
-output, so its memory does not grow with the row count, and
-``run_in_shares`` spreads such a block loop over every usable core.
+gradients have the chain's bits. ``by_row_blocks`` runs a model's plain
+pass over many rows in blocks sized by its widest layer, each into its
+share's workspace and straight into its slice of one output, so its
+memory does not grow with the row count; ``stack_rows`` casts and checks
+a pass's input rows; and ``run_in_shares`` spreads a block loop over every
+usable core.
 
 The tape is a reference, and no command records on one. The tests build
 each model pass and loss as a chain of primitives on a ``Tape``
@@ -68,7 +69,7 @@ must not run passes from two threads at once. ``run_in_shares`` is the one
 place that starts threads. It runs the blocks of one plain pass on several
 threads at once, one share of the blocks per usable core, and joins them
 before it returns; each block reads the model's parameters and writes its
-own slice of the output, and no block writes into a workspace.
+own slice of the output and its share's own workspace, never the model's.
 """
 
 from __future__ import annotations
@@ -321,10 +322,8 @@ def usable_cpus() -> int:
 def block_rows(width: int) -> int:
     """Rows per block of a model pass (``by_row_blocks``) whose widest layer
     is ``width`` wide: as many as keep that layer's block within
-    ``BLOCK_FLOATS`` values, and no fewer than ``ROW_BLOCK``. A 128-wide
-    pass takes 1024 rows, since its cost is numpy's per-call overhead,
-    which a longer block spreads over more rows; a 784-wide one keeps
-    ``ROW_BLOCK``, where it is fastest."""
+    ``BLOCK_FLOATS`` values, and no fewer than ``ROW_BLOCK`` (1024 rows for
+    a 128-wide pass, 256 for a 784-wide one)."""
     return max(ROW_BLOCK, BLOCK_FLOATS // width)
 
 
@@ -379,39 +378,43 @@ def run_in_shares(share: Callable[[range], object], rows: int,
 
 
 def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray, SimpleNamespace], object],
-                  x: np.ndarray, row_shape: tuple,
-                  block: int = ROW_BLOCK) -> np.ndarray:
-    """A plain-array pass over the rows of x, in which each output row (of
+                  x: np.ndarray, row_shape: tuple, layers: Sequence[Dense], /,
+                  **extra: int) -> np.ndarray:
+    """A model's plain pass over the rows of x, in which each output row (of
     shape ``row_shape``) depends on its input row alone, run on blocks of
-    ``block`` rows, on every usable core (``run_in_shares``). A model pass
-    takes ``block_rows`` of its widest layer.
+    rows on every usable core (``run_in_shares``).
 
-    The output, of x's dtype, is allocated once; ``fn(x_block, out, share)``
-    writes the block's rows straight into ``out``, their slice of it, so no
-    block's result is copied. ``share`` is the namespace of the share that
-    runs the block, kept from one of its blocks to the next; its ``ws``,
-    None at the share's first block, is where ``fn`` keeps the workspace it
-    reuses. The caller checks x's shape first: ``fn`` never runs when x has
-    no rows. ``fn`` may run on several threads at once, each call on its
-    own block and share, so it must keep writable scratch in its share.
+    A block holds ``block_rows`` of the widest of x's columns, the outputs
+    of ``layers`` and ``row_shape``: a narrow pass costs numpy's per-call
+    overhead more than arithmetic, which a longer block spreads over more
+    rows, while a wide pass is fastest at ``ROW_BLOCK`` rows. Each share
+    keeps one infer workspace (``workspace`` of ``layers`` without
+    ``backward``, plus a ``(rows, width)`` array for each ``name=width`` of
+    ``extra``), built at its first block and again for a shorter last one,
+    since block arrays made and freed block by block can have their pages
+    faulted in anew for every block. ``fn(x_block, out, ws)`` runs the pass
+    on a block into its share's workspace and writes the block's rows
+    straight into ``out``, their slice of the one output, of x's dtype. So
+    no block's result is copied, and peak memory is the output plus one
+    workspace per share, whatever the row count.
 
-    Peak memory is the output plus a few block arrays per share, whatever
-    the row count: a block of the widest layer holds at most
-    ``BLOCK_FLOATS`` values (512 KiB in float32) when that layer is at
-    most 512 wide, and ``ROW_BLOCK`` rows when it is wider. A share that
-    keeps its arrays in one workspace faults their pages in once per call;
-    512 KiB arrays made and freed block by block can be faulted in anew
-    for every block (see ``energy_model``). A 784-wide output layer writes
-    into the output, whose pages are faulted in once. BLAS may pick its
+    The caller checks x's shape first: ``fn`` never runs when x has no
+    rows. ``fn`` may run on several threads at once, each call on its own
+    block and workspace, so it must write nowhere else. BLAS may pick its
     kernel by the row count, so a row of a pass over more than one block
     can differ from the one-batch pass in the last ulp.
     """
+    widest = max(x.shape[1], *row_shape, *(layer.w.values.shape[1] for layer in layers))
+    block = block_rows(widest)
     out = np.empty((x.shape[0], *row_shape), x.dtype)
 
     def share(starts: range) -> None:
-        state = SimpleNamespace(ws=None)
+        ws = None
         for start in starts:
-            fn(x[start:start + block], out[start:start + block], state)
+            rows = min(block, x.shape[0] - start)
+            ws = workspace(ws, rows, layers, backward=False,
+                           **{name: (rows, width) for name, width in extra.items()})
+            fn(x[start:start + block], out[start:start + block], ws)
 
     run_in_shares(share, x.shape[0], block)
     return out
@@ -746,6 +749,17 @@ def dense_stack(prefix: str, widths: Sequence[int], activations: Sequence[str],
             layer.bn_state = BatchNormState.initial(fan_out, dtype)
         layers.append(layer)
     return layers
+
+
+def stack_rows(layers: Sequence[Dense], x, what: str) -> np.ndarray:
+    """x as input rows of the stack: cast to the layers' dtype, and of
+    shape (batch, the first layer's input width), else a ShapeError that
+    calls it ``what``."""
+    w = layers[0].w.values
+    x = np.asarray(x, dtype=w.dtype)
+    if x.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"expected {what} of shape (batch, {w.shape[0]}), got {x.shape}")
+    return x
 
 
 def workspace(ws: Optional[SimpleNamespace], rows: int, layers: Sequence[Dense],

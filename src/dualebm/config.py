@@ -77,7 +77,7 @@ class RunConfig:
     dgm_lr: float = _field(0.01, above=0)
     adagrad_eps: float = _field(1e-8, above=0)
     entropy_weight: float = _field(1.0, minimum=0)
-    entropy_estimator: str = _field("batch_norm_scale", choices=ENTROPY_ESTIMATORS)
+    entropy_estimator: str = _field("batch_norm_scale", choices=tuple(ENTROPY_ESTIMATORS))
     steps: int = _field(20_000, minimum=1)
     dem_updates_per_dgm_update: int = _field(1, minimum=1)
     seed: int = _field(0, minimum=0)

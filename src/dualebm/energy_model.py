@@ -29,29 +29,17 @@ the positive phase's, the order of the chain's reverse sweep, so one
 workspace serves both.
 
 ``energy_values`` and ``GeneratorModel.generate(z, "infer")`` are the two
-passes over many rows (energy grids, held-out sets, ``sample``). Both run
-through ``autodiff.by_row_blocks``, in blocks of ``autodiff.block_rows``
-of the pass's widest layer: 1024 rows for the 2D models, whose widest
-layer is 128, and ``autodiff.ROW_BLOCK`` = 256 for the 784-d ones. It
-shares the blocks out over every usable core and allocates the output
-once: the last expression of each block's pass (here the final
-subtraction, in the generator the output layer's matmul, bias and
-sigmoid) writes into the block's slice of it, so no block result is
-copied and a call's peak memory is the output plus a few block arrays per
-share, whatever the row count. The output and the blocks have the model's
-dtype (see ``autodiff``). Each share keeps its block arrays in one
-workspace (``autodiff.workspace`` without ``backward``: one array per
-layer, which batch norm normalizes in place), made at its first block and
-reused for the next. A 1024-row, 128-wide float32 activation is 512 KiB,
-and such arrays, made and freed block by block, were faulted in anew for
-nearly every block: in a fresh process a 2D ``generate`` of 50 000 rows
-took ~12 000 minor page faults on its first call and ~17 500 on each
-later one, against ~1 100 and ~440 with the workspace (256-row blocks
-made and freed took ~540 on the first call, and 3 from the third on). A
-block's pass reads the model and writes only its own share's arrays, so
-the blocks may run at once. A train-mode ``generate`` stays one batch,
-since batch norm normalizes by whole-batch statistics; no training step
-calls a blocked pass.
+passes over many rows (energy grids, held-out sets, ``sample``). Each is
+one call of ``autodiff.by_row_blocks``, which picks the block size from
+the pass's layers, gives each share of blocks its workspace and
+allocates the output once: the last expression of each block's pass
+(here the final subtraction, in the generator the output layer's
+matmul, bias and sigmoid) writes into the block's slice of it, so a
+call's peak memory is the output plus one workspace per share, whatever
+the row count. The output and the blocks have the model's dtype (see
+``autodiff``). A train-mode ``generate`` stays one batch, since batch
+norm normalizes by whole-batch statistics; no training step calls a
+blocked pass.
 """
 
 from __future__ import annotations
@@ -62,7 +50,7 @@ import math
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, ParameterStore, ShapeError
+from .autodiff import Parameter, ParameterStore
 
 
 def inverse_sigma_sq(sigma, dtype=np.float64) -> float:
@@ -134,30 +122,16 @@ class EnergyModel:
         return ([layer.w for layer in features] + [layer.b for layer in features]
                 + [experts.w, experts.b, self.b_vis])
 
-    def _check_width(self, x) -> None:
-        if len(x.shape) != 2 or x.shape[1] != self.d_in:
-            raise ShapeError(
-                f"expected input of shape (batch, {self.d_in}), got {x.shape}")
-
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Per-row energies of a plain array, in the model's dtype; low
         values mark configurations the model favors. Runs ``_energy`` on
-        blocks of as many rows as ``autodiff.block_rows`` gives for the
-        widest layer, the experts' included, into each share's workspace
-        (see the module docstring).
-        Each row's energy depends on that row alone, so blocking changes no
-        value beyond the last ulp of BLAS products."""
-        x = np.asarray(x, dtype=self.dtype)
-        self._check_width(x)
-
-        def energy_block(block, out, share):
-            rows = block.shape[0]
-            share.ws = ad.workspace(share.ws, rows, self.layers, backward=False,
-                                    x=(rows, self.d_in))
-            self._energy(block, share.ws, out=out)
-
-        return ad.by_row_blocks(energy_block, x, (),
-                                ad.block_rows(max(*self.widths, self.n_experts)))
+        blocks of rows (``autodiff.by_row_blocks``, with the workspace's
+        ``x`` array for the quadratic terms). Each row's energy depends on
+        that row alone, so blocking changes no value beyond the last ulp of
+        BLAS products."""
+        return ad.by_row_blocks(lambda block, out, ws: self._energy(block, ws, out=out),
+                                ad.stack_rows(self.layers, x, "input"), (), self.layers,
+                                x=self.d_in)
 
     def energy_gradient(self, x: np.ndarray, weights: np.ndarray, params: bool,
                         onto=None):
@@ -172,8 +146,7 @@ class EnergyModel:
         array, or, when ``onto`` (an array of x's shape) is given, added
         into ``onto`` in place, first of all the terms.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        self._check_width(x)
+        x = ad.stack_rows(self.layers, x, "input")
         rows = x.shape[0]
         ws = self._workspace = ad.workspace(self._workspace, rows, self.layers,
                                             x=(rows, self.d_in))

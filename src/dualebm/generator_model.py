@@ -7,7 +7,8 @@ stretches it. Every hidden layer is tanh followed by batch normalization.
 
 The generator is trained to minimize mean energy minus an entropy estimate;
 with the exact entropy this is KL(generator || model) up to the
-log-partition constant. Two estimators are available:
+log-partition constant. Two estimators are available, the entries of
+``ENTROPY_ESTIMATORS``:
 
 * ``"nearest_neighbour"``: the Kozachenko-Leonenko estimate of the
   entropy of the generated batch, from each row's distance to its nearest
@@ -38,11 +39,9 @@ the expressions, and sums in the order, of the tape's primitive chain, so
 gradients keep the chain's bits.
 
 Plain infer-mode sampling (``generate``, behind ``sample`` and
-``interpolate``) runs the stack on blocks of rows, 1024 for the 2D
-generator and 256 for the 784-d one (``autodiff.block_rows`` of the widest
-layer), on every usable core, each written into its slice of one output,
-so its peak memory is the output plus one workspace of hidden-layer block
-arrays per share (see ``energy_model`` and ``autodiff.by_row_blocks``).
+``interpolate``) runs the stack on blocks of rows on every usable core,
+each written into its slice of one output (``autodiff.by_row_blocks``,
+with a workspace of the hidden layers' block arrays per share).
 """
 
 from __future__ import annotations
@@ -53,10 +52,9 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, ParameterStore, ShapeError
+from .autodiff import Parameter, ParameterStore
 
 LOG_2PIE = math.log(2.0 * math.pi * math.e)
-ENTROPY_ESTIMATORS = ("nearest_neighbour", "batch_norm_scale")
 OUTPUT_ACTIVATIONS = ("linear", "sigmoid")
 
 
@@ -109,45 +107,30 @@ class GeneratorModel:
         cast first; mode picks batch-norm statistics.
 
         Infer mode is free of side effects and row by row, so it runs on
-        blocks of ``autodiff.block_rows(max(widths))`` rows, on every
-        usable core, whose output layer writes into the one output array
-        and whose peak memory does not grow with the row count (see
-        ``autodiff.by_row_blocks``). Train mode is one batch, since batch
-        norm needs whole-batch statistics, and moves the running
-        statistics.
+        blocks of rows, on every usable core, whose output layer writes
+        into the one output array (``autodiff.by_row_blocks``). Train mode
+        is one batch, since batch norm needs whole-batch statistics, and
+        moves the running statistics.
 
         Batch norm runs after the bounded activation, so each scale
         parameter multiplies a hidden feature directly. A scale pushed up
         by the entropy term then actually widens the sample distribution
         instead of disappearing into a saturated nonlinearity.
         """
-        z = np.asarray(z, dtype=self.dtype)
-        self._check_latents(z)
+        z = ad.stack_rows(self.layers, z, "latents")
         if mode == "train":
             return ad.stack_forward(self.layers, z, mode)
-
-        def infer_block(block, out, share):
-            # the output layer writes into out, so only the hidden layers
-            # need workspace arrays
-            share.ws = ad.workspace(share.ws, block.shape[0], self.layers[:-1],
-                                    backward=False)
-            ad.stack_forward(self.layers, block, mode, share.ws, out=out)
-
-        return ad.by_row_blocks(infer_block, z, (self.widths[-1],),
-                                ad.block_rows(max(self.widths)))
-
-    def _check_latents(self, z) -> None:
-        if len(z.shape) != 2 or z.shape[1] != self.d_z:
-            raise ShapeError(
-                f"expected latents of shape (batch, {self.d_z}), got {z.shape}")
+        # the output layer writes into out, so only the hidden layers need
+        # workspace arrays
+        return ad.by_row_blocks(
+            lambda block, out, ws: ad.stack_forward(self.layers, block, mode, ws, out=out),
+            z, (self.widths[-1],), self.layers[:-1])
 
 
 def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. uniform(-1, 1) latent rows, reproducible from the generator;
     float64 whatever the model's dtype, so each dtype draws the same
     stream."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
     return rng.uniform(-1.0, 1.0, size=(n, d_z))
 
 
@@ -238,6 +221,16 @@ def squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     return out
 
 
+# name -> the entropy term of the generator loss: term(gen, x, g) is the
+# estimate H for the generator gen and its samples x and, with g, the
+# gradient of g * H in x, or None when the term adds its gradient into
+# gen's parameters itself
+ENTROPY_ESTIMATORS = {
+    "nearest_neighbour": lambda gen, x, g: nearest_neighbour_entropy(x, g),
+    "batch_norm_scale": lambda gen, x, g: (entropy_surrogate(gen, g), None),
+}
+
+
 def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
                       entropy_weight: float,
                       entropy_estimator: str) -> tuple[float, dict]:
@@ -256,21 +249,12 @@ def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
     parameters' gradients stay untouched. z is cast to the generator's
     dtype, which the energy model must share.
     """
-    if entropy_weight < 0:
-        raise ValueError(f"entropy_weight must be >= 0, got {entropy_weight}")
-    z = np.asarray(z, dtype=gen.dtype)
-    gen._check_latents(z)
+    z = ad.stack_rows(gen.layers, z, "latents")
     ws = gen._workspace = ad.workspace(gen._workspace, z.shape[0], gen.layers)
     x = ad.stack_forward(gen.layers, z, "train", ws)
     gen.store.grad[...] = 0.0
     g = -entropy_weight if entropy_weight > 0 else None   # d loss / d H
-    if entropy_estimator == "nearest_neighbour":
-        entropy, dx = nearest_neighbour_entropy(x, g)
-    elif entropy_estimator == "batch_norm_scale":
-        entropy, dx = entropy_surrogate(gen, g), None
-    else:
-        raise ValueError(f"entropy_estimator must be one of {ENTROPY_ESTIMATORS}, "
-                         f"got {entropy_estimator!r}")
+    entropy, dx = ENTROPY_ESTIMATORS[entropy_estimator](gen, x, g)
     n = x.shape[0]
     energies, dx = dem.energy_gradient(x, np.full(n, 1.0, x.dtype) / n, params=False,
                                        onto=dx)

@@ -560,18 +560,26 @@ def _block_index(block):
     return int(block[0, 0]) // ad.ROW_BLOCK
 
 
+def _wide_layers():
+    """One layer 512 wide, whose passes ``by_row_blocks`` cuts into blocks
+    of ``ROW_BLOCK`` rows."""
+    assert ad.block_rows(512) == ad.ROW_BLOCK
+    return ad.dense_stack("w", (1, 512), ["linear"], np.random.default_rng(0), 1.0,
+                          batch_norm=False)
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_by_row_blocks_gives_share_k_every_nth_block_in_order(monkeypatch, cpus):
     monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
     rows = 5 * ad.ROW_BLOCK + 3
     x = np.arange(rows, dtype=np.float64)[:, None]
-    runs = []     # (block index, thread, share); list.append is atomic
+    runs = []     # (block index, thread, workspace); list.append is atomic
 
-    def fn(block, out, share):
-        runs.append((_block_index(block), threading.current_thread(), share))
+    def fn(block, out, ws):
+        runs.append((_block_index(block), threading.current_thread(), ws))
         out[...] = 2.0 * block
 
-    out = ad.by_row_blocks(fn, x, (1,))
+    out = ad.by_row_blocks(fn, x, (1,), _wide_layers(), scratch=3)
     assert np.array_equal(out, 2.0 * x)
     shares = ad.share_count(rows)
     assert shares == min(cpus, 6)
@@ -582,10 +590,17 @@ def test_by_row_blocks_gives_share_k_every_nth_block_in_order(monkeypatch, cpus)
         assert {threads[i] for i in range(k, 6, shares)} == {threads[k]}
         assert [i for i, thread, _ in runs if thread == threads[k]] == list(range(k, 6, shares))
     assert len(set(threads.values())) == shares
-    # each share keeps one namespace of its own from block to block
-    namespaces = {thread: share for _, thread, share in runs}
-    assert all(namespaces[thread] is share for _, thread, share in runs)
-    assert len({id(share) for share in namespaces.values()}) == shares
+    # each share keeps one infer workspace of its own from block to block,
+    # with the extra array, and builds another for the shorter last block
+    full = {thread: ws for index, thread, ws in runs if index < 5}
+    assert all(ws is full[thread] for index, thread, ws in runs if index < 5)
+    assert len({id(ws) for ws in full.values()}) == shares
+    for ws in full.values():
+        assert [a.shape for a in ws.a] == [(ad.ROW_BLOCK, 512)] and ws.dh == [None]
+        assert ws.scratch.shape == (ad.ROW_BLOCK, 3)
+    (last,) = [ws for index, _, ws in runs if index == 5]
+    assert last.rows == 3 and last.scratch.shape == (3, 3)
+    assert all(last is not ws for ws in full.values())
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -597,7 +612,7 @@ def test_by_row_blocks_raises_a_blocks_error_after_every_share_ends(failing):
     x = np.arange(rows, dtype=np.float64)[:, None]
     done = []
 
-    def fn(block, out, share):
+    def fn(block, out, ws):
         index = _block_index(block)
         if index == failing:
             raise ValueError(f"block {index}")
@@ -606,7 +621,7 @@ def test_by_row_blocks_raises_a_blocks_error_after_every_share_ends(failing):
         done.append(index)
 
     with pytest.raises(ValueError, match=f"block {failing}"):
-        ad.by_row_blocks(fn, x, (1,))
+        ad.by_row_blocks(fn, x, (1,), _wide_layers())
     shares = ad.share_count(rows)
     stopped = [i for i in range(4) if i % shares == failing % shares and i > failing]
     assert sorted(done) == [i for i in range(4) if i != failing and i not in stopped]

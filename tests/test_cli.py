@@ -1219,6 +1219,53 @@ def test_bench_pairs_counts_wins_ties_and_the_claim_gate(tmp_path, monkeypatch):
     assert summary["parent_commit"] == "c0ffee"
 
 
+def test_bench_pairs_lists_workloads_where_the_change_fails_a_larger_share(
+        tmp_path, monkeypatch):
+    """The verdict's "more_failures" names each workload whose change runs
+    failed a larger share of their attempted operations than the parent's:
+    a failed share, not a failed count, and none when nothing was tried."""
+    bench = _load_script("bench_pairs")
+
+    def counts(parent, change):
+        return {side: {"attempted": attempted, "failed": failed}
+                for side, (attempted, failed) in (("parent", parent), ("change", change))}
+
+    assert bench.more_failures({
+        "more": counts((4, 0), (4, 1)), "same_share": counts((4, 1), (8, 2)),
+        "fewer": counts((4, 2), (4, 1)), "more_count": counts((8, 2), (4, 1)),
+        "none_tried": counts((0, 0), (0, 0)), "all_failed": counts((5, 1), (3, 3)),
+    }) == ["more", "all_failed"]
+    # _bench_pair's change fails 1 of 4 operations, its parent none
+    runs = [_bench_pair(1, (1.0, 10.0), (1.0, 10.0))]
+    assert bench.more_failures(bench.operations(runs)) == ["w"]
+
+    # the summary main() writes carries the list beside the metric verdicts
+    roots = {side: tmp_path / side for side in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+    (roots["change"] / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [
+            {"name": "t", "unit": "s", "better": "lower", "bound": 0.2}]}))
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 0, stdout=f"{cwd}\nc0ffee\n")
+        stdout = ""
+        if "perfbench/run.py" in cmd:
+            side = "parent" if Path(cwd) == roots["parent"] else "change"
+            stdout = json.dumps(runs[0][side]) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--parent", str(roots["parent"]), "--change", str(roots["change"]),
+                       "--seeds", "1-2", "--description", "d", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["verdict"] == {"worse": [], "unresolved": [], "more_failures": ["w"]}
+    assert summary["operations"] == {"w": {"parent": {"attempted": 8, "failed": 0},
+                                           "change": {"attempted": 8, "failed": 2}}}
+
+
 def test_bench_pairs_refuses_a_parent_that_is_not_a_git_checkout(tmp_path, monkeypatch,
                                                                    capsys):
     """With no commit to name, the series is refused as a usage error

@@ -149,14 +149,66 @@ def test_switching_the_batch_size_gives_the_results_of_a_fresh_model():
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
+def _default_models(dataset):
+    return build_models(RunConfig(dataset=dataset, mnist_images="i.idx",
+                                  mnist_labels="l.idx"))
+
+
+def _blocked_passes(dem, gen, rows):
+    """The two plain passes over many rows, each over ``rows`` rows."""
+    return (lambda: dem.energy_values(np.zeros((rows, dem.d_in))),
+            lambda: gen.generate(np.zeros((rows, gen.d_z)), "infer"))
+
+
 @pytest.mark.parametrize("dataset, rows", [("four_spin", 1024), ("mnist", 256)])
-def test_block_rows_follow_the_widest_layer_of_the_default_models(dataset, rows):
-    """The plain passes of the default 2D models (widest layer 128) run in
-    1024-row blocks; the mnist models' (784) keep ``ROW_BLOCK``."""
-    dem, gen = build_models(RunConfig(dataset=dataset, mnist_images="i.idx",
-                                      mnist_labels="l.idx"))
-    assert (ad.block_rows(max(*dem.widths, dem.n_experts))
-            == ad.block_rows(max(gen.widths)) == rows)
+def test_block_rows_follow_the_widest_layer_of_the_default_models(dataset, rows,
+                                                                    monkeypatch):
+    """The plain passes of the default 2D models (widest layer 128) hand
+    ``run_in_shares`` 1024-row blocks; the mnist models' (784) keep
+    ``ROW_BLOCK``."""
+    blocks = []
+    run_in_shares = ad.run_in_shares
+
+    def recording(share, n, block=ad.ROW_BLOCK):
+        blocks.append(block)
+        run_in_shares(share, n, block)
+
+    monkeypatch.setattr(ad, "run_in_shares", recording)
+    for run in _blocked_passes(*_default_models(dataset), 5):
+        run()
+    assert blocks == [rows, rows]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("dataset, block", [("four_spin", 1024), ("mnist", 256)])
+def test_blocked_passes_build_one_workspace_per_share_per_call(dataset, block, cpus,
+                                                              monkeypatch):
+    """Each share of ``energy_values`` and ``generate(z, "infer")`` builds one
+    infer workspace at its first block and reuses it for its other full
+    blocks; only a shorter last block gets one more. So a call builds one
+    workspace per share, plus one when the rows do not fill the last block,
+    and no array is made and freed block by block."""
+    monkeypatch.setattr(ad, "usable_cpus", lambda: cpus)
+    builds = []   # (rows, backward) of each workspace built; list.append is atomic
+    workspace = ad.workspace
+
+    def recording(ws, rows, layers, backward=True, **extra):
+        built = workspace(ws, rows, layers, backward, **extra)
+        if built is not ws:
+            builds.append((rows, backward))
+        return built
+
+    monkeypatch.setattr(ad, "workspace", recording)
+    dem, gen = _default_models(dataset)
+    for rows in (3 * block + 5, 4 * block):
+        shares = ad.share_count(rows, block)
+        assert shares == cpus
+        expected = sorted([(block, False)] * shares + [(5, False)] * (rows % block > 0))
+        for run in _blocked_passes(dem, gen, rows):
+            for _ in range(2):   # a second call builds its own, as many
+                builds.clear()
+                run()
+                assert sorted(builds) == expected
 
 
 @pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])

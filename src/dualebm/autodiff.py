@@ -13,17 +13,21 @@ layer, and the generator (tanh and batch norm, then a linear or sigmoid
 output). A ``Dense`` layer computes activation(h @ w + b), then batch norm
 when it has one; ``dense_stack`` builds the layers. ``stack_forward`` runs
 them, into a model's ``workspace`` (arrays kept from call to call, rebuilt
-when the row count changes) when a backward follows; ``stack_backward``
-then adds the parameters' gradients or returns the input's. Its
-expressions, and the order of its sums, are the chain's of ``matmul``,
-``add``, the activation and ``batch_norm``, with tanh' = 1 - out * out and
-sigmoid' = (1 - out) * out formed from the activation's output, so its
-gradients have the chain's bits. ``by_row_blocks`` runs a model's plain
-pass over many rows in blocks sized by its widest layer, each into its
-share's workspace and straight into its slice of one output, so its
-memory does not grow with the row count; ``stack_rows`` casts and checks
-a pass's input rows; and ``run_in_shares`` spreads a block loop over every
-usable core.
+when the row count changes, with one scratch array ``x`` of the pass's
+input shape) when a backward follows, into fresh arrays when none does;
+``stack_backward`` then adds the parameters' gradients, or writes the
+input's into the workspace's ``x``. It differentiates batch norm through
+the batch statistics, the train-mode backward: the generator, the one
+stack with batch norm, runs a backward only after a train-mode forward.
+Its expressions, and the order of its sums, are the chain's of
+``matmul``, ``add``, the activation and ``batch_norm``, with tanh' = 1 -
+out * out and sigmoid' = (1 - out) * out formed from the activation's
+output, so its gradients have the chain's bits. ``by_row_blocks`` runs a
+model's plain pass over many rows in blocks sized by its widest layer,
+each into its share's workspace and straight into its slice of one
+output, so its memory does not grow with the row count; ``stack_rows``
+casts and checks a pass's input rows; and ``run_in_shares`` spreads a
+block loop over every usable core.
 
 The tape is a reference, and no command records on one. The tests build
 each model pass and loss as a chain of primitives on a ``Tape``
@@ -170,9 +174,6 @@ class ParameterStore:
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-parameter views, by name, of a flat array laid out like
         ``values``."""
-        if flat.shape != self.values.shape:
-            raise ShapeError(
-                f"flat array of shape {flat.shape}, store holds {self.values.shape}")
         return {name: flat[span].reshape(shape) for name, span, shape in self.spans}
 
 
@@ -378,8 +379,7 @@ def run_in_shares(share: Callable[[range], object], rows: int,
 
 
 def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray, SimpleNamespace], object],
-                  x: np.ndarray, row_shape: tuple, layers: Sequence[Dense], /,
-                  **extra: int) -> np.ndarray:
+                  x: np.ndarray, row_shape: tuple, layers: Sequence[Dense]) -> np.ndarray:
     """A model's plain pass over the rows of x, in which each output row (of
     shape ``row_shape``) depends on its input row alone, run on blocks of
     rows on every usable core (``run_in_shares``).
@@ -389,14 +389,14 @@ def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray, SimpleNamespace], object
     overhead more than arithmetic, which a longer block spreads over more
     rows, while a wide pass is fastest at ``ROW_BLOCK`` rows. Each share
     keeps one infer workspace (``workspace`` of ``layers`` without
-    ``backward``, plus a ``(rows, width)`` array for each ``name=width`` of
-    ``extra``), built at its first block and again for a shorter last one,
-    since block arrays made and freed block by block can have their pages
-    faulted in anew for every block. ``fn(x_block, out, ws)`` runs the pass
-    on a block into its share's workspace and writes the block's rows
-    straight into ``out``, their slice of the one output, of x's dtype. So
-    no block's result is copied, and peak memory is the output plus one
-    workspace per share, whatever the row count.
+    ``backward``, whose ``x`` takes a block of x's shape), built at its
+    first block and again for a shorter last one, since block arrays made
+    and freed block by block can have their pages faulted in anew for
+    every block. ``fn(x_block, out, ws)`` runs the pass on a block into its
+    share's workspace and writes the block's rows straight into ``out``,
+    their slice of the one output, of x's dtype. So no block's result is
+    copied, and peak memory is the output plus one workspace per share,
+    whatever the row count.
 
     The caller checks x's shape first: ``fn`` never runs when x has no
     rows. ``fn`` may run on several threads at once, each call on its own
@@ -411,9 +411,7 @@ def by_row_blocks(fn: Callable[[np.ndarray, np.ndarray, SimpleNamespace], object
     def share(starts: range) -> None:
         ws = None
         for start in starts:
-            rows = min(block, x.shape[0] - start)
-            ws = workspace(ws, rows, layers, backward=False,
-                           **{name: (rows, width) for name, width in extra.items()})
+            ws = workspace(ws, min(block, x.shape[0] - start), layers, backward=False)
             fn(x[start:start + block], out[start:start + block], ws)
 
     run_in_shares(share, x.shape[0], block)
@@ -763,26 +761,28 @@ def stack_rows(layers: Sequence[Dense], x, what: str) -> np.ndarray:
 
 
 def workspace(ws: Optional[SimpleNamespace], rows: int, layers: Sequence[Dense],
-              backward: bool = True, **extra) -> SimpleNamespace:
-    """``ws`` when it was built for ``rows`` rows, else a new one: per layer
-    the activation ``a``, the gradients ``ga`` of the activation's input and
-    ``dh`` of the layer's output, and the weight gradient ``dw``; per
-    batch-norm layer ``xhat``, ``inv`` and the layer's output ``h``
-    (elsewhere None, None and ``a``); an array of each shape in ``extra``;
-    and ``rows``. Every array has the layers' dtype.
+              backward: bool = True) -> SimpleNamespace:
+    """``ws`` when it was built for ``rows`` rows, else a new one: ``x``, an
+    array of the pass's input shape (``rows`` by the first layer's input
+    width), which the pass may use as scratch and into which
+    ``stack_backward`` writes x's gradient; per layer the activation ``a``,
+    the gradients ``ga`` of the activation's input and ``dh`` of the
+    layer's output, and the weight gradient ``dw``; per batch-norm layer
+    ``xhat``, ``inv`` and the layer's output ``h`` (elsewhere None, None
+    and ``a``); and ``rows``. Every array has the layers' dtype.
 
     Without ``backward``, for an infer-mode pass that no backward follows,
-    only ``a`` and ``inv`` are made: ``xhat`` and ``h`` are ``a``, which
-    batch norm then normalizes in place, and ``ga``, ``dh`` and ``dw`` are
-    None."""
+    only ``x``, ``a`` and ``inv`` are made: ``xhat`` and ``h`` are ``a``,
+    which batch norm then normalizes in place, and ``ga``, ``dh`` and
+    ``dw`` are None."""
     if ws is not None and ws.rows == rows:
         return ws
 
     def empty(shape):
         return np.empty(shape, layers[0].w.values.dtype)
 
-    ws = SimpleNamespace(rows=rows, a=[], ga=[], dh=[], dw=[], xhat=[], inv=[], h=[],
-                         **{name: empty(shape) for name, shape in extra.items()})
+    ws = SimpleNamespace(rows=rows, x=empty((rows, layers[0].w.values.shape[0])),
+                         a=[], ga=[], dh=[], dw=[], xhat=[], inv=[], h=[])
     for layer in layers:
         shape = (rows, layer.w.values.shape[1])
         norm = layer.has_batch_norm
@@ -801,8 +801,14 @@ def stack_forward(layers: Sequence[Dense], x: np.ndarray, mode: str, ws=None,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """The stack's output for the rows of x, ``mode`` picking the batch-norm
     statistics. A workspace takes what the backward reads, the output
-    included; without one, the arrays are fresh. The last layer writes into
-    ``out`` when given, so a workspace for the other layers will do."""
+    included; the last layer writes into ``out`` when given, so a
+    workspace for the other layers will do.
+
+    Without a workspace the arrays are fresh. That path stays for a
+    forward that no backward follows, such as a train-mode ``generate``:
+    it frees each layer's arrays as the next layer's are made, where a
+    workspace holds every layer's, which keeps a 20 000-row train-mode
+    ``generate`` under 4 activation units of peak memory."""
     h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
@@ -823,12 +829,14 @@ def stack_forward(layers: Sequence[Dense], x: np.ndarray, mode: str, ws=None,
 
 
 def stack_backward(layers: Sequence[Dense], x: np.ndarray, ws, dh: np.ndarray,
-                   mode: str, params: bool,
-                   dx_out: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+                   params: bool) -> Optional[np.ndarray]:
     """Backward of the ``stack_forward`` pass over x that wrote ``ws``, from
-    the gradient dh of its output, which it may overwrite. With ``params``
-    it adds the parameters' gradients into their ``.grad``; without, it
-    returns x's gradient, into ``dx_out`` when given."""
+    the gradient dh of its output, which it may overwrite. Batch norm is
+    differentiated through the batch statistics, as a train-mode forward
+    uses them; the one stack with batch norm, the generator's, runs a
+    backward only after a train-mode forward. With ``params`` it adds the
+    parameters' gradients into their ``.grad`` and returns None; without,
+    it writes x's gradient into ``ws.x`` and returns that."""
     for i in range(len(layers) - 1, -1, -1):
         layer, a, ga = layers[i], ws.a[i], ws.ga[i]
         if layer.has_batch_norm:   # dh becomes the gradient to the activation
@@ -836,7 +844,7 @@ def stack_backward(layers: Sequence[Dense], x: np.ndarray, ws, dh: np.ndarray,
                 layer.bn_shift.grad += np.add.reduce(dh, axis=0)
                 layer.bn_scale.grad += np.add.reduce(np.multiply(dh, ws.xhat[i], out=ga),
                                                      axis=0)
-            batch_norm_dx(dh, ws.xhat[i], layer.bn_scale.values, ws.inv[i], mode,
+            batch_norm_dx(dh, ws.xhat[i], layer.bn_scale.values, ws.inv[i], "train",
                           out=dh, work=ga)
         if layer.activation == "linear":
             ga = dh
@@ -854,5 +862,5 @@ def stack_backward(layers: Sequence[Dense], x: np.ndarray, ws, dh: np.ndarray,
         if i:
             dh = np.matmul(ga, layer.w.values.T, out=ws.dh[i - 1])
         elif not params:
-            return np.matmul(ga, layer.w.values.T, out=dx_out)
+            return np.matmul(ga, layer.w.values.T, out=ws.x)
     return None

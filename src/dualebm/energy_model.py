@@ -125,13 +125,11 @@ class EnergyModel:
     def energy_values(self, x: np.ndarray) -> np.ndarray:
         """Per-row energies of a plain array, in the model's dtype; low
         values mark configurations the model favors. Runs ``_energy`` on
-        blocks of rows (``autodiff.by_row_blocks``, with the workspace's
-        ``x`` array for the quadratic terms). Each row's energy depends on
-        that row alone, so blocking changes no value beyond the last ulp of
-        BLAS products."""
+        blocks of rows (``autodiff.by_row_blocks``). Each row's energy
+        depends on that row alone, so blocking changes no value beyond the
+        last ulp of BLAS products."""
         return ad.by_row_blocks(lambda block, out, ws: self._energy(block, ws, out=out),
-                                ad.stack_rows(self.layers, x, "input"), (), self.layers,
-                                x=self.d_in)
+                                ad.stack_rows(self.layers, x, "input"), (), self.layers)
 
     def energy_gradient(self, x: np.ndarray, weights: np.ndarray, params: bool,
                         onto=None):
@@ -147,21 +145,18 @@ class EnergyModel:
         into ``onto`` in place, first of all the terms.
         """
         x = ad.stack_rows(self.layers, x, "input")
-        rows = x.shape[0]
-        ws = self._workspace = ad.workspace(self._workspace, rows, self.layers,
-                                            x=(rows, self.d_in))
+        ws = self._workspace = ad.workspace(self._workspace, x.shape[0], self.layers)
         return self._energy(x, ws), self._energy_backward(x, ws, weights, params, onto)
 
     # --- the one forward and backward of a pass ------------------------------
 
-    def _energy(self, x: np.ndarray, ws=None, out=None) -> np.ndarray:
+    def _energy(self, x: np.ndarray, ws, out=None) -> np.ndarray:
         """(1/sigma^2) x.x - b_vis.x - sum softplus(f(x) @ expert_w +
-        expert_b), as a fresh array or into ``out`` when given; a workspace
-        takes the intermediates."""
+        expert_b), as a fresh array or into ``out`` when given; the
+        workspace ``ws``, built for x's rows, takes the intermediates."""
         pre_e = ad.stack_forward(self.layers, x, "infer", ws)
-        tmp = ws.x if ws else None
-        quadratic = np.add.reduce(np.square(x, out=tmp), axis=1) * self._inv_sigma_sq
-        mean_term = np.add.reduce(np.multiply(x, self.b_vis.values, out=tmp), axis=1)
+        quadratic = np.add.reduce(np.square(x, out=ws.x), axis=1) * self._inv_sigma_sq
+        mean_term = np.add.reduce(np.multiply(x, self.b_vis.values, out=ws.x), axis=1)
         quadratic -= mean_term
         return np.subtract(quadratic, np.add.reduce(ad.softplus_values(pre_e), axis=1),
                            out=out)
@@ -174,7 +169,7 @@ class EnergyModel:
         dh *= minus_g
         if params:
             self.b_vis.grad += np.add.reduce(np.multiply(minus_g, x, out=ws.x), axis=0)
-            ad.stack_backward(self.layers, x, ws, dh, "infer", params)
+            ad.stack_backward(self.layers, x, ws, dh, params)
             return None
         # in the chain's order: -g b_vis (onto ``onto``), 2 g x / sigma^2,
         # then the first layer's part
@@ -184,7 +179,7 @@ class EnergyModel:
         quadratic = np.multiply(x, 2.0, out=ws.x)
         quadratic *= (g * self._inv_sigma_sq)[:, None]
         dx += quadratic
-        dx += ad.stack_backward(self.layers, x, ws, dh, "infer", params, dx_out=ws.x)
+        dx += ad.stack_backward(self.layers, x, ws, dh, params)
         return dx
 
 
@@ -211,13 +206,10 @@ def dem_loss_gradient(model: EnergyModel, x_pos: np.ndarray,
 def trapezoid_grid(bounds, grid_n: int):
     """Quadrature nodes and per-node log-weights of the trapezoid rule.
 
-    bounds is one (lo, hi) pair per dimension, at most two dimensions; the
-    nodes run with the first coordinate slowest.
+    bounds is one (lo, hi) pair per dimension, of at least one dimension;
+    the nodes run with the first coordinate slowest.
     """
     bounds = [tuple(map(float, b)) for b in bounds]
-    if not 1 <= len(bounds) <= 2:
-        raise ValueError(
-            f"quadrature supports 1 or 2 dimensions, got {len(bounds)}")
     axes, log_weights = [], []
     for lo, hi in bounds:
         axes.append(np.linspace(lo, hi, grid_n))

@@ -82,10 +82,8 @@ def nearest_distances(points: np.ndarray, curve: np.ndarray) -> np.ndarray:
     (``generator_model.squared_distances``), so these are the bits of
     ``scipy.spatial.cKDTree.query``. The rows run serially in blocks of
     ``ROW_BLOCK`` rows, each block through the same two block-by-curve
-    buffers, so the memory stays that of one block."""
-    if points.ndim != 2 or curve.ndim != 2 or points.shape[1] != curve.shape[1]:
-        raise ValueError(f"points {points.shape} and curve {curve.shape} "
-                         "need the same number of columns")
+    buffers, so the memory stays that of one block. Both are 2-d arrays
+    with the same number of columns."""
     sq = np.empty((min(points.shape[0], ROW_BLOCK), curve.shape[0]))
     scratch = np.empty_like(sq)
     out = np.empty(points.shape[0])
@@ -189,10 +187,7 @@ def _write_sidecar(path, entries: dict) -> None:
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    """Binary 8-bit grayscale PGM (P5)."""
-    pixels = np.asarray(pixels)
-    if pixels.dtype != np.uint8:
-        raise ValueError("PGM writer expects uint8 pixels")
+    """Binary 8-bit grayscale PGM (P5) of a 2-d uint8 array."""
     height, width = pixels.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -134,23 +134,20 @@ def sample_prior(n: int, d_z: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(n, d_z))
 
 
-def _check_scales(model: GeneratorModel) -> list[Parameter]:
+def entropy_surrogate(model: GeneratorModel, g: Optional[float] = None) -> float:
+    """Sum of 0.5*log(2*e*pi*sigma_a^2) over all batch-norm scale entries.
+
+    With g, the gradient of g * H, g / scale, is added into each scale's
+    ``.grad``. A zero scale raises ``SingularEntropyError``; every scale is
+    checked before any gradient is added.
+    """
     scales = model.scale_parameters()
     for p in scales:
         if np.any(p.values == 0.0):
             raise SingularEntropyError(
                 f"entropy surrogate is singular: {p.name} contains a zero scale")
-    return scales
-
-
-def entropy_surrogate(model: GeneratorModel, g: Optional[float] = None) -> float:
-    """Sum of 0.5*log(2*e*pi*sigma_a^2) over all batch-norm scale entries.
-
-    With g, the gradient of g * H, g / scale, is added into each scale's
-    ``.grad``.
-    """
     entropy = 0.0
-    for p in _check_scales(model):
+    for p in scales:
         entropy += float((np.log(np.square(p.values)) + LOG_2PIE).sum()) * 0.5
         if g is not None:
             # the chain's log and square backwards, from the term's * 0.5
@@ -258,7 +255,7 @@ def dgm_loss_gradient(gen: GeneratorModel, dem, z: np.ndarray,
     n = x.shape[0]
     energies, dx = dem.energy_gradient(x, np.full(n, 1.0, x.dtype) / n, params=False,
                                        onto=dx)
-    ad.stack_backward(gen.layers, z, ws, dx, "train", params=True)
+    ad.stack_backward(gen.layers, z, ws, dx, params=True)
     e_gen = float(energies.mean())
     loss = e_gen - entropy_weight * entropy if entropy_weight > 0 else e_gen
     return loss, {"e_gen": e_gen, "entropy": entropy}

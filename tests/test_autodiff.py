@@ -467,19 +467,22 @@ def _stack(seed=7):
     return layers, store
 
 
-@pytest.mark.parametrize("params", [True, False])
-@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("mode, params", [("train", True), ("train", False),
+                                          ("infer", None)])
 def test_stack_is_bit_equal_to_the_primitive_chain(mode, params):
-    """The forward, and the backward into the parameters or into x, of
-    ``stack_forward`` and ``stack_backward`` against matmul, add, the
-    activation and ``batch_norm`` on a tape."""
+    """The forward of ``stack_forward`` in either mode and, after a
+    train-mode forward, the backward of ``stack_backward`` into the
+    parameters or into x, against matmul, add, the activation and
+    ``batch_norm`` on a tape. No backward follows an infer-mode forward
+    (``params`` None)."""
     rng = np.random.default_rng(8)
     x, dh = rng.normal(size=(8, 3)), rng.normal(size=(8, 4))
     layers, store = _stack()
     store.grad[...] = 0.0
     ws = ad.workspace(None, 8, layers)
     out = ad.stack_forward(layers, x, mode, ws).copy()
-    dx = ad.stack_backward(layers, x, ws, dh.copy(), mode, params)
+    if params is not None:
+        dx = ad.stack_backward(layers, x, ws, dh.copy(), params)
 
     ref_layers, ref_store = _stack()
     tape = Tape()
@@ -494,8 +497,8 @@ def test_stack_is_bit_equal_to_the_primitive_chain(mode, params):
     assert np.array_equal(out, h.values)
     if params:
         assert dx is None and np.array_equal(store.grad, ref_store.grad)
-    else:
-        assert np.array_equal(dx, xp.grad) and not store.grad.any()
+    elif params is not None:
+        assert dx is ws.x and np.array_equal(dx, xp.grad) and not store.grad.any()
     for layer, ref in zip(layers[:-1], ref_layers[:-1]):
         assert np.array_equal(layer.bn_state.mean, ref.bn_state.mean)
         assert np.array_equal(layer.bn_state.var, ref.bn_state.var)
@@ -525,9 +528,9 @@ def test_dense_stack_rejects_a_width_below_one(widths):
 
 def test_workspace_is_kept_for_its_row_count():
     layers, _ = _stack()
-    ws = ad.workspace(None, 8, layers, extra=(8, 2))
+    ws = ad.workspace(None, 8, layers)
     assert ad.workspace(ws, 8, layers) is ws
-    assert ws.extra.shape == (8, 2)
+    assert ws.x.shape == (8, 3)
     assert [a.shape for a in ws.a] == [(8, 6), (8, 5), (8, 4)]
     assert ws.h[-1] is ws.a[-1] and ws.xhat[-1] is None and ws.inv[-1] is None
     assert ad.workspace(ws, 9, layers).rows == 9
@@ -579,7 +582,7 @@ def test_by_row_blocks_gives_share_k_every_nth_block_in_order(monkeypatch, cpus)
         runs.append((_block_index(block), threading.current_thread(), ws))
         out[...] = 2.0 * block
 
-    out = ad.by_row_blocks(fn, x, (1,), _wide_layers(), scratch=3)
+    out = ad.by_row_blocks(fn, x, (1,), _wide_layers())
     assert np.array_equal(out, 2.0 * x)
     shares = ad.share_count(rows)
     assert shares == min(cpus, 6)
@@ -591,15 +594,15 @@ def test_by_row_blocks_gives_share_k_every_nth_block_in_order(monkeypatch, cpus)
         assert [i for i, thread, _ in runs if thread == threads[k]] == list(range(k, 6, shares))
     assert len(set(threads.values())) == shares
     # each share keeps one infer workspace of its own from block to block,
-    # with the extra array, and builds another for the shorter last block
+    # with its input-shaped x, and builds another for the shorter last block
     full = {thread: ws for index, thread, ws in runs if index < 5}
     assert all(ws is full[thread] for index, thread, ws in runs if index < 5)
     assert len({id(ws) for ws in full.values()}) == shares
     for ws in full.values():
         assert [a.shape for a in ws.a] == [(ad.ROW_BLOCK, 512)] and ws.dh == [None]
-        assert ws.scratch.shape == (ad.ROW_BLOCK, 3)
+        assert ws.x.shape == (ad.ROW_BLOCK, 1)
     (last,) = [ws for index, _, ws in runs if index == 5]
-    assert last.rows == 3 and last.scratch.shape == (3, 3)
+    assert last.rows == 3 and last.x.shape == (3, 1)
     assert all(last is not ws for ws in full.values())
 
 

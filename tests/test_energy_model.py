@@ -45,6 +45,12 @@ def test_grid_log_density_keeps_scipys_normalizer():
     assert log_z == float(scipy_logsumexp(-model.energy_values(points) + log_w))
 
 
+def _one_batch_energy(model, x):
+    """``_energy`` over the rows of x as one batch, in an infer workspace of
+    their own, as ``energy_values`` runs each block."""
+    return model._energy(x, ad.workspace(None, len(x), model.layers, backward=False))
+
+
 def _zeroed(model):
     for p in model.params():
         p.values[:] = 0.0
@@ -172,11 +178,11 @@ def test_energy_values_runs_in_row_blocks():
     rows = 3 * ROW_BLOCK + 5
     x = np.random.default_rng(37).normal(size=(rows, 2))
     e = model.energy_values(x)
-    blocks = np.concatenate([model._energy(x[start:start + ROW_BLOCK])
+    blocks = np.concatenate([_one_batch_energy(model, x[start:start + ROW_BLOCK])
                              for start in range(0, rows, ROW_BLOCK)])
     assert np.array_equal(e, blocks)
     # BLAS may pick its kernel by the row count: one batch agrees to an ulp
-    assert_allclose(e, model._energy(x), rtol=0, atol=1e-14)
+    assert_allclose(e, _one_batch_energy(model, x), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -188,7 +194,7 @@ def test_energy_values_of_a_2d_model_runs_in_blocks_of_its_widest_layer(dtype):
     block = ad.block_rows(128)
     rows = 3 * block + 5
     x = np.random.default_rng(37).normal(size=(rows, 2)).astype(dtype)
-    serial = np.concatenate([model._energy(x[start:start + block])
+    serial = np.concatenate([_one_batch_energy(model, x[start:start + block])
                              for start in range(0, rows, block)])
     energy, calls = model._energy, []     # list.append is atomic
 
@@ -366,12 +372,6 @@ def test_log_partition_constant_shift_identity():
 def test_log_partition_one_dimensional():
     log_z = grid_log_density(lambda x: (x[:, 0] ** 2), [(-8.0, 8.0)], 2000)[2]
     assert abs(log_z - 0.5 * math.log(math.pi)) < 1e-6
-
-
-def test_log_partition_rejects_high_dimension():
-    model = EnergyModel.build((3, 4, 2), 2, np.random.default_rng(22))
-    with pytest.raises(ValueError, match="1 or 2 dimensions, got 3"):
-        grid_log_density(model.energy_values, [(-1, 1)] * 3, 10)
 
 
 def test_grid_density_sums_to_one():

@@ -69,12 +69,12 @@ def test_loss_gradients_are_bit_equal_to_the_primitive_chain(batch, output_activ
             assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
+@pytest.mark.parametrize("mode", ["train"])
 def test_input_gradients_are_bit_equal_to_the_primitive_chain(mode):
     """A loss that reaches the generator through the energy of its samples,
     and x through the energy of x, with row weights: the plain ∇ₓE
     backward, without and with a gradient already in x, then the
-    generator's backward."""
+    generator's backward, which follows a train-mode forward."""
     x, _, z = _data(9, 5)
     rng = np.random.default_rng(2)
     weights, onto = rng.standard_normal(9), rng.standard_normal((9, 5))
@@ -84,7 +84,7 @@ def test_input_gradients_are_bit_equal_to_the_primitive_chain(mode):
     ws = ad.workspace(None, 9, gen.layers)
     samples = ad.stack_forward(gen.layers, z, mode, ws)
     e_gen, dx_gen = dem.energy_gradient(samples, np.full(9, 1.0) / 9, params=False)
-    ad.stack_backward(gen.layers, z, ws, dx_gen, mode, params=True)
+    ad.stack_backward(gen.layers, z, ws, dx_gen, params=True)
     e_x, dx = dem.energy_gradient(x, weights, params=False, onto=onto.copy())
     got = (e_gen, gen.store.grad.copy(), e_x, dx)
 
@@ -192,8 +192,8 @@ def test_blocked_passes_build_one_workspace_per_share_per_call(dataset, block, c
     builds = []   # (rows, backward) of each workspace built; list.append is atomic
     workspace = ad.workspace
 
-    def recording(ws, rows, layers, backward=True, **extra):
-        built = workspace(ws, rows, layers, backward, **extra)
+    def recording(ws, rows, layers, backward=True):
+        built = workspace(ws, rows, layers, backward)
         if built is not ws:
             builds.append((rows, backward))
         return built
@@ -209,6 +209,41 @@ def test_blocked_passes_build_one_workspace_per_share_per_call(dataset, block, c
                 builds.clear()
                 run()
                 assert sorted(builds) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_workspace_holds_an_array_of_its_inputs_shape(dtype, monkeypatch):
+    """Each workspace the models build, in the training layout of the two
+    losses and the infer layout of the two blocked passes, holds ``x`` of
+    its pass's input shape and the model's dtype; a backward into the input
+    writes x's gradient there and returns it."""
+    built = []   # (workspace, its layers, backward); list.append is atomic
+    workspace = ad.workspace
+
+    def recording(ws, rows, layers, backward=True):
+        new = workspace(ws, rows, layers, backward)
+        built.append((new, layers, backward))
+        return new
+
+    monkeypatch.setattr(ad, "workspace", recording)
+    rng = np.random.default_rng(0)
+    dem = EnergyModel.build((5, 24, 16, 4), 3, rng, dtype=dtype)
+    gen = GeneratorModel.build((3, 16, 24, 5), rng, output_activation="sigmoid",
+                               dtype=dtype)
+    x_pos, x_neg, z = _data(9, 5)
+    dem_loss_gradient(dem, x_pos, x_neg)
+    dgm_loss_gradient(gen, dem, z, 1.0, "batch_norm_scale")
+    dem.energy_values(np.zeros((3, 5)))
+    gen.generate(np.zeros((3, 3)), "infer")
+    inputs = {(id(layers[0]), backward) for _, layers, backward in built}
+    assert inputs == {(id(model.layers[0]), backward)
+                      for model in (dem, gen) for backward in (True, False)}
+    for ws, layers, _ in built:
+        assert ws.x.shape == (ws.rows, layers[0].w.values.shape[0]) and ws.x.dtype == dtype
+    ws = workspace(None, 9, gen.layers)
+    ad.stack_forward(gen.layers, z, "train", ws)
+    dx = ad.stack_backward(gen.layers, z, ws, np.ones((9, 5), dtype), params=False)
+    assert dx is ws.x and dx.shape == z.shape
 
 
 @pytest.mark.parametrize("estimator", ["batch_norm_scale", "nearest_neighbour"])

@@ -2,19 +2,21 @@
 numeric pieces the models' hand-written passes share.
 
 The pieces the program runs are ``ParameterStore``, the dense-layer
-stack, ``by_row_blocks``, ``batch_statistics``, ``batch_norm_dx``,
-``sigmoid_values`` and ``softplus_values``: the models compute each value
-with these expressions, which are the primitives' own, so a pass gives the
-bits of the chain of primitives it stands for.
+stack and its ``workspace``, ``by_row_blocks``, ``batch_statistics``,
+the train-mode ``batch_norm_dx``, ``sigmoid_values`` and
+``softplus_values``: the models compute each value with these
+expressions, which are the primitives' own, so a pass gives the bits of
+the chain of primitives it stands for.
 
 The dense-layer stack is the one network of both models: the energy
 model's feature layers (tanh, then sigmoid) followed by its linear expert
 layer, and the generator (tanh and batch norm, then a linear or sigmoid
 output). A ``Dense`` layer computes activation(h @ w + b), then batch norm
 when it has one; ``dense_stack`` builds the layers. ``stack_forward`` runs
-them, into a model's ``workspace`` (arrays kept from call to call, rebuilt
-when the row count changes, with one scratch array ``x`` of the pass's
-input shape) when a backward follows, into fresh arrays when none does;
+them, always in a ``workspace``: a model's own (arrays kept from call to
+call, rebuilt when the row count changes, with one scratch array ``x`` of
+the pass's input shape) when a backward follows, a share's in
+``by_row_blocks``, else one it builds for the call without ``backward``;
 ``stack_backward`` then adds the parameters' gradients, or writes the
 input's into the workspace's ``x``. It differentiates batch norm through
 the batch statistics, the train-mode backward: the generator, the one
@@ -120,9 +122,6 @@ class Parameter:
         self.values = np.array(values, dtype=dtype)
         self.grad = np.zeros_like(self.values)
         self.name = name
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.values.shape})"
 
 
 class ParameterStore:
@@ -553,13 +552,12 @@ def sigmoid_values(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarra
     return out
 
 
-def softplus_values(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """max(x, 0) + log1p(exp(-|x|)), into ``out`` when given."""
+def softplus_values(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) + log1p(exp(-|x|)), as a new array."""
     t = _exp_minus_abs(x)
     np.log1p(t, out=t)
-    out = np.maximum(x, 0.0, out=out)
-    out += t
-    return out
+    t += np.maximum(x, 0.0)
+    return t
 
 
 def _log_values(a: np.ndarray) -> np.ndarray:
@@ -637,7 +635,8 @@ def batch_norm(x: Operand, shift: Operand, scale: Operand, state: BatchNormState
         if iscale is not None:
             _acc(grads, iscale, (g * xhat).sum(axis=0))
         if ix is not None:
-            _acc(grads, ix, batch_norm_dx(g, xhat, scale_v, inv, mode))
+            _acc(grads, ix, batch_norm_dx(g, xhat, scale_v, inv) if mode == "train"
+                 else g * scale_v * inv)
 
     return tape._record(out, backward)
 
@@ -647,11 +646,12 @@ def batch_statistics(xv: np.ndarray, state: BatchNormState, mode: str,
                      work: Optional[np.ndarray] = None) -> tuple:
     """The 1/sqrt(var + ``BN_EPS``), as an array of its own, that batch norm
     normalizes the rows of xv by, and xv minus the mean (into ``out`` when
-    given). Train mode takes the batch's own statistics, with the
-    expressions of ``xv.mean(axis=0)`` and ``xv.var(axis=0)``, and moves
-    ``state`` toward them; ``work``, an array of xv's shape that may be xv
-    itself, then holds the squared deviations. Infer mode takes the running
-    statistics of ``state``."""
+    given, which may be xv itself). Train mode takes the batch's own
+    statistics, with the expressions of ``xv.mean(axis=0)`` and
+    ``xv.var(axis=0)``, and moves ``state`` toward them; ``work``, an
+    array of xv's shape that may be xv itself but not ``out``, then holds
+    the squared deviations, or a temporary does when it is None. Infer
+    mode takes the running statistics of ``state``."""
     if mode == "train":
         n = xv.shape[0]
         if n < 2:
@@ -673,19 +673,17 @@ def batch_statistics(xv: np.ndarray, state: BatchNormState, mode: str,
 
 
 def batch_norm_dx(g: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
-                  inv: np.ndarray, mode: str, out: Optional[np.ndarray] = None,
+                  inv: np.ndarray, out: Optional[np.ndarray] = None,
                   work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Gradient to batch norm's input for the gradient g of its output,
-    where xhat is the normalized input and inv the 1/sqrt(var + eps) it was
-    divided by; train mode differentiates through the batch statistics.
+    """Gradient to train-mode batch norm's input for the gradient g of its
+    output, differentiated through the batch statistics, where xhat is the
+    normalized input and inv the 1/sqrt(var + eps) it was divided by. (An
+    infer-mode input gradient is g * scale * inv, which the tape's
+    ``batch_norm`` forms itself.)
 
     The result goes into ``out`` when given; ``work``, an array of g's
     shape that may be g itself, holds an intermediate.
     """
-    if mode != "train":
-        dx = np.multiply(g, scale, out=out)
-        dx *= inv
-        return dx
     n = g.shape[0]
     dxhat = np.multiply(g, scale, out=work)
     dxhat_sum = np.add.reduce(dxhat, axis=0)
@@ -771,10 +769,11 @@ def workspace(ws: Optional[SimpleNamespace], rows: int, layers: Sequence[Dense],
     ``xhat``, ``inv`` and the layer's output ``h`` (elsewhere None, None
     and ``a``); and ``rows``. Every array has the layers' dtype.
 
-    Without ``backward``, for an infer-mode pass that no backward follows,
-    only ``x``, ``a`` and ``inv`` are made: ``xhat`` and ``h`` are ``a``,
-    which batch norm then normalizes in place, and ``ga``, ``dh`` and
-    ``dw`` are None."""
+    Without ``backward``, for a pass in either mode that no backward
+    follows, only ``x``, ``a`` and ``inv`` are made: ``xhat`` and ``h`` are
+    ``a``, which batch norm then normalizes in place, and ``ga``, ``dh`` and
+    ``dw`` are None. With it, ``ga`` is free until the backward runs, so a
+    train-mode forward keeps batch norm's squared deviations there."""
     if ws is not None and ws.rows == rows:
         return ws
 
@@ -800,30 +799,30 @@ def workspace(ws: Optional[SimpleNamespace], rows: int, layers: Sequence[Dense],
 def stack_forward(layers: Sequence[Dense], x: np.ndarray, mode: str, ws=None,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
     """The stack's output for the rows of x, ``mode`` picking the batch-norm
-    statistics. A workspace takes what the backward reads, the output
-    included; the last layer writes into ``out`` when given, so a
-    workspace for the other layers will do.
+    statistics, run in the workspace ``ws``, which takes what a backward
+    reads, the output included; the last layer writes into ``out`` when
+    given, so a workspace for the other layers will do.
 
-    Without a workspace the arrays are fresh. That path stays for a
-    forward that no backward follows, such as a train-mode ``generate``:
-    it frees each layer's arrays as the next layer's are made, where a
-    workspace holds every layer's, which keeps a 20 000-row train-mode
-    ``generate`` under 4 activation units of peak memory."""
+    Without ``ws`` the pass builds a workspace without ``backward`` for x's
+    rows, which holds one array per layer and normalizes in place, as a
+    forward that no backward follows needs: a train-mode ``generate`` of
+    20 000 rows stays under 4 activation units of peak memory. Batch
+    norm's squared deviations go into the workspace's ``ga``, the
+    backward's scratch, or into a temporary where it has none."""
+    ws = ws or workspace(None, x.shape[0], layers, backward=False)
     h = x
     last = len(layers) - 1
     for i, layer in enumerate(layers):
-        into = out if i == last and out is not None else ws.a[i] if ws else None
+        into = out if i == last and out is not None else ws.a[i]
         a = np.matmul(h, layer.w.values, out=into)
         a += layer.b.values
         h = _ACTIVATE[layer.activation](a)
         if layer.has_batch_norm:
-            inv, xhat = batch_statistics(a, layer.bn_state, mode,
-                                         out=ws.xhat[i] if ws else None,
-                                         work=ws.h[i] if ws else a)
-            if ws:
-                ws.inv[i][...] = inv
+            inv, xhat = batch_statistics(a, layer.bn_state, mode, out=ws.xhat[i],
+                                         work=ws.ga[i])
+            ws.inv[i][...] = inv
             xhat *= inv
-            h = np.multiply(xhat, layer.bn_scale.values, out=ws.h[i] if ws else xhat)
+            h = np.multiply(xhat, layer.bn_scale.values, out=ws.h[i])
             h += layer.bn_shift.values
     return h
 
@@ -844,8 +843,8 @@ def stack_backward(layers: Sequence[Dense], x: np.ndarray, ws, dh: np.ndarray,
                 layer.bn_shift.grad += np.add.reduce(dh, axis=0)
                 layer.bn_scale.grad += np.add.reduce(np.multiply(dh, ws.xhat[i], out=ga),
                                                      axis=0)
-            batch_norm_dx(dh, ws.xhat[i], layer.bn_scale.values, ws.inv[i], "train",
-                          out=dh, work=ga)
+            batch_norm_dx(dh, ws.xhat[i], layer.bn_scale.values, ws.inv[i], out=dh,
+                          work=ga)
         if layer.activation == "linear":
             ga = dh
         else:

@@ -109,8 +109,9 @@ class GeneratorModel:
         Infer mode is free of side effects and row by row, so it runs on
         blocks of rows, on every usable core, whose output layer writes
         into the one output array (``autodiff.by_row_blocks``). Train mode
-        is one batch, since batch norm needs whole-batch statistics, and
-        moves the running statistics.
+        is one batch, since batch norm needs whole-batch statistics, in a
+        workspace without ``backward`` that ``autodiff.stack_forward``
+        builds for it, and moves the running statistics.
 
         Batch norm runs after the bounded activation, so each scale
         parameter multiplies a hidden feature directly. A scale pushed up

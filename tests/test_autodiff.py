@@ -683,6 +683,26 @@ def test_batch_norm_scale_gradient_vs_finite_differences():
     assert_grads_match(analytic, numeric, rtol=1e-5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_infer_batch_norm_input_gradient_is_g_times_scale_times_inv(dtype):
+    """Infer mode divides by the running statistics, which do not depend on
+    the input: the tape gives x the gradient g * scale * inv, bit for bit,
+    with inv = 1/sqrt(running var + eps) in the statistics' dtype."""
+    rng = np.random.default_rng(9)
+    x = param(rng.normal(size=(6, 4)).astype(dtype), "x")
+    scale = rng.normal(size=4).astype(dtype) + 2.0
+    state = BatchNormState(mean=rng.normal(size=4).astype(dtype),
+                           var=rng.uniform(0.5, 2.0, size=4).astype(dtype))
+    g = rng.normal(size=(6, 4))
+    tape = Tape()
+    out = ad.batch_norm(tape.watch(x), tape.constant(np.zeros(4)), tape.constant(scale),
+                        state, "infer")
+    tape.backward((out * g).sum())
+    inv = 1.0 / np.sqrt(state.var + ad.BN_EPS)
+    assert inv.dtype == dtype
+    assert np.array_equal(x.grad, g * scale.astype(np.float64) * inv)
+
+
 def test_batch_norm_rejects_single_row_training_batch():
     tape = Tape()
     state = BatchNormState.initial(2)
